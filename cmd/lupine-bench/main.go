@@ -235,7 +235,7 @@ type benchRecord struct {
 }
 
 // readBenchRecords loads the existing trajectory. A missing file is an
-// empty trajectory; a legacy single-object file becomes its first entry.
+// empty trajectory; anything but a JSON array of records is an error.
 func readBenchRecords(path string) ([]benchRecord, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -245,14 +245,10 @@ func readBenchRecords(path string) ([]benchRecord, error) {
 		return nil, err
 	}
 	var recs []benchRecord
-	if err := json.Unmarshal(b, &recs); err == nil {
-		return recs, nil
+	if err := json.Unmarshal(b, &recs); err != nil {
+		return nil, fmt.Errorf("bench-out: %s is not a JSON array of bench records: %w", path, err)
 	}
-	var one benchRecord
-	if err := json.Unmarshal(b, &one); err != nil {
-		return nil, fmt.Errorf("bench-out: %s holds neither a record array nor a legacy record: %w", path, err)
-	}
-	return []benchRecord{one}, nil
+	return recs, nil
 }
 
 func writeBenchRecord(path, bench string, seed uint64) error {

@@ -1,8 +1,8 @@
 // Package attack is the deterministic exploit-injection plane: a seeded
 // campaign of syscall-level probes, payload escalations and lateral
 // movement, run against the control plane's placements on the same
-// virtual-time event heap as everything else. Compromise is
-// config-causal, the paper's specialization story turned adversarial:
+// simclock.Engine as everything else. Compromise is config-causal, the
+// paper's specialization story turned adversarial:
 //
 //   - A syscall probe only lands if the targeted syscall is exposed by
 //     the victim kernel's kconfig — every Table-1 option a build turned
@@ -298,13 +298,13 @@ type Hooks struct {
 }
 
 // Plane is one running campaign. Construct with New, arm targets with
-// Register, start with Start; the owner's event heap drives everything.
+// Register, start with Start; the owner's engine drives everything.
 type Plane struct {
-	cfg   Config
-	sched fabric.Scheduler
-	net   *fabric.Network // may be nil: targets without NICs are hit directly
-	inj   *faults.Injector
-	rng   *faults.Stream
+	cfg Config
+	eng *simclock.Engine
+	net *fabric.Network // may be nil: targets without NICs are hit directly
+	inj *faults.Injector
+	rng *faults.Stream
 
 	targets []*Target
 	hooks   Hooks
@@ -324,17 +324,17 @@ type Plane struct {
 	st Stats
 }
 
-// New builds a campaign plane on the owner's scheduler. net may be nil
+// New builds a campaign plane on the owner's engine. net may be nil
 // when no target has a NIC; inj nil means no rule ever fires (a quiet
 // campaign).
-func New(cfg Config, sched fabric.Scheduler, net *fabric.Network, inj *faults.Injector) *Plane {
+func New(cfg Config, eng *simclock.Engine, net *fabric.Network, inj *faults.Injector) *Plane {
 	cfg.normalize()
 	return &Plane{
-		cfg:   cfg,
-		sched: sched,
-		net:   net,
-		inj:   inj,
-		rng:   faults.NewStream(cfg.Seed),
+		cfg: cfg,
+		eng: eng,
+		net: net,
+		inj: inj,
+		rng: faults.NewStream(cfg.Seed),
 	}
 }
 
@@ -401,11 +401,11 @@ func (p *Plane) Start(now simclock.Time) {
 	if at < now {
 		at = now
 	}
-	p.sched.Schedule(at, p.campaignTick)
-	p.sched.Schedule(now.Add(p.cfg.CanaryEvery), p.canaryTick)
+	p.eng.Schedule(at, p.campaignTick)
+	p.eng.Schedule(now.Add(p.cfg.CanaryEvery), p.canaryTick)
 }
 
-// Stop halts the campaign at its next event, letting the owner's heap
+// Stop halts the campaign at its next event, letting the owner's engine
 // drain. In-flight lateral probes resolve but no longer exploit.
 func (p *Plane) Stop() { p.stopped = true }
 
@@ -419,7 +419,7 @@ func (p *Plane) campaignTick(now simclock.Time) {
 			p.exploit(t, p.vector(d.Param), "probe", now)
 		}
 	}
-	p.sched.Schedule(now.Add(p.cfg.AttackEvery), p.campaignTick)
+	p.eng.Schedule(now.Add(p.cfg.AttackEvery), p.campaignTick)
 }
 
 // vector resolves a rule Param to a syscall name: 1-based index, 0 for
@@ -515,11 +515,11 @@ func (p *Plane) compromise(t *Target, cause string, now simclock.Time) {
 	}
 	if t.surface.KML && !t.gone {
 		tt := t
-		p.sched.Schedule(now.Add(p.cfg.EscalateAfter), func(at simclock.Time) { p.escalate(tt, at) })
+		p.eng.Schedule(now.Add(p.cfg.EscalateAfter), func(at simclock.Time) { p.escalate(tt, at) })
 	}
 	if !t.gone {
 		tt := t
-		p.sched.Schedule(now.Add(p.cfg.LateralEvery), func(at simclock.Time) { p.lateralWave(tt, at) })
+		p.eng.Schedule(now.Add(p.cfg.LateralEvery), func(at simclock.Time) { p.lateralWave(tt, at) })
 	}
 }
 
@@ -579,7 +579,7 @@ func (p *Plane) lateralWave(t *Target, now simclock.Time) {
 			p.exploit(pp, vec, "lateral", at)
 		})
 	}
-	p.sched.Schedule(now.Add(p.cfg.LateralEvery), func(at simclock.Time) { p.lateralWave(t, at) })
+	p.eng.Schedule(now.Add(p.cfg.LateralEvery), func(at simclock.Time) { p.lateralWave(t, at) })
 }
 
 // lateralPeers picks up to Fanout un-owned peers in registration order
@@ -634,5 +634,5 @@ func (p *Plane) canaryTick(now simclock.Time) {
 			}
 		}
 	}
-	p.sched.Schedule(now.Add(p.cfg.CanaryEvery), p.canaryTick)
+	p.eng.Schedule(now.Add(p.cfg.CanaryEvery), p.canaryTick)
 }

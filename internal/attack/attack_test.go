@@ -11,53 +11,6 @@ import (
 
 const us = simclock.Microsecond
 
-// sched is a minimal event heap implementing fabric.Scheduler, driven to
-// a horizon so the campaign's self-rescheduling ticks terminate.
-type sev struct {
-	at  simclock.Time
-	seq int
-	fn  func(now simclock.Time)
-}
-
-type sched struct {
-	clk *simclock.Clock
-	q   []sev
-	seq int
-}
-
-func newSched() *sched { return &sched{clk: simclock.New()} }
-
-func (s *sched) Now() simclock.Time { return s.clk.Now() }
-
-func (s *sched) Schedule(at simclock.Time, fn func(now simclock.Time)) {
-	if at < s.clk.Now() {
-		at = s.clk.Now()
-	}
-	s.seq++
-	s.q = append(s.q, sev{at: at, seq: s.seq, fn: fn})
-}
-
-func (s *sched) run(until simclock.Time) {
-	for {
-		best := -1
-		for i, e := range s.q {
-			if e.at > until {
-				continue
-			}
-			if best < 0 || e.at < s.q[best].at || (e.at == s.q[best].at && e.seq < s.q[best].seq) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return
-		}
-		e := s.q[best]
-		s.q = append(s.q[:best], s.q[best+1:]...)
-		s.clk.AdvanceTo(e.at)
-		e.fn(e.at)
-	}
-}
-
 func mkInj(t *testing.T, seed uint64, rules ...faults.Rule) *faults.Injector {
 	t.Helper()
 	in, err := faults.New(faults.Plan{Seed: seed, Rules: rules})
@@ -100,7 +53,7 @@ func TestHardeningOptions(t *testing.T) {
 // A gated syscall surface bounces every probe before any payload runs:
 // compromise is config-causal.
 func TestSyscallGatingDeflects(t *testing.T) {
-	s := newSched()
+	s := simclock.NewEngine()
 	in := mkInj(t, 7,
 		faults.Rule{Site: SiteSyscallProbe, Prob: 1, Param: 1},
 		faults.Rule{Site: SitePayload, Prob: 1},
@@ -110,7 +63,7 @@ func TestSyscallGatingDeflects(t *testing.T) {
 	p := New(cfg, s, nil, in)
 	p.Register("vm0", Surface{HasSyscall: func(string) bool { return false }}, nil, "h0")
 	p.Start(0)
-	s.run(simclock.Time(3000 * us))
+	s.RunUntil(simclock.Time(3000 * us))
 
 	st := p.Stats()
 	if st.Attempts < 5 {
@@ -125,7 +78,7 @@ func TestSyscallGatingDeflects(t *testing.T) {
 // probe and payload always armed, until the horizon.
 func runCampaign(t *testing.T, sfc Surface, n int, seed uint64) Stats {
 	t.Helper()
-	s := newSched()
+	s := simclock.NewEngine()
 	in := mkInj(t, seed,
 		faults.Rule{Site: SiteSyscallProbe, Prob: 1, Param: 1},
 		faults.Rule{Site: SitePayload, Prob: 1},
@@ -137,7 +90,7 @@ func runCampaign(t *testing.T, sfc Surface, n int, seed uint64) Stats {
 		p.Register("vm", sfc, nil, "h0")
 	}
 	p.Start(0)
-	s.run(simclock.Time(10000 * us))
+	s.RunUntil(simclock.Time(10000 * us))
 	return p.Stats()
 }
 
@@ -169,7 +122,7 @@ func TestCampaignDeterminism(t *testing.T) {
 
 // An info-leak bypass fault voids the hardening gauntlet outright.
 func TestHardeningBypassSite(t *testing.T) {
-	s := newSched()
+	s := simclock.NewEngine()
 	in := mkInj(t, 7,
 		faults.Rule{Site: SiteSyscallProbe, NthHit: 1, Param: 1},
 		faults.Rule{Site: SitePayload, Prob: 1},
@@ -182,7 +135,7 @@ func TestHardeningBypassSite(t *testing.T) {
 	p := New(cfg, s, nil, in)
 	p.Register("vm0", Surface{ASLR: true, WX: true}, nil, "h0")
 	p.Start(0)
-	s.run(simclock.Time(2000 * us))
+	s.RunUntil(simclock.Time(2000 * us))
 
 	st := p.Stats()
 	if st.Compromised != 1 || st.PayloadFailed != 0 { // ...but the leak skipped them
@@ -194,7 +147,7 @@ func TestHardeningBypassSite(t *testing.T) {
 // owning every co-located guest at once — even syscall-gated ones, since
 // the takeover never crosses the syscall boundary or the wire.
 func TestKMLEscalation(t *testing.T) {
-	s := newSched()
+	s := simclock.NewEngine()
 	in := mkInj(t, 7)
 	p := New(DefaultConfig(), s, nil, in)
 	kml := p.Register("kml0", Surface{KML: true}, nil, "h0")
@@ -202,7 +155,7 @@ func TestKMLEscalation(t *testing.T) {
 	other := p.Register("vm2", Surface{}, nil, "h1")
 	p.Start(0)
 	s.Schedule(simclock.Time(100*us), func(now simclock.Time) { p.compromise(kml, "probe", now) })
-	s.run(simclock.Time(2000 * us))
+	s.RunUntil(simclock.Time(2000 * us))
 
 	if !peer.Compromised() || peer.Cause() != "kml-escalation" {
 		t.Fatalf("co-located guest must fall to the escalation: %+v", p.Stats())
@@ -221,7 +174,7 @@ func TestKMLEscalation(t *testing.T) {
 // A repave that deregisters the KML victim inside the escalation window
 // averts the host takeover; an egress cut alone would not.
 func TestKMLEscalationAvertedByRepave(t *testing.T) {
-	s := newSched()
+	s := simclock.NewEngine()
 	in := mkInj(t, 7)
 	p := New(DefaultConfig(), s, nil, in)
 	kml := p.Register("kml0", Surface{KML: true}, nil, "h0")
@@ -229,7 +182,7 @@ func TestKMLEscalationAvertedByRepave(t *testing.T) {
 	p.Start(0)
 	s.Schedule(simclock.Time(100*us), func(now simclock.Time) { p.compromise(kml, "probe", now) })
 	s.Schedule(simclock.Time(300*us), func(now simclock.Time) { p.Deregister(kml, now) })
-	s.run(simclock.Time(2000 * us))
+	s.RunUntil(simclock.Time(2000 * us))
 
 	if peer.Compromised() {
 		t.Fatal("deregistered victim must not escalate")
@@ -240,7 +193,7 @@ func TestKMLEscalationAvertedByRepave(t *testing.T) {
 }
 
 // netFixture builds a two-node fabric (one zone each) on the test heap.
-func netFixture(t *testing.T, s *sched, in *faults.Injector) (*fabric.Network, *fabric.Node, *fabric.Node) {
+func netFixture(t *testing.T, s *simclock.Engine, in *faults.Injector) (*fabric.Network, *fabric.Node, *fabric.Node) {
 	t.Helper()
 	net, err := fabric.New(fabric.DefaultParams(), s, in)
 	if err != nil {
@@ -261,7 +214,7 @@ func netFixture(t *testing.T, s *sched, in *faults.Injector) (*fabric.Network, *
 // A quarantine's egress cut stops lateral movement at the victim's NIC:
 // probes die on the wire and the peer never falls.
 func TestLateralBlockedByEgressCut(t *testing.T) {
-	s := newSched()
+	s := simclock.NewEngine()
 	in := mkInj(t, 7,
 		faults.Rule{Site: SiteLateral, Prob: 1, Param: 1},
 		faults.Rule{Site: SitePayload, Prob: 1},
@@ -275,7 +228,7 @@ func TestLateralBlockedByEgressCut(t *testing.T) {
 	p.Start(0)
 	s.Schedule(0, func(now simclock.Time) { p.compromise(src, "probe", now) })
 	n0.SetEgressCut(true)
-	s.run(simclock.Time(3000 * us))
+	s.RunUntil(simclock.Time(3000 * us))
 
 	st := p.Stats()
 	if dst.Compromised() {
@@ -293,7 +246,7 @@ func TestLateralBlockedByEgressCut(t *testing.T) {
 // the fabric is only as good as the partition's lifetime.
 func TestLateralBlockedByPartitionUntilHeal(t *testing.T) {
 	const healAt = 1600 * us
-	s := newSched()
+	s := simclock.NewEngine()
 	in := mkInj(t, 7,
 		faults.Rule{Site: SiteLateral, Prob: 1, Param: 1},
 		faults.Rule{Site: SitePayload, Prob: 1},
@@ -308,7 +261,7 @@ func TestLateralBlockedByPartitionUntilHeal(t *testing.T) {
 	dst := p.Register("vm1", Surface{}, n1, "h1")
 	p.Start(0)
 	s.Schedule(0, func(now simclock.Time) { p.compromise(src, "probe", now) })
-	s.run(simclock.Time(4000 * us))
+	s.RunUntil(simclock.Time(4000 * us))
 
 	st := p.Stats()
 	if st.LateralBlocked < 2 {

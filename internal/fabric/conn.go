@@ -87,7 +87,7 @@ func (nd *Node) Dial(dst *Node, port int, cbs ConnCallbacks) *Conn {
 		client:   nd,
 		server:   dst,
 		raddr:    Addr{IP: dst.ip, Port: port},
-		dialedAt: n.sched.Now(),
+		dialedAt: n.eng.Now(),
 		cbs:      cbs,
 		xmits:    make(map[int]*xmit),
 	}
@@ -116,7 +116,7 @@ func (c *Conn) sendReliable(kind segKind, size, maxRetries int, response bool) {
 	c.net.connSeq++
 	x := &xmit{conn: c, kind: kind, size: size, seq: c.net.connSeq, max: maxRetries, response: response}
 	c.xmits[x.seq] = x
-	c.push(x, c.net.sched.Now())
+	c.push(x, c.net.eng.Now())
 }
 
 // push transmits an xmit's segment and arms its retransmission timer.
@@ -127,7 +127,7 @@ func (c *Conn) push(x *xmit, now simclock.Time) {
 	}
 	c.net.transmit(&segment{kind: x.kind, from: from, to: to, size: x.size, conn: c, seq: x.seq, response: x.response}, now)
 	rto := c.net.rto(x.attempt)
-	c.net.sched.Schedule(now.Add(rto), func(at simclock.Time) { c.rexmitCheck(x, at) })
+	c.net.eng.Schedule(now.Add(rto), func(at simclock.Time) { c.rexmitCheck(x, at) })
 }
 
 // rexmitCheck fires when an xmit's RTO elapses: still un-acked means the
@@ -224,7 +224,7 @@ func (c *Conn) SendRequest(size int, respTimeout simclock.Duration, now simclock
 		return
 	}
 	c.sendReliable(segData, size, c.net.params.MaxRetransmits, false)
-	c.net.sched.Schedule(now.Add(respTimeout), func(at simclock.Time) {
+	c.net.eng.Schedule(now.Add(respTimeout), func(at simclock.Time) {
 		if !c.closed && !c.respDelivered {
 			c.fail(ErrTimeout, at)
 		}

@@ -75,14 +75,6 @@ const SOMAXCONN = 128
 // ACK, probes): a headers-only frame.
 const ctlBytes = 64
 
-// Scheduler is the event engine the fabric runs on. The fleet front-end
-// passes itself, so fabric events interleave deterministically with
-// dispatch, probe and autoscaler events on one virtual-time heap.
-type Scheduler interface {
-	Now() simclock.Time
-	Schedule(at simclock.Time, fn func(now simclock.Time))
-}
-
 // LinkSpec models one node's access link to the switch.
 type LinkSpec struct {
 	Latency   simclock.Duration // one-way propagation to the switch
@@ -155,7 +147,7 @@ type Stats struct {
 // Network is one virtual switch plus every NIC attached to it.
 type Network struct {
 	params Params
-	sched  Scheduler
+	eng    *simclock.Engine
 	inj    *faults.Injector
 	rng    *faults.Stream
 	subnet *Subnet
@@ -182,8 +174,10 @@ type Network struct {
 	trTrack string
 }
 
-// New builds a network on the scheduler. inj may be nil (a clean wire).
-func New(params Params, sched Scheduler, inj *faults.Injector) (*Network, error) {
+// New builds a network on the engine its owner runs, so wire events
+// interleave deterministically with the owner's dispatch, probe and
+// control events. inj may be nil (a clean wire).
+func New(params Params, eng *simclock.Engine, inj *faults.Injector) (*Network, error) {
 	if params.CIDR == "" {
 		params.CIDR = DefaultParams().CIDR
 	}
@@ -205,7 +199,7 @@ func New(params Params, sched Scheduler, inj *faults.Injector) (*Network, error)
 	}
 	return &Network{
 		params:        params,
-		sched:         sched,
+		eng:           eng,
 		inj:           inj,
 		rng:           faults.NewStream(params.Seed ^ 0xFAB51C),
 		subnet:        subnet,
@@ -556,7 +550,7 @@ func (n *Network) transmit(s *segment, now simclock.Time) {
 		hop += spec.Latency
 	}
 	arrive := depart.Add(hop)
-	n.sched.Schedule(arrive, func(at simclock.Time) { n.deliver(s, at) })
+	n.eng.Schedule(arrive, func(at simclock.Time) { n.deliver(s, at) })
 }
 
 // trunkCuts decides whether a trunk-cut payload blackholes this
@@ -693,9 +687,9 @@ func (n *Network) Probe(from, to *Node, timeout simclock.Duration, cb func(ok bo
 	n.stats.ProbesSent++
 	pr := &probe{cb: cb}
 	n.probes()[id] = pr
-	now := n.sched.Now()
+	now := n.eng.Now()
 	n.transmit(&segment{kind: segProbe, from: from, to: to, size: ctlBytes, probeID: id}, now)
-	n.sched.Schedule(now.Add(timeout), func(at simclock.Time) {
+	n.eng.Schedule(now.Add(timeout), func(at simclock.Time) {
 		if !pr.done {
 			pr.done = true
 			delete(n.probes(), id)

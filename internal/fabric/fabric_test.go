@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"strings"
@@ -11,66 +10,6 @@ import (
 	"lupine/internal/guest"
 	"lupine/internal/simclock"
 )
-
-// testSched is a minimal deterministic event engine: events pop in
-// (time, insertion-seq) order, exactly like the fleet's heap the fabric
-// shares in production.
-type testSched struct {
-	now  simclock.Time
-	seq  int
-	heap schedHeap
-}
-
-type schedEvent struct {
-	at  simclock.Time
-	seq int
-	fn  func(now simclock.Time)
-}
-
-type schedHeap []*schedEvent
-
-func (h schedHeap) Len() int { return len(h) }
-func (h schedHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h schedHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *schedHeap) Push(x interface{}) { *h = append(*h, x.(*schedEvent)) }
-func (h *schedHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	*h = old[:n-1]
-	return ev
-}
-
-func (s *testSched) Now() simclock.Time { return s.now }
-
-func (s *testSched) Schedule(at simclock.Time, fn func(now simclock.Time)) {
-	if at < s.now {
-		at = s.now
-	}
-	s.seq++
-	heap.Push(&s.heap, &schedEvent{at: at, seq: s.seq, fn: fn})
-}
-
-// Run drains the heap up to and including horizon.
-func (s *testSched) Run(horizon simclock.Time) {
-	for s.heap.Len() > 0 {
-		ev := s.heap[0]
-		if ev.at > horizon {
-			break
-		}
-		heap.Pop(&s.heap)
-		s.now = ev.at
-		ev.fn(s.now)
-	}
-	if horizon > s.now {
-		s.now = horizon
-	}
-}
 
 const ms = simclock.Millisecond
 
@@ -131,12 +70,12 @@ func TestSOMAXCONNParity(t *testing.T) {
 	}
 }
 
-// newTestNet builds a one-client, one-server network on a fresh test
-// scheduler. The server auto-accepts and echoes a response unless
+// newTestNet builds a one-client, one-server network on a fresh engine.
+// The server auto-accepts and echoes a response unless
 // noServe is set.
-func newTestNet(t *testing.T, inj *faults.Injector, params Params) (*testSched, *Network, *Node, *Node, *Listener) {
+func newTestNet(t *testing.T, inj *faults.Injector, params Params) (*simclock.Engine, *Network, *Node, *Node, *Listener) {
 	t.Helper()
-	sched := &testSched{}
+	sched := simclock.NewEngine()
 	net, err := New(params, sched, inj)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +98,7 @@ type connResult struct {
 	err         error
 }
 
-func dialAndSend(sched *testSched, client, server *Node, reqBytes, respBytes int, respTimeout simclock.Duration, serve bool, lst *Listener) *connResult {
+func dialAndSend(sched *simclock.Engine, client, server *Node, reqBytes, respBytes int, respTimeout simclock.Duration, serve bool, lst *Listener) *connResult {
 	res := &connResult{}
 	if serve {
 		lst.OnPending = func(now simclock.Time) {
@@ -189,7 +128,7 @@ func dialAndSend(sched *testSched, client, server *Node, reqBytes, respBytes int
 func TestCleanWireRequestResponse(t *testing.T) {
 	sched, net, client, server, lst := newTestNet(t, nil, DefaultParams())
 	res := dialAndSend(sched, client, server, 1024, 4096, 10*ms, true, lst)
-	sched.Run(simclock.Time(100 * ms))
+	sched.RunUntil(simclock.Time(100 * ms))
 	if !res.established || !res.served || res.err != nil {
 		t.Fatalf("clean wire: established=%v served=%v err=%v", res.established, res.served, res.err)
 	}
@@ -208,7 +147,7 @@ func TestNoListenerRefused(t *testing.T) {
 	client.Dial(server, 8080, ConnCallbacks{ // nothing listens on 8080
 		Failed: func(c *Conn, err error, now simclock.Time) { res.err = err },
 	})
-	sched.Run(simclock.Time(100 * ms))
+	sched.RunUntil(simclock.Time(100 * ms))
 	if !errors.Is(res.err, ErrRefused) {
 		t.Fatalf("dial to unbound port: err=%v, want ErrRefused", res.err)
 	}
@@ -224,7 +163,7 @@ func TestDeadServerRefused(t *testing.T) {
 	client.Dial(server, 80, ConnCallbacks{
 		Failed: func(c *Conn, err error, now simclock.Time) { res.err = err },
 	})
-	sched.Run(simclock.Time(100 * ms))
+	sched.RunUntil(simclock.Time(100 * ms))
 	if !errors.Is(res.err, ErrRefused) {
 		t.Fatalf("dial to dead server: err=%v, want ErrRefused", res.err)
 	}
@@ -234,7 +173,7 @@ func TestDeadServerRefused(t *testing.T) {
 // overflow connection is refused with ErrOverflow — the load balancer's
 // shed signal — while the queued ones survive.
 func TestBacklogOverflowSheds(t *testing.T) {
-	sched := &testSched{}
+	sched := simclock.NewEngine()
 	net, err := New(DefaultParams(), sched, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +187,7 @@ func TestBacklogOverflowSheds(t *testing.T) {
 			Failed: func(c *Conn, err error, now simclock.Time) { errs = append(errs, err) },
 		})
 	}
-	sched.Run(simclock.Time(ms))
+	sched.RunUntil(simclock.Time(ms))
 	if len(errs) != 1 || !errors.Is(errs[0], ErrOverflow) {
 		t.Fatalf("overflow errors = %v, want exactly one ErrOverflow", errs)
 	}
@@ -262,7 +201,7 @@ func TestBacklogOverflowSheds(t *testing.T) {
 
 // TestListenClamp checks the listen(2) clamping rules.
 func TestListenClamp(t *testing.T) {
-	sched := &testSched{}
+	sched := simclock.NewEngine()
 	net, _ := New(DefaultParams(), sched, nil)
 	nd, _ := net.AddNode("n", LinkSpec{})
 	if l := nd.Listen(1, 0); l.cap != 1 {
@@ -281,7 +220,7 @@ func TestLossRetransmitRecovers(t *testing.T) {
 	}})
 	sched, net, client, server, lst := newTestNet(t, inj, DefaultParams())
 	res := dialAndSend(sched, client, server, 1024, 4096, 50*ms, true, lst)
-	sched.Run(simclock.Time(100 * ms))
+	sched.RunUntil(simclock.Time(100 * ms))
 	if !res.served || res.err != nil {
 		t.Fatalf("lossy wire: served=%v err=%v", res.served, res.err)
 	}
@@ -296,7 +235,7 @@ func TestLossRetransmitRecovers(t *testing.T) {
 // retransmits its SYN into a one-way street and fails with ErrTimeout —
 // the signature one-sided-partition behavior the breaker tests build on.
 func TestAsymmetricPartitionTimesOut(t *testing.T) {
-	sched := &testSched{}
+	sched := simclock.NewEngine()
 	params := DefaultParams()
 	inj := faults.MustNew(faults.Plan{Seed: 3, Rules: []faults.Rule{
 		{Site: SitePartition, Prob: 1, Param: -2}, // cut segments out of node 2
@@ -311,7 +250,7 @@ func TestAsymmetricPartitionTimesOut(t *testing.T) {
 	// Nobody accepts: the backlog retains what the server heard, so the
 	// test can prove the SYN crossed while the SYN-ACK did not.
 	res := dialAndSend(sched, client, server, 1024, 4096, 50*ms, false, lst)
-	sched.Run(simclock.Time(200 * ms))
+	sched.RunUntil(simclock.Time(200 * ms))
 	if !errors.Is(res.err, ErrTimeout) {
 		t.Fatalf("one-sided partition: err=%v, want ErrTimeout", res.err)
 	}
@@ -340,7 +279,7 @@ func TestFlapDropsThenHeals(t *testing.T) {
 	}})
 	sched, net, client, server, lst := newTestNet(t, inj, DefaultParams())
 	res := dialAndSend(sched, client, server, 1024, 4096, 50*ms, true, lst)
-	sched.Run(simclock.Time(100 * ms))
+	sched.RunUntil(simclock.Time(100 * ms))
 	if !res.served || res.err != nil {
 		t.Fatalf("flapped wire: served=%v err=%v", res.served, res.err)
 	}
@@ -386,7 +325,7 @@ func TestFlapHealMidRexmitResumesLadder(t *testing.T) {
 		Failed:   func(c *Conn, err error, now simclock.Time) { res.err = err },
 		Response: func(c *Conn, now simclock.Time) { res.served = true },
 	})
-	sched.Run(simclock.Time(100 * ms))
+	sched.RunUntil(simclock.Time(100 * ms))
 	if !res.established || !res.served || res.err != nil {
 		t.Fatalf("mid-rexmit heal: established=%v served=%v err=%v", res.established, res.served, res.err)
 	}
@@ -421,7 +360,7 @@ func TestFlapOutlastsRexmitLadder(t *testing.T) {
 	}})
 	sched, net, client, server, lst := newTestNet(t, inj, params)
 	res := dialAndSend(sched, client, server, 1024, 4096, 50*ms, true, lst)
-	sched.Run(simclock.Time(100 * ms))
+	sched.RunUntil(simclock.Time(100 * ms))
 	if res.served {
 		t.Fatal("request served through a flap that outlasts the whole ladder")
 	}
@@ -443,7 +382,7 @@ func TestFlapOutlastsRexmitLadder(t *testing.T) {
 // TestAcceptSkipsDeadEntries fills a backlog, times the clients out, and
 // checks Accept discards the corpses.
 func TestAcceptSkipsDeadEntries(t *testing.T) {
-	sched := &testSched{}
+	sched := simclock.NewEngine()
 	params := DefaultParams()
 	net, _ := New(params, sched, nil)
 	client, _ := net.AddNode("client", LinkSpec{})
@@ -453,7 +392,7 @@ func TestAcceptSkipsDeadEntries(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		conns = append(conns, client.Dial(server, 80, ConnCallbacks{}))
 	}
-	sched.Run(simclock.Time(ms))
+	sched.RunUntil(simclock.Time(ms))
 	if lst.Pending() != 2 {
 		t.Fatalf("pending = %d, want 2", lst.Pending())
 	}
@@ -479,7 +418,7 @@ func storm(seed uint64) string {
 		{Site: SiteDelay, Prob: 0.1, Param: 150},
 		{Site: SiteFlap, Prob: 0.02, Param: 400},
 	}})
-	sched := &testSched{}
+	sched := simclock.NewEngine()
 	params := DefaultParams()
 	params.Seed = seed
 	net, _ := New(params, sched, inj)
@@ -512,7 +451,7 @@ func storm(seed uint64) string {
 			})
 		})
 	}
-	sched.Run(simclock.Time(500 * ms))
+	sched.RunUntil(simclock.Time(500 * ms))
 	fmt.Fprintf(&sb, "stats %+v\n", net.Stats())
 	return sb.String()
 }
@@ -534,7 +473,7 @@ func TestStormDeterminism(t *testing.T) {
 // TestProbeVerdicts covers the heartbeat datagram: clean reply, dead
 // target silence, and a lost probe all resolving exactly once.
 func TestProbeVerdicts(t *testing.T) {
-	sched := &testSched{}
+	sched := simclock.NewEngine()
 	net, _ := New(DefaultParams(), sched, nil)
 	lb, _ := net.AddNode("lb", LinkSpec{})
 	vm, _ := net.AddNode("vm", LinkSpec{})
@@ -544,14 +483,14 @@ func TestProbeVerdicts(t *testing.T) {
 	record := func(ok bool, now simclock.Time) { verdicts++; lastOK = ok }
 
 	net.Probe(lb, vm, ms, record)
-	sched.Run(simclock.Time(10 * ms))
+	sched.RunUntil(simclock.Time(10 * ms))
 	if verdicts != 1 || !lastOK {
 		t.Fatalf("clean probe: verdicts=%d ok=%v", verdicts, lastOK)
 	}
 
 	vm.SetAlive(func(now simclock.Time) bool { return false })
 	net.Probe(lb, vm, ms, record)
-	sched.Run(simclock.Time(20 * ms))
+	sched.RunUntil(simclock.Time(20 * ms))
 	if verdicts != 2 || lastOK {
 		t.Fatalf("dead-target probe: verdicts=%d ok=%v", verdicts, lastOK)
 	}
@@ -568,13 +507,13 @@ func TestProbeLostIsFailed(t *testing.T) {
 	inj := faults.MustNew(faults.Plan{Seed: 5, Rules: []faults.Rule{
 		{Site: SiteLoss, NthHit: 1},
 	}})
-	sched := &testSched{}
+	sched := simclock.NewEngine()
 	net, _ := New(DefaultParams(), sched, inj)
 	lb, _ := net.AddNode("lb", LinkSpec{})
 	vm, _ := net.AddNode("vm", LinkSpec{})
 	verdicts, ok := 0, true
 	net.Probe(lb, vm, ms, func(got bool, now simclock.Time) { verdicts++; ok = got })
-	sched.Run(simclock.Time(10 * ms))
+	sched.RunUntil(simclock.Time(10 * ms))
 	if verdicts != 1 || ok {
 		t.Fatalf("lost probe: verdicts=%d ok=%v, want one false verdict", verdicts, ok)
 	}
@@ -583,27 +522,22 @@ func TestProbeLostIsFailed(t *testing.T) {
 // TestBandwidthSerializes checks the egress link serializes back-to-back
 // segments: the second departs after the first finishes transmitting.
 func TestBandwidthSerializes(t *testing.T) {
-	sched := &testSched{}
+	sched := simclock.NewEngine()
 	params := DefaultParams()
 	params.DefaultLink = LinkSpec{Latency: simclock.Microsecond, Bandwidth: 1000 * 1000} // 1 MB/s: 1 ms per KB
 	net, _ := New(params, sched, nil)
 	a, _ := net.AddNode("a", LinkSpec{})
 	b, _ := net.AddNode("b", LinkSpec{})
+	// b's liveness gate is consulted once per probe delivery: record the
+	// arrival instant and stay dark, so no reply muddies the wire.
 	var arrivals []simclock.Time
+	b.SetAlive(func(now simclock.Time) bool { arrivals = append(arrivals, now); return false })
 	for i := 0; i < 2; i++ {
 		net.transmit(&segment{kind: segProbe, from: a, to: b, size: 1000, probeID: 1000 + i}, sched.Now())
 	}
-	// Intercept via probe delivery: b is up, replies happen, but we only
-	// care about arrival spacing — watch deliver times through a shim.
-	for sched.heap.Len() > 0 {
-		ev := sched.heap[0]
-		heap.Pop(&sched.heap)
-		sched.now = ev.at
-		arrivals = append(arrivals, ev.at)
-		// don't run fn: we only needed the arrival instants of the two probes
-		if len(arrivals) == 2 {
-			break
-		}
+	sched.Run()
+	if len(arrivals) != 2 {
+		t.Fatalf("probe arrivals = %v, want 2", arrivals)
 	}
 	gap := arrivals[1].Sub(arrivals[0])
 	if gap != simclock.Millisecond {

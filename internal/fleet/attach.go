@@ -9,14 +9,15 @@ import (
 )
 
 // Attached mode: a fleet that is one cell of a larger control plane
-// rather than a self-contained experiment. An attached fleet runs on an
-// external event engine and a shared fabric (its balancer and backend
+// rather than a self-contained experiment. An attached fleet runs on its
+// owner's simclock.Engine and a shared fabric (its balancer and backend
 // NICs switched into one zone), and serves traffic the owner Injects —
 // each request resolving through a callback — instead of generating its
-// own arrival process. The dispatch machinery is unchanged: breakers,
-// heartbeat probes, retry budget and policy routing all behave exactly
-// as in a standalone fleet, which is the point — the region plane
-// composes proven cells instead of reimplementing them.
+// own arrival process. Every fleet is built this way: a standalone one
+// is an attached cell on an engine and fabric of its own whose Run
+// generates the arrivals. So breakers, heartbeat probes, retry budget
+// and policy routing are one code path, and the region plane composes
+// proven cells instead of reimplementing them.
 
 // Outcome classifies how an injected request resolved.
 type Outcome int
@@ -39,24 +40,24 @@ func (o Outcome) String() string {
 	return "?"
 }
 
-// NewAttached assembles a fleet cell on an external engine and a shared
-// fabric. Its balancer node and every backend NIC are switched into
-// zone (so intra-cell traffic never crosses a trunk), and traffic
-// arrives only via Inject. Start begins the heartbeat loop; Stop halts
-// it so the owner's heap can drain.
-func NewAttached(cfg Config, sched fabric.Scheduler, net *fabric.Network, zone string, inj *faults.Injector) *Fleet {
+// NewAttached assembles a fleet cell on the owner's engine and a shared
+// fabric built on that engine. Its balancer node and every backend NIC
+// are switched into zone (so intra-cell traffic never crosses a trunk),
+// and traffic arrives only via Inject. Start begins the heartbeat loop;
+// Stop halts it so the owner's engine can drain.
+func NewAttached(cfg Config, eng *simclock.Engine, net *fabric.Network, zone string, inj *faults.Injector) *Fleet {
 	f := &Fleet{
 		cfg:         cfg,
-		ext:         sched,
+		eng:         eng,
 		zone:        zone,
 		inj:         inj,
+		net:         net,
 		arrivalRng:  faults.NewStream(cfg.Seed),
 		serviceRng:  faults.NewStream(cfg.Seed ^ 0xA5A5A5A5A5A5A5A5),
 		retryTokens: cfg.RetryBurst,
 		upgraded:    true,
 	}
 	f.res.FullAt = -1
-	f.net = net
 	lbName := "lb"
 	if zone != "" {
 		lbName = zone + "/lb"
@@ -66,20 +67,16 @@ func NewAttached(cfg Config, sched fabric.Scheduler, net *fabric.Network, zone s
 		panic(fmt.Sprintf("fleet: %v", err))
 	}
 	f.lbNode = lb
-	f.res.MinActive = 0
 	return f
 }
 
-// Attached reports whether this fleet is an attached-mode cell.
-func (f *Fleet) Attached() bool { return f.ext != nil }
-
-// Start begins an attached fleet's heartbeat loop.
+// Start begins the heartbeat loop, first beat one ProbeInterval after now.
 func (f *Fleet) Start(now simclock.Time) {
-	f.schedule(now.Add(f.cfg.ProbeInterval), f.probeTick)
+	f.eng.Schedule(now.Add(f.cfg.ProbeInterval), f.probeTick)
 }
 
 // Stop halts the heartbeat loop at its next tick, letting the owning
-// engine's heap drain once in-flight work resolves.
+// engine drain once in-flight work resolves.
 func (f *Fleet) Stop() { f.stopped = true }
 
 // Inject offers one request to an attached fleet at now. done (may be

@@ -103,7 +103,7 @@ func (f *Fleet) autoscaleTick(now simclock.Time) {
 		}
 	}
 	if f.resolved < f.cfg.Requests {
-		f.schedule(now.Add(p.Evaluate), f.autoscaleTick)
+		f.eng.Schedule(now.Add(p.Evaluate), f.autoscaleTick)
 	}
 }
 
@@ -117,7 +117,7 @@ func (f *Fleet) launch(now simclock.Time) {
 		l = f.scaler.Provision(seq, now)
 	}
 	f.scalePending++
-	f.schedule(now.Add(l.Ready), func(t simclock.Time) {
+	f.eng.Schedule(now.Add(l.Ready), func(t simclock.Time) {
 		f.scalePending--
 		nb := NewBackend(fmt.Sprintf("auto%d", seq), launchTimeline(l))
 		nb.onRelease = l.OnRetired

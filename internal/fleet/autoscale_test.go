@@ -74,6 +74,7 @@ func TestAutoscalerGrowsUnderSpike(t *testing.T) {
 func TestAutoscalerFullAt(t *testing.T) {
 	cfg := surgeTestConfig()
 	res := NewAutoscaled(cfg, minPool(2), surgeTestPolicy(), nil, nil).Run()
+	checkConservation(t, res)
 	if res.FullAt < 0 {
 		t.Fatalf("FullAt = %v under a saturating spike, want reached", res.FullAt)
 	}
@@ -84,6 +85,7 @@ func TestAutoscalerFullAt(t *testing.T) {
 	quiet := DefaultConfig()
 	quiet.Interarrival = 200 * us // comfortably served by the Min pool
 	qres := NewAutoscaled(quiet, minPool(2), surgeTestPolicy(), nil, nil).Run()
+	checkConservation(t, qres)
 	if qres.FullAt != -1 {
 		t.Errorf("quiet pool FullAt = %v, want -1 (never)", qres.FullAt)
 	}
@@ -175,6 +177,7 @@ func TestAutoscalerCooldownBoundsLaunches(t *testing.T) {
 	p := surgeTestPolicy()
 	p.UpCooldown = 2 * ms
 	res := NewAutoscaled(cfg, minPool(2), p, nil, nil).Run()
+	checkConservation(t, res)
 	if res.ScaleUps == 0 {
 		t.Fatal("no scale-ups under the spike")
 	}
@@ -214,6 +217,7 @@ func TestAutoscalerDeterministic(t *testing.T) {
 			return Launch{Ready: 200 * us, Restored: true}
 		}
 		res := NewAutoscaled(cfg, minPool(2), p, nil, nil).Run()
+		checkConservation(t, res)
 		return fmt.Sprintf("%+v", res)
 	}
 	if first, second := run(), run(); first != second {

@@ -108,6 +108,7 @@ func TestPartitionBreakerCycleDeterministic(t *testing.T) {
 		const to = simclock.Time(45 * simclock.Millisecond)
 		f := partitionedFleet(t, from, to)
 		res := f.Run()
+		checkConservation(t, res)
 		var s string
 		for _, b := range f.Backends() {
 			s += b.Name + ":" + fmt.Sprint(b.Breaker().Transitions) + "\n"

@@ -8,12 +8,13 @@
 // datagrams that a partition can eat, and the shed path is the
 // backend's own listener backlog overflowing — so breakers, retries and
 // shed accounting are measured against a network that can actually lose
-// a packet. All of it runs on one virtual-time event heap with faults
-// injected through internal/faults, so a fixed seed replays bit-for-bit.
+// a packet. All of it runs on one simclock.Engine with faults injected
+// through internal/faults, so a fixed seed replays bit-for-bit. A
+// standalone fleet (New) owns a fresh engine and fabric; an attached
+// cell (NewAttached) shares its owner's — the machinery is the same.
 package fleet
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"strconv"
@@ -196,7 +197,7 @@ type Result struct {
 	FalseTrips   int // breaker opens while the backend was actually alive (the wire lied)
 	Quarantines  int // deliberate containment opens (Quarantine calls that landed; never FalseTrips)
 	Retransmits  int // fabric segments re-sent after a presumed loss
-	Events       int // virtual-time events executed (the heap's pop count)
+	Events       int // virtual-time events executed (the engine's pop count)
 	Restarts     int // supervisor restarts summed over initial backends
 	MinActive    int // fewest structurally active backends at any instant
 	End          simclock.Time
@@ -256,57 +257,27 @@ type request struct {
 	done func(o Outcome, at simclock.Time)
 }
 
-// event is one scheduled state change; seq breaks time ties in schedule
-// order, which is what makes the run replayable.
-type event struct {
-	at  simclock.Time
-	seq int
-	fn  func(now simclock.Time)
-}
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
-}
-
-// Fleet is the running front-end. Construct with New, drive with Run.
+// Fleet is the running front-end. Construct with New and drive with
+// Run, or attach it to an owner's engine with NewAttached.
 type Fleet struct {
 	cfg      Config
-	clk      *simclock.Clock
+	eng      *simclock.Engine
 	backends []*Backend
 	inj      *faults.Injector // injected faults, fleet and fabric planes; nil = clean wire
 
-	// Attached mode (NewAttached): the fleet is one cell of a larger
-	// control plane — events go to the external engine, NICs join the
-	// shared fabric in zone, and the heartbeat loop runs until stopped.
-	ext     fabric.Scheduler
-	zone    string
-	stopped bool
+	// standalone fleets generate their own arrivals in Run and stop the
+	// heartbeat once every request has resolved and the upgrade plan has
+	// finished; attached cells are fed by Inject and beat until the owner
+	// calls Stop.
+	standalone bool
+	zone       string
+	stopped    bool
 
 	net    *fabric.Network
 	lbNode *fabric.Node
 
 	arrivalRng *faults.Stream
 	serviceRng *faults.Stream
-
-	events eventQueue
-	seq    int
-	popped int
 
 	retryTokens float64
 	rrNext      int
@@ -350,30 +321,16 @@ func New(cfg Config, backends []*Backend, plan *UpgradePlan, inj *faults.Injecto
 // backends through the policy (snapshot restore or cold boot). scaler
 // may be nil (fixed pool).
 func NewAutoscaled(cfg Config, backends []*Backend, scaler *AutoscalePolicy, plan *UpgradePlan, inj *faults.Injector) *Fleet {
-	f := &Fleet{
-		cfg:         cfg,
-		clk:         simclock.New(),
-		inj:         inj,
-		arrivalRng:  faults.NewStream(cfg.Seed),
-		serviceRng:  faults.NewStream(cfg.Seed ^ 0xA5A5A5A5A5A5A5A5),
-		retryTokens: cfg.RetryBurst,
-		plan:        plan,
-		upgraded:    plan == nil,
-		scaler:      scaler,
-	}
-	f.res.FullAt = -1
-
-	net, err := fabric.New(f.fabricParams(), f, inj)
+	eng := simclock.NewEngine()
+	net, err := fabric.New(FabricParams(cfg), eng, inj)
 	if err != nil {
 		panic(fmt.Sprintf("fleet: bad fabric config: %v", err))
 	}
-	f.net = net
-	lb, err := net.AddNode("lb", fabric.LinkSpec{})
-	if err != nil {
-		panic(fmt.Sprintf("fleet: %v", err))
-	}
-	f.lbNode = lb
-
+	f := NewAttached(cfg, eng, net, "", inj)
+	f.standalone = true
+	f.plan = plan
+	f.upgraded = plan == nil
+	f.scaler = scaler
 	for _, b := range backends {
 		f.admit(b, 0)
 		f.res.Restarts += b.Timeline.Stats.Restarts
@@ -383,13 +340,11 @@ func NewAutoscaled(cfg Config, backends []*Backend, scaler *AutoscalePolicy, pla
 	return f
 }
 
-// fabricParams maps the fleet's NetConfig onto the fabric, wiring the
-// legacy fleet drop sites in as extra per-segment faults.
-func (f *Fleet) fabricParams() fabric.Params { return FabricParams(f.cfg) }
-
-// FabricParams maps a fleet config's NetConfig onto fabric parameters —
-// exported so attached-mode owners (the region control plane) build the
-// shared fabric with exactly the tuning a standalone fleet would.
+// FabricParams maps a fleet config's NetConfig onto fabric parameters,
+// wiring the legacy fleet drop sites in as extra per-segment faults.
+// Attached-mode owners (the region control plane) build the shared
+// fabric with it, so it carries exactly the tuning a standalone fleet's
+// does.
 func FabricParams(cfg Config) fabric.Params {
 	nc := cfg.Net
 	p := fabric.DefaultParams()
@@ -418,86 +373,47 @@ func FabricParams(cfg Config) fabric.Params {
 	return p
 }
 
-// Now and Schedule implement fabric.Scheduler, so wire events interleave
-// with dispatch, probe and autoscaler events on the one replayable heap.
-func (f *Fleet) Now() simclock.Time {
-	if f.ext != nil {
-		return f.ext.Now()
-	}
-	return f.clk.Now()
-}
-
-// Schedule enqueues fn at virtual time at (never before now).
-func (f *Fleet) Schedule(at simclock.Time, fn func(now simclock.Time)) { f.schedule(at, fn) }
-
 // Net exposes the fabric under the pool for tables and tests.
 func (f *Fleet) Net() *fabric.Network { return f.net }
 
-// Clock exposes the fleet's own clock so observers (the SLO plane's
-// rolling-window samplers) can register aligned-interval callbacks that
-// fire as Run advances virtual time. Attached fleets have no clock of
-// their own — the owning engine drives time — so Clock returns nil
-// there; sample the owner's clock instead.
-func (f *Fleet) Clock() *simclock.Clock {
-	if f.ext != nil {
-		return nil
-	}
-	return f.clk
-}
+// Clock exposes the clock of the engine the fleet runs on, so observers
+// (the SLO plane's rolling-window samplers) can register aligned-interval
+// callbacks that fire as virtual time advances. An attached cell returns
+// its owner's clock.
+func (f *Fleet) Clock() *simclock.Clock { return f.eng.Clock() }
 
-// Run plays the whole workload and returns the result. Deterministic:
-// the only inputs are the config, the backend timelines, the upgrade
-// plan, and the injector's plan and seed.
+// Run plays the whole workload of a standalone fleet and returns the
+// result. Deterministic: the only inputs are the config, the backend
+// timelines, the upgrade plan, and the injector's plan and seed.
 func (f *Fleet) Run() Result {
-	if f.ext != nil {
+	if !f.standalone {
 		panic("fleet: Run on an attached fleet; the owning engine drives it")
 	}
 	// Arrivals, jittered from the seeded stream.
 	at := f.cfg.TrafficStart
 	for i := 0; i < f.cfg.Requests; i++ {
 		r := &request{id: i, arrival: at.Add(f.jitter(f.arrivalRng, f.cfg.ArrivalJitter))}
-		f.schedule(r.arrival, func(now simclock.Time) { f.admitRequest(r, now) })
+		f.eng.Schedule(r.arrival, func(now simclock.Time) { f.admitRequest(r, now) })
 		at = at.Add(f.cfg.Interarrival)
 	}
 	f.res.Total = f.cfg.Requests
-	f.schedule(simclock.Time(f.cfg.ProbeInterval), f.probeTick)
+	f.Start(0)
 	if f.plan != nil {
-		f.schedule(f.plan.Start, func(now simclock.Time) { f.startUpgrade(now) })
+		f.eng.Schedule(f.plan.Start, func(now simclock.Time) { f.startUpgrade(now) })
 	}
 	if f.scaler != nil {
-		f.schedule(simclock.Time(f.scaler.Evaluate), f.autoscaleTick)
+		f.eng.Schedule(simclock.Time(f.scaler.Evaluate), f.autoscaleTick)
 	}
 	if f.mem != nil {
-		f.schedule(simclock.Time(f.memEvery), f.memTick)
+		f.eng.Schedule(simclock.Time(f.memEvery), f.memTick)
 	}
-	for f.events.Len() > 0 {
-		e := heap.Pop(&f.events).(*event)
-		f.popped++
-		f.clk.AdvanceTo(e.at)
-		e.fn(e.at)
-	}
-	f.res.End = f.clk.Now()
-	f.res.Events = f.popped
+	f.res.Events = f.eng.Run()
+	f.res.End = f.eng.Now()
 	f.res.Retransmits = f.net.Stats().Retransmits
 	if f.mem != nil {
 		f.res.Mem = f.mem.Finish(f.res.End)
 	}
 	return f.res
-}
-
-func (f *Fleet) schedule(at simclock.Time, fn func(now simclock.Time)) {
-	if f.ext != nil {
-		if at < f.ext.Now() {
-			at = f.ext.Now()
-		}
-		f.ext.Schedule(at, fn)
-		return
-	}
-	if at < f.clk.Now() {
-		at = f.clk.Now()
-	}
-	f.seq++
-	heap.Push(&f.events, &event{at: at, seq: f.seq, fn: fn})
 }
 
 func (f *Fleet) jitter(rng *faults.Stream, span simclock.Duration) simclock.Duration {
@@ -701,7 +617,7 @@ func (f *Fleet) serverPump(b *Backend, now simclock.Time) {
 		bb := b
 		c.WhenRequest(now, func(at simclock.Time) {
 			svc := f.cfg.ServiceTime + f.jitter(f.serviceRng, f.cfg.ServiceJitter)
-			f.schedule(at.Add(svc), func(t simclock.Time) {
+			f.eng.Schedule(at.Add(svc), func(t simclock.Time) {
 				bb.serving--
 				// A VM that died mid-service answers nothing; the client's
 				// response deadline is how the front-end finds out.
@@ -755,7 +671,7 @@ func (f *Fleet) retry(r *request, now simclock.Time) {
 			telemetry.A("req", strconv.Itoa(r.id)),
 			telemetry.A("attempt", strconv.Itoa(r.attempts)))
 	}
-	f.schedule(retryAt, func(t simclock.Time) { f.admitRequest(r, t) })
+	f.eng.Schedule(retryAt, func(t simclock.Time) { f.admitRequest(r, t) })
 }
 
 // probeTick is the heartbeat: launch a probe datagram over the fabric at
@@ -773,13 +689,12 @@ func (f *Fleet) probeTick(now simclock.Time) {
 			f.probeVerdict(bb, ok, at)
 		})
 	}
-	if f.ext != nil {
-		if !f.stopped {
-			f.schedule(now.Add(f.cfg.ProbeInterval), f.probeTick)
-		}
-	} else if f.resolved < f.cfg.Requests || !f.upgraded {
-		f.schedule(now.Add(f.cfg.ProbeInterval), f.probeTick)
+	// A standalone fleet's heartbeat ends with its own workload, an
+	// attached cell's when the owner calls Stop.
+	if f.stopped || (f.standalone && f.resolved >= f.cfg.Requests && f.upgraded) {
+		return
 	}
+	f.eng.Schedule(now.Add(f.cfg.ProbeInterval), f.probeTick)
 }
 
 // probeVerdict applies one heartbeat result to the health view and the

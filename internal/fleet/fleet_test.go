@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"lupine/internal/fabric"
 	"lupine/internal/faults"
 	"lupine/internal/simclock"
 	"lupine/internal/vmm"
@@ -244,5 +245,45 @@ func TestFleetDeterministicWithFaultPlan(t *testing.T) {
 	first, second := run(), run()
 	if first != second {
 		t.Errorf("fleet run not deterministic:\n--- first\n%s\n--- second\n%s", first, second)
+	}
+}
+
+// TestAttachedClockIsOwners: an attached cell runs on its owner's engine,
+// so Clock is the owner's clock — never nil — and a sampler bound
+// through the cell fires as the owner drives time. The owner resolves
+// every injected request exactly once.
+func TestAttachedClockIsOwners(t *testing.T) {
+	cfg := DefaultConfig()
+	eng := simclock.NewEngine()
+	net, err := fabric.New(FabricParams(cfg), eng, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewAttached(cfg, eng, net, "cell", nil)
+	if f.Clock() != eng.Clock() {
+		t.Fatalf("attached Clock() = %p, want the owner's %p", f.Clock(), eng.Clock())
+	}
+	var samples []simclock.Time
+	f.Clock().Sample(ms, func(now simclock.Time) { samples = append(samples, now) })
+
+	f.Admit(NewBackend("a", AlwaysUp()), 0)
+	f.Start(0)
+	const n = 20
+	outcomes := 0
+	for i := 0; i < n; i++ {
+		eng.Schedule(simclock.Time(i)*simclock.Time(100*us), func(now simclock.Time) {
+			f.Inject(i, now, func(Outcome, simclock.Time) { outcomes++ })
+		})
+	}
+	eng.Schedule(simclock.Time(5*ms), func(simclock.Time) { f.Stop() })
+	eng.Run()
+
+	if len(samples) < 5 || samples[0] != simclock.Time(ms) {
+		t.Fatalf("sampler bound through the cell fired at %v, want every 1ms from 1ms", samples)
+	}
+	res := f.Finish(eng.Now())
+	checkConservation(t, res)
+	if res.Total != n || outcomes != n || f.Resolved() != n {
+		t.Fatalf("total %d, outcomes %d, resolved %d; want %d each", res.Total, outcomes, f.Resolved(), n)
 	}
 }

@@ -61,7 +61,7 @@ func (f *Fleet) AttachMemory(p MemoryPlane, tick simclock.Duration) {
 func (f *Fleet) memTick(now simclock.Time) {
 	f.mem.Tick(f, now)
 	if f.resolved < f.cfg.Requests {
-		f.schedule(now.Add(f.memEvery), f.memTick)
+		f.eng.Schedule(now.Add(f.memEvery), f.memTick)
 	}
 }
 
@@ -91,7 +91,7 @@ func (f *Fleet) OOMKill(l *Launch, now simclock.Time) *Backend {
 		f.scaleSeq++
 		seq := f.scaleSeq
 		lv := *l
-		f.schedule(now.Add(lv.Ready), func(t simclock.Time) {
+		f.eng.Schedule(now.Add(lv.Ready), func(t simclock.Time) {
 			nb := NewBackend(fmt.Sprintf("oom%d", seq), launchTimeline(lv))
 			nb.onRelease = lv.OnRetired
 			f.admit(nb, t)

@@ -54,6 +54,7 @@ func TestMemoryShedWindow(t *testing.T) {
 	f.AttachMemory(p, 500*simclock.Microsecond)
 
 	res := f.Run()
+	checkConservation(t, res)
 	if res.MemSheds == 0 {
 		t.Error("no arrivals shed inside the pressure window")
 	}
@@ -99,6 +100,7 @@ func TestOOMKillVictimAndReplacement(t *testing.T) {
 	f.AttachMemory(p, 500*simclock.Microsecond)
 
 	res := f.Run()
+	checkConservation(t, res)
 	if p.killed != b {
 		t.Fatalf("victim %v, want the newest backend b", p.killed)
 	}
@@ -163,6 +165,7 @@ func TestScaleDownReleasesClone(t *testing.T) {
 	}
 	f := NewAutoscaled(cfg, []*Backend{NewBackend("origin", AlwaysUp())}, scaler, nil, nil)
 	res := f.Run()
+	checkConservation(t, res)
 	if res.ScaleUps == 0 {
 		t.Fatal("burst did not trigger a scale-up; test tuning broken")
 	}

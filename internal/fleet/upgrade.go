@@ -51,7 +51,7 @@ func (p *UpgradePlan) replacement(i int) Timeline {
 func (f *Fleet) startUpgrade(now simclock.Time) {
 	targets := append([]*Backend(nil), f.backends...)
 	surge := NewBackend("surge", f.plan.Surge)
-	f.schedule(now.Add(f.plan.BootTime), func(t simclock.Time) {
+	f.eng.Schedule(now.Add(f.plan.BootTime), func(t simclock.Time) {
 		f.admit(surge, t)
 		f.upgradeStep(targets, surge, 0, t)
 	})
@@ -67,7 +67,7 @@ func (f *Fleet) upgradeStep(targets []*Backend, surge *Backend, i int, now simcl
 	old := targets[i]
 	f.drain(old, f.plan.DrainTimeout, now, func(t simclock.Time) {
 		delay := f.plan.rebuildTime(i) + f.plan.BootTime
-		f.schedule(t.Add(delay), func(t2 simclock.Time) {
+		f.eng.Schedule(t.Add(delay), func(t2 simclock.Time) {
 			f.admit(NewBackend(fmt.Sprintf("%s+v2", old.Name), f.plan.replacement(i)), t2)
 			f.upgradeStep(targets, surge, i+1, t2)
 		})
@@ -89,7 +89,7 @@ func (f *Fleet) drain(b *Backend, timeout simclock.Duration, now simclock.Time, 
 		f.retire(b, now)
 		return
 	}
-	f.schedule(now.Add(timeout), func(t simclock.Time) {
+	f.eng.Schedule(now.Add(timeout), func(t simclock.Time) {
 		if !b.retired {
 			f.retire(b, t) // drain timeout: abandon stragglers
 		}

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"container/heap"
 	"testing"
 
 	"lupine/internal/simclock"
@@ -17,16 +16,6 @@ func drainFixture(names ...string) *Fleet {
 		backends = append(backends, NewBackend(n, AlwaysUp()))
 	}
 	return New(cfg, backends, nil, nil)
-}
-
-// runEvents drains the fleet's event queue in deterministic order, the
-// same loop Run uses.
-func runEvents(f *Fleet) {
-	for f.events.Len() > 0 {
-		e := heap.Pop(&f.events).(*event)
-		f.clk.AdvanceTo(e.at)
-		e.fn(e.at)
-	}
 }
 
 // TestDrainIdleRetiresImmediately: a backend with nothing in flight
@@ -75,7 +64,7 @@ func TestDrainWaitsForInflight(t *testing.T) {
 		t.Errorf("retired=%v at %v, want retirement at 3ms", b.retired, retiredAt)
 	}
 	// The pending timeout event must now be a no-op.
-	runEvents(f)
+	f.eng.Run()
 	if retiredAt != simclock.Time(3*ms) {
 		t.Errorf("timeout re-fired the continuation at %v", retiredAt)
 	}
@@ -89,7 +78,7 @@ func TestDrainTimeoutAbandonsStragglers(t *testing.T) {
 	b.inflight = 1 // never resolves
 	retiredAt := simclock.Time(-1)
 	f.drain(b, 5*ms, simclock.Time(10*ms), func(now simclock.Time) { retiredAt = now })
-	runEvents(f)
+	f.eng.Run()
 	if !b.retired || retiredAt != simclock.Time(15*ms) {
 		t.Errorf("retired=%v at %v, want forced retirement at drain start + timeout = 15ms",
 			b.retired, retiredAt)

@@ -38,7 +38,9 @@ func TestBreachLadderContains(t *testing.T) {
 	run := func() Result {
 		cfg := testConfig()
 		cfg.Breach = &BreachConfig{Campaign: breachCampaign()}
-		return New(cfg, mustInj(t, probePlan(3*simclock.Time(ms), 6*simclock.Time(ms)))).Run()
+		res := New(cfg, mustInj(t, probePlan(3*simclock.Time(ms), 6*simclock.Time(ms)))).Run()
+		checkCells(t, res)
+		return res
 	}
 	res := run()
 
@@ -96,6 +98,7 @@ func TestQuarantineDefersAtFloor(t *testing.T) {
 		},
 	}
 	res := New(cfg, mustInj(t, plan)).Run()
+	checkCells(t, res)
 
 	if res.Attack.Compromised != 1 {
 		t.Fatalf("want exactly one compromise: %+v", res.Attack)
@@ -134,6 +137,7 @@ func TestRepaveRolloutRace(t *testing.T) {
 		},
 	}
 	res := New(cfg, mustInj(t, plan)).Run()
+	checkCells(t, res)
 
 	if res.Attack.Compromised != 1 || res.Breach.Repaved != 1 {
 		t.Fatalf("repave must land before the rollout: attack %+v breach %+v",
@@ -171,6 +175,7 @@ func TestKMLBlastRadiusEvacuatesRegion(t *testing.T) {
 		},
 	}
 	res := New(cfg, mustInj(t, plan)).Run()
+	checkCells(t, res)
 
 	// One seeded compromise, then the host takeover: the escalation owns
 	// the victim's co-located peers (the default packing puts 2 of 3 VMs
@@ -208,6 +213,7 @@ func TestRepaveDeniedWithoutLineage(t *testing.T) {
 		},
 	}
 	res := New(cfg, mustInj(t, plan)).Run()
+	checkCells(t, res)
 
 	if res.Attack.Compromised != 1 {
 		t.Fatalf("want exactly one compromise: %+v", res.Attack)

@@ -82,7 +82,7 @@ func (p *Plane) armBreach() {
 	if camp.Seed == 0 {
 		camp.Seed = p.cfg.Seed ^ 0xA77AC4
 	}
-	p.atk = attack.New(camp, p, p.net, p.inj)
+	p.atk = attack.New(camp, p.eng, p.net, p.inj)
 	p.atkPl = make(map[*attack.Target]*placement)
 	p.atk.SetHooks(attack.Hooks{
 		OnCompromise: p.onCompromise,
@@ -253,7 +253,7 @@ func (p *Plane) repave(pl *placement, quarantineOnLand bool, now simclock.Time) 
 	p.provisioning++
 	name := pl.b.Name + "!"
 	hh, dd := h, dest
-	p.schedule(now.Add(ready), func(t simclock.Time) {
+	p.eng.Schedule(now.Add(ready), func(t simclock.Time) {
 		p.provisioning--
 		if dd.dark || pl.moved || pl.retired {
 			// The destination died under the boot, or another recovery

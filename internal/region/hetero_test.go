@@ -36,6 +36,7 @@ func heteroConfig() Config {
 func TestHeterogeneousPoolsPlaceAndServe(t *testing.T) {
 	cfg := heteroConfig()
 	res := New(cfg, nil).Run()
+	checkCells(t, res)
 	if res.OK != res.Total {
 		t.Errorf("mixed plane served %d/%d (shed %d, failed %d)", res.OK, res.Total, res.Shed, res.Failed)
 	}
@@ -69,6 +70,7 @@ func TestPerIdentityLineages(t *testing.T) {
 		},
 	})
 	res := New(cfg, inj).Run()
+	checkCells(t, res)
 	if res.HostCrashes != 1 || res.CrashKilled == 0 {
 		t.Fatalf("crashes = %d, killed = %d", res.HostCrashes, res.CrashKilled)
 	}
@@ -114,6 +116,7 @@ func TestRollingUpgradePerIdentity(t *testing.T) {
 		},
 	}}
 	res := New(cfg, nil).Run()
+	checkCells(t, res)
 	if res.OK != res.Total {
 		t.Errorf("upgrade dented availability: %d/%d (shed %d, failed %d)",
 			res.OK, res.Total, res.Shed, res.Failed)
@@ -163,7 +166,9 @@ func TestHeterogeneousDeterministicReplay(t *testing.T) {
 				{Site: SiteHostCrash, From: 7 * simclock.Time(ms), To: 8 * simclock.Time(ms), Prob: 1, Param: 2001},
 			},
 		})
-		return New(cfg, inj).Run()
+		res := New(cfg, inj).Run()
+		checkCells(t, res)
+		return res
 	}
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {

@@ -1,7 +1,6 @@
 package region
 
 import (
-	"container/heap"
 	"fmt"
 
 	"lupine/internal/attack"
@@ -20,34 +19,6 @@ const gatewayPort = 8080
 // gatewayBacklog bounds a gateway's SYN backlog; overflowing it is the
 // region-level admission shed at the wire.
 const gatewayBacklog = 64
-
-// event is one scheduled state change; seq breaks time ties in schedule
-// order, which is what makes the run replayable.
-type event struct {
-	at  simclock.Time
-	seq int
-	fn  func(now simclock.Time)
-}
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
-}
 
 // Host is one simulated machine: a hostmem accountant plus the VMs
 // placed on it. A dead host takes every placement with it.
@@ -125,16 +96,12 @@ func (r *Region) Store() *snapshot.Store { return r.store }
 func (r *Region) Dark() bool { return r.dark }
 
 // Plane is the running control plane. Construct with New, drive with
-// Run. It implements fabric.Scheduler: router, gateways, every region
-// cell and the shared fabric all interleave on its one event heap.
+// Run. Router, gateways, every region cell, the attack campaign and the
+// shared fabric all interleave on its one simclock.Engine.
 type Plane struct {
 	cfg Config
-	clk *simclock.Clock
+	eng *simclock.Engine
 	inj *faults.Injector
-
-	events eventQueue
-	seq    int
-	popped int
 
 	net     *fabric.Network
 	router  *fabric.Node
@@ -170,7 +137,7 @@ func New(cfg Config, inj *faults.Injector) *Plane {
 	}
 	p := &Plane{
 		cfg:        cfg,
-		clk:        simclock.New(),
+		eng:        simclock.NewEngine(),
 		inj:        inj,
 		arrivalRng: faults.NewStream(cfg.Seed),
 		idents:     cfg.identities(),
@@ -180,7 +147,7 @@ func New(cfg Config, inj *faults.Injector) *Plane {
 	for i, id := range p.idents {
 		p.idstats[i] = IdentityStats{Name: id.Name, Kernel: id.Kernel}
 	}
-	net, err := fabric.New(fleet.FabricParams(cfg.Cell), p, inj)
+	net, err := fabric.New(fleet.FabricParams(cfg.Cell), p.eng, inj)
 	if err != nil {
 		panic(fmt.Sprintf("region: bad fabric config: %v", err))
 	}
@@ -200,25 +167,11 @@ func New(cfg Config, inj *faults.Injector) *Plane {
 	return p
 }
 
-// Now and Schedule implement fabric.Scheduler.
-func (p *Plane) Now() simclock.Time { return p.clk.Now() }
-
 // Clock exposes the plane's clock so observers (the SLO plane's
 // rolling-window samplers) can register aligned-interval callbacks that
 // fire as Run advances virtual time. Every attached cell shares this
 // clock, so one sampler sees the whole multi-region run.
-func (p *Plane) Clock() *simclock.Clock { return p.clk }
-
-// Schedule enqueues fn at virtual time at (never before now).
-func (p *Plane) Schedule(at simclock.Time, fn func(now simclock.Time)) { p.schedule(at, fn) }
-
-func (p *Plane) schedule(at simclock.Time, fn func(now simclock.Time)) {
-	if at < p.clk.Now() {
-		at = p.clk.Now()
-	}
-	p.seq++
-	heap.Push(&p.events, &event{at: at, seq: p.seq, fn: fn})
-}
+func (p *Plane) Clock() *simclock.Clock { return p.eng.Clock() }
 
 // Net exposes the shared fabric for tables and tests.
 func (p *Plane) Net() *fabric.Network { return p.net }
@@ -278,7 +231,7 @@ func (p *Plane) addRegion(i int, rs RegionSpec) {
 
 	cell := p.cfg.Cell
 	cell.Seed = p.cfg.Seed ^ (0xC311 + uint64(i)*7919)
-	r.fl = fleet.NewAttached(cell, p, p.net, rs.Name, p.inj)
+	r.fl = fleet.NewAttached(cell, p.eng, p.net, rs.Name, p.inj)
 
 	// Heterogeneous pools: slot v runs identity v mod len(identities),
 	// so every region carries every kernel and the bin-packer mixes
@@ -385,7 +338,7 @@ func (p *Plane) seedStores() {
 		for _, r := range p.regions[1:] {
 			d := p.repl.Replicate(snap)
 			rr := r
-			p.schedule(simclock.Time(0).Add(d), func(simclock.Time) { rr.store.Put(snap) })
+			p.eng.Schedule(simclock.Time(0).Add(d), func(simclock.Time) { rr.store.Put(snap) })
 		}
 	}
 }
@@ -396,30 +349,24 @@ func (p *Plane) Run() Result {
 	at := p.cfg.TrafficStart
 	for i := 0; i < p.cfg.Requests; i++ {
 		r := &greq{id: i, arrival: at.Add(p.jitter(p.cfg.ArrivalJitter))}
-		p.schedule(r.arrival, func(now simclock.Time) { p.routeRequest(r, now) })
+		p.eng.Schedule(r.arrival, func(now simclock.Time) { p.routeRequest(r, now) })
 		at = at.Add(p.cfg.Interarrival)
 	}
 	p.res.Total = p.cfg.Requests
 	for i := range p.cfg.Upgrades {
 		spec := p.cfg.Upgrades[i]
-		p.schedule(spec.Start, func(now simclock.Time) { p.startRollout(spec, now) })
+		p.eng.Schedule(spec.Start, func(now simclock.Time) { p.startRollout(spec, now) })
 	}
-	p.schedule(simclock.Time(p.cfg.ProbeInterval), p.probeTick)
-	p.schedule(simclock.Time(p.cfg.ControlEvery), p.controlTick)
+	p.eng.Schedule(simclock.Time(p.cfg.ProbeInterval), p.probeTick)
+	p.eng.Schedule(simclock.Time(p.cfg.ControlEvery), p.controlTick)
 	for _, r := range p.regions {
 		r.fl.Start(0)
 	}
 	if p.atk != nil {
 		p.atk.Start(0)
 	}
-	for p.events.Len() > 0 {
-		e := heap.Pop(&p.events).(*event)
-		p.popped++
-		p.clk.AdvanceTo(e.at)
-		e.fn(e.at)
-	}
-	p.res.End = p.clk.Now()
-	p.res.Events = p.popped
+	p.res.Events = p.eng.Run()
+	p.res.End = p.eng.Now()
 	p.finishStats()
 	return p.res
 }
@@ -455,7 +402,7 @@ func (p *Plane) finishStats() {
 }
 
 // maybeFinish stops the control loops once all requests resolved and no
-// provisioning is in flight; the heap then drains naturally.
+// provisioning is in flight; the engine then drains naturally.
 func (p *Plane) maybeFinish(simclock.Time) {
 	if p.finished || p.resolved < p.cfg.Requests || p.provisioning > 0 {
 		return
@@ -488,7 +435,7 @@ func (p *Plane) controlTick(now simclock.Time) {
 		}
 	}
 	if !p.finished {
-		p.schedule(now.Add(p.cfg.ControlEvery), p.controlTick)
+		p.eng.Schedule(now.Add(p.cfg.ControlEvery), p.controlTick)
 	}
 }
 
@@ -543,7 +490,7 @@ func (p *Plane) replaceLocal(victim *placement, now simclock.Time) {
 	ready, _, _ := p.provision(r, victim.ident, now)
 	p.provisioning++
 	name := victim.b.Name + "'"
-	p.schedule(now.Add(ready), func(t simclock.Time) {
+	p.eng.Schedule(now.Add(ready), func(t simclock.Time) {
 		p.provisioning--
 		if r.dark {
 			// The whole region died while the replacement was booting;
@@ -642,7 +589,7 @@ func (p *Plane) evacuateOne(victim *placement, now simclock.Time) {
 	p.idstats[victim.ident].Evacuated++
 	p.provisioning++
 	name := victim.b.Name + "@" + dest.name
-	p.schedule(now.Add(ready), func(t simclock.Time) {
+	p.eng.Schedule(now.Add(ready), func(t simclock.Time) {
 		p.provisioning--
 		nb := fleet.NewBackend(name, victim.tl)
 		pl := &placement{

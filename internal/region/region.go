@@ -19,7 +19,7 @@
 // region's backends are evacuated: restored into surviving regions
 // from the replicated snapshots in microseconds, cold-booting only
 // when a replica is missing or a restore-fault fires. Everything runs
-// on one virtual-time event heap, so a fixed seed replays bit-for-bit.
+// on one simclock.Engine, so a fixed seed replays bit-for-bit.
 package region
 
 import (

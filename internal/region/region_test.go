@@ -37,6 +37,18 @@ func testConfig() Config {
 	return cfg
 }
 
+// checkCells asserts every request each region cell was offered
+// resolved exactly once, as served, shed or failed.
+func checkCells(t *testing.T, res Result) {
+	t.Helper()
+	for i, c := range res.Cells {
+		if got := c.OK + c.Shed + c.Failed; got != c.Total {
+			t.Errorf("cell %d conservation broken: OK %d + Shed %d + Failed %d = %d, want %d",
+				i, c.OK, c.Shed, c.Failed, got, c.Total)
+		}
+	}
+}
+
 func mustInj(t *testing.T, pl faults.Plan) *faults.Injector {
 	t.Helper()
 	inj, err := faults.New(pl)
@@ -59,6 +71,7 @@ func blackoutPlan() faults.Plan {
 func TestCleanRunServesEverything(t *testing.T) {
 	cfg := testConfig()
 	res := New(cfg, nil).Run()
+	checkCells(t, res)
 	if res.Total != cfg.Requests {
 		t.Fatalf("Total = %d, want %d", res.Total, cfg.Requests)
 	}
@@ -80,6 +93,7 @@ func TestBlackoutFailoverAndWarmEvacuation(t *testing.T) {
 	cfg := testConfig()
 	p := New(cfg, mustInj(t, blackoutPlan()))
 	res := p.Run()
+	checkCells(t, res)
 
 	if !p.Regions()[1].Dark() {
 		t.Fatal("region r1 should be dark")
@@ -128,6 +142,7 @@ func TestColdEvacuationWithoutReplicas(t *testing.T) {
 	cfg.Snapshot = nil // no capture anywhere: the no-warm-pool comparator
 	cfg.Replicate = false
 	res := New(cfg, mustInj(t, blackoutPlan())).Run()
+	checkCells(t, res)
 
 	if res.Evacuated != cfg.PoolPerRegion {
 		t.Fatalf("Evacuated = %d, want %d", res.Evacuated, cfg.PoolPerRegion)
@@ -142,6 +157,7 @@ func TestColdEvacuationWithoutReplicas(t *testing.T) {
 	// Cold boots are milliseconds; warm restores are microseconds. The
 	// evacuation wave must reflect the gap.
 	warm := New(testConfig(), mustInj(t, blackoutPlan())).Run()
+	checkCells(t, warm)
 	if res.EvacDuration() <= warm.EvacDuration() {
 		t.Errorf("cold evacuation (%v) should be slower than warm (%v)",
 			res.EvacDuration(), warm.EvacDuration())
@@ -159,6 +175,7 @@ func restoreFaultPlan() faults.Plan {
 func TestEvacuationRestoreFaultFallsBackCold(t *testing.T) {
 	cfg := testConfig()
 	res := New(cfg, mustInj(t, restoreFaultPlan())).Run()
+	checkCells(t, res)
 	if res.Evacuated != cfg.PoolPerRegion {
 		t.Fatalf("Evacuated = %d, want %d", res.Evacuated, cfg.PoolPerRegion)
 	}
@@ -186,6 +203,7 @@ func TestPartitionFalseTripHealsAndRejoins(t *testing.T) {
 	cfg := testConfig()
 	p := New(cfg, mustInj(t, partitionPlan()))
 	res := p.Run()
+	checkCells(t, res)
 
 	if p.Regions()[1].Dark() {
 		t.Fatal("a partition must not darken the region: it is alive")
@@ -224,6 +242,7 @@ func crashPlan() faults.Plan {
 func TestHostCrashRestoresLocally(t *testing.T) {
 	cfg := testConfig()
 	res := New(cfg, mustInj(t, crashPlan())).Run()
+	checkCells(t, res)
 
 	if res.HostCrashes != 1 {
 		t.Fatalf("HostCrashes = %d, want 1", res.HostCrashes)
@@ -263,7 +282,9 @@ func stormPlan() faults.Plan {
 
 func TestDeterministicReplay(t *testing.T) {
 	a := New(testConfig(), mustInj(t, stormPlan())).Run()
+	checkCells(t, a)
 	b := New(testConfig(), mustInj(t, stormPlan())).Run()
+	checkCells(t, b)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different runs:\n a=%+v\n b=%+v", a, b)
 	}
@@ -280,6 +301,7 @@ func TestPlacementDeniedWhenHostsFull(t *testing.T) {
 		cfg.Regions[i].Hosts = 1
 	}
 	res := New(cfg, nil).Run()
+	checkCells(t, res)
 	if res.PlacementDenied == 0 {
 		t.Fatal("overcommitted hosts should deny placements")
 	}

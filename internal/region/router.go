@@ -156,7 +156,7 @@ func (p *Plane) probeTick(now simclock.Time) {
 		})
 	}
 	if !p.finished {
-		p.schedule(now.Add(p.cfg.ProbeInterval), p.probeTick)
+		p.eng.Schedule(now.Add(p.cfg.ProbeInterval), p.probeTick)
 	}
 }
 
@@ -204,5 +204,5 @@ func (p *Plane) declareDead(reg *Region, now simclock.Time) {
 		p.tr.Trip(p.trTrack, "failover:"+reg.name, now)
 	}
 	rr := reg
-	p.schedule(now.Add(p.cfg.EvacuateAfter), func(t simclock.Time) { p.maybeEvacuate(rr, t) })
+	p.eng.Schedule(now.Add(p.cfg.EvacuateAfter), func(t simclock.Time) { p.maybeEvacuate(rr, t) })
 }

@@ -62,7 +62,7 @@ func (p *Plane) rolloutRegion(ro *rollout, ri int, now simclock.Time) {
 	// first drain, so the region's active count never dips.
 	ready, _, _ := p.provision(r, ro.ident, now)
 	p.provisioning++
-	p.schedule(now.Add(ready), func(t simclock.Time) {
+	p.eng.Schedule(now.Add(ready), func(t simclock.Time) {
 		p.provisioning--
 		if r.dark {
 			// The region died under the rollout; evacuation owns it now.
@@ -129,7 +129,7 @@ func (p *Plane) rolloutStep(ro *rollout, ri int, surge *placement, targets []*pl
 		ro.rebuilt++
 		ready, _, _ := p.provision(r, ro.ident, t)
 		p.provisioning++
-		p.schedule(t.Add(rebuild+ready), func(t2 simclock.Time) {
+		p.eng.Schedule(t.Add(rebuild+ready), func(t2 simclock.Time) {
 			p.provisioning--
 			if r.dark {
 				p.rolloutRegion(ro, ri+1, t2)

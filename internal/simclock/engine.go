@@ -1,0 +1,128 @@
+package simclock
+
+// Engine is the deterministic discrete-event loop every simulated plane
+// runs on: one Clock plus one queue of pending events. Events pop in
+// (at, seq) order — time first, then the order they were scheduled — so
+// a run replays bit-for-bit from its inputs. The engine owns the clock
+// and moves it with AdvanceTo, so Sample boundaries crossed between two
+// events fire before the later event runs.
+//
+// The queue is a binary min-heap of value-type events, written out here
+// rather than through container/heap so no event costs an allocation of
+// its own. Like Clock, an Engine is not safe for concurrent use.
+type Engine struct {
+	clk *Clock
+	q   []event
+	seq uint64
+}
+
+// event is one scheduled state change.
+type event struct {
+	at  Time
+	seq uint64
+	fn  func(now Time)
+}
+
+// before is the queue order: earlier instant first, schedule order
+// breaking ties.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
+
+// NewEngine returns an empty engine on a fresh clock at time zero.
+func NewEngine() *Engine { return &Engine{clk: New()} }
+
+// Clock exposes the engine's clock, for observers that register Sample
+// callbacks and for code that prices work against the current instant.
+func (e *Engine) Clock() *Clock { return e.clk }
+
+// Now reports the current virtual time.
+func (e *Engine) Now() Time { return e.clk.now }
+
+// Schedule enqueues fn to run at instant at. An instant in the past is
+// moved up to now: the event runs next among those due now, after every
+// event already scheduled for now.
+func (e *Engine) Schedule(at Time, fn func(now Time)) {
+	if at < e.clk.now {
+		at = e.clk.now
+	}
+	e.seq++
+	ev := event{at: at, seq: e.seq, fn: fn}
+	e.q = append(e.q, ev)
+	i := len(e.q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&e.q[parent]) {
+			break
+		}
+		e.q[i] = e.q[parent]
+		i = parent
+	}
+	e.q[i] = ev
+}
+
+// Run pops and executes events until the queue is empty, and reports how
+// many it ran.
+func (e *Engine) Run() int {
+	n := 0
+	for len(e.q) > 0 {
+		e.step()
+		n++
+	}
+	return n
+}
+
+// RunUntil executes every event due at or before horizon, leaves later
+// ones queued, and leaves the clock at horizon (or where it was, if
+// already past). It reports how many events ran. Owners whose loops
+// reschedule themselves forever drive the engine this way.
+func (e *Engine) RunUntil(horizon Time) int {
+	n := 0
+	for len(e.q) > 0 && e.q[0].at <= horizon {
+		e.step()
+		n++
+	}
+	if horizon > e.clk.now {
+		e.clk.AdvanceTo(horizon)
+	}
+	return n
+}
+
+// step pops the earliest event, moves the clock to it and runs it.
+func (e *Engine) step() {
+	ev := e.pop()
+	e.clk.AdvanceTo(ev.at)
+	ev.fn(ev.at)
+}
+
+// pop removes and returns the earliest event, sifting the last event
+// down from the root into the hole it leaves.
+func (e *Engine) pop() event {
+	q := e.q
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // drop the closure so the collector can reclaim it
+	q = q[:n]
+	e.q = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = last
+	return top
+}

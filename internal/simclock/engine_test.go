@@ -1,0 +1,122 @@
+package simclock
+
+import (
+	"sort"
+	"testing"
+	"testing/quick"
+)
+
+func TestEngineEqualTimesPopInScheduleOrder(t *testing.T) {
+	e := NewEngine()
+	var got []int
+	for i := 0; i < 8; i++ {
+		e.Schedule(10, func(Time) { got = append(got, i) })
+	}
+	if n := e.Run(); n != 8 || len(got) != 8 {
+		t.Fatalf("ran %d events (%v), want 8", n, got)
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("pop order = %v, want schedule order", got)
+		}
+	}
+}
+
+func TestEnginePastScheduleRunsAtNow(t *testing.T) {
+	e := NewEngine()
+	var at []Time
+	e.Schedule(50, func(now Time) {
+		// Both land at now, behind the event already due at 50.
+		e.Schedule(20, func(now Time) { at = append(at, now) })
+		e.Schedule(-1, func(now Time) { at = append(at, now) })
+	})
+	e.Schedule(50, func(now Time) { at = append(at, -now) })
+	e.Run()
+	want := []Time{-50, 50, 50}
+	if len(at) != len(want) {
+		t.Fatalf("ran at %v, want %v", at, want)
+	}
+	for i := range want {
+		if at[i] != want[i] {
+			t.Fatalf("ran at %v, want %v", at, want)
+		}
+	}
+	if e.Now() != 50 {
+		t.Fatalf("clock at %v, want 50", e.Now())
+	}
+}
+
+func TestEngineSampleBoundaryFiresBeforeEventAtBoundary(t *testing.T) {
+	e := NewEngine()
+	var log []string
+	e.Clock().Sample(100, func(now Time) { log = append(log, "sample@"+now.String()) })
+	e.Schedule(100, func(now Time) { log = append(log, "event@"+now.String()) })
+	e.Run()
+	want := []string{"sample@" + Time(100).String(), "event@" + Time(100).String()}
+	if len(log) != 2 || log[0] != want[0] || log[1] != want[1] {
+		t.Fatalf("log = %v, want %v", log, want)
+	}
+}
+
+func TestEngineRunReportsPops(t *testing.T) {
+	e := NewEngine()
+	e.Schedule(3, func(now Time) {
+		e.Schedule(now+1, func(Time) {}) // scheduled mid-run, still counted
+	})
+	e.Schedule(1, func(Time) {})
+	if n := e.Run(); n != 3 {
+		t.Fatalf("Run popped %d events, want 3", n)
+	}
+	if n := e.Run(); n != 0 {
+		t.Fatalf("Run on an empty queue popped %d, want 0", n)
+	}
+	if e.Now() != 4 {
+		t.Fatalf("clock at %v, want 4", e.Now())
+	}
+}
+
+func TestEngineRunUntilLeavesLaterEventsQueued(t *testing.T) {
+	e := NewEngine()
+	ran := 0
+	for _, at := range []Time{5, 10, 11, 30} {
+		e.Schedule(at, func(Time) { ran++ })
+	}
+	if n := e.RunUntil(10); n != 2 || ran != 2 {
+		t.Fatalf("RunUntil(10) popped %d (ran %d), want 2", n, ran)
+	}
+	if e.Now() != 10 {
+		t.Fatalf("clock at %v after RunUntil(10), want 10", e.Now())
+	}
+	if n := e.RunUntil(20); n != 1 || e.Now() != 20 {
+		t.Fatalf("RunUntil(20) popped %d, clock %v; want 1 at 20", n, e.Now())
+	}
+	if n := e.Run(); n != 1 || e.Now() != 30 {
+		t.Fatalf("Run popped %d, clock %v; want the one event left at 30", n, e.Now())
+	}
+}
+
+// Property: whatever order events are scheduled in, they pop sorted by
+// (at, schedule order) — the ordering every replay depends on.
+func TestEnginePopOrderProperty(t *testing.T) {
+	f := func(ats []uint8) bool {
+		e := NewEngine()
+		type rec struct {
+			at  Time
+			seq int
+		}
+		var got []rec
+		for i, a := range ats {
+			r := rec{Time(a % 16), i}
+			e.Schedule(r.at, func(Time) { got = append(got, r) })
+		}
+		if e.Run() != len(ats) {
+			return false
+		}
+		return sort.SliceIsSorted(got, func(i, j int) bool {
+			return got[i].at < got[j].at || (got[i].at == got[j].at && got[i].seq < got[j].seq)
+		}) && len(got) == len(ats)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}

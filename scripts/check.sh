@@ -19,17 +19,17 @@ go vet ./...
 echo "== go test -race"
 go test -race ./...
 
-# The concurrency-sensitive planes (fleet event engine, network fabric,
-# supervisor, snapshot store, memory accountant, guest balloon,
-# telemetry plane, multi-region control plane, build pipeline + farm,
-# attack plane, SLO plane) get a second racing pass with fresh test
-# binaries: -count=2 defeats result caching and shakes out run-to-run
-# nondeterminism the bit-for-bit replay guarantees forbid.
-echo "== go test -race -count=2 (fleet, fabric, vmm, snapshot, hostmem, guest, telemetry, region, bunny, farm, attack, slo)"
-go test -race -count=2 ./internal/fleet/... ./internal/fabric/... ./internal/vmm/... \
-    ./internal/snapshot/... ./internal/hostmem/... ./internal/guest/... ./internal/telemetry/... \
-    ./internal/region/... ./internal/bunny/... ./internal/farm/... ./internal/attack/... \
-    ./internal/slo/...
+# The concurrency-sensitive planes (the simclock event engine, fleet,
+# network fabric, supervisor, snapshot store, memory accountant, guest
+# balloon, telemetry plane, multi-region control plane, build pipeline
+# + farm, attack plane, SLO plane) get a second racing pass with fresh
+# test binaries: -count=2 defeats result caching and shakes out
+# run-to-run nondeterminism the bit-for-bit replay guarantees forbid.
+echo "== go test -race -count=2 (simclock, fleet, fabric, vmm, snapshot, hostmem, guest, telemetry, region, bunny, farm, attack, slo)"
+go test -race -count=2 ./internal/simclock/... ./internal/fleet/... ./internal/fabric/... \
+    ./internal/vmm/... ./internal/snapshot/... ./internal/hostmem/... ./internal/guest/... \
+    ./internal/telemetry/... ./internal/region/... ./internal/bunny/... ./internal/farm/... \
+    ./internal/attack/... ./internal/slo/...
 
 # Every registered fault site must surface in the operator-facing
 # catalog: the count of RegisterSite calls in non-test source must match
@@ -45,59 +45,22 @@ if [ "$registered" -ne "$listed" ]; then
 fi
 echo "   $listed sites registered and listed"
 
-# Trace determinism gate: two same-seed memstorm runs must export
+# Trace determinism gate: two same-seed runs of each storm must export
 # byte-identical, valid Chrome trace JSON. This is the telemetry plane's
-# core contract — virtual-time spans only, no wall clocks.
-echo "== trace determinism (memstorm, two same-seed runs)"
+# core contract — virtual-time spans only, no wall clocks — checked on
+# every plane: memory pressure (memstorm), the fabric (netsplit), the
+# multi-region control plane (regionfail), the build pipeline and
+# heterogeneous fleet (catalog) and the containment plane (breach).
 tracedir=$(mktemp -d)
 trap 'rm -rf "$tracedir"' EXIT
-go run ./cmd/lupine-bench -run memstorm -trace-out="$tracedir/a.json" >/dev/null
-go run ./cmd/lupine-bench -run memstorm -trace-out="$tracedir/b.json" >/dev/null
-cmp "$tracedir/a.json" "$tracedir/b.json"
-go run ./scripts/jsoncheck.go "$tracedir/a.json"
-echo "   byte-identical and valid JSON"
-
-# The same gate for the fabric plane: two same-seed netsplit storms —
-# every partition, flap, loss, retransmission and breaker verdict on the
-# virtual wire — must export byte-identical traces.
-echo "== trace determinism (netsplit, two same-seed runs)"
-go run ./cmd/lupine-bench -run netsplit -trace-out="$tracedir/na.json" >/dev/null
-go run ./cmd/lupine-bench -run netsplit -trace-out="$tracedir/nb.json" >/dev/null
-cmp "$tracedir/na.json" "$tracedir/nb.json"
-go run ./scripts/jsoncheck.go "$tracedir/na.json"
-echo "   byte-identical and valid JSON"
-
-# And for the multi-region control plane: two same-seed regional storms
-# — placement, probe verdicts, failover declarations, evacuation
-# landings — must export byte-identical traces.
-echo "== trace determinism (regionfail, two same-seed runs)"
-go run ./cmd/lupine-bench -run regionfail -trace-out="$tracedir/ra.json" >/dev/null
-go run ./cmd/lupine-bench -run regionfail -trace-out="$tracedir/rb.json" >/dev/null
-cmp "$tracedir/ra.json" "$tracedir/rb.json"
-go run ./scripts/jsoncheck.go "$tracedir/ra.json"
-echo "   byte-identical and valid JSON"
-
-# And for the build pipeline + heterogeneous fleet: two same-seed
-# catalog runs — farm schedules, build-fault rebuilds, mixed-identity
-# placement, per-identity restores and rollouts — must export
-# byte-identical traces.
-echo "== trace determinism (catalog, two same-seed runs)"
-go run ./cmd/lupine-bench -run catalog -trace-out="$tracedir/ca.json" >/dev/null
-go run ./cmd/lupine-bench -run catalog -trace-out="$tracedir/cb.json" >/dev/null
-cmp "$tracedir/ca.json" "$tracedir/cb.json"
-go run ./scripts/jsoncheck.go "$tracedir/ca.json"
-echo "   byte-identical and valid JSON"
-
-# And for the containment plane: two same-seed breach campaigns — every
-# probe deflection, payload roll, lateral hop, canary detection,
-# quarantine, repave landing and region evacuation — must export
-# byte-identical traces.
-echo "== trace determinism (breach, two same-seed runs)"
-go run ./cmd/lupine-bench -run breach -trace-out="$tracedir/ba.json" >/dev/null
-go run ./cmd/lupine-bench -run breach -trace-out="$tracedir/bb.json" >/dev/null
-cmp "$tracedir/ba.json" "$tracedir/bb.json"
-go run ./scripts/jsoncheck.go "$tracedir/ba.json"
-echo "   byte-identical and valid JSON"
+for storm in memstorm netsplit regionfail catalog breach; do
+    echo "== trace determinism ($storm, two same-seed runs)"
+    go run ./cmd/lupine-bench -run "$storm" -trace-out="$tracedir/$storm-a.json" >/dev/null
+    go run ./cmd/lupine-bench -run "$storm" -trace-out="$tracedir/$storm-b.json" >/dev/null
+    cmp "$tracedir/$storm-a.json" "$tracedir/$storm-b.json"
+    go run ./scripts/jsoncheck.go "$tracedir/$storm-a.json"
+    echo "   byte-identical and valid JSON"
+done
 
 # SLO report determinism gate: two same-seed memstorm runs must export
 # byte-identical SLO reports (objectives, burns, alerts, incident cause
@@ -113,18 +76,14 @@ echo "   byte-identical SLO report and OpenMetrics export, valid JSON"
 
 # Wall-clock trajectory samples: how fast this machine's event engine
 # chews through the storms, with the headline availability (and p99 /
-# failover-detection p99) alongside so a perf fix that changes behavior
-# shows in the same file. -bench-out appends, so the files accumulate a
-# trajectory across runs instead of keeping only the latest sample.
-echo "== bench records (BENCH_netsplit.json, BENCH_regionfail.json, BENCH_catalog.json, BENCH_breach.json)"
-go run ./cmd/lupine-bench -bench-out=BENCH_netsplit.json
-go run ./scripts/jsoncheck.go BENCH_netsplit.json
-go run ./cmd/lupine-bench -bench=regionfail -bench-out=BENCH_regionfail.json
-go run ./scripts/jsoncheck.go BENCH_regionfail.json
-go run ./cmd/lupine-bench -bench=catalog -bench-out=BENCH_catalog.json
-go run ./scripts/jsoncheck.go BENCH_catalog.json
-go run ./cmd/lupine-bench -bench=breach -bench-out=BENCH_breach.json
-go run ./scripts/jsoncheck.go BENCH_breach.json
-echo "   appended to BENCH_netsplit.json, BENCH_regionfail.json, BENCH_catalog.json, BENCH_breach.json"
+# failover-detection p99 / hit rate / containment) alongside so a perf
+# fix that changes behavior shows in the same file. -bench-out appends,
+# so each BENCH_<storm>.json accumulates a trajectory across runs
+# instead of keeping only the latest sample.
+for storm in netsplit regionfail catalog breach; do
+    echo "== bench record (BENCH_$storm.json)"
+    go run ./cmd/lupine-bench -bench="$storm" -bench-out="BENCH_$storm.json"
+    go run ./scripts/jsoncheck.go "BENCH_$storm.json"
+done
 
 echo "== ok"
