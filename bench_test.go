@@ -36,7 +36,7 @@ func runExperiment(b *testing.B, id string) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		out, err := e.Run()
+		out, err := e.Run(&experiments.Env{Seed: 42})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -19,6 +19,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"time"
 
@@ -26,6 +27,7 @@ import (
 	"lupine/internal/experiments"
 	"lupine/internal/faults"
 	"lupine/internal/metrics"
+	"lupine/internal/slo"
 	"lupine/internal/telemetry"
 )
 
@@ -36,7 +38,7 @@ func main() {
 	run := flag.String("run", "", "comma-separated experiment ids (default all)")
 	csvDir := flag.String("csv", "", "write each table as <dir>/<id>.csv (for plotting)")
 	jsonOut := flag.Bool("json", false, "emit results as a JSON array (machine-readable)")
-	seed := flag.Uint64("seed", 42, "fault-storm seed for the chaos experiment")
+	seed := flag.Uint64("seed", 42, "seed for every fault storm (chaos, fleetchaos, surge, memstorm, netsplit, regionfail, catalog, breach)")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON of the runs (load in Perfetto or chrome://tracing)")
 	metricsOut := flag.String("metrics-out", "", "write the telemetry metrics registry as JSON (plus an OpenMetrics sibling at <path>.prom)")
 	sloOut := flag.String("slo-out", "", "write the per-experiment SLO reports (objectives, burns, alerts, incidents) as JSON")
@@ -45,10 +47,9 @@ func main() {
 	bench := flag.String("bench", "netsplit", "which storm -bench-out samples: netsplit, regionfail, catalog, or breach")
 	flag.Parse()
 
-	experiments.SetChaosSeed(*seed)
-
 	// The telemetry plane is off (nil) unless an output asks for it, so
-	// plain runs keep the zero-cost disabled path.
+	// plain runs keep the zero-cost disabled path. Every run's Env shares
+	// the one plane, so the exports cover all selected experiments.
 	var tracer *telemetry.Tracer
 	var registry *telemetry.Registry
 	if *traceOut != "" || *flight {
@@ -58,7 +59,9 @@ func main() {
 	if *metricsOut != "" {
 		registry = telemetry.NewRegistry()
 	}
-	experiments.SetTelemetry(tracer, registry)
+	newEnv := func() *experiments.Env {
+		return &experiments.Env{Seed: *seed, Trace: tracer, Metrics: registry}
+	}
 
 	if *list {
 		for _, e := range experiments.All() {
@@ -101,7 +104,7 @@ func main() {
 	}
 
 	if *benchOut != "" {
-		if err := writeBenchRecord(*benchOut, *bench, *seed); err != nil {
+		if err := writeBenchRecord(*benchOut, *bench, newEnv()); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -128,20 +131,21 @@ func main() {
 			selected = append(selected, e)
 		}
 		if len(selected) == 0 {
-			var ids []string
-			for _, e := range experiments.All() {
-				ids = append(ids, e.ID)
-			}
-			fmt.Fprintf(os.Stderr, "-run selects no experiments (try: %v)\n", ids)
+			fmt.Fprintf(os.Stderr, "-run selects no experiments (try: %v)\n", experiments.IDs())
 			os.Exit(2)
 		}
 	}
 
 	failed := 0
 	var records []jsonRecord
+	reports := map[string]*slo.Report{}
 	for _, e := range selected {
 		start := time.Now()
-		out, err := e.Run()
+		env := newEnv()
+		out, err := e.Run(env)
+		if env.SLO != nil {
+			reports[e.ID] = env.SLO
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: FAILED: %v\n", e.ID, err)
 			failed++
@@ -193,7 +197,7 @@ func main() {
 		}
 	}
 	if *sloOut != "" {
-		if err := writeSLOReports(*sloOut); err != nil {
+		if err := writeSLOReports(*sloOut, reports); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -251,7 +255,7 @@ func readBenchRecords(path string) ([]benchRecord, error) {
 	return recs, nil
 }
 
-func writeBenchRecord(path, bench string, seed uint64) error {
+func writeBenchRecord(path, bench string, env *experiments.Env) error {
 	recs, err := readBenchRecords(path)
 	if err != nil {
 		return err
@@ -259,27 +263,19 @@ func writeBenchRecord(path, bench string, seed uint64) error {
 	rec := benchRecord{
 		Experiment: bench,
 		When:       time.Now().UTC().Format(time.RFC3339),
-		Seed:       seed,
+		Seed:       env.Seed,
 	}
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	switch bench {
-	case "netsplit":
-		rec.Events, rec.Availability, rec.P99Micros, err = experiments.NetSplitBench()
-	case "regionfail":
-		rec.Events, rec.Availability, rec.DetectP99Micros, err = experiments.RegionFailBench()
-	case "catalog":
-		rec.Events, rec.Availability, rec.HitRate, err = experiments.CatalogBench()
-	case "breach":
-		rec.Events, rec.Availability, rec.Containment, err = experiments.BreachBench()
-	default:
-		return fmt.Errorf("bench-out: unknown storm %q (valid: netsplit, regionfail, catalog, breach)", bench)
-	}
+	sum, err := experiments.Bench(bench, env)
 	if err != nil {
 		return fmt.Errorf("bench-out: %w", err)
 	}
 	rec.WallSeconds = time.Since(start).Seconds()
+	rec.Events, rec.Availability = sum.Events, sum.Availability
+	rec.P99Micros, rec.DetectP99Micros = sum.P99Micros, sum.DetectP99Micros
+	rec.HitRate, rec.Containment = sum.HitRate, sum.Containment
 	rec.EventsPerSec = float64(rec.Events) / rec.WallSeconds
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
@@ -298,11 +294,15 @@ func writeBenchRecord(path, bench string, seed uint64) error {
 // writeSLOReports lands every run experiment's SLO report — sorted by
 // experiment id, indented, newline-terminated — so two same-seed runs
 // write byte-identical files (check.sh gates on cmp).
-func writeSLOReports(path string) error {
-	reps := experiments.SLOReports()
-	if len(reps) == 0 {
+func writeSLOReports(path string, byID map[string]*slo.Report) error {
+	if len(byID) == 0 {
 		return fmt.Errorf("slo-out: no experiments ran, nothing to report")
 	}
+	reps := make([]*slo.Report, 0, len(byID))
+	for _, r := range byID {
+		reps = append(reps, r)
+	}
+	sort.Slice(reps, func(i, j int) bool { return reps[i].Experiment < reps[j].Experiment })
 	b, err := json.MarshalIndent(reps, "", "  ")
 	if err != nil {
 		return err

@@ -16,7 +16,7 @@ func init() {
 	register("abl-tiny", "Ablation: -Os/-tiny space-performance tradeoff (§4.2/4.6)", runTinyAblation)
 }
 
-func runKPTIAblation() (fmt.Stringer, error) {
+func runKPTIAblation(*Env) (fmt.Stringer, error) {
 	t := &metrics.Table{
 		Title:   "KPTI ablation: null syscall latency (us)",
 		Columns: []string{"kernel", "null call us", "slowdown"},
@@ -45,7 +45,7 @@ func runKPTIAblation() (fmt.Stringer, error) {
 	return t, nil
 }
 
-func runParavirtAblation() (fmt.Stringer, error) {
+func runParavirtAblation(*Env) (fmt.Stringer, error) {
 	t := &metrics.Table{
 		Title:   "PARAVIRT ablation: boot time (ms)",
 		Columns: []string{"kernel", "boot ms"},
@@ -71,7 +71,7 @@ func runParavirtAblation() (fmt.Stringer, error) {
 	return t, nil
 }
 
-func runTinyAblation() (fmt.Stringer, error) {
+func runTinyAblation(*Env) (fmt.Stringer, error) {
 	t := &metrics.Table{
 		Title:   "-tiny ablation: image size vs hot-path performance",
 		Columns: []string{"kernel", "image MB", "null call us", "boot ms"},

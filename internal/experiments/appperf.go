@@ -51,7 +51,7 @@ func runWorkload(u *core.Unikernel, wl workload, port int) (float64, error) {
 	return res.Throughput, nil
 }
 
-func runTable4() (fmt.Stringer, error) {
+func runTable4(*Env) (fmt.Stringer, error) {
 	t := &metrics.Table{
 		Title:   "Table 4: application throughput normalized to microVM (higher is better)",
 		Columns: []string{"system", "redis-get", "redis-set", "nginx-conn", "nginx-sess"},

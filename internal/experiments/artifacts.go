@@ -21,7 +21,7 @@ func init() {
 // helloOptions: hello world needs nothing beyond lupine-base.
 var helloOptions []string
 
-func runFig6() (fmt.Stringer, error) {
+func runFig6(*Env) (fmt.Stringer, error) {
 	t := &metrics.Table{
 		Title:   "Figure 6: kernel image size, hello world (MB)",
 		Columns: []string{"system", "image MB"},
@@ -57,7 +57,7 @@ func runFig6() (fmt.Stringer, error) {
 	return t, nil
 }
 
-func runFig7() (fmt.Stringer, error) {
+func runFig7(*Env) (fmt.Stringer, error) {
 	t := &metrics.Table{
 		Title:   "Figure 7: boot time for hello world (ms)",
 		Columns: []string{"system", "boot ms"},
@@ -100,7 +100,7 @@ func runFig7() (fmt.Stringer, error) {
 	return t, nil
 }
 
-func runFig8() (fmt.Stringer, error) {
+func runFig8(*Env) (fmt.Stringer, error) {
 	t := &metrics.Table{
 		Title:   "Figure 8: memory footprint (MB)",
 		Columns: []string{"system", "hello", "nginx", "redis"},

@@ -13,7 +13,7 @@ func init() {
 	register("sec5smp", "SMP support overhead on one CPU (sem_posix, futex, make -j)", runSMP)
 }
 
-func runFig12() (fmt.Stringer, error) {
+func runFig12(*Env) (fmt.Stringer, error) {
 	f := &metrics.Figure{
 		Title:  "Figure 12: perf sched-messaging, total time per group count",
 		XLabel: "groups (10 senders + 10 receivers each)",
@@ -53,7 +53,7 @@ func runFig12() (fmt.Stringer, error) {
 	return f, nil
 }
 
-func runSMP() (fmt.Stringer, error) {
+func runSMP(*Env) (fmt.Stringer, error) {
 	t := &metrics.Table{
 		Title:   "§5: CONFIG_SMP overhead on a single CPU",
 		Columns: []string{"workload", "no-SMP", "SMP (1 cpu)", "overhead %", "SMP (2 cpus)"},

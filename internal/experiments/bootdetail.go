@@ -19,7 +19,7 @@ func init() {
 // CONFIG_PARAVIRT removes timer calibration entirely — while image size
 // (the kernel-load phase) barely matters, which is why -tiny does not
 // boot faster.
-func runBootDetail() (fmt.Stringer, error) {
+func runBootDetail(*Env) (fmt.Stringer, error) {
 	micro, err := microVMImage()
 	if err != nil {
 		return nil, err

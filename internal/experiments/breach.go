@@ -43,10 +43,10 @@ func breachVectors() []string {
 }
 
 // breachCampaign is the shared campaign shape; the plan below paces it.
-func breachCampaignConfig() attack.Config {
+func breachCampaignConfig(seed uint64) attack.Config {
 	cfg := attack.DefaultConfig()
 	cfg.Vectors = breachVectors()
-	cfg.Seed = chaosSeed ^ 0xB4EAC4
+	cfg.Seed = seed ^ 0xB4EAC4
 	return cfg
 }
 
@@ -54,10 +54,10 @@ func breachCampaignConfig() attack.Config {
 // windows alternating exposed and gated vectors, payloads armed at 0.9,
 // lateral probes at 0.6, and one mid-campaign info leak voiding the
 // victim's hardening for a single payload.
-func breachPlan() faults.Plan {
+func breachPlan(seed uint64) faults.Plan {
 	const ms = simclock.Time(simclock.Millisecond)
 	return faults.Plan{
-		Seed: chaosSeed ^ 0xB4EAC,
+		Seed: seed ^ 0xB4EAC,
 		Rules: []faults.Rule{
 			// Four probe windows, Param = 1-based vector index: epoll_wait
 			// and futex reach redis+mp's surface; bpf and add_key only land
@@ -93,9 +93,9 @@ type breachRow struct {
 const breachSloEvery = 50 * simclock.Microsecond
 
 // breachRegionConfig is the shared plane shape.
-func breachRegionConfig() region.Config {
+func breachRegionConfig(seed uint64) region.Config {
 	cfg := region.DefaultConfig()
-	cfg.Seed = chaosSeed ^ 0xB4EA0F
+	cfg.Seed = seed ^ 0xB4EA0F
 	return cfg
 }
 
@@ -105,43 +105,27 @@ func breachRegionConfig() region.Config {
 // burn the budget) beside the regional availability objective, and the
 // first repave landing is kept so the tests can assert the alert fired
 // before the plane finished recovering.
-func runBreachRow(name, hardening string, boot simclock.Duration, scoped bool, cfg region.Config) (breachRow, error) {
-	inj, err := faults.New(breachPlan())
+func runBreachRow(env *Env, name, hardening string, boot simclock.Duration, scoped bool, cfg region.Config) (breachRow, error) {
+	inj, err := faults.New(breachPlan(env.Seed))
 	if err != nil {
 		return breachRow{}, err
 	}
 	track := "breach/" + name
-	tr, reg := activeTrace, activeMetrics
-	var scope *slo.Scope
+	var objs []slo.Objective
 	if scoped {
-		tr, reg = sloTelemetry()
-		var regions []string
-		for _, rs := range cfg.Regions {
-			regions = append(regions, rs.Name)
-		}
-		scope = slo.NewScope(track, reg, tr, breachSloEvery)
-		scope.Add(slo.Objective{
+		objs = []slo.Objective{{
 			Name:   "containment",
 			Good:   []string{track + ".deflects", track + ".detects"},
 			Bad:    []string{track + ".compromises"},
 			Target: 0.9,
 			Rules:  slo.DefaultRules(simclock.Millisecond, 5, 2),
-		})
-		scope.Add(sloRegionAvailability(track, regions, 0.99, slo.DefaultRules(simclock.Millisecond, 10, 4)))
-		scope.SetInjector(inj)
+		}, sloRegionAvailability(track, cfg.Regions, 0.99, slo.DefaultRules(simclock.Millisecond, 10, 4))}
 	}
-	inj.Observe(tr, track)
-	p := region.New(cfg, inj)
-	p.Observe(tr, reg, track)
-	if scope != nil {
-		scope.Bind(p.Clock())
-	}
-	res := p.Run()
-	row := breachRow{System: name, Hardening: hardening, Boot: boot, Res: res, firstRepave: -1}
-	if scope != nil {
-		scope.Finish(res.End)
-		row.scope = scope
-		for _, e := range tr.Events() {
+	r := env.row(track, inj, breachSloEvery, objs...)
+	res := runRow(r, region.New(cfg, inj))
+	row := breachRow{System: name, Hardening: hardening, Boot: boot, Res: res, scope: r.scope, firstRepave: -1}
+	if r.scope != nil {
+		for _, e := range r.tr.Events() {
 			if e.Cat == "region" && e.Name == "repave" && e.Track == track {
 				if row.firstRepave < 0 || e.At < row.firstRepave {
 					row.firstRepave = e.At
@@ -156,7 +140,7 @@ func runBreachRow(name, hardening string, boot simclock.Duration, scoped bool, c
 // pipeline (so hardening is priced kconfig, not a flag), captures its
 // warm snapshot, derives its exploit surface from the built image, and
 // runs the campaign against it.
-func breachLupineRow(cache *bunny.Cache, name, profile, hardening string, scoped bool, evacDensity float64) (breachRow, error) {
+func breachLupineRow(env *Env, cache *bunny.Cache, name, profile, hardening string, scoped bool, evacDensity float64) (breachRow, error) {
 	spec := &bunny.Spec{
 		App:       "redis",
 		Profile:   profile,
@@ -173,7 +157,7 @@ func breachLupineRow(cache *bunny.Cache, name, profile, hardening string, scoped
 		return breachRow{}, fmt.Errorf("breach: capturing %s: %w", name, err)
 	}
 	sfc := attack.FromImage(art.Uni.Kernel)
-	cfg := breachRegionConfig()
+	cfg := breachRegionConfig(env.Seed)
 	cfg.Snapshot = snap
 	cfg.Monitor = vmm.Firecracker()
 	cfg.ColdBoot = coldBoot
@@ -181,18 +165,19 @@ func breachLupineRow(cache *bunny.Cache, name, profile, hardening string, scoped
 	// request, on top of the boot-time cost already in coldBoot.
 	cfg.Cell.ServiceTime = simclock.Duration(float64(cfg.Cell.ServiceTime) * attack.RuntimeScale(hardening))
 	cfg.Breach = &region.BreachConfig{
-		Campaign:        breachCampaignConfig(),
+		Campaign:        breachCampaignConfig(env.Seed),
 		Surface:         func(int) attack.Surface { return sfc },
 		EvacuateDensity: evacDensity,
 	}
-	return runBreachRow(name, hardening, coldBoot, scoped, cfg)
+	return runBreachRow(env, name, hardening, coldBoot, scoped, cfg)
 }
 
 // runBreachStorm executes the sweep and returns the raw rows (the test
 // entry point; runBreach renders them).
-func runBreachStorm() ([]breachRow, error) {
+func runBreachStorm(env *Env) ([]breachRow, error) {
 	cache := bunny.NewCache(db(), 0)
 	var out []breachRow
+	var scopes []*slo.Scope
 
 	// The hardening sweep on the paper's lupine+mp kernel: same plane,
 	// same campaign, increasingly expensive — and increasingly survivable
@@ -202,15 +187,14 @@ func runBreachStorm() ([]breachRow, error) {
 		if level != attack.HardeningOff {
 			name += "+" + level
 		}
-		r, err := breachLupineRow(cache, name, bunny.ProfileNoKML, level, level == attack.HardeningOff, 0)
+		r, err := breachLupineRow(env, cache, name, bunny.ProfileNoKML, level, level == attack.HardeningOff, 0)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, r)
-		if r.scope != nil {
-			sloRecord("breach", r.scope)
-		}
+		scopes = append(scopes, r.scope)
 	}
+	env.recordSLO("breach", scopes...)
 
 	// The KML variant: the same unhardened build as row one, but the app
 	// runs ring 0 — a landed payload IS a monitor compromise, and after
@@ -218,7 +202,7 @@ func runBreachStorm() ([]breachRow, error) {
 	// difference from lupine+mp/off is the privilege level; the only
 	// difference in the outcome is the blast radius. Compromise density
 	// past 0.6 evacuates the region wholesale.
-	r, err := breachLupineRow(cache, "lupine+kml", bunny.ProfileKML, attack.HardeningOff, false, 0.6)
+	r, err := breachLupineRow(env, cache, "lupine+kml", bunny.ProfileKML, attack.HardeningOff, false, 0.6)
 	if err != nil {
 		return nil, err
 	}
@@ -230,14 +214,11 @@ func runBreachStorm() ([]breachRow, error) {
 	// the compromise, the capacity is gone for good. (Their pools serve
 	// the workload here; the fork death of §6.2 is regionfail's story.)
 	for _, s := range libos.All() {
-		boot := 10 * simclock.Millisecond
-		if bt, err := s.BootTime("redis"); err == nil {
-			boot = bt
-		}
-		cfg := breachRegionConfig()
+		boot := libosBoot(s)
+		cfg := breachRegionConfig(env.Seed)
 		cfg.ColdBoot = boot
-		cfg.Breach = &region.BreachConfig{Campaign: breachCampaignConfig()}
-		r, err := runBreachRow(s.Name, "-", boot, false, cfg)
+		cfg.Breach = &region.BreachConfig{Campaign: breachCampaignConfig(env.Seed)}
+		r, err := runBreachRow(env, s.Name, "-", boot, false, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -246,14 +227,14 @@ func runBreachStorm() ([]breachRow, error) {
 	return out, nil
 }
 
-func runBreach() (fmt.Stringer, error) {
-	rows, err := runBreachStorm()
+func runBreach(env *Env) (fmt.Stringer, error) {
+	rows, err := runBreachStorm(env)
 	if err != nil {
 		return nil, err
 	}
 	t := &metrics.Table{
 		Title: fmt.Sprintf("exploit campaign vs hardening level: deflection, containment and the price (seed %d, 3 regions)",
-			chaosSeed),
+			env.Seed),
 		Columns: []string{"system", "hardening", "boot (µs)", "availability",
 			"deflected/landed", "compromised (p/l/e)", "contained", "quarantine (def)",
 			"repave (rst/fb/den)", "dwell p50 (µs)", "region evacs", "unrecovered"},
@@ -290,17 +271,18 @@ func runBreach() (fmt.Stringer, error) {
 // trajectory (scripts emit it as BENCH_breach.json): total virtual
 // events across all rows plus the fully hardened lupine+mp row's
 // availability and containment.
-func BreachBench() (events int, availability, containment float64, err error) {
-	rows, err := runBreachStorm()
+func BreachBench(env *Env) (BenchSummary, error) {
+	rows, err := runBreachStorm(env)
 	if err != nil {
-		return 0, 0, 0, err
+		return BenchSummary{}, err
 	}
+	var s BenchSummary
 	for _, r := range rows {
-		events += r.Res.Events
+		s.Events += r.Res.Events
 		if r.System == "lupine+mp+full" {
-			availability = r.Res.Availability()
-			containment = r.Res.Containment()
+			s.Availability = r.Res.Availability()
+			s.Containment = r.Res.Containment()
 		}
 	}
-	return events, availability, containment, nil
+	return s, nil
 }

@@ -24,7 +24,8 @@ func rowByName(t *testing.T, rows []breachRow, name string) breachRow {
 // Specialization deflects, hardening discounts, the ladder contains;
 // ring 0 amplifies; the comparators never recover.
 func TestBreachGradient(t *testing.T) {
-	rows, err := runBreachStorm()
+	t.Parallel()
+	rows, err := runBreachStorm(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +109,12 @@ func TestBreachGradient(t *testing.T) {
 // TestBreachDeterminism: the whole sweep — builds, snapshots, campaign,
 // containment — replays bit-for-bit on the same seed.
 func TestBreachDeterminism(t *testing.T) {
-	a, err := runBreachStorm()
+	t.Parallel()
+	a, err := runBreachStorm(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runBreachStorm()
+	b, err := runBreachStorm(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,22 +133,24 @@ func TestBreachDeterminism(t *testing.T) {
 
 // TestBreachBenchSummary: the JSON summary reflects the hardened row.
 func TestBreachBenchSummary(t *testing.T) {
-	events, availability, containment, err := BreachBench()
+	t.Parallel()
+	s, err := BreachBench(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if events <= 0 {
-		t.Fatalf("events = %d", events)
+	if s.Events <= 0 {
+		t.Fatalf("events = %d", s.Events)
 	}
-	if availability < 0.9 || containment < 0.9 {
+	if s.Availability < 0.9 || s.Containment < 0.9 {
 		t.Fatalf("hardened row regressed: availability %.3f containment %.3f",
-			availability, containment)
+			s.Availability, s.Containment)
 	}
 }
 
 // TestBreachRuntimeScale: the hardening data-path price really lands in
 // the row's fleet config.
 func TestBreachRuntimeScale(t *testing.T) {
+	t.Parallel()
 	if attack.RuntimeScale(attack.HardeningFull) <= attack.RuntimeScale(attack.HardeningOff) {
 		t.Fatal("full hardening must scale service time up")
 	}
@@ -154,10 +158,10 @@ func TestBreachRuntimeScale(t *testing.T) {
 
 func BenchmarkBreach(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		events, _, _, err := BreachBench()
+		s, err := BreachBench(newEnv())
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(events), "events/op")
+		b.ReportMetric(float64(s.Events), "events/op")
 	}
 }

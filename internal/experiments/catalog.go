@@ -20,12 +20,10 @@ import (
 	"lupine/internal/bunny"
 	"lupine/internal/farm"
 	"lupine/internal/faults"
-	"lupine/internal/fleet"
 	"lupine/internal/libos"
 	"lupine/internal/metrics"
 	"lupine/internal/region"
 	"lupine/internal/simclock"
-	"lupine/internal/slo"
 	"lupine/internal/snapshot"
 	"lupine/internal/vmm"
 )
@@ -55,9 +53,9 @@ var catalogFleetIdents = []struct {
 // farmPlan arms the build fault sites against the redeploy round: the
 // spec-invalid consult fires on its 25th hit (compile 5 of round two)
 // and the artifact-corrupt consult on its 3rd resident fetch.
-func farmPlan() faults.Plan {
+func farmPlan(seed uint64) faults.Plan {
 	return faults.Plan{
-		Seed: chaosSeed ^ 0xCA7A,
+		Seed: seed ^ 0xCA7A,
 		Rules: []faults.Rule{
 			{Site: bunny.SiteSpecInvalid, NthHit: 25},
 			{Site: bunny.SiteCacheCorrupt, NthHit: 3},
@@ -66,10 +64,10 @@ func farmPlan() faults.Plan {
 }
 
 // catalogPlan is phase B's regional storm, identical for every row.
-func catalogPlan() faults.Plan {
+func catalogPlan(seed uint64) faults.Plan {
 	const ms = simclock.Time(simclock.Millisecond)
 	return faults.Plan{
-		Seed: chaosSeed ^ 0xCA7A106,
+		Seed: seed ^ 0xCA7A106,
 		Rules: []faults.Rule{
 			// One host in r0 dies: its mixed-identity VMs are replaced from
 			// their own lineages in the local store.
@@ -98,15 +96,7 @@ type catalogResult struct {
 	Cold     *farm.Result // first batch: the whole catalog, empty cache
 	Redeploy *farm.Result // second batch: same specs, warm cache + fault storm
 	Idents   []catalogIdentity
-	Rows     []catalogRow
-}
-
-type catalogRow struct {
-	System string
-	Warm   bool
-	Res    region.Result
-
-	scope *slo.Scope // SLO scope, set on the warm mixed row only
+	Rows     []regionRow
 }
 
 // catalogSpecs is the whole top-20 catalog as default-profile specs.
@@ -120,13 +110,13 @@ func catalogSpecs() []*bunny.Spec {
 
 // runCatalogFarm is phase A: cold batch, warm redeploy, then the fleet
 // identities compiled through the same cache and captured.
-func runCatalogFarm(cache *bunny.Cache) (*catalogResult, error) {
-	inj, err := faults.New(farmPlan())
+func runCatalogFarm(env *Env, cache *bunny.Cache) (*catalogResult, error) {
+	inj, err := faults.New(farmPlan(env.Seed))
 	if err != nil {
 		return nil, err
 	}
-	inj.Observe(activeTrace, "catalog/farm")
-	f := farm.New(cache, catalogWorkers, inj, activeTrace, activeMetrics)
+	inj.Observe(env.Trace, "catalog/farm")
+	f := farm.New(cache, catalogWorkers, inj, env.Trace, env.Metrics)
 
 	res := &catalogResult{}
 	if res.Cold, err = f.Run(catalogSpecs(), 0); err != nil {
@@ -159,9 +149,9 @@ func runCatalogFarm(cache *bunny.Cache) (*catalogResult, error) {
 // identity's snapshot lineage; upgrades arms the staggered per-identity
 // rolling upgrades, each rebuild priced by compiling the identity's v2
 // spec through the shared build cache.
-func catalogConfig(idents []catalogIdentity, cache *bunny.Cache, warm, upgrades bool) region.Config {
+func catalogConfig(seed uint64, idents []catalogIdentity, cache *bunny.Cache, warm, upgrades bool) region.Config {
 	cfg := region.DefaultConfig()
-	cfg.Seed = chaosSeed ^ 0xCA7A10F
+	cfg.Seed = seed ^ 0xCA7A10F
 	cfg.Monitor = vmm.Firecracker()
 	cfg.Replicate = warm
 	for i, id := range idents {
@@ -202,62 +192,30 @@ func catalogConfig(idents []catalogIdentity, cache *bunny.Cache, warm, upgrades 
 	return cfg
 }
 
-// runCatalogRow drives one configured plane through the storm. The
-// scoped row carries the experiment's SLO scope: availability summed
-// across the three regional cells of the mixed-identity plane.
-func runCatalogRow(name string, warm, scoped bool, cfg region.Config) (catalogRow, error) {
-	inj, err := faults.New(catalogPlan())
-	if err != nil {
-		return catalogRow{}, err
-	}
-	track := "catalog/" + name
-	tr, reg := activeTrace, activeMetrics
-	var scope *slo.Scope
-	if scoped {
-		tr, reg = sloTelemetry()
-		var regions []string
-		for _, rs := range cfg.Regions {
-			regions = append(regions, rs.Name)
-		}
-		scope = slo.NewScope(track, reg, tr, sloEvery)
-		// Same shape as regionfail: three nines, 2 ms scale, so the slow
-		// rule reaches back from the evacuation burst to the blackout.
-		scope.Add(sloRegionAvailability(track, regions, 0.999, slo.DefaultRules(2*simclock.Millisecond, 10, 4)))
-		scope.SetInjector(inj)
-	}
-	inj.Observe(tr, track)
-	p := region.New(cfg, inj)
-	p.Observe(tr, reg, track)
-	if scope != nil {
-		scope.Bind(p.Clock())
-	}
-	res := p.Run()
-	if scope != nil {
-		scope.Finish(res.End)
-	}
-	return catalogRow{System: name, Warm: warm, Res: res, scope: scope}, nil
-}
-
 // runCatalogStorm executes both phases and returns the raw results.
-func runCatalogStorm() (*catalogResult, error) {
+func runCatalogStorm(env *Env) (*catalogResult, error) {
 	cache := bunny.NewCache(db(), 0)
-	res, err := runCatalogFarm(cache)
+	res, err := runCatalogFarm(env, cache)
 	if err != nil {
 		return nil, err
 	}
 
 	// Row 1: warm per-identity lineages, replicated, rolling upgrades.
-	row, err := runCatalogRow("lupine-mixed", true, true, catalogConfig(res.Idents, cache, true, true))
+	// The scoped row: availability summed across the three regional
+	// cells of the mixed-identity plane.
+	row, err := runRegionRow(env, "catalog", "lupine-mixed", catalogPlan, true, true,
+		catalogConfig(env.Seed, res.Idents, cache, true, true))
 	if err != nil {
 		return nil, err
 	}
 	res.Rows = append(res.Rows, row)
-	sloRecord("catalog", row.scope)
+	env.recordSLO("catalog", row.scope)
 
 	// Row 2: the same mixed plane with no snapshot story — every
 	// replacement, evacuee and upgrade replacement pays its identity's
 	// measured cold boot.
-	row, err = runCatalogRow("lupine-mixed-cold", false, false, catalogConfig(res.Idents, cache, false, true))
+	row, err = runRegionRow(env, "catalog", "lupine-mixed-cold", catalogPlan, false, false,
+		catalogConfig(env.Seed, res.Idents, cache, false, true))
 	if err != nil {
 		return nil, err
 	}
@@ -266,29 +224,13 @@ func runCatalogStorm() (*catalogResult, error) {
 	// The unikernel comparators: same mixed plane shape, but the pools
 	// die of the workload's first fork wherever the plane restores them.
 	for _, s := range libos.All() {
-		boot := 10 * simclock.Millisecond
-		if bt, err := s.BootTime("redis"); err == nil {
-			boot = bt
-		}
-		crash := vmm.Attempt{
-			Outcome:    vmm.OutcomePanic,
-			Ready:      true,
-			ReadyAfter: boot,
-			Ran:        boot + simclock.Millisecond,
-			Detail:     s.Fork().Error(),
-		}
-		cfg := catalogConfig(res.Idents, cache, false, false)
+		cfg := catalogConfig(env.Seed, res.Idents, cache, false, false)
 		for i := range cfg.Identities {
 			cfg.Identities[i].Snapshot = nil
-			cfg.Identities[i].ColdBoot = boot
+			cfg.Identities[i].ColdBoot = libosBoot(s)
 		}
-		track := "catalog/" + s.Name
-		cfg.Timeline = func(ri, vi int) fleet.Timeline {
-			sup := vmm.NewSupervisor(vmm.RestartPolicy{})
-			sup.Observe(activeTrace, fmt.Sprintf("%s/r%d/vm%d", track, ri, vi))
-			return fleet.FromReport(sup.Run(func(int) vmm.Attempt { return crash }))
-		}
-		row, err = runCatalogRow(s.Name, false, false, cfg)
+		cfg.Timeline = env.libosTimeline(libosCrash(s, simclock.Millisecond), "catalog/"+s.Name)
+		row, err = runRegionRow(env, "catalog", s.Name, catalogPlan, false, false, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -310,14 +252,14 @@ func identSummary(res region.Result) string {
 	return out
 }
 
-func runCatalog() (fmt.Stringer, error) {
-	res, err := runCatalogStorm()
+func runCatalog(env *Env) (fmt.Stringer, error) {
+	res, err := runCatalogStorm(env)
 	if err != nil {
 		return nil, err
 	}
 	t := &metrics.Table{
 		Title: fmt.Sprintf("catalog pipeline: farm-build the top-20, then a mixed-identity regional storm (seed %d, %d workers)",
-			chaosSeed, catalogWorkers),
+			env.Seed, catalogWorkers),
 		Columns: []string{"system", "availability", "p99 (µs)", "evac (rst/fb/cold)",
 			"upgraded", "placed-u-upgraded", "shed r0/r1/r2", "unrecovered"},
 	}
@@ -361,16 +303,17 @@ func runCatalog() (fmt.Stringer, error) {
 // trajectory (scripts emit it as BENCH_catalog.json): total virtual
 // events across the fleet rows, the warm mixed row's availability, and
 // the redeploy batch's artifact-cache hit rate.
-func CatalogBench() (events int, availability float64, hitRate float64, err error) {
-	res, err := runCatalogStorm()
+func CatalogBench(env *Env) (BenchSummary, error) {
+	res, err := runCatalogStorm(env)
 	if err != nil {
-		return 0, 0, 0, err
+		return BenchSummary{}, err
 	}
+	s := BenchSummary{HitRate: res.Redeploy.Stats.HitRate()}
 	for _, r := range res.Rows {
-		events += r.Res.Events
+		s.Events += r.Res.Events
 		if r.System == "lupine-mixed" {
-			availability = r.Res.Availability()
+			s.Availability = r.Res.Availability()
 		}
 	}
-	return events, availability, res.Redeploy.Stats.HitRate(), nil
+	return s, nil
 }

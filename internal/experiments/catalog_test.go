@@ -10,11 +10,12 @@ import (
 // the build-fault rebuilds, the mixed-identity storm, the staggered
 // rollouts — all of it draws from seeded streams on virtual clocks.
 func TestCatalogDeterministic(t *testing.T) {
-	a, err := runCatalog()
+	t.Parallel()
+	a, err := runCatalog(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runCatalog()
+	b, err := runCatalog(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,8 @@ func TestCatalogDeterministic(t *testing.T) {
 // the warm mixed-identity plane rides out the storm and its rollouts
 // without denting availability.
 func TestCatalogStorm(t *testing.T) {
-	res, err := runCatalogStorm()
+	t.Parallel()
+	res, err := runCatalogStorm(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +88,7 @@ func TestCatalogStorm(t *testing.T) {
 	if want := 2 + len(libos.All()); len(res.Rows) != want {
 		t.Fatalf("storm produced %d rows, want %d", len(res.Rows), want)
 	}
-	byRow := map[string]catalogRow{}
+	byRow := map[string]regionRow{}
 	for _, r := range res.Rows {
 		byRow[r.System] = r
 		if got := r.Res.OK + r.Res.Shed + r.Res.Failed; got != r.Res.Total {
@@ -147,29 +149,30 @@ func TestCatalogStorm(t *testing.T) {
 // CatalogBench feeds the wall-clock trajectory file; its headline
 // numbers must match what the storm measures.
 func TestCatalogBench(t *testing.T) {
-	events, availability, hitRate, err := CatalogBench()
+	t.Parallel()
+	s, err := CatalogBench(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if events <= 0 {
-		t.Errorf("events = %d", events)
+	if s.Events <= 0 {
+		t.Errorf("events = %d", s.Events)
 	}
-	if availability < 0.99 {
-		t.Errorf("availability = %.3f", availability)
+	if s.Availability < 0.99 {
+		t.Errorf("availability = %.3f", s.Availability)
 	}
-	if hitRate < 0.85 || hitRate > 1 {
-		t.Errorf("hit rate = %.2f", hitRate)
+	if s.HitRate < 0.85 || s.HitRate > 1 {
+		t.Errorf("hit rate = %.2f", s.HitRate)
 	}
 }
 
 func BenchmarkCatalog(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		events, avail, hitRate, err := CatalogBench()
+		s, err := CatalogBench(newEnv())
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(events), "events/op")
-		b.ReportMetric((1-avail)*100, "%unavail")
-		b.ReportMetric(hitRate*100, "%cache-hit")
+		b.ReportMetric(float64(s.Events), "events/op")
+		b.ReportMetric((1-s.Availability)*100, "%unavail")
+		b.ReportMetric(s.HitRate*100, "%cache-hit")
 	}
 }

@@ -28,12 +28,6 @@ func init() {
 	register("chaos", "Fault injection: crash recovery under a seeded storm (robustness)", runChaos)
 }
 
-// chaosSeed parameterizes the storm; -seed on the bench CLI overrides it.
-var chaosSeed uint64 = 42
-
-// SetChaosSeed selects the storm seed for subsequent chaos runs.
-func SetChaosSeed(s uint64) { chaosSeed = s }
-
 const chaosHogBytes = 160 * guest.MiB
 
 // chaosPlan is the storm every system faces: two dead-on-arrival boots
@@ -42,13 +36,13 @@ const chaosHogBytes = 160 * guest.MiB
 // noise, and loopback drops/delays. Windows are in guest virtual time;
 // the From=2ms guard keeps faults out of the init script so every storm
 // lands on the workload proper.
-func chaosPlan() faults.Plan {
+func chaosPlan(seed uint64) faults.Plan {
 	const (
 		ms = simclock.Time(simclock.Millisecond)
 		mb = int64(guest.MiB)
 	)
 	return faults.Plan{
-		Seed: chaosSeed,
+		Seed: seed,
 		Rules: []faults.Rule{
 			// Attempt 1 dies probing virtio; attempt 2 dies mounting a
 			// rootfs whose block read comes back short.
@@ -273,42 +267,24 @@ func (r chaosResult) resultCell() string {
 
 // runChaosStorm executes the storm for every system and returns the raw
 // results (the test entry point; runChaos renders them).
-func runChaosStorm() ([]chaosResult, error) {
+func runChaosStorm(env *Env) ([]chaosResult, error) {
 	spec, _, err := appSpec("redis")
 	if err != nil {
 		return nil, err
 	}
 	// The Program field is overridden per attempt inside chaosBoot.
-	type row struct {
-		name  string
-		build func() (*core.Unikernel, error)
-	}
-	rows := []row{
-		{"lupine", func() (*core.Unikernel, error) { return core.Build(db(), spec, core.BuildOpts{}) }},
-		{"lupine+mp", func() (*core.Unikernel, error) {
-			return core.Build(db(), spec, core.BuildOpts{ExtraOptions: []string{"MULTIPROCESS"}})
-		}},
-		{"lupine-general", func() (*core.Unikernel, error) { return core.BuildGeneral(db(), spec, true) }},
-		{"microvm", func() (*core.Unikernel, error) { return core.BuildMicroVM(db(), spec) }},
-	}
 	var out []chaosResult
-	var heroScope *slo.Scope
-	for _, r := range rows {
-		u, err := r.build()
+	for _, name := range []string{"lupine", "lupine+mp", "lupine-general", "microvm"} {
+		u, err := redisVariant(spec, name)
 		if err != nil {
-			return nil, fmt.Errorf("chaos: building %s: %w", r.name, err)
+			return nil, fmt.Errorf("chaos: building %s: %w", name, err)
 		}
-		inj, err := faults.New(chaosPlan())
+		rep, inj, counters, err := env.supervise(u, chaosPlan(env.Seed), "chaos/"+name)
 		if err != nil {
 			return nil, err
 		}
-		var counters []chaosCounters
-		inj.Observe(activeTrace, "chaos/"+r.name)
-		sup := vmm.NewSupervisor(chaosPolicy())
-		sup.Observe(activeTrace, "chaos/"+r.name)
-		rep := sup.Run(chaosBoot(u, inj, &counters))
 		res := chaosResult{
-			System:    r.name,
+			System:    name,
 			Report:    rep,
 			MultiProc: u.Kernel.Enabled("MULTIPROCESS"),
 		}
@@ -318,20 +294,18 @@ func runChaosStorm() ([]chaosResult, error) {
 		// The hero row's SLO scope replays the supervised timeline:
 		// every restart window burns the uptime budget, and the storm's
 		// fire log attributes the burns.
-		if r.name == "lupine+mp" {
-			track := "chaos/" + r.name
-			tr, reg := sloTelemetry()
-			heroScope = slo.NewScope(track, reg, tr, sloEvery)
-			heroScope.Add(slo.Objective{
+		if name == "lupine+mp" {
+			track := "chaos/" + name
+			hero := env.row(track, inj, sloEvery, slo.Objective{
 				Name:   "uptime",
 				Good:   []string{track + ".up-ns"},
 				Bad:    []string{track + ".down-ns"},
 				Target: 0.9,
 				Rules:  slo.DefaultRules(2*simclock.Millisecond, 5, 2),
 			})
-			heroScope.SetInjector(inj)
-			sloReplaySupervisor(heroScope, reg, track, rep)
-			heroScope.Finish(rep.End)
+			sloReplaySupervisor(hero.scope, hero.reg, track, rep)
+			hero.scope.Finish(rep.End)
+			env.recordSLO("chaos", hero.scope)
 		}
 		out = append(out, res)
 	}
@@ -339,33 +313,19 @@ func runChaosStorm() ([]chaosResult, error) {
 	// kills them, and their monitors have no restart story — the service
 	// stays down for the rest of the storm.
 	for _, s := range libos.All() {
-		boot := 10 * simclock.Millisecond
-		if bt, err := s.BootTime("redis"); err == nil {
-			boot = bt
-		}
-		crash := vmm.Attempt{
-			Outcome:    vmm.OutcomePanic,
-			Ready:      true,
-			ReadyAfter: boot,
-			Ran:        boot + simclock.Millisecond,
-			Detail:     s.Fork().Error(),
-		}
-		sup := vmm.NewSupervisor(vmm.RestartPolicy{})
-		sup.Observe(activeTrace, "chaos/"+s.Name)
-		rep := sup.Run(func(int) vmm.Attempt { return crash })
+		rep := env.superviseCrash(libosCrash(s, simclock.Millisecond), "chaos/"+s.Name)
 		out = append(out, chaosResult{System: s.Name, Report: rep})
 	}
-	sloRecord("chaos", heroScope)
 	return out, nil
 }
 
-func runChaos() (fmt.Stringer, error) {
-	results, err := runChaosStorm()
+func runChaos(env *Env) (fmt.Stringer, error) {
+	results, err := runChaosStorm(env)
 	if err != nil {
 		return nil, err
 	}
 	t := &metrics.Table{
-		Title:   fmt.Sprintf("crash recovery under a seeded fault storm (seed %d)", chaosSeed),
+		Title:   fmt.Sprintf("crash recovery under a seeded fault storm (seed %d)", env.Seed),
 		Columns: []string{"system", "result", "restarts", "availability", "mean recovery (ms)", "degraded ops", "detail"},
 	}
 	for _, r := range results {

@@ -11,15 +11,16 @@ import (
 // bit-identical rendered output — the contract that makes chaos failures
 // replayable from just a seed.
 func TestChaosDeterministic(t *testing.T) {
+	t.Parallel()
 	e, err := Lookup("chaos")
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := e.Run()
+	first, err := e.Run(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := e.Run()
+	second, err := e.Run(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,8 @@ func TestChaosDeterministic(t *testing.T) {
 // restart budget while at least one libos comparator reports an
 // unrecovered crash.
 func TestChaosRecoveryContrast(t *testing.T) {
-	results, err := runChaosStorm()
+	t.Parallel()
+	results, err := runChaosStorm(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +115,7 @@ func TestChaosRecoveryContrast(t *testing.T) {
 func BenchmarkChaosRecovery(b *testing.B) {
 	var sink string
 	for i := 0; i < b.N; i++ {
-		results, err := runChaosStorm()
+		results, err := runChaosStorm(newEnv())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -122,7 +124,7 @@ func BenchmarkChaosRecovery(b *testing.B) {
 				b.ReportMetric((1-r.Report.Availability())*100, "%downtime")
 			}
 		}
-		out, err := runChaos()
+		out, err := runChaos(newEnv())
 		if err != nil {
 			b.Fatal(err)
 		}

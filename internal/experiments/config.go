@@ -17,7 +17,7 @@ func init() {
 	register("fig5", "Growth of unique kernel options to support top-x apps", runFig5)
 }
 
-func runFig3() (fmt.Stringer, error) {
+func runFig3(*Env) (fmt.Stringer, error) {
 	t := &metrics.Table{
 		Title:   "Figure 3: config options per directory (total / microVM / lupine-base)",
 		Columns: []string{"directory", "total", "microvm", "lupine-base"},
@@ -35,7 +35,7 @@ func runFig3() (fmt.Stringer, error) {
 	return t, nil
 }
 
-func runFig4() (fmt.Stringer, error) {
+func runFig4(*Env) (fmt.Stringer, error) {
 	t := &metrics.Table{
 		Title:   "Figure 4: microVM options by unikernel property",
 		Columns: []string{"category", "options"},
@@ -53,7 +53,7 @@ func runFig4() (fmt.Stringer, error) {
 	return t, nil
 }
 
-func runTable1() (fmt.Stringer, error) {
+func runTable1(*Env) (fmt.Stringer, error) {
 	t := &metrics.Table{
 		Title:   "Table 1: options gating system calls",
 		Columns: []string{"option", "enabled system call(s)"},
@@ -64,7 +64,7 @@ func runTable1() (fmt.Stringer, error) {
 	return t, nil
 }
 
-func runTable3() (fmt.Stringer, error) {
+func runTable3(*Env) (fmt.Stringer, error) {
 	t := &metrics.Table{
 		Title:   "Table 3: top-20 Docker Hub applications (config search re-derives each set)",
 		Columns: []string{"name", "downloads(B)", "description", "#options atop lupine-base", "search boots"},
@@ -94,7 +94,7 @@ func runTable3() (fmt.Stringer, error) {
 	return t, nil
 }
 
-func runFig5() (fmt.Stringer, error) {
+func runFig5(*Env) (fmt.Stringer, error) {
 	f := &metrics.Figure{
 		Title:  "Figure 5: growth of unique kernel configuration options",
 		XLabel: "support for top x apps",

@@ -16,18 +16,35 @@ import (
 	"lupine/internal/kbuild"
 	"lupine/internal/kconfig"
 	"lupine/internal/kerneldb"
+	"lupine/internal/slo"
+	"lupine/internal/telemetry"
 )
 
 // Experiment is one reproducible table or figure.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func() (fmt.Stringer, error)
+	Run   func(*Env) (fmt.Stringer, error)
+}
+
+// Env is one experiment run's harness state. Storms take their seed and
+// telemetry from it and leave their SLO report in it, so runs with their
+// own Envs share nothing and may run in parallel. Paper experiments
+// ignore it.
+type Env struct {
+	// Seed drives every storm's fault plans and seeded streams.
+	Seed uint64
+	// Trace and Metrics are the telemetry plane the run feeds. Nil, the
+	// default, runs exactly as with them set, at zero telemetry cost.
+	Trace   *telemetry.Tracer
+	Metrics *telemetry.Registry
+	// SLO is the report of the run's scoped rows, set by every storm.
+	SLO *slo.Report
 }
 
 var registry []Experiment
 
-func register(id, title string, run func() (fmt.Stringer, error)) {
+func register(id, title string, run func(*Env) (fmt.Stringer, error)) {
 	registry = append(registry, Experiment{ID: id, Title: title, Run: run})
 }
 
@@ -45,10 +62,11 @@ func Lookup(id string) (Experiment, error) {
 			return e, nil
 		}
 	}
-	return Experiment{}, fmt.Errorf("experiments: unknown experiment %q (try: %v)", id, ids())
+	return Experiment{}, fmt.Errorf("experiments: unknown experiment %q (try: %v)", id, IDs())
 }
 
-func ids() []string {
+// IDs returns every experiment ID, sorted.
+func IDs() []string {
 	var out []string
 	for _, e := range All() {
 		out = append(out, e.ID)
@@ -113,6 +131,30 @@ func appSpec(name string) (core.Spec, *apps.App, error) {
 		Image:    a.ContainerImage(),
 		Program:  func(p *guest.Proc, probeOnly bool) int { return a.Main(p, probeOnly) },
 	}, a, nil
+}
+
+// redisVariant builds spec as one of the Linux variants the storms pit
+// against each other: lupine, lupine+mp (MULTIPROCESS), lupine-general
+// or microvm.
+func redisVariant(spec core.Spec, name string) (*core.Unikernel, error) {
+	switch name {
+	case "lupine", "lupine+mp":
+		return core.Build(db(), spec, lupineOpts(name))
+	case "lupine-general":
+		return core.BuildGeneral(db(), spec, true)
+	case "microvm":
+		return core.BuildMicroVM(db(), spec)
+	}
+	return nil, fmt.Errorf("experiments: unknown variant %q", name)
+}
+
+// lupineOpts are a variant's specialized-build options: lupine+mp adds
+// MULTIPROCESS, every other variant builds plain lupine.
+func lupineOpts(name string) core.BuildOpts {
+	if name == "lupine+mp" {
+		return core.BuildOpts{ExtraOptions: []string{"MULTIPROCESS"}}
+	}
+	return core.BuildOpts{}
 }
 
 // appsRegistry returns the app names in Table 3 order.

@@ -9,13 +9,17 @@ import (
 	"lupine/internal/metrics"
 )
 
+// newEnv is a fresh run Env at lupine-bench's default seed, telemetry
+// off.
+func newEnv() *Env { return &Env{Seed: 42} }
+
 func runExp(t *testing.T, id string) fmt.Stringer {
 	t.Helper()
 	e, err := Lookup(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := e.Run()
+	out, err := e.Run(newEnv())
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}

@@ -15,7 +15,7 @@ func init() {
 // reports how few distinct kernels the fleet needs — the observation
 // behind MultiK-style orchestration the paper cites, and the practical
 // consequence of Figure 5's flattening union: option sets repeat.
-func runFleet() (fmt.Stringer, error) {
+func runFleet(*Env) (fmt.Stringer, error) {
 	t := &metrics.Table{
 		Title:   "Kernel-image sharing across the top-20 applications",
 		Columns: []string{"application", "kernel", "options", "image MB", "shared"},

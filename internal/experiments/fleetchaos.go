@@ -40,13 +40,13 @@ const fleetPoolSize = 3
 // the fleet sees outages rolling across the pool rather than one
 // synchronized dip), page-allocation failures and syscall/loopback
 // noise. Seeds differ per backend: storms are independent but replayable.
-func fleetBackendPlan(i int) faults.Plan {
+func fleetBackendPlan(seed uint64, i int) faults.Plan {
 	const (
 		ms = simclock.Time(simclock.Millisecond)
 		mb = int64(guest.MiB)
 	)
 	off := simclock.Time(i) * 10 * ms
-	pl := faults.Plan{Seed: chaosSeed + uint64(i)*7919}
+	pl := faults.Plan{Seed: seed + uint64(i)*7919}
 	if i == 0 {
 		pl.Rules = append(pl.Rules,
 			faults.Rule{Site: vmm.SiteDeviceProbe, NthHit: 1, Param: 2},
@@ -71,10 +71,10 @@ func fleetBackendPlan(i int) faults.Plan {
 // (false negatives) throughout, and a window of lost dispatches placed
 // relative to traffic start so every variant faces it regardless of how
 // long its pool takes to boot.
-func fleetWirePlan(trafficStart simclock.Time) faults.Plan {
+func fleetWirePlan(seed uint64, trafficStart simclock.Time) faults.Plan {
 	const ms = simclock.Time(simclock.Millisecond)
 	return faults.Plan{
-		Seed: chaosSeed ^ 0xF1EE7,
+		Seed: seed ^ 0xF1EE7,
 		Rules: []faults.Rule{
 			{Site: fleet.SiteProbeDrop, Prob: 0.02},
 			{Site: fleet.SiteDispatchDrop, From: trafficStart + 20*ms, To: trafficStart + 60*ms, Prob: 0.01},
@@ -84,9 +84,9 @@ func fleetWirePlan(trafficStart simclock.Time) faults.Plan {
 
 // fleetConfig is the front-end tuning; the seed follows -seed so the
 // whole experiment replays from one number.
-func fleetConfig() fleet.Config {
+func fleetConfig(seed uint64) fleet.Config {
 	cfg := fleet.DefaultConfig()
-	cfg.Seed = chaosSeed
+	cfg.Seed = seed
 	return cfg
 }
 
@@ -109,27 +109,6 @@ type fleetChaosResult struct {
 	Shared    int  // upgrade rebuilds served from the kernel cache
 }
 
-// fleetLinuxBackends supervises fleetPoolSize fresh VMs of u through
-// their per-backend storms and wraps the reports as pool members. sys
-// names the telemetry track prefix for this pool's supervised boots.
-func fleetLinuxBackends(u *core.Unikernel, sys string) ([]*fleet.Backend, error) {
-	var out []*fleet.Backend
-	for i := 0; i < fleetPoolSize; i++ {
-		inj, err := faults.New(fleetBackendPlan(i))
-		if err != nil {
-			return nil, err
-		}
-		track := fmt.Sprintf("fleetchaos/%s/vm%d", sys, i)
-		inj.Observe(activeTrace, track)
-		var counters []chaosCounters
-		sup := vmm.NewSupervisor(chaosPolicy())
-		sup.Observe(activeTrace, track)
-		rep := sup.Run(chaosBoot(u, inj, &counters))
-		out = append(out, fleet.NewBackend(fmt.Sprintf("vm%d", i), fleet.FromReport(rep)))
-	}
-	return out, nil
-}
-
 // fleetBootTime estimates a fresh instance's boot+init latency from the
 // cleanest supervised boot in the pool.
 func fleetBootTime(backends []*fleet.Backend) simclock.Duration {
@@ -149,32 +128,20 @@ func fleetBootTime(backends []*fleet.Backend) simclock.Duration {
 
 // runFleetChaosStorm executes the full fleet comparison and returns the
 // raw results (the test entry point; runFleetChaos renders them).
-func runFleetChaosStorm() ([]fleetChaosResult, error) {
+func runFleetChaosStorm(env *Env) ([]fleetChaosResult, error) {
 	spec, _, err := appSpec("redis")
 	if err != nil {
 		return nil, err
 	}
-	type row struct {
-		name  string
-		opts  core.BuildOpts
-		build func() (*core.Unikernel, error)
-	}
-	rows := []row{
-		{"lupine", core.BuildOpts{}, func() (*core.Unikernel, error) { return core.Build(db(), spec, core.BuildOpts{}) }},
-		{"lupine+mp", core.BuildOpts{ExtraOptions: []string{"MULTIPROCESS"}}, func() (*core.Unikernel, error) {
-			return core.Build(db(), spec, core.BuildOpts{ExtraOptions: []string{"MULTIPROCESS"}})
-		}},
-		{"lupine-general", core.BuildOpts{}, func() (*core.Unikernel, error) { return core.BuildGeneral(db(), spec, true) }},
-		{"microvm", core.BuildOpts{}, func() (*core.Unikernel, error) { return core.BuildMicroVM(db(), spec) }},
-	}
 	var out []fleetChaosResult
-	var heroScope *slo.Scope
-	for _, r := range rows {
-		u, err := r.build()
+	var scopes []*slo.Scope
+	for _, name := range []string{"lupine", "lupine+mp", "lupine-general", "microvm"} {
+		u, err := redisVariant(spec, name)
 		if err != nil {
-			return nil, fmt.Errorf("fleetchaos: building %s: %w", r.name, err)
+			return nil, fmt.Errorf("fleetchaos: building %s: %w", name, err)
 		}
-		backends, err := fleetLinuxBackends(u, r.name)
+		track := "fleetchaos/" + name
+		backends, err := env.linuxPool(u, track, fleetBackendPlan)
 		if err != nil {
 			return nil, err
 		}
@@ -182,10 +149,9 @@ func runFleetChaosStorm() ([]fleetChaosResult, error) {
 		// shared cache: the first rebuild pays a full build, the rest
 		// share the image (the MultiK observation applied to upgrades).
 		cache := core.NewKernelCache(db())
-		opts := r.opts
 		rebuild := func(i int) simclock.Duration {
 			before, _ := cache.Stats()
-			if _, err := cache.Build(spec, opts); err != nil {
+			if _, err := cache.Build(spec, lupineOpts(name)); err != nil {
 				return fleetRebuildMiss
 			}
 			if after, _ := cache.Stats(); after > before {
@@ -198,7 +164,7 @@ func runFleetChaosStorm() ([]fleetChaosResult, error) {
 		// absence rather than into every variant's availability; the
 		// rollout begins mid-traffic.
 		boot := fleetBootTime(backends)
-		cfg := fleetConfig()
+		cfg := fleetConfig(env.Seed)
 		cfg.TrafficStart = simclock.Time(boot + simclock.Millisecond)
 		plan := &fleet.UpgradePlan{
 			Start:        cfg.TrafficStart.Add(10 * simclock.Millisecond),
@@ -207,37 +173,24 @@ func runFleetChaosStorm() ([]fleetChaosResult, error) {
 			RebuildTime:  rebuild,
 			Surge:        fleet.AlwaysUp(),
 		}
-		winj, err := faults.New(fleetWirePlan(cfg.TrafficStart))
+		winj, err := faults.New(fleetWirePlan(env.Seed, cfg.TrafficStart))
 		if err != nil {
 			return nil, err
 		}
-		track := "fleetchaos/" + r.name
-		tr, reg := activeTrace, activeMetrics
-		var scope *slo.Scope
-		if r.name == "lupine+mp" {
-			// The hero row's SLO scope: availability and latency SLIs
-			// sampled on the fleet's own clock, burns attributed to the
-			// wire storm and the pool's supervised damage.
-			tr, reg = sloTelemetry()
-			scope = slo.NewScope(track, reg, tr, sloEvery)
-			scope.Add(sloAvailability(track, 0.99, slo.DefaultRules(simclock.Millisecond, 10, 4)))
-			scope.Add(sloLatency(track, 2*simclock.Millisecond, 0.9, slo.DefaultRules(simclock.Millisecond, 5, 2)))
-			scope.SetInjector(winj)
+		// The hero row's SLO scope: availability and latency SLIs sampled
+		// on the fleet's own clock, burns attributed to the wire storm and
+		// the pool's supervised damage.
+		var objs []slo.Objective
+		if name == "lupine+mp" {
+			objs = sloFleet(track)
 		}
-		winj.Observe(tr, track)
+		row := env.row(track, winj, sloEvery, objs...)
 		f := fleet.New(cfg, backends, plan, winj)
-		f.Observe(tr, reg, track)
-		if scope != nil {
-			scope.Bind(f.Clock())
-			heroScope = scope
-		}
-		res := f.Run()
-		if scope != nil {
-			scope.Finish(res.End)
-		}
+		res := runRow(row, f)
+		scopes = append(scopes, row.scope)
 		builds, hits := cache.Stats()
 		out = append(out, fleetChaosResult{
-			System:    r.name,
+			System:    name,
 			Res:       res,
 			Backends:  f.Backends(),
 			MultiProc: u.Kernel.Enabled("MULTIPROCESS"),
@@ -251,48 +204,31 @@ func runFleetChaosStorm() ([]fleetChaosResult, error) {
 	// the balancer is left routing at nothing. No rolling upgrade either:
 	// these monitors cannot rebuild and re-admit a Linux image.
 	for _, s := range libos.All() {
-		boot := 10 * simclock.Millisecond
-		if bt, err := s.BootTime("redis"); err == nil {
-			boot = bt
-		}
-		crash := vmm.Attempt{
-			Outcome:    vmm.OutcomePanic,
-			Ready:      true,
-			ReadyAfter: boot,
-			Ran:        boot + simclock.Millisecond,
-			Detail:     s.Fork().Error(),
-		}
-		var backends []*fleet.Backend
-		for i := 0; i < fleetPoolSize; i++ {
-			sup := vmm.NewSupervisor(vmm.RestartPolicy{})
-			sup.Observe(activeTrace, fmt.Sprintf("fleetchaos/%s/vm%d", s.Name, i))
-			rep := sup.Run(func(int) vmm.Attempt { return crash })
-			backends = append(backends, fleet.NewBackend(fmt.Sprintf("vm%d", i), fleet.FromReport(rep)))
-		}
-		cfg := fleetConfig()
+		track := "fleetchaos/" + s.Name
+		backends := env.libosPool(libosCrash(s, simclock.Millisecond), track)
+		cfg := fleetConfig(env.Seed)
 		cfg.TrafficStart = simclock.Time(fleetBootTime(backends) + simclock.Millisecond)
-		winj, err := faults.New(fleetWirePlan(cfg.TrafficStart))
+		winj, err := faults.New(fleetWirePlan(env.Seed, cfg.TrafficStart))
 		if err != nil {
 			return nil, err
 		}
-		winj.Observe(activeTrace, "fleetchaos/"+s.Name)
+		row := env.row(track, winj, sloEvery)
 		f := fleet.New(cfg, backends, nil, winj)
-		f.Observe(activeTrace, activeMetrics, "fleetchaos/"+s.Name)
-		res := f.Run()
+		res := runRow(row, f)
 		out = append(out, fleetChaosResult{System: s.Name, Res: res, Backends: f.Backends()})
 	}
-	sloRecord("fleetchaos", heroScope)
+	env.recordSLO("fleetchaos", scopes...)
 	return out, nil
 }
 
-func runFleetChaos() (fmt.Stringer, error) {
-	results, err := runFleetChaosStorm()
+func runFleetChaos(env *Env) (fmt.Stringer, error) {
+	results, err := runFleetChaosStorm(env)
 	if err != nil {
 		return nil, err
 	}
 	t := &metrics.Table{
 		Title: fmt.Sprintf("fleet resilience under seeded storms (seed %d, %d VMs + surge, rolling upgrade mid-traffic)",
-			chaosSeed, fleetPoolSize),
+			env.Seed, fleetPoolSize),
 		Columns: []string{"system", "availability", "p50 (µs)", "p99 (µs)", "shed rate",
 			"retries", "restarts", "breaker opens", "min active", "upgrade"},
 	}

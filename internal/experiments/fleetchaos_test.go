@@ -8,15 +8,16 @@ import (
 // requires bit-identical rendered output — same seed, same storms, same
 // table, byte for byte.
 func TestFleetChaosDeterministic(t *testing.T) {
+	t.Parallel()
 	e, err := Lookup("fleetchaos")
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := e.Run()
+	first, err := e.Run(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := e.Run()
+	second, err := e.Run(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,8 @@ func TestFleetChaosDeterministic(t *testing.T) {
 // completes without the active count ever dipping below the pool size,
 // and shed/latency accounting is conserved.
 func TestFleetChaosContrast(t *testing.T) {
-	results, err := runFleetChaosStorm()
+	t.Parallel()
+	results, err := runFleetChaosStorm(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +109,7 @@ func TestFleetChaosContrast(t *testing.T) {
 func BenchmarkFleetChaos(b *testing.B) {
 	var sink string
 	for i := 0; i < b.N; i++ {
-		results, err := runFleetChaosStorm()
+		results, err := runFleetChaosStorm(newEnv())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -118,7 +120,7 @@ func BenchmarkFleetChaos(b *testing.B) {
 				b.ReportMetric(r.Res.Percentile(99).Microseconds(), "p99-µs")
 			}
 		}
-		out, err := runFleetChaos()
+		out, err := runFleetChaos(newEnv())
 		if err != nil {
 			b.Fatal(err)
 		}

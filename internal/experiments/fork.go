@@ -18,7 +18,7 @@ func init() {
 // does to each comparator. This is the qualitative opening claim of §5:
 // "rather than crashing on fork, Lupine can continue to execute
 // correctly".
-func runForkDegradation() (fmt.Stringer, error) {
+func runForkDegradation(*Env) (fmt.Stringer, error) {
 	t := &metrics.Table{
 		Title:   "fork() in a unikernel-sized application",
 		Columns: []string{"system", "outcome"},

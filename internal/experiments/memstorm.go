@@ -58,10 +58,10 @@ const (
 // one missing member is not: losing a backend for a cold-boot window
 // backs the queue up, which is how an OOM crash-loop becomes visible as
 // unavailability.
-func memConfig() fleet.Config {
+func memConfig(seed uint64) fleet.Config {
 	const us = simclock.Microsecond
 	cfg := fleet.DefaultConfig()
-	cfg.Seed = chaosSeed
+	cfg.Seed = seed
 	cfg.Requests = 3000
 	cfg.Interarrival = 25 * us
 	cfg.ArrivalJitter = 10 * us
@@ -73,9 +73,9 @@ func memConfig() fleet.Config {
 // memStallPlan arms the reclaim path's own failure modes: probabilistic
 // reclaim stalls during the storm and a wedged balloon on the first
 // deflate attempt.
-func memStallPlan() faults.Plan {
+func memStallPlan(seed uint64) faults.Plan {
 	return faults.Plan{
-		Seed: chaosSeed ^ 0x9D2F,
+		Seed: seed ^ 0x9D2F,
 		Rules: []faults.Rule{
 			{Site: hostmem.SiteReclaimStall, NthHit: 1},
 			{Site: hostmem.SiteReclaimStall, From: memStormFrom, To: memStormTo, Prob: 0.2, Limit: 10},
@@ -289,7 +289,7 @@ func pageAlign(n int64) int64 { return n / 4096 * 4096 }
 // The caller supplies the origin unikernel (booted fresh per variant so
 // balloon state starts clean), the cold artifacts that populate the
 // store, and an optional injector arming reclaim-stall/deflate-fail.
-func runMemLadderPool(name string, u *core.Unikernel, artifacts []*snapshot.Snapshot, inj *faults.Injector) (memResult, error) {
+func runMemLadderPool(env *Env, name string, u *core.Unikernel, artifacts []*snapshot.Snapshot, inj *faults.Injector) (memResult, error) {
 	out := memResult{System: name, Ladder: true}
 	track := "memstorm/" + name
 	mon := vmm.Firecracker()
@@ -298,17 +298,13 @@ func runMemLadderPool(name string, u *core.Unikernel, artifacts []*snapshot.Snap
 	// pressure sheds and kill-driven latency burn the budget, and the
 	// incident chain names the armed reclaim stalls plus the ladder
 	// rungs that climbed in response.
-	tr, reg := activeTrace, activeMetrics
-	var scope *slo.Scope
+	var objs []slo.Objective
 	if inj != nil {
-		tr, reg = sloTelemetry()
-		scope = slo.NewScope(track, reg, tr, sloEvery)
-		scope.Add(sloAvailability(track, 0.99, slo.DefaultRules(simclock.Millisecond, 10, 4)))
-		scope.Add(sloLatency(track, 2*simclock.Millisecond, 0.9, slo.DefaultRules(simclock.Millisecond, 5, 2)))
-		scope.SetInjector(inj)
-		out.scope = scope
+		objs = sloFleet(track)
 	}
-	inj.Observe(tr, track)
+	row := env.row(track, inj, sloEvery, objs...)
+	tr := row.tr
+	out.scope = row.scope
 
 	// The origin VM boots once under a no-restart supervisor so its boot
 	// phases and attempt land on the trace. Behavior is identical to a bare
@@ -407,32 +403,18 @@ func runMemLadderPool(name string, u *core.Unikernel, artifacts []*snapshot.Snap
 		backends = append(backends, b)
 	}
 
-	f := fleet.New(memConfig(), backends, nil, nil)
-	f.Observe(tr, reg, track)
+	f := fleet.New(memConfig(env.Seed), backends, nil, nil)
 	f.AttachMemory(p, memTickEvery)
-	if scope != nil {
-		scope.Bind(f.Clock())
-	}
-	out.Res = f.Run()
-	if scope != nil {
-		scope.Finish(out.Res.End)
-	}
+	out.Res = runRow(row, f)
 	out.Capacity = capacity
 	return out, nil
 }
 
 // runMemCrashPool runs one libos comparator pool through the same storm
 // shape, scaled to its own footprint.
-func runMemCrashPool(s *libos.System) (memResult, error) {
+func runMemCrashPool(env *Env, s *libos.System) (memResult, error) {
 	out := memResult{System: s.Name}
-	coldBoot := 10 * simclock.Millisecond
-	if bt, err := s.BootTime("redis"); err == nil {
-		coldBoot = bt
-	}
-	footprint := int64(64 * guest.MiB)
-	if fp, err := s.MemoryFootprint("redis"); err == nil {
-		footprint = fp
-	}
+	footprint := libosFootprint(s)
 
 	baseline := memLibosMembers * footprint
 	capacity := pageAlign(int64(float64(baseline) / memBaselineFrac))
@@ -441,11 +423,11 @@ func runMemCrashPool(s *libos.System) (memResult, error) {
 
 	p := &memCrash{
 		footprint: footprint,
-		coldBoot:  coldBoot,
+		coldBoot:  libosBoot(s),
 		perTick:   pageAlign(perMember / memTicks()),
 	}
 	p.acct = hostmem.New(hostmem.Config{Capacity: capacity, Overcommit: memOvercommit})
-	p.acct.Observe(activeTrace, "memstorm/"+s.Name)
+	p.acct.Observe(env.Trace, "memstorm/"+s.Name)
 	p.acct.Commit(baseline)
 	var backends []*fleet.Backend
 	for i := 0; i < memLibosMembers; i++ {
@@ -455,22 +437,21 @@ func runMemCrashPool(s *libos.System) (memResult, error) {
 	}
 	p.priv = p.priv[:memLibosMembers] // storm growth slots, one per member
 
-	f := fleet.New(memConfig(), backends, nil, nil)
-	f.Observe(activeTrace, activeMetrics, "memstorm/"+s.Name)
+	f := fleet.New(memConfig(env.Seed), backends, nil, nil)
 	f.AttachMemory(p, memTickEvery)
-	out.Res = f.Run()
+	out.Res = runRow(env.row("memstorm/"+s.Name, nil, sloEvery), f)
 	out.Capacity = capacity
 	return out, nil
 }
 
 // runMemStormPools executes the full comparison and returns the raw
 // results (the test entry point; runMemStorm renders them).
-func runMemStormPools() ([]memResult, error) {
+func runMemStormPools(env *Env) ([]memResult, error) {
 	spec, _, err := appSpec("redis")
 	if err != nil {
 		return nil, err
 	}
-	ump, err := core.Build(db(), spec, core.BuildOpts{ExtraOptions: []string{"MULTIPROCESS"}})
+	ump, err := redisVariant(spec, "lupine+mp")
 	if err != nil {
 		return nil, fmt.Errorf("memstorm: building lupine+mp: %w", err)
 	}
@@ -478,11 +459,8 @@ func runMemStormPools() ([]memResult, error) {
 	// resident in the store — exactly the reclaimable mass the eviction
 	// rung exists for.
 	var artifacts []*snapshot.Snapshot
-	for _, build := range []func() (*core.Unikernel, error){
-		func() (*core.Unikernel, error) { return core.BuildGeneral(db(), spec, true) },
-		func() (*core.Unikernel, error) { return core.BuildMicroVM(db(), spec) },
-	} {
-		u, err := build()
+	for _, name := range []string{"lupine-general", "microvm"} {
+		u, err := redisVariant(spec, name)
 		if err != nil {
 			return nil, fmt.Errorf("memstorm: building cold artifact: %w", err)
 		}
@@ -494,21 +472,21 @@ func runMemStormPools() ([]memResult, error) {
 	}
 
 	var out []memResult
-	hero, err := runMemLadderPool("lupine+mp", ump, artifacts, nil)
+	hero, err := runMemLadderPool(env, "lupine+mp", ump, artifacts, nil)
 	if err != nil {
 		return nil, err
 	}
 	out = append(out, hero)
 
-	stall, err := runMemLadderPool("lupine+mp/stall", ump, artifacts, faults.MustNew(memStallPlan()))
+	stall, err := runMemLadderPool(env, "lupine+mp/stall", ump, artifacts, faults.MustNew(memStallPlan(env.Seed)))
 	if err != nil {
 		return nil, err
 	}
 	out = append(out, stall)
-	sloRecord("memstorm", stall.scope)
+	env.recordSLO("memstorm", stall.scope)
 
 	for _, s := range libos.All() {
-		r, err := runMemCrashPool(s)
+		r, err := runMemCrashPool(env, s)
 		if err != nil {
 			return nil, err
 		}
@@ -517,14 +495,14 @@ func runMemStormPools() ([]memResult, error) {
 	return out, nil
 }
 
-func runMemStorm() (fmt.Stringer, error) {
-	results, err := runMemStormPools()
+func runMemStorm(env *Env) (fmt.Stringer, error) {
+	results, err := runMemStormPools(env)
 	if err != nil {
 		return nil, err
 	}
 	t := &metrics.Table{
 		Title: fmt.Sprintf("memory-pressure ladder under a %gx overcommit storm (seed %d, %d members/pool)",
-			memOvercommit, chaosSeed, memPoolClones+1),
+			memOvercommit, env.Seed, memPoolClones+1),
 		Columns: []string{"system", "capacity (MiB)", "peak used", "P-some (ms)", "P-full (ms)",
 			"balloon (MiB)", "evict (MiB)", "mem-shed", "kills", "aborts", "stalls", "availability"},
 	}

@@ -8,15 +8,16 @@ import (
 // twice and requires bit-identical output — same seed, same storm, same
 // ladder climbs, same kills.
 func TestMemStormDeterministic(t *testing.T) {
+	t.Parallel()
 	e, err := Lookup("memstorm")
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := e.Run()
+	first, err := e.Run(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := e.Run()
+	second, err := e.Run(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,8 @@ func TestMemStormDeterministic(t *testing.T) {
 // wedged reclaim; and every libos comparator goes straight to OOM
 // crash-looping with visibly worse availability.
 func TestMemStormAcceptance(t *testing.T) {
-	results, err := runMemStormPools()
+	t.Parallel()
+	results, err := runMemStormPools(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +136,7 @@ func TestMemStormAcceptance(t *testing.T) {
 func BenchmarkMemStorm(b *testing.B) {
 	var sink string
 	for i := 0; i < b.N; i++ {
-		results, err := runMemStormPools()
+		results, err := runMemStormPools(newEnv())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -152,7 +154,7 @@ func BenchmarkMemStorm(b *testing.B) {
 		b.ReportMetric(float64(m.Kills), "sim-ladder-kills")
 		b.ReportMetric(float64(libosAborts), "sim-libos-aborts")
 
-		out, err := runMemStorm()
+		out, err := runMemStorm(newEnv())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -41,7 +41,7 @@ func syscallLatencies(img *kbuild.Image) (null, read, write float64, err error) 
 	return null, read, write, err
 }
 
-func runFig9() (fmt.Stringer, error) {
+func runFig9(*Env) (fmt.Stringer, error) {
 	t := &metrics.Table{
 		Title:   "Figure 9: system call latency (us)",
 		Columns: []string{"system", "null", "read", "write"},
@@ -85,7 +85,7 @@ func runFig9() (fmt.Stringer, error) {
 	return t, nil
 }
 
-func runFig10() (fmt.Stringer, error) {
+func runFig10(*Env) (fmt.Stringer, error) {
 	f := &metrics.Figure{
 		Title:  "Figure 10: KML improvement vs busy-wait iterations between syscalls",
 		XLabel: "iterations",
@@ -139,7 +139,7 @@ func runFig10() (fmt.Stringer, error) {
 	return f, nil
 }
 
-func runFig11() (fmt.Stringer, error) {
+func runFig11(*Env) (fmt.Stringer, error) {
 	f := &metrics.Figure{
 		Title:  "Figure 11: syscall latency with sleeping control processes",
 		XLabel: "control processes",
@@ -199,7 +199,7 @@ func runFig11() (fmt.Stringer, error) {
 	return f, nil
 }
 
-func runTable5() (fmt.Stringer, error) {
+func runTable5(*Env) (fmt.Stringer, error) {
 	t := &metrics.Table{
 		Title:   "Table 5 (Appendix A): full lmbench, microVM vs lupine-general",
 		Columns: []string{"op", "microVM", "lupine-general", "unit"},

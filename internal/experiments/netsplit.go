@@ -18,7 +18,6 @@ package experiments
 import (
 	"fmt"
 
-	"lupine/internal/core"
 	"lupine/internal/fabric"
 	"lupine/internal/faults"
 	"lupine/internal/fleet"
@@ -27,7 +26,6 @@ import (
 	"lupine/internal/metrics"
 	"lupine/internal/simclock"
 	"lupine/internal/slo"
-	"lupine/internal/vmm"
 )
 
 func init() {
@@ -48,14 +46,14 @@ const (
 // light syscall noise. Mild on purpose — the point of netsplit is that
 // the NETWORK fails while the backends mostly live, so breaker trips
 // during partitions are false trips.
-func netsplitBackendPlan(i int) faults.Plan {
+func netsplitBackendPlan(seed uint64, i int) faults.Plan {
 	const (
 		ms = simclock.Time(simclock.Millisecond)
 		mb = int64(guest.MiB)
 	)
 	off := simclock.Time(i) * 12 * ms
 	return faults.Plan{
-		Seed: chaosSeed + 0xB0A7 + uint64(i)*7919,
+		Seed: seed + 0xB0A7 + uint64(i)*7919,
 		Rules: []faults.Rule{
 			{Site: guest.SiteOOMPressure, From: 6*ms + off, To: 30*ms + off, Prob: 1, Limit: 1, Param: 350 * mb},
 			{Site: guest.SiteSyscallTransient, From: 2 * ms, Prob: 0.05, Limit: 2},
@@ -76,10 +74,10 @@ func netsplitBackendPlan(i int) faults.Plan {
 //
 // Flap, loss and delay weather runs throughout, and the fleet's legacy
 // probe/dispatch drop sites ride the same wire.
-func netsplitWirePlan(start simclock.Time) faults.Plan {
+func netsplitWirePlan(seed uint64, start simclock.Time) faults.Plan {
 	const ms = simclock.Time(simclock.Millisecond)
 	return faults.Plan{
-		Seed: chaosSeed ^ 0x5EA51DE,
+		Seed: seed ^ 0x5EA51DE,
 		Rules: []faults.Rule{
 			{Site: fabric.SitePartition, From: start + 10*ms, To: start + 28*ms, Prob: 1, Param: netsplitNodeVM1},
 			{Site: fabric.SitePartition, From: start + 45*ms, To: start + 60*ms, Prob: 1, Param: -netsplitNodeVM2},
@@ -95,8 +93,8 @@ func netsplitWirePlan(start simclock.Time) faults.Plan {
 // netsplitConfig is fleetConfig with the policy under test and a
 // tighter response deadline, so a response eaten by the out-partition
 // leaves deadline room for a retry elsewhere.
-func netsplitConfig(policy string) fleet.Config {
-	cfg := fleetConfig()
+func netsplitConfig(seed uint64, policy string) fleet.Config {
+	cfg := fleetConfig(seed)
 	cfg.Policy = policy
 	cfg.HashClients = 64
 	cfg.Net.ResponseTimeout = 4 * simclock.Millisecond
@@ -112,26 +110,6 @@ type netsplitResult struct {
 	Net       fabric.Stats
 	MultiProc bool
 	Recovered bool // every initial backend's timeline ends up (no unrecovered crash)
-}
-
-// netsplitBackends supervises a fresh pool of u through the mild
-// per-backend storms; track keys the telemetry lanes.
-func netsplitBackends(u *core.Unikernel, track string) ([]*fleet.Backend, error) {
-	var out []*fleet.Backend
-	for i := 0; i < fleetPoolSize; i++ {
-		inj, err := faults.New(netsplitBackendPlan(i))
-		if err != nil {
-			return nil, err
-		}
-		lane := fmt.Sprintf("%s/vm%d", track, i)
-		inj.Observe(activeTrace, lane)
-		var counters []chaosCounters
-		sup := vmm.NewSupervisor(chaosPolicy())
-		sup.Observe(activeTrace, lane)
-		rep := sup.Run(chaosBoot(u, inj, &counters))
-		out = append(out, fleet.NewBackend(fmt.Sprintf("vm%d", i), fleet.FromReport(rep)))
-	}
-	return out, nil
 }
 
 // netsplitRecovered reports whether every initial pool member's
@@ -150,77 +128,57 @@ func netsplitRecovered(backends []*fleet.Backend) bool {
 // storm. scoped rows additionally get an SLO scope sampling the row's
 // availability and latency SLIs on the fleet clock, with the wire
 // injector attached so availability burns attribute to the partitions.
-func netsplitRun(backends []*fleet.Backend, policy, track string, scoped bool) (fleet.Result, []*fleet.Backend, fabric.Stats, *slo.Scope, error) {
-	cfg := netsplitConfig(policy)
+func netsplitRun(env *Env, backends []*fleet.Backend, policy, track string, scoped bool) (fleet.Result, []*fleet.Backend, fabric.Stats, *slo.Scope, error) {
+	cfg := netsplitConfig(env.Seed, policy)
 	cfg.TrafficStart = simclock.Time(fleetBootTime(backends) + simclock.Millisecond)
-	winj, err := faults.New(netsplitWirePlan(cfg.TrafficStart))
+	winj, err := faults.New(netsplitWirePlan(env.Seed, cfg.TrafficStart))
 	if err != nil {
 		return fleet.Result{}, nil, fabric.Stats{}, nil, err
 	}
-	tr, reg := activeTrace, activeMetrics
-	var scope *slo.Scope
+	var objs []slo.Objective
 	if scoped {
-		tr, reg = sloTelemetry()
-		scope = slo.NewScope(track, reg, tr, sloEvery)
-		scope.Add(sloAvailability(track, 0.99, slo.DefaultRules(simclock.Millisecond, 10, 4)))
-		scope.Add(sloLatency(track, 2*simclock.Millisecond, 0.9, slo.DefaultRules(simclock.Millisecond, 5, 2)))
-		scope.SetInjector(winj)
+		objs = sloFleet(track)
 	}
-	winj.Observe(tr, track)
+	row := env.row(track, winj, sloEvery, objs...)
 	f := fleet.New(cfg, backends, nil, winj)
-	f.Observe(tr, reg, track)
-	if scope != nil {
-		scope.Bind(f.Clock())
-	}
-	res := f.Run()
-	if scope != nil {
-		scope.Finish(res.End)
-	}
-	return res, f.Backends(), f.Net().Stats(), scope, nil
+	res := runRow(row, f)
+	return res, f.Backends(), f.Net().Stats(), row.scope, nil
 }
 
 // runNetSplitStorm executes the full comparison and returns the raw
 // results (the test entry point; runNetSplit renders them).
-func runNetSplitStorm() ([]netsplitResult, error) {
+func runNetSplitStorm(env *Env) ([]netsplitResult, error) {
 	spec, _, err := appSpec("redis")
 	if err != nil {
 		return nil, err
 	}
-	type variant struct {
+	variants := []struct {
 		name     string
 		policies []string
-		build    func() (*core.Unikernel, error)
-	}
-	variants := []variant{
-		{"lupine", []string{fleet.PolicyRR}, func() (*core.Unikernel, error) {
-			return core.Build(db(), spec, core.BuildOpts{})
-		}},
-		{"lupine+mp", []string{fleet.PolicyRR, fleet.PolicyLeast, fleet.PolicyHash}, func() (*core.Unikernel, error) {
-			return core.Build(db(), spec, core.BuildOpts{ExtraOptions: []string{"MULTIPROCESS"}})
-		}},
+	}{
+		{"lupine", []string{fleet.PolicyRR}},
+		{"lupine+mp", []string{fleet.PolicyRR, fleet.PolicyLeast, fleet.PolicyHash}},
 	}
 	var out []netsplitResult
-	var heroScope *slo.Scope
+	var scopes []*slo.Scope
 	for _, v := range variants {
-		u, err := v.build()
+		u, err := redisVariant(spec, v.name)
 		if err != nil {
 			return nil, fmt.Errorf("netsplit: building %s: %w", v.name, err)
 		}
 		for _, policy := range v.policies {
 			track := fmt.Sprintf("netsplit/%s/%s", v.name, policy)
-			backends, err := netsplitBackends(u, track)
+			backends, err := env.linuxPool(u, track, netsplitBackendPlan)
 			if err != nil {
 				return nil, err
 			}
 			recovered := netsplitRecovered(backends)
 			scoped := v.name == "lupine+mp" && policy == fleet.PolicyRR
-			res, pool, ns, scope, err := netsplitRun(backends, policy, track, scoped)
+			res, pool, ns, scope, err := netsplitRun(env, backends, policy, track, scoped)
 			if err != nil {
 				return nil, err
 			}
-			if scope != nil {
-				heroScope = scope
-			}
+			scopes = append(scopes, scope)
 			out = append(out, netsplitResult{
 				System:    v.name,
 				Policy:    policy,
@@ -236,27 +194,10 @@ func runNetSplitStorm() ([]netsplitResult, error) {
 	// fork before the partition even lands — the storm has nobody left
 	// to partition, and the balancer sheds at the wire.
 	for _, s := range libos.All() {
-		boot := 10 * simclock.Millisecond
-		if bt, err := s.BootTime("redis"); err == nil {
-			boot = bt
-		}
-		crash := vmm.Attempt{
-			Outcome:    vmm.OutcomePanic,
-			Ready:      true,
-			ReadyAfter: boot,
-			Ran:        boot + simclock.Millisecond,
-			Detail:     s.Fork().Error(),
-		}
 		track := "netsplit/" + s.Name
-		var backends []*fleet.Backend
-		for i := 0; i < fleetPoolSize; i++ {
-			sup := vmm.NewSupervisor(vmm.RestartPolicy{})
-			sup.Observe(activeTrace, fmt.Sprintf("%s/vm%d", track, i))
-			rep := sup.Run(func(int) vmm.Attempt { return crash })
-			backends = append(backends, fleet.NewBackend(fmt.Sprintf("vm%d", i), fleet.FromReport(rep)))
-		}
+		backends := env.libosPool(libosCrash(s, simclock.Millisecond), track)
 		recovered := netsplitRecovered(backends)
-		res, pool, ns, _, err := netsplitRun(backends, fleet.PolicyRR, track, false)
+		res, pool, ns, _, err := netsplitRun(env, backends, fleet.PolicyRR, track, false)
 		if err != nil {
 			return nil, err
 		}
@@ -265,18 +206,18 @@ func runNetSplitStorm() ([]netsplitResult, error) {
 			Res: res, Backends: pool, Net: ns, Recovered: recovered,
 		})
 	}
-	sloRecord("netsplit", heroScope)
+	env.recordSLO("netsplit", scopes...)
 	return out, nil
 }
 
-func runNetSplit() (fmt.Stringer, error) {
-	results, err := runNetSplitStorm()
+func runNetSplit(env *Env) (fmt.Stringer, error) {
+	results, err := runNetSplitStorm(env)
 	if err != nil {
 		return nil, err
 	}
 	t := &metrics.Table{
 		Title: fmt.Sprintf("fleet availability under asymmetric partitions and link flaps on the virtual fabric (seed %d, %d VMs)",
-			chaosSeed, fleetPoolSize),
+			env.Seed, fleetPoolSize),
 		Columns: []string{"system", "policy", "availability", "p50 (µs)", "p99 (µs)", "shed rate",
 			"retries", "rexmits", "opens", "false trips", "recovered"},
 	}
@@ -313,17 +254,18 @@ func runNetSplit() (fmt.Stringer, error) {
 // (scripts emit it as BENCH_netsplit.json): total virtual events
 // executed across all rows plus the lupine+mp round-robin row's
 // availability and p99.
-func NetSplitBench() (events int, availability float64, p99us float64, err error) {
-	results, err := runNetSplitStorm()
+func NetSplitBench(env *Env) (BenchSummary, error) {
+	results, err := runNetSplitStorm(env)
 	if err != nil {
-		return 0, 0, 0, err
+		return BenchSummary{}, err
 	}
+	var s BenchSummary
 	for _, r := range results {
-		events += r.Res.Events
+		s.Events += r.Res.Events
 		if r.System == "lupine+mp" && r.Policy == fleet.PolicyRR {
-			availability = r.Res.Availability()
-			p99us = r.Res.Percentile(99).Microseconds()
+			s.Availability = r.Res.Availability()
+			s.P99Micros = r.Res.Percentile(99).Microseconds()
 		}
 	}
-	return events, availability, p99us, nil
+	return s, nil
 }

@@ -9,11 +9,12 @@ import (
 // (partition windows, flap victims, retransmission jitter) comes from
 // seeded streams on the virtual clock.
 func TestNetSplitDeterministic(t *testing.T) {
-	a, err := runNetSplit()
+	t.Parallel()
+	a, err := runNetSplit(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runNetSplit()
+	b, err := runNetSplit(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,8 @@ func TestNetSplitDeterministic(t *testing.T) {
 // recovered, under all three balancer policies; the unikernel
 // comparator pools lose everything before the partition even lands.
 func TestNetSplitContrast(t *testing.T) {
-	results, err := runNetSplitStorm()
+	t.Parallel()
+	results, err := runNetSplitStorm(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +105,10 @@ func TestNetSplitContrast(t *testing.T) {
 // spans with outcomes and per-retransmission instants, so a flight
 // recorder dump shows the pre-trip retransmission storm.
 func TestNetSplitTraceHasWireHistory(t *testing.T) {
-	tr, _ := withTelemetry(t)
-	if _, err := runNetSplitStorm(); err != nil {
+	t.Parallel()
+	env := withTelemetry()
+	tr := env.Trace
+	if _, err := runNetSplitStorm(env); err != nil {
 		t.Fatal(err)
 	}
 	var conns, rexmits, trips int
@@ -138,7 +142,7 @@ func TestNetSplitTraceHasWireHistory(t *testing.T) {
 func BenchmarkNetSplit(b *testing.B) {
 	var sink string
 	for i := 0; i < b.N; i++ {
-		results, err := runNetSplitStorm()
+		results, err := runNetSplitStorm(newEnv())
 		if err != nil {
 			b.Fatal(err)
 		}

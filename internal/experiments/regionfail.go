@@ -18,10 +18,8 @@ package experiments
 import (
 	"fmt"
 
-	"lupine/internal/core"
 	"lupine/internal/fabric"
 	"lupine/internal/faults"
-	"lupine/internal/fleet"
 	"lupine/internal/libos"
 	"lupine/internal/metrics"
 	"lupine/internal/region"
@@ -45,10 +43,10 @@ const (
 
 // regionFailPlan is the regional storm, identical for every row. Times
 // are absolute virtual time; traffic runs 2–102 ms.
-func regionFailPlan() faults.Plan {
+func regionFailPlan(seed uint64) faults.Plan {
 	const ms = simclock.Time(simclock.Millisecond)
 	return faults.Plan{
-		Seed: chaosSeed ^ 0x4E610,
+		Seed: seed ^ 0x4E610,
 		Rules: []faults.Rule{
 			// One host in the home region dies early: its VMs are replaced
 			// in-region from the local warm pool (restore hit #1).
@@ -75,67 +73,52 @@ func regionFailPlan() faults.Plan {
 
 // regionFailConfig is the shared plane shape; warm-pool fields are the
 // per-variant part.
-func regionFailConfig() region.Config {
+func regionFailConfig(seed uint64) region.Config {
 	cfg := region.DefaultConfig()
-	cfg.Seed = chaosSeed ^ 0x4E610F
+	cfg.Seed = seed ^ 0x4E610F
 	return cfg
 }
 
-// regionFailResult is one table row plus what the tests assert on.
-type regionFailResult struct {
+// regionRow is one row of a region-plane storm (regionfail, catalog)
+// plus what the tests assert on.
+type regionRow struct {
 	System string
-	Warm   bool // replicated snapshot warm pool available
+	Warm   bool // snapshot lineages replicated ahead of need
 	Res    region.Result
 
-	scope *slo.Scope // SLO scope, set on the warm lupine+mp row only
+	scope *slo.Scope // SLO scope, set on the experiment's scoped row only
 }
 
-// runRegionFailRow drives one configured plane through the storm. The
-// scoped row carries the experiment's SLO scope: availability summed
-// across the three regional cells, so a blackout burns the budget until
-// the survivors absorb the dead region's share.
-func runRegionFailRow(name string, warm, scoped bool, cfg region.Config) (regionFailResult, error) {
-	inj, err := faults.New(regionFailPlan())
+// runRegionRow drives one configured plane through plan's storm on lane
+// experiment/name. The scoped row carries the experiment's SLO scope:
+// availability summed across the regional cells, so a blackout burns
+// the budget until the survivors absorb the dead region's share. Three
+// nines with a 2 ms scale: the badness is a thin burst right after the
+// blackout, so the slow rule's window must be wide enough to catch it
+// and reach back to the fault.
+func runRegionRow(env *Env, experiment, name string, plan func(seed uint64) faults.Plan, warm, scoped bool, cfg region.Config) (regionRow, error) {
+	inj, err := faults.New(plan(env.Seed))
 	if err != nil {
-		return regionFailResult{}, err
+		return regionRow{}, err
 	}
-	track := "regionfail/" + name
-	tr, reg := activeTrace, activeMetrics
-	var scope *slo.Scope
+	track := experiment + "/" + name
+	var objs []slo.Objective
 	if scoped {
-		tr, reg = sloTelemetry()
-		var regions []string
-		for _, rs := range cfg.Regions {
-			regions = append(regions, rs.Name)
-		}
-		scope = slo.NewScope(track, reg, tr, sloEvery)
-		// Three nines with a 2 ms scale: the plane's badness is a thin
-		// burst right after the blackout, so the slow rule's window must
-		// be wide enough to catch it and reach back to the fault.
-		scope.Add(sloRegionAvailability(track, regions, 0.999, slo.DefaultRules(2*simclock.Millisecond, 10, 4)))
-		scope.SetInjector(inj)
+		objs = append(objs, sloRegionAvailability(track, cfg.Regions, 0.999, slo.DefaultRules(2*simclock.Millisecond, 10, 4)))
 	}
-	inj.Observe(tr, track)
-	p := region.New(cfg, inj)
-	p.Observe(tr, reg, track)
-	if scope != nil {
-		scope.Bind(p.Clock())
-	}
-	res := p.Run()
-	if scope != nil {
-		scope.Finish(res.End)
-	}
-	return regionFailResult{System: name, Warm: warm, Res: res, scope: scope}, nil
+	row := env.row(track, inj, sloEvery, objs...)
+	res := runRow(row, region.New(cfg, inj))
+	return regionRow{System: name, Warm: warm, Res: res, scope: row.scope}, nil
 }
 
 // runRegionFailStorm executes the full comparison and returns the raw
 // results (the test entry point; runRegionFail renders them).
-func runRegionFailStorm() ([]regionFailResult, error) {
+func runRegionFailStorm(env *Env) ([]regionRow, error) {
 	spec, _, err := appSpec("redis")
 	if err != nil {
 		return nil, err
 	}
-	u, err := core.Build(db(), spec, core.BuildOpts{ExtraOptions: []string{"MULTIPROCESS"}})
+	u, err := redisVariant(spec, "lupine+mp")
 	if err != nil {
 		return nil, fmt.Errorf("regionfail: building lupine+mp: %w", err)
 	}
@@ -144,27 +127,27 @@ func runRegionFailStorm() ([]regionFailResult, error) {
 		return nil, fmt.Errorf("regionfail: capturing snapshot: %w", err)
 	}
 
-	var out []regionFailResult
+	var out []regionRow
 
 	// Row 1: the full story — warm pool captured once, replicated to
 	// every region ahead of need, evacuation restores from the replicas.
-	cfg := regionFailConfig()
+	cfg := regionFailConfig(env.Seed)
 	cfg.Snapshot = snap
 	cfg.Monitor = vmm.Firecracker()
 	cfg.Replicate = true
 	cfg.ColdBoot = coldBoot
-	r, err := runRegionFailRow("lupine+mp", true, true, cfg)
+	r, err := runRegionRow(env, "regionfail", "lupine+mp", regionFailPlan, true, true, cfg)
 	if err != nil {
 		return nil, err
 	}
 	out = append(out, r)
-	sloRecord("regionfail", r.scope)
+	env.recordSLO("regionfail", r.scope)
 
 	// Row 2: the same kernel and plane with no snapshot story — every
 	// replacement and every evacuee pays the full measured boot.
-	cfg = regionFailConfig()
+	cfg = regionFailConfig(env.Seed)
 	cfg.ColdBoot = coldBoot
-	r, err = runRegionFailRow("lupine+mp-cold", false, false, cfg)
+	r, err = runRegionRow(env, "regionfail", "lupine+mp-cold", regionFailPlan, false, false, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -175,26 +158,10 @@ func runRegionFailStorm() ([]regionFailResult, error) {
 	// plane restores them, because the kernel, not the region, is what
 	// cannot run the workload.
 	for _, s := range libos.All() {
-		boot := 10 * simclock.Millisecond
-		if bt, err := s.BootTime("redis"); err == nil {
-			boot = bt
-		}
-		crash := vmm.Attempt{
-			Outcome:    vmm.OutcomePanic,
-			Ready:      true,
-			ReadyAfter: boot,
-			Ran:        boot + simclock.Millisecond,
-			Detail:     s.Fork().Error(),
-		}
-		cfg = regionFailConfig()
-		cfg.ColdBoot = boot
-		track := "regionfail/" + s.Name
-		cfg.Timeline = func(ri, vi int) fleet.Timeline {
-			sup := vmm.NewSupervisor(vmm.RestartPolicy{})
-			sup.Observe(activeTrace, fmt.Sprintf("%s/r%d/vm%d", track, ri, vi))
-			return fleet.FromReport(sup.Run(func(int) vmm.Attempt { return crash }))
-		}
-		r, err = runRegionFailRow(s.Name, false, false, cfg)
+		cfg = regionFailConfig(env.Seed)
+		cfg.ColdBoot = libosBoot(s)
+		cfg.Timeline = env.libosTimeline(libosCrash(s, simclock.Millisecond), "regionfail/"+s.Name)
+		r, err = runRegionRow(env, "regionfail", s.Name, regionFailPlan, false, false, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -203,14 +170,14 @@ func runRegionFailStorm() ([]regionFailResult, error) {
 	return out, nil
 }
 
-func runRegionFail() (fmt.Stringer, error) {
-	results, err := runRegionFailStorm()
+func runRegionFail(env *Env) (fmt.Stringer, error) {
+	results, err := runRegionFailStorm(env)
 	if err != nil {
 		return nil, err
 	}
 	t := &metrics.Table{
 		Title: fmt.Sprintf("multi-region availability through a host crash, a full-region blackout and an inter-region partition (seed %d, 3 regions)",
-			chaosSeed),
+			env.Seed),
 		Columns: []string{"system", "warm pool", "availability", "p99 (µs)", "failovers",
 			"detect p99 (µs)", "evac (rst/fb/cold)", "evac p50 (µs)", "evac wall (µs)", "shed r0/r1/r2", "unrecovered"},
 	}
@@ -255,17 +222,18 @@ func runRegionFail() (fmt.Stringer, error) {
 // (scripts emit it as BENCH_regionfail.json): total virtual events
 // across all rows plus the warm lupine+mp row's availability and
 // failover-detection p99.
-func RegionFailBench() (events int, availability float64, detectP99us float64, err error) {
-	results, err := runRegionFailStorm()
+func RegionFailBench(env *Env) (BenchSummary, error) {
+	results, err := runRegionFailStorm(env)
 	if err != nil {
-		return 0, 0, 0, err
+		return BenchSummary{}, err
 	}
+	var s BenchSummary
 	for _, r := range results {
-		events += r.Res.Events
+		s.Events += r.Res.Events
 		if r.System == "lupine+mp" {
-			availability = r.Res.Availability()
-			detectP99us = r.Res.DetectPercentile(99).Microseconds()
+			s.Availability = r.Res.Availability()
+			s.DetectP99Micros = r.Res.DetectPercentile(99).Microseconds()
 		}
 	}
-	return events, availability, detectP99us, nil
+	return s, nil
 }

@@ -9,11 +9,12 @@ import (
 // probe verdicts, trunk cuts, evacuation landings — everything draws
 // from seeded streams on the one virtual event heap.
 func TestRegionFailDeterministic(t *testing.T) {
-	a, err := runRegionFail()
+	t.Parallel()
+	a, err := runRegionFail(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runRegionFail()
+	b, err := runRegionFail(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,11 +29,12 @@ func TestRegionFailDeterministic(t *testing.T) {
 // the armed restore-fault fallback), and the partition's false trip
 // heals into a rejoin instead of a second evacuation.
 func TestRegionFailContrast(t *testing.T) {
-	results, err := runRegionFailStorm()
+	t.Parallel()
+	results, err := runRegionFailStorm(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
-	byRow := map[string]regionFailResult{}
+	byRow := map[string]regionRow{}
 	for _, r := range results {
 		byRow[r.System] = r
 		res := r.Res
@@ -117,8 +119,10 @@ func TestRegionFailContrast(t *testing.T) {
 // and failover instants, evacuation landings, and a flight-recorder
 // dump cut at the failover verdict.
 func TestRegionFailTraceHasControlHistory(t *testing.T) {
-	tr, _ := withTelemetry(t)
-	if _, err := runRegionFailStorm(); err != nil {
+	t.Parallel()
+	env := withTelemetry()
+	tr := env.Trace
+	if _, err := runRegionFailStorm(env); err != nil {
 		t.Fatal(err)
 	}
 	counts := map[string]int{}
@@ -154,12 +158,12 @@ func TestRegionFailTraceHasControlHistory(t *testing.T) {
 
 func BenchmarkRegionFail(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		events, avail, detectP99, err := RegionFailBench()
+		s, err := RegionFailBench(newEnv())
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(events), "events/op")
-		b.ReportMetric((1-avail)*100, "%unavail")
-		b.ReportMetric(detectP99, "detect-p99-µs")
+		b.ReportMetric(float64(s.Events), "events/op")
+		b.ReportMetric((1-s.Availability)*100, "%unavail")
+		b.ReportMetric(s.DetectP99Micros, "detect-p99-µs")
 	}
 }

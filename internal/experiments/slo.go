@@ -4,21 +4,14 @@ package experiments
 // scopes its hero row: a Scope samples the row's telemetry counters on
 // the storm's own virtual clock, evaluates multi-window burn-rate rules
 // against declared objectives, and attributes each alert to the fault
-// storm and plane events that caused it. The resulting reports are kept
-// here per experiment id so lupine-bench's -slo-out can export them and
-// the tests can assert causality (a netsplit availability burn must
-// name fabric/partition, a memstorm burn hostmem/reclaim-stall, a
-// breach containment alert must precede the first repave).
-//
-// Scoped rows feed the harness telemetry plane when lupine-bench
-// installed one — the same streams back -trace-out and -metrics-out —
-// and private tracer/registry instances otherwise, so the SLO plane is
-// always on and always deterministic, telemetry flags or not.
+// storm and plane events that caused it. The resulting report lands in
+// the run's Env, where lupine-bench's -slo-out exports it and the tests
+// assert causality (a netsplit availability burn must name
+// fabric/partition, a memstorm burn hostmem/reclaim-stall, a breach
+// containment alert must precede the first repave).
 
 import (
-	"sort"
-	"sync"
-
+	"lupine/internal/region"
 	"lupine/internal/simclock"
 	"lupine/internal/slo"
 	"lupine/internal/telemetry"
@@ -29,19 +22,6 @@ import (
 // millisecond-scale storm window spans several samples, coarse enough
 // that sampling stays a rounding error next to the event engine.
 const sloEvery = 250 * simclock.Microsecond
-
-// sloTelemetry returns the tracer/registry pair a scoped row must feed:
-// the harness plane when one is installed, else fresh private instances.
-func sloTelemetry() (*telemetry.Tracer, *telemetry.Registry) {
-	tr, reg := activeTrace, activeMetrics
-	if tr == nil {
-		tr = telemetry.New()
-	}
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
-	return tr, reg
-}
 
 // sloAvailability is the standard fleet-row availability objective:
 // served requests are good, sheds and failures burn the budget.
@@ -67,12 +47,21 @@ func sloLatency(track string, threshold simclock.Duration, target float64, rules
 	}
 }
 
+// sloFleet is the objective pair of a fleet hero row under a storm:
+// two nines of availability, and 90% of served requests within 2 ms.
+func sloFleet(track string) []slo.Objective {
+	return []slo.Objective{
+		sloAvailability(track, 0.99, slo.DefaultRules(simclock.Millisecond, 10, 4)),
+		sloLatency(track, 2*simclock.Millisecond, 0.9, slo.DefaultRules(simclock.Millisecond, 5, 2)),
+	}
+}
+
 // sloRegionAvailability sums the availability SLI across a region
 // plane's per-region cells (the cells observe at track+"/"+name).
-func sloRegionAvailability(track string, regions []string, target float64, rules []slo.BurnRule) slo.Objective {
+func sloRegionAvailability(track string, regions []region.RegionSpec, target float64, rules []slo.BurnRule) slo.Objective {
 	o := slo.Objective{Name: "availability", Target: target, Rules: rules}
 	for _, r := range regions {
-		lane := track + "/" + r
+		lane := track + "/" + r.Name
 		o.Good = append(o.Good, lane+".served")
 		o.Bad = append(o.Bad, lane+".shed", lane+".failed")
 	}
@@ -133,44 +122,13 @@ func sloReplaySupervisor(scope *slo.Scope, reg *telemetry.Registry, track string
 	}
 }
 
-// The per-experiment report store: each storm's run replaces its
-// report, so the store always reflects the latest same-process run.
-var (
-	sloMu      sync.Mutex
-	sloReports = map[string]*slo.Report{}
-)
-
-// sloRecord lands the scoped rows' reports under the experiment id.
-// Nil scopes (unscoped rows, skipped variants) are dropped.
-func sloRecord(id string, scopes ...*slo.Scope) {
-	rep := &slo.Report{Experiment: id, Seed: chaosSeed, Scopes: []slo.ScopeReport{}}
+// recordSLO lands the scoped rows' reports in env as experiment id's
+// SLO report. Nil scopes (unscoped rows, skipped variants) are dropped.
+func (env *Env) recordSLO(id string, scopes ...*slo.Scope) {
+	env.SLO = &slo.Report{Experiment: id, Seed: env.Seed, Scopes: []slo.ScopeReport{}}
 	for _, s := range scopes {
 		if s != nil {
-			rep.Scopes = append(rep.Scopes, s.Report())
+			env.SLO.Scopes = append(env.SLO.Scopes, s.Report())
 		}
 	}
-	sloMu.Lock()
-	sloReports[id] = rep
-	sloMu.Unlock()
-}
-
-// SLOReport returns the report recorded by experiment id's most recent
-// run in this process, or nil if it has not run.
-func SLOReport(id string) *slo.Report {
-	sloMu.Lock()
-	defer sloMu.Unlock()
-	return sloReports[id]
-}
-
-// SLOReports returns every recorded report sorted by experiment id —
-// the deterministic order lupine-bench's -slo-out exports.
-func SLOReports() []*slo.Report {
-	sloMu.Lock()
-	defer sloMu.Unlock()
-	out := make([]*slo.Report, 0, len(sloReports))
-	for _, r := range sloReports {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Experiment < out[j].Experiment })
-	return out
 }

@@ -6,33 +6,34 @@ import (
 )
 
 // Every storm must land an SLO report with at least one sampled scope
-// and one declared objective — the surface lupine-bench -slo-out
-// exports.
+// and one declared objective in its Env — the surface lupine-bench
+// -slo-out exports.
 func TestEveryExperimentEmitsSLOReport(t *testing.T) {
-	runs := []func() error{
-		func() error { _, err := runChaosStorm(); return err },
-		func() error { _, err := runFleetChaosStorm(); return err },
-		func() error { _, err := runSurgeStorm(); return err },
-		func() error { _, err := runMemStormPools(); return err },
-		func() error { _, err := runNetSplit(); return err },
-		func() error { _, err := runRegionFailStorm(); return err },
-		func() error { _, err := runCatalogStorm(); return err },
-		func() error { _, err := runBreachStorm(); return err },
-	}
-	for _, run := range runs {
-		if err := run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, id := range []string{"chaos", "fleetchaos", "surge", "memstorm", "netsplit", "regionfail", "catalog", "breach"} {
-		rep := SLOReport(id)
-		if rep == nil {
-			t.Fatalf("%s: no SLO report recorded", id)
-		}
-		sc := rep.Scope("")
-		if sc == nil || sc.Samples == 0 || len(sc.Objectives) == 0 {
-			t.Fatalf("%s: report has no sampled scope with objectives: %+v", id, rep.Scopes)
-		}
+	t.Parallel()
+	for _, id := range stormIDs {
+		id := id
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			e, err := Lookup(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env := newEnv()
+			if _, err := e.Run(env); err != nil {
+				t.Fatal(err)
+			}
+			rep := env.SLO
+			if rep == nil {
+				t.Fatalf("%s: no SLO report recorded", id)
+			}
+			if rep.Experiment != id || rep.Seed != env.Seed {
+				t.Fatalf("%s: report labelled %q seed %d", id, rep.Experiment, rep.Seed)
+			}
+			sc := rep.Scope("")
+			if sc == nil || sc.Samples == 0 || len(sc.Objectives) == 0 {
+				t.Fatalf("%s: report has no sampled scope with objectives: %+v", id, rep.Scopes)
+			}
+		})
 	}
 }
 
@@ -40,10 +41,12 @@ func TestEveryExperimentEmitsSLOReport(t *testing.T) {
 // and the incident chain must name the injected partition — the SLO
 // plane closing the loop from alert back to fault.
 func TestNetSplitSLOAttributesPartition(t *testing.T) {
-	if _, err := runNetSplit(); err != nil {
+	t.Parallel()
+	env := newEnv()
+	if _, err := runNetSplit(env); err != nil {
 		t.Fatal(err)
 	}
-	rep := SLOReport("netsplit")
+	rep := env.SLO
 	if rep == nil {
 		t.Fatal("no netsplit SLO report")
 	}
@@ -67,10 +70,12 @@ func TestNetSplitSLOAttributesPartition(t *testing.T) {
 // The memstorm stall row's availability burn must attribute to the
 // injected reclaim stalls that wedged the ladder.
 func TestMemStormSLOAttributesReclaimStall(t *testing.T) {
-	if _, err := runMemStormPools(); err != nil {
+	t.Parallel()
+	env := newEnv()
+	if _, err := runMemStormPools(env); err != nil {
 		t.Fatal(err)
 	}
-	rep := SLOReport("memstorm")
+	rep := env.SLO
 	if rep == nil {
 		t.Fatal("no memstorm SLO report")
 	}
@@ -89,10 +94,12 @@ func TestMemStormSLOAttributesReclaimStall(t *testing.T) {
 // The regionfail blackout: the availability burn's cause chain must
 // reach back from the evacuation burst to the blackout itself.
 func TestRegionFailSLOAttributesBlackout(t *testing.T) {
-	if _, err := runRegionFailStorm(); err != nil {
+	t.Parallel()
+	env := newEnv()
+	if _, err := runRegionFailStorm(env); err != nil {
 		t.Fatal(err)
 	}
-	rep := SLOReport("regionfail")
+	rep := env.SLO
 	if rep == nil {
 		t.Fatal("no regionfail SLO report")
 	}
@@ -109,7 +116,9 @@ func TestRegionFailSLOAttributesBlackout(t *testing.T) {
 // precede the first repave landing — the SLO plane sees the breach
 // before the containment ladder has finished repaving it.
 func TestBreachSLOContainmentAlertPrecedesRepave(t *testing.T) {
-	rows, err := runBreachStorm()
+	t.Parallel()
+	env := newEnv()
+	rows, err := runBreachStorm(env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +131,7 @@ func TestBreachSLOContainmentAlertPrecedesRepave(t *testing.T) {
 	if hero == nil || hero.System != "lupine+mp" {
 		t.Fatalf("scoped row missing or misplaced: %+v", hero)
 	}
-	rep := SLOReport("breach")
+	rep := env.SLO
 	if rep == nil {
 		t.Fatal("no breach SLO report")
 	}
@@ -146,15 +155,15 @@ func TestBreachSLOContainmentAlertPrecedesRepave(t *testing.T) {
 // Same seed, same storm ⇒ byte-identical SLO report. The check.sh gate
 // asserts this across processes; this is the in-process version.
 func TestSLOReportDeterministic(t *testing.T) {
-	if _, err := runMemStormPools(); err != nil {
-		t.Fatal(err)
+	t.Parallel()
+	report := func() []byte {
+		env := newEnv()
+		if _, err := runMemStormPools(env); err != nil {
+			t.Fatal(err)
+		}
+		return env.SLO.JSON()
 	}
-	a := SLOReport("memstorm").JSON()
-	if _, err := runMemStormPools(); err != nil {
-		t.Fatal(err)
-	}
-	b := SLOReport("memstorm").JSON()
-	if !bytes.Equal(a, b) {
+	if !bytes.Equal(report(), report()) {
 		t.Fatal("two same-seed memstorm runs render different SLO reports")
 	}
 }

@@ -1,0 +1,198 @@
+package experiments
+
+// The skeleton the storms share: the observation wiring of one storm
+// row (its telemetry and, on the hero row, its SLO scope), supervised
+// pools, the libos comparators' one doomed lifetime under the redis
+// workload, and the BENCH trajectory summaries.
+
+import (
+	"fmt"
+	"strings"
+
+	"lupine/internal/core"
+	"lupine/internal/faults"
+	"lupine/internal/fleet"
+	"lupine/internal/guest"
+	"lupine/internal/libos"
+	"lupine/internal/simclock"
+	"lupine/internal/slo"
+	"lupine/internal/telemetry"
+	"lupine/internal/vmm"
+)
+
+// A stormRow is one storm row's observation wiring: the tracer and
+// registry its plane feeds and, on the scoped hero row, the SLO scope
+// sampling them.
+type stormRow struct {
+	track string
+	tr    *telemetry.Tracer
+	reg   *telemetry.Registry
+	scope *slo.Scope // nil unless the row is scoped
+}
+
+// row wires storm row track to env's telemetry plane and lands inj's
+// fire instants on it. Objectives make it the scoped row: an SLO scope
+// samples them every `every` and ranks inj's fires as root causes. A
+// scoped row feeds env's tracer and registry when set and private ones
+// otherwise, so its SLO report is the same with telemetry on or off.
+func (env *Env) row(track string, inj *faults.Injector, every simclock.Duration, objs ...slo.Objective) stormRow {
+	r := stormRow{track: track, tr: env.Trace, reg: env.Metrics}
+	if len(objs) > 0 {
+		if r.tr == nil {
+			r.tr = telemetry.New()
+		}
+		if r.reg == nil {
+			r.reg = telemetry.NewRegistry()
+		}
+		r.scope = slo.NewScope(track, r.reg, r.tr, every)
+		for _, o := range objs {
+			r.scope.Add(o)
+		}
+		r.scope.SetInjector(inj)
+	}
+	inj.Observe(r.tr, track)
+	return r
+}
+
+// A plane is what a storm row drives: a fleet or a region plane.
+type plane[R any] interface {
+	Observe(tr *telemetry.Tracer, reg *telemetry.Registry, track string)
+	Clock() *simclock.Clock
+	Run() R
+}
+
+// runRow drives p under r: p feeds r's telemetry, and r's scope samples
+// p's clock and closes when the run ends.
+func runRow[R any](r stormRow, p plane[R]) R {
+	p.Observe(r.tr, r.reg, r.track)
+	r.scope.Bind(p.Clock())
+	res := p.Run()
+	r.scope.Finish(p.Clock().Now())
+	return res
+}
+
+// supervise runs u's VM lifetimes through plan's storm under the chaos
+// panic=reboot policy, observed on lane, and returns the supervisor's
+// report with what each lifetime's workload saw.
+func (env *Env) supervise(u *core.Unikernel, plan faults.Plan, lane string) (vmm.SupervisorReport, *faults.Injector, []chaosCounters, error) {
+	inj, err := faults.New(plan)
+	if err != nil {
+		return vmm.SupervisorReport{}, nil, nil, err
+	}
+	var counters []chaosCounters
+	inj.Observe(env.Trace, lane)
+	sup := vmm.NewSupervisor(chaosPolicy())
+	sup.Observe(env.Trace, lane)
+	return sup.Run(chaosBoot(u, inj, &counters)), inj, counters, nil
+}
+
+// linuxPool supervises fleetPoolSize fresh VMs of u, backend i through
+// plan(seed, i)'s storm on lane track/vmI, and wraps the reports as
+// pool members.
+func (env *Env) linuxPool(u *core.Unikernel, track string, plan func(seed uint64, i int) faults.Plan) ([]*fleet.Backend, error) {
+	var out []*fleet.Backend
+	for i := 0; i < fleetPoolSize; i++ {
+		rep, _, _, err := env.supervise(u, plan(env.Seed, i), fmt.Sprintf("%s/vm%d", track, i))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, fleet.NewBackend(fmt.Sprintf("vm%d", i), fleet.FromReport(rep)))
+	}
+	return out, nil
+}
+
+// libosBoot is comparator s's measured redis boot, 10 ms where the
+// model has none.
+func libosBoot(s *libos.System) simclock.Duration {
+	if bt, err := s.BootTime("redis"); err == nil {
+		return bt
+	}
+	return 10 * simclock.Millisecond
+}
+
+// libosFootprint is comparator s's redis memory footprint, 64 MiB where
+// the model has none.
+func libosFootprint(s *libos.System) int64 {
+	if fp, err := s.MemoryFootprint("redis"); err == nil {
+		return fp
+	}
+	return 64 * guest.MiB
+}
+
+// libosCrash is the one lifetime comparator s gets under the redis
+// workload: ready after its boot, dead of the workload's first fork
+// serve later.
+func libosCrash(s *libos.System, serve simclock.Duration) vmm.Attempt {
+	boot := libosBoot(s)
+	return vmm.Attempt{
+		Outcome:    vmm.OutcomePanic,
+		Ready:      true,
+		ReadyAfter: boot,
+		Ran:        boot + serve,
+		Detail:     s.Fork().Error(),
+	}
+}
+
+// superviseCrash runs crash under a monitor with no restart story,
+// observed on lane.
+func (env *Env) superviseCrash(crash vmm.Attempt, lane string) vmm.SupervisorReport {
+	sup := vmm.NewSupervisor(vmm.RestartPolicy{})
+	sup.Observe(env.Trace, lane)
+	return sup.Run(func(int) vmm.Attempt { return crash })
+}
+
+// libosPool is a fleetPoolSize pool whose members each live crash once,
+// on lanes track/vmI.
+func (env *Env) libosPool(crash vmm.Attempt, track string) []*fleet.Backend {
+	var out []*fleet.Backend
+	for i := 0; i < fleetPoolSize; i++ {
+		rep := env.superviseCrash(crash, fmt.Sprintf("%s/vm%d", track, i))
+		out = append(out, fleet.NewBackend(fmt.Sprintf("vm%d", i), fleet.FromReport(rep)))
+	}
+	return out
+}
+
+// libosTimeline gives every slot of a region plane crash's one
+// lifetime, on lanes track/rR/vmV.
+func (env *Env) libosTimeline(crash vmm.Attempt, track string) func(ri, vi int) fleet.Timeline {
+	return func(ri, vi int) fleet.Timeline {
+		return fleet.FromReport(env.superviseCrash(crash, fmt.Sprintf("%s/r%d/vm%d", track, ri, vi)))
+	}
+}
+
+// BenchSummary is one storm run's headline for its BENCH_<storm>.json
+// wall-clock trajectory: the virtual events executed across every row,
+// the headline row's availability, and the storm's own figure (the
+// other figures stay zero).
+type BenchSummary struct {
+	Events          int
+	Availability    float64
+	P99Micros       float64 // netsplit: served p99 virtual latency
+	DetectP99Micros float64 // regionfail: failover detection p99
+	HitRate         float64 // catalog: redeploy artifact-cache hit rate
+	Containment     float64 // breach: hardened-row contained/compromised
+}
+
+// benchStorms are the storms with a BENCH trajectory.
+var benchStorms = []struct {
+	id  string
+	run func(*Env) (BenchSummary, error)
+}{
+	{"netsplit", NetSplitBench},
+	{"regionfail", RegionFailBench},
+	{"catalog", CatalogBench},
+	{"breach", BreachBench},
+}
+
+// Bench runs storm id once under env and summarizes it; an id without a
+// trajectory is an error listing the valid ones.
+func Bench(id string, env *Env) (BenchSummary, error) {
+	var valid []string
+	for _, s := range benchStorms {
+		if s.id == id {
+			return s.run(env)
+		}
+		valid = append(valid, s.id)
+	}
+	return BenchSummary{}, fmt.Errorf("unknown storm %q (valid: %s)", id, strings.Join(valid, ", "))
+}

@@ -16,7 +16,7 @@ func init() {
 // surface removable via configuration; Alharthi et al.: 89% of kernel
 // CVEs nullified): resident kernel code and the syscall table both
 // shrink with the configuration.
-func runSurface() (fmt.Stringer, error) {
+func runSurface(*Env) (fmt.Stringer, error) {
 	t := &metrics.Table{
 		Title:   "Attack surface by configuration",
 		Columns: []string{"kernel", "options", "code MB", "code vs microVM", "gated syscalls exposed", "CVEs nullified"},

@@ -41,9 +41,9 @@ const (
 
 // surgeConfig shapes the spike: arrivals far above what the Min pool can
 // serve, so the autoscaler must grow the pool mid-traffic.
-func surgeConfig() fleet.Config {
+func surgeConfig(seed uint64) fleet.Config {
 	cfg := fleet.DefaultConfig()
-	cfg.Seed = chaosSeed
+	cfg.Seed = seed
 	cfg.Requests = 3000
 	cfg.Interarrival = 10 * simclock.Microsecond
 	cfg.ArrivalJitter = 5 * simclock.Microsecond
@@ -70,9 +70,9 @@ func surgePolicy(provision func(seq int, now simclock.Time) fleet.Launch) *fleet
 // surgeFaultPlan arms the snapshot plane's own failure modes: the second
 // restore loads a corrupt artifact, and one later restore dies
 // mid-flight. Both fall back to cold boots with the wasted work charged.
-func surgeFaultPlan() faults.Plan {
+func surgeFaultPlan(seed uint64) faults.Plan {
 	return faults.Plan{
-		Seed: chaosSeed ^ 0x5A7C,
+		Seed: seed ^ 0x5A7C,
 		Rules: []faults.Rule{
 			{Site: snapshot.SiteCorrupt, NthHit: 2, Param: 4096},
 			{Site: snapshot.SiteRestoreFail, NthHit: 3},
@@ -130,9 +130,8 @@ func surgeCapture(u *core.Unikernel) (*snapshot.Snapshot, simclock.Duration, int
 // runSurgeVariant runs one pool through the spike. snap == nil means the
 // cold-boot variant: every launch pays the full boot. faulty arms the
 // snapshot plane's seeded fault storm against the restores.
-func runSurgeVariant(name string, snap *snapshot.Snapshot, faulty bool, coldBoot simclock.Duration, coldRSS int64, tl func() fleet.Timeline) (surgeResult, error) {
+func runSurgeVariant(env *Env, name string, snap *snapshot.Snapshot, faulty bool, coldBoot simclock.Duration, coldRSS int64, timeline func() fleet.Timeline) (surgeResult, error) {
 	res := surgeResult{System: name, Snapshots: snap != nil, ColdBoot: coldBoot, ColdRSS: coldRSS}
-	tr, reg := activeTrace, activeMetrics
 	var (
 		cs   *snapshot.CloneSet
 		sinj *faults.Injector
@@ -142,21 +141,30 @@ func runSurgeVariant(name string, snap *snapshot.Snapshot, faulty bool, coldBoot
 		cs = snapshot.NewCloneSet(snap.BaseRSS)
 		if faulty {
 			var err error
-			if sinj, err = faults.New(surgeFaultPlan()); err != nil {
+			if sinj, err = faults.New(surgeFaultPlan(env.Seed)); err != nil {
 				return res, err
 			}
 		}
 	}
-	timeline := fleet.AlwaysUp
-	if tl != nil {
-		timeline = tl
+	// The storm row's SLO scope: the spike's ramp and the seeded restore
+	// faults both show up as availability burn, attributed to the
+	// snapshot plane's fire log.
+	track := "surge/" + name
+	var objs []slo.Objective
+	if faulty {
+		objs = []slo.Objective{
+			sloAvailability(track, 0.95, slo.DefaultRules(simclock.Millisecond, 8, 3)),
+			sloLatency(track, 2*simclock.Millisecond, 0.9, slo.DefaultRules(simclock.Millisecond, 5, 2)),
+		}
 	}
+	row := env.row(track, sinj, sloEvery, objs...)
+	res.scope = row.scope
 	mon := vmm.Firecracker()
 	provision := func(seq int, now simclock.Time) fleet.Launch {
 		if snap == nil {
 			return fleet.Launch{Ready: coldBoot, Timeline: timeline()}
 		}
-		rr := snap.RestoreObserved(mon, sinj, now, coldBoot, tr, "surge/"+name)
+		rr := snap.RestoreObserved(mon, sinj, now, coldBoot, row.tr, track)
 		if !rr.Restored {
 			res.Fallbacks++
 			return fleet.Launch{Ready: rr.Ready, Timeline: timeline()}
@@ -174,36 +182,14 @@ func runSurgeVariant(name string, snap *snapshot.Snapshot, faulty bool, coldBoot
 		}
 	}
 
-	cfg := surgeConfig()
+	cfg := surgeConfig(env.Seed)
 	cfg.TrafficStart = simclock.Time(coldBoot + simclock.Millisecond)
 	res.TrafficStart = cfg.TrafficStart
 	var backends []*fleet.Backend
 	for i := 0; i < surgeMin; i++ {
 		backends = append(backends, fleet.NewBackend(fmt.Sprintf("vm%d", i), timeline()))
 	}
-	// The storm row's SLO scope: the spike's ramp and the seeded restore
-	// faults both show up as availability burn, attributed to the
-	// snapshot plane's fire log.
-	track := "surge/" + name
-	if faulty {
-		tr, reg = sloTelemetry()
-		res.scope = slo.NewScope(track, reg, tr, sloEvery)
-		res.scope.Add(sloAvailability(track, 0.95, slo.DefaultRules(simclock.Millisecond, 8, 3)))
-		res.scope.Add(sloLatency(track, 2*simclock.Millisecond, 0.9, slo.DefaultRules(simclock.Millisecond, 5, 2)))
-		res.scope.SetInjector(sinj)
-	}
-	if sinj != nil {
-		sinj.Observe(tr, track)
-	}
-	f := fleet.NewAutoscaled(cfg, backends, surgePolicy(provision), nil, nil)
-	f.Observe(tr, reg, track)
-	if res.scope != nil {
-		res.scope.Bind(f.Clock())
-	}
-	res.Res = f.Run()
-	if res.scope != nil {
-		res.scope.Finish(res.Res.End)
-	}
+	res.Res = runRow(row, fleet.NewAutoscaled(cfg, backends, surgePolicy(provision), nil, nil))
 
 	// Pool memory at peak: cold instances (the initial pool and every
 	// cold-boot launch) each pay a full RSS; restored clones share the
@@ -219,26 +205,17 @@ func runSurgeVariant(name string, snap *snapshot.Snapshot, faulty bool, coldBoot
 
 // runSurgeStorm executes the full comparison and returns the raw results
 // (the test entry point; runSurge renders them).
-func runSurgeStorm() ([]surgeResult, error) {
+func runSurgeStorm(env *Env) ([]surgeResult, error) {
 	spec, _, err := appSpec("redis")
 	if err != nil {
 		return nil, err
 	}
-	type row struct {
-		name  string
-		build func() (*core.Unikernel, error)
-	}
-	rows := []row{
-		{"lupine", func() (*core.Unikernel, error) { return core.Build(db(), spec, core.BuildOpts{}) }},
-		{"lupine-general", func() (*core.Unikernel, error) { return core.BuildGeneral(db(), spec, true) }},
-		{"microvm", func() (*core.Unikernel, error) { return core.BuildMicroVM(db(), spec) }},
-	}
 	store := snapshot.NewStore()
 	var out []surgeResult
-	for _, r := range rows {
-		u, err := r.build()
+	for _, name := range []string{"lupine", "lupine-general", "microvm"} {
+		u, err := redisVariant(spec, name)
 		if err != nil {
-			return nil, fmt.Errorf("surge: building %s: %w", r.name, err)
+			return nil, fmt.Errorf("surge: building %s: %w", name, err)
 		}
 		var (
 			coldBoot simclock.Duration
@@ -251,12 +228,12 @@ func runSurgeStorm() ([]surgeResult, error) {
 				return s, err
 			})
 		if err != nil {
-			return nil, fmt.Errorf("surge: capturing %s: %w", r.name, err)
+			return nil, fmt.Errorf("surge: capturing %s: %w", name, err)
 		}
 		if coldBoot == 0 { // snapshot came from the store: re-derive the cold path
 			coldBoot, coldRSS = snap.BootTotal, snap.BaseRSS
 		}
-		with, err := runSurgeVariant(r.name+"+snap", snap, false, coldBoot, coldRSS, nil)
+		with, err := runSurgeVariant(env, name+"+snap", snap, false, coldBoot, coldRSS, fleet.AlwaysUp)
 		if err != nil {
 			return nil, err
 		}
@@ -264,15 +241,15 @@ func runSurgeStorm() ([]surgeResult, error) {
 		// The same snapshot pool under the seeded snapshot-plane storm
 		// (one row suffices): a corrupt artifact and a mid-flight restore
 		// failure fall back to cold boots, and the fallbacks gate the ramp.
-		if r.name == "lupine" {
-			stormy, err := runSurgeVariant(r.name+"+snap/storm", snap, true, coldBoot, coldRSS, nil)
+		if name == "lupine" {
+			stormy, err := runSurgeVariant(env, name+"+snap/storm", snap, true, coldBoot, coldRSS, fleet.AlwaysUp)
 			if err != nil {
 				return nil, err
 			}
-			sloRecord("surge", stormy.scope)
+			env.recordSLO("surge", stormy.scope)
 			out = append(out, stormy)
 		}
-		without, err := runSurgeVariant(r.name, nil, false, coldBoot, coldRSS, nil)
+		without, err := runSurgeVariant(env, name, nil, false, coldBoot, coldRSS, fleet.AlwaysUp)
 		if err != nil {
 			return nil, err
 		}
@@ -283,27 +260,13 @@ func runSurgeStorm() ([]surgeResult, error) {
 	// cold boots, serves briefly, crashes, and gets crash-restarted until
 	// the supervisor gives up.
 	for _, s := range libos.All() {
-		boot := 10 * simclock.Millisecond
-		if bt, err := s.BootTime("redis"); err == nil {
-			boot = bt
-		}
-		crash := vmm.Attempt{
-			Outcome:    vmm.OutcomePanic,
-			Ready:      true,
-			ReadyAfter: boot,
-			Ran:        boot + 2*simclock.Millisecond,
-			Detail:     s.Fork().Error(),
-		}
+		crash := libosCrash(s, 2*simclock.Millisecond)
 		tl := func() fleet.Timeline {
 			rep := vmm.Supervise(vmm.RestartPolicy{MaxRestarts: 5, Backoff: 5 * simclock.Millisecond},
 				func(int) vmm.Attempt { return crash })
 			return fleet.FromReport(rep)
 		}
-		rssPer := int64(64 * guest.MiB)
-		if fp, err := s.MemoryFootprint("redis"); err == nil {
-			rssPer = fp
-		}
-		res, err := runSurgeVariant(s.Name, nil, false, boot, rssPer, tl)
+		res, err := runSurgeVariant(env, s.Name, nil, false, libosBoot(s), libosFootprint(s), tl)
 		if err != nil {
 			return nil, err
 		}
@@ -312,14 +275,14 @@ func runSurgeStorm() ([]surgeResult, error) {
 	return out, nil
 }
 
-func runSurge() (fmt.Stringer, error) {
-	results, err := runSurgeStorm()
+func runSurge(env *Env) (fmt.Stringer, error) {
+	results, err := runSurgeStorm(env)
 	if err != nil {
 		return nil, err
 	}
 	t := &metrics.Table{
 		Title: fmt.Sprintf("snapshot scale-out under a traffic spike (seed %d, pool %d..%d, slots x%d)",
-			chaosSeed, surgeMin, surgeMax, fleet.DefaultConfig().BackendSlots),
+			env.Seed, surgeMin, surgeMax, fleet.DefaultConfig().BackendSlots),
 		Columns: []string{"system", "launch", "restore (µs)", "cold boot (ms)", "time-to-cap (ms)",
 			"availability", "shed rate", "restores", "cold boots", "fallbacks", "pool RSS (MiB)", "no-CoW RSS (MiB)"},
 	}

@@ -8,15 +8,16 @@ import (
 // TestSurgeDeterministic renders the whole surge comparison twice and
 // requires bit-identical output — same seed, same spike, same fallbacks.
 func TestSurgeDeterministic(t *testing.T) {
+	t.Parallel()
 	e, err := Lookup("surge")
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := e.Run()
+	first, err := e.Run(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := e.Run()
+	second, err := e.Run(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,8 @@ func TestSurgeDeterministic(t *testing.T) {
 // ahead of cold pools, CoW pool memory below N full copies, and the
 // seeded snapshot storm falling back with explicit accounting.
 func TestSurgeAcceptance(t *testing.T) {
-	results, err := runSurgeStorm()
+	t.Parallel()
+	results, err := runSurgeStorm(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +130,7 @@ func TestSurgeAcceptance(t *testing.T) {
 func BenchmarkSurge(b *testing.B) {
 	var sink string
 	for i := 0; i < b.N; i++ {
-		results, err := runSurgeStorm()
+		results, err := runSurgeStorm(newEnv())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -149,7 +151,7 @@ func BenchmarkSurge(b *testing.B) {
 		if snap.NaiveRSS > 0 {
 			b.ReportMetric((1-float64(snap.AggRSS)/float64(snap.NaiveRSS))*100, "%mem-saved")
 		}
-		out, err := runSurge()
+		out, err := runSurge(newEnv())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,17 +10,15 @@ import (
 	"lupine/internal/vmm"
 )
 
-// withTelemetry installs a fresh plane for one experiment run and
-// returns it; the caller's deferred reset keeps the package globals
-// clean for the other tests.
-func withTelemetry(t *testing.T) (*telemetry.Tracer, *telemetry.Registry) {
-	t.Helper()
-	tr := telemetry.New()
-	tr.SetFlight(telemetry.NewRecorder(0))
-	reg := telemetry.NewRegistry()
-	SetTelemetry(tr, reg)
-	t.Cleanup(func() { SetTelemetry(nil, nil) })
-	return tr, reg
+// withTelemetry returns a fresh Env at the default seed carrying its
+// own tracer (with a flight recorder) and registry, so a test watches
+// exactly one run and shares nothing with the tests beside it.
+func withTelemetry() *Env {
+	env := newEnv()
+	env.Trace = telemetry.New()
+	env.Trace.SetFlight(telemetry.NewRecorder(0))
+	env.Metrics = telemetry.NewRegistry()
+	return env
 }
 
 // poolTrack strips the backend segment off a fleet lane:
@@ -38,16 +36,14 @@ func poolTrack(lane string) string {
 // every fleet OOM-kill event on a ladder pool is preceded (in record
 // order) by that pool's hostmem kill-request rung.
 func TestMemStormTraceDeterministicAndComplete(t *testing.T) {
+	t.Parallel()
 	run := func() ([]byte, *telemetry.Tracer, []memResult) {
-		tr := telemetry.New()
-		tr.SetFlight(telemetry.NewRecorder(0))
-		SetTelemetry(tr, telemetry.NewRegistry())
-		defer SetTelemetry(nil, nil)
-		results, err := runMemStormPools()
+		env := withTelemetry()
+		results, err := runMemStormPools(env)
 		if err != nil {
 			t.Fatalf("memstorm: %v", err)
 		}
-		return tr.ChromeTrace(), tr, results
+		return env.Trace.ChromeTrace(), env.Trace, results
 	}
 	trace1, tr, results := run()
 	trace2, _, _ := run()
@@ -118,8 +114,10 @@ func TestMemStormTraceDeterministicAndComplete(t *testing.T) {
 // one attempt span per attempt, and a flight dump per kernel panic and
 // per crash-loop verdict.
 func TestChaosTelemetry(t *testing.T) {
-	tr, _ := withTelemetry(t)
-	results, err := runChaosStorm()
+	t.Parallel()
+	env := withTelemetry()
+	tr := env.Trace
+	results, err := runChaosStorm(env)
 	if err != nil {
 		t.Fatalf("chaos: %v", err)
 	}
@@ -164,8 +162,10 @@ func TestChaosTelemetry(t *testing.T) {
 // TestFleetChaosTelemetry: breaker transition events match the breakers'
 // own transition records across every pool.
 func TestFleetChaosTelemetry(t *testing.T) {
-	tr, reg := withTelemetry(t)
-	results, err := runFleetChaosStorm()
+	t.Parallel()
+	env := withTelemetry()
+	tr, reg := env.Trace, env.Metrics
+	results, err := runFleetChaosStorm(env)
 	if err != nil {
 		t.Fatalf("fleetchaos: %v", err)
 	}
@@ -201,8 +201,10 @@ func TestFleetChaosTelemetry(t *testing.T) {
 // every provision — fallbacks exactly, clean restores at least as many
 // as the launches the run admitted.
 func TestSurgeTelemetry(t *testing.T) {
-	tr, _ := withTelemetry(t)
-	results, err := runSurgeStorm()
+	t.Parallel()
+	env := withTelemetry()
+	tr := env.Trace
+	results, err := runSurgeStorm(env)
 	if err != nil {
 		t.Fatalf("surge: %v", err)
 	}

@@ -196,7 +196,13 @@ func (s *Scope) Add(o Objective) {
 }
 
 // Bind registers the scope's sampler on the clock that drives the run.
-func (s *Scope) Bind(clk *simclock.Clock) { clk.Sample(s.every, s.Sample) }
+// A nil scope (an unscoped row) registers nothing.
+func (s *Scope) Bind(clk *simclock.Clock) {
+	if s == nil {
+		return
+	}
+	clk.Sample(s.every, s.Sample)
+}
 
 // cums reads the objective's cumulative good/bad totals right now.
 func (s *Scope) cums(st *objState) (good, bad int64) {
@@ -400,9 +406,9 @@ func (s *Scope) attribute(st *objState, ri int, now simclock.Time, long simclock
 
 // Finish closes the books at virtual time end: rules still firing
 // become open alerts (ClearedAt -1). Safe to call once; the scope keeps
-// answering Report afterwards.
+// answering Report afterwards. A nil scope has nothing to close.
 func (s *Scope) Finish(end simclock.Time) {
-	if s.finished {
+	if s == nil || s.finished {
 		return
 	}
 	s.finished = true

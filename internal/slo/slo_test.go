@@ -235,6 +235,21 @@ func TestScopeBoundToClockSamplesDuringAdvance(t *testing.T) {
 	}
 }
 
+// An unscoped row passes a nil scope through the same calls as a scoped
+// one: Bind must register nothing on the clock and Finish must not panic.
+func TestNilScopeBindAndFinishAreNoOps(t *testing.T) {
+	var s *Scope
+	clk := simclock.New()
+	s.Bind(clk)
+	fired := 0
+	clk.Sample(100*usec, func(simclock.Time) { fired++ })
+	clk.AdvanceTo(simclock.Time(350 * usec)) // a nil scope's hook would panic here
+	s.Finish(clk.Now())
+	if fired != 3 {
+		t.Fatalf("own sampler fired %d times, want 3: the nil Bind disturbed the clock", fired)
+	}
+}
+
 func TestReportDeterministic(t *testing.T) {
 	run := func() []byte {
 		rules := DefaultRules(200*usec, 8, 2)

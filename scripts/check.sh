@@ -22,14 +22,17 @@ go test -race ./...
 # The concurrency-sensitive planes (the simclock event engine, fleet,
 # network fabric, supervisor, snapshot store, memory accountant, guest
 # balloon, telemetry plane, multi-region control plane, build pipeline
-# + farm, attack plane, SLO plane) get a second racing pass with fresh
-# test binaries: -count=2 defeats result caching and shakes out
-# run-to-run nondeterminism the bit-for-bit replay guarantees forbid.
-echo "== go test -race -count=2 (simclock, fleet, fabric, vmm, snapshot, hostmem, guest, telemetry, region, bunny, farm, attack, slo)"
+# + farm, attack plane, SLO plane) and the experiment harness, whose
+# storm tests run in parallel each under its own Env, get a second
+# racing pass with fresh test binaries: -count=2 defeats result caching
+# and shakes out run-to-run nondeterminism and state shared between
+# concurrent storms, both of which the bit-for-bit replay guarantees
+# forbid.
+echo "== go test -race -count=2 (simclock, fleet, fabric, vmm, snapshot, hostmem, guest, telemetry, region, bunny, farm, attack, slo, experiments)"
 go test -race -count=2 ./internal/simclock/... ./internal/fleet/... ./internal/fabric/... \
     ./internal/vmm/... ./internal/snapshot/... ./internal/hostmem/... ./internal/guest/... \
     ./internal/telemetry/... ./internal/region/... ./internal/bunny/... ./internal/farm/... \
-    ./internal/attack/... ./internal/slo/...
+    ./internal/attack/... ./internal/slo/... ./internal/experiments/...
 
 # Every registered fault site must surface in the operator-facing
 # catalog: the count of RegisterSite calls in non-test source must match
