@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"errors"
+	"fmt"
 	"strconv"
 
 	"lupine/internal/simclock"
@@ -18,33 +19,46 @@ var (
 	ErrTimeout  = errors.New("fabric: connection timed out")
 )
 
-// ConnCallbacks is the client side's view of a connection's life. Each
-// fires at most once; exactly one of Failed or Response fires for every
-// dialed connection, which is what lets the fleet account every request
-// exactly once.
-type ConnCallbacks struct {
+// ConnHandler is the client side's view of a connection's life: the
+// dialer itself, typically the request the connection carries. Each
+// method fires at most once; exactly one of Failed or Response fires for
+// every dialed connection, which is what lets the fleet account every
+// request exactly once.
+type ConnHandler interface {
 	// Established fires when the SYN-ACK lands: the connection is live
 	// (possibly still waiting in the server's accept queue).
-	Established func(c *Conn, now simclock.Time)
+	Established(c *Conn, now simclock.Time)
 	// Failed fires on any terminal failure: ErrRefused, ErrOverflow, or
 	// ErrTimeout (retransmit exhaustion or response timeout).
-	Failed func(c *Conn, err error, now simclock.Time)
+	Failed(c *Conn, err error, now simclock.Time)
 	// Response fires when the server's response payload is delivered.
-	Response func(c *Conn, now simclock.Time)
+	Response(c *Conn, now simclock.Time)
 }
 
 // xmit is one reliably-delivered logical segment: the sender retransmits
 // on an RTO clock until the matching ACK (or SYN-ACK/RST) lands, then
-// gives up after the configured attempts and fails the connection.
+// gives up after the configured attempts and fails the connection. Each
+// lives in its Conn's slot for its kind and is its own retransmit timer.
 type xmit struct {
 	conn     *Conn
 	kind     segKind
 	size     int
-	seq      int
+	seq      int // fabric-wide identity; 0 until the slot is armed
 	attempt  int // retransmissions so far
 	max      int
 	acked    bool
 	response bool
+}
+
+// respDeadline is a connection's response deadline, embedded in the
+// Conn so arming it allocates nothing.
+type respDeadline struct{ c *Conn }
+
+// Fire fails a connection whose response has not landed.
+func (d *respDeadline) Fire(now simclock.Time) {
+	if c := d.c; !c.closed && !c.respDelivered {
+		c.fail(ErrTimeout, now)
+	}
 }
 
 // Conn is one TCP-like connection between a client node and a server
@@ -63,9 +77,10 @@ type Conn struct {
 	rexmits  int    // retransmissions spent on this connection, both directions
 
 	// client side
-	cbs           ConnCallbacks
+	h             ConnHandler
 	established   bool
 	respDelivered bool
+	deadline      respDeadline
 
 	// server side
 	srvQueued   bool // sitting in the listener backlog
@@ -73,12 +88,14 @@ type Conn struct {
 	reqArrived  bool
 	onRequest   func(now simclock.Time)
 
-	xmits map[int]*xmit
+	// The connection's reliable sends, one slot each: the client's SYN
+	// and request payload, the server's response payload.
+	syn, req, resp xmit
 }
 
 // Dial opens a connection from nd to dst, beginning the handshake now.
-// The callbacks resolve its fate exactly once.
-func (nd *Node) Dial(dst *Node, port int, cbs ConnCallbacks) *Conn {
+// h learns its fate exactly once.
+func (nd *Node) Dial(dst *Node, port int, h ConnHandler) *Conn {
 	n := nd.net
 	n.connSeq++
 	c := &Conn{
@@ -88,10 +105,11 @@ func (nd *Node) Dial(dst *Node, port int, cbs ConnCallbacks) *Conn {
 		server:   dst,
 		raddr:    Addr{IP: dst.ip, Port: port},
 		dialedAt: n.eng.Now(),
-		cbs:      cbs,
-		xmits:    make(map[int]*xmit),
+		h:        h,
 	}
-	c.sendReliable(segSYN, ctlBytes, n.params.ConnectRetries, false)
+	c.deadline.c = c
+	n.stats.Dialed++
+	c.sendReliable(&c.syn, segSYN, ctlBytes, n.params.ConnectRetries, false)
 	return c
 }
 
@@ -110,12 +128,15 @@ func (c *Conn) Closed() bool { return c.closed }
 // Retransmits reports retransmissions spent on this connection so far.
 func (c *Conn) Retransmits() int { return c.rexmits }
 
-// sendReliable starts a reliably-delivered logical segment from the
-// side implied by kind/response.
-func (c *Conn) sendReliable(kind segKind, size, maxRetries int, response bool) {
+// sendReliable arms slot x with a reliably-delivered logical segment
+// from the side implied by kind/response and sends it. Each slot is
+// armed at most once per connection.
+func (c *Conn) sendReliable(x *xmit, kind segKind, size, maxRetries int, response bool) {
+	if x.seq != 0 {
+		panic(fmt.Sprintf("fabric: conn %d: %s xmit armed twice", c.id, kind))
+	}
 	c.net.connSeq++
-	x := &xmit{conn: c, kind: kind, size: size, seq: c.net.connSeq, max: maxRetries, response: response}
-	c.xmits[x.seq] = x
+	*x = xmit{conn: c, kind: kind, size: size, seq: c.net.connSeq, max: maxRetries, response: response}
 	c.push(x, c.net.eng.Now())
 }
 
@@ -125,15 +146,16 @@ func (c *Conn) push(x *xmit, now simclock.Time) {
 	if x.kind == segData && x.response {
 		from, to = c.server, c.client
 	}
-	c.net.transmit(&segment{kind: x.kind, from: from, to: to, size: x.size, conn: c, seq: x.seq, response: x.response}, now)
+	c.net.transmit(segment{kind: x.kind, from: from, to: to, size: x.size, conn: c, seq: x.seq, response: x.response}, now)
 	rto := c.net.rto(x.attempt)
-	c.net.eng.Schedule(now.Add(rto), func(at simclock.Time) { c.rexmitCheck(x, at) })
+	c.net.eng.Post(now.Add(rto), x)
 }
 
-// rexmitCheck fires when an xmit's RTO elapses: still un-acked means the
-// segment (or its ACK) was lost — retransmit, or give up and fail the
-// connection with a timeout.
-func (c *Conn) rexmitCheck(x *xmit, now simclock.Time) {
+// Fire is the xmit's retransmit timer: its RTO elapsed. Still un-acked
+// means the segment (or its ACK) was lost — retransmit, or give up and
+// fail the connection with a timeout.
+func (x *xmit) Fire(now simclock.Time) {
+	c := x.conn
 	if x.acked || c.closed {
 		return
 	}
@@ -174,39 +196,30 @@ func (n *Network) rto(attempt int) simclock.Duration {
 
 // ack marks the xmit carried by seq as delivered.
 func (c *Conn) ack(seq int) {
-	if x := c.xmits[seq]; x != nil {
-		x.acked = true
-		delete(c.xmits, seq)
-	}
-}
-
-// ackAll resolves every outstanding xmit of the given kind (SYN-ACK and
-// RST both answer the SYN without naming its seq).
-func (c *Conn) ackAll(kind segKind) {
-	for seq, x := range c.xmits {
-		if x.kind == kind {
-			x.acked = true
-			delete(c.xmits, seq)
-		}
+	switch seq {
+	case c.syn.seq:
+		c.syn.acked = true
+	case c.req.seq:
+		c.req.acked = true
+	case c.resp.seq:
+		c.resp.acked = true
 	}
 }
 
 // clientSYNACK completes the client half of the handshake.
 func (c *Conn) clientSYNACK(now simclock.Time) {
-	c.ackAll(segSYN)
+	c.syn.acked = true
 	if c.closed || c.established {
 		return
 	}
 	c.established = true
 	c.net.stats.Established++
-	if c.cbs.Established != nil {
-		c.cbs.Established(c, now)
-	}
+	c.h.Established(c, now)
 }
 
 // clientRST resolves the dial as refused.
 func (c *Conn) clientRST(err error, now simclock.Time) {
-	c.ackAll(segSYN)
+	c.syn.acked = true
 	if c.closed || c.established {
 		return
 	}
@@ -223,12 +236,8 @@ func (c *Conn) SendRequest(size int, respTimeout simclock.Duration, now simclock
 	if c.closed {
 		return
 	}
-	c.sendReliable(segData, size, c.net.params.MaxRetransmits, false)
-	c.net.eng.Schedule(now.Add(respTimeout), func(at simclock.Time) {
-		if !c.closed && !c.respDelivered {
-			c.fail(ErrTimeout, at)
-		}
-	})
+	c.sendReliable(&c.req, segData, size, c.net.params.MaxRetransmits, false)
+	c.net.eng.Post(now.Add(respTimeout), &c.deadline)
 }
 
 // serverRequest lands the request payload at the server: ACK (the server
@@ -237,7 +246,7 @@ func (c *Conn) serverRequest(seq int, now simclock.Time) {
 	if !c.server.up(now) {
 		return // dead VMs don't ACK; the client retransmits into the void
 	}
-	c.net.send(&segment{kind: segACK, from: c.server, to: c.client, size: ctlBytes, conn: c, seq: seq}, now)
+	c.net.transmit(segment{kind: segACK, from: c.server, to: c.client, size: ctlBytes, conn: c, seq: seq}, now)
 	if c.reqArrived {
 		return // retransmitted duplicate
 	}
@@ -267,21 +276,19 @@ func (c *Conn) Respond(size int, now simclock.Time) {
 	if c.closed {
 		return
 	}
-	c.sendReliable(segData, size, c.net.params.MaxRetransmits, true)
+	c.sendReliable(&c.resp, segData, size, c.net.params.MaxRetransmits, true)
 }
 
 // clientResponse lands the response payload: resolve the connection as
 // served and ACK so the server stops retransmitting.
 func (c *Conn) clientResponse(seq int, now simclock.Time) {
-	c.net.send(&segment{kind: segACK, from: c.client, to: c.server, size: ctlBytes, conn: c, seq: seq}, now)
+	c.net.transmit(segment{kind: segACK, from: c.client, to: c.server, size: ctlBytes, conn: c, seq: seq}, now)
 	if c.closed || c.respDelivered {
 		return
 	}
 	c.respDelivered = true
 	c.close("served", now)
-	if c.cbs.Response != nil {
-		c.cbs.Response(c, now)
-	}
+	c.h.Response(c, now)
 }
 
 // fail resolves the connection as failed, exactly once.
@@ -293,16 +300,14 @@ func (c *Conn) fail(err error, now simclock.Time) {
 		c.net.stats.Timeouts++
 	}
 	c.close(err.Error(), now)
-	if c.cbs.Failed != nil {
-		c.cbs.Failed(c, err, now)
-	}
+	c.h.Failed(c, err, now)
 }
 
 // close seals the state machine and emits the connection's span.
 func (c *Conn) close(outcome string, now simclock.Time) {
 	c.closed = true
+	c.net.stats.Closed++
 	c.outcome = outcome
-	c.xmits = nil
 	if tr := c.net.tr; tr != nil {
 		tr.Span("fabric", c.net.trTrack, "conn", c.dialedAt, now,
 			telemetry.A("conn", strconv.Itoa(c.id)),

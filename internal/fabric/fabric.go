@@ -131,9 +131,11 @@ type Stats struct {
 	Delivered   int // segments that reached their destination
 	Dropped     int // segments lost to faults or down links
 	Retransmits int // segments re-sent after a presumed loss
+	Dialed      int // connections opened by Dial
+	Closed      int // connections that reached a terminal state
 	Established int // connections that completed the handshake
-	Refused     int // connections RST because the server was down
-	Overflows   int // connections RST because the SYN backlog was full
+	Refused     int // connections RST by the server: no live listener, or a full SYN backlog
+	Overflows   int // SYNs RST at the listener because the SYN backlog was full
 	Timeouts    int // connections failed by retransmit exhaustion or response timeout
 	ProbesSent  int
 	ProbesOK    int
@@ -164,6 +166,14 @@ type Network struct {
 	zoneNames []string                 // id-1 -> name
 	trunks    map[[2]int]LinkSpec      // per sorted zone-id pair; absent = zero-cost trunk
 	trunkBusy map[[2]int]simclock.Time // trunk egress serialization, directed pair
+
+	// armed records which of the network's fault sites the plan has a
+	// rule for, asked once in New: a Hit on any other site draws and
+	// counts nothing, so transmit skips it.
+	armed               armedSites
+	dataDrop, probeDrop extraSite
+
+	free []*segment // delivered segments, cleared for reuse
 
 	connSeq    int
 	probeSeq   int
@@ -198,9 +208,18 @@ func New(params Params, eng *simclock.Engine, inj *faults.Injector) (*Network, e
 		params.ConnectRetries = 0
 	}
 	return &Network{
-		params:        params,
-		eng:           eng,
-		inj:           inj,
+		params: params,
+		eng:    eng,
+		inj:    inj,
+		armed: armedSites{
+			partition: inj.Arms(SitePartition),
+			flap:      inj.Arms(SiteFlap),
+			loss:      inj.Arms(SiteLoss),
+			delay:     inj.Arms(SiteDelay),
+			trunkCut:  inj.Arms(SiteTrunkCut),
+		},
+		dataDrop:      armExtra(inj, params.DataDropSite),
+		probeDrop:     armExtra(inj, params.ProbeDropSite),
 		rng:           faults.NewStream(params.Seed ^ 0xFAB51C),
 		subnet:        subnet,
 		busyUntil:     make(map[int]simclock.Time),
@@ -209,6 +228,25 @@ func New(params Params, eng *simclock.Engine, inj *faults.Injector) (*Network, e
 		trunks:        make(map[[2]int]LinkSpec),
 		trunkBusy:     make(map[[2]int]simclock.Time),
 	}, nil
+}
+
+// armedSites flags the fabric's own fault sites the plan arms.
+type armedSites struct {
+	partition, flap, loss, delay, trunkCut bool
+}
+
+// extraSite is one of the owner's extra drop sites (Params.DataDropSite,
+// ProbeDropSite) with the drop reason traces show for it. The zero value
+// is a site the plan does not arm.
+type extraSite struct {
+	name, reason string
+}
+
+func armExtra(inj *faults.Injector, site string) extraSite {
+	if !inj.Arms(site) {
+		return extraSite{}
+	}
+	return extraSite{name: site, reason: "site:" + site}
 }
 
 // zoneID interns a zone name, assigning 1-based ids in registration
@@ -354,7 +392,8 @@ type Listener struct {
 	node    *Node
 	port    int
 	cap     int
-	backlog []*Conn
+	backlog []*Conn // accept queue; entries before head were popped
+	head    int
 
 	// OnPending, when set, fires every time a connection lands in the
 	// backlog — the owner's cue to try an Accept.
@@ -382,12 +421,24 @@ func (nd *Node) Listen(port, backlog int) *Listener {
 // pending counts live (non-closed) connections waiting in the backlog.
 func (l *Listener) pending() int {
 	n := 0
-	for _, c := range l.backlog {
+	for _, c := range l.backlog[l.head:] {
 		if !c.closed {
 			n++
 		}
 	}
 	return n
+}
+
+// enqueue appends c to the accept queue, sliding the unaccepted tail
+// down over popped entries before the array would have to grow.
+func (l *Listener) enqueue(c *Conn) {
+	if l.head > 0 && len(l.backlog) == cap(l.backlog) {
+		n := copy(l.backlog, l.backlog[l.head:])
+		clear(l.backlog[n:])
+		l.backlog = l.backlog[:n]
+		l.head = 0
+	}
+	l.backlog = append(l.backlog, c)
 }
 
 // Pending reports how many connections are waiting to be accepted.
@@ -397,15 +448,17 @@ func (l *Listener) Pending() int { return l.pending() }
 // whose client already gave up (timed out) are discarded in passing,
 // like a dead entry in an accept queue.
 func (l *Listener) Accept(now simclock.Time) *Conn {
-	for len(l.backlog) > 0 {
-		c := l.backlog[0]
-		l.backlog = l.backlog[1:]
+	for l.head < len(l.backlog) {
+		c := l.backlog[l.head]
+		l.backlog[l.head] = nil
+		l.head++
 		if c.closed {
 			continue
 		}
 		c.srvAccepted = true
 		return c
 	}
+	l.backlog, l.head = l.backlog[:0], 0
 	return nil
 }
 
@@ -443,7 +496,9 @@ func (k segKind) String() string {
 	return "?"
 }
 
-// segment is one frame in flight.
+// segment is one frame in flight. A frame on its way to delivery is a
+// recycled *segment from the network's free list, and is its own
+// delivery event.
 type segment struct {
 	kind     segKind
 	from, to *Node
@@ -453,6 +508,29 @@ type segment struct {
 	rstErr   error // for segRST: why
 	probeID  int
 	response bool // for segData: server->client payload
+}
+
+// Fire delivers the segment at its destination, then returns it to the
+// free list.
+func (s *segment) Fire(now simclock.Time) {
+	n := s.from.net
+	n.deliver(s, now)
+	*s = segment{}
+	n.free = append(n.free, s)
+}
+
+// inflight copies v into a segment from the free list, allocating only
+// when the list is empty.
+func (n *Network) inflight(v segment) *segment {
+	var s *segment
+	if k := len(n.free); k > 0 {
+		s = n.free[k-1]
+		n.free = n.free[:k-1]
+	} else {
+		s = new(segment)
+	}
+	*s = v
+	return s
 }
 
 func pairKey(a, b int) [2]int {
@@ -465,8 +543,10 @@ func pairKey(a, b int) [2]int {
 // transmit pushes one segment onto the wire: fault gauntlet, egress
 // serialization, propagation, then delivery. Drops are silent to the
 // sender — recovery is the retransmission machinery's job, exactly like
-// the real thing.
-func (n *Network) transmit(s *segment, now simclock.Time) {
+// the real thing. A dropped segment never leaves the caller's frame;
+// one that survives rides to its delivery in a recycled segment.
+func (n *Network) transmit(v segment, now simclock.Time) {
+	s := &v
 	n.stats.Segments++
 	// Deliberate isolation first: a quarantined port's segments never
 	// reach the fault gauntlet, so arming wire sites does not perturb
@@ -486,17 +566,17 @@ func (n *Network) transmit(s *segment, now simclock.Time) {
 		// Same-zone segments never reach this branch, so single-zone
 		// topologies draw exactly the injector stream they always did.
 		n.stats.TrunkSegments++
-		if d := n.inj.Hit(SiteTrunkCut, now); d.Fire && trunkCuts(d.Param, s) {
+		if d := n.hit(n.armed.trunkCut, SiteTrunkCut, now); d.Fire && trunkCuts(d.Param, s) {
 			n.stats.TrunkCuts++
 			n.drop(s, "trunk-cut", now)
 			return
 		}
 	}
-	if d := n.inj.Hit(SitePartition, now); d.Fire && partitionCuts(d.Param, s) {
+	if d := n.hit(n.armed.partition, SitePartition, now); d.Fire && partitionCuts(d.Param, s) {
 		n.drop(s, "partition", now)
 		return
 	}
-	if d := n.inj.Hit(SiteFlap, now); d.Fire {
+	if d := n.hit(n.armed.flap, SiteFlap, now); d.Fire {
 		us := d.Param
 		if us <= 0 {
 			us = 500
@@ -505,18 +585,16 @@ func (n *Network) transmit(s *segment, now simclock.Time) {
 		n.drop(s, "flap", now)
 		return
 	}
-	if d := n.inj.Hit(SiteLoss, now); d.Fire {
+	if d := n.hit(n.armed.loss, SiteLoss, now); d.Fire {
 		n.drop(s, "loss", now)
 		return
 	}
-	if site := n.extraDropSite(s); site != "" {
-		if d := n.inj.Hit(site, now); d.Fire {
-			n.drop(s, "site:"+site, now)
-			return
-		}
+	if x := n.extraDropSite(s); x.name != "" && n.inj.Hit(x.name, now).Fire {
+		n.drop(s, x.reason, now)
+		return
 	}
 	var extra simclock.Duration
-	if d := n.inj.Hit(SiteDelay, now); d.Fire {
+	if d := n.hit(n.armed.delay, SiteDelay, now); d.Fire {
 		us := d.Param
 		if us <= 0 {
 			us = 100
@@ -549,8 +627,15 @@ func (n *Network) transmit(s *segment, now simclock.Time) {
 		n.trunkBusy[dir] = depart
 		hop += spec.Latency
 	}
-	arrive := depart.Add(hop)
-	n.eng.Schedule(arrive, func(at simclock.Time) { n.deliver(s, at) })
+	n.eng.Post(depart.Add(hop), n.inflight(v))
+}
+
+// hit consults a fault site the plan arms; an unarmed site never fires.
+func (n *Network) hit(armed bool, site string, now simclock.Time) faults.Decision {
+	if !armed {
+		return faults.Decision{}
+	}
+	return n.inj.Hit(site, now)
 }
 
 // trunkCuts decides whether a trunk-cut payload blackholes this
@@ -584,14 +669,16 @@ func partitionCuts(param int64, s *segment) bool {
 	}
 }
 
-func (n *Network) extraDropSite(s *segment) string {
+// extraDropSite is the owner's extra drop site for the segment's kind;
+// the zero extraSite when there is none or the plan does not arm it.
+func (n *Network) extraDropSite(s *segment) extraSite {
 	switch s.kind {
 	case segData:
-		return n.params.DataDropSite
+		return n.dataDrop
 	case segProbe, segProbeReply:
-		return n.params.ProbeDropSite
+		return n.probeDrop
 	}
-	return ""
+	return extraSite{}
 }
 
 func (n *Network) drop(s *segment, reason string, now simclock.Time) {
@@ -639,35 +726,31 @@ func (n *Network) deliverSYN(s *segment, now simclock.Time) {
 		return // client already gave up
 	}
 	if !s.to.up(now) {
-		n.send(&segment{kind: segRST, from: s.to, to: s.from, size: ctlBytes, conn: c, seq: s.seq, rstErr: ErrRefused}, now)
+		n.transmit(segment{kind: segRST, from: s.to, to: s.from, size: ctlBytes, conn: c, seq: s.seq, rstErr: ErrRefused}, now)
 		return
 	}
 	if c.srvQueued || c.srvAccepted {
 		// Duplicate SYN (lost SYN-ACK): re-answer idempotently.
-		n.send(&segment{kind: segSYNACK, from: s.to, to: s.from, size: ctlBytes, conn: c, seq: s.seq}, now)
+		n.transmit(segment{kind: segSYNACK, from: s.to, to: s.from, size: ctlBytes, conn: c, seq: s.seq}, now)
 		return
 	}
 	l := s.to.listeners[c.raddr.Port]
 	if l == nil {
-		n.send(&segment{kind: segRST, from: s.to, to: s.from, size: ctlBytes, conn: c, seq: s.seq, rstErr: ErrRefused}, now)
+		n.transmit(segment{kind: segRST, from: s.to, to: s.from, size: ctlBytes, conn: c, seq: s.seq, rstErr: ErrRefused}, now)
 		return
 	}
 	if l.pending() >= l.cap {
 		n.stats.Overflows++
-		n.send(&segment{kind: segRST, from: s.to, to: s.from, size: ctlBytes, conn: c, seq: s.seq, rstErr: ErrOverflow}, now)
+		n.transmit(segment{kind: segRST, from: s.to, to: s.from, size: ctlBytes, conn: c, seq: s.seq, rstErr: ErrOverflow}, now)
 		return
 	}
 	c.srvQueued = true
-	l.backlog = append(l.backlog, c)
-	n.send(&segment{kind: segSYNACK, from: s.to, to: s.from, size: ctlBytes, conn: c, seq: s.seq}, now)
+	l.enqueue(c)
+	n.transmit(segment{kind: segSYNACK, from: s.to, to: s.from, size: ctlBytes, conn: c, seq: s.seq}, now)
 	if l.OnPending != nil {
 		l.OnPending(now)
 	}
 }
-
-// send transmits a fire-and-forget control segment (no retransmission:
-// recovery rides on the peer's timers).
-func (n *Network) send(s *segment, now simclock.Time) { n.transmit(s, now) }
 
 // --- probes ---
 
@@ -688,7 +771,7 @@ func (n *Network) Probe(from, to *Node, timeout simclock.Duration, cb func(ok bo
 	pr := &probe{cb: cb}
 	n.probes()[id] = pr
 	now := n.eng.Now()
-	n.transmit(&segment{kind: segProbe, from: from, to: to, size: ctlBytes, probeID: id}, now)
+	n.transmit(segment{kind: segProbe, from: from, to: to, size: ctlBytes, probeID: id}, now)
 	n.eng.Schedule(now.Add(timeout), func(at simclock.Time) {
 		if !pr.done {
 			pr.done = true
@@ -710,7 +793,7 @@ func (n *Network) deliverProbe(s *segment, now simclock.Time) {
 	if !s.to.up(now) {
 		return // a dead VM answers nothing
 	}
-	n.transmit(&segment{kind: segProbeReply, from: s.to, to: s.from, size: ctlBytes, probeID: s.probeID}, now)
+	n.transmit(segment{kind: segProbeReply, from: s.to, to: s.from, size: ctlBytes, probeID: s.probeID}, now)
 }
 
 func (n *Network) probeReturned(id int, now simclock.Time) {

@@ -98,6 +98,32 @@ type connResult struct {
 	err         error
 }
 
+// callbacks adapts per-test funcs to ConnHandler; a nil func ignores
+// its event.
+type callbacks struct {
+	established func(c *Conn, now simclock.Time)
+	failed      func(c *Conn, err error, now simclock.Time)
+	response    func(c *Conn, now simclock.Time)
+}
+
+func (cb callbacks) Established(c *Conn, now simclock.Time) {
+	if cb.established != nil {
+		cb.established(c, now)
+	}
+}
+
+func (cb callbacks) Failed(c *Conn, err error, now simclock.Time) {
+	if cb.failed != nil {
+		cb.failed(c, err, now)
+	}
+}
+
+func (cb callbacks) Response(c *Conn, now simclock.Time) {
+	if cb.response != nil {
+		cb.response(c, now)
+	}
+}
+
 func dialAndSend(sched *simclock.Engine, client, server *Node, reqBytes, respBytes int, respTimeout simclock.Duration, serve bool, lst *Listener) *connResult {
 	res := &connResult{}
 	if serve {
@@ -114,13 +140,13 @@ func dialAndSend(sched *simclock.Engine, client, server *Node, reqBytes, respByt
 			}
 		}
 	}
-	client.Dial(server, 80, ConnCallbacks{
-		Established: func(c *Conn, now simclock.Time) {
+	client.Dial(server, 80, callbacks{
+		established: func(c *Conn, now simclock.Time) {
 			res.established = true
 			c.SendRequest(reqBytes, respTimeout, now)
 		},
-		Failed:   func(c *Conn, err error, now simclock.Time) { res.err = err },
-		Response: func(c *Conn, now simclock.Time) { res.served = true },
+		failed:   func(c *Conn, err error, now simclock.Time) { res.err = err },
+		response: func(c *Conn, now simclock.Time) { res.served = true },
 	})
 	return res
 }
@@ -141,11 +167,64 @@ func TestCleanWireRequestResponse(t *testing.T) {
 	}
 }
 
+// A steady-state request/response round trip on a clean wire allocates
+// the Conn and the server's WhenRequest continuation and nothing else:
+// segments come off the network's free list, retransmit timers and the
+// response deadline live in the Conn, and the dialer is its own handler.
+func TestRoundTripAllocations(t *testing.T) {
+	sched, net, client, server, lst := newTestNet(t, nil, DefaultParams())
+	lst.OnPending = func(now simclock.Time) {
+		for {
+			c := lst.Accept(now)
+			if c == nil {
+				return
+			}
+			c.WhenRequest(now, func(at simclock.Time) { c.Respond(4096, at) })
+		}
+	}
+	served := 0
+	h := &callbacks{
+		established: func(c *Conn, now simclock.Time) { c.SendRequest(1024, 10*ms, now) },
+		response:    func(c *Conn, now simclock.Time) { served++ },
+	}
+	roundTrip := func() {
+		client.Dial(server, 80, h)
+		sched.Run()
+	}
+	roundTrip() // grow the engine queue and fill the segment free list
+	allocs := testing.AllocsPerRun(100, roundTrip)
+	if st := net.Stats(); served != 102 || st.Dialed != st.Closed || st.Retransmits != 0 {
+		t.Fatalf("served %d of 102 round trips: %+v", served, st)
+	}
+	if allocs > 2 {
+		t.Fatalf("%v allocations per round trip, want at most 2 (the Conn and the WhenRequest continuation)", allocs)
+	}
+}
+
+// Each reliable send has one slot per connection; arming it twice is a
+// bug in the caller, and panics rather than losing the first send's
+// retransmit state.
+func TestSecondRequestOnOneConnPanics(t *testing.T) {
+	sched, _, client, server, _ := newTestNet(t, nil, DefaultParams())
+	client.Dial(server, 80, callbacks{
+		established: func(c *Conn, now simclock.Time) {
+			c.SendRequest(1024, 10*ms, now)
+			c.SendRequest(1024, 10*ms, now)
+		},
+	})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second SendRequest on one connection did not panic")
+		}
+	}()
+	sched.Run()
+}
+
 func TestNoListenerRefused(t *testing.T) {
 	sched, net, client, server, _ := newTestNet(t, nil, DefaultParams())
 	res := &connResult{}
-	client.Dial(server, 8080, ConnCallbacks{ // nothing listens on 8080
-		Failed: func(c *Conn, err error, now simclock.Time) { res.err = err },
+	client.Dial(server, 8080, callbacks{ // nothing listens on 8080
+		failed: func(c *Conn, err error, now simclock.Time) { res.err = err },
 	})
 	sched.RunUntil(simclock.Time(100 * ms))
 	if !errors.Is(res.err, ErrRefused) {
@@ -160,8 +239,8 @@ func TestDeadServerRefused(t *testing.T) {
 	sched, _, client, server, _ := newTestNet(t, nil, DefaultParams())
 	server.SetAlive(func(now simclock.Time) bool { return false })
 	res := &connResult{}
-	client.Dial(server, 80, ConnCallbacks{
-		Failed: func(c *Conn, err error, now simclock.Time) { res.err = err },
+	client.Dial(server, 80, callbacks{
+		failed: func(c *Conn, err error, now simclock.Time) { res.err = err },
 	})
 	sched.RunUntil(simclock.Time(100 * ms))
 	if !errors.Is(res.err, ErrRefused) {
@@ -183,8 +262,8 @@ func TestBacklogOverflowSheds(t *testing.T) {
 	lst := server.Listen(80, 2) // cap 2, nobody accepting
 	var errs []error
 	for i := 0; i < 3; i++ {
-		client.Dial(server, 80, ConnCallbacks{
-			Failed: func(c *Conn, err error, now simclock.Time) { errs = append(errs, err) },
+		client.Dial(server, 80, callbacks{
+			failed: func(c *Conn, err error, now simclock.Time) { errs = append(errs, err) },
 		})
 	}
 	sched.RunUntil(simclock.Time(ms))
@@ -317,13 +396,13 @@ func TestFlapHealMidRexmitResumesLadder(t *testing.T) {
 		}
 	}
 	res := &connResult{}
-	conn := client.Dial(server, 80, ConnCallbacks{
-		Established: func(c *Conn, now simclock.Time) {
+	conn := client.Dial(server, 80, callbacks{
+		established: func(c *Conn, now simclock.Time) {
 			res.established = true
 			c.SendRequest(1024, 50*ms, now)
 		},
-		Failed:   func(c *Conn, err error, now simclock.Time) { res.err = err },
-		Response: func(c *Conn, now simclock.Time) { res.served = true },
+		failed:   func(c *Conn, err error, now simclock.Time) { res.err = err },
+		response: func(c *Conn, now simclock.Time) { res.served = true },
 	})
 	sched.RunUntil(simclock.Time(100 * ms))
 	if !res.established || !res.served || res.err != nil {
@@ -390,7 +469,7 @@ func TestAcceptSkipsDeadEntries(t *testing.T) {
 	lst := server.Listen(80, 4)
 	var conns []*Conn
 	for i := 0; i < 2; i++ {
-		conns = append(conns, client.Dial(server, 80, ConnCallbacks{}))
+		conns = append(conns, client.Dial(server, 80, callbacks{}))
 	}
 	sched.RunUntil(simclock.Time(ms))
 	if lst.Pending() != 2 {
@@ -440,12 +519,12 @@ func storm(seed uint64) string {
 		id := i
 		launch := simclock.Time(i) * simclock.Time(100*simclock.Microsecond)
 		sched.Schedule(launch, func(now simclock.Time) {
-			client.Dial(server, 80, ConnCallbacks{
-				Established: func(c *Conn, at simclock.Time) { c.SendRequest(512, 20*ms, at) },
-				Failed: func(c *Conn, err error, at simclock.Time) {
+			client.Dial(server, 80, callbacks{
+				established: func(c *Conn, at simclock.Time) { c.SendRequest(512, 20*ms, at) },
+				failed: func(c *Conn, err error, at simclock.Time) {
 					fmt.Fprintf(&sb, "%d fail %v @%v\n", id, err, at)
 				},
-				Response: func(c *Conn, at simclock.Time) {
+				response: func(c *Conn, at simclock.Time) {
 					fmt.Fprintf(&sb, "%d ok rexmit=%d @%v\n", id, c.Retransmits(), at)
 				},
 			})
@@ -533,7 +612,7 @@ func TestBandwidthSerializes(t *testing.T) {
 	var arrivals []simclock.Time
 	b.SetAlive(func(now simclock.Time) bool { arrivals = append(arrivals, now); return false })
 	for i := 0; i < 2; i++ {
-		net.transmit(&segment{kind: segProbe, from: a, to: b, size: 1000, probeID: 1000 + i}, sched.Now())
+		net.transmit(segment{kind: segProbe, from: a, to: b, size: 1000, probeID: 1000 + i}, sched.Now())
 	}
 	sched.Run()
 	if len(arrivals) != 2 {

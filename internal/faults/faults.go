@@ -247,6 +247,22 @@ func (inj *Injector) Hit(site string, now simclock.Time) Decision {
 	return out
 }
 
+// Arms reports whether the plan has a rule for site. A Hit on a site no
+// rule names draws nothing and counts nothing, so a hot path may ask
+// once and skip its Hits on the sites this reports false for. A nil
+// injector arms nothing.
+func (inj *Injector) Arms(site string) bool {
+	if inj == nil {
+		return false
+	}
+	for _, r := range inj.plan.Rules {
+		if r.Site == site {
+			return true
+		}
+	}
+	return false
+}
+
 // Observe makes every subsequent fault firing an instant event on the
 // tracer, on the given track. Nil-safe on both sides.
 func (inj *Injector) Observe(tr *telemetry.Tracer, track string) {

@@ -111,6 +111,42 @@ func TestNilInjectorNeverFires(t *testing.T) {
 	}
 }
 
+func TestArmsExactlyTheSitesWithRules(t *testing.T) {
+	inj := MustNew(Plan{Rules: []Rule{{Site: "test/alpha", Prob: 0.5}}})
+	for site, want := range map[string]bool{"test/alpha": true, "test/beta": false, "test/nope": false} {
+		if got := inj.Arms(site); got != want {
+			t.Errorf("Arms(%q) = %v, want %v", site, got, want)
+		}
+	}
+	var nilInj *Injector
+	if nilInj.Arms("test/alpha") {
+		t.Error("nil injector arms a site")
+	}
+}
+
+// A Hit on a site no rule names draws nothing and counts nothing, so a
+// caller that skips it (because Arms said false) replays the same storm.
+func TestUnarmedHitLeavesInjectorUntouched(t *testing.T) {
+	plan := Plan{Seed: 9, Rules: []Rule{{Site: "test/alpha", Prob: 0.5}}}
+	plain, probed := MustNew(plan), MustNew(plan)
+	for i := 0; i < 64; i++ {
+		fires, total := len(probed.Fires()), probed.TotalFired()
+		if d := probed.Hit("test/beta", simclock.Time(i)); d != (Decision{}) {
+			t.Fatalf("unarmed hit %d decided %+v, want the zero Decision", i, d)
+		}
+		if len(probed.Fires()) != fires || probed.TotalFired() != total {
+			t.Fatalf("unarmed hit %d moved the fire log or count", i)
+		}
+		want, got := plain.Hit("test/alpha", simclock.Time(i)), probed.Hit("test/alpha", simclock.Time(i))
+		if got != want {
+			t.Fatalf("armed hit %d after an unarmed one = %+v, want %+v", i, got, want)
+		}
+	}
+	if plain.TotalFired() == 0 || plain.TotalFired() == 64 {
+		t.Fatalf("Prob 0.5 fired %d of 64: the stream never decided anything", plain.TotalFired())
+	}
+}
+
 func TestRulesAreIndependent(t *testing.T) {
 	inj := MustNew(Plan{Rules: []Rule{
 		{Site: "test/alpha", NthHit: 1, Param: 1},

@@ -84,7 +84,7 @@ func (f *Fleet) Stop() { f.stopped = true }
 // failed — at the resolving instant.
 func (f *Fleet) Inject(id int, now simclock.Time, done func(o Outcome, at simclock.Time)) {
 	f.res.Total++
-	r := &request{id: id, arrival: now, done: done}
+	r := &request{f: f, id: id, arrival: now, done: done}
 	f.admitRequest(r, now)
 }
 

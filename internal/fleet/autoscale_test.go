@@ -45,10 +45,12 @@ func minPool(n int) []*Backend {
 // the pool toward Max and availability beats the fixed Min pool's.
 func TestAutoscalerGrowsUnderSpike(t *testing.T) {
 	cfg := surgeTestConfig()
-	fixed := New(cfg, minPool(2), nil, nil).Run()
-	scaled := NewAutoscaled(cfg, minPool(2), surgeTestPolicy(), nil, nil).Run()
-	checkConservation(t, fixed)
-	checkConservation(t, scaled)
+	ff := New(cfg, minPool(2), nil, nil)
+	fixed := ff.Run()
+	fs := NewAutoscaled(cfg, minPool(2), surgeTestPolicy(), nil, nil)
+	scaled := fs.Run()
+	checkConservation(t, ff, fixed)
+	checkConservation(t, fs, scaled)
 	if scaled.ScaleUps == 0 {
 		t.Fatal("spike never triggered a scale-up")
 	}
@@ -73,8 +75,9 @@ func TestAutoscalerGrowsUnderSpike(t *testing.T) {
 // records the first instant it reached Max; a quiet pool records never.
 func TestAutoscalerFullAt(t *testing.T) {
 	cfg := surgeTestConfig()
-	res := NewAutoscaled(cfg, minPool(2), surgeTestPolicy(), nil, nil).Run()
-	checkConservation(t, res)
+	f := NewAutoscaled(cfg, minPool(2), surgeTestPolicy(), nil, nil)
+	res := f.Run()
+	checkConservation(t, f, res)
 	if res.FullAt < 0 {
 		t.Fatalf("FullAt = %v under a saturating spike, want reached", res.FullAt)
 	}
@@ -84,8 +87,9 @@ func TestAutoscalerFullAt(t *testing.T) {
 
 	quiet := DefaultConfig()
 	quiet.Interarrival = 200 * us // comfortably served by the Min pool
-	qres := NewAutoscaled(quiet, minPool(2), surgeTestPolicy(), nil, nil).Run()
-	checkConservation(t, qres)
+	qf := NewAutoscaled(quiet, minPool(2), surgeTestPolicy(), nil, nil)
+	qres := qf.Run()
+	checkConservation(t, qf, qres)
 	if qres.FullAt != -1 {
 		t.Errorf("quiet pool FullAt = %v, want -1 (never)", qres.FullAt)
 	}
@@ -105,7 +109,7 @@ func TestAutoscalerScaleDown(t *testing.T) {
 	p.DownCooldown = 1 * ms
 	f := NewAutoscaled(cfg, minPool(5), p, nil, nil)
 	res := f.Run()
-	checkConservation(t, res)
+	checkConservation(t, f, res)
 	if res.ScaleDowns == 0 {
 		t.Fatal("idle pool never scaled down")
 	}
@@ -139,7 +143,7 @@ func TestAutoscalerProvisionLatencyAndAccounting(t *testing.T) {
 	}
 	f := NewAutoscaled(cfg, minPool(2), p, nil, nil)
 	res := f.Run()
-	checkConservation(t, res)
+	checkConservation(t, f, res)
 	if len(launches) == 0 {
 		t.Fatal("provision never called")
 	}
@@ -176,8 +180,9 @@ func TestAutoscalerCooldownBoundsLaunches(t *testing.T) {
 	cfg := surgeTestConfig()
 	p := surgeTestPolicy()
 	p.UpCooldown = 2 * ms
-	res := NewAutoscaled(cfg, minPool(2), p, nil, nil).Run()
-	checkConservation(t, res)
+	f := NewAutoscaled(cfg, minPool(2), p, nil, nil)
+	res := f.Run()
+	checkConservation(t, f, res)
 	if res.ScaleUps == 0 {
 		t.Fatal("no scale-ups under the spike")
 	}
@@ -216,8 +221,9 @@ func TestAutoscalerDeterministic(t *testing.T) {
 		p.Provision = func(seq int, now simclock.Time) Launch {
 			return Launch{Ready: 200 * us, Restored: true}
 		}
-		res := NewAutoscaled(cfg, minPool(2), p, nil, nil).Run()
-		checkConservation(t, res)
+		f := NewAutoscaled(cfg, minPool(2), p, nil, nil)
+		res := f.Run()
+		checkConservation(t, f, res)
 		return fmt.Sprintf("%+v", res)
 	}
 	if first, second := run(), run(); first != second {

@@ -115,7 +115,7 @@ func TestBreakerReplayDeterministic(t *testing.T) {
 					backends = append(backends, NewBackend(string(rune('a'+i)), tl))
 				}
 				f := New(cfg, backends, nil, nil)
-				checkConservation(t, f.Run())
+				checkConservation(t, f, f.Run())
 				var out [][]string
 				for _, b := range f.Backends() {
 					var lines []string

@@ -48,7 +48,7 @@ func TestOneSidedPartitionOpensBreaker(t *testing.T) {
 	const ms45 = simclock.Time(45 * simclock.Millisecond)
 	f := partitionedFleet(t, ms10, ms45)
 	res := f.Run()
-	checkConservation(t, res)
+	checkConservation(t, f, res)
 
 	a := f.Backends()[0]
 	tr := a.Breaker().Transitions
@@ -108,7 +108,7 @@ func TestPartitionBreakerCycleDeterministic(t *testing.T) {
 		const to = simclock.Time(45 * simclock.Millisecond)
 		f := partitionedFleet(t, from, to)
 		res := f.Run()
-		checkConservation(t, res)
+		checkConservation(t, f, res)
 		var s string
 		for _, b := range f.Backends() {
 			s += b.Name + ":" + fmt.Sprint(b.Breaker().Transitions) + "\n"

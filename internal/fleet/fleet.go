@@ -247,11 +247,18 @@ func (r *Result) Percentile(p float64) simclock.Duration {
 	return simclock.Duration(metrics.Percentile(ns, p))
 }
 
-// request is one client request's journey through the front-end.
+// request is one client request's journey through the front-end. It
+// is the fabric.ConnHandler of its dispatch in flight; a retry starts
+// only after Failed, so it never has two connections open at once.
 type request struct {
+	f        *Fleet
 	id       int
 	arrival  simclock.Time
 	attempts int // dispatches so far
+
+	// The dispatch in flight: its backend and when it was sent.
+	b    *Backend
+	sent simclock.Time
 
 	// done, set by Inject in attached mode, fires once at resolution.
 	done func(o Outcome, at simclock.Time)
@@ -392,7 +399,7 @@ func (f *Fleet) Run() Result {
 	// Arrivals, jittered from the seeded stream.
 	at := f.cfg.TrafficStart
 	for i := 0; i < f.cfg.Requests; i++ {
-		r := &request{id: i, arrival: at.Add(f.jitter(f.arrivalRng, f.cfg.ArrivalJitter))}
+		r := &request{f: f, id: i, arrival: at.Add(f.jitter(f.arrivalRng, f.cfg.ArrivalJitter))}
 		f.eng.Schedule(r.arrival, func(now simclock.Time) { f.admitRequest(r, now) })
 		at = at.Add(f.cfg.Interarrival)
 	}
@@ -525,57 +532,65 @@ func (f *Fleet) failRequest(r *request, now simclock.Time) {
 func (f *Fleet) dispatch(r *request, b *Backend, now simclock.Time) {
 	r.attempts++
 	b.inflight++
-	sent := now
-	f.lbNode.Dial(b.node, servicePort, fabric.ConnCallbacks{
-		Established: func(c *fabric.Conn, at simclock.Time) {
-			c.SendRequest(f.cfg.Net.RequestBytes, f.cfg.Net.ResponseTimeout, at)
-		},
-		Response: func(c *fabric.Conn, at simclock.Time) {
-			b.inflight--
-			b.served++
-			b.breaker.Success(at)
-			f.res.OK++
-			f.resolved++
-			// Served traffic earns retry budget back, capped at the burst.
-			f.retryTokens += f.cfg.RetryBudget
-			if f.retryTokens > f.cfg.RetryBurst {
-				f.retryTokens = f.cfg.RetryBurst
-			}
-			lat := at.Sub(r.arrival)
-			f.res.Latencies = append(f.res.Latencies, lat)
-			f.mOK.Inc()
-			f.hLatency.Observe(lat)
-			if r.done != nil {
-				r.done(OutcomeOK, at)
-			}
-			if f.tr != nil {
-				f.tr.Span("fleet", f.btrack(b), "dispatch", sent, at,
-					telemetry.A("req", strconv.Itoa(r.id)),
-					telemetry.A("conn", strconv.Itoa(c.ID())))
-			}
-			f.maybeDrained(b, at)
-		},
-		Failed: func(c *fabric.Conn, err error, at simclock.Time) {
-			b.inflight--
-			if errors.Is(err, fabric.ErrOverflow) {
-				// The backend's backlog refused us: backpressure from a live
-				// server. Shed, and never charge the breaker for it.
-				f.shed(r, "backlog-overflow", at)
-				f.maybeDrained(b, at)
-				return
-			}
-			b.failed++
-			if f.tr != nil {
-				f.tr.Span("fleet", f.btrack(b), "dispatch-fail", sent, at,
-					telemetry.A("req", strconv.Itoa(r.id)),
-					telemetry.A("conn", strconv.Itoa(c.ID())),
-					telemetry.A("err", err.Error()))
-			}
-			f.breakerFailure(b, at)
-			f.maybeDrained(b, at)
-			f.retry(r, at)
-		},
-	})
+	r.b, r.sent = b, now
+	f.lbNode.Dial(b.node, servicePort, r)
+}
+
+// Established ships the request once the handshake completes.
+func (r *request) Established(c *fabric.Conn, now simclock.Time) {
+	c.SendRequest(r.f.cfg.Net.RequestBytes, r.f.cfg.Net.ResponseTimeout, now)
+}
+
+// Response resolves the request as served by its backend.
+func (r *request) Response(c *fabric.Conn, now simclock.Time) {
+	f, b := r.f, r.b
+	b.inflight--
+	b.served++
+	b.breaker.Success(now)
+	f.res.OK++
+	f.resolved++
+	// Served traffic earns retry budget back, capped at the burst.
+	f.retryTokens += f.cfg.RetryBudget
+	if f.retryTokens > f.cfg.RetryBurst {
+		f.retryTokens = f.cfg.RetryBurst
+	}
+	lat := now.Sub(r.arrival)
+	f.res.Latencies = append(f.res.Latencies, lat)
+	f.mOK.Inc()
+	f.hLatency.Observe(lat)
+	if r.done != nil {
+		r.done(OutcomeOK, now)
+	}
+	if f.tr != nil {
+		f.tr.Span("fleet", f.btrack(b), "dispatch", r.sent, now,
+			telemetry.A("req", strconv.Itoa(r.id)),
+			telemetry.A("conn", strconv.Itoa(c.ID())))
+	}
+	f.maybeDrained(b, now)
+}
+
+// Failed sheds the request on backlog overflow, and otherwise charges
+// the backend's breaker and retries.
+func (r *request) Failed(c *fabric.Conn, err error, now simclock.Time) {
+	f, b := r.f, r.b
+	b.inflight--
+	if errors.Is(err, fabric.ErrOverflow) {
+		// The backend's backlog refused us: backpressure from a live
+		// server. Shed, and never charge the breaker for it.
+		f.shed(r, "backlog-overflow", now)
+		f.maybeDrained(b, now)
+		return
+	}
+	b.failed++
+	if f.tr != nil {
+		f.tr.Span("fleet", f.btrack(b), "dispatch-fail", r.sent, now,
+			telemetry.A("req", strconv.Itoa(r.id)),
+			telemetry.A("conn", strconv.Itoa(c.ID())),
+			telemetry.A("err", err.Error()))
+	}
+	f.breakerFailure(b, now)
+	f.maybeDrained(b, now)
+	f.retry(r, now)
 }
 
 // breakerFailure charges b's breaker with a data-plane failure and

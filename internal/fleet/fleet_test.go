@@ -10,9 +10,13 @@ import (
 	"lupine/internal/vmm"
 )
 
-// checkConservation asserts every offered request resolved exactly once.
-func checkConservation(t *testing.T, res Result) {
+// checkConservation asserts every offered request resolved exactly once
+// and every connection the run dialed ended closed.
+func checkConservation(t *testing.T, f *Fleet, res Result) {
 	t.Helper()
+	if st := f.Net().Stats(); st.Dialed != st.Closed {
+		t.Errorf("connections left open: dialed %d, closed %d", st.Dialed, st.Closed)
+	}
 	if got := res.OK + res.Shed + res.Failed; got != res.Total {
 		t.Errorf("request conservation broken: OK %d + Shed %d + Failed %d = %d, want %d",
 			res.OK, res.Shed, res.Failed, got, res.Total)
@@ -27,7 +31,7 @@ func TestHealthyPoolServesEverything(t *testing.T) {
 		NewBackend("c", AlwaysUp()),
 	}, nil, nil)
 	res := f.Run()
-	checkConservation(t, res)
+	checkConservation(t, f, res)
 	if res.OK != res.Total {
 		t.Errorf("served %d of %d on a healthy pool", res.OK, res.Total)
 	}
@@ -56,7 +60,7 @@ func TestOutageRoutedAround(t *testing.T) {
 		NewBackend("c", flaky),
 	}, nil, nil)
 	res := f.Run()
-	checkConservation(t, res)
+	checkConservation(t, f, res)
 	if res.BreakerOpens == 0 {
 		t.Error("the outage never tripped the breaker")
 	}
@@ -83,7 +87,7 @@ func TestDeadPoolShedsInsteadOfAmplifying(t *testing.T) {
 		NewBackend("b", NeverUp()),
 	}, nil, nil)
 	res := f.Run()
-	checkConservation(t, res)
+	checkConservation(t, f, res)
 	if res.OK != 0 {
 		t.Errorf("served %d requests on a dead pool", res.OK)
 	}
@@ -111,7 +115,7 @@ func TestRetryBudgetBoundsAmplification(t *testing.T) {
 		NewBackend("b", NeverUp()),
 	}, nil, nil)
 	res := f.Run()
-	checkConservation(t, res)
+	checkConservation(t, f, res)
 	if res.Retries != int(cfg.RetryBurst) {
 		t.Errorf("retries = %d, want exactly the burst %v (no refill without successes)",
 			res.Retries, cfg.RetryBurst)
@@ -174,7 +178,7 @@ func TestRollingUpgradeInvariant(t *testing.T) {
 		NewBackend("c", AlwaysUp()),
 	}, plan, nil)
 	res := f.Run()
-	checkConservation(t, res)
+	checkConservation(t, f, res)
 	if res.MinActive < 3 {
 		t.Errorf("active backends dipped to %d during the rollout, want >= 3 by construction", res.MinActive)
 	}
@@ -239,7 +243,7 @@ func TestFleetDeterministicWithFaultPlan(t *testing.T) {
 			NewBackend("c", AlwaysUp()),
 		}, plan, inj)
 		res := f.Run()
-		checkConservation(t, res)
+		checkConservation(t, f, res)
 		return fmt.Sprintf("%+v", res)
 	}
 	first, second := run(), run()
@@ -282,7 +286,7 @@ func TestAttachedClockIsOwners(t *testing.T) {
 		t.Fatalf("sampler bound through the cell fired at %v, want every 1ms from 1ms", samples)
 	}
 	res := f.Finish(eng.Now())
-	checkConservation(t, res)
+	checkConservation(t, f, res)
 	if res.Total != n || outcomes != n || f.Resolved() != n {
 		t.Fatalf("total %d, outcomes %d, resolved %d; want %d each", res.Total, outcomes, f.Resolved(), n)
 	}

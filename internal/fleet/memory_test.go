@@ -54,7 +54,7 @@ func TestMemoryShedWindow(t *testing.T) {
 	f.AttachMemory(p, 500*simclock.Microsecond)
 
 	res := f.Run()
-	checkConservation(t, res)
+	checkConservation(t, f, res)
 	if res.MemSheds == 0 {
 		t.Error("no arrivals shed inside the pressure window")
 	}
@@ -100,7 +100,7 @@ func TestOOMKillVictimAndReplacement(t *testing.T) {
 	f.AttachMemory(p, 500*simclock.Microsecond)
 
 	res := f.Run()
-	checkConservation(t, res)
+	checkConservation(t, f, res)
 	if p.killed != b {
 		t.Fatalf("victim %v, want the newest backend b", p.killed)
 	}
@@ -165,7 +165,7 @@ func TestScaleDownReleasesClone(t *testing.T) {
 	}
 	f := NewAutoscaled(cfg, []*Backend{NewBackend("origin", AlwaysUp())}, scaler, nil, nil)
 	res := f.Run()
-	checkConservation(t, res)
+	checkConservation(t, f, res)
 	if res.ScaleUps == 0 {
 		t.Fatal("burst did not trigger a scale-up; test tuning broken")
 	}

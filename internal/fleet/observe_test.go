@@ -49,7 +49,7 @@ func TestFleetDisabledTelemetryAllocs(t *testing.T) {
 func TestFleetTelemetryIsPureObservation(t *testing.T) {
 	plain := New(DefaultConfig(), flakyPool(), nil, nil)
 	base := plain.Run()
-	checkConservation(t, base)
+	checkConservation(t, plain, base)
 
 	observed := New(DefaultConfig(), flakyPool(), nil, nil)
 	tr := telemetry.New()
@@ -73,7 +73,7 @@ func TestFleetTelemetryContent(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	f.Observe(tr, reg, "pool")
 	res := f.Run()
-	checkConservation(t, res)
+	checkConservation(t, f, res)
 
 	if got := reg.Counter("pool.served").Value(); got != int64(res.OK) {
 		t.Errorf("served counter %d, result OK %d", got, res.OK)

@@ -127,7 +127,7 @@ func TestUpgradeSurgeHoldsMinActive(t *testing.T) {
 		NewBackend("c", AlwaysUp()),
 	}, plan, nil)
 	res := f.Run()
-	checkConservation(t, res)
+	checkConservation(t, f, res)
 	if res.MinActive < 3 {
 		t.Errorf("MinActive = %d during the rollout, want >= 3 (surge pays for every drain)", res.MinActive)
 	}
@@ -170,7 +170,7 @@ func TestUpgradeSlowSurgeDelaysRollout(t *testing.T) {
 		NewBackend("c", AlwaysUp()),
 	}, plan, nil)
 	res := f.Run()
-	checkConservation(t, res)
+	checkConservation(t, f, res)
 	if res.MinActive < 3 {
 		t.Errorf("MinActive = %d with a slow surge, want >= 3 (no drain before the surge joins)", res.MinActive)
 	}

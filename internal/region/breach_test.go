@@ -38,8 +38,9 @@ func TestBreachLadderContains(t *testing.T) {
 	run := func() Result {
 		cfg := testConfig()
 		cfg.Breach = &BreachConfig{Campaign: breachCampaign()}
-		res := New(cfg, mustInj(t, probePlan(3*simclock.Time(ms), 6*simclock.Time(ms)))).Run()
-		checkCells(t, res)
+		p := New(cfg, mustInj(t, probePlan(3*simclock.Time(ms), 6*simclock.Time(ms))))
+		res := p.Run()
+		checkCells(t, p, res)
 		return res
 	}
 	res := run()
@@ -97,8 +98,9 @@ func TestQuarantineDefersAtFloor(t *testing.T) {
 			{Site: attack.SitePayload, Prob: 1},
 		},
 	}
-	res := New(cfg, mustInj(t, plan)).Run()
-	checkCells(t, res)
+	p := New(cfg, mustInj(t, plan))
+	res := p.Run()
+	checkCells(t, p, res)
 
 	if res.Attack.Compromised != 1 {
 		t.Fatalf("want exactly one compromise: %+v", res.Attack)
@@ -136,8 +138,9 @@ func TestRepaveRolloutRace(t *testing.T) {
 			{Site: attack.SitePayload, Prob: 1},
 		},
 	}
-	res := New(cfg, mustInj(t, plan)).Run()
-	checkCells(t, res)
+	p := New(cfg, mustInj(t, plan))
+	res := p.Run()
+	checkCells(t, p, res)
 
 	if res.Attack.Compromised != 1 || res.Breach.Repaved != 1 {
 		t.Fatalf("repave must land before the rollout: attack %+v breach %+v",
@@ -174,8 +177,9 @@ func TestKMLBlastRadiusEvacuatesRegion(t *testing.T) {
 			{Site: attack.SitePayload, Prob: 1},
 		},
 	}
-	res := New(cfg, mustInj(t, plan)).Run()
-	checkCells(t, res)
+	p := New(cfg, mustInj(t, plan))
+	res := p.Run()
+	checkCells(t, p, res)
 
 	// One seeded compromise, then the host takeover: the escalation owns
 	// the victim's co-located peers (the default packing puts 2 of 3 VMs
@@ -212,8 +216,9 @@ func TestRepaveDeniedWithoutLineage(t *testing.T) {
 			{Site: attack.SitePayload, Prob: 1},
 		},
 	}
-	res := New(cfg, mustInj(t, plan)).Run()
-	checkCells(t, res)
+	p := New(cfg, mustInj(t, plan))
+	res := p.Run()
+	checkCells(t, p, res)
 
 	if res.Attack.Compromised != 1 {
 		t.Fatalf("want exactly one compromise: %+v", res.Attack)

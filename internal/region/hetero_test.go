@@ -35,8 +35,9 @@ func heteroConfig() Config {
 
 func TestHeterogeneousPoolsPlaceAndServe(t *testing.T) {
 	cfg := heteroConfig()
-	res := New(cfg, nil).Run()
-	checkCells(t, res)
+	p := New(cfg, nil)
+	res := p.Run()
+	checkCells(t, p, res)
 	if res.OK != res.Total {
 		t.Errorf("mixed plane served %d/%d (shed %d, failed %d)", res.OK, res.Total, res.Shed, res.Failed)
 	}
@@ -69,8 +70,9 @@ func TestPerIdentityLineages(t *testing.T) {
 			{Site: SiteHostCrash, From: 6 * simclock.Time(ms), To: 7 * simclock.Time(ms), Prob: 1, Param: 1001},
 		},
 	})
-	res := New(cfg, inj).Run()
-	checkCells(t, res)
+	p := New(cfg, inj)
+	res := p.Run()
+	checkCells(t, p, res)
 	if res.HostCrashes != 1 || res.CrashKilled == 0 {
 		t.Fatalf("crashes = %d, killed = %d", res.HostCrashes, res.CrashKilled)
 	}
@@ -115,8 +117,9 @@ func TestRollingUpgradePerIdentity(t *testing.T) {
 			return 100 * simclock.Microsecond // the rest hit the cache
 		},
 	}}
-	res := New(cfg, nil).Run()
-	checkCells(t, res)
+	p := New(cfg, nil)
+	res := p.Run()
+	checkCells(t, p, res)
 	if res.OK != res.Total {
 		t.Errorf("upgrade dented availability: %d/%d (shed %d, failed %d)",
 			res.OK, res.Total, res.Shed, res.Failed)
@@ -166,8 +169,9 @@ func TestHeterogeneousDeterministicReplay(t *testing.T) {
 				{Site: SiteHostCrash, From: 7 * simclock.Time(ms), To: 8 * simclock.Time(ms), Prob: 1, Param: 2001},
 			},
 		})
-		res := New(cfg, inj).Run()
-		checkCells(t, res)
+		p := New(cfg, inj)
+		res := p.Run()
+		checkCells(t, p, res)
 		return res
 	}
 	a, b := run(), run()

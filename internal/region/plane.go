@@ -348,7 +348,7 @@ func (p *Plane) seedStores() {
 func (p *Plane) Run() Result {
 	at := p.cfg.TrafficStart
 	for i := 0; i < p.cfg.Requests; i++ {
-		r := &greq{id: i, arrival: at.Add(p.jitter(p.cfg.ArrivalJitter))}
+		r := &greq{p: p, id: i, arrival: at.Add(p.jitter(p.cfg.ArrivalJitter))}
 		p.eng.Schedule(r.arrival, func(now simclock.Time) { p.routeRequest(r, now) })
 		at = at.Add(p.cfg.Interarrival)
 	}

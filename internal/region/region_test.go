@@ -38,9 +38,13 @@ func testConfig() Config {
 }
 
 // checkCells asserts every request each region cell was offered
-// resolved exactly once, as served, shed or failed.
-func checkCells(t *testing.T, res Result) {
+// resolved exactly once, as served, shed or failed, and every
+// connection the run dialed ended closed.
+func checkCells(t *testing.T, p *Plane, res Result) {
 	t.Helper()
+	if st := p.Net().Stats(); st.Dialed != st.Closed {
+		t.Errorf("connections left open: dialed %d, closed %d", st.Dialed, st.Closed)
+	}
 	for i, c := range res.Cells {
 		if got := c.OK + c.Shed + c.Failed; got != c.Total {
 			t.Errorf("cell %d conservation broken: OK %d + Shed %d + Failed %d = %d, want %d",
@@ -70,8 +74,9 @@ func blackoutPlan() faults.Plan {
 
 func TestCleanRunServesEverything(t *testing.T) {
 	cfg := testConfig()
-	res := New(cfg, nil).Run()
-	checkCells(t, res)
+	p := New(cfg, nil)
+	res := p.Run()
+	checkCells(t, p, res)
 	if res.Total != cfg.Requests {
 		t.Fatalf("Total = %d, want %d", res.Total, cfg.Requests)
 	}
@@ -93,7 +98,7 @@ func TestBlackoutFailoverAndWarmEvacuation(t *testing.T) {
 	cfg := testConfig()
 	p := New(cfg, mustInj(t, blackoutPlan()))
 	res := p.Run()
-	checkCells(t, res)
+	checkCells(t, p, res)
 
 	if !p.Regions()[1].Dark() {
 		t.Fatal("region r1 should be dark")
@@ -141,8 +146,9 @@ func TestColdEvacuationWithoutReplicas(t *testing.T) {
 	cfg := testConfig()
 	cfg.Snapshot = nil // no capture anywhere: the no-warm-pool comparator
 	cfg.Replicate = false
-	res := New(cfg, mustInj(t, blackoutPlan())).Run()
-	checkCells(t, res)
+	p := New(cfg, mustInj(t, blackoutPlan()))
+	res := p.Run()
+	checkCells(t, p, res)
 
 	if res.Evacuated != cfg.PoolPerRegion {
 		t.Fatalf("Evacuated = %d, want %d", res.Evacuated, cfg.PoolPerRegion)
@@ -156,8 +162,9 @@ func TestColdEvacuationWithoutReplicas(t *testing.T) {
 	}
 	// Cold boots are milliseconds; warm restores are microseconds. The
 	// evacuation wave must reflect the gap.
-	warm := New(testConfig(), mustInj(t, blackoutPlan())).Run()
-	checkCells(t, warm)
+	pw := New(testConfig(), mustInj(t, blackoutPlan()))
+	warm := pw.Run()
+	checkCells(t, pw, warm)
 	if res.EvacDuration() <= warm.EvacDuration() {
 		t.Errorf("cold evacuation (%v) should be slower than warm (%v)",
 			res.EvacDuration(), warm.EvacDuration())
@@ -174,8 +181,9 @@ func restoreFaultPlan() faults.Plan {
 
 func TestEvacuationRestoreFaultFallsBackCold(t *testing.T) {
 	cfg := testConfig()
-	res := New(cfg, mustInj(t, restoreFaultPlan())).Run()
-	checkCells(t, res)
+	p := New(cfg, mustInj(t, restoreFaultPlan()))
+	res := p.Run()
+	checkCells(t, p, res)
 	if res.Evacuated != cfg.PoolPerRegion {
 		t.Fatalf("Evacuated = %d, want %d", res.Evacuated, cfg.PoolPerRegion)
 	}
@@ -203,7 +211,7 @@ func TestPartitionFalseTripHealsAndRejoins(t *testing.T) {
 	cfg := testConfig()
 	p := New(cfg, mustInj(t, partitionPlan()))
 	res := p.Run()
-	checkCells(t, res)
+	checkCells(t, p, res)
 
 	if p.Regions()[1].Dark() {
 		t.Fatal("a partition must not darken the region: it is alive")
@@ -241,8 +249,9 @@ func crashPlan() faults.Plan {
 
 func TestHostCrashRestoresLocally(t *testing.T) {
 	cfg := testConfig()
-	res := New(cfg, mustInj(t, crashPlan())).Run()
-	checkCells(t, res)
+	p := New(cfg, mustInj(t, crashPlan()))
+	res := p.Run()
+	checkCells(t, p, res)
 
 	if res.HostCrashes != 1 {
 		t.Fatalf("HostCrashes = %d, want 1", res.HostCrashes)
@@ -281,10 +290,12 @@ func stormPlan() faults.Plan {
 }
 
 func TestDeterministicReplay(t *testing.T) {
-	a := New(testConfig(), mustInj(t, stormPlan())).Run()
-	checkCells(t, a)
-	b := New(testConfig(), mustInj(t, stormPlan())).Run()
-	checkCells(t, b)
+	pa := New(testConfig(), mustInj(t, stormPlan()))
+	a := pa.Run()
+	checkCells(t, pa, a)
+	pb := New(testConfig(), mustInj(t, stormPlan()))
+	b := pb.Run()
+	checkCells(t, pb, b)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different runs:\n a=%+v\n b=%+v", a, b)
 	}
@@ -300,8 +311,9 @@ func TestPlacementDeniedWhenHostsFull(t *testing.T) {
 		cfg.Regions[i].Host.Capacity = 200 * mib // fits 2 x 128 MiB at 1.5x, not 3
 		cfg.Regions[i].Hosts = 1
 	}
-	res := New(cfg, nil).Run()
-	checkCells(t, res)
+	p := New(cfg, nil)
+	res := p.Run()
+	checkCells(t, p, res)
 	if res.PlacementDenied == 0 {
 		t.Fatal("overcommitted hosts should deny placements")
 	}

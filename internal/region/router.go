@@ -17,12 +17,16 @@ import (
 // region is declared dead its share flows to the survivors, and what
 // the survivors cannot absorb their own admission control sheds.
 
-// greq is one global request's journey.
+// greq is one global request's journey. It is the fabric.ConnHandler
+// of its dispatch in flight; a retry starts only after Failed, so it
+// never has two connections open at once.
 type greq struct {
+	p        *Plane
 	id       int
 	arrival  simclock.Time
 	attempts int
-	last     *Region // region of the most recent dispatch (avoided on retry)
+	last     *Region       // region of the dispatch in flight or most recent (avoided on retry)
+	sent     simclock.Time // when that dispatch was sent
 }
 
 // routeRequest picks a region and dispatches, or sheds when the router
@@ -46,22 +50,37 @@ func (p *Plane) routeRequest(r *greq, now simclock.Time) {
 // skipping the region a retry just failed against when any alternative
 // exists.
 func (p *Plane) pickRegion(r *greq) *Region {
-	var live []*Region
+	live := 0
 	for _, reg := range p.regions {
 		if !reg.dead {
-			live = append(live, reg)
+			live++
 		}
 	}
-	if len(live) == 0 {
+	if live == 0 {
 		return nil
 	}
-	reg := live[p.rrNext%len(live)]
+	reg := p.liveRegion(p.rrNext % live)
 	p.rrNext++
-	if reg == r.last && len(live) > 1 {
-		reg = live[p.rrNext%len(live)]
+	if reg == r.last && live > 1 {
+		reg = p.liveRegion(p.rrNext % live)
 		p.rrNext++
 	}
 	return reg
+}
+
+// liveRegion returns the i-th region, in order, of those the router
+// believes alive.
+func (p *Plane) liveRegion(i int) *Region {
+	for _, reg := range p.regions {
+		if reg.dead {
+			continue
+		}
+		if i == 0 {
+			return reg
+		}
+		i--
+	}
+	return nil
 }
 
 // dispatch opens a connection to the region's gateway across the trunk
@@ -71,36 +90,42 @@ func (p *Plane) pickRegion(r *greq) *Region {
 // router retries the request elsewhere under the global deadline.
 func (p *Plane) dispatch(r *greq, reg *Region, now simclock.Time) {
 	r.attempts++
-	r.last = reg
+	r.last, r.sent = reg, now
 	reg.st.Routed++
-	sent := now
-	p.router.Dial(reg.gw, gatewayPort, fabric.ConnCallbacks{
-		Established: func(c *fabric.Conn, at simclock.Time) {
-			c.SendRequest(p.cfg.RequestBytes, p.cfg.RespTimeout, at)
-		},
-		Response: func(c *fabric.Conn, at simclock.Time) {
-			reg.st.OK++
-			p.res.OK++
-			p.resolved++
-			p.res.Latencies = append(p.res.Latencies, at.Sub(r.arrival))
-			if p.tr != nil {
-				p.tr.Span("region", p.trTrack, "route", sent, at,
-					telemetry.A("req", strconv.Itoa(r.id)),
-					telemetry.A("region", reg.name))
-			}
-			p.maybeFinish(at)
-		},
-		Failed: func(c *fabric.Conn, err error, at simclock.Time) {
-			reg.st.Failed++
-			if p.tr != nil {
-				p.tr.Span("region", p.trTrack, "route-fail", sent, at,
-					telemetry.A("req", strconv.Itoa(r.id)),
-					telemetry.A("region", reg.name),
-					telemetry.A("err", err.Error()))
-			}
-			p.retry(r, at)
-		},
-	})
+	p.router.Dial(reg.gw, gatewayPort, r)
+}
+
+// Established ships the request once the gateway's handshake completes.
+func (r *greq) Established(c *fabric.Conn, now simclock.Time) {
+	c.SendRequest(r.p.cfg.RequestBytes, r.p.cfg.RespTimeout, now)
+}
+
+// Response resolves the request as served by the region it was sent to.
+func (r *greq) Response(c *fabric.Conn, now simclock.Time) {
+	p, reg := r.p, r.last
+	reg.st.OK++
+	p.res.OK++
+	p.resolved++
+	p.res.Latencies = append(p.res.Latencies, now.Sub(r.arrival))
+	if p.tr != nil {
+		p.tr.Span("region", p.trTrack, "route", r.sent, now,
+			telemetry.A("req", strconv.Itoa(r.id)),
+			telemetry.A("region", reg.name))
+	}
+	p.maybeFinish(now)
+}
+
+// Failed charges the region and retries the request elsewhere.
+func (r *greq) Failed(c *fabric.Conn, err error, now simclock.Time) {
+	p, reg := r.p, r.last
+	reg.st.Failed++
+	if p.tr != nil {
+		p.tr.Span("region", p.trTrack, "route-fail", r.sent, now,
+			telemetry.A("req", strconv.Itoa(r.id)),
+			telemetry.A("region", reg.name),
+			telemetry.A("err", err.Error()))
+	}
+	p.retry(r, now)
 }
 
 // retry re-routes a failed request under the global policy: bounded

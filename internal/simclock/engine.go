@@ -16,11 +16,27 @@ type Engine struct {
 	seq uint64
 }
 
+// Handler is what an event does when it fires. A plane's hot-path
+// events (a segment's delivery, a retransmit timer, a response
+// deadline) are long-lived values that implement Handler themselves, so
+// posting one allocates nothing; each handler type is one kind of event.
+type Handler interface {
+	Fire(now Time)
+}
+
+// Func adapts a plain function to Handler. A func value is
+// pointer-shaped, so the conversion allocates nothing beyond the
+// closure itself.
+type Func func(now Time)
+
+// Fire calls f.
+func (f Func) Fire(now Time) { f(now) }
+
 // event is one scheduled state change.
 type event struct {
 	at  Time
 	seq uint64
-	fn  func(now Time)
+	h   Handler
 }
 
 // before is the queue order: earlier instant first, schedule order
@@ -39,15 +55,18 @@ func (e *Engine) Clock() *Clock { return e.clk }
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.clk.now }
 
-// Schedule enqueues fn to run at instant at. An instant in the past is
-// moved up to now: the event runs next among those due now, after every
-// event already scheduled for now.
-func (e *Engine) Schedule(at Time, fn func(now Time)) {
+// Schedule enqueues fn to run at instant at; it is Post with a Func.
+func (e *Engine) Schedule(at Time, fn func(now Time)) { e.Post(at, Func(fn)) }
+
+// Post enqueues h to fire at instant at. An instant in the past is moved
+// up to now: the event fires next among those due now, after every
+// event already posted for now.
+func (e *Engine) Post(at Time, h Handler) {
 	if at < e.clk.now {
 		at = e.clk.now
 	}
 	e.seq++
-	ev := event{at: at, seq: e.seq, fn: fn}
+	ev := event{at: at, seq: e.seq, h: h}
 	e.q = append(e.q, ev)
 	i := len(e.q) - 1
 	for i > 0 {
@@ -88,11 +107,11 @@ func (e *Engine) RunUntil(horizon Time) int {
 	return n
 }
 
-// step pops the earliest event, moves the clock to it and runs it.
+// step pops the earliest event, moves the clock to it and fires it.
 func (e *Engine) step() {
 	ev := e.pop()
 	e.clk.AdvanceTo(ev.at)
-	ev.fn(ev.at)
+	ev.h.Fire(ev.at)
 }
 
 // pop removes and returns the earliest event, sifting the last event
@@ -102,7 +121,7 @@ func (e *Engine) pop() event {
 	top := q[0]
 	n := len(q) - 1
 	last := q[n]
-	q[n] = event{} // drop the closure so the collector can reclaim it
+	q[n] = event{} // drop the handler so the collector can reclaim it
 	q = q[:n]
 	e.q = q
 	if n == 0 {

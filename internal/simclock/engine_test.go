@@ -120,3 +120,47 @@ func TestEnginePopOrderProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// tally is a handler that counts its firings.
+type tally struct{ fired int }
+
+func (t *tally) Fire(Time) { t.fired++ }
+
+// Handlers and Schedule'd funcs share one queue and one order.
+func TestEnginePostAndScheduleShareOneOrder(t *testing.T) {
+	e := NewEngine()
+	h := &tally{}
+	var log []int
+	e.Schedule(10, func(Time) { log = append(log, h.fired) })
+	e.Post(10, h)
+	e.Schedule(10, func(Time) { log = append(log, h.fired) })
+	e.Post(5, h)
+	if n := e.Run(); n != 4 {
+		t.Fatalf("Run popped %d events, want 4", n)
+	}
+	if len(log) != 2 || log[0] != 1 || log[1] != 2 {
+		t.Fatalf("handler firings seen by the funcs = %v, want [1 2]", log)
+	}
+}
+
+// Posting a handler and popping it allocates nothing: events are values
+// in the heap's backing array, and the handler is the caller's.
+func TestEnginePostAndPopAllocateNothing(t *testing.T) {
+	e := NewEngine()
+	h := &tally{}
+	const batch = 64
+	burst := func() {
+		now := e.Now()
+		for i := 0; i < batch; i++ {
+			e.Post(now.Add(Duration(batch-i)), h)
+		}
+		e.Run()
+	}
+	burst() // grow the queue's backing array once
+	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
+		t.Fatalf("%v allocations per burst of %d events, want 0", allocs, batch)
+	}
+	if h.fired != 102*batch {
+		t.Fatalf("handler fired %d times, want %d", h.fired, 102*batch)
+	}
+}
