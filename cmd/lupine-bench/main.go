@@ -293,7 +293,7 @@ func writeBenchRecord(path, bench string, env *experiments.Env) error {
 
 // writeSLOReports lands every run experiment's SLO report — sorted by
 // experiment id, indented, newline-terminated — so two same-seed runs
-// write byte-identical files (check.sh gates on cmp).
+// write byte-identical files.
 func writeSLOReports(path string, byID map[string]*slo.Report) error {
 	if len(byID) == 0 {
 		return fmt.Errorf("slo-out: no experiments ran, nothing to report")

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"strings"
 	"sync"
 
@@ -17,35 +16,25 @@ import (
 // lupine-base, for instance).
 //
 // The cache is a real build cache: lookups are counted as hits and
-// misses, entries carry LRU order, and Evict trims cold kernels under
-// pressure (a later build of an evicted configuration is an accounted
-// rebuild, not silent extra work). internal/bunny layers its
-// digest-addressed artifact cache on top of this kernel-level sharing.
+// misses, and every miss is an accounted kernel build. internal/bunny
+// layers its digest-addressed artifact cache on top of this kernel-level
+// sharing.
 type KernelCache struct {
 	db *kerneldb.DB
 
-	mu      sync.Mutex
-	images  map[string]*cacheEntry
-	tick    int // monotonic use counter driving LRU order
-	builds  int
-	hits    int
-	misses  int
-	evicted int
-}
-
-type cacheEntry struct {
-	img     *kbuild.Image
-	lastUse int
+	mu     sync.Mutex
+	images map[string]*kbuild.Image
+	builds int
+	hits   int
+	misses int
 }
 
 // CacheStats is the cache's full ledger: every Build is either a hit or
-// a miss, every miss is a kernel build, and evictions count the entries
-// pressure dropped (whose next request becomes a rebuild).
+// a miss, and every miss is a kernel build.
 type CacheStats struct {
-	Builds    int // kernel images compiled (== Misses)
-	Hits      int // builds served from a cached image
-	Misses    int // builds that found no cached image
-	Evictions int // entries dropped by Evict
+	Builds int // kernel images compiled (== Misses)
+	Hits   int // builds served from a cached image
+	Misses int // builds that found no cached image
 }
 
 // HitRate is the fraction of lookups served from cache.
@@ -58,7 +47,7 @@ func (s CacheStats) HitRate() float64 {
 
 // NewKernelCache returns an empty cache over the option database.
 func NewKernelCache(db *kerneldb.DB) *KernelCache {
-	return &KernelCache{db: db, images: make(map[string]*cacheEntry)}
+	return &KernelCache{db: db, images: make(map[string]*kbuild.Image)}
 }
 
 // Build is core.Build with kernel-image sharing: two specs requesting the
@@ -71,15 +60,13 @@ func (c *KernelCache) Build(spec Spec, opts BuildOpts) (*Unikernel, error) {
 	}
 	key := cacheKey(u.Kernel)
 	c.mu.Lock()
-	c.tick++
-	if e, ok := c.images[key]; ok {
+	if img, ok := c.images[key]; ok {
 		c.hits++
-		e.lastUse = c.tick
-		u.Kernel = e.img
+		u.Kernel = img
 	} else {
 		c.builds++
 		c.misses++
-		c.images[key] = &cacheEntry{img: u.Kernel, lastUse: c.tick}
+		c.images[key] = u.Kernel
 	}
 	c.mu.Unlock()
 	return u, nil
@@ -107,55 +94,9 @@ func (c *KernelCache) Stats() (builds, hits int) {
 	return c.builds, c.hits
 }
 
-// CacheStats reports the full hit/miss/evict ledger.
+// CacheStats reports the full hit/miss ledger.
 func (c *KernelCache) CacheStats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Builds: c.builds, Hits: c.hits, Misses: c.misses, Evictions: c.evicted}
-}
-
-// Len reports how many distinct kernel images are resident.
-func (c *KernelCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.images)
-}
-
-// Evict drops least-recently-used kernels until at most keep remain and
-// reports how many were dropped. Ties in last use break on key order, so
-// eviction is deterministic. A later build of an evicted configuration
-// pays a full, accounted rebuild.
-func (c *KernelCache) Evict(keep int) int {
-	if keep < 0 {
-		keep = 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.images) <= keep {
-		return 0
-	}
-	type cand struct {
-		key string
-		e   *cacheEntry
-	}
-	cands := make([]cand, 0, len(c.images))
-	for k, e := range c.images {
-		cands = append(cands, cand{k, e})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].e.lastUse != cands[j].e.lastUse {
-			return cands[i].e.lastUse < cands[j].e.lastUse
-		}
-		return cands[i].key < cands[j].key
-	})
-	dropped := 0
-	for _, cd := range cands {
-		if len(c.images) <= keep {
-			break
-		}
-		delete(c.images, cd.key)
-		c.evicted++
-		dropped++
-	}
-	return dropped
+	return CacheStats{Builds: c.builds, Hits: c.hits, Misses: c.misses}
 }

@@ -121,45 +121,3 @@ func TestKernelCacheSharesAcrossRootfsVariants(t *testing.T) {
 		t.Errorf("hit rate = %v, want 0.5", got)
 	}
 }
-
-// Evict drops LRU kernels deterministically and counts them; the next
-// build of an evicted configuration is an accounted rebuild.
-func TestKernelCacheEvict(t *testing.T) {
-	db := kerneldb.MustLoad()
-	cache := NewKernelCache(db)
-
-	for _, name := range []string{"redis", "nginx", "memcached"} {
-		if _, err := cache.Build(specFor(t, name), BuildOpts{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Touch redis so nginx becomes the LRU entry.
-	if _, err := cache.Build(specFor(t, "redis"), BuildOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	if n := cache.Evict(2); n != 1 {
-		t.Fatalf("evicted %d entries, want 1", n)
-	}
-	if cache.Len() != 2 {
-		t.Fatalf("resident %d kernels after evict, want 2", cache.Len())
-	}
-	// redis (touched) and memcached (recent) survived: rebuilding them is
-	// a hit; nginx was dropped and pays a rebuild.
-	before := cache.CacheStats()
-	if _, err := cache.Build(specFor(t, "memcached"), BuildOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	if st := cache.CacheStats(); st.Hits != before.Hits+1 {
-		t.Error("memcached should have survived eviction")
-	}
-	if _, err := cache.Build(specFor(t, "nginx"), BuildOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	st := cache.CacheStats()
-	if st.Builds != before.Builds+1 {
-		t.Error("nginx rebuild after eviction was not accounted as a build")
-	}
-	if st.Evictions != 1 {
-		t.Errorf("evictions = %d, want 1", st.Evictions)
-	}
-}

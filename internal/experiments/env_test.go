@@ -3,6 +3,7 @@ package experiments
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -146,7 +147,9 @@ func pinDigests(run stormRun, env *Env) [4]string {
 
 // Watching a run must not change it: every storm renders the same table
 // and SLO report whether its Env carries a tracer and registry or
-// leaves them nil. The watched run's outputs match the storm's pins.
+// leaves them nil. The watched run's outputs match the storm's pins, so
+// every same-seed run in any process exports the same bytes, and its
+// Chrome trace and SLO report are valid JSON.
 func TestWatchingDoesNotChangeStorms(t *testing.T) {
 	t.Parallel()
 	for _, id := range stormIDs {
@@ -168,6 +171,9 @@ func TestWatchingDoesNotChangeStorms(t *testing.T) {
 				if got[i] != want {
 					t.Errorf("%s digest %s, pinned %s", names[i], got[i], want)
 				}
+			}
+			if !json.Valid(env.Trace.ChromeTrace()) || !json.Valid([]byte(watched.slo)) {
+				t.Error("the Chrome trace or the SLO report is not valid JSON")
 			}
 			if blind.table != watched.table {
 				t.Errorf("telemetry changed the table:\n%s\n---\n%s", blind.table, watched.table)

@@ -135,10 +135,9 @@ func (f *Farm) Run(specs []*bunny.Spec, start simclock.Time) (*Result, error) {
 		InvalidRetries:  sa.InvalidRetries - stats0.InvalidRetries,
 	}
 	res.Kernels = core.CacheStats{
-		Builds:    ka.Builds - kern0.Builds,
-		Hits:      ka.Hits - kern0.Hits,
-		Misses:    ka.Misses - kern0.Misses,
-		Evictions: ka.Evictions - kern0.Evictions,
+		Builds: ka.Builds - kern0.Builds,
+		Hits:   ka.Hits - kern0.Hits,
+		Misses: ka.Misses - kern0.Misses,
 	}
 	return res, nil
 }

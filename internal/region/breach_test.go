@@ -41,6 +41,7 @@ func TestBreachLadderContains(t *testing.T) {
 		p := New(cfg, mustInj(t, probePlan(3*simclock.Time(ms), 6*simclock.Time(ms))))
 		res := p.Run()
 		checkCells(t, p, res)
+		checkPlacements(t, p, res)
 		return res
 	}
 	res := run()
@@ -101,6 +102,7 @@ func TestQuarantineDefersAtFloor(t *testing.T) {
 	p := New(cfg, mustInj(t, plan))
 	res := p.Run()
 	checkCells(t, p, res)
+	checkPlacements(t, p, res)
 
 	if res.Attack.Compromised != 1 {
 		t.Fatalf("want exactly one compromise: %+v", res.Attack)
@@ -141,6 +143,7 @@ func TestRepaveRolloutRace(t *testing.T) {
 	p := New(cfg, mustInj(t, plan))
 	res := p.Run()
 	checkCells(t, p, res)
+	checkPlacements(t, p, res)
 
 	if res.Attack.Compromised != 1 || res.Breach.Repaved != 1 {
 		t.Fatalf("repave must land before the rollout: attack %+v breach %+v",
@@ -180,6 +183,7 @@ func TestKMLBlastRadiusEvacuatesRegion(t *testing.T) {
 	p := New(cfg, mustInj(t, plan))
 	res := p.Run()
 	checkCells(t, p, res)
+	checkPlacements(t, p, res)
 
 	// One seeded compromise, then the host takeover: the escalation owns
 	// the victim's co-located peers (the default packing puts 2 of 3 VMs
@@ -219,6 +223,7 @@ func TestRepaveDeniedWithoutLineage(t *testing.T) {
 	p := New(cfg, mustInj(t, plan))
 	res := p.Run()
 	checkCells(t, p, res)
+	checkPlacements(t, p, res)
 
 	if res.Attack.Compromised != 1 {
 		t.Fatalf("want exactly one compromise: %+v", res.Attack)
@@ -229,5 +234,67 @@ func TestRepaveDeniedWithoutLineage(t *testing.T) {
 	if res.Breach.IsolatedOnly != 1 || res.Containment() != 0 {
 		t.Fatalf("victim must stay caged but unreplaced: %+v containment=%.2f",
 			res.Breach, res.Containment())
+	}
+}
+
+// A host crash after a repave kills the repaved victim but never
+// replaces it a second time.
+func TestHostCrashAfterRepaveKillsWithoutReplacing(t *testing.T) {
+	cfg := testConfig()
+	cfg.Regions = cfg.Regions[:1]
+	cfg.PoolPerRegion = 1
+	cfg.Breach = &BreachConfig{Campaign: breachCampaign(), CellFloor: 1}
+	p := New(cfg, mustInj(t, faults.Plan{
+		Seed: 7,
+		Rules: []faults.Rule{
+			{Site: attack.SiteSyscallProbe, From: 3 * simclock.Time(ms), NthHit: 1, Param: 1},
+			{Site: attack.SitePayload, Prob: 1},
+			{Site: SiteHostCrash, From: 12 * simclock.Time(ms), NthHit: 1, Param: 1001},
+		},
+	}))
+	res := p.Run()
+	checkCells(t, p, res)
+	checkPlacements(t, p, res)
+
+	if res.Breach.Repaved != 1 || res.HostCrashes != 1 {
+		t.Fatalf("repaved %d, host crashes %d; want 1 and 1", res.Breach.Repaved, res.HostCrashes)
+	}
+	if res.CrashKilled != 0 || res.CrashRecovered != 0 {
+		t.Errorf("killed %d, recovered %d; the repaved victim must not be replaced again",
+			res.CrashKilled, res.CrashRecovered)
+	}
+	if v := placementNamed(p, "r0/vm0"); v == nil || !v.moved || v.diedAt < 0 {
+		t.Error("the victim should be moved and stamped dead")
+	}
+}
+
+// Containment evacuation with no survivor to take its clean suspects
+// counts each one unrecovered: they were taken out of service and never
+// replaced anywhere.
+func TestContainmentEvacuationCountsLostSuspects(t *testing.T) {
+	cfg := testConfig()
+	cfg.Regions = cfg.Regions[:1]
+	cfg.PoolPerRegion = 4
+	cfg.Breach = &BreachConfig{
+		Campaign:        breachCampaign(),
+		Surface:         func(int) attack.Surface { return attack.Surface{KML: true} },
+		EvacuateDensity: 0.5,
+	}
+	p := New(cfg, mustInj(t, faults.Plan{
+		Seed: 7,
+		Rules: []faults.Rule{
+			{Site: attack.SiteSyscallProbe, From: 3 * simclock.Time(ms), NthHit: 1, Param: 1},
+			{Site: attack.SitePayload, Prob: 1},
+		},
+	}))
+	res := p.Run()
+	checkCells(t, p, res)
+	checkPlacements(t, p, res)
+
+	if res.Breach.RegionEvacs != 1 {
+		t.Fatalf("density threshold must evacuate the region: %+v", res.Breach)
+	}
+	if res.Unrecovered != 2 {
+		t.Errorf("Unrecovered = %d, want 2 (the clean suspects nowhere could take)", res.Unrecovered)
 	}
 }

@@ -2,7 +2,6 @@ package region
 
 import (
 	"lupine/internal/attack"
-	"lupine/internal/fleet"
 	"lupine/internal/simclock"
 	"lupine/internal/telemetry"
 )
@@ -11,9 +10,9 @@ import (
 // plane owns a guest. Detect (the campaign's canary anomalies) →
 // quarantine (breaker force-open + drain + fabric egress cut, so
 // lateral probes and poisoned responses die on the wire) → repave
-// (restore a known-good lineage from the snapshot machinery — the same
-// provision() every other recovery path prices through — cold boot only
-// on a restore-fault fallback) → region evacuation when compromise
+// (restore a known-good lineage through the same restore-and-land path
+// crash replacement and evacuation take — cold boot only on a
+// restore-fault fallback) → region evacuation when compromise
 // density says the whole failure domain is suspect. An identity with no
 // snapshot lineage (the libos comparators) has nothing attested to
 // restore: its repave is denied and the compromise is never recovered —
@@ -144,7 +143,7 @@ func (p *Plane) onCompromise(t *attack.Target, cause string, now simclock.Time) 
 	}
 	live, comp := 0, 0
 	for _, q := range r.placements {
-		if q.diedAt >= 0 || q.retired || q.moved {
+		if !q.live() {
 			continue
 		}
 		live++
@@ -170,21 +169,20 @@ func (p *Plane) onDetect(t *attack.Target, now simclock.Time) {
 // another recovery path already owns (crashed, blacked out, upgraded,
 // evacuated) are left to it.
 func (p *Plane) contain(pl *placement, now simclock.Time) {
-	if pl.contained || pl.retired || pl.moved || pl.diedAt >= 0 {
+	if pl.contained || !pl.live() {
 		return
 	}
 	pl.contained = true
 	if pl.reg.fl.Quarantine(pl.b, p.breachFloor(), now) {
 		p.noteQuarantine(pl, now)
-		p.repave(pl, false, now)
 	} else {
 		p.res.Breach.QuarantineDeferred++
 		if p.tr != nil {
 			p.tr.Instant("region", p.trTrack, "quarantine-deferred", now,
 				telemetry.A("backend", pl.b.Name))
 		}
-		p.repave(pl, true, now)
 	}
+	p.restore(&repaving, pl, now)
 }
 
 // noteQuarantine records a landed quarantine exactly once.
@@ -204,94 +202,56 @@ func (p *Plane) noteQuarantine(pl *placement, now simclock.Time) {
 	}
 }
 
-// repave replaces a compromised placement with a fresh boot of its
-// identity's known-good lineage: commit capacity, provision (warm
-// restore when a replica is resident, restore faults fall back cold),
-// admit the replacement, then retire the victim. An identity with no
-// snapshot lineage has nothing attested to restore from — the repave is
-// denied and the victim stays as it is (quarantined if the ladder got
-// that far). quarantineOnLand defers the victim's quarantine to the
-// replacement's landing, keeping the cell floor intact throughout.
-func (p *Plane) repave(pl *placement, quarantineOnLand bool, now simclock.Time) {
-	if p.idents[pl.ident].Snapshot == nil {
-		p.res.Breach.RepaveDenied++
-		if p.tr != nil {
-			p.tr.Instant("region", p.trTrack, "repave-denied", now,
-				telemetry.A("backend", pl.b.Name), telemetry.A("reason", "no-lineage"))
-		}
-		return
-	}
-	// Destination: the victim's own region while it still routes, else
-	// (dead or dark under containment evacuation) a survivor.
-	r := pl.reg
-	dest := r
-	var h *Host
-	if !r.dark && !r.dead {
-		h = bestHost(r.hosts, pl.bytes)
-	}
-	if h == nil {
-		dest, h = p.bestHostExcept(r, pl.bytes)
-	}
-	if h == nil {
-		p.res.Breach.RepaveDenied++
-		if p.tr != nil {
-			p.tr.Instant("region", p.trTrack, "repave-denied", now,
-				telemetry.A("backend", pl.b.Name), telemetry.A("reason", "no-capacity"))
-		}
-		return
-	}
-	h.acct.Commit(pl.bytes)
-	ready, restored, fallback := p.provision(dest, pl.ident, now)
-	switch {
-	case restored:
-		p.res.Breach.RepaveRestores++
-	case fallback:
-		p.res.Breach.RepaveFallbacks++
-	default:
-		p.res.Breach.RepaveCold++
-	}
-	p.provisioning++
-	name := pl.b.Name + "!"
-	hh, dd := h, dest
-	p.eng.Schedule(now.Add(ready), func(t simclock.Time) {
-		p.provisioning--
-		if dd.dark || pl.moved || pl.retired {
-			// The destination died under the boot, or another recovery
-			// path (blackout evacuation, a rolling upgrade) claimed the
-			// victim first; back out the repave.
-			hh.acct.Uncommit(pl.bytes)
-			p.maybeFinish(t)
-			return
-		}
-		nb := fleet.NewBackend(name, pl.tl)
-		npl := &placement{
-			b: nb, host: hh, reg: dd, ident: pl.ident,
-			kernel: pl.kernel, monitor: pl.monitor, tl: pl.tl,
-			bytes: pl.bytes, diedAt: -1,
-		}
-		nb.SetLiveGate(func(tt simclock.Time) bool { return npl.diedAt < 0 || tt < npl.diedAt })
-		nb.SetOnRelease(func(simclock.Time) { npl.host.acct.Uncommit(npl.bytes) })
-		dd.fl.Admit(nb, t)
-		dd.placements = append(dd.placements, npl)
-		p.armTarget(npl)
-		if quarantineOnLand {
-			// The replacement is in rotation; the floor holds with the
-			// victim gone, so the deferred quarantine lands now.
-			if pl.reg.fl.Quarantine(pl.b, 0, t) {
-				p.noteQuarantine(pl, t)
+// repaving replaces a compromised placement with a fresh boot of its
+// identity's known-good lineage, then retires the victim. The
+// replacement lands in the victim's own region while it is lit and
+// still routes, else (dead or dark under containment evacuation) in a
+// survivor. An identity with no snapshot lineage has nothing attested to
+// restore from: the repave is denied and the victim stays as it is
+// (quarantined if the ladder got that far). A quarantine the cell floor
+// deferred lands with the replacement, so the floor holds throughout.
+var repaving = recovery{
+	pick: func(p *Plane, victim *placement, now simclock.Time) (*Region, *Host) {
+		reason := "no-lineage"
+		if p.idents[victim.ident].Snapshot != nil {
+			r := victim.reg
+			if !r.dark && !r.dead {
+				if h := bestHost(r.hosts, victim.bytes); h != nil {
+					return r, h
+				}
 			}
+			if dest, h := p.bestHostExcept(r, victim.bytes); h != nil {
+				return dest, h
+			}
+			reason = "no-capacity"
 		}
-		pl.reg.fl.Retire(pl.b, t)
-		pl.moved = true
-		p.disarmTarget(pl, t)
+		p.res.Breach.RepaveDenied++
+		if p.tr != nil {
+			p.tr.Instant("region", p.trTrack, "repave-denied", now,
+				telemetry.A("backend", victim.b.Name), telemetry.A("reason", reason))
+		}
+		return nil, nil
+	},
+	suffix: func(*Region) string { return "!" },
+	tally: func(p *Plane, _ simclock.Duration, restored, fallback bool) {
+		b := &p.res.Breach
+		countProvision(restored, fallback, &b.RepaveRestores, &b.RepaveFallbacks, &b.RepaveCold)
+	},
+	landed: func(p *Plane, victim, repl *placement, t simclock.Time) {
+		// The replacement is in rotation; the floor holds with the victim
+		// gone, so a deferred quarantine lands now.
+		if !victim.quarantined && victim.reg.fl.Quarantine(victim.b, 0, t) {
+			p.noteQuarantine(victim, t)
+		}
+		victim.reg.fl.Retire(victim.b, t)
+		p.disarmTarget(victim, t)
 		p.res.Breach.Repaved++
 		if p.tr != nil {
 			p.tr.Instant("region", p.trTrack, "repave", t,
-				telemetry.A("backend", nb.Name),
-				telemetry.A("host", hh.name))
+				telemetry.A("backend", repl.b.Name),
+				telemetry.A("host", repl.host.name))
 		}
-		p.maybeFinish(t)
-	})
+	},
 }
 
 // containmentEvacuate treats the whole region as suspect: it leaves the
@@ -314,7 +274,7 @@ func (p *Plane) containmentEvacuate(r *Region, now simclock.Time) {
 			telemetry.A("region", r.name))
 	}
 	for _, pl := range r.placements {
-		if pl.diedAt >= 0 || pl.moved || pl.retired {
+		if !pl.live() {
 			continue
 		}
 		if pl.compromised {
@@ -326,7 +286,7 @@ func (p *Plane) containmentEvacuate(r *Region, now simclock.Time) {
 		p.disarmTarget(pl, now)
 		pl.retired = true
 		r.fl.Retire(pl.b, now)
-		p.evacuateOne(pl, now)
+		p.restore(&evacuation, pl, now)
 	}
 }
 
@@ -356,7 +316,7 @@ func (p *Plane) finishBreach() {
 				p.res.Breach.Contained++
 			case pl.quarantined:
 				p.res.Breach.IsolatedOnly++
-			case pl.diedAt < 0 && !pl.moved && !pl.retired:
+			case pl.live():
 				p.res.Breach.StillServing++
 			}
 		}

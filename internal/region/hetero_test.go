@@ -38,6 +38,7 @@ func TestHeterogeneousPoolsPlaceAndServe(t *testing.T) {
 	p := New(cfg, nil)
 	res := p.Run()
 	checkCells(t, p, res)
+	checkPlacements(t, p, res)
 	if res.OK != res.Total {
 		t.Errorf("mixed plane served %d/%d (shed %d, failed %d)", res.OK, res.Total, res.Shed, res.Failed)
 	}
@@ -73,6 +74,7 @@ func TestPerIdentityLineages(t *testing.T) {
 	p := New(cfg, inj)
 	res := p.Run()
 	checkCells(t, p, res)
+	checkPlacements(t, p, res)
 	if res.HostCrashes != 1 || res.CrashKilled == 0 {
 		t.Fatalf("crashes = %d, killed = %d", res.HostCrashes, res.CrashKilled)
 	}
@@ -120,6 +122,7 @@ func TestRollingUpgradePerIdentity(t *testing.T) {
 	p := New(cfg, nil)
 	res := p.Run()
 	checkCells(t, p, res)
+	checkPlacements(t, p, res)
 	if res.OK != res.Total {
 		t.Errorf("upgrade dented availability: %d/%d (shed %d, failed %d)",
 			res.OK, res.Total, res.Shed, res.Failed)
@@ -172,6 +175,7 @@ func TestHeterogeneousDeterministicReplay(t *testing.T) {
 		p := New(cfg, inj)
 		res := p.Run()
 		checkCells(t, p, res)
+		checkPlacements(t, p, res)
 		return res
 	}
 	a, b := run(), run()

@@ -39,14 +39,12 @@ type placement struct {
 	b       *fleet.Backend
 	host    *Host
 	reg     *Region
-	ident   int // index into the plane's identity list
-	kernel  string
-	monitor string
+	ident   int            // index into the plane's identity list
 	tl      fleet.Timeline // service record replacements/evacuees inherit
 	bytes   int64
 	diedAt  simclock.Time // -1 = alive; the live gate reads this
 	moved   bool          // replaced by an evacuation, crash restore or repave
-	retired bool          // drained out by a rolling upgrade
+	retired bool          // drained out by a rolling upgrade or a containment evacuation
 
 	// Breach-plane state (zero unless Config.Breach armed the attack).
 	tgt           *attack.Target // the placement's registration with the campaign
@@ -56,6 +54,10 @@ type placement struct {
 	quarantinedAt simclock.Time // valid when quarantined
 	contained     bool          // the containment ladder has claimed this placement
 }
+
+// live reports whether the placement still serves as itself: not dead,
+// not retired, and not replaced by another placement.
+func (pl *placement) live() bool { return pl.diedAt < 0 && !pl.retired && !pl.moved }
 
 // Region is one failure domain: hosts, a fleet cell behind a gateway on
 // its own fabric zone, and a snapshot store holding the warm pool.
@@ -252,9 +254,7 @@ func (p *Plane) addRegion(i int, rs RegionSpec) {
 }
 
 // place bin-packs one VM of the given identity onto the region host
-// with the most commit headroom (first host wins ties), admits the
-// backend into the cell, and wires the placement's live gate and
-// release hook.
+// with the most commit headroom (first host wins ties) and lands it.
 func (p *Plane) place(r *Region, name string, ident int, tl fleet.Timeline, now simclock.Time) *placement {
 	id := p.idents[ident]
 	h := bestHost(r.hosts, id.VMBytes)
@@ -263,18 +263,25 @@ func (p *Plane) place(r *Region, name string, ident int, tl fleet.Timeline, now 
 		return nil
 	}
 	h.acct.Commit(id.VMBytes)
+	p.res.Placed++
+	return p.land(r, h, name, ident, tl, now)
+}
+
+// land is the one way a VM joins a host: the caller has committed the
+// identity's bytes on h; land builds the backend, wires its live gate to
+// the placement's death record and its release to the host's ledger,
+// admits it into r's cell and registers it with the campaign.
+func (p *Plane) land(r *Region, h *Host, name string, ident int, tl fleet.Timeline, now simclock.Time) *placement {
 	b := fleet.NewBackend(name, tl)
 	pl := &placement{
-		b: b, host: h, reg: r, ident: ident,
-		kernel: id.Kernel, monitor: id.Monitor, tl: tl,
-		bytes: id.VMBytes, diedAt: -1,
+		b: b, host: h, reg: r, ident: ident, tl: tl,
+		bytes: p.idents[ident].VMBytes, diedAt: -1,
 	}
 	b.SetLiveGate(func(t simclock.Time) bool { return pl.diedAt < 0 || t < pl.diedAt })
 	b.SetOnRelease(func(simclock.Time) { pl.host.acct.Uncommit(pl.bytes) })
 	r.fl.Admit(b, now)
 	r.placements = append(r.placements, pl)
 	p.armTarget(pl)
-	p.res.Placed++
 	return pl
 }
 
@@ -440,8 +447,8 @@ func (p *Plane) controlTick(now simclock.Time) {
 }
 
 // blackout is the ground truth of a region dying: gateway and every VM
-// go dark at once. Nothing is signalled to the router — its probes have
-// to find out.
+// go dark at once, moved ones a long partition left in the cell too.
+// Nothing is signalled to the router — its probes have to find out.
 func (p *Plane) blackout(r *Region, now simclock.Time) {
 	r.dark = true
 	r.darkAt = now
@@ -456,9 +463,10 @@ func (p *Plane) blackout(r *Region, now simclock.Time) {
 	}
 }
 
-// crashHost kills one host: its placements die on the wire, are retired
-// from the cell, and replacements restore from the region's own warm
-// pool onto surviving local hosts.
+// crashHost kills one host: its placements die on the wire and are
+// retired from the cell. Those still serving as themselves get
+// replacements restored from the region's own warm pool onto surviving
+// local hosts; a placement another path already replaced only dies.
 func (p *Plane) crashHost(h *Host, now simclock.Time) {
 	h.dead = true
 	p.res.HostCrashes++
@@ -471,52 +479,83 @@ func (p *Plane) crashHost(h *Host, now simclock.Time) {
 		}
 		pl.diedAt = now
 		p.disarmTarget(pl, now)
+		h.region.fl.Retire(pl.b, now)
+		if pl.moved {
+			continue
+		}
 		p.res.CrashKilled++
 		h.region.st.Crashes++
-		h.region.fl.Retire(pl.b, now)
-		p.replaceLocal(pl, now)
+		p.restore(&crashReplacement, pl, now)
 	}
 }
 
-// replaceLocal restores a crashed VM's replacement inside its own
-// region, from the local warm pool, onto the best surviving host.
-func (p *Plane) replaceLocal(victim *placement, now simclock.Time) {
-	r := victim.reg
-	h := bestHost(r.hosts, victim.bytes)
+// recovery is what one restoring path — crash replacement, evacuation
+// or repave — brings to restore: pick chooses the destination (a nil
+// host gives up, and pick keeps the path's ledger of giving up), suffix
+// marks the replacement's name, tally counts each provision (nil counts
+// nothing), and landed is the path's own step once the replacement
+// serves.
+type recovery struct {
+	pick   func(p *Plane, victim *placement, now simclock.Time) (*Region, *Host)
+	suffix func(dest *Region) string
+	tally  func(p *Plane, ready simclock.Duration, restored, fallback bool)
+	landed func(p *Plane, victim, repl *placement, t simclock.Time)
+}
+
+// restore commits the victim's bytes on the host rc picks, provisions
+// the replacement there and lands it when it is ready. At the landing a
+// victim another path already owns — replaced, or retired by a rollout
+// while the containment ladder held it (the clean suspects containment
+// retires to evacuate are never contained) — releases the commit and
+// stops. A destination that went dark, or whose host died, during the
+// boot releases it and picks again; only pick's nil ends the recovery.
+func (p *Plane) restore(rc *recovery, victim *placement, now simclock.Time) {
+	dest, h := rc.pick(p, victim, now)
 	if h == nil {
-		return // no capacity: finishStats counts the victim unrecovered
+		return
 	}
 	h.acct.Commit(victim.bytes)
-	ready, _, _ := p.provision(r, victim.ident, now)
+	ready, restored, fallback := p.provision(dest, victim.ident, now)
+	if rc.tally != nil {
+		rc.tally(p, ready, restored, fallback)
+	}
 	p.provisioning++
-	name := victim.b.Name + "'"
+	name := victim.b.Name + rc.suffix(dest)
 	p.eng.Schedule(now.Add(ready), func(t simclock.Time) {
 		p.provisioning--
-		if r.dark {
-			// The whole region died while the replacement was booting;
-			// evacuation owns the recovery now.
+		switch {
+		case victim.moved || victim.retired && victim.contained:
 			h.acct.Uncommit(victim.bytes)
-			p.maybeFinish(t)
-			return
-		}
-		nb := fleet.NewBackend(name, victim.tl)
-		pl := &placement{
-			b: nb, host: h, reg: r, ident: victim.ident,
-			kernel: victim.kernel, monitor: victim.monitor, tl: victim.tl,
-			bytes: victim.bytes, diedAt: -1,
-		}
-		nb.SetLiveGate(func(tt simclock.Time) bool { return pl.diedAt < 0 || tt < pl.diedAt })
-		nb.SetOnRelease(func(simclock.Time) { pl.host.acct.Uncommit(pl.bytes) })
-		r.fl.Admit(nb, t)
-		r.placements = append(r.placements, pl)
-		p.armTarget(pl)
-		victim.moved = true
-		p.res.CrashRecovered++
-		if p.tr != nil {
-			p.tr.Instant("region", p.trTrack, "crash-restore", t, telemetry.A("backend", nb.Name))
+		case dest.dark || h.dead:
+			h.acct.Uncommit(victim.bytes)
+			p.restore(rc, victim, t)
+		default:
+			repl := p.land(dest, h, name, victim.ident, victim.tl, t)
+			victim.moved = true
+			rc.landed(p, victim, repl, t)
 		}
 		p.maybeFinish(t)
 	})
+}
+
+// crashReplacement restores a crashed VM inside its own region, from the
+// local warm pool, onto the best surviving host. Once the region is
+// dark, evacuation owns the victim. Giving up needs no ledger of its
+// own: finishStats counts the dead victim unrecovered.
+var crashReplacement = recovery{
+	pick: func(p *Plane, victim *placement, _ simclock.Time) (*Region, *Host) {
+		if r := victim.reg; !r.dark {
+			return r, bestHost(r.hosts, victim.bytes)
+		}
+		return nil, nil
+	},
+	suffix: func(*Region) string { return "'" },
+	landed: func(p *Plane, _, repl *placement, t simclock.Time) {
+		p.res.CrashRecovered++
+		if p.tr != nil {
+			p.tr.Instant("region", p.trTrack, "crash-restore", t, telemetry.A("backend", repl.b.Name))
+		}
+	},
 }
 
 // provision prices bringing one VM of the given identity up in region
@@ -542,6 +581,19 @@ func (p *Plane) provision(r *Region, ident int, now simclock.Time) (ready simclo
 	return rr.Ready, rr.Restored, !rr.Restored
 }
 
+// countProvision adds one provision to a path's restore, fallback or
+// cold-boot counter.
+func countProvision(restored, fallback bool, restores, fallbacks, cold *int) {
+	switch {
+	case restored:
+		*restores++
+	case fallback:
+		*fallbacks++
+	default:
+		*cold++
+	}
+}
+
 // --- evacuation ---
 
 // maybeEvacuate runs when a dead region's dwell expires: if it healed
@@ -562,57 +614,40 @@ func (p *Plane) maybeEvacuate(r *Region, now simclock.Time) {
 		if pl.moved || pl.retired {
 			continue
 		}
-		p.evacuateOne(pl, now)
+		p.restore(&evacuation, pl, now)
 	}
 }
 
-// evacuateOne restores one dead-region backend into the surviving
-// region with the most commit headroom, from that region's replica
-// store — cold-booting only when no replica is there or a restore
-// fault forces the fallback.
-func (p *Plane) evacuateOne(victim *placement, now simclock.Time) {
-	dest, h := p.bestHostExcept(victim.reg, victim.bytes)
-	if dest == nil {
-		return // nowhere to go: finishStats counts the victim unrecovered
-	}
-	h.acct.Commit(victim.bytes)
-	ready, restored, fallback := p.provision(dest, victim.ident, now)
-	p.res.EvacReady = append(p.res.EvacReady, ready)
-	switch {
-	case restored:
-		p.res.EvacRestores++
-	case fallback:
-		p.res.EvacFallbacks++
-	default:
-		p.res.EvacCold++
-	}
-	p.idstats[victim.ident].Evacuated++
-	p.provisioning++
-	name := victim.b.Name + "@" + dest.name
-	p.eng.Schedule(now.Add(ready), func(t simclock.Time) {
-		p.provisioning--
-		nb := fleet.NewBackend(name, victim.tl)
-		pl := &placement{
-			b: nb, host: h, reg: dest, ident: victim.ident,
-			kernel: victim.kernel, monitor: victim.monitor, tl: victim.tl,
-			bytes: victim.bytes, diedAt: -1,
+// evacuation restores one dead-region backend into the surviving region
+// with the most commit headroom, from that region's replica store —
+// cold-booting only when no replica is there or a restore fault forces
+// the fallback. A dead victim nowhere can take is counted unrecovered by
+// finishStats; a clean suspect containment retired to evacuate it is
+// counted here, since finishStats skips retired placements.
+var evacuation = recovery{
+	pick: func(p *Plane, victim *placement, _ simclock.Time) (*Region, *Host) {
+		dest, h := p.bestHostExcept(victim.reg, victim.bytes)
+		if h == nil && victim.retired {
+			p.res.Unrecovered++
 		}
-		nb.SetLiveGate(func(tt simclock.Time) bool { return pl.diedAt < 0 || tt < pl.diedAt })
-		nb.SetOnRelease(func(simclock.Time) { pl.host.acct.Uncommit(pl.bytes) })
-		dest.fl.Admit(nb, t)
-		dest.placements = append(dest.placements, pl)
-		p.armTarget(pl)
-		dest.st.TookIn++
-		victim.moved = true
+		return dest, h
+	},
+	suffix: func(dest *Region) string { return "@" + dest.name },
+	tally: func(p *Plane, ready simclock.Duration, restored, fallback bool) {
+		p.res.EvacReady = append(p.res.EvacReady, ready)
+		countProvision(restored, fallback, &p.res.EvacRestores, &p.res.EvacFallbacks, &p.res.EvacCold)
+	},
+	landed: func(p *Plane, victim, repl *placement, t simclock.Time) {
+		repl.reg.st.TookIn++
+		p.idstats[victim.ident].Evacuated++
 		p.res.Evacuated++
 		if t > p.res.EvacEnd {
 			p.res.EvacEnd = t
 		}
 		if p.tr != nil {
 			p.tr.Instant("region", p.trTrack, "evac-restore", t,
-				telemetry.A("backend", nb.Name),
-				telemetry.A("host", h.name))
+				telemetry.A("backend", repl.b.Name),
+				telemetry.A("host", repl.host.name))
 		}
-		p.maybeFinish(t)
-	})
+	},
 }

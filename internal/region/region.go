@@ -344,7 +344,7 @@ type Result struct {
 	CrashKilled    int // VMs those crashes took down
 	CrashRecovered int // replacements restored in-region
 
-	Unrecovered int // killed backends never replaced anywhere
+	Unrecovered int // taken out of service and never replaced anywhere
 
 	Upgraded    int           // backends replaced by rolling upgrades
 	UpgradeDone simclock.Time // last rollout completion (-1 = none ran)

@@ -53,6 +53,49 @@ func checkCells(t *testing.T, p *Plane, res Result) {
 	}
 }
 
+// checkPlacements asserts the placement lifecycle at the end of a run:
+// every placement still serving as itself sits on a live host in a lit
+// region, the fault plane stamped every other placement it took down,
+// each moved placement was counted by exactly one recovery, and no
+// provisioning is left in flight.
+func checkPlacements(t *testing.T, p *Plane, res Result) {
+	t.Helper()
+	moved := 0
+	for _, r := range p.Regions() {
+		for _, pl := range r.placements {
+			if pl.moved {
+				moved++
+			}
+			down := pl.host.dead || r.dark
+			if pl.live() && down {
+				t.Errorf("%s serves on %s (dead %v) in %s (dark %v)", pl.b.Name, pl.host.name, pl.host.dead, r.name, r.dark)
+			}
+			if down && !pl.retired && pl.diedAt < 0 {
+				t.Errorf("%s on %s in %s went down unstamped", pl.b.Name, pl.host.name, r.name)
+			}
+		}
+	}
+	if got := res.CrashRecovered + res.Evacuated + res.Breach.Repaved; got != moved {
+		t.Errorf("CrashRecovered %d + Evacuated %d + Repaved %d = %d recoveries for %d moved placements",
+			res.CrashRecovered, res.Evacuated, res.Breach.Repaved, got, moved)
+	}
+	if p.provisioning != 0 {
+		t.Errorf("%d provisions still in flight at end of run", p.provisioning)
+	}
+}
+
+// placementNamed finds a placement by backend name, or nil.
+func placementNamed(p *Plane, name string) *placement {
+	for _, r := range p.Regions() {
+		for _, pl := range r.placements {
+			if pl.b.Name == name {
+				return pl
+			}
+		}
+	}
+	return nil
+}
+
 func mustInj(t *testing.T, pl faults.Plan) *faults.Injector {
 	t.Helper()
 	inj, err := faults.New(pl)
@@ -77,6 +120,7 @@ func TestCleanRunServesEverything(t *testing.T) {
 	p := New(cfg, nil)
 	res := p.Run()
 	checkCells(t, p, res)
+	checkPlacements(t, p, res)
 	if res.Total != cfg.Requests {
 		t.Fatalf("Total = %d, want %d", res.Total, cfg.Requests)
 	}
@@ -99,6 +143,7 @@ func TestBlackoutFailoverAndWarmEvacuation(t *testing.T) {
 	p := New(cfg, mustInj(t, blackoutPlan()))
 	res := p.Run()
 	checkCells(t, p, res)
+	checkPlacements(t, p, res)
 
 	if !p.Regions()[1].Dark() {
 		t.Fatal("region r1 should be dark")
@@ -149,6 +194,7 @@ func TestColdEvacuationWithoutReplicas(t *testing.T) {
 	p := New(cfg, mustInj(t, blackoutPlan()))
 	res := p.Run()
 	checkCells(t, p, res)
+	checkPlacements(t, p, res)
 
 	if res.Evacuated != cfg.PoolPerRegion {
 		t.Fatalf("Evacuated = %d, want %d", res.Evacuated, cfg.PoolPerRegion)
@@ -165,6 +211,7 @@ func TestColdEvacuationWithoutReplicas(t *testing.T) {
 	pw := New(testConfig(), mustInj(t, blackoutPlan()))
 	warm := pw.Run()
 	checkCells(t, pw, warm)
+	checkPlacements(t, pw, warm)
 	if res.EvacDuration() <= warm.EvacDuration() {
 		t.Errorf("cold evacuation (%v) should be slower than warm (%v)",
 			res.EvacDuration(), warm.EvacDuration())
@@ -184,6 +231,7 @@ func TestEvacuationRestoreFaultFallsBackCold(t *testing.T) {
 	p := New(cfg, mustInj(t, restoreFaultPlan()))
 	res := p.Run()
 	checkCells(t, p, res)
+	checkPlacements(t, p, res)
 	if res.Evacuated != cfg.PoolPerRegion {
 		t.Fatalf("Evacuated = %d, want %d", res.Evacuated, cfg.PoolPerRegion)
 	}
@@ -212,6 +260,7 @@ func TestPartitionFalseTripHealsAndRejoins(t *testing.T) {
 	p := New(cfg, mustInj(t, partitionPlan()))
 	res := p.Run()
 	checkCells(t, p, res)
+	checkPlacements(t, p, res)
 
 	if p.Regions()[1].Dark() {
 		t.Fatal("a partition must not darken the region: it is alive")
@@ -252,6 +301,7 @@ func TestHostCrashRestoresLocally(t *testing.T) {
 	p := New(cfg, mustInj(t, crashPlan()))
 	res := p.Run()
 	checkCells(t, p, res)
+	checkPlacements(t, p, res)
 
 	if res.HostCrashes != 1 {
 		t.Fatalf("HostCrashes = %d, want 1", res.HostCrashes)
@@ -293,9 +343,11 @@ func TestDeterministicReplay(t *testing.T) {
 	pa := New(testConfig(), mustInj(t, stormPlan()))
 	a := pa.Run()
 	checkCells(t, pa, a)
+	checkPlacements(t, pa, a)
 	pb := New(testConfig(), mustInj(t, stormPlan()))
 	b := pb.Run()
 	checkCells(t, pb, b)
+	checkPlacements(t, pb, b)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different runs:\n a=%+v\n b=%+v", a, b)
 	}
@@ -314,11 +366,134 @@ func TestPlacementDeniedWhenHostsFull(t *testing.T) {
 	p := New(cfg, nil)
 	res := p.Run()
 	checkCells(t, p, res)
+	checkPlacements(t, p, res)
 	if res.PlacementDenied == 0 {
 		t.Fatal("overcommitted hosts should deny placements")
 	}
 	if res.Placed+res.PlacementDenied != 3*cfg.PoolPerRegion {
 		t.Errorf("Placed(%d) + Denied(%d) != requested %d",
 			res.Placed, res.PlacementDenied, 3*cfg.PoolPerRegion)
+	}
+}
+
+// An evacuee whose destination goes dark while it cold-boots backs out
+// and picks again: r1 blacks out at 8 ms, r2 at 19 ms, and the r1
+// evacuee bound for r2 lands in r0 instead of serving from a dead
+// region.
+func TestEvacueeRepicksWhenDestinationGoesDark(t *testing.T) {
+	cfg := testConfig()
+	cfg.Snapshot = nil
+	cfg.Replicate = false
+	cfg.ColdBoot = 20 * ms
+	p := New(cfg, mustInj(t, faults.Plan{
+		Seed: 7,
+		Rules: []faults.Rule{
+			{Site: SiteBlackout, From: 8 * simclock.Time(ms), To: 9 * simclock.Time(ms), Prob: 1, Param: 2},
+			{Site: SiteBlackout, From: 19 * simclock.Time(ms), To: 20 * simclock.Time(ms), Prob: 1, Param: 3},
+		},
+	}))
+	res := p.Run()
+	checkCells(t, p, res)
+	checkPlacements(t, p, res)
+
+	for i, want := range []int{6, 0, 0} {
+		if got := res.PerRegion[i].TookIn; got != want {
+			t.Errorf("%s TookIn = %d, want %d", res.PerRegion[i].Name, got, want)
+		}
+	}
+	if res.Unrecovered != 0 {
+		t.Errorf("Unrecovered = %d, want 0", res.Unrecovered)
+	}
+	if placementNamed(p, "r1/vm1@r2") != nil {
+		t.Error("r1/vm1 landed in dark r2")
+	}
+	if pl := placementNamed(p, "r1/vm1@r0"); pl == nil || !pl.live() {
+		t.Error("r1/vm1 should have picked again and serve from r0")
+	}
+}
+
+// A crash replacement whose host crashes while it boots backs out and
+// picks again: h0 dies at 8 ms, its VM's replacement heads for h1, h1
+// dies at 9 ms, and both replacements land on h2.
+func TestCrashReplacementRepicksWhenHostDies(t *testing.T) {
+	cfg := testConfig()
+	cfg.Snapshot = nil
+	cfg.Regions[0].Hosts = 3
+	p := New(cfg, mustInj(t, faults.Plan{
+		Seed: 7,
+		Rules: []faults.Rule{
+			{Site: SiteHostCrash, From: 8 * simclock.Time(ms), To: 9 * simclock.Time(ms), NthHit: 1, Param: 1001},
+			{Site: SiteHostCrash, From: 9 * simclock.Time(ms), NthHit: 1, Param: 1002},
+		},
+	}))
+	res := p.Run()
+	checkCells(t, p, res)
+	checkPlacements(t, p, res)
+
+	if res.HostCrashes != 2 || res.CrashKilled != 2 || res.CrashRecovered != 2 {
+		t.Errorf("crashes %d, killed %d, recovered %d; want 2, 2, 2",
+			res.HostCrashes, res.CrashKilled, res.CrashRecovered)
+	}
+	for _, name := range []string{"r0/vm0'", "r0/vm1'"} {
+		if pl := placementNamed(p, name); pl == nil || !pl.live() || pl.host.name != "r0/h2" {
+			t.Errorf("%s should serve from r0/h2", name)
+		}
+	}
+}
+
+// partitionPastDwell cuts all trunk traffic into region 1 (0-based) from
+// 4 ms to 30 ms — far past the evacuation dwell, so the region is
+// evacuated while its cell, and the moved placements in it, stay alive.
+func partitionPastDwell() faults.Plan {
+	return faults.Plan{
+		Seed: 7,
+		Rules: []faults.Rule{
+			{Site: fabric.SiteTrunkCut, From: 4 * simclock.Time(ms), To: 30 * simclock.Time(ms), Prob: 1, Param: CutInto(1)},
+		},
+	}
+}
+
+// A host crash inside an evacuated region kills the moved placements
+// there but never replaces them a second time.
+func TestHostCrashAfterEvacuationKillsWithoutReplacing(t *testing.T) {
+	plan := partitionPastDwell()
+	plan.Rules = append(plan.Rules, faults.Rule{Site: SiteHostCrash, From: 18 * simclock.Time(ms), NthHit: 1, Param: 2001})
+	p := New(testConfig(), mustInj(t, plan))
+	res := p.Run()
+	checkCells(t, p, res)
+	checkPlacements(t, p, res)
+
+	if res.Evacuated != 3 || res.HostCrashes != 1 {
+		t.Fatalf("evacuated %d, host crashes %d; want 3 and 1", res.Evacuated, res.HostCrashes)
+	}
+	if res.CrashKilled != 0 || res.CrashRecovered != 0 {
+		t.Errorf("killed %d, recovered %d; moved placements must not be replaced again",
+			res.CrashKilled, res.CrashRecovered)
+	}
+	h0 := p.Regions()[1].hosts[0]
+	for _, pl := range p.Regions()[1].placements {
+		if pl.host == h0 && pl.diedAt < 0 {
+			t.Errorf("%s on crashed %s left unstamped", pl.b.Name, h0.name)
+		}
+	}
+}
+
+// A blackout of a region evacuated under a long partition stamps the
+// moved placements still alive in its cell.
+func TestBlackoutAfterEvacuationStampsMoved(t *testing.T) {
+	plan := partitionPastDwell()
+	plan.Rules = append(plan.Rules, faults.Rule{Site: SiteBlackout, From: 18 * simclock.Time(ms), To: 19 * simclock.Time(ms), Prob: 1, Param: 2})
+	p := New(testConfig(), mustInj(t, plan))
+	res := p.Run()
+	checkCells(t, p, res)
+	checkPlacements(t, p, res)
+
+	if res.Evacuated != 3 || res.Unrecovered != 0 {
+		t.Fatalf("evacuated %d, unrecovered %d; want 3 and 0", res.Evacuated, res.Unrecovered)
+	}
+	for _, pl := range p.Regions()[1].placements {
+		if !pl.moved || pl.diedAt < 0 {
+			t.Errorf("%s: moved %v, diedAt %v; want moved and stamped dead", pl.b.Name, pl.moved, pl.diedAt)
+		}
 	}
 }

@@ -84,7 +84,7 @@ func (p *Plane) rolloutRegion(ro *rollout, ri int, now simclock.Time) {
 func (p *Plane) rolloutTargets(r *Region, ident int) []*placement {
 	var out []*placement
 	for _, pl := range r.placements {
-		if pl.ident == ident && pl.diedAt < 0 && !pl.retired && !pl.moved {
+		if pl.ident == ident && pl.live() {
 			out = append(out, pl)
 		}
 	}
@@ -110,12 +110,10 @@ func (p *Plane) rolloutStep(ro *rollout, ri int, surge *placement, targets []*pl
 		return
 	}
 	old := targets[i]
-	if old.diedAt >= 0 || old.retired || old.moved {
+	if !old.live() {
 		// A crash, blackout or containment repave got there first; its own
-		// recovery path owns the backend. Without the moved check a repaved
-		// (already retired) backend would be drained again — and a second
-		// drain on a retired backend never fires its continuation, stalling
-		// the rollout forever.
+		// recovery path owns the backend. A second drain of a repaved
+		// (already retired) backend would never fire its continuation.
 		p.rolloutStep(ro, ri, surge, targets, i+1, now)
 		return
 	}

@@ -66,19 +66,6 @@ func (st *Store) Get(kernel, monitor string) (*Snapshot, bool) {
 	return nil, false
 }
 
-// Peek looks a snapshot up without touching LRU order or hit/miss
-// accounting — placement checks that only ask "is a replica here?"
-// must not perturb the eviction order a real restore would see.
-func (st *Store) Peek(kernel, monitor string) (*Snapshot, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	e, ok := st.snaps[storeKey(kernel, monitor)]
-	if !ok {
-		return nil, false
-	}
-	return e.snap, true
-}
-
 // GetOrCapture returns the cached snapshot or captures one through the
 // callback and caches it. The callback runs outside the lock-free fast
 // path only on a miss, so N identical kernels pay one capture.

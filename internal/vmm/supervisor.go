@@ -246,29 +246,6 @@ func Supervise(policy RestartPolicy, boot BootFn) SupervisorReport {
 // Run executes boot under the supervisor's policy on a fresh virtual
 // timeline, retains the report, and returns it.
 func (s *Supervisor) Run(boot BootFn) SupervisorReport {
-	return s.run(func(int) BootFn { return boot })
-}
-
-// RunWithRestore is Run with a snapshot-restore restart mode: the first
-// attempt cold boots, every restart relaunches through restore (the
-// Firecracker snapshot path). A nil restore degrades to Run. The restore
-// function is still a BootFn — on a corrupt snapshot it is expected to
-// fall back to a cold boot itself and account the extra latency in the
-// attempt it returns.
-func (s *Supervisor) RunWithRestore(boot, restore BootFn) SupervisorReport {
-	if restore == nil {
-		return s.Run(boot)
-	}
-	return s.run(func(attempt int) BootFn {
-		if attempt == 1 {
-			return boot
-		}
-		return restore
-	})
-}
-
-// run drives the restart loop; pick selects the launch path per attempt.
-func (s *Supervisor) run(pick func(attempt int) BootFn) SupervisorReport {
 	policy := s.Policy
 	clk := simclock.New()
 	var rep SupervisorReport
@@ -289,7 +266,7 @@ func (s *Supervisor) run(pick func(attempt int) BootFn) SupervisorReport {
 			}
 		}
 		start := clk.Now()
-		att := pick(attempt)(attempt)
+		att := boot(attempt)
 		// The watchdog fires from outside the guest: a lifetime that did
 		// not reach ready within the budget is cut off and reclassified,
 		// whatever the guest thought it was doing.

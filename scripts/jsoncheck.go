@@ -1,5 +1,5 @@
 // Command jsoncheck exits nonzero unless every argument is a file
-// containing valid JSON. check.sh uses it to validate trace exports
+// containing valid JSON. check.sh uses it to validate the CLI's exports
 // without assuming a system python or jq.
 package main
 
