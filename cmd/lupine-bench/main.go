@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -43,8 +42,6 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write the telemetry metrics registry as JSON (plus an OpenMetrics sibling at <path>.prom)")
 	sloOut := flag.String("slo-out", "", "write the per-experiment SLO reports (objectives, burns, alerts, incidents) as JSON")
 	flight := flag.Bool("flight", false, "print flight-recorder crash dumps after the runs")
-	benchOut := flag.String("bench-out", "", "run the -bench storm and append a wall-clock bench record to this JSON file")
-	bench := flag.String("bench", "netsplit", "which storm -bench-out samples: netsplit, regionfail, catalog, or breach")
 	flag.Parse()
 
 	// The telemetry plane is off (nil) unless an output asks for it, so
@@ -99,14 +96,6 @@ func main() {
 				fmt.Printf("%s:\n", subsystem)
 			}
 			fmt.Printf("  %-26s %s\n", s.Name, s.Doc)
-		}
-		return
-	}
-
-	if *benchOut != "" {
-		if err := writeBenchRecord(*benchOut, *bench, newEnv()); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
 		}
 		return
 	}
@@ -210,85 +199,6 @@ func main() {
 	if failed > 0 {
 		os.Exit(1)
 	}
-}
-
-// benchRecord is one wall-clock trajectory sample scripts/check.sh
-// lands in BENCH_<storm>.json: how fast the event engine chews through
-// the storm on this machine, plus the headline results so a perf
-// regression that changes behavior is visible in the same file. The
-// file holds a JSON array and every run appends, so the trajectory
-// accumulates instead of each run clobbering the last.
-type benchRecord struct {
-	Experiment      string  `json:"experiment"`
-	When            string  `json:"when"`
-	Seed            uint64  `json:"seed"`
-	Events          int     `json:"events"`
-	WallSeconds     float64 `json:"wall_seconds"`
-	EventsPerSec    float64 `json:"events_per_sec"`
-	Availability    float64 `json:"availability"`            // headline lupine+mp row
-	P99Micros       float64 `json:"p99_us,omitempty"`        // netsplit: served p99 virtual latency
-	DetectP99Micros float64 `json:"detect_p99_us,omitempty"` // regionfail: failover detection p99
-	HitRate         float64 `json:"hit_rate,omitempty"`      // catalog: redeploy artifact-cache hit rate
-	Containment     float64 `json:"containment,omitempty"`   // breach: hardened-row contained/compromised
-
-	// Engine self-observability (ROADMAP item 2's baseline): how much
-	// the event engine allocates per virtual event, sampled around the
-	// storm with runtime.ReadMemStats.
-	AllocsPerEvent float64 `json:"allocs_per_event,omitempty"`
-	BytesPerEvent  float64 `json:"bytes_per_event,omitempty"`
-}
-
-// readBenchRecords loads the existing trajectory. A missing file is an
-// empty trajectory; anything but a JSON array of records is an error.
-func readBenchRecords(path string) ([]benchRecord, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var recs []benchRecord
-	if err := json.Unmarshal(b, &recs); err != nil {
-		return nil, fmt.Errorf("bench-out: %s is not a JSON array of bench records: %w", path, err)
-	}
-	return recs, nil
-}
-
-func writeBenchRecord(path, bench string, env *experiments.Env) error {
-	recs, err := readBenchRecords(path)
-	if err != nil {
-		return err
-	}
-	rec := benchRecord{
-		Experiment: bench,
-		When:       time.Now().UTC().Format(time.RFC3339),
-		Seed:       env.Seed,
-	}
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	sum, err := experiments.Bench(bench, env)
-	if err != nil {
-		return fmt.Errorf("bench-out: %w", err)
-	}
-	rec.WallSeconds = time.Since(start).Seconds()
-	rec.Events, rec.Availability = sum.Events, sum.Availability
-	rec.P99Micros, rec.DetectP99Micros = sum.P99Micros, sum.DetectP99Micros
-	rec.HitRate, rec.Containment = sum.HitRate, sum.Containment
-	rec.EventsPerSec = float64(rec.Events) / rec.WallSeconds
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	if rec.Events > 0 {
-		rec.AllocsPerEvent = float64(after.Mallocs-before.Mallocs) / float64(rec.Events)
-		rec.BytesPerEvent = float64(after.TotalAlloc-before.TotalAlloc) / float64(rec.Events)
-	}
-	recs = append(recs, rec)
-	b, err := json.MarshalIndent(recs, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 // writeSLOReports lands every run experiment's SLO report — sorted by

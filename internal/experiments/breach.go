@@ -106,10 +106,6 @@ func breachRegionConfig(seed uint64) region.Config {
 // first repave landing is kept so the tests can assert the alert fired
 // before the plane finished recovering.
 func runBreachRow(env *Env, name, hardening string, boot simclock.Duration, scoped bool, cfg region.Config) (breachRow, error) {
-	inj, err := faults.New(breachPlan(env.Seed))
-	if err != nil {
-		return breachRow{}, err
-	}
 	track := "breach/" + name
 	var objs []slo.Objective
 	if scoped {
@@ -121,8 +117,10 @@ func runBreachRow(env *Env, name, hardening string, boot simclock.Duration, scop
 			Rules:  slo.DefaultRules(simclock.Millisecond, 5, 2),
 		}, sloRegionAvailability(track, cfg.Regions, 0.99, slo.DefaultRules(simclock.Millisecond, 10, 4))}
 	}
-	r := env.row(track, inj, breachSloEvery, objs...)
-	res := runRow(r, region.New(cfg, inj))
+	res, r, err := env.runRegion(track, breachPlan(env.Seed), cfg, breachSloEvery, objs...)
+	if err != nil {
+		return breachRow{}, err
+	}
 	row := breachRow{System: name, Hardening: hardening, Boot: boot, Res: res, scope: r.scope, firstRepave: -1}
 	if r.scope != nil {
 		for _, e := range r.tr.Events() {
@@ -265,24 +263,4 @@ func runBreach(env *Env) (fmt.Stringer, error) {
 		"libos comparators have no snapshot lineage to attest a repave from: quarantine cages the compromise but the backend is never replaced — unrecovered counts caged-forever plus still-serving compromises",
 	)
 	return t, nil
-}
-
-// BreachBench summarizes one campaign sweep for the wall-clock
-// trajectory (scripts emit it as BENCH_breach.json): total virtual
-// events across all rows plus the fully hardened lupine+mp row's
-// availability and containment.
-func BreachBench(env *Env) (BenchSummary, error) {
-	rows, err := runBreachStorm(env)
-	if err != nil {
-		return BenchSummary{}, err
-	}
-	var s BenchSummary
-	for _, r := range rows {
-		s.Events += r.Res.Events
-		if r.System == "lupine+mp+full" {
-			s.Availability = r.Res.Availability()
-			s.Containment = r.Res.Containment()
-		}
-	}
-	return s, nil
 }

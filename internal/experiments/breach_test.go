@@ -131,22 +131,6 @@ func TestBreachDeterminism(t *testing.T) {
 	}
 }
 
-// TestBreachBenchSummary: the JSON summary reflects the hardened row.
-func TestBreachBenchSummary(t *testing.T) {
-	t.Parallel()
-	s, err := BreachBench(newEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Events <= 0 {
-		t.Fatalf("events = %d", s.Events)
-	}
-	if s.Availability < 0.9 || s.Containment < 0.9 {
-		t.Fatalf("hardened row regressed: availability %.3f containment %.3f",
-			s.Availability, s.Containment)
-	}
-}
-
 // TestBreachRuntimeScale: the hardening data-path price really lands in
 // the row's fleet config.
 func TestBreachRuntimeScale(t *testing.T) {
@@ -156,12 +140,4 @@ func TestBreachRuntimeScale(t *testing.T) {
 	}
 }
 
-func BenchmarkBreach(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s, err := BreachBench(newEnv())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(s.Events), "events/op")
-	}
-}
+func BenchmarkBreach(b *testing.B) { benchHeadline(b, "breach") }

@@ -252,6 +252,19 @@ func identSummary(res region.Result) string {
 	return out
 }
 
+// shedSummary renders per-region shed counts in region order, e.g.
+// "0/12/3".
+func shedSummary(res region.Result) string {
+	out := ""
+	for i, rs := range res.PerRegion {
+		if i > 0 {
+			out += "/"
+		}
+		out += fmt.Sprintf("%d", rs.Shed)
+	}
+	return out
+}
+
 func runCatalog(env *Env) (fmt.Stringer, error) {
 	res, err := runCatalogStorm(env)
 	if err != nil {
@@ -264,13 +277,6 @@ func runCatalog(env *Env) (fmt.Stringer, error) {
 			"upgraded", "placed-u-upgraded", "shed r0/r1/r2", "unrecovered"},
 	}
 	for _, r := range res.Rows {
-		shed := ""
-		for i, rs := range r.Res.PerRegion {
-			if i > 0 {
-				shed += "/"
-			}
-			shed += fmt.Sprintf("%d", rs.Shed)
-		}
 		t.AddRow(
 			r.System,
 			metrics.Percent(r.Res.Availability()),
@@ -278,7 +284,7 @@ func runCatalog(env *Env) (fmt.Stringer, error) {
 			fmt.Sprintf("%d/%d/%d", r.Res.EvacRestores, r.Res.EvacFallbacks, r.Res.EvacCold),
 			r.Res.Upgraded,
 			identSummary(r.Res),
-			shed,
+			shedSummary(r.Res),
 			r.Res.Unrecovered,
 		)
 	}
@@ -297,23 +303,4 @@ func runCatalog(env *Env) (fmt.Stringer, error) {
 		"placed-u-upgraded: per identity in config order, initial placements and upgrade replacements; comparator rows run the same mixed shape but die of the workload's first fork",
 	)
 	return t, nil
-}
-
-// CatalogBench summarizes one catalog storm for the wall-clock
-// trajectory (scripts emit it as BENCH_catalog.json): total virtual
-// events across the fleet rows, the warm mixed row's availability, and
-// the redeploy batch's artifact-cache hit rate.
-func CatalogBench(env *Env) (BenchSummary, error) {
-	res, err := runCatalogStorm(env)
-	if err != nil {
-		return BenchSummary{}, err
-	}
-	s := BenchSummary{HitRate: res.Redeploy.Stats.HitRate()}
-	for _, r := range res.Rows {
-		s.Events += r.Res.Events
-		if r.System == "lupine-mixed" {
-			s.Availability = r.Res.Availability()
-		}
-	}
-	return s, nil
 }

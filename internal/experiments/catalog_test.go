@@ -146,33 +146,4 @@ func TestCatalogStorm(t *testing.T) {
 	}
 }
 
-// CatalogBench feeds the wall-clock trajectory file; its headline
-// numbers must match what the storm measures.
-func TestCatalogBench(t *testing.T) {
-	t.Parallel()
-	s, err := CatalogBench(newEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Events <= 0 {
-		t.Errorf("events = %d", s.Events)
-	}
-	if s.Availability < 0.99 {
-		t.Errorf("availability = %.3f", s.Availability)
-	}
-	if s.HitRate < 0.85 || s.HitRate > 1 {
-		t.Errorf("hit rate = %.2f", s.HitRate)
-	}
-}
-
-func BenchmarkCatalog(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s, err := CatalogBench(newEnv())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(s.Events), "events/op")
-		b.ReportMetric((1-s.Availability)*100, "%unavail")
-		b.ReportMetric(s.HitRate*100, "%cache-hit")
-	}
-}
+func BenchmarkCatalog(b *testing.B) { benchHeadline(b, "catalog") }

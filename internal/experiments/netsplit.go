@@ -249,23 +249,3 @@ func runNetSplit(env *Env) (fmt.Stringer, error) {
 	)
 	return t, nil
 }
-
-// NetSplitBench summarizes one storm for the wall-clock trajectory
-// (scripts emit it as BENCH_netsplit.json): total virtual events
-// executed across all rows plus the lupine+mp round-robin row's
-// availability and p99.
-func NetSplitBench(env *Env) (BenchSummary, error) {
-	results, err := runNetSplitStorm(env)
-	if err != nil {
-		return BenchSummary{}, err
-	}
-	var s BenchSummary
-	for _, r := range results {
-		s.Events += r.Res.Events
-		if r.System == "lupine+mp" && r.Policy == fleet.PolicyRR {
-			s.Availability = r.Res.Availability()
-			s.P99Micros = r.Res.Percentile(99).Microseconds()
-		}
-	}
-	return s, nil
-}

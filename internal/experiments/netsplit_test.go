@@ -139,28 +139,4 @@ func TestNetSplitTraceHasWireHistory(t *testing.T) {
 	}
 }
 
-func BenchmarkNetSplit(b *testing.B) {
-	var sink string
-	for i := 0; i < b.N; i++ {
-		results, err := runNetSplitStorm(newEnv())
-		if err != nil {
-			b.Fatal(err)
-		}
-		events, unavail, shed := 0, 0.0, 0.0
-		var p99 float64
-		for _, r := range results {
-			events += r.Res.Events
-			if r.System == "lupine+mp" && r.Policy == "rr" {
-				unavail = 1 - r.Res.Availability()
-				shed = r.Res.ShedRate()
-				p99 = r.Res.Percentile(99).Microseconds()
-			}
-		}
-		b.ReportMetric(float64(events), "events/op")
-		b.ReportMetric(unavail*100, "%unavail")
-		b.ReportMetric(shed*100, "%shed")
-		b.ReportMetric(p99, "p99-µs")
-		sink = results[0].System
-	}
-	_ = sink
-}
+func BenchmarkNetSplit(b *testing.B) { benchHeadline(b, "netsplit") }

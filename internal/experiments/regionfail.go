@@ -97,17 +97,15 @@ type regionRow struct {
 // blackout, so the slow rule's window must be wide enough to catch it
 // and reach back to the fault.
 func runRegionRow(env *Env, experiment, name string, plan func(seed uint64) faults.Plan, warm, scoped bool, cfg region.Config) (regionRow, error) {
-	inj, err := faults.New(plan(env.Seed))
-	if err != nil {
-		return regionRow{}, err
-	}
 	track := experiment + "/" + name
 	var objs []slo.Objective
 	if scoped {
 		objs = append(objs, sloRegionAvailability(track, cfg.Regions, 0.999, slo.DefaultRules(2*simclock.Millisecond, 10, 4)))
 	}
-	row := env.row(track, inj, sloEvery, objs...)
-	res := runRow(row, region.New(cfg, inj))
+	res, row, err := env.runRegion(track, plan(env.Seed), cfg, sloEvery, objs...)
+	if err != nil {
+		return regionRow{}, err
+	}
 	return regionRow{System: name, Warm: warm, Res: res, scope: row.scope}, nil
 }
 
@@ -186,13 +184,6 @@ func runRegionFail(env *Env) (fmt.Stringer, error) {
 		if r.Warm {
 			warm = "yes"
 		}
-		shed := ""
-		for i, rs := range r.Res.PerRegion {
-			if i > 0 {
-				shed += "/"
-			}
-			shed += fmt.Sprintf("%d", rs.Shed)
-		}
 		t.AddRow(
 			r.System,
 			warm,
@@ -203,7 +194,7 @@ func runRegionFail(env *Env) (fmt.Stringer, error) {
 			fmt.Sprintf("%d/%d/%d", r.Res.EvacRestores, r.Res.EvacFallbacks, r.Res.EvacCold),
 			r.Res.EvacReadyPercentile(50).Microseconds(),
 			r.Res.EvacDuration().Microseconds(),
-			shed,
+			shedSummary(r.Res),
 			r.Res.Unrecovered,
 		)
 	}
@@ -216,24 +207,4 @@ func runRegionFail(env *Env) (fmt.Stringer, error) {
 		"unikernel comparator pools die of the workload's first fork and keep dying wherever the plane restores them — the kernel, not the region, is what cannot serve",
 	)
 	return t, nil
-}
-
-// RegionFailBench summarizes one storm for the wall-clock trajectory
-// (scripts emit it as BENCH_regionfail.json): total virtual events
-// across all rows plus the warm lupine+mp row's availability and
-// failover-detection p99.
-func RegionFailBench(env *Env) (BenchSummary, error) {
-	results, err := runRegionFailStorm(env)
-	if err != nil {
-		return BenchSummary{}, err
-	}
-	var s BenchSummary
-	for _, r := range results {
-		s.Events += r.Res.Events
-		if r.System == "lupine+mp" {
-			s.Availability = r.Res.Availability()
-			s.DetectP99Micros = r.Res.DetectPercentile(99).Microseconds()
-		}
-	}
-	return s, nil
 }

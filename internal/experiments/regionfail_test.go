@@ -156,14 +156,4 @@ func TestRegionFailTraceHasControlHistory(t *testing.T) {
 	}
 }
 
-func BenchmarkRegionFail(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s, err := RegionFailBench(newEnv())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(s.Events), "events/op")
-		b.ReportMetric((1-s.Availability)*100, "%unavail")
-		b.ReportMetric(s.DetectP99Micros, "detect-p99-µs")
-	}
-}
+func BenchmarkRegionFail(b *testing.B) { benchHeadline(b, "regionfail") }

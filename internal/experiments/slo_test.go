@@ -152,8 +152,9 @@ func TestBreachSLOContainmentAlertPrecedesRepave(t *testing.T) {
 	}
 }
 
-// Same seed, same storm ⇒ byte-identical SLO report. The check.sh gate
-// asserts this across processes; this is the in-process version.
+// Same seed, same storm ⇒ byte-identical SLO report. stormPins holds
+// every storm's seed-42 report to a fixed digest, so any process must
+// reproduce it; this is the in-process version at one storm.
 func TestSLOReportDeterministic(t *testing.T) {
 	t.Parallel()
 	report := func() []byte {

@@ -1,19 +1,19 @@
 package experiments
 
 // The skeleton the storms share: the observation wiring of one storm
-// row (its telemetry and, on the hero row, its SLO scope), supervised
-// pools, the libos comparators' one doomed lifetime under the redis
-// workload, and the BENCH trajectory summaries.
+// row (its telemetry and, on the hero row, its SLO scope), one region
+// plane row, supervised pools, and the libos comparators' one doomed
+// lifetime under the redis workload.
 
 import (
 	"fmt"
-	"strings"
 
 	"lupine/internal/core"
 	"lupine/internal/faults"
 	"lupine/internal/fleet"
 	"lupine/internal/guest"
 	"lupine/internal/libos"
+	"lupine/internal/region"
 	"lupine/internal/simclock"
 	"lupine/internal/slo"
 	"lupine/internal/telemetry"
@@ -69,6 +69,19 @@ func runRow[R any](r stormRow, p plane[R]) R {
 	res := p.Run()
 	r.scope.Finish(p.Clock().Now())
 	return res
+}
+
+// runRegion drives a region plane of cfg through plan's storm on row
+// track: it builds the plan's injector, opens the row with the caller's
+// sample interval and objectives, and runs region.New(cfg, inj) under
+// it.
+func (env *Env) runRegion(track string, plan faults.Plan, cfg region.Config, every simclock.Duration, objs ...slo.Objective) (region.Result, stormRow, error) {
+	inj, err := faults.New(plan)
+	if err != nil {
+		return region.Result{}, stormRow{}, err
+	}
+	row := env.row(track, inj, every, objs...)
+	return runRow(row, region.New(cfg, inj)), row, nil
 }
 
 // supervise runs u's VM lifetimes through plan's storm under the chaos
@@ -158,41 +171,4 @@ func (env *Env) libosTimeline(crash vmm.Attempt, track string) func(ri, vi int) 
 	return func(ri, vi int) fleet.Timeline {
 		return fleet.FromReport(env.superviseCrash(crash, fmt.Sprintf("%s/r%d/vm%d", track, ri, vi)))
 	}
-}
-
-// BenchSummary is one storm run's headline for its BENCH_<storm>.json
-// wall-clock trajectory: the virtual events executed across every row,
-// the headline row's availability, and the storm's own figure (the
-// other figures stay zero).
-type BenchSummary struct {
-	Events          int
-	Availability    float64
-	P99Micros       float64 // netsplit: served p99 virtual latency
-	DetectP99Micros float64 // regionfail: failover detection p99
-	HitRate         float64 // catalog: redeploy artifact-cache hit rate
-	Containment     float64 // breach: hardened-row contained/compromised
-}
-
-// benchStorms are the storms with a BENCH trajectory.
-var benchStorms = []struct {
-	id  string
-	run func(*Env) (BenchSummary, error)
-}{
-	{"netsplit", NetSplitBench},
-	{"regionfail", RegionFailBench},
-	{"catalog", CatalogBench},
-	{"breach", BreachBench},
-}
-
-// Bench runs storm id once under env and summarizes it; an id without a
-// trajectory is an error listing the valid ones.
-func Bench(id string, env *Env) (BenchSummary, error) {
-	var valid []string
-	for _, s := range benchStorms {
-		if s.id == id {
-			return s.run(env)
-		}
-		valid = append(valid, s.id)
-	}
-	return BenchSummary{}, fmt.Errorf("unknown storm %q (valid: %s)", id, strings.Join(valid, ", "))
 }

@@ -147,6 +147,30 @@ func TestUnarmedHitLeavesInjectorUntouched(t *testing.T) {
 	}
 }
 
+// A Hit that fires nothing allocates nothing, so an armed plan costs
+// the hot paths that consult it no garbage: a site no rule names, an
+// armed site whose rule does not fire, and a nil injector.
+func TestHitAllocations(t *testing.T) {
+	ms := simclock.Time(simclock.Millisecond)
+	spent := MustNew(Plan{Rules: []Rule{{Site: "test/alpha", NthHit: 1}}})
+	spent.Hit("test/alpha", 0) // the rule's one fire
+	cases := []struct {
+		name string
+		inj  *Injector
+		site string
+	}{
+		{"unarmed site", MustNew(Plan{Rules: []Rule{{Site: "test/alpha", NthHit: 1}}}), "test/beta"},
+		{"past its nth hit", spent, "test/alpha"},
+		{"window not open yet", MustNew(Plan{Rules: []Rule{{Site: "test/alpha", NthHit: 1, From: 5 * ms}}}), "test/alpha"},
+		{"nil injector", nil, "test/alpha"},
+	}
+	for _, c := range cases {
+		if allocs := testing.AllocsPerRun(100, func() { c.inj.Hit(c.site, 0) }); allocs != 0 {
+			t.Errorf("%s: Hit allocates %v per call, want 0", c.name, allocs)
+		}
+	}
+}
+
 func TestRulesAreIndependent(t *testing.T) {
 	inj := MustNew(Plan{Rules: []Rule{
 		{Site: "test/alpha", NthHit: 1, Param: 1},

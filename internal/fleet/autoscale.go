@@ -119,17 +119,24 @@ func (f *Fleet) launch(now simclock.Time) {
 	f.scalePending++
 	f.eng.Schedule(now.Add(l.Ready), func(t simclock.Time) {
 		f.scalePending--
-		nb := NewBackend(fmt.Sprintf("auto%d", seq), launchTimeline(l))
-		nb.onRelease = l.OnRetired
-		f.admit(nb, t)
-		f.observeProvision(nb, now, t, l.Restored, "scale-up")
-		if l.Restored {
-			f.res.Restores++
-		} else {
-			f.res.ColdBoots++
-		}
-		f.notePool(t)
+		f.join(l, "auto", seq, "scale-up", now, t)
 	})
+}
+
+// join admits launch l's backend, named prefix<seq>, at t: it observes
+// the provisioning that began at start as kind and counts the backend
+// as a restore or a cold boot.
+func (f *Fleet) join(l Launch, prefix string, seq int, kind string, start, t simclock.Time) {
+	nb := NewBackend(fmt.Sprintf("%s%d", prefix, seq), launchTimeline(l))
+	nb.onRelease = l.OnRetired
+	f.admit(nb, t)
+	f.observeProvision(nb, start, t, l.Restored, kind)
+	if l.Restored {
+		f.res.Restores++
+	} else {
+		f.res.ColdBoots++
+	}
+	f.notePool(t)
 }
 
 // newestActive returns the most recently admitted active backend — the

@@ -240,11 +240,7 @@ func (r *Result) ShedRate() float64 {
 
 // Percentile returns the p-th percentile served latency.
 func (r *Result) Percentile(p float64) simclock.Duration {
-	ns := make([]int64, len(r.Latencies))
-	for i, d := range r.Latencies {
-		ns[i] = int64(d)
-	}
-	return simclock.Duration(metrics.Percentile(ns, p))
+	return metrics.Percentile(r.Latencies, p)
 }
 
 // request is one client request's journey through the front-end. It
@@ -602,15 +598,21 @@ func (f *Fleet) breakerFailure(b *Backend, now simclock.Time) {
 	if b.breaker.State() == BreakerOpen {
 		f.res.BreakerOpens++
 		if before != BreakerOpen && b.aliveAt(now) {
-			f.res.FalseTrips++
-			if f.tr != nil {
-				f.tr.Instant("fleet", f.btrack(b), "breaker:false-trip", now)
-				f.tr.Trip(f.btrack(b), "false-trip", now)
-				// Dump the wire's own ring too: the retransmission storm
-				// that talked the breaker into this is the post-mortem.
-				f.tr.Trip(f.netTrack, "false-trip:"+b.Name, now)
-			}
+			f.falseTrip(b, now)
 		}
+	}
+}
+
+// falseTrip counts a breaker open against b while it was actually
+// alive: the wire, not the VM, failed.
+func (f *Fleet) falseTrip(b *Backend, now simclock.Time) {
+	f.res.FalseTrips++
+	if f.tr != nil {
+		f.tr.Instant("fleet", f.btrack(b), "breaker:false-trip", now)
+		f.tr.Trip(f.btrack(b), "false-trip", now)
+		// Dump the wire's own ring too: the retransmission storm that
+		// talked the breaker into this is the post-mortem.
+		f.tr.Trip(f.netTrack, "false-trip:"+b.Name, now)
 	}
 }
 
@@ -743,12 +745,7 @@ func (f *Fleet) probeVerdict(b *Backend, ok bool, now simclock.Time) {
 	before := b.breaker.State()
 	b.breaker.ProbeFailure(now)
 	if b.breaker.State() == BreakerOpen && before != BreakerOpen && b.aliveAt(now) {
-		f.res.FalseTrips++
-		if f.tr != nil {
-			f.tr.Instant("fleet", f.btrack(b), "breaker:false-trip", now)
-			f.tr.Trip(f.btrack(b), "false-trip", now)
-			f.tr.Trip(f.netTrack, "false-trip:"+b.Name, now)
-		}
+		f.falseTrip(b, now)
 	}
 }
 

@@ -1,10 +1,6 @@
 package fleet
 
-import (
-	"fmt"
-
-	"lupine/internal/simclock"
-)
+import "lupine/internal/simclock"
 
 // The memory-pressure plane: a pool can attach a MemoryPlane that the
 // engine drives on a fixed virtual-time tick. The plane owns the host
@@ -89,19 +85,9 @@ func (f *Fleet) OOMKill(l *Launch, now simclock.Time) *Backend {
 	f.retire(b, now)
 	if l != nil {
 		f.scaleSeq++
-		seq := f.scaleSeq
-		lv := *l
+		seq, lv := f.scaleSeq, *l
 		f.eng.Schedule(now.Add(lv.Ready), func(t simclock.Time) {
-			nb := NewBackend(fmt.Sprintf("oom%d", seq), launchTimeline(lv))
-			nb.onRelease = lv.OnRetired
-			f.admit(nb, t)
-			f.observeProvision(nb, now, t, lv.Restored, "oom-replace")
-			if lv.Restored {
-				f.res.Restores++
-			} else {
-				f.res.ColdBoots++
-			}
-			f.notePool(t)
+			f.join(lv, "oom", seq, "oom-replace", now, t)
 		})
 	}
 	return b

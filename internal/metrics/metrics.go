@@ -4,6 +4,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -51,12 +52,12 @@ func Percent(ratio float64) string { return trimFloat(ratio*100) + "%" }
 // [1, n], so p <= 0 yields the minimum, p = 100 (or anything above)
 // yields the maximum, a single sample answers every p, and an empty
 // input returns 0. It sorts a copy; the input is never reordered.
-func Percentile(samples []int64, p float64) int64 {
+func Percentile[S ~int64](samples []S, p float64) S {
 	if len(samples) == 0 {
 		return 0
 	}
-	sorted := append([]int64(nil), samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(samples)
+	slices.Sort(sorted)
 	rank := int(p/100*float64(len(sorted)) + 0.9999999)
 	if rank < 1 {
 		rank = 1

@@ -137,7 +137,7 @@ func TestPercentileNearestRank(t *testing.T) {
 			t.Errorf("Percentile(%v) = %d, want %d", c.p, got, c.want)
 		}
 	}
-	if got := Percentile(nil, 50); got != 0 {
+	if got := Percentile[int64](nil, 50); got != 0 {
 		t.Errorf("Percentile(nil) = %d, want 0", got)
 	}
 	if got := Percentile([]int64{7}, 99); got != 7 {

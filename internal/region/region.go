@@ -371,24 +371,13 @@ func (r *Result) Availability() float64 {
 
 // Percentile returns the p-th percentile served latency.
 func (r *Result) Percentile(p float64) simclock.Duration {
-	ns := make([]int64, len(r.Latencies))
-	for i, d := range r.Latencies {
-		ns[i] = int64(d)
-	}
-	return simclock.Duration(metrics.Percentile(ns, p))
+	return metrics.Percentile(r.Latencies, p)
 }
 
 // DetectPercentile returns the p-th percentile failover detection
 // latency over true failovers (0 when none happened).
 func (r *Result) DetectPercentile(p float64) simclock.Duration {
-	if len(r.Detect) == 0 {
-		return 0
-	}
-	ns := make([]int64, len(r.Detect))
-	for i, d := range r.Detect {
-		ns[i] = int64(d)
-	}
-	return simclock.Duration(metrics.Percentile(ns, p))
+	return metrics.Percentile(r.Detect, p)
 }
 
 // EvacReadyPercentile returns the p-th percentile per-evacuee
@@ -396,14 +385,7 @@ func (r *Result) DetectPercentile(p float64) simclock.Duration {
 // restore-backed evacuations from cold ones even when one fallback's
 // cold boot dominates the wave's wall time.
 func (r *Result) EvacReadyPercentile(p float64) simclock.Duration {
-	if len(r.EvacReady) == 0 {
-		return 0
-	}
-	ns := make([]int64, len(r.EvacReady))
-	for i, d := range r.EvacReady {
-		ns[i] = int64(d)
-	}
-	return simclock.Duration(metrics.Percentile(ns, p))
+	return metrics.Percentile(r.EvacReady, p)
 }
 
 // EvacDuration is the wall span of the evacuation wave (0 = none ran).
@@ -428,12 +410,5 @@ func (r *Result) Containment() float64 {
 // span a compromised placement stayed on the wire before its egress was
 // cut (end of run when it never was). 0 when nothing was compromised.
 func (r *Result) DwellPercentile(p float64) simclock.Duration {
-	if len(r.Breach.Dwell) == 0 {
-		return 0
-	}
-	ns := make([]int64, len(r.Breach.Dwell))
-	for i, d := range r.Breach.Dwell {
-		ns[i] = int64(d)
-	}
-	return simclock.Duration(metrics.Percentile(ns, p))
+	return metrics.Percentile(r.Breach.Dwell, p)
 }

@@ -5,7 +5,8 @@ package slo
 // and the alert and incident timelines. All fields are derived from
 // virtual-time state only, and render through encoding/json with sorted
 // construction, so two same-seed runs emit byte-identical reports —
-// check.sh gates on exactly that with cmp.
+// TestWatchingDoesNotChangeStorms in internal/experiments pins every
+// storm's report by sha256.
 
 import (
 	"encoding/json"

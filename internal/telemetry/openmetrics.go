@@ -4,8 +4,8 @@ package telemetry
 // exports, rendered in the format Prometheus-family scrapers ingest.
 // Everything here is deterministic — metrics sort by name within kind,
 // numbers format via strconv — so two same-seed runs expose
-// byte-identical text, and the check.sh determinism gates can cmp the
-// .prom files the same way they cmp traces.
+// byte-identical text, which TestWatchingDoesNotChangeStorms in
+// internal/experiments pins by sha256 the same way it pins traces.
 
 import (
 	"strconv"

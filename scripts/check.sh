@@ -62,16 +62,4 @@ go run ./cmd/lupine-bench -run regionfail -trace-out="$tracedir/trace.json" \
 go run ./scripts/jsoncheck.go "$tracedir/trace.json" "$tracedir/slo.json" "$tracedir/metrics.json"
 echo "   valid trace, SLO report and metrics JSON"
 
-# Wall-clock trajectory samples: how fast this machine's event engine
-# chews through the storms, with the headline availability (and p99 /
-# failover-detection p99 / hit rate / containment) alongside so a perf
-# fix that changes behavior shows in the same file. -bench-out appends,
-# so each BENCH_<storm>.json accumulates a trajectory across runs
-# instead of keeping only the latest sample.
-for storm in netsplit regionfail catalog breach; do
-    echo "== bench record (BENCH_$storm.json)"
-    go run ./cmd/lupine-bench -bench="$storm" -bench-out="BENCH_$storm.json"
-    go run ./scripts/jsoncheck.go "BENCH_$storm.json"
-done
-
 echo "== ok"
