@@ -30,6 +30,9 @@ import (
 	"lupine/internal/telemetry"
 )
 
+// storms are the experiments that take -seed and leave an SLO report.
+const storms = "chaos, fleetchaos, surge, memstorm, netsplit, regionfail, catalog, breach"
+
 func main() {
 	list := flag.Bool("list", false, "list available experiments")
 	listApps := flag.Bool("list-apps", false, "list the application catalog the pipeline can build")
@@ -37,7 +40,7 @@ func main() {
 	run := flag.String("run", "", "comma-separated experiment ids (default all)")
 	csvDir := flag.String("csv", "", "write each table as <dir>/<id>.csv (for plotting)")
 	jsonOut := flag.Bool("json", false, "emit results as a JSON array (machine-readable)")
-	seed := flag.Uint64("seed", 42, "seed for every fault storm (chaos, fleetchaos, surge, memstorm, netsplit, regionfail, catalog, breach)")
+	seed := flag.Uint64("seed", 42, "seed for every fault storm ("+storms+")")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON of the runs (load in Perfetto or chrome://tracing)")
 	metricsOut := flag.String("metrics-out", "", "write the telemetry metrics registry as JSON (plus an OpenMetrics sibling at <path>.prom)")
 	sloOut := flag.String("slo-out", "", "write the per-experiment SLO reports (objectives, burns, alerts, incidents) as JSON")
@@ -206,7 +209,7 @@ func main() {
 // write byte-identical files.
 func writeSLOReports(path string, byID map[string]*slo.Report) error {
 	if len(byID) == 0 {
-		return fmt.Errorf("slo-out: no experiments ran, nothing to report")
+		return fmt.Errorf("slo-out: none of the selected experiments produces an SLO report; the storms do: %s", storms)
 	}
 	reps := make([]*slo.Report, 0, len(byID))
 	for _, r := range byID {

@@ -37,10 +37,6 @@ type App struct {
 	// (plus the kernel) determines its footprint (Figure 8).
 	StartupBytes int64
 
-	// ReserveBytes is additional address space the app maps but does not
-	// populate (redis's large lazy allocation, §4.4).
-	ReserveBytes int64
-
 	// RequestWork is the user-CPU cost of serving one request, for the
 	// benchmarked servers.
 	RequestWork simclock.Duration
@@ -76,11 +72,6 @@ func (a *App) Manifest() *manifest.Manifest {
 func (a *App) Main(p *guest.Proc, probeOnly bool) int {
 	if code := a.startupChecks(p); code != 0 {
 		return code
-	}
-	if a.ReserveBytes > 0 {
-		if e := p.Mmap(a.ReserveBytes, false); e != guest.OK {
-			return 1
-		}
 	}
 	if a.StartupBytes > 0 {
 		if e := p.Touch(a.StartupBytes); e != guest.OK {

@@ -147,90 +147,51 @@ func (s Surface) exposes(syscall string) bool {
 	return s.HasSyscall == nil || s.HasSyscall(syscall)
 }
 
-// Config tunes one campaign. All durations are virtual.
+// Config tunes one campaign.
 type Config struct {
 	// Vectors are the syscall names probes aim at; rule Params index
 	// into this list (1-based, 0 = seeded draw).
 	Vectors []string
 
-	// AttackEvery is the campaign tick period: each tick consults
-	// SiteSyscallProbe once. Start is the first tick (0 = AttackEvery).
-	AttackEvery simclock.Duration
-	Start       simclock.Time
-
 	// Payload discounts: the probability a landed, armed payload beats
 	// each hardening feature the victim built in.
-	ASLRBypass float64 // vs RANDOMIZE_BASE (default 0.25)
-	WXBypass   float64 // vs STRICT_KERNEL_RWX (default 0.5)
-
-	// Lateral movement: every LateralEvery, each compromised guest
-	// probes up to LateralFanout peers over the fabric; a probe that
-	// goes unanswered within LateralTimeout is blocked spread.
-	LateralEvery   simclock.Duration
-	LateralFanout  int
-	LateralTimeout simclock.Duration
-
-	// EscalateAfter is the dwell between compromising a KML guest and
-	// owning its host. A repave landing inside the window averts it.
-	EscalateAfter simclock.Duration
-
-	// Canary detection: every CanaryEvery sweep, each compromised
-	// undetected guest trips one anomaly instant; CanaryFailAfter
-	// consecutive anomalies raise the detect hook.
-	CanaryEvery     simclock.Duration
-	CanaryFailAfter int
+	ASLRBypass float64 // vs RANDOMIZE_BASE
+	WXBypass   float64 // vs STRICT_KERNEL_RWX
 
 	Seed uint64
 }
 
-// DefaultConfig is a campaign paced for the region plane's default
-// traffic window.
-func DefaultConfig() Config {
-	const us = simclock.Microsecond
-	return Config{
-		AttackEvery:     500 * us,
-		ASLRBypass:      0.25,
-		WXBypass:        0.5,
-		LateralEvery:    500 * us,
-		LateralFanout:   2,
-		LateralTimeout:  200 * us,
-		EscalateAfter:   400 * us,
-		CanaryEvery:     500 * us,
-		CanaryFailAfter: 2,
-		Seed:            42,
-	}
-}
+// The campaign's fixed pacing, set for the region plane's default
+// traffic window. All durations are virtual.
+const (
+	// attackEvery is the campaign tick period: each tick consults
+	// SiteSyscallProbe once, the first one attackEvery in.
+	attackEvery = 500 * simclock.Microsecond
 
-func (c *Config) normalize() {
-	if c.AttackEvery <= 0 {
-		c.AttackEvery = 500 * simclock.Microsecond
-	}
-	if c.Start <= 0 {
-		c.Start = simclock.Time(c.AttackEvery)
-	}
-	if c.ASLRBypass <= 0 {
-		c.ASLRBypass = 0.25
-	}
-	if c.WXBypass <= 0 {
-		c.WXBypass = 0.5
-	}
-	if c.LateralEvery <= 0 {
-		c.LateralEvery = 500 * simclock.Microsecond
-	}
-	if c.LateralFanout <= 0 {
-		c.LateralFanout = 2
-	}
-	if c.LateralTimeout <= 0 {
-		c.LateralTimeout = 200 * simclock.Microsecond
-	}
-	if c.EscalateAfter <= 0 {
-		c.EscalateAfter = 400 * simclock.Microsecond
-	}
-	if c.CanaryEvery <= 0 {
-		c.CanaryEvery = 500 * simclock.Microsecond
-	}
-	if c.CanaryFailAfter <= 0 {
-		c.CanaryFailAfter = 2
+	// Lateral movement: every lateralEvery, each compromised guest
+	// probes up to lateralFanout peers over the fabric; a probe that
+	// goes unanswered within lateralTimeout is blocked spread.
+	lateralEvery   = 500 * simclock.Microsecond
+	lateralFanout  = 2
+	lateralTimeout = 200 * simclock.Microsecond
+
+	// escalateAfter is the dwell between compromising a KML guest and
+	// owning its host. A repave landing inside the window averts it.
+	escalateAfter = 400 * simclock.Microsecond
+
+	// Canary detection: every canaryEvery sweep, each compromised
+	// undetected guest trips one anomaly instant; canaryFailAfter
+	// consecutive anomalies raise the detect hook.
+	canaryEvery     = 500 * simclock.Microsecond
+	canaryFailAfter = 2
+)
+
+// DefaultConfig is the campaign every breach run starts from.
+func DefaultConfig() Config {
+	return Config{
+		ASLRBypass: 0.25,
+		WXBypass:   0.5,
+		Seed:       42,
 	}
 }
 
@@ -328,7 +289,6 @@ type Plane struct {
 // when no target has a NIC; inj nil means no rule ever fires (a quiet
 // campaign).
 func New(cfg Config, eng *simclock.Engine, net *fabric.Network, inj *faults.Injector) *Plane {
-	cfg.normalize()
 	return &Plane{
 		cfg: cfg,
 		eng: eng,
@@ -397,12 +357,12 @@ func (p *Plane) Start(now simclock.Time) {
 		return
 	}
 	p.started = true
-	at := p.cfg.Start
+	at := simclock.Time(attackEvery)
 	if at < now {
 		at = now
 	}
 	p.eng.Schedule(at, p.campaignTick)
-	p.eng.Schedule(now.Add(p.cfg.CanaryEvery), p.canaryTick)
+	p.eng.Schedule(now.Add(canaryEvery), p.canaryTick)
 }
 
 // Stop halts the campaign at its next event, letting the owner's engine
@@ -419,7 +379,7 @@ func (p *Plane) campaignTick(now simclock.Time) {
 			p.exploit(t, p.vector(d.Param), "probe", now)
 		}
 	}
-	p.eng.Schedule(now.Add(p.cfg.AttackEvery), p.campaignTick)
+	p.eng.Schedule(now.Add(attackEvery), p.campaignTick)
 }
 
 // vector resolves a rule Param to a syscall name: 1-based index, 0 for
@@ -515,11 +475,11 @@ func (p *Plane) compromise(t *Target, cause string, now simclock.Time) {
 	}
 	if t.surface.KML && !t.gone {
 		tt := t
-		p.eng.Schedule(now.Add(p.cfg.EscalateAfter), func(at simclock.Time) { p.escalate(tt, at) })
+		p.eng.Schedule(now.Add(escalateAfter), func(at simclock.Time) { p.escalate(tt, at) })
 	}
 	if !t.gone {
 		tt := t
-		p.eng.Schedule(now.Add(p.cfg.LateralEvery), func(at simclock.Time) { p.lateralWave(tt, at) })
+		p.eng.Schedule(now.Add(lateralEvery), func(at simclock.Time) { p.lateralWave(tt, at) })
 	}
 }
 
@@ -545,9 +505,9 @@ func (p *Plane) escalate(t *Target, now simclock.Time) {
 }
 
 // lateralWave launches one spread round from a compromised guest: up to
-// Fanout un-owned peers, each gated by the lateral site, each probe a
-// real fabric datagram — an egress cut, a partition or a dead peer all
-// block it at the wire.
+// lateralFanout un-owned peers, each gated by the lateral site, each
+// probe a real fabric datagram — an egress cut, a partition or a dead
+// peer all block it at the wire.
 func (p *Plane) lateralWave(t *Target, now simclock.Time) {
 	if p.stopped || t.gone {
 		return
@@ -564,7 +524,7 @@ func (p *Plane) lateralWave(t *Target, now simclock.Time) {
 			continue
 		}
 		pp := peer
-		p.net.Probe(t.node, pp.node, p.cfg.LateralTimeout, func(ok bool, at simclock.Time) {
+		p.net.Probe(t.node, pp.node, lateralTimeout, func(ok bool, at simclock.Time) {
 			if p.stopped {
 				return
 			}
@@ -579,12 +539,12 @@ func (p *Plane) lateralWave(t *Target, now simclock.Time) {
 			p.exploit(pp, vec, "lateral", at)
 		})
 	}
-	p.eng.Schedule(now.Add(p.cfg.LateralEvery), func(at simclock.Time) { p.lateralWave(t, at) })
+	p.eng.Schedule(now.Add(lateralEvery), func(at simclock.Time) { p.lateralWave(t, at) })
 }
 
-// lateralPeers picks up to Fanout un-owned peers in registration order
-// starting after t, wrapping — deterministic, and rotating as the pool
-// churns.
+// lateralPeers picks up to lateralFanout un-owned peers in registration
+// order starting after t, wrapping — deterministic, and rotating as the
+// pool churns.
 func (p *Plane) lateralPeers(t *Target) []*Target {
 	start := 0
 	for i, x := range p.targets {
@@ -595,7 +555,7 @@ func (p *Plane) lateralPeers(t *Target) []*Target {
 	}
 	var out []*Target
 	n := len(p.targets)
-	for k := 0; k < n && len(out) < p.cfg.LateralFanout; k++ {
+	for k := 0; k < n && len(out) < lateralFanout; k++ {
 		peer := p.targets[(start+k)%n]
 		if peer == t || peer.gone || peer.compromised {
 			continue
@@ -619,7 +579,7 @@ func (p *Plane) canaryTick(now simclock.Time) {
 		if p.tr != nil {
 			p.tr.Instant("attack", p.trTrack, "anomaly", now, telemetry.A("target", t.name))
 		}
-		if t.canaryMisses >= p.cfg.CanaryFailAfter {
+		if t.canaryMisses >= canaryFailAfter {
 			t.detected = true
 			t.detectedAt = now
 			p.st.Detected++
@@ -634,5 +594,5 @@ func (p *Plane) canaryTick(now simclock.Time) {
 			}
 		}
 	}
-	p.eng.Schedule(now.Add(p.cfg.CanaryEvery), p.canaryTick)
+	p.eng.Schedule(now.Add(canaryEvery), p.canaryTick)
 }

@@ -161,7 +161,7 @@ func TestKMLEscalation(t *testing.T) {
 		t.Fatalf("co-located guest must fall to the escalation: %+v", p.Stats())
 	}
 	if peer.CompromisedAt() != simclock.Time(500*us) {
-		t.Fatalf("escalation must land at compromise+EscalateAfter: %v", peer.CompromisedAt())
+		t.Fatalf("escalation must land at compromise+escalateAfter: %v", peer.CompromisedAt())
 	}
 	if other.Compromised() {
 		t.Fatal("escalation must stay on the victim's host")
@@ -195,10 +195,7 @@ func TestKMLEscalationAvertedByRepave(t *testing.T) {
 // netFixture builds a two-node fabric (one zone each) on the test heap.
 func netFixture(t *testing.T, s *simclock.Engine, in *faults.Injector) (*fabric.Network, *fabric.Node, *fabric.Node) {
 	t.Helper()
-	net, err := fabric.New(fabric.DefaultParams(), s, in)
-	if err != nil {
-		t.Fatalf("fabric.New: %v", err)
-	}
+	net := fabric.New(fabric.DefaultParams(), s, in)
 	n0, err := net.AddNodeZone("a", "za", fabric.LinkSpec{})
 	if err != nil {
 		t.Fatalf("AddNode: %v", err)

@@ -57,8 +57,10 @@ func matchError(console string) string {
 type SearchInput struct {
 	Spec        Spec   // Spec.Manifest's options are ignored: we derive them
 	SuccessText string // console marker proving the app works
-	MaxIters    int    // safety bound (default 32)
 }
+
+// searchMaxIters is the derivation's safety bound on boot-test cycles.
+const searchMaxIters = 32
 
 // SearchResult reports the derived manifest and the trail of boots.
 type SearchResult struct {
@@ -75,10 +77,6 @@ func DeriveManifest(db *kerneldb.DB, in SearchInput) (*SearchResult, error) {
 	if in.SuccessText == "" {
 		return nil, fmt.Errorf("core: search needs a success criterion")
 	}
-	maxIters := in.MaxIters
-	if maxIters == 0 {
-		maxIters = 32
-	}
 	src := in.Spec.Manifest
 	m := manifest.New(src.App, src.Entrypoint)
 	for k, v := range src.Env {
@@ -87,7 +85,7 @@ func DeriveManifest(db *kerneldb.DB, in SearchInput) (*SearchResult, error) {
 	m.NetworkPort = src.NetworkPort
 
 	res := &SearchResult{Manifest: m}
-	for iter := 0; iter < maxIters; iter++ {
+	for iter := 0; iter < searchMaxIters; iter++ {
 		spec := in.Spec
 		spec.Manifest = m
 		u, err := Build(db, spec, BuildOpts{Name: fmt.Sprintf("search-%s-%d", m.App, iter)})
@@ -113,7 +111,7 @@ func DeriveManifest(db *kerneldb.DB, in SearchInput) (*SearchResult, error) {
 		m.AddOptions(opt)
 		res.Added = append(res.Added, opt)
 	}
-	return nil, fmt.Errorf("core: search did not converge in %d boots", maxIters)
+	return nil, fmt.Errorf("core: search did not converge in %d boots", searchMaxIters)
 }
 
 func tail(s string, n int) string {

@@ -12,11 +12,12 @@ import (
 	"lupine/internal/vmm"
 )
 
-// BootOpts configures how a unikernel is launched.
+// BootOpts configures how a unikernel is launched. The guest always
+// gets one VCPU (pinned, like the paper's evaluation) and the guest
+// kernel's default virtual-time bound.
 type BootOpts struct {
 	Monitor *vmm.Monitor // default: Firecracker
 	Memory  int64        // guest RAM (default 512 MiB, the paper's setup)
-	VCPUs   int          // default 1 (pinned, like the paper's evaluation)
 
 	// ProbeOnly runs the application's startup path but skips server
 	// request loops, for success-criteria and footprint probes.
@@ -25,8 +26,6 @@ type BootOpts struct {
 	// Trace enables syscall tracing in the guest (dynamic-analysis
 	// manifest generation; see DeriveManifestByTrace).
 	Trace bool
-
-	MaxVirtualTime simclock.Duration
 
 	// Faults arms every fault-injection site along the launch path —
 	// device probe (boot), block reads (rootfs mount) and the guest
@@ -74,12 +73,10 @@ func (u *Unikernel) Boot(opts BootOpts) (*VM, error) {
 		return nil, &BootError{Report: report, Err: fmt.Errorf("core: mounting rootfs: %w", err)}
 	}
 	g, err := guest.NewKernel(guest.Params{
-		Image:          u.Kernel,
-		Memory:         opts.Memory,
-		VCPUs:          opts.VCPUs,
-		RootFS:         tree,
-		MaxVirtualTime: opts.MaxVirtualTime,
-		Faults:         opts.Faults,
+		Image:  u.Kernel,
+		Memory: opts.Memory,
+		RootFS: tree,
+		Faults: opts.Faults,
 	})
 	if err != nil {
 		return nil, &BootError{Report: report, Err: err}

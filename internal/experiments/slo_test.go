@@ -3,6 +3,10 @@ package experiments
 import (
 	"bytes"
 	"testing"
+
+	"lupine/internal/simclock"
+	"lupine/internal/slo"
+	"lupine/internal/telemetry"
 )
 
 // Every storm must land an SLO report with at least one sampled scope
@@ -166,5 +170,37 @@ func TestSLOReportDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(report(), report()) {
 		t.Fatal("two same-seed memstorm runs render different SLO reports")
+	}
+}
+
+// TestScopeSampleAllocations pins the steady-state cost of one SLI
+// sample under a fleet hero row's objective pair at zero allocations:
+// the cumulative series grow amortized, and a healthy row fires no
+// alert. Allocation counts are deterministic, so a per-sample
+// allocation fails here.
+func TestScopeSampleAllocations(t *testing.T) {
+	const track = "pool"
+	reg := telemetry.NewRegistry()
+	sc := slo.NewScope(track, reg, nil, sloEvery)
+	for _, o := range sloFleet(track) {
+		sc.Add(o)
+	}
+	served, lat := reg.Counter(track+".served"), reg.Histogram(track+".latency")
+	now := simclock.Time(0)
+	sample := func() {
+		served.Add(10)
+		lat.Observe(300 * simclock.Microsecond)
+		now = now.Add(sloEvery)
+		sc.Sample(now)
+	}
+	for i := 0; i < 16; i++ {
+		sample()
+	}
+	if allocs := testing.AllocsPerRun(1000, sample); allocs != 0 {
+		t.Fatalf("%v allocations per steady-state Sample, want 0", allocs)
+	}
+	sc.Finish(now)
+	if alerts := sc.Alerts(); len(alerts) != 0 {
+		t.Fatalf("a healthy row fired alerts: %+v", alerts)
 	}
 }

@@ -282,7 +282,7 @@ func runSurge(env *Env) (fmt.Stringer, error) {
 	}
 	t := &metrics.Table{
 		Title: fmt.Sprintf("snapshot scale-out under a traffic spike (seed %d, pool %d..%d, slots x%d)",
-			env.Seed, surgeMin, surgeMax, fleet.DefaultConfig().BackendSlots),
+			env.Seed, surgeMin, surgeMax, fleet.BackendSlots),
 		Columns: []string{"system", "launch", "restore (µs)", "cold boot (ms)", "time-to-cap (ms)",
 			"availability", "shed rate", "restores", "cold boots", "fallbacks", "pool RSS (MiB)", "no-CoW RSS (MiB)"},
 	}

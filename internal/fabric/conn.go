@@ -109,7 +109,7 @@ func (nd *Node) Dial(dst *Node, port int, h ConnHandler) *Conn {
 	}
 	c.deadline.c = c
 	n.stats.Dialed++
-	c.sendReliable(&c.syn, segSYN, ctlBytes, n.params.ConnectRetries, false)
+	c.sendReliable(&c.syn, segSYN, ctlBytes, connectRetries, false)
 	return c
 }
 
@@ -184,9 +184,9 @@ func (x *xmit) Fire(now simclock.Time) {
 
 // rto is the seeded-jitter exponential backoff schedule.
 func (n *Network) rto(attempt int) simclock.Duration {
-	d := n.params.RTO
+	d := baseRTO
 	for i := 0; i < attempt; i++ {
-		d *= simclock.Duration(n.params.RTOFactor)
+		d *= rtoFactor
 	}
 	if n.params.RTOJitter > 0 {
 		d += simclock.Duration(n.rng.Intn(int(n.params.RTOJitter)))
@@ -236,7 +236,7 @@ func (c *Conn) SendRequest(size int, respTimeout simclock.Duration, now simclock
 	if c.closed {
 		return
 	}
-	c.sendReliable(&c.req, segData, size, c.net.params.MaxRetransmits, false)
+	c.sendReliable(&c.req, segData, size, maxRetransmits, false)
 	c.net.eng.Post(now.Add(respTimeout), &c.deadline)
 }
 
@@ -276,7 +276,7 @@ func (c *Conn) Respond(size int, now simclock.Time) {
 	if c.closed {
 		return
 	}
-	c.sendReliable(&c.resp, segData, size, c.net.params.MaxRetransmits, true)
+	c.sendReliable(&c.resp, segData, size, maxRetransmits, true)
 }
 
 // clientResponse lands the response payload: resolve the connection as

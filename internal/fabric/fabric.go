@@ -81,20 +81,24 @@ type LinkSpec struct {
 	Bandwidth int64             // egress bytes per virtual second; 0 = infinite
 }
 
+// The wire's fixed tuning: production-ish TCP timers scaled to the
+// simulation's microsecond world. A lost segment is resent after
+// baseRTO * rtoFactor^(attempt-1) + jitter in [0, Params.RTOJitter),
+// at most maxRetransmits times for data and connectRetries times for
+// SYNs; exhaustion fails the connection with ErrTimeout.
+const (
+	cidr = "10.0.0.0/16" // address block for AddNode allocations
+
+	baseRTO        = 200 * simclock.Microsecond
+	rtoFactor      = 2
+	maxRetransmits = 4
+	connectRetries = 3
+)
+
 // Params tunes a Network. All durations are virtual.
 type Params struct {
-	CIDR        string   // address block for AddNode allocations
-	DefaultLink LinkSpec // access link used when AddNode gets a zero spec
-
-	// Retransmission: a lost segment is resent after
-	// RTO * RTOFactor^(attempt-1) + jitter in [0, RTOJitter), at most
-	// MaxRetransmits times for data and ConnectRetries times for SYNs;
-	// exhaustion fails the connection with ErrTimeout.
-	RTO            simclock.Duration
-	RTOFactor      int
-	RTOJitter      simclock.Duration
-	MaxRetransmits int
-	ConnectRetries int
+	DefaultLink LinkSpec          // access link used when AddNode gets a zero spec
+	RTOJitter   simclock.Duration // seeded jitter added per retransmission backoff step
 
 	// DataDropSite and ProbeDropSite, when non-empty, are extra fault
 	// sites consulted for data and probe segments respectively — the
@@ -109,19 +113,14 @@ type Params struct {
 	Seed uint64
 }
 
-// DefaultParams is a 10 Gbps / 5 µs-per-link fabric with production-ish
-// TCP timers scaled to the simulation's microsecond world.
+// DefaultParams is a 10 Gbps / 5 µs-per-link fabric with 50 µs of
+// retransmission jitter.
 func DefaultParams() Params {
 	const us = simclock.Microsecond
 	return Params{
-		CIDR:           "10.0.0.0/16",
-		DefaultLink:    LinkSpec{Latency: 5 * us, Bandwidth: 1250 * 1000 * 1000},
-		RTO:            200 * us,
-		RTOFactor:      2,
-		RTOJitter:      50 * us,
-		MaxRetransmits: 4,
-		ConnectRetries: 3,
-		Seed:           1,
+		DefaultLink: LinkSpec{Latency: 5 * us, Bandwidth: 1250 * 1000 * 1000},
+		RTOJitter:   50 * us,
+		Seed:        1,
 	}
 }
 
@@ -187,25 +186,10 @@ type Network struct {
 // New builds a network on the engine its owner runs, so wire events
 // interleave deterministically with the owner's dispatch, probe and
 // control events. inj may be nil (a clean wire).
-func New(params Params, eng *simclock.Engine, inj *faults.Injector) (*Network, error) {
-	if params.CIDR == "" {
-		params.CIDR = DefaultParams().CIDR
-	}
-	subnet, err := ParseCIDR(params.CIDR)
+func New(params Params, eng *simclock.Engine, inj *faults.Injector) *Network {
+	subnet, err := ParseCIDR(cidr)
 	if err != nil {
-		return nil, err
-	}
-	if params.RTO <= 0 {
-		params.RTO = DefaultParams().RTO
-	}
-	if params.RTOFactor < 1 {
-		params.RTOFactor = 1
-	}
-	if params.MaxRetransmits < 0 {
-		params.MaxRetransmits = 0
-	}
-	if params.ConnectRetries < 0 {
-		params.ConnectRetries = 0
+		panic(err) // cidr is a well-formed constant
 	}
 	return &Network{
 		params: params,
@@ -227,7 +211,7 @@ func New(params Params, eng *simclock.Engine, inj *faults.Injector) (*Network, e
 		zoneIDs:       make(map[string]int),
 		trunks:        make(map[[2]int]LinkSpec),
 		trunkBusy:     make(map[[2]int]simclock.Time),
-	}, nil
+	}
 }
 
 // armedSites flags the fabric's own fault sites the plan arms.

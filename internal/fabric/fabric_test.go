@@ -76,10 +76,7 @@ func TestSOMAXCONNParity(t *testing.T) {
 func newTestNet(t *testing.T, inj *faults.Injector, params Params) (*simclock.Engine, *Network, *Node, *Node, *Listener) {
 	t.Helper()
 	sched := simclock.NewEngine()
-	net, err := New(params, sched, inj)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := New(params, sched, inj)
 	client, err := net.AddNode("client", LinkSpec{})
 	if err != nil {
 		t.Fatal(err)
@@ -253,10 +250,7 @@ func TestDeadServerRefused(t *testing.T) {
 // shed signal — while the queued ones survive.
 func TestBacklogOverflowSheds(t *testing.T) {
 	sched := simclock.NewEngine()
-	net, err := New(DefaultParams(), sched, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := New(DefaultParams(), sched, nil)
 	client, _ := net.AddNode("client", LinkSpec{})
 	server, _ := net.AddNode("server", LinkSpec{})
 	lst := server.Listen(80, 2) // cap 2, nobody accepting
@@ -281,7 +275,7 @@ func TestBacklogOverflowSheds(t *testing.T) {
 // TestListenClamp checks the listen(2) clamping rules.
 func TestListenClamp(t *testing.T) {
 	sched := simclock.NewEngine()
-	net, _ := New(DefaultParams(), sched, nil)
+	net := New(DefaultParams(), sched, nil)
 	nd, _ := net.AddNode("n", LinkSpec{})
 	if l := nd.Listen(1, 0); l.cap != 1 {
 		t.Errorf("backlog 0 clamps to %d, want 1", l.cap)
@@ -319,10 +313,7 @@ func TestAsymmetricPartitionTimesOut(t *testing.T) {
 	inj := faults.MustNew(faults.Plan{Seed: 3, Rules: []faults.Rule{
 		{Site: SitePartition, Prob: 1, Param: -2}, // cut segments out of node 2
 	}})
-	net, err := New(params, sched, inj)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := New(params, sched, inj)
 	client, _ := net.AddNode("client", LinkSpec{}) // id 1
 	server, _ := net.AddNode("server", LinkSpec{}) // id 2
 	lst := server.Listen(80, 16)
@@ -343,8 +334,8 @@ func TestAsymmetricPartitionTimesOut(t *testing.T) {
 	if len(lst.backlog) == 0 {
 		t.Fatal("server never heard the SYN: partition cut the wrong direction")
 	}
-	if st.Retransmits != DefaultParams().ConnectRetries {
-		t.Fatalf("SYN retransmits = %d, want %d", st.Retransmits, DefaultParams().ConnectRetries)
+	if st.Retransmits != connectRetries {
+		t.Fatalf("SYN retransmits = %d, want %d", st.Retransmits, connectRetries)
 	}
 }
 
@@ -447,8 +438,8 @@ func TestFlapOutlastsRexmitLadder(t *testing.T) {
 		t.Fatalf("exhausted ladder: err=%v, want ErrTimeout", res.err)
 	}
 	st := net.Stats()
-	if st.Retransmits != DefaultParams().MaxRetransmits {
-		t.Fatalf("spent %d retransmits, want the full budget of %d", st.Retransmits, DefaultParams().MaxRetransmits)
+	if st.Retransmits != maxRetransmits {
+		t.Fatalf("spent %d retransmits, want the full budget of %d", st.Retransmits, maxRetransmits)
 	}
 	if st.Refused != 0 {
 		t.Fatalf("a flap is a wire fault, not a server RST: %+v", st)
@@ -463,7 +454,7 @@ func TestFlapOutlastsRexmitLadder(t *testing.T) {
 func TestAcceptSkipsDeadEntries(t *testing.T) {
 	sched := simclock.NewEngine()
 	params := DefaultParams()
-	net, _ := New(params, sched, nil)
+	net := New(params, sched, nil)
 	client, _ := net.AddNode("client", LinkSpec{})
 	server, _ := net.AddNode("server", LinkSpec{})
 	lst := server.Listen(80, 4)
@@ -500,7 +491,7 @@ func storm(seed uint64) string {
 	sched := simclock.NewEngine()
 	params := DefaultParams()
 	params.Seed = seed
-	net, _ := New(params, sched, inj)
+	net := New(params, sched, inj)
 	client, _ := net.AddNode("client", LinkSpec{})
 	server, _ := net.AddNode("server", LinkSpec{})
 	lst := server.Listen(80, 8)
@@ -553,7 +544,7 @@ func TestStormDeterminism(t *testing.T) {
 // target silence, and a lost probe all resolving exactly once.
 func TestProbeVerdicts(t *testing.T) {
 	sched := simclock.NewEngine()
-	net, _ := New(DefaultParams(), sched, nil)
+	net := New(DefaultParams(), sched, nil)
 	lb, _ := net.AddNode("lb", LinkSpec{})
 	vm, _ := net.AddNode("vm", LinkSpec{})
 
@@ -587,7 +578,7 @@ func TestProbeLostIsFailed(t *testing.T) {
 		{Site: SiteLoss, NthHit: 1},
 	}})
 	sched := simclock.NewEngine()
-	net, _ := New(DefaultParams(), sched, inj)
+	net := New(DefaultParams(), sched, inj)
 	lb, _ := net.AddNode("lb", LinkSpec{})
 	vm, _ := net.AddNode("vm", LinkSpec{})
 	verdicts, ok := 0, true
@@ -604,7 +595,7 @@ func TestBandwidthSerializes(t *testing.T) {
 	sched := simclock.NewEngine()
 	params := DefaultParams()
 	params.DefaultLink = LinkSpec{Latency: simclock.Microsecond, Bandwidth: 1000 * 1000} // 1 MB/s: 1 ms per KB
-	net, _ := New(params, sched, nil)
+	net := New(params, sched, nil)
 	a, _ := net.AddNode("a", LinkSpec{})
 	b, _ := net.AddNode("b", LinkSpec{})
 	// b's liveness gate is consulted once per probe delivery: record the

@@ -54,7 +54,7 @@ func NewAttached(cfg Config, eng *simclock.Engine, net *fabric.Network, zone str
 		net:         net,
 		arrivalRng:  faults.NewStream(cfg.Seed),
 		serviceRng:  faults.NewStream(cfg.Seed ^ 0xA5A5A5A5A5A5A5A5),
-		retryTokens: cfg.RetryBurst,
+		retryTokens: retryBurst,
 		upgraded:    true,
 	}
 	f.res.FullAt = -1
@@ -70,9 +70,10 @@ func NewAttached(cfg Config, eng *simclock.Engine, net *fabric.Network, zone str
 	return f
 }
 
-// Start begins the heartbeat loop, first beat one ProbeInterval after now.
+// Start begins the heartbeat loop, first beat one probe interval after
+// now.
 func (f *Fleet) Start(now simclock.Time) {
-	f.eng.Schedule(now.Add(f.cfg.ProbeInterval), f.probeTick)
+	f.eng.Schedule(now.Add(probeInterval), f.probeTick)
 }
 
 // Stop halts the heartbeat loop at its next tick, letting the owning

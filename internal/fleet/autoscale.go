@@ -74,13 +74,13 @@ func (f *Fleet) autoscaleTick(now simclock.Time) {
 	p := f.scaler
 	active := f.activeCount()
 	provisioned := active + f.scalePending
-	capacity := provisioned * f.cfg.BackendSlots
+	capacity := provisioned * BackendSlots
 	demand := f.demand()
 
 	switch {
 	case demand > int(p.TargetUtil*float64(capacity)) && provisioned < p.Max && now >= f.upReadyAt:
 		// Enough new backends to bring utilization back to target.
-		need := ceilDiv(demand, int(p.TargetUtil*float64(f.cfg.BackendSlots))) - provisioned
+		need := ceilDiv(demand, int(p.TargetUtil*float64(BackendSlots))) - provisioned
 		if need < 1 {
 			need = 1
 		}

@@ -35,10 +35,14 @@ func (s BreakerState) String() string {
 
 // BreakerConfig tunes one backend's breaker.
 type BreakerConfig struct {
-	FailThreshold     int               // consecutive failures that trip Closed -> Open
-	OpenFor           simclock.Duration // cool-down before Open -> HalfOpen
-	HalfOpenSuccesses int               // consecutive successes that close a half-open breaker
+	FailThreshold int // consecutive failures that trip Closed -> Open
 }
+
+// Every breaker's fixed tuning.
+const (
+	breakerOpenFor           = 5 * simclock.Millisecond // cool-down before Open -> HalfOpen
+	breakerHalfOpenSuccesses = 2                        // consecutive successes that close a half-open breaker
+)
 
 // BreakerTransition is one edge of the state machine on the fleet
 // timeline; the sequence of transitions for a fixed seed is the
@@ -116,7 +120,7 @@ func (b *Breaker) success(now simclock.Time, cause string) {
 		b.fails = 0
 	case BreakerHalfOpen:
 		b.oks++
-		if b.oks >= b.cfg.HalfOpenSuccesses {
+		if b.oks >= breakerHalfOpenSuccesses {
 			b.transition(now, BreakerClosed, cause)
 		}
 	}
@@ -129,11 +133,11 @@ func (b *Breaker) Failure(now simclock.Time) {
 	case BreakerClosed:
 		b.fails++
 		if b.fails >= b.cfg.FailThreshold {
-			b.reopenAt = now.Add(b.cfg.OpenFor)
+			b.reopenAt = now.Add(breakerOpenFor)
 			b.transition(now, BreakerOpen, "consecutive failures")
 		}
 	case BreakerHalfOpen:
-		b.reopenAt = now.Add(b.cfg.OpenFor)
+		b.reopenAt = now.Add(breakerOpenFor)
 		b.transition(now, BreakerOpen, "trial failed")
 	}
 }
@@ -144,7 +148,7 @@ func (b *Breaker) Failure(now simclock.Time) {
 // data plane.
 func (b *Breaker) ProbeFailure(now simclock.Time) {
 	if b.state == BreakerHalfOpen {
-		b.reopenAt = now.Add(b.cfg.OpenFor)
+		b.reopenAt = now.Add(breakerOpenFor)
 		b.transition(now, BreakerOpen, "probe failed")
 	}
 }
@@ -155,7 +159,7 @@ func (b *Breaker) ProbeFailure(now simclock.Time) {
 // backend is also draining, so it never re-enters rotation through a
 // half-open trial: Allow is only consulted for dispatchable backends.
 func (b *Breaker) ForceOpen(now simclock.Time, cause string) {
-	b.reopenAt = now.Add(b.cfg.OpenFor)
+	b.reopenAt = now.Add(breakerOpenFor)
 	if b.state != BreakerOpen {
 		b.transition(now, BreakerOpen, cause)
 	}

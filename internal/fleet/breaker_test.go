@@ -9,7 +9,7 @@ import (
 const ms = simclock.Millisecond
 
 func tcfg() BreakerConfig {
-	return BreakerConfig{FailThreshold: 3, OpenFor: 5 * ms, HalfOpenSuccesses: 2}
+	return BreakerConfig{FailThreshold: 3}
 }
 
 func at(d simclock.Duration) simclock.Time { return simclock.Time(d) }
@@ -51,7 +51,7 @@ func TestBreakerHalfOpenLifecycle(t *testing.T) {
 	b.Success(at(8 * ms))
 	b.ProbeSuccess(at(9 * ms))
 	if b.State() != BreakerClosed {
-		t.Fatalf("state = %v after %d successes, want closed", b.State(), tcfg().HalfOpenSuccesses)
+		t.Fatalf("state = %v after %d successes, want closed", b.State(), breakerHalfOpenSuccesses)
 	}
 }
 

@@ -47,23 +47,9 @@ func init() {
 		"a dispatched payload segment is lost on the fabric; the sender retransmits, then times out")
 }
 
-// NetConfig tunes the virtual wire the fleet runs on. Zero values take
-// fabric defaults where the fabric has them.
+// NetConfig tunes the virtual wire the fleet runs on. The wire itself
+// (addresses, links, retransmission) is fabric.DefaultParams.
 type NetConfig struct {
-	CIDR        string            // address block for the pool (default fabric's)
-	LinkLatency simclock.Duration // one-way per-NIC propagation
-	Bandwidth   int64             // per-NIC egress bytes per virtual second
-
-	RequestBytes  int // payload size of a dispatched request
-	ResponseBytes int // payload size of a response
-
-	RTO            simclock.Duration // initial retransmission timeout
-	RTOJitter      simclock.Duration // seeded jitter added per backoff step
-	RTOFactor      int               // exponential backoff factor
-	MaxRetransmits int               // data retransmissions before ErrTimeout
-	ConnectRetries int               // SYN retransmissions before ErrTimeout
-
-	ProbeTimeout    simclock.Duration // heartbeat verdict deadline
 	ResponseTimeout simclock.Duration // request-to-response deadline on a connection
 }
 
@@ -79,17 +65,9 @@ type Config struct {
 	Interarrival  simclock.Duration
 	ArrivalJitter simclock.Duration
 
-	// Service cost per request on a live backend, plus seeded jitter.
-	ServiceTime   simclock.Duration
-	ServiceJitter simclock.Duration
-
-	// Capacity and admission control: each backend serves at most
-	// BackendSlots requests concurrently; beyond that, connections wait
-	// in its listener's SYN backlog of depth QueueDepth (clamped by the
-	// fabric's listen(2) rules) and overflow is refused at the wire — the
-	// shed path IS the backlog overflowing.
-	BackendSlots int
-	QueueDepth   int
+	// ServiceTime is the cost of one request on a live backend, before
+	// the seeded serviceJitter.
+	ServiceTime simclock.Duration
 
 	// Policy selects how the balancer spreads connections:
 	// PolicyRR (default) round-robin, PolicyLeast least-loaded,
@@ -98,25 +76,8 @@ type Config struct {
 	Policy      string
 	HashClients int
 
-	// Retry policy for failed dispatches. Retries back off exponentially
-	// (RetryBackoff, RetryFactor) bounded by the per-request Deadline and
-	// by the fleet-wide retry budget: a token bucket holding at most
-	// RetryBurst tokens, refilled by RetryBudget per completed request,
-	// so a storm sheds load instead of amplifying it.
-	Deadline     simclock.Duration
-	MaxRetries   int
-	RetryBackoff simclock.Duration
-	RetryFactor  int
-	RetryBudget  float64
-	RetryBurst   float64
-
-	// Heartbeat health checking: every ProbeInterval each in-rotation
-	// backend is probed over the fabric; ProbeFailAfter consecutive
-	// misses mark it down, ProbeRiseAfter consecutive successes bring it
-	// back.
-	ProbeInterval  simclock.Duration
+	// ProbeFailAfter consecutive heartbeat misses mark a backend down.
 	ProbeFailAfter int
-	ProbeRiseAfter int
 
 	Breaker BreakerConfig
 
@@ -127,6 +88,45 @@ type Config struct {
 	// retransmission jitter (independent streams).
 	Seed uint64
 }
+
+// The front-end's fixed tuning. All durations are virtual.
+const (
+	// serviceJitter is the seeded spread added to every ServiceTime.
+	serviceJitter = 100 * simclock.Microsecond
+
+	// BackendSlots is how many requests one backend serves at once;
+	// beyond that, connections wait in its listener's SYN backlog of
+	// depth queueDepth (clamped by the fabric's listen(2) rules) and
+	// overflow is refused at the wire — the shed path IS the backlog
+	// overflowing.
+	BackendSlots = 4
+	queueDepth   = 32
+
+	// Retry policy for failed dispatches. Retries back off exponentially
+	// (retryBackoff, retryFactor) bounded by maxRetries, the per-request
+	// deadline, and the fleet-wide retry budget: a token bucket holding
+	// at most retryBurst tokens, refilled by retryBudget per completed
+	// request, so a storm sheds load instead of amplifying it.
+	deadline     = 10 * simclock.Millisecond
+	maxRetries   = 3
+	retryBackoff = 500 * simclock.Microsecond
+	retryFactor  = 2
+	retryBudget  = 0.1
+	retryBurst   = 20.0
+
+	// Heartbeat health checking: every probeInterval each in-rotation
+	// backend is probed over the fabric with a probeTimeout verdict
+	// deadline; Config.ProbeFailAfter consecutive misses mark it down,
+	// probeRiseAfter consecutive successes bring it back.
+	probeInterval  = 1 * simclock.Millisecond
+	probeTimeout   = 200 * simclock.Microsecond
+	probeRiseAfter = 2
+
+	// RequestBytes and ResponseBytes are the payload sizes of one
+	// dispatched request and its response.
+	RequestBytes  = 1500
+	ResponseBytes = 8192
+)
 
 // Load-balancing policies.
 const (
@@ -146,39 +146,14 @@ func DefaultConfig() Config {
 		Interarrival:  50 * us,
 		ArrivalJitter: 20 * us,
 		ServiceTime:   250 * us,
-		ServiceJitter: 100 * us,
-
-		BackendSlots: 4,
-		QueueDepth:   32,
 
 		Policy: PolicyRR,
 
-		Deadline:     10 * ms,
-		MaxRetries:   3,
-		RetryBackoff: 500 * us,
-		RetryFactor:  2,
-		RetryBudget:  0.1,
-		RetryBurst:   20,
-
-		ProbeInterval:  1 * ms,
 		ProbeFailAfter: 2,
-		ProbeRiseAfter: 2,
 
-		Breaker: BreakerConfig{FailThreshold: 5, OpenFor: 5 * ms, HalfOpenSuccesses: 2},
+		Breaker: BreakerConfig{FailThreshold: 5},
 
-		Net: NetConfig{
-			LinkLatency:     5 * us,
-			Bandwidth:       1250 * 1000 * 1000,
-			RequestBytes:    1500,
-			ResponseBytes:   8192,
-			RTO:             200 * us,
-			RTOJitter:       50 * us,
-			RTOFactor:       2,
-			MaxRetransmits:  4,
-			ConnectRetries:  3,
-			ProbeTimeout:    200 * us,
-			ResponseTimeout: 8 * ms,
-		},
+		Net: NetConfig{ResponseTimeout: 8 * ms},
 
 		Seed: 42,
 	}
@@ -325,11 +300,7 @@ func New(cfg Config, backends []*Backend, plan *UpgradePlan, inj *faults.Injecto
 // may be nil (fixed pool).
 func NewAutoscaled(cfg Config, backends []*Backend, scaler *AutoscalePolicy, plan *UpgradePlan, inj *faults.Injector) *Fleet {
 	eng := simclock.NewEngine()
-	net, err := fabric.New(FabricParams(cfg), eng, inj)
-	if err != nil {
-		panic(fmt.Sprintf("fleet: bad fabric config: %v", err))
-	}
-	f := NewAttached(cfg, eng, net, "", inj)
+	f := NewAttached(cfg, eng, fabric.New(FabricParams(cfg), eng, inj), "", inj)
 	f.standalone = true
 	f.plan = plan
 	f.upgraded = plan == nil
@@ -343,33 +314,13 @@ func NewAutoscaled(cfg Config, backends []*Backend, scaler *AutoscalePolicy, pla
 	return f
 }
 
-// FabricParams maps a fleet config's NetConfig onto fabric parameters,
-// wiring the legacy fleet drop sites in as extra per-segment faults.
-// Attached-mode owners (the region control plane) build the shared
-// fabric with it, so it carries exactly the tuning a standalone fleet's
-// does.
+// FabricParams is the fabric's default wire with the legacy fleet drop
+// sites wired in as extra per-segment faults and the retransmission
+// jitter seeded from the fleet's seed. Attached-mode owners (the region
+// control plane) build the shared fabric with it, so it carries exactly
+// the tuning a standalone fleet's does.
 func FabricParams(cfg Config) fabric.Params {
-	nc := cfg.Net
 	p := fabric.DefaultParams()
-	if nc.CIDR != "" {
-		p.CIDR = nc.CIDR
-	}
-	if nc.LinkLatency != 0 || nc.Bandwidth != 0 {
-		p.DefaultLink = fabric.LinkSpec{Latency: nc.LinkLatency, Bandwidth: nc.Bandwidth}
-	}
-	if nc.RTO > 0 {
-		p.RTO = nc.RTO
-	}
-	if nc.RTOFactor > 0 {
-		p.RTOFactor = nc.RTOFactor
-	}
-	p.RTOJitter = nc.RTOJitter
-	if nc.MaxRetransmits > 0 {
-		p.MaxRetransmits = nc.MaxRetransmits
-	}
-	if nc.ConnectRetries > 0 {
-		p.ConnectRetries = nc.ConnectRetries
-	}
 	p.DataDropSite = SiteDispatchDrop
 	p.ProbeDropSite = SiteProbeDrop
 	p.Seed = cfg.Seed ^ 0xFA_B0_0C
@@ -442,7 +393,7 @@ func (f *Fleet) admit(b *Backend, now simclock.Time) {
 	bb := b
 	node.SetAlive(func(t simclock.Time) bool { return bb.aliveAt(t) })
 	b.node = node
-	b.lst = node.Listen(servicePort, f.cfg.QueueDepth)
+	b.lst = node.Listen(servicePort, queueDepth)
 	b.lst.OnPending = func(t simclock.Time) { f.serverPump(bb, t) }
 
 	f.backends = append(f.backends, b)
@@ -475,7 +426,7 @@ func (f *Fleet) noteActive() {
 // view; the fabric's backlog overflow is the ground-truth backstop when
 // that view is stale (retransmitted SYNs, partitions).
 func (f *Fleet) roomFor(b *Backend) bool {
-	return b.inflight < f.cfg.BackendSlots+f.cfg.QueueDepth
+	return b.inflight < BackendSlots+queueDepth
 }
 
 // admitRequest is the admission-control gate: refuse outright while the
@@ -534,7 +485,7 @@ func (f *Fleet) dispatch(r *request, b *Backend, now simclock.Time) {
 
 // Established ships the request once the handshake completes.
 func (r *request) Established(c *fabric.Conn, now simclock.Time) {
-	c.SendRequest(r.f.cfg.Net.RequestBytes, r.f.cfg.Net.ResponseTimeout, now)
+	c.SendRequest(RequestBytes, r.f.cfg.Net.ResponseTimeout, now)
 }
 
 // Response resolves the request as served by its backend.
@@ -546,9 +497,9 @@ func (r *request) Response(c *fabric.Conn, now simclock.Time) {
 	f.res.OK++
 	f.resolved++
 	// Served traffic earns retry budget back, capped at the burst.
-	f.retryTokens += f.cfg.RetryBudget
-	if f.retryTokens > f.cfg.RetryBurst {
-		f.retryTokens = f.cfg.RetryBurst
+	f.retryTokens += retryBudget
+	if f.retryTokens > retryBurst {
+		f.retryTokens = retryBurst
 	}
 	lat := now.Sub(r.arrival)
 	f.res.Latencies = append(f.res.Latencies, lat)
@@ -624,7 +575,7 @@ func (f *Fleet) serverPump(b *Backend, now simclock.Time) {
 	if !b.aliveAt(now) {
 		return
 	}
-	for b.serving < f.cfg.BackendSlots {
+	for b.serving < BackendSlots {
 		c := b.lst.Accept(now)
 		if c == nil {
 			return
@@ -633,13 +584,13 @@ func (f *Fleet) serverPump(b *Backend, now simclock.Time) {
 		cc := c
 		bb := b
 		c.WhenRequest(now, func(at simclock.Time) {
-			svc := f.cfg.ServiceTime + f.jitter(f.serviceRng, f.cfg.ServiceJitter)
+			svc := f.cfg.ServiceTime + f.jitter(f.serviceRng, serviceJitter)
 			f.eng.Schedule(at.Add(svc), func(t simclock.Time) {
 				bb.serving--
 				// A VM that died mid-service answers nothing; the client's
 				// response deadline is how the front-end finds out.
 				if bb.aliveAt(t) {
-					cc.Respond(f.cfg.Net.ResponseBytes, t)
+					cc.Respond(ResponseBytes, t)
 				}
 				f.serverPump(bb, t)
 			})
@@ -651,18 +602,16 @@ func (f *Fleet) serverPump(b *Backend, now simclock.Time) {
 // attempts, exponential backoff under the per-request deadline, and the
 // fleet-wide token budget.
 func (f *Fleet) retry(r *request, now simclock.Time) {
-	if r.attempts > f.cfg.MaxRetries {
+	if r.attempts > maxRetries {
 		f.failRequest(r, now)
 		return
 	}
-	backoff := f.cfg.RetryBackoff
+	backoff := retryBackoff
 	for i := 1; i < r.attempts; i++ {
-		if f.cfg.RetryFactor > 1 {
-			backoff *= simclock.Duration(f.cfg.RetryFactor)
-		}
+		backoff *= retryFactor
 	}
 	retryAt := now.Add(backoff)
-	if retryAt.Sub(r.arrival) > f.cfg.Deadline {
+	if retryAt.Sub(r.arrival) > deadline {
 		f.res.DeadlineMiss++
 		if f.tr != nil {
 			f.tr.Instant("fleet", f.trTrack, "deadline-miss", now,
@@ -702,7 +651,7 @@ func (f *Fleet) probeTick(now simclock.Time) {
 			continue
 		}
 		bb := b
-		f.net.Probe(f.lbNode, b.node, f.cfg.Net.ProbeTimeout, func(ok bool, at simclock.Time) {
+		f.net.Probe(f.lbNode, b.node, probeTimeout, func(ok bool, at simclock.Time) {
 			f.probeVerdict(bb, ok, at)
 		})
 	}
@@ -711,7 +660,7 @@ func (f *Fleet) probeTick(now simclock.Time) {
 	if f.stopped || (f.standalone && f.resolved >= f.cfg.Requests && f.upgraded) {
 		return
 	}
-	f.eng.Schedule(now.Add(f.cfg.ProbeInterval), f.probeTick)
+	f.eng.Schedule(now.Add(probeInterval), f.probeTick)
 }
 
 // probeVerdict applies one heartbeat result to the health view and the
@@ -723,7 +672,7 @@ func (f *Fleet) probeVerdict(b *Backend, ok bool, now simclock.Time) {
 	if ok {
 		b.probeOKs++
 		b.probeFails = 0
-		if !b.healthy && b.probeOKs >= f.cfg.ProbeRiseAfter {
+		if !b.healthy && b.probeOKs >= probeRiseAfter {
 			b.healthy = true
 			if f.tr != nil {
 				f.tr.Instant("fleet", f.btrack(b), "health:up", now)

@@ -116,9 +116,9 @@ func TestRetryBudgetBoundsAmplification(t *testing.T) {
 	}, nil, nil)
 	res := f.Run()
 	checkConservation(t, f, res)
-	if res.Retries != int(cfg.RetryBurst) {
+	if res.Retries != int(retryBurst) {
 		t.Errorf("retries = %d, want exactly the burst %v (no refill without successes)",
-			res.Retries, cfg.RetryBurst)
+			res.Retries, retryBurst)
 	}
 	if res.BudgetDenied == 0 {
 		t.Error("retry budget never engaged")
@@ -259,11 +259,7 @@ func TestFleetDeterministicWithFaultPlan(t *testing.T) {
 func TestAttachedClockIsOwners(t *testing.T) {
 	cfg := DefaultConfig()
 	eng := simclock.NewEngine()
-	net, err := fabric.New(FabricParams(cfg), eng, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := NewAttached(cfg, eng, net, "cell", nil)
+	f := NewAttached(cfg, eng, fabric.New(FabricParams(cfg), eng, nil), "cell", nil)
 	if f.Clock() != eng.Clock() {
 		t.Fatalf("attached Clock() = %p, want the owner's %p", f.Clock(), eng.Clock())
 	}
@@ -289,5 +285,33 @@ func TestAttachedClockIsOwners(t *testing.T) {
 	checkConservation(t, f, res)
 	if res.Total != n || outcomes != n || f.Resolved() != n {
 		t.Fatalf("total %d, outcomes %d, resolved %d; want %d each", res.Total, outcomes, f.Resolved(), n)
+	}
+}
+
+// TestDispatchAllocations pins the per-request allocations of the
+// dispatch hot path: an attached cell on a clean wire serving one
+// request end to end costs the request, its Conn, the accept loop's
+// WhenRequest continuation and the service-completion event (Latencies
+// grows amortized). Allocation counts are deterministic, so any extra
+// allocation per request fails here.
+func TestDispatchAllocations(t *testing.T) {
+	cfg := DefaultConfig()
+	eng := simclock.NewEngine()
+	f := NewAttached(cfg, eng, fabric.New(FabricParams(cfg), eng, nil), "cell", nil)
+	f.Admit(NewBackend("a", AlwaysUp()), 0)
+	id := 0
+	serve := func() {
+		id++
+		now := eng.Now()
+		f.Inject(id, now, nil)
+		eng.RunUntil(now.Add(5 * ms))
+	}
+	serve() // grow the engine queue and fill the segment free list
+	allocs := testing.AllocsPerRun(100, serve)
+	if res := f.Finish(eng.Now()); res.OK != id {
+		t.Fatalf("served %d of %d requests: %+v", res.OK, id, res)
+	}
+	if allocs > 4 {
+		t.Fatalf("%v allocations per request, want at most 4", allocs)
 	}
 }

@@ -47,7 +47,7 @@ type MemStats struct {
 // p.ShedAdmission on every arrival, and stores p.Finish in Result.Mem.
 func (f *Fleet) AttachMemory(p MemoryPlane, tick simclock.Duration) {
 	if tick <= 0 {
-		tick = f.cfg.ProbeInterval
+		tick = probeInterval
 	}
 	f.mem = p
 	f.memEvery = tick

@@ -10,8 +10,10 @@ import (
 // counter, never in FalseTrips — the wire did not lie, the operator
 // acted), marks the backend draining so the dispatcher and the ring
 // skip it, and cuts its NIC's egress at the switch so lateral probes —
-// and any poisoned in-flight responses — die on the wire. The caller
-// retires the backend once its replacement lands.
+// and any poisoned in-flight responses — die on the wire. Draining
+// means maybeDrained retires the backend as soon as its in-flight
+// requests resolve, whether or not a replacement has landed, and
+// retiring fires its release hook.
 //
 // floor is the fewest structurally active backends the cell may keep:
 // when removing b would cross it, Quarantine refuses (returns false)

@@ -9,7 +9,8 @@ import (
 // UpgradePlan orchestrates a rolling kernel upgrade across the pool:
 // boot surge capacity first, then for each original backend in turn
 // drain it, take it out, rebuild its kernel, boot the replacement and
-// re-admit it; finally drain the surge instance away. Because the surge
+// re-admit it (a replacement always serves: the upgrade fixed the
+// faults); finally drain the surge instance away. Because the surge
 // backend joins before the first drain begins, the structurally active
 // count never falls below the original pool size — the N-1/N availability
 // floor holds by construction, and Result.MinActive proves it per run.
@@ -24,10 +25,6 @@ type UpgradePlan struct {
 	// cache hits. Nil means free.
 	RebuildTime func(i int) simclock.Duration
 
-	// Replacement supplies the service timeline of rebuilt backend i;
-	// nil means AlwaysUp (the upgrade fixed the faults).
-	Replacement func(i int) Timeline
-
 	// Surge is the temporary extra instance's timeline.
 	Surge Timeline
 }
@@ -37,13 +34,6 @@ func (p *UpgradePlan) rebuildTime(i int) simclock.Duration {
 		return 0
 	}
 	return p.RebuildTime(i)
-}
-
-func (p *UpgradePlan) replacement(i int) Timeline {
-	if p.Replacement == nil {
-		return AlwaysUp()
-	}
-	return p.Replacement(i)
 }
 
 // startUpgrade boots the surge instance; the rollout proper begins only
@@ -68,7 +58,7 @@ func (f *Fleet) upgradeStep(targets []*Backend, surge *Backend, i int, now simcl
 	f.drain(old, f.plan.DrainTimeout, now, func(t simclock.Time) {
 		delay := f.plan.rebuildTime(i) + f.plan.BootTime
 		f.eng.Schedule(t.Add(delay), func(t2 simclock.Time) {
-			f.admit(NewBackend(fmt.Sprintf("%s+v2", old.Name), f.plan.replacement(i)), t2)
+			f.admit(NewBackend(fmt.Sprintf("%s+v2", old.Name), AlwaysUp()), t2)
 			f.upgradeStep(targets, surge, i+1, t2)
 		})
 	})

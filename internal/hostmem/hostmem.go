@@ -62,29 +62,26 @@ type Config struct {
 	// (no overcommit).
 	Overcommit float64
 
-	// SomeFrac and FullFrac are the pressure thresholds as fractions of
-	// Capacity. Zero values default to 0.70 and 0.90.
-	SomeFrac float64
+	// FullFrac is the full-pressure threshold as a fraction of
+	// Capacity. Zero defaults to 0.90.
 	FullFrac float64
-
-	// TargetFrac is where reclaim tries to bring residency back to.
-	// Zero defaults to 0.65 (just under SomeFrac, so a successful
-	// reclaim round actually clears the pressure level).
-	TargetFrac float64
 }
+
+// someFrac is the some-pressure threshold as a fraction of Capacity;
+// targetFrac is where reclaim tries to bring residency back to, just
+// under someFrac so a successful reclaim round actually clears the
+// pressure level.
+const (
+	someFrac   = 0.70
+	targetFrac = 0.65
+)
 
 func (c Config) withDefaults() Config {
 	if c.Overcommit == 0 {
 		c.Overcommit = 1.0
 	}
-	if c.SomeFrac == 0 {
-		c.SomeFrac = 0.70
-	}
 	if c.FullFrac == 0 {
 		c.FullFrac = 0.90
-	}
-	if c.TargetFrac == 0 {
-		c.TargetFrac = 0.65
 	}
 	return c
 }
@@ -157,11 +154,12 @@ func (a *Accountant) Commit(n int64) bool {
 }
 
 // Uncommit returns a promise, e.g. when the guest that held it is gone.
+// Returning more than is outstanding is a double release and panics.
 func (a *Accountant) Uncommit(n int64) {
-	a.committed -= n
-	if a.committed < 0 {
-		a.committed = 0
+	if n > a.committed {
+		panic(fmt.Sprintf("hostmem: uncommit of %d bytes with only %d committed", n, a.committed))
 	}
+	a.committed -= n
 }
 
 // Committed reports the promised bytes currently outstanding.
@@ -219,9 +217,9 @@ func (a *Accountant) Overage() int64 {
 }
 
 // ReclaimTarget reports how many bytes reclaim should free to bring
-// residency back to TargetFrac x Capacity (0 when already below).
+// residency back to targetFrac x Capacity (0 when already below).
 func (a *Accountant) ReclaimTarget() int64 {
-	target := int64(a.cfg.TargetFrac * float64(a.cfg.Capacity))
+	target := int64(targetFrac * float64(a.cfg.Capacity))
 	if need := a.used - target; need > 0 {
 		return need
 	}
@@ -235,7 +233,7 @@ func (a *Accountant) levelFor(used int64) Level {
 	switch frac := float64(used) / float64(a.cfg.Capacity); {
 	case frac >= a.cfg.FullFrac:
 		return LevelFull
-	case frac >= a.cfg.SomeFrac:
+	case frac >= someFrac:
 		return LevelSome
 	}
 	return LevelNone

@@ -88,6 +88,21 @@ func TestAccountantOvercommitAdmission(t *testing.T) {
 	}
 }
 
+// TestUncommitTwicePanics: returning a promise that is no longer
+// outstanding is a double release, and a ledger that clamped it to zero
+// would hide the bug, so the second Uncommit of the same bytes panics.
+func TestUncommitTwicePanics(t *testing.T) {
+	a := New(Config{Capacity: 100 * mib})
+	a.Commit(60 * mib)
+	a.Uncommit(60 * mib)
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("second Uncommit of 60 MiB left the ledger at %d, want a panic", a.Committed())
+		}
+	}()
+	a.Uncommit(60 * mib)
+}
+
 func TestAccountantReleaseDropsCharge(t *testing.T) {
 	a := New(Config{Capacity: 100 * mib})
 	a.Set("origin", 30*mib, 0)

@@ -126,7 +126,7 @@ func (l *Ladder) Respond(now simclock.Time) int64 {
 		// headroom as exists below the some-threshold so the deflate
 		// cannot itself re-trigger pressure.
 		if l.hooks.Deflate != nil {
-			some := int64(l.acct.cfg.SomeFrac * float64(l.acct.cfg.Capacity))
+			some := int64(someFrac * float64(l.acct.cfg.Capacity))
 			if allowance := some - l.acct.Used(); allowance > 0 {
 				l.stats.Deflated += l.hooks.Deflate(allowance, now)
 			}

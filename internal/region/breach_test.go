@@ -91,7 +91,7 @@ func TestQuarantineDefersAtFloor(t *testing.T) {
 	cfg.Regions = cfg.Regions[:1]
 	cfg.PoolPerRegion = 1
 	cfg.Requests = 200
-	cfg.Breach = &BreachConfig{Campaign: breachCampaign(), CellFloor: 1}
+	cfg.Breach = &BreachConfig{Campaign: breachCampaign()}
 	plan := faults.Plan{
 		Seed: 7,
 		Rules: []faults.Rule{
@@ -243,7 +243,7 @@ func TestHostCrashAfterRepaveKillsWithoutReplacing(t *testing.T) {
 	cfg := testConfig()
 	cfg.Regions = cfg.Regions[:1]
 	cfg.PoolPerRegion = 1
-	cfg.Breach = &BreachConfig{Campaign: breachCampaign(), CellFloor: 1}
+	cfg.Breach = &BreachConfig{Campaign: breachCampaign()}
 	p := New(cfg, mustInj(t, faults.Plan{
 		Seed: 7,
 		Rules: []faults.Rule{

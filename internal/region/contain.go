@@ -30,12 +30,6 @@ type BreachConfig struct {
 	// exposed, nothing hardened) — the comparator default.
 	Surface func(ident int) attack.Surface
 
-	// CellFloor is the fewest structurally active backends a cell may
-	// be quarantined down to (default 1). A quarantine that would cross
-	// it defers: the repave replacement boots first and the victim is
-	// quarantined the instant it lands, so the floor holds throughout.
-	CellFloor int
-
 	// EvacuateDensity triggers a region-level containment evacuation
 	// when the fraction of a region's live placements currently
 	// compromised reaches it — the KML blast-radius answer. 0 = never.
@@ -62,13 +56,11 @@ type BreachStats struct {
 	Dwell []simclock.Duration // compromise -> egress cut (end of run if never), per compromise
 }
 
-// breachFloor resolves the configured cell floor.
-func (p *Plane) breachFloor() int {
-	if p.cfg.Breach != nil && p.cfg.Breach.CellFloor > 0 {
-		return p.cfg.Breach.CellFloor
-	}
-	return 1
-}
+// cellFloor is the fewest structurally active backends a cell may be
+// quarantined down to. A quarantine that would cross it defers: the
+// repave replacement boots first and the victim is quarantined the
+// instant it lands, so the floor holds throughout.
+const cellFloor = 1
 
 // armBreach builds the attack plane and registers every initial
 // placement, in placement order. Called once at the end of New.
@@ -173,7 +165,7 @@ func (p *Plane) contain(pl *placement, now simclock.Time) {
 		return
 	}
 	pl.contained = true
-	if pl.reg.fl.Quarantine(pl.b, p.breachFloor(), now) {
+	if pl.reg.fl.Quarantine(pl.b, cellFloor, now) {
 		p.noteQuarantine(pl, now)
 	} else {
 		p.res.Breach.QuarantineDeferred++

@@ -149,15 +149,12 @@ func New(cfg Config, inj *faults.Injector) *Plane {
 	for i, id := range p.idents {
 		p.idstats[i] = IdentityStats{Name: id.Name, Kernel: id.Kernel}
 	}
-	net, err := fabric.New(fleet.FabricParams(cfg.Cell), p.eng, inj)
-	if err != nil {
-		panic(fmt.Sprintf("region: bad fabric config: %v", err))
-	}
-	p.net = net
+	p.net = fabric.New(fleet.FabricParams(cfg.Cell), p.eng, inj)
 
 	// Zone interning order is the package contract (ZoneCore,
 	// RegionZone): router first, then each region's gateway.
-	p.router, err = net.AddNodeZone("router", "core", fabric.LinkSpec{})
+	var err error
+	p.router, err = p.net.AddNodeZone("router", "core", fabric.LinkSpec{})
 	if err != nil {
 		panic(fmt.Sprintf("region: %v", err))
 	}
@@ -219,7 +216,7 @@ func (p *Plane) addRegion(i int, rs RegionSpec) {
 	r.gw = gw
 	r.lst = gw.Listen(gatewayPort, gatewayBacklog)
 	r.lst.OnPending = func(now simclock.Time) { p.gatewayPump(rr, now) }
-	p.net.SetTrunk("core", rs.Name, p.cfg.Trunk)
+	p.net.SetTrunk("core", rs.Name, fabric.LinkSpec{Latency: trunkLatency, Bandwidth: trunkBandwidth})
 
 	for h := 0; h < rs.Hosts; h++ {
 		spec := rs.Host
@@ -227,7 +224,7 @@ func (p *Plane) addRegion(i int, rs RegionSpec) {
 			region: r,
 			idx:    h,
 			name:   fmt.Sprintf("%s/h%d", rs.Name, h),
-			acct:   hostmem.New(hostmem.Config{Capacity: spec.Capacity, Overcommit: spec.Overcommit}),
+			acct:   hostmem.New(hostmem.Config{Capacity: spec.Capacity, Overcommit: hostOvercommit}),
 		})
 	}
 
@@ -340,7 +337,7 @@ func (p *Plane) seedStores() {
 			continue
 		}
 		if p.repl == nil {
-			p.repl = snapshot.NewReplicator(p.cfg.ReplBandwidth)
+			p.repl = snapshot.NewReplicator(replBandwidth)
 		}
 		for _, r := range p.regions[1:] {
 			d := p.repl.Replicate(snap)
@@ -353,19 +350,20 @@ func (p *Plane) seedStores() {
 // Run plays the whole scenario and returns the result. Deterministic:
 // the only inputs are the config and the injector's plan and seed.
 func (p *Plane) Run() Result {
-	at := p.cfg.TrafficStart
+	at := trafficStart
 	for i := 0; i < p.cfg.Requests; i++ {
-		r := &greq{p: p, id: i, arrival: at.Add(p.jitter(p.cfg.ArrivalJitter))}
+		jitter := simclock.Duration(p.arrivalRng.Intn(int(arrivalJitter)))
+		r := &greq{p: p, id: i, arrival: at.Add(jitter)}
 		p.eng.Schedule(r.arrival, func(now simclock.Time) { p.routeRequest(r, now) })
-		at = at.Add(p.cfg.Interarrival)
+		at = at.Add(interarrival)
 	}
 	p.res.Total = p.cfg.Requests
 	for i := range p.cfg.Upgrades {
 		spec := p.cfg.Upgrades[i]
 		p.eng.Schedule(spec.Start, func(now simclock.Time) { p.startRollout(spec, now) })
 	}
-	p.eng.Schedule(simclock.Time(p.cfg.ProbeInterval), p.probeTick)
-	p.eng.Schedule(simclock.Time(p.cfg.ControlEvery), p.controlTick)
+	p.eng.Schedule(simclock.Time(probeInterval), p.probeTick)
+	p.eng.Schedule(simclock.Time(controlEvery), p.controlTick)
 	for _, r := range p.regions {
 		r.fl.Start(0)
 	}
@@ -376,13 +374,6 @@ func (p *Plane) Run() Result {
 	p.res.End = p.eng.Now()
 	p.finishStats()
 	return p.res
-}
-
-func (p *Plane) jitter(span simclock.Duration) simclock.Duration {
-	if span <= 0 {
-		return 0
-	}
-	return simclock.Duration(p.arrivalRng.Intn(int(span)))
 }
 
 // finishStats folds per-region and per-cell accounting into the result.
@@ -442,7 +433,7 @@ func (p *Plane) controlTick(now simclock.Time) {
 		}
 	}
 	if !p.finished {
-		p.eng.Schedule(now.Add(p.cfg.ControlEvery), p.controlTick)
+		p.eng.Schedule(now.Add(controlEvery), p.controlTick)
 	}
 }
 

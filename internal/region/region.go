@@ -30,8 +30,6 @@ import (
 	"lupine/internal/simclock"
 	"lupine/internal/snapshot"
 	"lupine/internal/vmm"
-
-	"lupine/internal/fabric"
 )
 
 // Region-owned fault-injection sites. Both are consulted once per
@@ -74,10 +72,10 @@ func CutInto(i int) int64 { return int64(RegionZone(i)) }
 // OF region i (it hears the world and answers into the void).
 func CutOutOf(i int) int64 { return int64(RegionZone(i)) * 1000 }
 
-// HostSpec sizes one simulated host's memory accountant.
+// HostSpec sizes one simulated host's memory accountant. Every host
+// admits commitments up to hostOvercommit x Capacity.
 type HostSpec struct {
-	Capacity   int64   // physical bytes available to guest memory
-	Overcommit float64 // admission bound multiplier (0 = 1.0)
+	Capacity int64 // physical bytes available to guest memory
 }
 
 // RegionSpec describes one region's host inventory.
@@ -99,7 +97,7 @@ type Identity struct {
 	Kernel   string             // kernel identity (snapshot.KernelKey)
 	Monitor  string             // monitor half of the store key
 	Snapshot *snapshot.Snapshot // warm capture; nil means this identity always cold-boots
-	VMBytes  int64              // per-VM commit (0 = Config.VMBytes)
+	VMBytes  int64              // per-VM commit (0 = vmBytes)
 	ColdBoot simclock.Duration  // 0 = Config.ColdBoot
 }
 
@@ -134,21 +132,19 @@ type IdentityStats struct {
 // Config tunes the control plane. All durations are virtual.
 type Config struct {
 	Regions       []RegionSpec
-	PoolPerRegion int   // backends placed per region at build time
-	VMBytes       int64 // committed bytes each placement promises its host
+	PoolPerRegion int // backends placed per region at build time
 
 	// Identities makes the deployment heterogeneous: pool slot v in
 	// every region runs Identities[v % len(Identities)]. Empty means the
 	// classic homogeneous plane described by the Snapshot / Monitor /
-	// VMBytes / ColdBoot singletons below.
+	// ColdBoot singletons below, each VM committing vmBytes.
 	Identities []Identity
 
 	// Upgrades schedules per-identity rolling kernel upgrades.
 	Upgrades []UpgradeSpec
 
-	// Cell tunes each region's fleet (attached mode: the Requests,
-	// TrafficStart and upgrade knobs are ignored; probes, breakers,
-	// retry policy, slots and the wire all apply per cell).
+	// Cell tunes each region's fleet: its probes, breakers, policy and
+	// wire apply per cell; traffic comes from the router.
 	Cell fleet.Config
 
 	// Timeline, when set, supplies each initial placement's service
@@ -159,36 +155,9 @@ type Config struct {
 	// dying wherever the control plane restores it.
 	Timeline func(region, vm int) fleet.Timeline
 
-	// Global traffic: Requests arrivals from TrafficStart, Interarrival
-	// apart, jittered by a seeded draw in [0, ArrivalJitter).
-	Requests      int
-	TrafficStart  simclock.Time
-	Interarrival  simclock.Duration
-	ArrivalJitter simclock.Duration
-
-	// Router dispatch: payload sizes on the router->gateway hop, the
-	// per-connection response deadline, and the global retry policy.
-	RequestBytes  int
-	ResponseBytes int
-	RespTimeout   simclock.Duration
-	Deadline      simclock.Duration // per-request global deadline
-	MaxAttempts   int               // dispatches per request across regions
-
-	// Failover detection: the router probes every gateway each
-	// ProbeInterval; FailAfter consecutive misses declare the region
-	// dead, RiseAfter consecutive replies re-admit it.
-	ProbeInterval simclock.Duration
-	ProbeTimeout  simclock.Duration
-	FailAfter     int
-	RiseAfter     int
-
-	// EvacuateAfter is the dwell between declaring a region dead and
-	// evacuating it — long enough that a healed partition rejoins
-	// instead of triggering a mass migration.
-	EvacuateAfter simclock.Duration
-
-	// ControlEvery is the fault-plane tick consulting the region sites.
-	ControlEvery simclock.Duration
+	// Requests is the global traffic: arrivals from trafficStart,
+	// interarrival apart, jittered by a seeded draw in [0, arrivalJitter).
+	Requests int
 
 	// Breach, when set, arms the security containment plane: a seeded
 	// exploit campaign (internal/attack) runs against the placements and
@@ -196,23 +165,64 @@ type Config struct {
 	// evacuate ladder. Nil means no campaign — the classic plane.
 	Breach *BreachConfig
 
-	// Trunk is the inter-region link spec (core<->region, per region).
-	Trunk fabric.LinkSpec
-
 	// Warm pools: Snapshot (may be nil) is the home region's captured
 	// image; when Replicate is set it is shipped to every peer store at
-	// ReplBandwidth bytes per virtual second before it can be restored
+	// replBandwidth bytes per virtual second before it can be restored
 	// there. Evacuations and crash replacements restore from the local
 	// store and fall back to a ColdBoot when no replica (or a
 	// restore-fault) leaves them no choice.
-	Snapshot      *snapshot.Snapshot
-	Monitor       *vmm.Monitor
-	Replicate     bool
-	ReplBandwidth int64
-	ColdBoot      simclock.Duration
+	Snapshot  *snapshot.Snapshot
+	Monitor   *vmm.Monitor
+	Replicate bool
+	ColdBoot  simclock.Duration
 
 	Seed uint64
 }
+
+// The control plane's fixed tuning. All durations are virtual.
+const (
+	// hostOvercommit is every host's admission bound multiplier.
+	hostOvercommit = 1.5
+	// vmBytes is the commit each placement promises its host, unless
+	// its identity says otherwise.
+	vmBytes int64 = 128 << 20
+
+	// Global traffic starts once the pools are provisioned.
+	trafficStart  = 2 * simclock.Time(simclock.Millisecond)
+	interarrival  = 50 * simclock.Microsecond
+	arrivalJitter = 20 * simclock.Microsecond
+
+	// Router dispatch: the per-connection response deadline and the
+	// global retry policy. Payloads on the router->gateway hop are the
+	// cells' own fleet.RequestBytes and fleet.ResponseBytes.
+	respTimeout = 4 * simclock.Millisecond
+	deadline    = 12 * simclock.Millisecond // per-request global deadline
+	maxAttempts = 3                         // dispatches per request across regions
+
+	// Failover detection: the router probes every gateway each
+	// probeInterval; failAfter consecutive misses declare the region
+	// dead, riseAfter consecutive replies re-admit it.
+	probeInterval = 1 * simclock.Millisecond
+	probeTimeout  = 600 * simclock.Microsecond
+	failAfter     = 2
+	riseAfter     = 2
+
+	// evacuateAfter is the dwell between declaring a region dead and
+	// evacuating it — long enough that a healed partition rejoins
+	// instead of triggering a mass migration.
+	evacuateAfter = 8 * simclock.Millisecond
+
+	// controlEvery is the fault-plane tick consulting the region sites.
+	controlEvery = 500 * simclock.Microsecond
+
+	// The inter-region trunk (core<->region, per region).
+	trunkLatency   = 150 * simclock.Microsecond
+	trunkBandwidth = 1250 * 1000 * 1000
+
+	// replBandwidth is the warm-pool replication rate, in bytes per
+	// virtual second.
+	replBandwidth = 4 * 1000 * 1000 * 1000
+)
 
 // identities resolves the deployment's identity list: the configured
 // heterogeneous set, or one synthetic identity for the classic
@@ -222,7 +232,7 @@ func (c *Config) identities() []Identity {
 		ids := make([]Identity, len(c.Identities))
 		for i, id := range c.Identities {
 			if id.VMBytes == 0 {
-				id.VMBytes = c.VMBytes
+				id.VMBytes = vmBytes
 			}
 			if id.ColdBoot == 0 {
 				id.ColdBoot = c.ColdBoot
@@ -245,54 +255,27 @@ func (c *Config) identities() []Identity {
 	}
 	return []Identity{{
 		Name: "default", Kernel: kernel, Monitor: monitor,
-		Snapshot: c.Snapshot, VMBytes: c.VMBytes, ColdBoot: c.ColdBoot,
+		Snapshot: c.Snapshot, VMBytes: vmBytes, ColdBoot: c.ColdBoot,
 	}}
 }
 
 // DefaultConfig is a three-region plane, comfortably provisioned so
 // that two survivors absorb a third region's share.
 func DefaultConfig() Config {
-	const (
-		us  = simclock.Microsecond
-		ms  = simclock.Millisecond
-		mib = int64(1) << 20
-	)
-	cell := fleet.DefaultConfig()
-	cell.Requests = 0
+	const mib = int64(1) << 20
 	return Config{
 		Regions: []RegionSpec{
-			{Name: "r0", Hosts: 2, Host: HostSpec{Capacity: 1024 * mib, Overcommit: 1.5}},
-			{Name: "r1", Hosts: 2, Host: HostSpec{Capacity: 1024 * mib, Overcommit: 1.5}},
-			{Name: "r2", Hosts: 2, Host: HostSpec{Capacity: 1024 * mib, Overcommit: 1.5}},
+			{Name: "r0", Hosts: 2, Host: HostSpec{Capacity: 1024 * mib}},
+			{Name: "r1", Hosts: 2, Host: HostSpec{Capacity: 1024 * mib}},
+			{Name: "r2", Hosts: 2, Host: HostSpec{Capacity: 1024 * mib}},
 		},
 		PoolPerRegion: 3,
-		VMBytes:       128 * mib,
-		Cell:          cell,
+		Cell:          fleet.DefaultConfig(),
 
-		Requests:      2000,
-		TrafficStart:  2 * simclock.Time(ms),
-		Interarrival:  50 * us,
-		ArrivalJitter: 20 * us,
+		Requests: 2000,
 
-		RequestBytes:  1500,
-		ResponseBytes: 8192,
-		RespTimeout:   4 * ms,
-		Deadline:      12 * ms,
-		MaxAttempts:   3,
-
-		ProbeInterval: 1 * ms,
-		ProbeTimeout:  600 * us,
-		FailAfter:     2,
-		RiseAfter:     2,
-
-		EvacuateAfter: 8 * ms,
-		ControlEvery:  500 * us,
-
-		Trunk: fabric.LinkSpec{Latency: 150 * us, Bandwidth: 1250 * 1000 * 1000},
-
-		Replicate:     true,
-		ReplBandwidth: 4 * 1000 * 1000 * 1000,
-		ColdBoot:      5 * ms,
+		Replicate: true,
+		ColdBoot:  5 * simclock.Millisecond,
 
 		Seed: 42,
 	}

@@ -97,7 +97,7 @@ func (p *Plane) dispatch(r *greq, reg *Region, now simclock.Time) {
 
 // Established ships the request once the gateway's handshake completes.
 func (r *greq) Established(c *fabric.Conn, now simclock.Time) {
-	c.SendRequest(r.p.cfg.RequestBytes, r.p.cfg.RespTimeout, now)
+	c.SendRequest(fleet.RequestBytes, respTimeout, now)
 }
 
 // Response resolves the request as served by the region it was sent to.
@@ -133,7 +133,7 @@ func (r *greq) Failed(c *fabric.Conn, err error, now simclock.Time) {
 // attempt already cost its timeouts, and the surviving regions are a
 // different path, not a congested one.
 func (p *Plane) retry(r *greq, now simclock.Time) {
-	if r.attempts >= p.cfg.MaxAttempts || now.Sub(r.arrival) > p.cfg.Deadline {
+	if r.attempts >= maxAttempts || now.Sub(r.arrival) > deadline {
 		p.res.Failed++
 		p.resolved++
 		p.maybeFinish(now)
@@ -161,7 +161,7 @@ func (p *Plane) gatewayPump(r *Region, now simclock.Time) {
 			rr.fl.Inject(rr.injectSeq, at, func(o fleet.Outcome, done simclock.Time) {
 				switch o {
 				case fleet.OutcomeOK:
-					cc.Respond(p.cfg.ResponseBytes, done)
+					cc.Respond(fleet.ResponseBytes, done)
 				case fleet.OutcomeShed:
 					rr.st.Shed++
 				}
@@ -172,16 +172,16 @@ func (p *Plane) gatewayPump(r *Region, now simclock.Time) {
 
 // probeTick is the failover detector: one heartbeat to every gateway —
 // dead regions included, which is how a healed partition rejoins —
-// every ProbeInterval.
+// every probeInterval.
 func (p *Plane) probeTick(now simclock.Time) {
 	for _, reg := range p.regions {
 		rr := reg
-		p.net.Probe(p.router, reg.gw, p.cfg.ProbeTimeout, func(ok bool, at simclock.Time) {
+		p.net.Probe(p.router, reg.gw, probeTimeout, func(ok bool, at simclock.Time) {
 			p.probeVerdict(rr, ok, at)
 		})
 	}
 	if !p.finished {
-		p.eng.Schedule(now.Add(p.cfg.ProbeInterval), p.probeTick)
+		p.eng.Schedule(now.Add(probeInterval), p.probeTick)
 	}
 }
 
@@ -190,7 +190,7 @@ func (p *Plane) probeVerdict(reg *Region, ok bool, now simclock.Time) {
 	if ok {
 		reg.probeOKs++
 		reg.probeFails = 0
-		if reg.dead && !reg.evacuated && reg.probeOKs >= p.cfg.RiseAfter {
+		if reg.dead && !reg.evacuated && reg.probeOKs >= riseAfter {
 			// The region answered long enough: the partition healed.
 			reg.dead = false
 			reg.deadAt = -1
@@ -204,7 +204,7 @@ func (p *Plane) probeVerdict(reg *Region, ok bool, now simclock.Time) {
 	}
 	reg.probeFails++
 	reg.probeOKs = 0
-	if !reg.dead && reg.probeFails >= p.cfg.FailAfter {
+	if !reg.dead && reg.probeFails >= failAfter {
 		p.declareDead(reg, now)
 	}
 }
@@ -229,5 +229,5 @@ func (p *Plane) declareDead(reg *Region, now simclock.Time) {
 		p.tr.Trip(p.trTrack, "failover:"+reg.name, now)
 	}
 	rr := reg
-	p.eng.Schedule(now.Add(p.cfg.EvacuateAfter), func(t simclock.Time) { p.maybeEvacuate(rr, t) })
+	p.eng.Schedule(now.Add(evacuateAfter), func(t simclock.Time) { p.maybeEvacuate(rr, t) })
 }

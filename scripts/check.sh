@@ -19,6 +19,13 @@ go vet ./...
 echo "== go test -race"
 go test -race ./...
 
+# The benchmark is its own module (bench/go.mod), so ./... from the root
+# never reaches it: vet and test it explicitly, or a change to an API it
+# compiles against would pass this gate and break the benchmark.
+echo "== bench module: go vet, go test"
+go -C bench vet ./...
+go -C bench test ./...
+
 # The concurrency-sensitive planes (the simclock event engine, fleet,
 # network fabric, supervisor, snapshot store, memory accountant, guest
 # balloon, telemetry plane, multi-region control plane, build pipeline
