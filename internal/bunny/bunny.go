@@ -17,6 +17,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -74,8 +75,10 @@ type Spec struct {
 }
 
 // New returns a normalized spec for app with the given extra options.
+// It normalizes a copy of options, so a caller may pass a slice that
+// other goroutines read.
 func New(app string, options ...string) *Spec {
-	s := &Spec{App: app, Options: options}
+	s := &Spec{App: app, Options: slices.Clone(options)}
 	s.Normalize()
 	return s
 }

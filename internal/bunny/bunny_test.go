@@ -97,6 +97,15 @@ func TestDuplicateOptionNormalization(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Errorf("normalized spec fails validation: %v", err)
 	}
+	// New normalizes a copy: the caller's slice, which concurrent
+	// callers may share, keeps its contents and order.
+	opts := []string{"FUTEX", "EPOLL", "FUTEX"}
+	if got, want := New("redis", opts...).Options, []string{"EPOLL", "FUTEX"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("New options = %v, want %v", got, want)
+	}
+	if want := []string{"FUTEX", "EPOLL", "FUTEX"}; !reflect.DeepEqual(opts, want) {
+		t.Errorf("New rewrote its caller's options to %v", opts)
+	}
 }
 
 // Quick-check over seeded permutations: specs that mean the same build —

@@ -1,6 +1,7 @@
 package ext2
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -121,5 +122,35 @@ func TestInjectedBlockFaults(t *testing.T) {
 	// A nil injector must behave exactly like ReadImage.
 	if _, err := ReadImageInjected(base, nil); err != nil {
 		t.Fatalf("nil injector: %v", err)
+	}
+}
+
+// A bit flip injected on a block read corrupts what is read, never the
+// image: the file whose block flipped comes back as a copy carrying that
+// one flipped bit, though its blocks are contiguous, and the image keeps
+// every byte it was written with.
+func TestFlippedBlockIsACopy(t *testing.T) {
+	data := bytes.Repeat([]byte("lupine"), 1000) // six contiguous blocks
+	img, err := WriteImage(NewDir("", NewFile("f", 0o644, data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := bytes.Clone(img)
+	// Hit 1 reads the root directory; hit 3 is the file's second block.
+	flip := faults.MustNew(faults.Plan{
+		Seed:  1,
+		Rules: []faults.Rule{{Site: SiteBlockRead, NthHit: 3, Param: 9}},
+	})
+	back, err := ReadImageInjected(img, flip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Clone(data)
+	want[BlockSize+9] ^= 1 << (9 % 8)
+	if !bytes.Equal(back.Child("f").Data, want) {
+		t.Error("file read through a flipped block does not carry exactly the flipped bit")
+	}
+	if !bytes.Equal(img, orig) {
+		t.Error("the injected bit flip reached the image")
 	}
 }

@@ -1,7 +1,7 @@
 // Package ext2 implements a minimal ext2 (revision 0) filesystem image
-// writer and reader: a single block group with 1 KiB blocks, direct plus
-// single- and double-indirect block pointers, and ext2_dir_entry_2
-// directory entries. The Lupine pipeline (Figure 2) converts a container
+// writer and reader: 1 KiB blocks in as many 8 MiB block groups as the
+// tree needs, direct plus single- and double-indirect block pointers, and
+// ext2_dir_entry_2 directory entries. The Lupine pipeline (Figure 2) converts a container
 // root filesystem into such an image, and the guest kernel mounts it as
 // its root filesystem, so these are real bytes, not a mock.
 package ext2
@@ -39,6 +39,8 @@ const (
 )
 
 // File is a node in the tree to be written into (or read out of) an image.
+// In a tree ReadImage returned, Data may alias the image's bytes and must
+// not be written.
 type File struct {
 	Name     string // base name; "" only for the root directory
 	Mode     uint16 // permission bits (type bits added automatically)

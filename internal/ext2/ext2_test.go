@@ -2,8 +2,11 @@ package ext2
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -41,6 +44,12 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertTreesEqual(t, "/", root, back)
+}
+
+// imageDigest is the hex sha256 of an image, for layout pins.
+func imageDigest(img []byte) string {
+	sum := sha256.Sum256(img)
+	return hex.EncodeToString(sum[:])
 }
 
 func assertTreesEqual(t *testing.T, path string, want, got *File) {
@@ -95,17 +104,22 @@ func TestSuperblockFields(t *testing.T) {
 
 func TestLargeFileIndirection(t *testing.T) {
 	// > 12 KiB forces single indirection; > 12 KiB + 256 KiB forces double.
-	sizes := []int{
-		0,
-		1,
-		BlockSize,
-		directBlocks * BlockSize,   // direct only
-		directBlocks*BlockSize + 1, // single indirect begins
-		(directBlocks + pointersPerBlock) * BlockSize,   // single indirect full
-		(directBlocks+pointersPerBlock)*BlockSize + 777, // double indirect begins
-		2 << 20, // 2 MiB, deep into double indirect (musl libc scale)
+	// Each image's sha256 is pinned: the layout is part of the contract.
+	cases := []struct {
+		size   int
+		sha256 string
+	}{
+		{0, "62e337f61f582694e71f877e036229541b90d527603df4cfc4ad6b32b9d53304"},
+		{1, "7e8b1bbb61564c6d5663edaa8c398824e4ba561979c61462260e36b41791dac7"},
+		{BlockSize, "19be1a1bea1042107459dbb306536ec4d287368a6f8c3e6fec33e73b75ec8167"},
+		{directBlocks * BlockSize, "7ba6132fd299c263b8b251cd53f7f15241e822cfcac0053b8798179119ae20b1"},                        // direct only
+		{directBlocks*BlockSize + 1, "60d1014eee7c80d8786bf6951c305ff2c09146dd9cea7a5c934b8166bc588825"},                      // single indirect begins
+		{(directBlocks + pointersPerBlock) * BlockSize, "02b366590fbcc2170dbdbfdc0de25275a4f67fe6545676c9e7a6fe59f6077d01"},   // single indirect full
+		{(directBlocks+pointersPerBlock)*BlockSize + 777, "7f5bf7f59375282d2212f41d495826ae110905ab4235702d24256501f902f2a1"}, // double indirect begins
+		{2 << 20, "b0de21380abc508de7e7b47e6546875d641eabb1112a5800eb7013d518c04d27"},                                         // 2 MiB, deep into double indirect (musl libc scale)
 	}
-	for _, size := range sizes {
+	for _, c := range cases {
+		size := c.size
 		data := make([]byte, size)
 		rnd := rand.New(rand.NewSource(int64(size)))
 		rnd.Read(data)
@@ -113,6 +127,9 @@ func TestLargeFileIndirection(t *testing.T) {
 		img, err := WriteImage(root)
 		if err != nil {
 			t.Fatalf("size %d: %v", size, err)
+		}
+		if got := imageDigest(img); got != c.sha256 {
+			t.Errorf("size %d: image sha256 %s, pinned %s", size, got, c.sha256)
 		}
 		back, err := ReadImage(img)
 		if err != nil {
@@ -188,6 +205,10 @@ func TestWriteErrors(t *testing.T) {
 	bad := NewDir("", &File{Name: "x/y", Mode: 0o644})
 	if _, err := WriteImage(bad); err == nil {
 		t.Error("slash in name accepted")
+	}
+	huge := NewDir("", NewFile("huge", 0o644, make([]byte, maxFileBlocks*BlockSize+1)))
+	if _, err := WriteImage(huge); err == nil {
+		t.Error("file over the size limit accepted")
 	}
 }
 
@@ -335,6 +356,9 @@ func TestMultiGroupImage(t *testing.T) {
 	if len(img) <= 2*blocksPerGroup*BlockSize {
 		t.Fatalf("image only %d bytes; expected to span >2 groups", len(img))
 	}
+	if got, want := imageDigest(img), "812e6a14b7433334a1d7add78e40002810fc17b14480f720a34a0aaf71e01446"; got != want {
+		t.Errorf("image sha256 %s, pinned %s", got, want)
+	}
 	back, err := ReadImage(img)
 	if err != nil {
 		t.Fatal(err)
@@ -422,5 +446,38 @@ func TestReaderTruncationRobustness(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A file's bytes are copied once on the way into an image and not at all
+// on the way out: writing a tree that holds one 1 MiB file makes a fixed,
+// small number of allocations, and reading it back allocates a few
+// kilobytes of metadata, because the file's Data is a view of the image.
+func TestImageAllocations(t *testing.T) {
+	root := NewDir("", NewFile("blob", 0o644, bytes.Repeat([]byte{0x5A}, 1<<20)))
+	if a := testing.AllocsPerRun(10, func() {
+		if _, err := WriteImage(root); err != nil {
+			t.Fatal(err)
+		}
+	}); a > 100 {
+		t.Errorf("WriteImage: %.0f allocations, want at most 100", a)
+	}
+
+	img, err := WriteImage(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := ReadImage(img); err != nil {
+			t.Fatal(err)
+		}
+	})
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun calls the function once more to warm up.
+	if b := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); b >= 16<<10 {
+		t.Errorf("ReadImage: %d bytes in %.0f allocations, want under 16 KiB", b, allocs)
 	}
 }

@@ -7,9 +7,15 @@ import (
 )
 
 // ReadImage parses a complete ext2 image (as produced by WriteImage, or
-// any single-block-group rev-0 image with 1 KiB blocks) back into a file
-// tree rooted at a nameless directory. Corruption anywhere in the image
-// surfaces as an error wrapping ErrIO (see errors.go), never as a panic.
+// any rev-0 image with 1 KiB blocks and one or more block groups) back
+// into a file tree rooted at a nameless directory. Corruption anywhere in
+// the image surfaces as an error wrapping ErrIO (see errors.go), never as
+// a panic.
+//
+// Data in the returned tree may alias img: a file's whenever its blocks
+// are contiguous and none was read flipped, and every fast symlink's. So
+// callers must not write into it; its capacity is capped at its length,
+// so an append copies.
 func ReadImage(img []byte) (*File, error) {
 	return ReadImageInjected(img, nil)
 }
@@ -89,22 +95,22 @@ func (r *reader) inodeTableOf(g uint32) uint32 {
 // block fetches block n, running it past the ext2/block-read fault site:
 // an injected short read fails the fetch, an injected bit flip corrupts a
 // copy of the block (the image itself stays intact, like a transient
-// controller error).
-func (r *reader) block(n uint32) ([]byte, error) {
+// controller error) and reports flipped.
+func (r *reader) block(n uint32) (b []byte, flipped bool, err error) {
 	if n == 0 || n >= r.totalBlocks {
-		return nil, fmt.Errorf("%w: block %d out of range", ErrIO, n)
+		return nil, false, fmt.Errorf("%w: block %d out of range", ErrIO, n)
 	}
-	b := r.img[int(n)*BlockSize : (int(n)+1)*BlockSize]
+	b = r.img[int(n)*BlockSize : (int(n)+1)*BlockSize]
 	if d := r.inj.Hit(SiteBlockRead, 0); d.Fire {
 		if d.Param < 0 {
-			return nil, fmt.Errorf("%w: short read of block %d", ErrTruncated, n)
+			return nil, false, fmt.Errorf("%w: short read of block %d", ErrTruncated, n)
 		}
-		flipped := append([]byte(nil), b...)
-		off := int(d.Param) % len(flipped)
-		flipped[off] ^= 1 << (uint(d.Param) % 8)
-		return flipped, nil
+		b = append([]byte(nil), b...)
+		off := int(d.Param) % len(b)
+		b[off] ^= 1 << (uint(d.Param) % 8)
+		return b, true, nil
 	}
-	return b, nil
+	return b, false, nil
 }
 
 type rawInode struct {
@@ -137,26 +143,38 @@ func (r *reader) inode(ino uint32) (*rawInode, error) {
 }
 
 // readData collects a file's contents through direct and indirect blocks.
+// Every block passes the fault site once, in file order. While the blocks
+// form one contiguous run of unflipped image blocks the contents are a
+// view of the image; the first gap or flipped block turns them into a
+// copy.
 func (r *reader) readData(in *rawInode) ([]byte, error) {
 	if int64(in.size) > int64(maxFileBlocks)*BlockSize {
 		return nil, fmt.Errorf("%w: size %d exceeds maximum file size", ErrCorruptInode, in.size)
 	}
 	remaining := int(in.size)
-	out := make([]byte, 0, remaining)
+	lo, hi := 0, 0 // the view: image bytes [lo, hi), empty while hi == 0
+	var out []byte // the copy, once the blocks stop forming one view
 	appendBlock := func(bn uint32) error {
 		if remaining <= 0 {
 			return nil
 		}
-		b, err := r.block(bn)
+		b, flipped, err := r.block(bn)
 		if err != nil {
 			return err
 		}
-		n := remaining
-		if n > BlockSize {
-			n = BlockSize
+		n := min(remaining, BlockSize)
+		remaining -= n
+		if off := int(bn) * BlockSize; out == nil && !flipped && (hi == 0 || off == hi) {
+			if hi == 0 {
+				lo = off
+			}
+			hi = off + n
+			return nil
+		}
+		if out == nil {
+			out = append(make([]byte, 0, in.size), r.img[lo:hi]...)
 		}
 		out = append(out, b[:n]...)
-		remaining -= n
 		return nil
 	}
 	for i := 0; i < directBlocks && remaining > 0; i++ {
@@ -180,11 +198,14 @@ func (r *reader) readData(in *rawInode) ([]byte, error) {
 	if remaining > 0 {
 		return nil, fmt.Errorf("%w: claims %d bytes but blocks are exhausted", ErrCorruptInode, in.size)
 	}
+	if out == nil {
+		out = r.img[lo:hi:hi] // non-nil even for an empty file
+	}
 	return out, nil
 }
 
 func (r *reader) walkIndirect(bn uint32, depth int, f func(uint32) error) error {
-	b, err := r.block(bn)
+	b, _, err := r.block(bn)
 	if err != nil {
 		return err
 	}
@@ -258,7 +279,7 @@ func (r *reader) readNode(ino uint32, visiting map[uint32]bool) (*File, error) {
 		f := &File{Mode: in.mode & 0o7777, Symlink: true}
 		if in.size < 60 {
 			// Fast symlink: target stored inline in the i_block area.
-			f.Data = append([]byte(nil), in.raw[40:40+in.size]...)
+			f.Data = in.raw[40 : 40+in.size : 40+in.size]
 		} else {
 			data, err := r.readData(in)
 			if err != nil {

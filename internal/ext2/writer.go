@@ -1,9 +1,16 @@
 package ext2
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // WriteImage serializes the file tree rooted at root (which must be a
-// directory; its Name is ignored) into a complete ext2 image.
+// directory; its Name is ignored) into a complete ext2 image. A first
+// pass numbers the inodes, encodes every directory and counts every
+// block, which fixes the group geometry; the image is then allocated
+// once and a second pass writes each block straight into place, so a
+// file's bytes are copied exactly once.
 func WriteImage(root *File) ([]byte, error) {
 	if root == nil || !root.Dir {
 		return nil, fmt.Errorf("ext2: root must be a directory")
@@ -11,182 +18,190 @@ func WriteImage(root *File) ([]byte, error) {
 	if err := root.validate(); err != nil {
 		return nil, err
 	}
-
-	w := &writer{}
-	w.plan(root)
-
-	// Assign inode numbers: root gets 2, everything else sequentially.
-	w.assign(root, rootInode)
-
-	// Serialize file and directory contents into data blocks.
-	if err := w.writeNode(root, rootInode, rootInode); err != nil {
+	w := &writer{nodes: make(map[*File]node), nextIno: firstFreeInode}
+	if err := w.number(root, rootInode, rootInode); err != nil {
 		return nil, err
 	}
-	return w.finish()
+	if err := w.layout(); err != nil {
+		return nil, err
+	}
+	w.writeNode(root)
+	return w.img, nil
 }
 
-type inodeInfo struct {
-	mode       uint16
-	size       uint32
-	links      uint16
-	block      [15]uint32 // direct/indirect pointers as in struct ext2_inode
-	dataInline []byte     // fast symlink target stored in i_block
-	blocks512  uint32     // count of 512-byte sectors, including indirect blocks
+// node is what the numbering pass records for one file: its inode and
+// the bytes its data blocks hold (a directory's encoded entries, else
+// its Data; nil for a fast symlink, whose target lives in the inode).
+type node struct {
+	ino     uint32
+	content []byte
 }
 
 type writer struct {
-	inodeCount int
-	inodeOf    map[*File]uint32
-	inodes     map[uint32]*inodeInfo
-	data       [][]byte // allocated data blocks in order
+	nodes   map[*File]node
+	nextIno uint32
+	inodes  int // numbered nodes, the root included
+	dirs    int
+	blocks  int // data and pointer blocks the tree needs
+
+	img  []byte
+	geo  []groupGeometry
+	g    int      // group holding the next data block
+	next int      // next data block to hand out
+	ids  []uint32 // reused buffer: the data blocks of the file being written
 }
 
-// plan counts inodes so geometry can be fixed before writing.
-func (w *writer) plan(root *File) {
-	w.inodeOf = make(map[*File]uint32)
-	w.inodes = make(map[uint32]*inodeInfo)
-	count := 0
-	root.Walk(func(_ string, n *File) { count++ })
-	w.inodeCount = count
-}
-
-func (w *writer) assign(root *File, rootIno uint32) {
-	next := uint32(firstFreeInode)
-	w.inodeOf[root] = rootIno
-	root.Walk(func(_ string, n *File) {
-		if n == root {
-			return
+// number records n as inode ino under directory parent. Each child takes
+// the next number before its own subtree does, which is Walk's order
+// (the root is inode 2, the rest count up from 11). Once its children
+// are numbered a directory's entries are encoded, so every node's block
+// count is known before the image is laid out.
+func (w *writer) number(n *File, ino, parent uint32) error {
+	for _, c := range n.Children {
+		cIno := w.nextIno
+		w.nextIno++
+		if err := w.number(c, cIno, ino); err != nil {
+			return err
 		}
-		w.inodeOf[n] = next
-		next++
-	})
-}
-
-// allocBlock appends a data block and returns its absolute block number.
-// Data blocks are laid out after the metadata area; the offset is fixed in
-// finish(), so block numbers here are provisional indices resolved later.
-func (w *writer) allocBlock(b []byte) uint32 {
-	if len(b) > BlockSize {
-		panic("ext2: oversized block")
 	}
-	blk := make([]byte, BlockSize)
-	copy(blk, b)
-	w.data = append(w.data, blk)
-	return uint32(len(w.data)) // 1-based provisional index
-}
-
-// storeData writes content into data blocks and fills the inode's block
-// pointers, using direct, single-indirect and double-indirect blocks.
-func (w *writer) storeData(ino *inodeInfo, content []byte) error {
-	nblocks := (len(content) + BlockSize - 1) / BlockSize
-	if nblocks > maxFileBlocks {
-		return fmt.Errorf("ext2: file of %d bytes exceeds maximum size", len(content))
-	}
-	blockIDs := make([]uint32, 0, nblocks)
-	for i := 0; i < nblocks; i++ {
-		end := (i + 1) * BlockSize
-		if end > len(content) {
-			end = len(content)
-		}
-		blockIDs = append(blockIDs, w.allocBlock(content[i*BlockSize:end]))
-	}
-	dataBlocks := uint32(nblocks)
-
-	// Direct pointers.
-	for i := 0; i < len(blockIDs) && i < directBlocks; i++ {
-		ino.block[i] = blockIDs[i]
-	}
-	rest := blockIDs
-	if len(rest) > directBlocks {
-		rest = rest[directBlocks:]
-	} else {
-		rest = nil
-	}
-	// Single indirect.
-	if len(rest) > 0 {
-		n := len(rest)
-		if n > pointersPerBlock {
-			n = pointersPerBlock
-		}
-		ino.block[12] = w.allocPointerBlock(rest[:n])
-		dataBlocks++
-		rest = rest[n:]
-	}
-	// Double indirect.
-	if len(rest) > 0 {
-		var l1 []uint32
-		for len(rest) > 0 {
-			n := len(rest)
-			if n > pointersPerBlock {
-				n = pointersPerBlock
-			}
-			l1 = append(l1, w.allocPointerBlock(rest[:n]))
-			dataBlocks++
-			rest = rest[n:]
-		}
-		ino.block[13] = w.allocPointerBlock(l1)
-		dataBlocks++
-	}
-	ino.size = uint32(len(content))
-	ino.blocks512 = dataBlocks * (BlockSize / 512)
-	return nil
-}
-
-func (w *writer) allocPointerBlock(ptrs []uint32) uint32 {
-	b := make([]byte, BlockSize)
-	for i, p := range ptrs {
-		le.PutUint32(b[i*4:], p)
-	}
-	return w.allocBlock(b)
-}
-
-// writeNode serializes one node (and, for directories, recursively its
-// children) into inodes and data blocks.
-func (w *writer) writeNode(n *File, ino, parentIno uint32) error {
-	info := &inodeInfo{links: 1}
-	w.inodes[ino] = info
+	content := n.Data
 	switch {
 	case n.Dir:
-		info.mode = modeDir | (n.Mode & 0o7777)
-		info.links = 2 // "." and the parent's entry
-		entries := []dirEntry{
-			{ino: ino, name: ".", ftype: fileTypeDir},
-			{ino: parentIno, name: "..", ftype: fileTypeDir},
-		}
+		w.dirs++
+		entries := make([]dirEntry, 2, 2+len(n.Children))
+		entries[0] = dirEntry{ino: ino, name: ".", ftype: fileTypeDir}
+		entries[1] = dirEntry{ino: parent, name: "..", ftype: fileTypeDir}
 		for _, c := range n.sortedChildren() {
-			cIno := w.inodeOf[c]
 			ft := byte(fileTypeRegular)
 			switch {
 			case c.Dir:
 				ft = fileTypeDir
-				info.links++ // child's ".." references us
 			case c.Symlink:
 				ft = fileTypeSymlink
 			}
-			entries = append(entries, dirEntry{ino: cIno, name: c.Name, ftype: ft})
-			if err := w.writeNode(c, cIno, ino); err != nil {
-				return err
-			}
+			entries = append(entries, dirEntry{ino: w.nodes[c].ino, name: c.Name, ftype: ft})
 		}
-		if err := w.storeData(info, encodeDirEntries(entries)); err != nil {
-			return err
+		content = encodeDirEntries(entries)
+	case n.fastSymlink():
+		content = nil
+	}
+	nblocks := (len(content) + BlockSize - 1) / BlockSize
+	if nblocks > maxFileBlocks {
+		return fmt.Errorf("ext2: file of %d bytes exceeds maximum size", len(content))
+	}
+	w.blocks += nblocks + pointerBlocks(nblocks)
+	w.inodes++
+	w.nodes[n] = node{ino: ino, content: content}
+	return nil
+}
+
+// fastSymlink reports a symlink short enough to live in its inode's
+// i_block area.
+func (f *File) fastSymlink() bool { return f.Symlink && len(f.Data) < 60 }
+
+// pointerBlocks counts the single- and double-indirect pointer blocks
+// that a file of nblocks data blocks needs.
+func pointerBlocks(nblocks int) int {
+	rest := nblocks - directBlocks
+	switch {
+	case rest <= 0:
+		return 0
+	case rest <= pointersPerBlock:
+		return 1
+	}
+	rest -= pointersPerBlock
+	return 1 + (rest+pointersPerBlock-1)/pointersPerBlock + 1
+}
+
+// writeNode writes n's descendants, then n's data and pointer blocks
+// and its inode: a post-order walk over sorted names, which fixes every
+// image's block order.
+func (w *writer) writeNode(n *File) {
+	nd := w.nodes[n]
+	inode := w.inodeSlot(nd.ino)
+	mode, links := uint16(modeFile), uint16(1)
+	switch {
+	case n.Dir:
+		mode, links = modeDir, 2 // "." and the parent's entry
+		for _, c := range n.sortedChildren() {
+			if c.Dir {
+				links++ // child's ".." references us
+			}
+			w.writeNode(c)
 		}
 	case n.Symlink:
-		info.mode = modeSymlink | (n.Mode & 0o7777)
-		if len(n.Data) < 60 {
-			// Fast symlink: target lives in the i_block area.
-			info.dataInline = append([]byte(nil), n.Data...)
-			info.size = uint32(len(n.Data))
-		} else if err := w.storeData(info, n.Data); err != nil {
-			return err
-		}
-	default:
-		info.mode = modeFile | (n.Mode & 0o7777)
-		if err := w.storeData(info, n.Data); err != nil {
-			return err
-		}
+		mode = modeSymlink
 	}
-	return nil
+	le.PutUint16(inode[0:], mode|(n.Mode&0o7777))
+	le.PutUint16(inode[26:], links)
+	if n.fastSymlink() {
+		le.PutUint32(inode[4:], uint32(len(n.Data)))
+		copy(inode[40:100], n.Data)
+		return
+	}
+	w.storeData(inode, nd.content)
+}
+
+// storeData writes content into the next data blocks, then its single-
+// and double-indirect pointer blocks, and fills in the inode's size,
+// sector count and block pointers.
+func (w *writer) storeData(inode, content []byte) {
+	nblocks := (len(content) + BlockSize - 1) / BlockSize
+	ids := slices.Grow(w.ids[:0], nblocks)
+	for i := 0; i < nblocks; i++ {
+		b := w.alloc()
+		copy(w.img[b*BlockSize:(b+1)*BlockSize], content[i*BlockSize:])
+		ids = append(ids, uint32(b))
+	}
+	w.ids = ids
+	setPtr := func(i int, b uint32) { le.PutUint32(inode[40+4*i:], b) }
+	for i := 0; i < len(ids) && i < directBlocks; i++ {
+		setPtr(i, ids[i])
+	}
+	rest := ids[min(len(ids), directBlocks):]
+	if len(rest) > 0 {
+		n := min(len(rest), pointersPerBlock)
+		setPtr(12, w.pointerBlock(rest[:n]))
+		rest = rest[n:]
+	}
+	if len(rest) > 0 {
+		var l1 [pointersPerBlock]uint32
+		k := 0
+		for ; len(rest) > 0; k++ {
+			n := min(len(rest), pointersPerBlock)
+			l1[k] = w.pointerBlock(rest[:n])
+			rest = rest[n:]
+		}
+		setPtr(13, w.pointerBlock(l1[:k]))
+	}
+	le.PutUint32(inode[4:], uint32(len(content)))
+	le.PutUint32(inode[28:], uint32(nblocks+pointerBlocks(nblocks))*(BlockSize/512))
+}
+
+// pointerBlock writes ptrs into the next data block and returns it.
+func (w *writer) pointerBlock(ptrs []uint32) uint32 {
+	b := w.alloc()
+	for i, p := range ptrs {
+		le.PutUint32(w.img[b*BlockSize+4*i:], p)
+	}
+	return uint32(b)
+}
+
+// alloc hands out the next data block, filling group data areas in order.
+func (w *writer) alloc() int {
+	if w.next == w.geo[w.g].dataEnd {
+		w.g++
+		w.next = w.geo[w.g].dataStart
+	}
+	w.next++
+	return w.next - 1
+}
+
+// inodeSlot is inode ino's record in its group's inode table.
+func (w *writer) inodeSlot(ino uint32) []byte {
+	idx := int(ino) - 1
+	off := w.geo[idx/inodesPerGroup].inodeTable*BlockSize + (idx%inodesPerGroup)*InodeSize
+	return w.img[off : off+InodeSize]
 }
 
 type dirEntry struct {
@@ -268,10 +283,11 @@ type groupGeometry struct {
 	dataEnd    int // exclusive; trimmed for the final group
 }
 
-// finish assembles the final image: superblock, group descriptor table,
-// per-group bitmaps and inode tables, and the relocated data blocks.
-func (w *writer) finish() ([]byte, error) {
-	usedInodes := firstFreeInode - 1 + w.inodeCount - 1 // root occupies reserved slot 2
+// layout fixes the group geometry for the counted blocks and inodes,
+// allocates the image and writes what depends only on that geometry:
+// superblock, group descriptor table and per-group bitmaps.
+func (w *writer) layout() error {
+	usedInodes := firstFreeInode - 1 + w.inodes - 1 // root occupies reserved slot 2
 	inodeGroups := (usedInodes + inodesPerGroup - 1) / inodesPerGroup
 
 	// Determine the group count: group 0 additionally carries the
@@ -291,19 +307,19 @@ func (w *writer) finish() ([]byte, error) {
 			}
 			capacity += blocksPerGroup - overhead
 		}
-		if capacity >= len(w.data) {
+		if capacity >= w.blocks {
 			break
 		}
 		groups++
 		if groups > maxGroups {
-			return nil, fmt.Errorf("ext2: image needs more than %d block groups", maxGroups)
+			return fmt.Errorf("ext2: image needs more than %d block groups", maxGroups)
 		}
 	}
 	gdtBlocks := (groups*32 + BlockSize - 1) / BlockSize
 
-	// Lay out each group and assign data blocks to group data areas.
+	// Lay out each group and split the data blocks across the group
+	// data areas in order.
 	geo := make([]groupGeometry, groups)
-	absOf := make([]uint32, len(w.data)) // provisional index -> absolute block
 	assigned := 0
 	for g := 0; g < groups; g++ {
 		start := firstDataBlock + g*blocksPerGroup
@@ -318,58 +334,12 @@ func (w *writer) finish() ([]byte, error) {
 			inodeTable: meta + 2,
 			dataStart:  meta + 2 + inodeTableBlks,
 		}
-		room := start + blocksPerGroup - geo[g].dataStart
-		take := len(w.data) - assigned
-		if take > room {
-			take = room
-		}
-		for i := 0; i < take; i++ {
-			absOf[assigned+i] = uint32(geo[g].dataStart + i)
-		}
+		take := min(w.blocks-assigned, start+blocksPerGroup-geo[g].dataStart)
 		geo[g].dataEnd = geo[g].dataStart + take
 		assigned += take
 	}
 	totalBlocks := geo[groups-1].dataEnd
 	img := make([]byte, totalBlocks*BlockSize)
-
-	abs := func(provisional uint32) uint32 {
-		if provisional == 0 {
-			return 0
-		}
-		return absOf[provisional-1]
-	}
-	for i, blk := range w.data {
-		copy(img[int(absOf[i])*BlockSize:], blk)
-	}
-
-	// Inode tables: locate each inode's slot within its group.
-	inodeSlot := func(ino uint32) []byte {
-		idx := int(ino) - 1
-		g := idx / inodesPerGroup
-		off := geo[g].inodeTable*BlockSize + (idx%inodesPerGroup)*InodeSize
-		return img[off : off+InodeSize]
-	}
-	for ino, info := range w.inodes {
-		b := inodeSlot(ino)
-		le.PutUint16(b[0:], info.mode)
-		le.PutUint32(b[4:], info.size)
-		le.PutUint16(b[26:], info.links)
-		le.PutUint32(b[28:], info.blocks512)
-		if info.dataInline != nil {
-			copy(b[40:100], info.dataInline)
-		} else {
-			for i, p := range info.block {
-				le.PutUint32(b[40+4*i:], abs(p))
-			}
-			// Rewrite indirect pointer blocks with absolute numbers.
-			if info.block[12] != 0 {
-				w.rewritePointers(img, abs(info.block[12]), abs, 1)
-			}
-			if info.block[13] != 0 {
-				w.rewritePointers(img, abs(info.block[13]), abs, 2)
-			}
-		}
-	}
 
 	// Bitmaps: every metadata and assigned data block in a group is used.
 	for g := 0; g < groups; g++ {
@@ -406,36 +376,9 @@ func (w *writer) finish() ([]byte, error) {
 		le.PutUint32(gd[4:], uint32(geo[g].inodeBM))
 		le.PutUint32(gd[8:], uint32(geo[g].inodeTable))
 		if g == 0 {
-			le.PutUint16(gd[16:], uint16(w.countDirs())) // bg_used_dirs_count
+			le.PutUint16(gd[16:], uint16(w.dirs)) // bg_used_dirs_count
 		}
 	}
-	return img, nil
-}
-
-// rewritePointers converts the provisional block numbers inside an
-// indirect block (already copied into img) to absolute numbers. depth 1
-// rewrites a single-indirect block, depth 2 a double-indirect one.
-func (w *writer) rewritePointers(img []byte, absBlock uint32, abs func(uint32) uint32, depth int) {
-	b := img[int(absBlock)*BlockSize : (int(absBlock)+1)*BlockSize]
-	for i := 0; i < pointersPerBlock; i++ {
-		p := le.Uint32(b[i*4:])
-		if p == 0 {
-			continue
-		}
-		a := abs(p)
-		le.PutUint32(b[i*4:], a)
-		if depth == 2 {
-			w.rewritePointers(img, a, abs, 1)
-		}
-	}
-}
-
-func (w *writer) countDirs() int {
-	n := 0
-	for _, info := range w.inodes {
-		if info.mode&modeDir != 0 {
-			n++
-		}
-	}
-	return n
+	w.img, w.geo, w.next = img, geo, geo[0].dataStart
+	return nil
 }

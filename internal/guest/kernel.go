@@ -15,9 +15,13 @@ import (
 // Params configures a guest kernel instance.
 type Params struct {
 	Image  *kbuild.Image
-	Memory int64      // guest RAM in bytes (0 = 512 MiB, the paper's default)
-	VCPUs  int        // virtual CPUs offered by the monitor (0 = 1)
-	RootFS *ext2.File // mounted read-write at /
+	Memory int64 // guest RAM in bytes (0 = 512 MiB, the paper's default)
+	VCPUs  int   // virtual CPUs offered by the monitor (0 = 1)
+
+	// RootFS is mounted read-write at /. The kernel shares the tree's
+	// file bytes and copies a file on its first write, so the caller's
+	// File.Data never changes.
+	RootFS *ext2.File
 
 	// MaxVirtualTime aborts the run if the simulation passes this much
 	// virtual time, guarding against runaway models (0 = 1 virtual hour).

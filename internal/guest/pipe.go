@@ -5,8 +5,9 @@ package guest
 // sockets.
 type pipe struct {
 	k        *Kernel
-	quiet    bool // sockets charge their own transport op; skip PipeOp
-	buf      []byte
+	quiet    bool   // sockets charge their own transport op; skip PipeOp
+	buf      []byte // buf[off:] is unread
+	off      int
 	capacity int
 	readers  int
 	writers  int
@@ -40,7 +41,7 @@ func (pi *pipe) read(p *Proc, f *FD, buf []byte) (int, Errno) {
 	if !pi.quiet {
 		p.charge(p.netCost(p.k.cost.PipeOp))
 	}
-	for len(pi.buf) == 0 {
+	for pi.buffered() == 0 {
 		if pi.writers == 0 {
 			return 0, OK // EOF
 		}
@@ -49,8 +50,11 @@ func (pi *pipe) read(p *Proc, f *FD, buf []byte) (int, Errno) {
 		}
 		p.blockOn(pi.rq)
 	}
-	n := copy(buf, pi.buf)
-	pi.buf = pi.buf[n:]
+	n := copy(buf, pi.buf[pi.off:])
+	pi.off += n
+	if pi.off == len(pi.buf) {
+		pi.buf, pi.off = pi.buf[:0], 0 // drained: refill from the front
+	}
 	p.charge(p.netCost(chargeBytes(p.k.cost.PipeBytePerKB, n)))
 	pi.wq.wakeAll(p.k, p.cpu.now)
 	p.k.wakePollers(p.cpu.now)
@@ -66,7 +70,7 @@ func (pi *pipe) write(p *Proc, f *FD, buf []byte) (int, Errno) {
 	}
 	total := 0
 	for len(buf) > 0 {
-		space := pi.capacity - len(pi.buf)
+		space := pi.capacity - pi.buffered()
 		for space == 0 {
 			if f.flags&ONonblock != 0 {
 				if total > 0 {
@@ -78,12 +82,10 @@ func (pi *pipe) write(p *Proc, f *FD, buf []byte) (int, Errno) {
 			if pi.readers == 0 {
 				return total, EPIPE
 			}
-			space = pi.capacity - len(pi.buf)
+			space = pi.capacity - pi.buffered()
 		}
-		n := len(buf)
-		if n > space {
-			n = space
-		}
+		n := min(len(buf), space)
+		pi.reserve(n)
 		pi.buf = append(pi.buf, buf[:n]...)
 		buf = buf[n:]
 		total += n
@@ -110,8 +112,29 @@ func (pi *pipe) closeWrite(k *Kernel) {
 	}
 }
 
+// buffered is the count of unread bytes.
+func (pi *pipe) buffered() int { return len(pi.buf) - pi.off }
+
+// reserve makes room to append n more bytes without the array outgrowing
+// the pipe's capacity: the unread bytes slide to the front, into a larger
+// array only when the current one cannot hold them plus n.
+func (pi *pipe) reserve(n int) {
+	if len(pi.buf)+n <= cap(pi.buf) {
+		return
+	}
+	unread := pi.buf[pi.off:]
+	if need := len(unread) + n; need > cap(pi.buf) {
+		grown := make([]byte, len(unread), min(pi.capacity, max(need, 2*cap(pi.buf))))
+		copy(grown, unread)
+		pi.buf = grown
+	} else {
+		pi.buf = pi.buf[:copy(pi.buf, unread)]
+	}
+	pi.off = 0
+}
+
 // readable reports whether a read would not block.
-func (pi *pipe) readable() bool { return len(pi.buf) > 0 || pi.writers == 0 }
+func (pi *pipe) readable() bool { return pi.buffered() > 0 || pi.writers == 0 }
 
 // writable reports whether a write would not block.
-func (pi *pipe) writable() bool { return len(pi.buf) < pi.capacity || pi.readers == 0 }
+func (pi *pipe) writable() bool { return pi.buffered() < pi.capacity || pi.readers == 0 }

@@ -29,14 +29,16 @@ const (
 )
 
 // vnode is an in-memory inode. The root filesystem is materialized from a
-// real ext2 image at mount time; /proc, /tmp and /dev are synthetic
-// filesystems gated on their configuration options.
+// real ext2 image at mount time, its files sharing the tree's bytes until
+// first written; /proc, /tmp and /dev are synthetic filesystems gated on
+// their configuration options.
 type vnode struct {
 	name     string
 	dir      bool
 	symlink  bool
 	mode     uint16
 	data     []byte
+	shared   bool // data is the mounted tree's File.Data: copy before writing
 	children map[string]*vnode
 	dev      deviceKind
 	fsType   string
@@ -88,9 +90,21 @@ func importExt2(f *ext2.File, fsType string) *vnode {
 			n.children[c.Name] = importExt2(c, fsType)
 		}
 	} else {
-		n.data = append([]byte(nil), f.Data...)
+		n.data, n.shared = f.Data, true
 	}
 	return n
+}
+
+// grow gives the file a private array of at least size bytes: bytes
+// shared with the mounted tree are copied before they can change, and
+// growth is zero-filled.
+func (n *vnode) grow(size int64) {
+	if size <= int64(len(n.data)) && !n.shared {
+		return
+	}
+	grown := make([]byte, max(size, int64(len(n.data))))
+	copy(grown, n.data)
+	n.data, n.shared = grown, false
 }
 
 // resolve walks a path, following symlinks (depth-limited).
@@ -318,7 +332,7 @@ func (p *Proc) Open(path string, flags int) (int, Errno) {
 		node = &vnode{name: node.name, mode: node.mode, fsType: "proc", data: node.procGen(p.k)}
 	}
 	if flags&OTrunc != 0 && !node.dir && node.dev == devNone {
-		node.data = nil
+		node.data, node.shared = nil, false
 	}
 	fd := &FD{refs: 1, kind: fdFile, node: node, flags: flags}
 	if flags&OAppend != 0 {
@@ -446,13 +460,8 @@ func (p *Proc) writeFile(f *FD, buf []byte) (int, Errno) {
 	if f.node.fsType == "proc" {
 		return 0, EACCES
 	}
-	// Grow the file as needed.
 	end := f.offset + int64(len(buf))
-	if end > int64(len(f.node.data)) {
-		grown := make([]byte, end)
-		copy(grown, f.node.data)
-		f.node.data = grown
-	}
+	f.node.grow(end)
 	copy(f.node.data[f.offset:], buf)
 	f.offset = end
 	p.charge(p.netCost(chargeBytes(p.k.cost.FileBytePerKB, len(buf))))
@@ -734,11 +743,9 @@ func (p *Proc) Ftruncate(fd int, size int64) Errno {
 	cur := int64(len(f.node.data))
 	switch {
 	case size < cur:
-		f.node.data = f.node.data[:size]
+		f.node.data = f.node.data[:size] // shared bytes stay shared until written
 	case size > cur:
-		grown := make([]byte, size)
-		copy(grown, f.node.data)
-		f.node.data = grown
+		f.node.grow(size)
 	}
 	return OK
 }

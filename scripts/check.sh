@@ -41,6 +41,12 @@ go test -race -count=2 ./internal/simclock/... ./internal/fleet/... ./internal/f
     ./internal/telemetry/... ./internal/region/... ./internal/bunny/... ./internal/farm/... \
     ./internal/attack/... ./internal/slo/... ./internal/experiments/...
 
+# A short run of the image fuzz target, beyond the seeds go test already
+# ran: it writes into the tree (testdata/fuzz/) only when it finds a
+# crasher, which then fails CI's clean-tree check.
+echo "== fuzz smoke (ext2 image round trip, 10s)"
+go test -run '^$' -fuzz '^FuzzImageRoundTrip$' -fuzztime 10s ./internal/ext2
+
 # Every registered fault site must surface in the operator-facing
 # catalog: the count of RegisterSite calls in non-test source must match
 # what lupine-bench -list-faults prints (sites are the indented lines
