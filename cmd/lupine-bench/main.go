@@ -30,8 +30,8 @@ import (
 	"lupine/internal/telemetry"
 )
 
-// storms are the experiments that take -seed and leave an SLO report.
-const storms = "chaos, fleetchaos, surge, memstorm, netsplit, regionfail, catalog, breach"
+// storms lists the experiments that take -seed and leave an SLO report.
+var storms = strings.Join(experiments.Storms(), ", ")
 
 func main() {
 	list := flag.Bool("list", false, "list available experiments")

@@ -28,9 +28,7 @@ import (
 	"lupine/internal/vmm"
 )
 
-func init() {
-	register("breach", "Security containment: seeded exploit campaign vs hardening level, quarantine + repave ladder (robustness)", runBreach)
-}
+func init() { breachStorm.register() }
 
 // breachVectors are the campaign's syscall aims. The first four are on
 // redis+mp's Table-1 surface; the rest are gated off by the build — a
@@ -150,10 +148,11 @@ func breachLupineRow(env *Env, cache *bunny.Cache, name, profile, hardening stri
 	if err != nil {
 		return breachRow{}, fmt.Errorf("breach: compiling %s: %w", name, err)
 	}
-	snap, coldBoot, _, err := surgeCapture(art.Uni)
+	vm, snap, err := capture(art.Uni, nil, nil, "")
 	if err != nil {
 		return breachRow{}, fmt.Errorf("breach: capturing %s: %w", name, err)
 	}
+	coldBoot := vm.Boot.Total
 	sfc := attack.FromImage(art.Uni.Kernel)
 	cfg := breachRegionConfig(env.Seed)
 	cfg.Snapshot = snap
@@ -170,97 +169,75 @@ func breachLupineRow(env *Env, cache *bunny.Cache, name, profile, hardening stri
 	return runBreachRow(env, name, hardening, coldBoot, scoped, cfg)
 }
 
-// runBreachStorm executes the sweep and returns the raw rows (the test
-// entry point; runBreach renders them).
-func runBreachStorm(env *Env) ([]breachRow, error) {
-	cache := bunny.NewCache(db(), 0)
-	var out []breachRow
-	var scopes []*slo.Scope
-
-	// The hardening sweep on the paper's lupine+mp kernel: same plane,
-	// same campaign, increasingly expensive — and increasingly survivable
-	// — builds.
-	for _, level := range attack.HardeningLevels() {
-		name := "lupine+mp"
-		if level != attack.HardeningOff {
-			name += "+" + level
+var breachStorm = &storm[breachRow]{
+	id:      "breach",
+	title:   "Security containment: seeded exploit campaign vs hardening level, quarantine + repave ladder (robustness)",
+	systems: []string{"lupine"},
+	rows: func(env *Env, system string) ([]breachRow, error) {
+		cache := bunny.NewCache(db(), 0)
+		var out []breachRow
+		// The hardening sweep on the paper's lupine+mp kernel: same plane,
+		// same campaign, increasingly expensive — and increasingly
+		// survivable — builds.
+		for _, level := range attack.HardeningLevels() {
+			name := system + "+mp"
+			if level != attack.HardeningOff {
+				name += "+" + level
+			}
+			r, err := breachLupineRow(env, cache, name, bunny.ProfileNoKML, level, level == attack.HardeningOff, 0)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, r)
 		}
-		r, err := breachLupineRow(env, cache, name, bunny.ProfileNoKML, level, level == attack.HardeningOff, 0)
+		// The KML variant: the same unhardened build as row one, but the
+		// app runs ring 0 — a landed payload IS a monitor compromise, and
+		// after the escalation window the host and everything on it. The
+		// only difference from lupine+mp/off is the privilege level; the
+		// only difference in the outcome is the blast radius. Compromise
+		// density past 0.6 evacuates the region wholesale.
+		r, err := breachLupineRow(env, cache, system+"+kml", bunny.ProfileKML, attack.HardeningOff, false, 0.6)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, r)
-		scopes = append(scopes, r.scope)
-	}
-	env.recordSLO("breach", scopes...)
-
-	// The KML variant: the same unhardened build as row one, but the app
-	// runs ring 0 — a landed payload IS a monitor compromise, and after
-	// the escalation window the host and everything on it. The only
-	// difference from lupine+mp/off is the privilege level; the only
-	// difference in the outcome is the blast radius. Compromise density
-	// past 0.6 evacuates the region wholesale.
-	r, err := breachLupineRow(env, cache, "lupine+kml", bunny.ProfileKML, attack.HardeningOff, false, 0.6)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, r)
-
+		return append(out, r), nil
+	},
 	// The libos comparators: one protection domain exposes every vector,
 	// no priced hardening discounts the payloads, and with no snapshot
 	// lineage there is nothing attested to repave from — quarantine cages
 	// the compromise, the capacity is gone for good. (Their pools serve
 	// the workload here; the fork death of §6.2 is regionfail's story.)
-	for _, s := range libos.All() {
+	comparator: func(env *Env, s *libos.System) (breachRow, error) {
 		boot := libosBoot(s)
 		cfg := breachRegionConfig(env.Seed)
 		cfg.ColdBoot = boot
 		cfg.Breach = &region.BreachConfig{Campaign: breachCampaignConfig(env.Seed)}
-		r, err := runBreachRow(env, s.Name, "-", boot, false, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-func runBreach(env *Env) (fmt.Stringer, error) {
-	rows, err := runBreachStorm(env)
-	if err != nil {
-		return nil, err
-	}
-	t := &metrics.Table{
-		Title: fmt.Sprintf("exploit campaign vs hardening level: deflection, containment and the price (seed %d, 3 regions)",
-			env.Seed),
-		Columns: []string{"system", "hardening", "boot (µs)", "availability",
-			"deflected/landed", "compromised (p/l/e)", "contained", "quarantine (def)",
-			"repave (rst/fb/den)", "dwell p50 (µs)", "region evacs", "unrecovered"},
-	}
-	for _, r := range rows {
+		return runBreachRow(env, s.Name, "-", boot, false, cfg)
+	},
+	scope: func(r breachRow) *slo.Scope { return r.scope },
+	caption: func(seed uint64) string {
+		return fmt.Sprintf("exploit campaign vs hardening level: deflection, containment and the price (seed %d, 3 regions)",
+			seed)
+	},
+	columns: []string{"system", "hardening", "boot (µs)", "availability",
+		"deflected/landed", "compromised (p/l/e)", "contained", "quarantine (def)",
+		"repave (rst/fb/den)", "dwell p50 (µs)", "region evacs", "unrecovered"},
+	cells: func(r breachRow) []any {
 		a, b := r.Res.Attack, r.Res.Breach
-		t.AddRow(
-			r.System,
-			r.Hardening,
-			r.Boot.Microseconds(),
-			metrics.Percent(r.Res.Availability()),
+		return []any{r.System, r.Hardening, r.Boot.Microseconds(), metrics.Percent(r.Res.Availability()),
 			fmt.Sprintf("%d/%d", a.Deflected, a.Landed),
 			fmt.Sprintf("%d (%d/%d/%d)", a.Compromised, a.ByProbe, a.ByLateral, a.ByEscalation),
 			metrics.Percent(r.Res.Containment()),
 			fmt.Sprintf("%d (%d)", b.Quarantined, b.QuarantineDeferred),
 			fmt.Sprintf("%d/%d/%d", b.RepaveRestores, b.RepaveFallbacks, b.RepaveDenied),
-			r.Res.DwellPercentile(50).Microseconds(),
-			b.RegionEvacs,
-			b.IsolatedOnly+b.StillServing,
-		)
-	}
-	t.Notes = append(t.Notes,
+			r.Res.DwellPercentile(50).Microseconds(), b.RegionEvacs, b.IsolatedOnly + b.StillServing}
+	},
+	notes: []string{
 		"identical seeded campaign per row: probe windows alternating exposed (epoll_wait, futex) and config-gated (bpf, add_key) vectors, payloads armed at 0.9, lateral spread over the real fabric at 0.6, one mid-campaign info leak voiding hardening for a single payload",
 		"deflected/landed is Table-1 gating at work: a probe against a syscall the build dropped bounces before any payload runs — the libos single protection domain deflects nothing",
 		"hardening levels are priced kconfig options through the declarative pipeline (boot µs and image bytes), plus a data-path service-time scale; aslr = RANDOMIZE_BASE, full adds W^X, stack protector and usercopy checks",
 		"the ladder: canary anomalies detect, the breaker force-opens and the NIC egress is cut (lateral probes die on the wire), then a repave restores the identity's known-good lineage; contained = quarantined AND repaved",
 		"lupine+kml is the unhardened build at ring 0: a landed payload owns the monitor, and past the escalation window the host — co-located guests fall at once, and compromise density over 0.6 evacuates the region deliberately (no failover charge)",
 		"libos comparators have no snapshot lineage to attest a repave from: quarantine cages the compromise but the backend is never replaced — unrecovered counts caged-forever plus still-serving compromises",
-	)
-	return t, nil
+	},
 }

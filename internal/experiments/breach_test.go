@@ -25,7 +25,7 @@ func rowByName(t *testing.T, rows []breachRow, name string) breachRow {
 // ring 0 amplifies; the comparators never recover.
 func TestBreachGradient(t *testing.T) {
 	t.Parallel()
-	rows, err := runBreachStorm(newEnv())
+	rows, err := breachStorm.run(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +110,11 @@ func TestBreachGradient(t *testing.T) {
 // containment — replays bit-for-bit on the same seed.
 func TestBreachDeterminism(t *testing.T) {
 	t.Parallel()
-	a, err := runBreachStorm(newEnv())
+	a, err := breachStorm.run(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runBreachStorm(newEnv())
+	b, err := breachStorm.run(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}

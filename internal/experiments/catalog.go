@@ -29,7 +29,7 @@ import (
 )
 
 func init() {
-	register("catalog", "Declarative build pipeline + heterogeneous fleet: farm-build the catalog, storm a mixed-identity plane", runCatalog)
+	registerStorm("catalog", "Declarative build pipeline + heterogeneous fleet: farm-build the catalog, storm a mixed-identity plane", runCatalog)
 }
 
 // catalogWorkers is the build farm's pool width.
@@ -134,12 +134,12 @@ func runCatalogFarm(env *Env, cache *bunny.Cache) (*catalogResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("catalog: identity %s: %w", fi.name, err)
 		}
-		snap, boot, mem, err := surgeCapture(art.Uni)
+		vm, snap, err := capture(art.Uni, nil, nil, "")
 		if err != nil {
 			return nil, fmt.Errorf("catalog: capturing %s: %w", fi.name, err)
 		}
 		res.Idents = append(res.Idents, catalogIdentity{
-			Name: fi.name, Art: art, Snap: snap, Boot: boot, Mem: mem,
+			Name: fi.name, Art: art, Snap: snap, Boot: vm.Boot.Total, Mem: vm.Guest.MemUsed(),
 		})
 	}
 	return res, nil

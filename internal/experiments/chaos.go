@@ -24,9 +24,7 @@ import (
 	"lupine/internal/vmm"
 )
 
-func init() {
-	register("chaos", "Fault injection: crash recovery under a seeded storm (robustness)", runChaos)
-}
+func init() { chaosStorm.register() }
 
 const chaosHogBytes = 160 * guest.MiB
 
@@ -193,11 +191,18 @@ func chaosWorkload(p *guest.Proc, c *chaosCounters) int {
 }
 
 // chaosBoot runs one supervised VM lifetime of u under the shared storm
-// injector and classifies how it ended.
+// injector and classifies how it ended. Each lifetime boots a copy of u
+// that runs the chaos workload, so u itself is left as it was.
 func chaosBoot(u *core.Unikernel, inj *faults.Injector, counters *[]chaosCounters) vmm.BootFn {
 	return func(attempt int) vmm.Attempt {
 		c := chaosCounters{readyAt: -1}
-		vm, err := u.Boot(core.BootOpts{Faults: inj})
+		lifetime := *u
+		// The workload records readiness and degraded operations through
+		// the closure cell; Run's completion synchronizes the writes.
+		lifetime.Spec.Program = func(p *guest.Proc, probeOnly bool) int {
+			return chaosWorkload(p, &c)
+		}
+		vm, err := lifetime.Boot(core.BootOpts{Faults: inj})
 		if err != nil {
 			att := vmm.Attempt{Outcome: vmm.OutcomeBootFail, Detail: err.Error()}
 			var be *core.BootError
@@ -210,11 +215,6 @@ func chaosBoot(u *core.Unikernel, inj *faults.Injector, counters *[]chaosCounter
 			}
 			*counters = append(*counters, c)
 			return att
-		}
-		// The workload records readiness and degraded operations through
-		// the closure cell; Run's completion synchronizes the writes.
-		vm.Unikernel.Spec.Program = func(p *guest.Proc, probeOnly bool) int {
-			return chaosWorkload(p, &c)
 		}
 		runErr := vm.Run()
 		*counters = append(*counters, c)
@@ -252,6 +252,8 @@ type chaosResult struct {
 	Report    vmm.SupervisorReport
 	Degraded  int
 	MultiProc bool
+
+	scope *slo.Scope // SLO scope, set on the hero row only
 }
 
 func (r chaosResult) resultCell() string {
@@ -265,21 +267,17 @@ func (r chaosResult) resultCell() string {
 	}
 }
 
-// runChaosStorm executes the storm for every system and returns the raw
-// results (the test entry point; runChaos renders them).
-func runChaosStorm(env *Env) ([]chaosResult, error) {
-	spec, _, err := appSpec("redis")
-	if err != nil {
-		return nil, err
-	}
-	// The Program field is overridden per attempt inside chaosBoot.
-	var out []chaosResult
-	for _, name := range []string{"lupine", "lupine+mp", "lupine-general", "microvm"} {
-		u, err := redisVariant(spec, name)
+var chaosStorm = &storm[chaosResult]{
+	id:      "chaos",
+	title:   "Fault injection: crash recovery under a seeded storm (robustness)",
+	systems: []string{"lupine", "lupine+mp", "lupine-general", "microvm"},
+	rows: func(env *Env, name string) ([]chaosResult, error) {
+		u, err := redis(name)
 		if err != nil {
-			return nil, fmt.Errorf("chaos: building %s: %w", name, err)
+			return nil, err
 		}
-		rep, inj, counters, err := env.supervise(u, chaosPlan(env.Seed), "chaos/"+name)
+		track := "chaos/" + name
+		rep, inj, counters, err := env.supervise(u, chaosPlan(env.Seed), track)
 		if err != nil {
 			return nil, err
 		}
@@ -295,7 +293,6 @@ func runChaosStorm(env *Env) ([]chaosResult, error) {
 		// every restart window burns the uptime budget, and the storm's
 		// fire log attributes the burns.
 		if name == "lupine+mp" {
-			track := "chaos/" + name
 			hero := env.row(track, inj, sloEvery, slo.Objective{
 				Name:   "uptime",
 				Good:   []string{track + ".up-ns"},
@@ -305,45 +302,30 @@ func runChaosStorm(env *Env) ([]chaosResult, error) {
 			})
 			sloReplaySupervisor(hero.scope, hero.reg, track, rep)
 			hero.scope.Finish(rep.End)
-			env.recordSLO("chaos", hero.scope)
+			res.scope = hero.scope
 		}
-		out = append(out, res)
-	}
+		return []chaosResult{res}, nil
+	},
 	// The unikernel comparators: no fork means the workload's first move
 	// kills them, and their monitors have no restart story — the service
 	// stays down for the rest of the storm.
-	for _, s := range libos.All() {
+	comparator: func(env *Env, s *libos.System) (chaosResult, error) {
 		rep := env.superviseCrash(libosCrash(s, simclock.Millisecond), "chaos/"+s.Name)
-		out = append(out, chaosResult{System: s.Name, Report: rep})
-	}
-	return out, nil
-}
-
-func runChaos(env *Env) (fmt.Stringer, error) {
-	results, err := runChaosStorm(env)
-	if err != nil {
-		return nil, err
-	}
-	t := &metrics.Table{
-		Title:   fmt.Sprintf("crash recovery under a seeded fault storm (seed %d)", env.Seed),
-		Columns: []string{"system", "result", "restarts", "availability", "mean recovery (ms)", "degraded ops", "detail"},
-	}
-	for _, r := range results {
+		return chaosResult{System: s.Name, Report: rep}, nil
+	},
+	scope: func(r chaosResult) *slo.Scope { return r.scope },
+	caption: func(seed uint64) string {
+		return fmt.Sprintf("crash recovery under a seeded fault storm (seed %d)", seed)
+	},
+	columns: []string{"system", "result", "restarts", "availability", "mean recovery (ms)", "degraded ops", "detail"},
+	cells: func(r chaosResult) []any {
 		last := r.Report.Attempts[len(r.Report.Attempts)-1]
-		t.AddRow(
-			r.System,
-			r.resultCell(),
-			r.Report.Restarts(),
-			metrics.Percent(r.Report.Availability()),
-			r.Report.MeanRecovery().Milliseconds(),
-			r.Degraded,
-			last.Detail,
-		)
-	}
-	t.Notes = append(t.Notes,
+		return []any{r.System, r.resultCell(), r.Report.Restarts(), metrics.Percent(r.Report.Availability()),
+			r.Report.MeanRecovery().Milliseconds(), r.Degraded, last.Detail}
+	},
+	notes: []string{
 		"identical seeded storm per system: 2 dead boots (virtio probe, rootfs corruption), a 350 MiB memory spike, 2 failed page allocations, transient EINTR/EAGAIN/EIO, loopback drops/delays",
 		"CONFIG_MULTIPROCESS turns the memory spike from a kernel panic into an OOM kill of the hog process: the service degrades instead of crashing",
 		"unikernel monitors have no panic=reboot: the first unsupported operation is an unrecovered crash",
-	)
-	return t, nil
+	},
 }

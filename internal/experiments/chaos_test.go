@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"lupine/internal/apps"
+	"lupine/internal/core"
 	"lupine/internal/vmm"
 )
 
@@ -36,7 +38,7 @@ func TestChaosDeterministic(t *testing.T) {
 // unrecovered crash.
 func TestChaosRecoveryContrast(t *testing.T) {
 	t.Parallel()
-	results, err := runChaosStorm(newEnv())
+	results, err := chaosStorm.run(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,13 +111,38 @@ func TestChaosRecoveryContrast(t *testing.T) {
 	}
 }
 
+// Supervising a pool boots copies of the storm's unikernel: u still
+// runs redis afterwards, not the chaos workload its lifetimes ran.
+func TestSupervisedPoolLeavesUnikernelAlone(t *testing.T) {
+	t.Parallel()
+	u, err := redis("lupine+mp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := apps.Lookup("redis")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		if ok, console, err := u.RunAndCheck(core.BootOpts{}, a.SuccessText); err != nil || !ok {
+			t.Fatalf("%s supervising a pool: redis did not come up (err %v); console:\n%s", when, err, console)
+		}
+	}
+	check("before")
+	if _, err := newEnv().linuxPool(u, "pool", netsplitBackendPlan); err != nil {
+		t.Fatal(err)
+	}
+	check("after")
+}
+
 // BenchmarkChaosRecovery runs the whole storm as the repeatable
 // robustness benchmark; the reported metric is unavailability (fraction
 // of the storm the flagship MP configuration spent down).
 func BenchmarkChaosRecovery(b *testing.B) {
 	var sink string
 	for i := 0; i < b.N; i++ {
-		results, err := runChaosStorm(newEnv())
+		results, err := chaosStorm.run(newEnv())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -124,10 +151,7 @@ func BenchmarkChaosRecovery(b *testing.B) {
 				b.ReportMetric((1-r.Report.Availability())*100, "%downtime")
 			}
 		}
-		out, err := runChaos(newEnv())
-		if err != nil {
-			b.Fatal(err)
-		}
+		out := runExp(b, "chaos")
 		if sink == "" {
 			sink = out.String()
 		} else if sink != out.String() {

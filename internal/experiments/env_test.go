@@ -5,13 +5,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 )
-
-// stormIDs are the robustness storms: the experiments that take their
-// seed and telemetry from the Env and leave an SLO report in it.
-var stormIDs = []string{"chaos", "fleetchaos", "surge", "memstorm", "netsplit", "regionfail", "catalog", "breach"}
 
 // stormRun is what one storm run shows the outside: its rendered table
 // and its SLO report.
@@ -135,6 +133,20 @@ var stormPins = map[string][4]string{
 	},
 }
 
+// Every storm ships with its pins: stormPins holds exactly the storms
+// the package registers.
+func TestStormPinsCoverEveryStorm(t *testing.T) {
+	t.Parallel()
+	var pinned []string
+	for id := range stormPins {
+		pinned = append(pinned, id)
+	}
+	sort.Strings(pinned)
+	if !slices.Equal(pinned, Storms()) {
+		t.Fatalf("stormPins holds %v, the registered storms are %v", pinned, Storms())
+	}
+}
+
 // pinDigests hashes the four outputs stormPins pins.
 func pinDigests(run stormRun, env *Env) [4]string {
 	var out [4]string
@@ -152,7 +164,7 @@ func pinDigests(run stormRun, env *Env) [4]string {
 // Chrome trace and SLO report are valid JSON.
 func TestWatchingDoesNotChangeStorms(t *testing.T) {
 	t.Parallel()
-	for _, id := range stormIDs {
+	for _, id := range Storms() {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()

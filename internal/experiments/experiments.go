@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -42,10 +43,20 @@ type Env struct {
 	SLO *slo.Report
 }
 
-var registry []Experiment
+var (
+	registry []Experiment
+	storms   []string // the robustness storms' ids, in registration order
+)
 
 func register(id, title string, run func(*Env) (fmt.Stringer, error)) {
 	registry = append(registry, Experiment{ID: id, Title: title, Run: run})
+}
+
+// registerStorm registers a robustness storm: an experiment that takes
+// its seed and telemetry from the Env and leaves an SLO report in it.
+func registerStorm(id, title string, run func(*Env) (fmt.Stringer, error)) {
+	register(id, title, run)
+	storms = append(storms, id)
 }
 
 // All returns every experiment, sorted by ID.
@@ -71,6 +82,13 @@ func IDs() []string {
 	for _, e := range All() {
 		out = append(out, e.ID)
 	}
+	return out
+}
+
+// Storms returns the ids of the robustness storms, sorted.
+func Storms() []string {
+	out := append([]string(nil), storms...)
+	sort.Strings(out)
 	return out
 }
 
@@ -133,19 +151,29 @@ func appSpec(name string) (core.Spec, *apps.App, error) {
 	}, a, nil
 }
 
-// redisVariant builds spec as one of the Linux variants the storms pit
-// against each other: lupine, lupine+mp (MULTIPROCESS), lupine-general
-// or microvm.
-func redisVariant(spec core.Spec, name string) (*core.Unikernel, error) {
-	switch name {
-	case "lupine", "lupine+mp":
-		return core.Build(db(), spec, lupineOpts(name))
-	case "lupine-general":
-		return core.BuildGeneral(db(), spec, true)
-	case "microvm":
-		return core.BuildMicroVM(db(), spec)
+// redis builds the redis app as one of the Linux variants the storms
+// pit against each other: lupine, lupine+mp (MULTIPROCESS),
+// lupine-general or microvm.
+func redis(variant string) (*core.Unikernel, error) {
+	spec, _, err := appSpec("redis")
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("experiments: unknown variant %q", name)
+	var u *core.Unikernel
+	switch variant {
+	case "lupine", "lupine+mp":
+		u, err = core.Build(db(), spec, lupineOpts(variant))
+	case "lupine-general":
+		u, err = core.BuildGeneral(db(), spec, true)
+	case "microvm":
+		u, err = core.BuildMicroVM(db(), spec)
+	default:
+		err = errors.New("unknown variant")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("experiments: building redis on %s: %w", variant, err)
+	}
+	return u, nil
 }
 
 // lupineOpts are a variant's specialized-build options: lupine+mp adds

@@ -13,7 +13,7 @@ import (
 // off.
 func newEnv() *Env { return &Env{Seed: 42} }
 
-func runExp(t *testing.T, id string) fmt.Stringer {
+func runExp(t testing.TB, id string) fmt.Stringer {
 	t.Helper()
 	e, err := Lookup(id)
 	if err != nil {

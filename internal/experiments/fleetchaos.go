@@ -26,9 +26,7 @@ import (
 	"lupine/internal/vmm"
 )
 
-func init() {
-	register("fleetchaos", "Fleet resilience: health-checked LB, breakers, rolling upgrade (robustness)", runFleetChaos)
-}
+func init() { fleetChaosStorm.register() }
 
 // fleetPoolSize is the number of VMs per pool; the surge instance of the
 // rolling upgrade comes on top.
@@ -107,6 +105,8 @@ type fleetChaosResult struct {
 	Upgraded  bool // a rolling upgrade ran for this system
 	Rebuilds  int  // distinct kernels built during the upgrade
 	Shared    int  // upgrade rebuilds served from the kernel cache
+
+	scope *slo.Scope // SLO scope, set on the hero row only
 }
 
 // fleetBootTime estimates a fresh instance's boot+init latency from the
@@ -126,19 +126,35 @@ func fleetBootTime(backends []*fleet.Backend) simclock.Duration {
 	return best
 }
 
-// runFleetChaosStorm executes the full fleet comparison and returns the
-// raw results (the test entry point; runFleetChaos renders them).
-func runFleetChaosStorm(env *Env) ([]fleetChaosResult, error) {
-	spec, _, err := appSpec("redis")
-	if err != nil {
-		return nil, err
+// fleetChaosRun drives backends behind the front-end through its wire
+// storm on row track. Traffic starts once the pool is provisioned (the
+// cleanest boot plus a margin), so cold-boot latency prices into vm0's
+// extended absence rather than into every variant's availability; a
+// plan's rolling upgrade begins 10 ms into traffic.
+func fleetChaosRun(env *Env, track string, backends []*fleet.Backend, plan *fleet.UpgradePlan, objs ...slo.Objective) (fleetChaosResult, error) {
+	cfg := fleetConfig(env.Seed)
+	cfg.TrafficStart = simclock.Time(fleetBootTime(backends) + simclock.Millisecond)
+	if plan != nil {
+		plan.Start = cfg.TrafficStart.Add(10 * simclock.Millisecond)
 	}
-	var out []fleetChaosResult
-	var scopes []*slo.Scope
-	for _, name := range []string{"lupine", "lupine+mp", "lupine-general", "microvm"} {
-		u, err := redisVariant(spec, name)
+	winj, err := faults.New(fleetWirePlan(env.Seed, cfg.TrafficStart))
+	if err != nil {
+		return fleetChaosResult{}, err
+	}
+	row := env.row(track, winj, sloEvery, objs...)
+	f := fleet.New(cfg, backends, plan, winj)
+	res := runRow(row, f)
+	return fleetChaosResult{Res: res, Backends: f.Backends(), Upgraded: plan != nil, scope: row.scope}, nil
+}
+
+var fleetChaosStorm = &storm[fleetChaosResult]{
+	id:      "fleetchaos",
+	title:   "Fleet resilience: health-checked LB, breakers, rolling upgrade (robustness)",
+	systems: []string{"lupine", "lupine+mp", "lupine-general", "microvm"},
+	rows: func(env *Env, name string) ([]fleetChaosResult, error) {
+		u, err := redis(name)
 		if err != nil {
-			return nil, fmt.Errorf("fleetchaos: building %s: %w", name, err)
+			return nil, err
 		}
 		track := "fleetchaos/" + name
 		backends, err := env.linuxPool(u, track, fleetBackendPlan)
@@ -151,7 +167,7 @@ func runFleetChaosStorm(env *Env) ([]fleetChaosResult, error) {
 		cache := core.NewKernelCache(db())
 		rebuild := func(i int) simclock.Duration {
 			before, _ := cache.Stats()
-			if _, err := cache.Build(spec, lupineOpts(name)); err != nil {
+			if _, err := cache.Build(u.Spec, lupineOpts(name)); err != nil {
 				return fleetRebuildMiss
 			}
 			if after, _ := cache.Stats(); after > before {
@@ -159,23 +175,11 @@ func runFleetChaosStorm(env *Env) ([]fleetChaosResult, error) {
 			}
 			return fleetRebuildHit
 		}
-		// Traffic starts once the pool is provisioned (the cleanest boot
-		// plus a margin), so cold-boot latency prices into vm0's extended
-		// absence rather than into every variant's availability; the
-		// rollout begins mid-traffic.
-		boot := fleetBootTime(backends)
-		cfg := fleetConfig(env.Seed)
-		cfg.TrafficStart = simclock.Time(boot + simclock.Millisecond)
 		plan := &fleet.UpgradePlan{
-			Start:        cfg.TrafficStart.Add(10 * simclock.Millisecond),
-			BootTime:     boot,
+			BootTime:     fleetBootTime(backends),
 			DrainTimeout: 5 * simclock.Millisecond,
 			RebuildTime:  rebuild,
 			Surge:        fleet.AlwaysUp(),
-		}
-		winj, err := faults.New(fleetWirePlan(env.Seed, cfg.TrafficStart))
-		if err != nil {
-			return nil, err
 		}
 		// The hero row's SLO scope: availability and latency SLIs sampled
 		// on the fleet's own clock, burns attributed to the wire storm and
@@ -184,77 +188,44 @@ func runFleetChaosStorm(env *Env) ([]fleetChaosResult, error) {
 		if name == "lupine+mp" {
 			objs = sloFleet(track)
 		}
-		row := env.row(track, winj, sloEvery, objs...)
-		f := fleet.New(cfg, backends, plan, winj)
-		res := runRow(row, f)
-		scopes = append(scopes, row.scope)
-		builds, hits := cache.Stats()
-		out = append(out, fleetChaosResult{
-			System:    name,
-			Res:       res,
-			Backends:  f.Backends(),
-			MultiProc: u.Kernel.Enabled("MULTIPROCESS"),
-			Upgraded:  true,
-			Rebuilds:  builds,
-			Shared:    hits,
-		})
-	}
+		r, err := fleetChaosRun(env, track, backends, plan, objs...)
+		if err != nil {
+			return nil, err
+		}
+		r.System, r.MultiProc = name, u.Kernel.Enabled("MULTIPROCESS")
+		r.Rebuilds, r.Shared = cache.Stats()
+		return []fleetChaosResult{r}, nil
+	},
 	// The unikernel comparator pools: every backend dies of the
 	// workload's first fork and the monitors have no restart story, so
 	// the balancer is left routing at nothing. No rolling upgrade either:
 	// these monitors cannot rebuild and re-admit a Linux image.
-	for _, s := range libos.All() {
+	comparator: func(env *Env, s *libos.System) (fleetChaosResult, error) {
 		track := "fleetchaos/" + s.Name
-		backends := env.libosPool(libosCrash(s, simclock.Millisecond), track)
-		cfg := fleetConfig(env.Seed)
-		cfg.TrafficStart = simclock.Time(fleetBootTime(backends) + simclock.Millisecond)
-		winj, err := faults.New(fleetWirePlan(env.Seed, cfg.TrafficStart))
-		if err != nil {
-			return nil, err
-		}
-		row := env.row(track, winj, sloEvery)
-		f := fleet.New(cfg, backends, nil, winj)
-		res := runRow(row, f)
-		out = append(out, fleetChaosResult{System: s.Name, Res: res, Backends: f.Backends()})
-	}
-	env.recordSLO("fleetchaos", scopes...)
-	return out, nil
-}
-
-func runFleetChaos(env *Env) (fmt.Stringer, error) {
-	results, err := runFleetChaosStorm(env)
-	if err != nil {
-		return nil, err
-	}
-	t := &metrics.Table{
-		Title: fmt.Sprintf("fleet resilience under seeded storms (seed %d, %d VMs + surge, rolling upgrade mid-traffic)",
-			env.Seed, fleetPoolSize),
-		Columns: []string{"system", "availability", "p50 (µs)", "p99 (µs)", "shed rate",
-			"retries", "restarts", "breaker opens", "min active", "upgrade"},
-	}
-	for _, r := range results {
+		r, err := fleetChaosRun(env, track, env.libosPool(libosCrash(s, simclock.Millisecond), track), nil)
+		r.System = s.Name
+		return r, err
+	},
+	scope: func(r fleetChaosResult) *slo.Scope { return r.scope },
+	caption: func(seed uint64) string {
+		return fmt.Sprintf("fleet resilience under seeded storms (seed %d, %d VMs + surge, rolling upgrade mid-traffic)",
+			seed, fleetPoolSize)
+	},
+	columns: []string{"system", "availability", "p50 (µs)", "p99 (µs)", "shed rate",
+		"retries", "restarts", "breaker opens", "min active", "upgrade"},
+	cells: func(r fleetChaosResult) []any {
 		upgrade := "-"
 		if r.Upgraded {
 			upgrade = fmt.Sprintf("%d built, %d shared", r.Rebuilds, r.Shared)
 		}
-		t.AddRow(
-			r.System,
-			metrics.Percent(r.Res.Availability()),
-			r.Res.Percentile(50).Microseconds(),
-			r.Res.Percentile(99).Microseconds(),
-			metrics.Percent(r.Res.ShedRate()),
-			r.Res.Retries,
-			r.Res.Restarts,
-			r.Res.BreakerOpens,
-			r.Res.MinActive,
-			upgrade,
-		)
-	}
-	t.Notes = append(t.Notes,
+		return []any{r.System, metrics.Percent(r.Res.Availability()), r.Res.Percentile(50).Microseconds(),
+			r.Res.Percentile(99).Microseconds(), metrics.Percent(r.Res.ShedRate()), r.Res.Retries,
+			r.Res.Restarts, r.Res.BreakerOpens, r.Res.MinActive, upgrade}
+	},
+	notes: []string{
 		"identical per-backend seeded storms per system: vm0 suffers 2 dead boots; every VM gets a staggered 350 MiB memory spike, failed page allocations, syscall and loopback noise; the front-end itself loses probes and dispatches",
 		"health checks + breakers route around restarting backends: CONFIG_MULTIPROCESS pools degrade in place and stay near full capacity",
 		"unikernel pools die on the workload's first fork with no restart story: the balancer sheds nearly everything",
 		"rolling upgrade drains one VM at a time behind surge capacity (min active never below the pool size); kernel-cache sharing makes rebuilds 2 and 3 nearly free",
-	)
-	return t, nil
+	},
 }

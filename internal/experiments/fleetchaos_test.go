@@ -34,7 +34,7 @@ func TestFleetChaosDeterministic(t *testing.T) {
 // and shed/latency accounting is conserved.
 func TestFleetChaosContrast(t *testing.T) {
 	t.Parallel()
-	results, err := runFleetChaosStorm(newEnv())
+	results, err := fleetChaosStorm.run(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestFleetChaosContrast(t *testing.T) {
 func BenchmarkFleetChaos(b *testing.B) {
 	var sink string
 	for i := 0; i < b.N; i++ {
-		results, err := runFleetChaosStorm(newEnv())
+		results, err := fleetChaosStorm.run(newEnv())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -120,10 +120,7 @@ func BenchmarkFleetChaos(b *testing.B) {
 				b.ReportMetric(r.Res.Percentile(99).Microseconds(), "p99-µs")
 			}
 		}
-		out, err := runFleetChaos(newEnv())
-		if err != nil {
-			b.Fatal(err)
-		}
+		out := runExp(b, "fleetchaos")
 		if sink == "" {
 			sink = out.String()
 		} else if sink != out.String() {

@@ -15,7 +15,7 @@ import (
 // headline row's availability, and the storm's own figure.
 var headlines = map[string]func(*Env) (map[string]float64, error){
 	"netsplit": func(env *Env) (map[string]float64, error) {
-		rows, err := runNetSplitStorm(env)
+		rows, err := netsplitStorm.run(env)
 		if err != nil {
 			return nil, err
 		}
@@ -30,7 +30,7 @@ var headlines = map[string]func(*Env) (map[string]float64, error){
 		return h, nil
 	},
 	"regionfail": func(env *Env) (map[string]float64, error) {
-		rows, err := runRegionFailStorm(env)
+		rows, err := regionFailStorm.run(env)
 		if err != nil {
 			return nil, err
 		}
@@ -59,7 +59,7 @@ var headlines = map[string]func(*Env) (map[string]float64, error){
 		return h, nil
 	},
 	"breach": func(env *Env) (map[string]float64, error) {
-		rows, err := runBreachStorm(env)
+		rows, err := breachStorm.run(env)
 		if err != nil {
 			return nil, err
 		}

@@ -29,9 +29,7 @@ import (
 	"lupine/internal/vmm"
 )
 
-func init() {
-	register("memstorm", "Memory pressure: graded degradation ladder under a 2x overcommit storm (robustness)", runMemStorm)
-}
+func init() { memStorm.register() }
 
 // Pool shape and storm calibration. The host capacity is derived from
 // the pool's own measured baseline so the experiment tracks the cost
@@ -292,7 +290,6 @@ func pageAlign(n int64) int64 { return n / 4096 * 4096 }
 func runMemLadderPool(env *Env, name string, u *core.Unikernel, artifacts []*snapshot.Snapshot, inj *faults.Injector) (memResult, error) {
 	out := memResult{System: name, Ladder: true}
 	track := "memstorm/" + name
-	mon := vmm.Firecracker()
 
 	// The stall row (the one with an injector) carries the SLO scope:
 	// pressure sheds and kill-driven latency burn the budget, and the
@@ -306,43 +303,8 @@ func runMemLadderPool(env *Env, name string, u *core.Unikernel, artifacts []*sna
 	tr := row.tr
 	out.scope = row.scope
 
-	// The origin VM boots once under a no-restart supervisor so its boot
-	// phases and attempt land on the trace. Behavior is identical to a bare
-	// Boot+Run: the zero policy runs exactly one attempt and the injector
-	// sees the same call sequence either way.
-	var (
-		vm      *core.VM
-		bootErr error
-	)
-	sup := vmm.NewSupervisor(vmm.RestartPolicy{})
-	sup.Observe(tr, track+"/origin")
-	sup.Run(func(int) vmm.Attempt {
-		v, err := u.Boot(core.BootOpts{Monitor: mon, ProbeOnly: true, Faults: inj})
-		if err != nil {
-			bootErr = err
-			return vmm.Attempt{Outcome: vmm.OutcomeBootFail, Detail: err.Error()}
-		}
-		if err := v.Run(); err != nil {
-			bootErr = err
-			return vmm.Attempt{Outcome: vmm.OutcomeHang, Detail: err.Error()}
-		}
-		vm = v
-		rep := v.Boot
-		att := vmm.Attempt{
-			Outcome:    vmm.OutcomeOK,
-			Ready:      true,
-			ReadyAfter: rep.Total,
-			Ran:        rep.Total + simclock.Duration(v.Guest.Now()),
-		}
-		att.Telemetry = func(tr *telemetry.Tracer, trk string, start simclock.Time) {
-			rep.Observe(tr, trk, start)
-		}
-		return att
-	})
-	if bootErr != nil {
-		return out, bootErr
-	}
-	snap, err := snapshot.Capture(u.Kernel, mon, vm.Boot, vm.Guest)
+	// The origin VM boots once, its boot phases and attempt on the trace.
+	vm, snap, err := capture(u, inj, tr, track+"/origin")
 	if err != nil {
 		return out, err
 	}
@@ -363,7 +325,7 @@ func runMemLadderPool(env *Env, name string, u *core.Unikernel, artifacts []*sna
 		tr:           tr,
 		track:        track,
 		snap:         snap,
-		mon:          mon,
+		mon:          vmm.Firecracker(),
 	}
 
 	// Calibrate the storm from the measured baseline: capacity puts the
@@ -394,7 +356,7 @@ func runMemLadderPool(env *Env, name string, u *core.Unikernel, artifacts []*sna
 		if tr != nil {
 			// Pre-provisioned clones are restores too; the nil injector keeps
 			// the real fault stream untouched.
-			snap.RestoreObserved(mon, nil, 0, snap.BootTotal, tr, fmt.Sprintf("%s/clone%d", track, i))
+			snap.RestoreObserved(p.mon, nil, 0, snap.BootTotal, tr, fmt.Sprintf("%s/clone%d", track, i))
 		}
 		c := cs.Clone()
 		p.clones = append(p.clones, c)
@@ -444,90 +406,60 @@ func runMemCrashPool(env *Env, s *libos.System) (memResult, error) {
 	return out, nil
 }
 
-// runMemStormPools executes the full comparison and returns the raw
-// results (the test entry point; runMemStorm renders them).
-func runMemStormPools(env *Env) ([]memResult, error) {
-	spec, _, err := appSpec("redis")
-	if err != nil {
-		return nil, err
-	}
-	ump, err := redisVariant(spec, "lupine+mp")
-	if err != nil {
-		return nil, fmt.Errorf("memstorm: building lupine+mp: %w", err)
-	}
-	// Cold artifacts shared across variants: snapshots of other kernels
-	// resident in the store — exactly the reclaimable mass the eviction
-	// rung exists for.
-	var artifacts []*snapshot.Snapshot
-	for _, name := range []string{"lupine-general", "microvm"} {
-		u, err := redisVariant(spec, name)
-		if err != nil {
-			return nil, fmt.Errorf("memstorm: building cold artifact: %w", err)
-		}
-		snap, _, _, err := surgeCapture(u)
-		if err != nil {
-			return nil, fmt.Errorf("memstorm: capturing cold artifact: %w", err)
-		}
-		artifacts = append(artifacts, snap)
-	}
-
-	var out []memResult
-	hero, err := runMemLadderPool(env, "lupine+mp", ump, artifacts, nil)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, hero)
-
-	stall, err := runMemLadderPool(env, "lupine+mp/stall", ump, artifacts, faults.MustNew(memStallPlan(env.Seed)))
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, stall)
-	env.recordSLO("memstorm", stall.scope)
-
-	for _, s := range libos.All() {
-		r, err := runMemCrashPool(env, s)
+var memStorm = &storm[memResult]{
+	id:      "memstorm",
+	title:   "Memory pressure: graded degradation ladder under a 2x overcommit storm (robustness)",
+	systems: []string{"lupine+mp"},
+	rows: func(env *Env, name string) ([]memResult, error) {
+		u, err := redis(name)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-func runMemStorm(env *Env) (fmt.Stringer, error) {
-	results, err := runMemStormPools(env)
-	if err != nil {
-		return nil, err
-	}
-	t := &metrics.Table{
-		Title: fmt.Sprintf("memory-pressure ladder under a %gx overcommit storm (seed %d, %d members/pool)",
-			memOvercommit, env.Seed, memPoolClones+1),
-		Columns: []string{"system", "capacity (MiB)", "peak used", "P-some (ms)", "P-full (ms)",
-			"balloon (MiB)", "evict (MiB)", "mem-shed", "kills", "aborts", "stalls", "availability"},
-	}
-	for _, r := range results {
+		// Cold artifacts shared across both pools: snapshots of other
+		// kernels resident in the store — exactly the reclaimable mass the
+		// eviction rung exists for.
+		var artifacts []*snapshot.Snapshot
+		for _, variant := range []string{"lupine-general", "microvm"} {
+			cold, err := redis(variant)
+			if err != nil {
+				return nil, err
+			}
+			_, snap, err := capture(cold, nil, nil, "")
+			if err != nil {
+				return nil, fmt.Errorf("memstorm: capturing cold artifact: %w", err)
+			}
+			artifacts = append(artifacts, snap)
+		}
+		quiet, err := runMemLadderPool(env, name, u, artifacts, nil)
+		if err != nil {
+			return nil, err
+		}
+		stall, err := runMemLadderPool(env, name+"/stall", u, artifacts, faults.MustNew(memStallPlan(env.Seed)))
+		if err != nil {
+			return nil, err
+		}
+		return []memResult{quiet, stall}, nil
+	},
+	comparator: runMemCrashPool,
+	scope:      func(r memResult) *slo.Scope { return r.scope },
+	caption: func(seed uint64) string {
+		return fmt.Sprintf("memory-pressure ladder under a %gx overcommit storm (seed %d, %d members/pool)",
+			memOvercommit, seed, memPoolClones+1)
+	},
+	columns: []string{"system", "capacity (MiB)", "peak used", "P-some (ms)", "P-full (ms)",
+		"balloon (MiB)", "evict (MiB)", "mem-shed", "kills", "aborts", "stalls", "availability"},
+	cells: func(r memResult) []any {
 		m := r.Res.Mem
-		t.AddRow(
-			r.System,
-			trim1(float64(r.Capacity)/float64(guest.MiB)),
-			metrics.Percent(float64(m.PeakUsed)/float64(r.Capacity)),
-			trim1(m.PressureSome.Milliseconds()),
-			trim1(m.PressureFull.Milliseconds()),
-			trim1(float64(m.BalloonReclaimed)/float64(guest.MiB)),
-			trim1(float64(m.Evicted)/float64(guest.MiB)),
-			r.Res.MemSheds,
-			m.Kills,
-			m.Aborts,
-			m.ReclaimStalls,
-			metrics.Percent(r.Res.Availability()),
-		)
-	}
-	t.Notes = append(t.Notes,
+		return []any{r.System, trim1(float64(r.Capacity) / float64(guest.MiB)),
+			metrics.Percent(float64(m.PeakUsed) / float64(r.Capacity)), trim1(m.PressureSome.Milliseconds()),
+			trim1(m.PressureFull.Milliseconds()), trim1(float64(m.BalloonReclaimed) / float64(guest.MiB)),
+			trim1(float64(m.Evicted) / float64(guest.MiB)), r.Res.MemSheds, m.Kills, m.Aborts,
+			m.ReclaimStalls, metrics.Percent(r.Res.Availability())}
+	},
+	notes: []string{
 		"every pool is committed to 2x its host capacity; the storm converts commitments into resident dirty pages mid-traffic",
 		"lupine+mp climbs the graded ladder: balloon reclaim of clean pages, LRU eviction of cold snapshot artifacts, admission shed at full pressure, and at worst an OOM kill whose replacement restores from snapshot in microseconds",
 		"the stall row arms hostmem/reclaim-stall and balloon/deflate-fail: wedged reclaim deepens pressure and costs extra sheds or kills",
 		"libos comparators expose no balloon, no evictable artifacts and no restore path: physical overage goes straight to the host OOM killer, and every abort pays a full cold boot while the shrunken pool backs up",
-	)
-	return t, nil
+	},
 }

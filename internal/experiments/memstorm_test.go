@@ -35,7 +35,7 @@ func TestMemStormDeterministic(t *testing.T) {
 // crash-looping with visibly worse availability.
 func TestMemStormAcceptance(t *testing.T) {
 	t.Parallel()
-	results, err := runMemStormPools(newEnv())
+	results, err := memStorm.run(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestMemStormAcceptance(t *testing.T) {
 func BenchmarkMemStorm(b *testing.B) {
 	var sink string
 	for i := 0; i < b.N; i++ {
-		results, err := runMemStormPools(newEnv())
+		results, err := memStorm.run(newEnv())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -154,10 +154,7 @@ func BenchmarkMemStorm(b *testing.B) {
 		b.ReportMetric(float64(m.Kills), "sim-ladder-kills")
 		b.ReportMetric(float64(libosAborts), "sim-libos-aborts")
 
-		out, err := runMemStorm(newEnv())
-		if err != nil {
-			b.Fatal(err)
-		}
+		out := runExp(b, "memstorm")
 		if sink == "" {
 			sink = out.String()
 		} else if sink != out.String() {

@@ -28,9 +28,7 @@ import (
 	"lupine/internal/slo"
 )
 
-func init() {
-	register("netsplit", "Partition/loss storms on the virtual fabric, per LB policy (robustness)", runNetSplit)
-}
+func init() { netsplitStorm.register() }
 
 // Fabric node ids are 1-based in attachment order: the balancer is
 // always node 1, the pool follows. SitePartition params address these.
@@ -110,6 +108,8 @@ type netsplitResult struct {
 	Net       fabric.Stats
 	MultiProc bool
 	Recovered bool // every initial backend's timeline ends up (no unrecovered crash)
+
+	scope *slo.Scope // SLO scope, set on the lupine+mp/rr row only
 }
 
 // netsplitRecovered reports whether every initial pool member's
@@ -124,16 +124,17 @@ func netsplitRecovered(backends []*fleet.Backend) bool {
 	return true
 }
 
-// netsplitRun drives one (pool, policy) combination through the wire
-// storm. scoped rows additionally get an SLO scope sampling the row's
+// netsplitRun drives one (pool, policy) row through the wire storm.
+// scoped rows additionally get an SLO scope sampling the row's
 // availability and latency SLIs on the fleet clock, with the wire
 // injector attached so availability burns attribute to the partitions.
-func netsplitRun(env *Env, backends []*fleet.Backend, policy, track string, scoped bool) (fleet.Result, []*fleet.Backend, fabric.Stats, *slo.Scope, error) {
+func netsplitRun(env *Env, backends []*fleet.Backend, policy, track string, scoped bool) (netsplitResult, error) {
+	recovered := netsplitRecovered(backends)
 	cfg := netsplitConfig(env.Seed, policy)
 	cfg.TrafficStart = simclock.Time(fleetBootTime(backends) + simclock.Millisecond)
 	winj, err := faults.New(netsplitWirePlan(env.Seed, cfg.TrafficStart))
 	if err != nil {
-		return fleet.Result{}, nil, fabric.Stats{}, nil, err
+		return netsplitResult{}, err
 	}
 	var objs []slo.Objective
 	if scoped {
@@ -142,110 +143,76 @@ func netsplitRun(env *Env, backends []*fleet.Backend, policy, track string, scop
 	row := env.row(track, winj, sloEvery, objs...)
 	f := fleet.New(cfg, backends, nil, winj)
 	res := runRow(row, f)
-	return res, f.Backends(), f.Net().Stats(), row.scope, nil
+	return netsplitResult{
+		Policy:    policy,
+		Res:       res,
+		Backends:  f.Backends(),
+		Net:       f.Net().Stats(),
+		Recovered: recovered,
+		scope:     row.scope,
+	}, nil
 }
 
-// runNetSplitStorm executes the full comparison and returns the raw
-// results (the test entry point; runNetSplit renders them).
-func runNetSplitStorm(env *Env) ([]netsplitResult, error) {
-	spec, _, err := appSpec("redis")
-	if err != nil {
-		return nil, err
-	}
-	variants := []struct {
-		name     string
-		policies []string
-	}{
-		{"lupine", []string{fleet.PolicyRR}},
-		{"lupine+mp", []string{fleet.PolicyRR, fleet.PolicyLeast, fleet.PolicyHash}},
-	}
-	var out []netsplitResult
-	var scopes []*slo.Scope
-	for _, v := range variants {
-		u, err := redisVariant(spec, v.name)
+var netsplitStorm = &storm[netsplitResult]{
+	id:      "netsplit",
+	title:   "Partition/loss storms on the virtual fabric, per LB policy (robustness)",
+	systems: []string{"lupine", "lupine+mp"},
+	rows: func(env *Env, name string) ([]netsplitResult, error) {
+		u, err := redis(name)
 		if err != nil {
-			return nil, fmt.Errorf("netsplit: building %s: %w", v.name, err)
+			return nil, err
 		}
-		for _, policy := range v.policies {
-			track := fmt.Sprintf("netsplit/%s/%s", v.name, policy)
+		policies := []string{fleet.PolicyRR}
+		if name == "lupine+mp" {
+			policies = append(policies, fleet.PolicyLeast, fleet.PolicyHash)
+		}
+		var out []netsplitResult
+		for _, policy := range policies {
+			track := fmt.Sprintf("netsplit/%s/%s", name, policy)
 			backends, err := env.linuxPool(u, track, netsplitBackendPlan)
 			if err != nil {
 				return nil, err
 			}
-			recovered := netsplitRecovered(backends)
-			scoped := v.name == "lupine+mp" && policy == fleet.PolicyRR
-			res, pool, ns, scope, err := netsplitRun(env, backends, policy, track, scoped)
+			r, err := netsplitRun(env, backends, policy, track, name == "lupine+mp" && policy == fleet.PolicyRR)
 			if err != nil {
 				return nil, err
 			}
-			scopes = append(scopes, scope)
-			out = append(out, netsplitResult{
-				System:    v.name,
-				Policy:    policy,
-				Res:       res,
-				Backends:  pool,
-				Net:       ns,
-				MultiProc: u.Kernel.Enabled("MULTIPROCESS"),
-				Recovered: recovered,
-			})
+			r.System, r.MultiProc = name, u.Kernel.Enabled("MULTIPROCESS")
+			out = append(out, r)
 		}
-	}
+		return out, nil
+	},
 	// The unikernel comparators: the pool dies of the workload's first
 	// fork before the partition even lands — the storm has nobody left
 	// to partition, and the balancer sheds at the wire.
-	for _, s := range libos.All() {
+	comparator: func(env *Env, s *libos.System) (netsplitResult, error) {
 		track := "netsplit/" + s.Name
-		backends := env.libosPool(libosCrash(s, simclock.Millisecond), track)
-		recovered := netsplitRecovered(backends)
-		res, pool, ns, _, err := netsplitRun(env, backends, fleet.PolicyRR, track, false)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, netsplitResult{
-			System: s.Name, Policy: fleet.PolicyRR,
-			Res: res, Backends: pool, Net: ns, Recovered: recovered,
-		})
-	}
-	env.recordSLO("netsplit", scopes...)
-	return out, nil
-}
-
-func runNetSplit(env *Env) (fmt.Stringer, error) {
-	results, err := runNetSplitStorm(env)
-	if err != nil {
-		return nil, err
-	}
-	t := &metrics.Table{
-		Title: fmt.Sprintf("fleet availability under asymmetric partitions and link flaps on the virtual fabric (seed %d, %d VMs)",
-			env.Seed, fleetPoolSize),
-		Columns: []string{"system", "policy", "availability", "p50 (µs)", "p99 (µs)", "shed rate",
-			"retries", "rexmits", "opens", "false trips", "recovered"},
-	}
-	for _, r := range results {
+		r, err := netsplitRun(env, env.libosPool(libosCrash(s, simclock.Millisecond), track), fleet.PolicyRR, track, false)
+		r.System = s.Name
+		return r, err
+	},
+	scope: func(r netsplitResult) *slo.Scope { return r.scope },
+	caption: func(seed uint64) string {
+		return fmt.Sprintf("fleet availability under asymmetric partitions and link flaps on the virtual fabric (seed %d, %d VMs)",
+			seed, fleetPoolSize)
+	},
+	columns: []string{"system", "policy", "availability", "p50 (µs)", "p99 (µs)", "shed rate",
+		"retries", "rexmits", "opens", "false trips", "recovered"},
+	cells: func(r netsplitResult) []any {
 		rec := "yes"
 		if !r.Recovered {
 			rec = "NO"
 		}
-		t.AddRow(
-			r.System,
-			r.Policy,
-			metrics.Percent(r.Res.Availability()),
-			r.Res.Percentile(50).Microseconds(),
-			r.Res.Percentile(99).Microseconds(),
-			metrics.Percent(r.Res.ShedRate()),
-			r.Res.Retries,
-			r.Res.Retransmits,
-			r.Res.BreakerOpens,
-			r.Res.FalseTrips,
-			rec,
-		)
-	}
-	t.Notes = append(t.Notes,
+		return []any{r.System, r.Policy, metrics.Percent(r.Res.Availability()),
+			r.Res.Percentile(50).Microseconds(), r.Res.Percentile(99).Microseconds(),
+			metrics.Percent(r.Res.ShedRate()), r.Res.Retries, r.Res.Retransmits, r.Res.BreakerOpens,
+			r.Res.FalseTrips, rec}
+	},
+	notes: []string{
 		"identical wire storm per row: an 18 ms partition INTO vm1 (its egress still flows), a 15 ms partition OUT OF vm2 (it serves into the void), flapping links, 2% segment loss and delay weather; backends additionally take one staggered 350 MiB memory spike each",
 		"false trips are breaker opens against a backend that was actually alive — the wire lied; the balancer's probes cannot tell a partition from a dead VM, which is the point",
 		"all dispatch/probe/response traffic crosses internal/fabric: the shed path is a real SYN backlog overflowing, failures are retransmission exhaustion or response deadlines",
 		"policy changes trade latency and affinity, not availability: rr/least/hash hold the same floor because shed and retry policy, not placement, decide survival",
 		"unikernel comparator pools die of the workload's first fork before the partition lands; recovered=NO marks unrecovered crashes",
-	)
-	return t, nil
+	},
 }

@@ -10,14 +10,8 @@ import (
 // seeded streams on the virtual clock.
 func TestNetSplitDeterministic(t *testing.T) {
 	t.Parallel()
-	a, err := runNetSplit(newEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := runNetSplit(newEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runExp(t, "netsplit")
+	b := runExp(t, "netsplit")
 	if a.String() != b.String() {
 		t.Fatalf("same seed, different tables:\n%s\n---\n%s", a, b)
 	}
@@ -29,7 +23,7 @@ func TestNetSplitDeterministic(t *testing.T) {
 // comparator pools lose everything before the partition even lands.
 func TestNetSplitContrast(t *testing.T) {
 	t.Parallel()
-	results, err := runNetSplitStorm(newEnv())
+	results, err := netsplitStorm.run(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +102,7 @@ func TestNetSplitTraceHasWireHistory(t *testing.T) {
 	t.Parallel()
 	env := withTelemetry()
 	tr := env.Trace
-	if _, err := runNetSplitStorm(env); err != nil {
+	if _, err := netsplitStorm.run(env); err != nil {
 		t.Fatal(err)
 	}
 	var conns, rexmits, trips int

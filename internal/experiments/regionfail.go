@@ -29,9 +29,7 @@ import (
 	"lupine/internal/vmm"
 )
 
-func init() {
-	register("regionfail", "Multi-region failover: blackout + partition storm, evacuation restore vs cold (robustness)", runRegionFail)
-}
+func init() { regionFailStorm.register() }
 
 // The storm's cast, by 0-based region index: r0 takes a host crash, r1
 // blacks out for good, r2 suffers a transient asymmetric partition.
@@ -109,102 +107,78 @@ func runRegionRow(env *Env, experiment, name string, plan func(seed uint64) faul
 	return regionRow{System: name, Warm: warm, Res: res, scope: row.scope}, nil
 }
 
-// runRegionFailStorm executes the full comparison and returns the raw
-// results (the test entry point; runRegionFail renders them).
-func runRegionFailStorm(env *Env) ([]regionRow, error) {
-	spec, _, err := appSpec("redis")
-	if err != nil {
-		return nil, err
-	}
-	u, err := redisVariant(spec, "lupine+mp")
-	if err != nil {
-		return nil, fmt.Errorf("regionfail: building lupine+mp: %w", err)
-	}
-	snap, coldBoot, _, err := surgeCapture(u)
-	if err != nil {
-		return nil, fmt.Errorf("regionfail: capturing snapshot: %w", err)
-	}
+var regionFailStorm = &storm[regionRow]{
+	id:      "regionfail",
+	title:   "Multi-region failover: blackout + partition storm, evacuation restore vs cold (robustness)",
+	systems: []string{"lupine+mp"},
+	rows: func(env *Env, name string) ([]regionRow, error) {
+		u, err := redis(name)
+		if err != nil {
+			return nil, err
+		}
+		vm, snap, err := capture(u, nil, nil, "")
+		if err != nil {
+			return nil, fmt.Errorf("regionfail: capturing snapshot: %w", err)
+		}
+		coldBoot := vm.Boot.Total
 
-	var out []regionRow
+		// The warm row, the full story: warm pool captured once,
+		// replicated to every region ahead of need, evacuation restores
+		// from the replicas.
+		cfg := regionFailConfig(env.Seed)
+		cfg.Snapshot = snap
+		cfg.Monitor = vmm.Firecracker()
+		cfg.Replicate = true
+		cfg.ColdBoot = coldBoot
+		warm, err := runRegionRow(env, "regionfail", name, regionFailPlan, true, true, cfg)
+		if err != nil {
+			return nil, err
+		}
 
-	// Row 1: the full story — warm pool captured once, replicated to
-	// every region ahead of need, evacuation restores from the replicas.
-	cfg := regionFailConfig(env.Seed)
-	cfg.Snapshot = snap
-	cfg.Monitor = vmm.Firecracker()
-	cfg.Replicate = true
-	cfg.ColdBoot = coldBoot
-	r, err := runRegionRow(env, "regionfail", "lupine+mp", regionFailPlan, true, true, cfg)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, r)
-	env.recordSLO("regionfail", r.scope)
-
-	// Row 2: the same kernel and plane with no snapshot story — every
-	// replacement and every evacuee pays the full measured boot.
-	cfg = regionFailConfig(env.Seed)
-	cfg.ColdBoot = coldBoot
-	r, err = runRegionRow(env, "regionfail", "lupine+mp-cold", regionFailPlan, false, false, cfg)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, r)
-
+		// The cold row: the same kernel and plane with no snapshot story —
+		// every replacement and every evacuee pays the full measured boot.
+		cfg = regionFailConfig(env.Seed)
+		cfg.ColdBoot = coldBoot
+		cold, err := runRegionRow(env, "regionfail", name+"-cold", regionFailPlan, false, false, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return []regionRow{warm, cold}, nil
+	},
 	// The unikernel comparators: their pools boot, then die of the
 	// workload's first fork (§6.2) — and keep dying wherever the control
 	// plane restores them, because the kernel, not the region, is what
 	// cannot run the workload.
-	for _, s := range libos.All() {
-		cfg = regionFailConfig(env.Seed)
+	comparator: func(env *Env, s *libos.System) (regionRow, error) {
+		cfg := regionFailConfig(env.Seed)
 		cfg.ColdBoot = libosBoot(s)
 		cfg.Timeline = env.libosTimeline(libosCrash(s, simclock.Millisecond), "regionfail/"+s.Name)
-		r, err = runRegionRow(env, "regionfail", s.Name, regionFailPlan, false, false, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-func runRegionFail(env *Env) (fmt.Stringer, error) {
-	results, err := runRegionFailStorm(env)
-	if err != nil {
-		return nil, err
-	}
-	t := &metrics.Table{
-		Title: fmt.Sprintf("multi-region availability through a host crash, a full-region blackout and an inter-region partition (seed %d, 3 regions)",
-			env.Seed),
-		Columns: []string{"system", "warm pool", "availability", "p99 (µs)", "failovers",
-			"detect p99 (µs)", "evac (rst/fb/cold)", "evac p50 (µs)", "evac wall (µs)", "shed r0/r1/r2", "unrecovered"},
-	}
-	for _, r := range results {
+		return runRegionRow(env, "regionfail", s.Name, regionFailPlan, false, false, cfg)
+	},
+	scope: func(r regionRow) *slo.Scope { return r.scope },
+	caption: func(seed uint64) string {
+		return fmt.Sprintf("multi-region availability through a host crash, a full-region blackout and an inter-region partition (seed %d, 3 regions)",
+			seed)
+	},
+	columns: []string{"system", "warm pool", "availability", "p99 (µs)", "failovers",
+		"detect p99 (µs)", "evac (rst/fb/cold)", "evac p50 (µs)", "evac wall (µs)", "shed r0/r1/r2", "unrecovered"},
+	cells: func(r regionRow) []any {
 		warm := "no"
 		if r.Warm {
 			warm = "yes"
 		}
-		t.AddRow(
-			r.System,
-			warm,
-			metrics.Percent(r.Res.Availability()),
-			r.Res.Percentile(99).Microseconds(),
-			r.Res.Failovers,
-			r.Res.DetectPercentile(99).Microseconds(),
+		return []any{r.System, warm, metrics.Percent(r.Res.Availability()),
+			r.Res.Percentile(99).Microseconds(), r.Res.Failovers, r.Res.DetectPercentile(99).Microseconds(),
 			fmt.Sprintf("%d/%d/%d", r.Res.EvacRestores, r.Res.EvacFallbacks, r.Res.EvacCold),
-			r.Res.EvacReadyPercentile(50).Microseconds(),
-			r.Res.EvacDuration().Microseconds(),
-			shedSummary(r.Res),
-			r.Res.Unrecovered,
-		)
-	}
-	t.Notes = append(t.Notes,
+			r.Res.EvacReadyPercentile(50).Microseconds(), r.Res.EvacDuration().Microseconds(),
+			shedSummary(r.Res), r.Res.Unrecovered}
+	},
+	notes: []string{
 		"identical storm per row: a host crash in r0 at 6 ms, a terminal blackout of r1 at 10 ms, and a 6 ms asymmetric partition INTO r2 at 30 ms (its egress still flows)",
 		"the router learns of the blackout only through unanswered gateway probes crossing the inter-region trunks; detect p99 is dark-instant to dead-declaration",
 		"the partition is shorter than the evacuation dwell: the false trip must heal into a rejoin — evacuations here all come from the real blackout",
 		"evac (rst/fb/cold): restores from the region-local snapshot replica / restore-fault fallbacks to cold boot / cold boots because no replica exists; evac p50 is the median per-evacuee provisioning cost, evac wall the whole wave (fallback-bound on the warm row)",
 		"warm rows replicate the home region's capture to every peer store ahead of need, priced at the inter-region bandwidth; cold rows pay the measured boot per evacuee",
 		"unikernel comparator pools die of the workload's first fork and keep dying wherever the plane restores them — the kernel, not the region, is what cannot serve",
-	)
-	return t, nil
+	},
 }

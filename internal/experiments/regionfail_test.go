@@ -10,14 +10,8 @@ import (
 // from seeded streams on the one virtual event heap.
 func TestRegionFailDeterministic(t *testing.T) {
 	t.Parallel()
-	a, err := runRegionFail(newEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := runRegionFail(newEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runExp(t, "regionfail")
+	b := runExp(t, "regionfail")
 	if a.String() != b.String() {
 		t.Fatalf("same seed, different tables:\n%s\n---\n%s", a, b)
 	}
@@ -30,7 +24,7 @@ func TestRegionFailDeterministic(t *testing.T) {
 // heals into a rejoin instead of a second evacuation.
 func TestRegionFailContrast(t *testing.T) {
 	t.Parallel()
-	results, err := runRegionFailStorm(newEnv())
+	results, err := regionFailStorm.run(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +116,7 @@ func TestRegionFailTraceHasControlHistory(t *testing.T) {
 	t.Parallel()
 	env := withTelemetry()
 	tr := env.Trace
-	if _, err := runRegionFailStorm(env); err != nil {
+	if _, err := regionFailStorm.run(env); err != nil {
 		t.Fatal(err)
 	}
 	counts := map[string]int{}

@@ -14,7 +14,7 @@ import (
 // -slo-out exports.
 func TestEveryExperimentEmitsSLOReport(t *testing.T) {
 	t.Parallel()
-	for _, id := range stormIDs {
+	for _, id := range Storms() {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
@@ -47,7 +47,7 @@ func TestEveryExperimentEmitsSLOReport(t *testing.T) {
 func TestNetSplitSLOAttributesPartition(t *testing.T) {
 	t.Parallel()
 	env := newEnv()
-	if _, err := runNetSplit(env); err != nil {
+	if _, err := netsplitStorm.run(env); err != nil {
 		t.Fatal(err)
 	}
 	rep := env.SLO
@@ -76,7 +76,7 @@ func TestNetSplitSLOAttributesPartition(t *testing.T) {
 func TestMemStormSLOAttributesReclaimStall(t *testing.T) {
 	t.Parallel()
 	env := newEnv()
-	if _, err := runMemStormPools(env); err != nil {
+	if _, err := memStorm.run(env); err != nil {
 		t.Fatal(err)
 	}
 	rep := env.SLO
@@ -100,7 +100,7 @@ func TestMemStormSLOAttributesReclaimStall(t *testing.T) {
 func TestRegionFailSLOAttributesBlackout(t *testing.T) {
 	t.Parallel()
 	env := newEnv()
-	if _, err := runRegionFailStorm(env); err != nil {
+	if _, err := regionFailStorm.run(env); err != nil {
 		t.Fatal(err)
 	}
 	rep := env.SLO
@@ -122,7 +122,7 @@ func TestRegionFailSLOAttributesBlackout(t *testing.T) {
 func TestBreachSLOContainmentAlertPrecedesRepave(t *testing.T) {
 	t.Parallel()
 	env := newEnv()
-	rows, err := runBreachStorm(env)
+	rows, err := breachStorm.run(env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestSLOReportDeterministic(t *testing.T) {
 	t.Parallel()
 	report := func() []byte {
 		env := newEnv()
-		if _, err := runMemStormPools(env); err != nil {
+		if _, err := memStorm.run(env); err != nil {
 			t.Fatal(err)
 		}
 		return env.SLO.JSON()

@@ -1,9 +1,10 @@
 package experiments
 
-// The skeleton the storms share: the observation wiring of one storm
-// row (its telemetry and, on the hero row, its SLO scope), one region
-// plane row, supervised pools, and the libos comparators' one doomed
-// lifetime under the redis workload.
+// The skeleton the storms share: the storm type and its one runner,
+// the observation wiring of one storm row (its telemetry and, on the
+// hero row, its SLO scope), one region plane row, supervised pools, the
+// snapshot capture every warm pool starts from, and the libos
+// comparators' one doomed lifetime under the redis workload.
 
 import (
 	"fmt"
@@ -13,12 +14,111 @@ import (
 	"lupine/internal/fleet"
 	"lupine/internal/guest"
 	"lupine/internal/libos"
+	"lupine/internal/metrics"
 	"lupine/internal/region"
 	"lupine/internal/simclock"
 	"lupine/internal/slo"
+	"lupine/internal/snapshot"
 	"lupine/internal/telemetry"
 	"lupine/internal/vmm"
 )
+
+// A storm is one robustness experiment declared as data: its Linux
+// systems in row order, how one system's rows run, how one libos
+// comparator's row runs, each row's SLO scope (nil on unscoped rows),
+// and its table: a caption built from the seed, the columns, one row of
+// cells per result, and the notes. Every storm but catalog is one such
+// value over the one runner below.
+type storm[R any] struct {
+	id, title  string
+	systems    []string
+	rows       func(env *Env, system string) ([]R, error)
+	comparator func(env *Env, s *libos.System) (R, error)
+	scope      func(R) *slo.Scope
+	caption    func(seed uint64) string
+	columns    []string
+	cells      func(R) []any
+	notes      []string
+}
+
+// run drives every system's rows in order, then one comparator row per
+// libos.All() entry, and records the rows' non-nil scopes, in row
+// order, as the storm's SLO report. An error returns at once and
+// records no report. run is the tests' entry point.
+func (s *storm[R]) run(env *Env) ([]R, error) {
+	var out []R
+	for _, sys := range s.systems {
+		rows, err := s.rows(env, sys)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, rows...)
+	}
+	for _, c := range libos.All() {
+		r, err := s.comparator(env, c)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, r)
+	}
+	scopes := make([]*slo.Scope, len(out))
+	for i, r := range out {
+		scopes[i] = s.scope(r)
+	}
+	env.recordSLO(s.id, scopes...)
+	return out, nil
+}
+
+// register registers the storm as an experiment that renders its table.
+func (s *storm[R]) register() {
+	registerStorm(s.id, s.title, func(env *Env) (fmt.Stringer, error) {
+		rows, err := s.run(env)
+		if err != nil {
+			return nil, err
+		}
+		t := &metrics.Table{Title: s.caption(env.Seed), Columns: s.columns, Notes: s.notes}
+		for _, r := range rows {
+			t.AddRow(s.cells(r)...)
+		}
+		return t, nil
+	})
+}
+
+// capture boots one clean VM of u on Firecracker in probe mode, runs it
+// to completion and captures its snapshot. The boot is the one attempt
+// of a no-restart supervisor observed on lane, so with a tracer its
+// phases land on the trace; without one, and with a nil injector, it is
+// the bare boot and run: the zero policy runs exactly one attempt, and
+// the injector sees the same call sequence either way.
+func capture(u *core.Unikernel, inj *faults.Injector, tr *telemetry.Tracer, lane string) (*core.VM, *snapshot.Snapshot, error) {
+	mon := vmm.Firecracker()
+	var (
+		vm  *core.VM
+		err error
+	)
+	sup := vmm.NewSupervisor(vmm.RestartPolicy{})
+	sup.Observe(tr, lane)
+	sup.Run(func(int) vmm.Attempt {
+		if vm, err = u.Boot(core.BootOpts{Monitor: mon, ProbeOnly: true, Faults: inj}); err != nil {
+			return vmm.Attempt{Outcome: vmm.OutcomeBootFail, Detail: err.Error()}
+		}
+		if err = vm.Run(); err != nil {
+			return vmm.Attempt{Outcome: vmm.OutcomeHang, Detail: err.Error()}
+		}
+		return vmm.Attempt{
+			Outcome:    vmm.OutcomeOK,
+			Ready:      true,
+			ReadyAfter: vm.Boot.Total,
+			Ran:        vm.Boot.Total + simclock.Duration(vm.Guest.Now()),
+			Telemetry:  vm.Boot.Observe,
+		}
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	snap, err := snapshot.Capture(u.Kernel, mon, vm.Boot, vm.Guest)
+	return vm, snap, err
+}
 
 // A stormRow is one storm row's observation wiring: the tracer and
 // registry its plane feeds and, on the scoped hero row, the SLO scope

@@ -15,7 +15,6 @@ package experiments
 import (
 	"fmt"
 
-	"lupine/internal/core"
 	"lupine/internal/faults"
 	"lupine/internal/fleet"
 	"lupine/internal/guest"
@@ -27,9 +26,7 @@ import (
 	"lupine/internal/vmm"
 )
 
-func init() {
-	register("surge", "Snapshot scale-out: time-to-capacity and pool memory under a traffic spike (scale)", runSurge)
-}
+func init() { surgeStorm.register() }
 
 // Pool bounds and the per-clone dirty working set a restored VM accrues
 // (connection buffers, allocator churn) while serving the spike.
@@ -109,24 +106,6 @@ func (r surgeResult) TimeToCapacity() simclock.Duration {
 	return d
 }
 
-// surgeCapture boots one clean VM of u, runs it to completion in probe
-// mode and captures its snapshot (for monitors that support it).
-func surgeCapture(u *core.Unikernel) (*snapshot.Snapshot, simclock.Duration, int64, error) {
-	mon := vmm.Firecracker()
-	vm, err := u.Boot(core.BootOpts{Monitor: mon, ProbeOnly: true})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if err := vm.Run(); err != nil {
-		return nil, 0, 0, err
-	}
-	snap, err := snapshot.Capture(u.Kernel, mon, vm.Boot, vm.Guest)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return snap, vm.Boot.Total, vm.Guest.MemUsed(), nil
-}
-
 // runSurgeVariant runs one pool through the spike. snap == nil means the
 // cold-boot variant: every launch pays the full boot. faulty arms the
 // snapshot plane's seeded fault storm against the restores.
@@ -203,41 +182,25 @@ func runSurgeVariant(env *Env, name string, snap *snapshot.Snapshot, faulty bool
 	return res, nil
 }
 
-// runSurgeStorm executes the full comparison and returns the raw results
-// (the test entry point; runSurge renders them).
-func runSurgeStorm(env *Env) ([]surgeResult, error) {
-	spec, _, err := appSpec("redis")
-	if err != nil {
-		return nil, err
-	}
-	store := snapshot.NewStore()
-	var out []surgeResult
-	for _, name := range []string{"lupine", "lupine-general", "microvm"} {
-		u, err := redisVariant(spec, name)
+var surgeStorm = &storm[surgeResult]{
+	id:      "surge",
+	title:   "Snapshot scale-out: time-to-capacity and pool memory under a traffic spike (scale)",
+	systems: []string{"lupine", "lupine-general", "microvm"},
+	rows: func(env *Env, name string) ([]surgeResult, error) {
+		u, err := redis(name)
 		if err != nil {
-			return nil, fmt.Errorf("surge: building %s: %w", name, err)
+			return nil, err
 		}
-		var (
-			coldBoot simclock.Duration
-			coldRSS  int64
-		)
-		snap, err := store.GetOrCapture(snapshot.KernelKey(u.Kernel), vmm.Firecracker().Name,
-			func() (*snapshot.Snapshot, error) {
-				s, boot, rss, err := surgeCapture(u)
-				coldBoot, coldRSS = boot, rss
-				return s, err
-			})
+		vm, snap, err := capture(u, nil, nil, "")
 		if err != nil {
 			return nil, fmt.Errorf("surge: capturing %s: %w", name, err)
 		}
-		if coldBoot == 0 { // snapshot came from the store: re-derive the cold path
-			coldBoot, coldRSS = snap.BootTotal, snap.BaseRSS
-		}
+		coldBoot, coldRSS := vm.Boot.Total, vm.Guest.MemUsed()
 		with, err := runSurgeVariant(env, name+"+snap", snap, false, coldBoot, coldRSS, fleet.AlwaysUp)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, with)
+		out := []surgeResult{with}
 		// The same snapshot pool under the seeded snapshot-plane storm
 		// (one row suffices): a corrupt artifact and a mid-flight restore
 		// failure fall back to cold boots, and the fallbacks gate the ramp.
@@ -246,47 +209,35 @@ func runSurgeStorm(env *Env) ([]surgeResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			env.recordSLO("surge", stormy.scope)
 			out = append(out, stormy)
 		}
 		without, err := runSurgeVariant(env, name, nil, false, coldBoot, coldRSS, fleet.AlwaysUp)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, without)
-	}
+		return append(out, without), nil
+	},
 	// The libos comparators: no snapshot story on their monitors, and the
 	// workload's fork kills them — every pool member and every scale-up
 	// cold boots, serves briefly, crashes, and gets crash-restarted until
 	// the supervisor gives up.
-	for _, s := range libos.All() {
+	comparator: func(env *Env, s *libos.System) (surgeResult, error) {
 		crash := libosCrash(s, 2*simclock.Millisecond)
 		tl := func() fleet.Timeline {
 			rep := vmm.Supervise(vmm.RestartPolicy{MaxRestarts: 5, Backoff: 5 * simclock.Millisecond},
 				func(int) vmm.Attempt { return crash })
 			return fleet.FromReport(rep)
 		}
-		res, err := runSurgeVariant(env, s.Name, nil, false, libosBoot(s), libosFootprint(s), tl)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
-func runSurge(env *Env) (fmt.Stringer, error) {
-	results, err := runSurgeStorm(env)
-	if err != nil {
-		return nil, err
-	}
-	t := &metrics.Table{
-		Title: fmt.Sprintf("snapshot scale-out under a traffic spike (seed %d, pool %d..%d, slots x%d)",
-			env.Seed, surgeMin, surgeMax, fleet.BackendSlots),
-		Columns: []string{"system", "launch", "restore (µs)", "cold boot (ms)", "time-to-cap (ms)",
-			"availability", "shed rate", "restores", "cold boots", "fallbacks", "pool RSS (MiB)", "no-CoW RSS (MiB)"},
-	}
-	for _, r := range results {
+		return runSurgeVariant(env, s.Name, nil, false, libosBoot(s), libosFootprint(s), tl)
+	},
+	scope: func(r surgeResult) *slo.Scope { return r.scope },
+	caption: func(seed uint64) string {
+		return fmt.Sprintf("snapshot scale-out under a traffic spike (seed %d, pool %d..%d, slots x%d)",
+			seed, surgeMin, surgeMax, fleet.BackendSlots)
+	},
+	columns: []string{"system", "launch", "restore (µs)", "cold boot (ms)", "time-to-cap (ms)",
+		"availability", "shed rate", "restores", "cold boots", "fallbacks", "pool RSS (MiB)", "no-CoW RSS (MiB)"},
+	cells: func(r surgeResult) []any {
 		launch, restore := "cold boot", "-"
 		if r.Snapshots {
 			launch = "snapshot"
@@ -296,28 +247,17 @@ func runSurge(env *Env) (fmt.Stringer, error) {
 		if d := r.TimeToCapacity(); d >= 0 {
 			ttc = trim1(d.Milliseconds())
 		}
-		t.AddRow(
-			r.System,
-			launch,
-			restore,
-			trim1(r.ColdBoot.Milliseconds()),
-			ttc,
-			metrics.Percent(r.Res.Availability()),
-			metrics.Percent(r.Res.ShedRate()),
-			r.Res.Restores,
-			r.Res.ColdBoots,
-			r.Fallbacks,
-			trim1(float64(r.AggRSS)/float64(guest.MiB)),
-			trim1(float64(r.NaiveRSS)/float64(guest.MiB)),
-		)
-	}
-	t.Notes = append(t.Notes,
+		return []any{r.System, launch, restore, trim1(r.ColdBoot.Milliseconds()), ttc,
+			metrics.Percent(r.Res.Availability()), metrics.Percent(r.Res.ShedRate()), r.Res.Restores,
+			r.Res.ColdBoots, r.Fallbacks, trim1(float64(r.AggRSS) / float64(guest.MiB)),
+			trim1(float64(r.NaiveRSS) / float64(guest.MiB))}
+	},
+	notes: []string{
 		"identical spike per row: arrivals outrun the Min pool, the autoscaler grows toward Max; snapshot pools restore clones in microseconds, cold pools pay the full boot per launch",
 		"restore skips every boot phase except monitor handoff and lazily maps the captured RSS; copy-on-write clones share the base pages and are charged dirty pages only",
 		"seeded snapshot faults: one corrupt artifact and one mid-flight restore failure fall back to cold boots with the wasted work accounted",
 		"libos comparators cold-boot and crash-restart (§6.2): fork kills every member, the supervisor gives up, and the pool never holds capacity",
-	)
-	return t, nil
+	},
 }
 
 // trim1 formats a float with one decimal, trimming a trailing ".0".

@@ -33,7 +33,7 @@ func TestSurgeDeterministic(t *testing.T) {
 // seeded snapshot storm falling back with explicit accounting.
 func TestSurgeAcceptance(t *testing.T) {
 	t.Parallel()
-	results, err := runSurgeStorm(newEnv())
+	results, err := surgeStorm.run(newEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestSurgeAcceptance(t *testing.T) {
 func BenchmarkSurge(b *testing.B) {
 	var sink string
 	for i := 0; i < b.N; i++ {
-		results, err := runSurgeStorm(newEnv())
+		results, err := surgeStorm.run(newEnv())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -151,10 +151,7 @@ func BenchmarkSurge(b *testing.B) {
 		if snap.NaiveRSS > 0 {
 			b.ReportMetric((1-float64(snap.AggRSS)/float64(snap.NaiveRSS))*100, "%mem-saved")
 		}
-		out, err := runSurge(newEnv())
-		if err != nil {
-			b.Fatal(err)
-		}
+		out := runExp(b, "surge")
 		if sink == "" {
 			sink = out.String()
 		} else if sink != out.String() {

@@ -39,7 +39,7 @@ func TestMemStormTraceDeterministicAndComplete(t *testing.T) {
 	t.Parallel()
 	run := func() ([]byte, *telemetry.Tracer, []memResult) {
 		env := withTelemetry()
-		results, err := runMemStormPools(env)
+		results, err := memStorm.run(env)
 		if err != nil {
 			t.Fatalf("memstorm: %v", err)
 		}
@@ -117,7 +117,7 @@ func TestChaosTelemetry(t *testing.T) {
 	t.Parallel()
 	env := withTelemetry()
 	tr := env.Trace
-	results, err := runChaosStorm(env)
+	results, err := chaosStorm.run(env)
 	if err != nil {
 		t.Fatalf("chaos: %v", err)
 	}
@@ -165,7 +165,7 @@ func TestFleetChaosTelemetry(t *testing.T) {
 	t.Parallel()
 	env := withTelemetry()
 	tr, reg := env.Trace, env.Metrics
-	results, err := runFleetChaosStorm(env)
+	results, err := fleetChaosStorm.run(env)
 	if err != nil {
 		t.Fatalf("fleetchaos: %v", err)
 	}
@@ -204,7 +204,7 @@ func TestSurgeTelemetry(t *testing.T) {
 	t.Parallel()
 	env := withTelemetry()
 	tr := env.Trace
-	results, err := runSurgeStorm(env)
+	results, err := surgeStorm.run(env)
 	if err != nil {
 		t.Fatalf("surge: %v", err)
 	}

@@ -66,21 +66,6 @@ func (st *Store) Get(kernel, monitor string) (*Snapshot, bool) {
 	return nil, false
 }
 
-// GetOrCapture returns the cached snapshot or captures one through the
-// callback and caches it. The callback runs outside the lock-free fast
-// path only on a miss, so N identical kernels pay one capture.
-func (st *Store) GetOrCapture(kernel, monitor string, capture func() (*Snapshot, error)) (*Snapshot, error) {
-	if s, ok := st.Get(kernel, monitor); ok {
-		return s, nil
-	}
-	s, err := capture()
-	if err != nil {
-		return nil, err
-	}
-	st.Put(s)
-	return s, nil
-}
-
 // Resident reports the host bytes the cached artifacts occupy: each
 // snapshot's memory file is its base RSS.
 func (st *Store) Resident() int64 {
