@@ -52,7 +52,10 @@ type Image struct {
 	Size           int64             // bytes
 	BootOptionCost simclock.Duration // sum of enabled options' init costs
 
-	gated map[string]string // syscall -> option that gates it
+	// Syscall gating is a property of the *tree*, not the config: a
+	// syscall is unavailable iff its gating option exists and is
+	// disabled. Every image asks the tree's one gating table.
+	tree *kerneldb.DB
 }
 
 // Build compiles a resolved configuration into an image.
@@ -64,7 +67,7 @@ func Build(db *kerneldb.DB, name string, cfg *kconfig.Config, opt OptLevel) (*Im
 		Name:   name,
 		Config: cfg,
 		Opt:    opt,
-		gated:  make(map[string]string),
+		tree:   db,
 	}
 	var size int64 = coreSize
 	for _, n := range cfg.Names() {
@@ -77,13 +80,6 @@ func Build(db *kerneldb.DB, name string, cfg *kconfig.Config, opt OptLevel) (*Im
 		info := db.Info(n)
 		size += info.Size
 		img.BootOptionCost += info.Boot
-	}
-	// Syscall gating is a property of the *tree*, not the config: a
-	// syscall is unavailable iff its gating option exists and is disabled.
-	for _, o := range db.Kconfig.Options() {
-		for _, sc := range db.Info(o.Name).Syscalls {
-			img.gated[sc] = o.Name
-		}
 	}
 	if opt == Os {
 		size = int64(float64(size) * osSizeFactor)
@@ -102,16 +98,13 @@ func (img *Image) KML() bool { return img.Enabled("KERNEL_MODE_LINUX") }
 // HasSyscall reports whether the image's kernel exposes the system call:
 // true when no option gates it, or its gating option is enabled.
 func (img *Image) HasSyscall(name string) bool {
-	opt, gatedBy := img.gated[name]
-	if !gatedBy {
-		return true
-	}
-	return img.Enabled(opt)
+	opt := img.tree.OptionForSyscall(name)
+	return opt == "" || img.Enabled(opt)
 }
 
 // GatingOption returns the option controlling a system call ("" if the
 // call is unconditional).
-func (img *Image) GatingOption(syscall string) string { return img.gated[syscall] }
+func (img *Image) GatingOption(syscall string) string { return img.tree.OptionForSyscall(syscall) }
 
 // RuntimeScale is the multiplier applied to user/kernel CPU work executed
 // on this kernel, reflecting the optimization level.

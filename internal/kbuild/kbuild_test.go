@@ -138,3 +138,21 @@ func TestBootOptionCostGrowsWithConfig(t *testing.T) {
 		t.Errorf("microVM boot cost %v not above base %v", micro.BootOptionCost, base.BootOptionCost)
 	}
 }
+
+// A build sums the enabled options' costs and shares the tree's gating
+// table: the image and its sorted option names are its only allocations.
+func TestBuildAllocations(t *testing.T) {
+	db := kerneldb.MustLoad()
+	cfg, err := db.ResolveProfile(db.LupineBaseRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := Build(db, "lupine-base", cfg, O2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("Build: %.0f allocations, want <= 2", allocs)
+	}
+}

@@ -1,9 +1,6 @@
 package kconfig
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // Expr is a kconfig dependency expression. Expressions evaluate to a
 // Tristate against an Env (a view of current symbol values).
@@ -196,5 +193,3 @@ func exprString(e Expr) string {
 	}
 	return e.String()
 }
-
-var _ = fmt.Sprintf // keep fmt for debug helpers

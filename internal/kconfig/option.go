@@ -102,17 +102,6 @@ func (db *Database) setChoiceDefault(id int, member string) {
 	db.choiceDefault[id] = member
 }
 
-// choiceMembers returns the group's members in declaration order.
-func (db *Database) choiceMembers(id int) []*Option {
-	var out []*Option
-	for _, o := range db.ordered {
-		if o.Choice == id {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
 // Add registers an option. Re-declaring a name is an error: the synthetic
 // kernel tree never legitimately redefines a symbol.
 func (db *Database) Add(o *Option) error {

@@ -74,10 +74,9 @@ const maxResolveRounds = 64
 // in the request are an error; unmet dependencies forced by select produce
 // warnings, exactly like the kernel's build system.
 func Resolve(db *Database, req *Request) (*Result, error) {
-	for n := range req.values {
-		if db.Lookup(n) == nil {
-			return nil, fmt.Errorf("kconfig: request sets undeclared symbol %s", n)
-		}
+	s, err := gather(db, req)
+	if err != nil {
+		return nil, err
 	}
 
 	cfg := NewConfig()
@@ -85,7 +84,7 @@ func Resolve(db *Database, req *Request) (*Result, error) {
 		if round >= maxResolveRounds {
 			return nil, fmt.Errorf("kconfig: resolution did not converge after %d rounds (select cycle?)", maxResolveRounds)
 		}
-		next := resolveRound(db, req, cfg)
+		next := resolveRound(db, s, req, cfg)
 		if next.Equal(cfg) {
 			cfg = next
 			break
@@ -96,9 +95,9 @@ func Resolve(db *Database, req *Request) (*Result, error) {
 	res := &Result{Config: cfg}
 	// Conflicting requests within a choice group: the first member wins,
 	// the rest are reported.
-	for id := 1; id <= db.choices; id++ {
+	for _, members := range s.choices {
 		var asked []string
-		for _, m := range db.choiceMembers(id) {
+		for _, m := range members {
 			if uv, ok := req.values[m.Name]; ok && uv.Tri.Bool() {
 				asked = append(asked, m.Name)
 			}
@@ -110,30 +109,77 @@ func Resolve(db *Database, req *Request) (*Result, error) {
 			})
 		}
 	}
-	forced := selectedSymbols(db, cfg)
-	for _, n := range cfg.Names() {
+	// Only a select can hold a symbol on past its unmet dependency. No
+	// symbol warns twice (a choice loser is never set), so the sort below
+	// fixes the order whatever order the map yields.
+	for n := range selectForce(s.selecters, cfg) {
 		o := db.Lookup(n)
-		if o == nil {
-			continue
-		}
-		if !EvalOrYes(o.Depends, cfg).Bool() {
-			if forced[n] {
-				res.Warnings = append(res.Warnings, Warning{
-					Symbol: n,
-					Reason: fmt.Sprintf("selected despite unmet dependency (%s)", exprString(o.Depends)),
-				})
-			}
+		if _, set := cfg.values[n]; set && !EvalOrYes(o.Depends, cfg).Bool() {
+			res.Warnings = append(res.Warnings, Warning{
+				Symbol: n,
+				Reason: fmt.Sprintf("selected despite unmet dependency (%s)", exprString(o.Depends)),
+			})
 		}
 	}
-	sort.Slice(res.Warnings, func(i, j int) bool { return res.Warnings[i].Symbol < res.Warnings[j].Symbol })
+	sort.SliceStable(res.Warnings, func(i, j int) bool { return res.Warnings[i].Symbol < res.Warnings[j].Symbol })
 	return res, nil
 }
 
-// resolveRound computes one fixpoint iteration over the declarations.
-func resolveRound(db *Database, req *Request, prev *Config) *Config {
-	next := NewConfig()
-	forced := selectForce(db, prev)
-	for _, o := range db.Options() {
+// scope is what the rounds of one Resolve call can touch. Every other
+// option is not requested, not a select's target, has no default and is
+// in no choice group, so every round leaves it n.
+type scope struct {
+	live      []*Option   // the options a round can set
+	selecters []*Option   // the options that select
+	choices   [][]*Option // choices[id]: group id's members in declaration order
+}
+
+// gather builds the scope of a request in one walk over the declarations;
+// a request naming an undeclared symbol is an error.
+func gather(db *Database, req *Request) (*scope, error) {
+	// The walk adds options with defaults and choice members to live; the
+	// request and the select targets add the rest.
+	walked := func(o *Option) bool { return len(o.Defaults) > 0 || o.Choice != 0 }
+	s := &scope{choices: make([][]*Option, db.choices+1)}
+	for n := range req.values {
+		o := db.Lookup(n)
+		if o == nil {
+			return nil, fmt.Errorf("kconfig: request sets undeclared symbol %s", n)
+		}
+		if !walked(o) {
+			s.live = append(s.live, o)
+		}
+	}
+	for _, o := range db.ordered {
+		if walked(o) {
+			s.live = append(s.live, o)
+		}
+		if len(o.Selects) > 0 {
+			s.selecters = append(s.selecters, o)
+		}
+		if id := o.Choice; id > 0 && id <= db.choices {
+			s.choices[id] = append(s.choices[id], o)
+		}
+	}
+	targets := make(map[*Option]bool)
+	for _, o := range s.selecters {
+		for _, sel := range o.Selects {
+			t := db.Lookup(sel.Target)
+			if _, asked := req.values[sel.Target]; t != nil && !asked && !walked(t) && !targets[t] {
+				targets[t] = true
+				s.live = append(s.live, t)
+			}
+		}
+	}
+	return s, nil
+}
+
+// resolveRound computes one fixpoint iteration over the options the scope
+// says a round can set.
+func resolveRound(db *Database, s *scope, req *Request, prev *Config) *Config {
+	next := &Config{values: make(map[string]Value, len(prev.values))}
+	forced := selectForce(s.selecters, prev)
+	for _, o := range s.live {
 		var v Value
 		userSet := false
 		if uv, ok := req.values[o.Name]; ok && o.Visible(prev) {
@@ -157,16 +203,15 @@ func resolveRound(db *Database, req *Request, prev *Config) *Config {
 			next.Set(o.Name, v)
 		}
 	}
-	enforceChoices(db, req, prev, next)
+	enforceChoices(db, s.choices, req, prev, next)
 	return next
 }
 
 // enforceChoices applies mutual exclusion within each choice group:
 // exactly one member is enabled — the first explicitly requested one, or
 // the group's declared default, or the group's first member.
-func enforceChoices(db *Database, req *Request, prev, next *Config) {
-	for id := 1; id <= db.choices; id++ {
-		members := db.choiceMembers(id)
+func enforceChoices(db *Database, choices [][]*Option, req *Request, prev, next *Config) {
+	for id, members := range choices {
 		if len(members) == 0 {
 			continue
 		}
@@ -199,10 +244,10 @@ func enforceChoices(db *Database, req *Request, prev, next *Config) {
 }
 
 // selectForce computes, for each symbol, the strongest value forced on it
-// by enabled selecters in cfg.
-func selectForce(db *Database, cfg *Config) map[string]Tristate {
+// by the enabled selecters in cfg.
+func selectForce(selecters []*Option, cfg *Config) map[string]Tristate {
 	out := make(map[string]Tristate)
-	for _, o := range db.Options() {
+	for _, o := range selecters {
 		src := cfg.Get(o.Name).Tri
 		if src == No {
 			continue
@@ -214,18 +259,6 @@ func selectForce(db *Database, cfg *Config) map[string]Tristate {
 			if src > out[s.Target] {
 				out[s.Target] = src
 			}
-		}
-	}
-	return out
-}
-
-// selectedSymbols reports which enabled symbols are the target of an
-// active select in cfg.
-func selectedSymbols(db *Database, cfg *Config) map[string]bool {
-	out := make(map[string]bool)
-	for t, v := range selectForce(db, cfg) {
-		if v.Bool() {
-			out[t] = true
 		}
 	}
 	return out

@@ -1,6 +1,8 @@
 package kconfig
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -303,7 +305,7 @@ func TestResolveClosureProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		forced := selectedSymbols(db, res.Config)
+		forced := scanSelectedSymbols(db, res.Config)
 		for _, n := range res.Config.Names() {
 			o := db.Lookup(n)
 			if o == nil {
@@ -325,5 +327,37 @@ func TestRequestNamesSorted(t *testing.T) {
 	got := r.Names()
 	if !sort.StringsAreSorted(got) || len(got) != 3 {
 		t.Errorf("Names = %v", got)
+	}
+}
+
+// countingExpr is a `depends on` that counts its evaluations.
+type countingExpr struct{ evals *int }
+
+func (e countingExpr) Eval(Env) Tristate             { *e.evals++; return Yes }
+func (e countingExpr) Symbols(dst []string) []string { return dst }
+func (e countingExpr) String() string                { return "counted" }
+
+// A round visits only the options it can set: the requested ones, those
+// with defaults, choice members and select targets. The 10,000 others
+// resolve to n without their dependencies ever being evaluated.
+func TestResolveSkipsInertOptions(t *testing.T) {
+	evals := 0
+	db := NewDatabase()
+	for i := 0; i < 10000; i++ {
+		db.MustAdd(&Option{Name: fmt.Sprintf("INERT%05d", i), Type: TypeBool, Prompt: "inert", Depends: countingExpr{&evals}})
+	}
+	db.MustAdd(&Option{Name: "ASKED", Type: TypeBool, Prompt: "asked", Selects: []Select{{Target: "PULLED"}}})
+	db.MustAdd(&Option{Name: "PULLED", Type: TypeBool})
+	db.MustAdd(&Option{Name: "DEFAULTED", Type: TypeBool, Defaults: []Default{{Value: TriValue(Yes)}}})
+	db.MustAdd(&Option{Name: "MEMBER", Type: TypeBool, Prompt: "member", Choice: db.newChoice()})
+	res, err := Resolve(db, NewRequest().Enable("ASKED"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Config.Names(); !slices.Equal(got, []string{"ASKED", "DEFAULTED", "MEMBER", "PULLED"}) {
+		t.Errorf("config = %v", got)
+	}
+	if evals != 0 {
+		t.Errorf("Resolve evaluated inert options' dependencies %d times, want 0", evals)
 	}
 }

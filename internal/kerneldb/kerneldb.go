@@ -98,6 +98,11 @@ type DB struct {
 	Kconfig *kconfig.Database
 	info    map[string]Info
 
+	// Computed once by build and read-only after it: the sorted profile
+	// lists and which option gates each system call.
+	microVM, base, removed []string
+	gating                 map[string]string
+
 	versionOnce sync.Once
 	version     string
 }
@@ -183,7 +188,31 @@ func build() (*DB, error) {
 	if errs := db.Kconfig.Validate(); len(errs) != 0 {
 		return nil, fmt.Errorf("kerneldb: invalid tree: %v", errs[0])
 	}
+	gating, err := gatingTable(db.Kconfig.Options(), db.info)
+	if err != nil {
+		return nil, err
+	}
+	db.gating = gating
+	db.microVM = db.optionsWhere(func(i Info) bool { return i.Class.InMicroVM() })
+	db.base = db.optionsWhere(func(i Info) bool { return i.Class == ClassBase })
+	db.removed = db.optionsWhere(func(i Info) bool { return i.Class.InMicroVM() && i.Class != ClassBase })
 	return db, nil
+}
+
+// gatingTable maps each system call to the option that gates it. A call
+// gated by two options is an error: which of them decides would depend on
+// the order a lookup met them in.
+func gatingTable(opts []*kconfig.Option, info map[string]Info) (map[string]string, error) {
+	gates := make(map[string]string)
+	for _, o := range opts {
+		for _, sc := range info[o.Name].Syscalls {
+			if other, dup := gates[sc]; dup {
+				return nil, fmt.Errorf("kerneldb: system call %s is gated by both %s and %s", sc, other, o.Name)
+			}
+			gates[sc] = o.Name
+		}
+	}
+	return gates, nil
 }
 
 // costJitter derives a deterministic per-option scale factor in

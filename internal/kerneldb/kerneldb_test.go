@@ -1,6 +1,7 @@
 package kerneldb
 
 import (
+	"maps"
 	"strings"
 	"testing"
 
@@ -252,6 +253,59 @@ func TestTable1SyscallGating(t *testing.T) {
 	}
 	if strings.Contains(joined, "io_submit") || strings.Contains(joined, "eventfd") {
 		t.Errorf("redis kernel exposes nginx-only syscalls: %v", scs)
+	}
+}
+
+// The gating table answers for every annotated system call with the
+// option annotating it, and a call annotated on two options fails the
+// build instead of letting lookups disagree on which of them gates it.
+func TestGatingTable(t *testing.T) {
+	db := MustLoad()
+	gated := 0
+	for _, o := range db.Kconfig.Options() {
+		for _, sc := range db.Info(o.Name).Syscalls {
+			gated++
+			if got := db.OptionForSyscall(sc); got != o.Name {
+				t.Errorf("OptionForSyscall(%s) = %q, want %s", sc, got, o.Name)
+			}
+		}
+	}
+	if gated != 68 {
+		t.Errorf("%d gated system calls, want 68", gated)
+	}
+
+	opts := []*kconfig.Option{{Name: "A"}, {Name: "B"}}
+	info := map[string]Info{"A": {Syscalls: []string{"flock", "futex"}}, "B": {Syscalls: []string{"futex"}}}
+	if _, err := gatingTable(opts, info); err == nil || !strings.Contains(err.Error(), "futex is gated by both A and B") {
+		t.Errorf("futex gated twice: err = %v", err)
+	}
+	info["B"] = Info{Syscalls: []string{"bpf"}}
+	gates, err := gatingTable(opts, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string]string{"flock": "A", "futex": "A", "bpf": "B"}; !maps.Equal(gates, want) {
+		t.Errorf("gates = %v, want %v", gates, want)
+	}
+}
+
+// The profile lists are computed once per tree: each call copies one,
+// and the caller owns the copy.
+func TestProfileListsAreCopies(t *testing.T) {
+	db := MustLoad()
+	for name, list := range map[string]func() []string{
+		"LupineBaseOptions": db.LupineBaseOptions,
+		"MicroVMOptions":    db.MicroVMOptions,
+		"RemovedOptions":    db.RemovedOptions,
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { list() }); allocs > 1 {
+			t.Errorf("%s: %.0f allocations per call, want <= 1", name, allocs)
+		}
+		first := list()[0]
+		list()[0] = "CHANGED"
+		if got := list()[0]; got != first {
+			t.Errorf("%s()[0] = %s after a caller changed its copy, want %s", name, got, first)
+		}
 	}
 }
 

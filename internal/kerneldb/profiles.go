@@ -2,6 +2,7 @@ package kerneldb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"lupine/internal/kconfig"
@@ -9,23 +10,17 @@ import (
 
 // MicroVMOptions returns every option in the Firecracker microVM profile
 // (833 options), sorted.
-func (db *DB) MicroVMOptions() []string {
-	return db.optionsWhere(func(i Info) bool { return i.Class.InMicroVM() })
-}
+func (db *DB) MicroVMOptions() []string { return slices.Clone(db.microVM) }
 
-// LupineBaseOptions returns the 283 options retained in lupine-base.
-func (db *DB) LupineBaseOptions() []string {
-	return db.optionsWhere(func(i Info) bool { return i.Class == ClassBase })
-}
+// LupineBaseOptions returns the 283 options retained in lupine-base,
+// sorted.
+func (db *DB) LupineBaseOptions() []string { return slices.Clone(db.base) }
 
 // RemovedOptions returns the ~550 microVM options removed to form
-// lupine-base, i.e. Figure 4's bottom three bars.
-func (db *DB) RemovedOptions() []string {
-	return db.optionsWhere(func(i Info) bool {
-		return i.Class.InMicroVM() && i.Class != ClassBase
-	})
-}
+// lupine-base, i.e. Figure 4's bottom three bars, sorted.
+func (db *DB) RemovedOptions() []string { return slices.Clone(db.removed) }
 
+// optionsWhere lists the options whose annotation satisfies pred, sorted.
 func (db *DB) optionsWhere(pred func(Info) bool) []string {
 	var out []string
 	for _, o := range db.Kconfig.Options() {
@@ -39,12 +34,12 @@ func (db *DB) optionsWhere(pred func(Info) bool) []string {
 
 // MicroVMRequest builds the resolver request for the microVM profile.
 func (db *DB) MicroVMRequest() *kconfig.Request {
-	return kconfig.NewRequest().Enable(db.MicroVMOptions()...)
+	return kconfig.NewRequest().Enable(db.microVM...)
 }
 
 // LupineBaseRequest builds the resolver request for lupine-base.
 func (db *DB) LupineBaseRequest() *kconfig.Request {
-	return kconfig.NewRequest().Enable(db.LupineBaseOptions()...)
+	return kconfig.NewRequest().Enable(db.base...)
 }
 
 // GeneralOptions is the union of application-specific options required by
@@ -177,16 +172,7 @@ func (db *DB) SyscallsFor(options []string) []string {
 
 // OptionForSyscall finds which option gates the given system call, or ""
 // if the call is unconditionally available.
-func (db *DB) OptionForSyscall(syscall string) string {
-	for _, o := range db.Kconfig.Options() {
-		for _, sc := range db.info[o.Name].Syscalls {
-			if sc == syscall {
-				return o.Name
-			}
-		}
-	}
-	return ""
-}
+func (db *DB) OptionForSyscall(syscall string) string { return db.gating[syscall] }
 
 // ResolveProfile resolves a request against the tree and fails on
 // warnings: profile configurations must be dependency-clean.

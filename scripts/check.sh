@@ -41,11 +41,14 @@ go test -race -count=2 ./internal/simclock/... ./internal/fleet/... ./internal/f
     ./internal/telemetry/... ./internal/region/... ./internal/bunny/... ./internal/farm/... \
     ./internal/attack/... ./internal/slo/... ./internal/experiments/...
 
-# A short run of the image fuzz target, beyond the seeds go test already
-# ran: it writes into the tree (testdata/fuzz/) only when it finds a
-# crasher, which then fails CI's clean-tree check.
+# Short runs of the fuzz targets, beyond the seeds go test already ran:
+# the ext2 image round trip, and the resolver held to its full-scan
+# reference. Each writes into the tree (testdata/fuzz/) only when it
+# finds a crasher, which then fails CI's clean-tree check.
 echo "== fuzz smoke (ext2 image round trip, 10s)"
 go test -run '^$' -fuzz '^FuzzImageRoundTrip$' -fuzztime 10s ./internal/ext2
+echo "== fuzz smoke (kconfig resolve against the full scan, 10s)"
+go test -run '^$' -fuzz '^FuzzResolveMatchesFullScan$' -fuzztime 10s ./internal/kconfig
 
 # Every registered fault site must surface in the operator-facing
 # catalog: the count of RegisterSite calls in non-test source must match
