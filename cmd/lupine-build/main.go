@@ -98,16 +98,16 @@ func buildAll(kml, tiny bool) {
 			Image:    a.ContainerImage(),
 			Program:  func(p *guest.Proc, probeOnly bool) int { return a.Main(p, probeOnly) },
 		}
-		u, err := cache.Build(spec, core.BuildOpts{KML: kml, Tiny: tiny})
+		u, _, err := cache.Build(spec, core.BuildOpts{KML: kml, Tiny: tiny})
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("%-14s kernel %-28s %6.2f MB  rootfs %6.2f MB\n",
 			a.Name, u.Kernel.Name, u.Kernel.MegabytesMB(), float64(len(u.RootFS))/1e6)
 	}
-	builds, hits := cache.Stats()
+	st := cache.CacheStats()
 	fmt.Printf("\nkernel cache: %d distinct kernels serve %d applications (%d shared)\n",
-		builds, builds+hits, hits)
+		st.Builds, st.Builds+st.Hits, st.Hits)
 }
 
 func fatal(err error) {

@@ -213,9 +213,6 @@ type Target struct {
 	canaryMisses  int
 }
 
-// Name returns the target's registered name.
-func (t *Target) Name() string { return t.name }
-
 // Compromised reports whether the campaign owned this target.
 func (t *Target) Compromised() bool { return t.compromised }
 
@@ -226,9 +223,6 @@ func (t *Target) CompromisedAt() simclock.Time { return t.compromisedAt }
 // Cause names how the target fell: "probe", "lateral" or
 // "kml-escalation".
 func (t *Target) Cause() string { return t.cause }
-
-// Detected reports whether the canaries caught the compromise.
-func (t *Target) Detected() bool { return t.detected }
 
 // Stats is the campaign-side ledger of one run.
 type Stats struct {
@@ -316,9 +310,6 @@ func (p *Plane) Observe(tr *telemetry.Tracer, reg *telemetry.Registry, track str
 
 // Stats returns the campaign ledger so far.
 func (p *Plane) Stats() Stats { return p.st }
-
-// Targets exposes the registered victims for tables and tests.
-func (p *Plane) Targets() []*Target { return p.targets }
 
 // Register arms one victim. node may be nil (no wire modeled — lateral
 // probes land directly); hostKey groups co-located guests for KML

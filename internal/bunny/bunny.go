@@ -1,5 +1,5 @@
 // Package bunny is the declarative build pipeline over the paper's
-// Figure 2: a bunnyfile-style spec names an application, a monitor, a
+// Figure 2: a spec names an application, a monitor, a
 // configuration profile and extra root filesystem entries, and the
 // compiler turns it into a Lupine unikernel image through the real
 // kconfig→kbuild→rootfs pipeline. Specs normalize deterministically
@@ -15,7 +15,6 @@ package bunny
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"slices"
 	"sort"
@@ -52,26 +51,26 @@ var validProfiles = map[string]bool{
 // Entry is one extra root filesystem file the spec ships alongside the
 // application (configs, seed data).
 type Entry struct {
-	Path string `json:"path"`
-	Mode uint32 `json:"mode,omitempty"` // 0 means 0644
-	Data string `json:"data,omitempty"`
+	Path string
+	Mode uint32 // 0 means 0644
+	Data string
 }
 
 // Spec is the declarative build request: everything that determines the
 // produced image, and nothing else.
 type Spec struct {
-	App     string            `json:"app"`               // registry application name
-	Monitor string            `json:"monitor,omitempty"` // default firecracker
-	Profile string            `json:"profile,omitempty"` // nokml (default), kml, tiny
-	Options []string          `json:"options,omitempty"` // kernel options atop the app manifest
-	Env     map[string]string `json:"env,omitempty"`     // extra environment entries
-	RootFS  []Entry           `json:"rootfs,omitempty"`  // extra rootfs files
+	App     string            // registry application name
+	Monitor string            // default firecracker
+	Profile string            // nokml (default), kml, tiny
+	Options []string          // kernel options atop the app manifest
+	Env     map[string]string // extra environment entries
+	RootFS  []Entry           // extra rootfs files
 
 	// Hardening selects a mitigation level — off (default), aslr or
 	// full — mapping to priced kconfig options (attack.HardeningOptions),
 	// so a hardened build pays its boot-time and image-size costs through
 	// the same pipeline as every other option.
-	Hardening string `json:"hardening,omitempty"`
+	Hardening string
 }
 
 // New returns a normalized spec for app with the given extra options.
@@ -176,100 +175,4 @@ func (s *Spec) canonical() string {
 func (s *Spec) Digest() string {
 	h := sha256.Sum256([]byte(s.canonical()))
 	return hex.EncodeToString(h[:])[:16]
-}
-
-// Marshal renders the spec as deterministic JSON (Go marshals map keys
-// sorted, so Env order is stable).
-func (s *Spec) Marshal() ([]byte, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(s, "", "  ")
-}
-
-// Parse reads a spec from JSON (first non-space byte '{') or bunnyfile
-// text, normalizes and validates it.
-func Parse(data []byte) (*Spec, error) {
-	trimmed := strings.TrimSpace(string(data))
-	if strings.HasPrefix(trimmed, "{") {
-		return ParseJSON(data)
-	}
-	return ParseText(data)
-}
-
-// ParseJSON reads a spec from its JSON form.
-func ParseJSON(data []byte) (*Spec, error) {
-	var s Spec
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("bunny: %w", err)
-	}
-	s.Normalize()
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
-}
-
-// ParseText reads the bunnyfile text form: one "key: value" pair per
-// line, '#' comments, blank lines ignored. Recognized keys:
-//
-//	app: redis
-//	monitor: firecracker
-//	profile: nokml
-//	hardening: aslr
-//	options: MULTIPROCESS SYSVIPC
-//	env: HOME=/ PATH=/bin
-//	rootfs: /etc/redis.conf=maxmemory 128mb
-//
-// options and env accumulate across repeated lines; each rootfs line
-// adds one entry (path=contents, mode 0644).
-func ParseText(data []byte) (*Spec, error) {
-	s := &Spec{}
-	for ln, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		key, val, ok := strings.Cut(line, ":")
-		if !ok {
-			return nil, fmt.Errorf("bunny: line %d: want \"key: value\", got %q", ln+1, line)
-		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		switch key {
-		case "app":
-			s.App = val
-		case "monitor":
-			s.Monitor = val
-		case "profile":
-			s.Profile = val
-		case "hardening":
-			s.Hardening = val
-		case "options":
-			s.Options = append(s.Options, strings.Fields(val)...)
-		case "env":
-			for _, kv := range strings.Fields(val) {
-				k, v, ok := strings.Cut(kv, "=")
-				if !ok {
-					return nil, fmt.Errorf("bunny: line %d: env entry %q is not KEY=VALUE", ln+1, kv)
-				}
-				if s.Env == nil {
-					s.Env = make(map[string]string)
-				}
-				s.Env[k] = v
-			}
-		case "rootfs":
-			path, contents, ok := strings.Cut(val, "=")
-			if !ok {
-				return nil, fmt.Errorf("bunny: line %d: rootfs entry %q is not PATH=CONTENTS", ln+1, val)
-			}
-			s.RootFS = append(s.RootFS, Entry{Path: strings.TrimSpace(path), Data: contents})
-		default:
-			return nil, fmt.Errorf("bunny: line %d: unknown key %q", ln+1, key)
-		}
-	}
-	s.Normalize()
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return s, nil
 }

@@ -1,96 +1,53 @@
 package bunny
 
 import (
-	"encoding/json"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
+
+	"lupine/internal/attack"
 )
 
-func TestParseTextBunnyfile(t *testing.T) {
-	s, err := Parse([]byte(`
-# redis, specialized for the fleet
-app: redis
-profile: nokml
-options: MULTIPROCESS FUTEX
-options: EPOLL
-env: TZ=UTC
-rootfs: /etc/redis.conf=maxmemory 128mb
-`))
-	if err != nil {
-		t.Fatal(err)
+// Validate rejects every structurally invalid spec, each for its own
+// reason, and accepts the normalized baseline.
+func TestValidateRejects(t *testing.T) {
+	ok := func() Spec {
+		return Spec{App: "x", Monitor: DefaultMonitor, Profile: ProfileNoKML, Hardening: attack.HardeningOff,
+			Options: []string{"EPOLL", "FUTEX"}, RootFS: []Entry{{Path: "/a"}, {Path: "/b"}}}
 	}
-	if s.App != "redis" || s.Monitor != DefaultMonitor || s.Profile != ProfileNoKML {
-		t.Errorf("parsed %+v", s)
+	base := ok()
+	if err := base.Validate(); err != nil {
+		t.Fatalf("baseline spec rejected: %v", err)
 	}
-	if want := []string{"EPOLL", "FUTEX", "MULTIPROCESS"}; !reflect.DeepEqual(s.Options, want) {
-		t.Errorf("options = %v, want %v (sorted, accumulated)", s.Options, want)
-	}
-	if s.Env["TZ"] != "UTC" {
-		t.Errorf("env = %v", s.Env)
-	}
-	if len(s.RootFS) != 1 || s.RootFS[0].Path != "/etc/redis.conf" || s.RootFS[0].Data != "maxmemory 128mb" {
-		t.Errorf("rootfs = %+v", s.RootFS)
-	}
-}
-
-func TestParseRejects(t *testing.T) {
-	for _, bad := range []string{
-		"options: FUTEX\n",             // no app
-		"app: x\nmonitor: vmware\n",    // unknown monitor
-		"app: x\nprofile: massive\n",   // unknown profile
-		"app: x\nwhat: ever\n",         // unknown key
-		"app: x\nrootfs: noequals\n",   // malformed rootfs entry
-		"app: x\nrootfs: rel/path=d\n", // relative path
-		"app: x\nenv: novalue\n",       // malformed env entry
-		"just some words\n",            // not key: value
+	for _, c := range []struct {
+		name string
+		edit func(*Spec)
+		want string
+	}{
+		{"empty app", func(s *Spec) { s.App = "" }, "empty app"},
+		{"unknown monitor", func(s *Spec) { s.Monitor = "vmware" }, "unknown monitor"},
+		{"unknown profile", func(s *Spec) { s.Profile = "massive" }, "unknown profile"},
+		{"unknown hardening", func(s *Spec) { s.Hardening = "paranoid" }, "paranoid"},
+		{"relative rootfs path", func(s *Spec) { s.RootFS[0].Path = "rel/path" }, "must be absolute"},
+		{"empty rootfs path", func(s *Spec) { s.RootFS[0].Path = "" }, "must be absolute"},
+		{"duplicate rootfs path", func(s *Spec) { s.RootFS[1].Path = "/a" }, "duplicate rootfs entry"},
+		{"unsorted options", func(s *Spec) { s.Options = []string{"FUTEX", "EPOLL"} }, "not sorted"},
+		{"duplicate options", func(s *Spec) { s.Options = []string{"EPOLL", "EPOLL"} }, "duplicate option"},
 	} {
-		if _, err := Parse([]byte(bad)); err == nil {
-			t.Errorf("Parse(%q) succeeded, want error", bad)
+		s := ok()
+		c.edit(&s)
+		err := s.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate = %v, want an error containing %q", c.name, err, c.want)
 		}
 	}
 }
 
-// JSON round-trip: Marshal is deterministic (Env map keys sort), and
-// parsing the output reproduces the spec and its digest exactly.
-func TestJSONRoundTripDeterminism(t *testing.T) {
-	s := New("nginx", "EPOLL", "FUTEX")
-	s.Env = map[string]string{"B": "2", "A": "1", "C": "3"}
-	s.RootFS = []Entry{{Path: "/etc/nginx.conf", Data: "worker_processes 1;"}}
-	s.Normalize()
-
-	blob, err := s.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		again, err := s.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(again) != string(blob) {
-			t.Fatal("Marshal is not deterministic across calls")
-		}
-	}
-	back, err := Parse(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, s) {
-		t.Errorf("round trip changed the spec:\n got %+v\nwant %+v", back, s)
-	}
-	if back.Digest() != s.Digest() {
-		t.Error("round trip changed the digest")
-	}
-}
-
-// Duplicate and unsorted options normalize away, in JSON and text form
-// alike.
+// Duplicate, empty and unsorted options normalize away.
 func TestDuplicateOptionNormalization(t *testing.T) {
-	s, err := ParseJSON([]byte(`{"app":"redis","options":["FUTEX","EPOLL","FUTEX","","EPOLL"]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := &Spec{App: "redis", Options: []string{"FUTEX", "EPOLL", "FUTEX", "", "EPOLL"}}
+	s.Normalize()
 	if want := []string{"EPOLL", "FUTEX"}; !reflect.DeepEqual(s.Options, want) {
 		t.Errorf("options = %v, want %v", s.Options, want)
 	}
@@ -160,23 +117,5 @@ func TestEqualSpecsEqualDigests(t *testing.T) {
 			t.Errorf("variant %d: digest collision with a different spec", i)
 		}
 		seen[d] = true
-	}
-}
-
-func TestJSONAutodetect(t *testing.T) {
-	s, err := Parse([]byte(`  {"app":"redis"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.App != "redis" || s.Monitor != DefaultMonitor {
-		t.Errorf("parsed %+v", s)
-	}
-	// Marshal output of a valid spec is itself valid JSON.
-	blob, err := s.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !json.Valid(blob) {
-		t.Error("Marshal produced invalid JSON")
 	}
 }

@@ -198,15 +198,13 @@ func (c *Cache) Compile(s *Spec, inj *faults.Injector, now simclock.Time) (*Arti
 	if err != nil {
 		return nil, err
 	}
-	kb, _ := c.kernels.Stats()
-	u, err := c.kernels.Build(coreSpec, opts)
+	u, shared, err := c.kernels.Build(coreSpec, opts)
 	if err != nil {
 		return nil, err
 	}
-	ka, _ := c.kernels.Stats()
 	art.Uni = u
 	art.KernelID = snapshot.KernelKey(u.Kernel)
-	art.KernelShared = ka == kb // kernel came from the kernel cache
+	art.KernelShared = shared
 	art.Cost += rootfsCost(len(u.RootFS))
 	if art.KernelShared {
 		art.Cost += artifactFetch // the shared kernel image is fetched, not compiled

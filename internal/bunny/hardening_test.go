@@ -6,45 +6,15 @@ import (
 	"lupine/internal/attack"
 )
 
-// TestHardeningRoundTrip: the hardening field survives both spec forms,
-// defaults to off, and rejects unknown levels.
-func TestHardeningRoundTrip(t *testing.T) {
-	s, err := ParseText([]byte("app: redis\nhardening: aslr\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Hardening != attack.HardeningASLR {
-		t.Fatalf("text form lost hardening: %q", s.Hardening)
-	}
-	data, err := s.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Parse(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Hardening != attack.HardeningASLR || back.Digest() != s.Digest() {
-		t.Fatalf("JSON round trip changed the spec: %q digest %s vs %s",
-			back.Hardening, back.Digest(), s.Digest())
-	}
-
-	if d := New("redis"); d.Hardening != attack.HardeningOff {
-		t.Fatalf("default hardening %q, want off", d.Hardening)
-	}
-
-	bad := New("redis")
-	bad.Hardening = "paranoid"
-	if err := bad.Validate(); err == nil {
-		t.Fatal("unknown hardening level must fail validation")
-	}
-}
-
-// TestHardeningDigestAndBuild: hardening is a semantic spec difference —
-// distinct digests, distinct artifacts — and the compiled image really
-// carries the mitigation options (priced, visible to attack.FromImage).
+// TestHardeningDigestAndBuild: hardening defaults to off and is a
+// semantic spec difference — distinct digests, distinct artifacts — and
+// the compiled image really carries the mitigation options (priced,
+// visible to attack.FromImage).
 func TestHardeningDigestAndBuild(t *testing.T) {
 	off := New("redis")
+	if off.Hardening != attack.HardeningOff {
+		t.Fatalf("default hardening %q, want off", off.Hardening)
+	}
 	full := New("redis")
 	full.Hardening = attack.HardeningFull
 	full.Normalize()

@@ -3,13 +3,10 @@ package core
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"lupine/internal/ext2"
-	"lupine/internal/kconfig"
 	"lupine/internal/kerneldb"
-	"lupine/internal/manifest"
 )
 
 func TestWriteArtifacts(t *testing.T) {
@@ -27,18 +24,13 @@ func TestWriteArtifacts(t *testing.T) {
 		t.Fatalf("wrote %d files, want 4", len(paths))
 	}
 
-	// The .config round-trips through the parser and resolves to the
-	// same configuration.
+	// The .config on disk is the kernel configuration's rendering.
 	raw, err := os.ReadFile(filepath.Join(dir, "kernel.config"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := kconfig.ParseDotConfig(strings.NewReader(string(raw)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cfg.Equal(u.Kernel.Config) {
-		t.Error("kernel.config does not round-trip")
+	if string(raw) != u.Kernel.Config.String() {
+		t.Error("kernel.config differs from the kernel's configuration")
 	}
 
 	// The rootfs image on disk is valid ext2 with the init script inside,
@@ -59,17 +51,17 @@ func TestWriteArtifacts(t *testing.T) {
 		t.Error("init.sh does not match the script inside the image")
 	}
 
-	// The manifest parses back with the same options.
+	// The manifest on disk is the spec manifest's JSON form.
 	mraw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := manifest.Parse(mraw)
+	mjson, err := u.Spec.Manifest.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Join(m.Options, ",") != strings.Join(u.Spec.Manifest.Options, ",") {
-		t.Errorf("manifest options = %v", m.Options)
+	if string(mraw) != string(mjson) {
+		t.Errorf("manifest.json =\n%s\nwant\n%s", mraw, mjson)
 	}
 }
 

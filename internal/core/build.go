@@ -143,12 +143,6 @@ func BuildMicroVM(db *kerneldb.DB, spec Spec) (*Unikernel, error) {
 	}, nil
 }
 
-// GeneralRequest is the lupine-general configuration: lupine-base plus the
-// 19-option union covering the top-20 applications (§4.1).
-func GeneralRequest(db *kerneldb.DB) *kconfig.Request {
-	return db.LupineBaseRequest().Enable(kerneldb.GeneralOptions()...)
-}
-
 // BuildGeneral builds a lupine-general unikernel for the given app: the
 // kernel carries the full 19-option union rather than the app's own set.
 func BuildGeneral(db *kerneldb.DB, spec Spec, kml bool) (*Unikernel, error) {

@@ -24,7 +24,6 @@ type KernelCache struct {
 
 	mu     sync.Mutex
 	images map[string]*kbuild.Image
-	builds int
 	hits   int
 	misses int
 }
@@ -52,24 +51,24 @@ func NewKernelCache(db *kerneldb.DB) *KernelCache {
 
 // Build is core.Build with kernel-image sharing: two specs requesting the
 // same option set and variant receive the same *kbuild.Image; the root
-// filesystem remains per-application.
-func (c *KernelCache) Build(spec Spec, opts BuildOpts) (*Unikernel, error) {
-	u, err := Build(c.db, spec, opts)
+// filesystem remains per-application. hit reports whether the kernel
+// image came from the cache rather than from this build.
+func (c *KernelCache) Build(spec Spec, opts BuildOpts) (u *Unikernel, hit bool, err error) {
+	u, err = Build(c.db, spec, opts)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	key := cacheKey(u.Kernel)
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if img, ok := c.images[key]; ok {
 		c.hits++
 		u.Kernel = img
-	} else {
-		c.builds++
-		c.misses++
-		c.images[key] = u.Kernel
+		return u, true, nil
 	}
-	c.mu.Unlock()
-	return u, nil
+	c.misses++
+	c.images[key] = u.Kernel
+	return u, false, nil
 }
 
 // cacheKey identifies a kernel by its full resolved configuration and
@@ -87,16 +86,9 @@ func cacheKey(img *kbuild.Image) string {
 	return sb.String()
 }
 
-// Stats reports distinct kernels built and cache hits served.
-func (c *KernelCache) Stats() (builds, hits int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.builds, c.hits
-}
-
 // CacheStats reports the full hit/miss ledger.
 func (c *KernelCache) CacheStats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Builds: c.builds, Hits: c.hits, Misses: c.misses}
+	return CacheStats{Builds: c.misses, Hits: c.hits, Misses: c.misses}
 }

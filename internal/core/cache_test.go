@@ -27,13 +27,17 @@ func TestKernelCacheSharesImages(t *testing.T) {
 
 	kernels := make(map[interface{}]bool)
 	for _, name := range apps.Names() {
-		u, err := cache.Build(specFor(t, name), BuildOpts{})
+		u, hit, err := cache.Build(specFor(t, name), BuildOpts{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		if hit != kernels[u.Kernel] {
+			t.Errorf("%s: hit = %v, but the image was seen before: %v", name, hit, kernels[u.Kernel])
+		}
 		kernels[u.Kernel] = true
 	}
-	builds, hits := cache.Stats()
+	st := cache.CacheStats()
+	builds, hits := st.Builds, st.Hits
 	if builds != len(distinct) {
 		t.Errorf("built %d kernels, want %d distinct option sets", builds, len(distinct))
 	}
@@ -50,9 +54,12 @@ func TestKernelCacheSharesImages(t *testing.T) {
 	// A shared kernel still runs both its tenants.
 	for _, name := range []string{"hello-world", "golang"} {
 		a, _ := apps.Lookup(name)
-		u, err := cache.Build(specFor(t, name), BuildOpts{})
+		u, hit, err := cache.Build(specFor(t, name), BuildOpts{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !hit {
+			t.Errorf("%s: rebuilding a cached kernel missed", name)
 		}
 		ok, console, err := u.RunAndCheck(BootOpts{}, a.SuccessText)
 		if err != nil || !ok {
@@ -65,24 +72,22 @@ func TestKernelCacheVariantsAreDistinct(t *testing.T) {
 	db := kerneldb.MustLoad()
 	cache := NewKernelCache(db)
 	spec := specFor(t, "redis")
-	a, err := cache.Build(spec, BuildOpts{})
-	if err != nil {
-		t.Fatal(err)
+	var images []interface{}
+	for _, opts := range []BuildOpts{{}, {KML: true}, {Tiny: true}} {
+		u, hit, err := cache.Build(spec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hit {
+			t.Errorf("%+v: a distinct variant hit the cache", opts)
+		}
+		images = append(images, u.Kernel)
 	}
-	b, err := cache.Build(spec, BuildOpts{KML: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := cache.Build(spec, BuildOpts{Tiny: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Kernel == b.Kernel || a.Kernel == c.Kernel || b.Kernel == c.Kernel {
+	if images[0] == images[1] || images[0] == images[2] || images[1] == images[2] {
 		t.Error("distinct variants shared a kernel image")
 	}
-	builds, hits := cache.Stats()
-	if builds != 3 || hits != 0 {
-		t.Errorf("stats = %d/%d, want 3 builds, 0 hits", builds, hits)
+	if st := cache.CacheStats(); st.Builds != 3 || st.Hits != 0 {
+		t.Errorf("stats = %+v, want 3 builds, 0 hits", st)
 	}
 }
 
@@ -99,16 +104,16 @@ func TestKernelCacheSharesAcrossRootfsVariants(t *testing.T) {
 		ext2.NewFile("redis.conf", 0o644, []byte("maxmemory 128mb\n")),
 	}
 
-	a, err := cache.Build(plain, BuildOpts{})
+	a, hitA, err := cache.Build(plain, BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cache.Build(custom, BuildOpts{})
+	b, hitB, err := cache.Build(custom, BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Kernel != b.Kernel {
-		t.Error("rootfs-only variants did not share the cached kernel image")
+	if a.Kernel != b.Kernel || hitA || !hitB {
+		t.Errorf("rootfs-only variants did not share the cached kernel image (hits %v, %v)", hitA, hitB)
 	}
 	if string(a.RootFS) == string(b.RootFS) {
 		t.Error("rootfs images should differ (one carries redis.conf)")

@@ -1,14 +1,18 @@
 package experiments
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
+
+	"lupine/internal/telemetry"
 )
 
 // stormRun is what one storm run shows the outside: its rendered table
@@ -147,6 +151,31 @@ func TestStormPinsCoverEveryStorm(t *testing.T) {
 	}
 }
 
+// lineDiff lists the lines only one of got and want holds, "-" for
+// want's and "+" for got's.
+func lineDiff(got, want string) string {
+	in := func(s string) map[string]bool {
+		m := map[string]bool{}
+		for _, l := range strings.Split(s, "\n") {
+			m[l] = true
+		}
+		return m
+	}
+	g, w := in(got), in(want)
+	var out []string
+	for _, l := range strings.Split(want, "\n") {
+		if !g[l] {
+			out = append(out, "- "+l)
+		}
+	}
+	for _, l := range strings.Split(got, "\n") {
+		if !w[l] {
+			out = append(out, "+ "+l)
+		}
+	}
+	return strings.Join(out, "\n")
+}
+
 // pinDigests hashes the four outputs stormPins pins.
 func pinDigests(run stormRun, env *Env) [4]string {
 	var out [4]string
@@ -161,7 +190,9 @@ func pinDigests(run stormRun, env *Env) [4]string {
 // and SLO report whether its Env carries a tracer and registry or
 // leaves them nil. The watched run's outputs match the storm's pins, so
 // every same-seed run in any process exports the same bytes, and its
-// Chrome trace and SLO report are valid JSON.
+// Chrome trace and SLO report are valid JSON. A run with a registry and
+// no tracer exports the same OpenMetrics text as the watched run: what
+// a run counts does not depend on whether it is traced.
 func TestWatchingDoesNotChangeStorms(t *testing.T) {
 	t.Parallel()
 	for _, id := range Storms() {
@@ -192,6 +223,15 @@ func TestWatchingDoesNotChangeStorms(t *testing.T) {
 			}
 			if blind.slo != watched.slo {
 				t.Error("telemetry changed the SLO report")
+			}
+			metered := newEnv()
+			metered.Metrics = telemetry.NewRegistry()
+			if _, err := runStorm(id, metered); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := metered.Metrics.OpenMetrics(), env.Metrics.OpenMetrics(); !bytes.Equal(got, want) {
+				t.Errorf("a metrics-only run exports other OpenMetrics text than the watched run:\n%s",
+					lineDiff(string(got), string(want)))
 			}
 		})
 	}

@@ -27,7 +27,7 @@ func runFleet(*Env) (fmt.Stringer, error) {
 		if err != nil {
 			return nil, err
 		}
-		u, err := cache.Build(spec, core.BuildOpts{})
+		u, _, err := cache.Build(spec, core.BuildOpts{})
 		if err != nil {
 			return nil, err
 		}
@@ -39,9 +39,9 @@ func runFleet(*Env) (fmt.Stringer, error) {
 		}
 		t.AddRow(name, u.Kernel.Name, u.Kernel.Config.Len(), u.Kernel.MegabytesMB(), shared)
 	}
-	builds, hits := cache.Stats()
+	st := cache.CacheStats()
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("%d distinct kernels serve %d applications (%d cache hits)", builds, builds+hits, hits),
+		fmt.Sprintf("%d distinct kernels serve %d applications (%d cache hits)", st.Builds, st.Builds+st.Hits, st.Hits),
 		"a lupine-general alternative serves all 20 from ONE kernel at ~2 ms boot and <=4% throughput cost (§4)")
 	return t, nil
 }

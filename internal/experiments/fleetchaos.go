@@ -166,11 +166,7 @@ var fleetChaosStorm = &storm[fleetChaosResult]{
 		// share the image (the MultiK observation applied to upgrades).
 		cache := core.NewKernelCache(db())
 		rebuild := func(i int) simclock.Duration {
-			before, _ := cache.Stats()
-			if _, err := cache.Build(u.Spec, lupineOpts(name)); err != nil {
-				return fleetRebuildMiss
-			}
-			if after, _ := cache.Stats(); after > before {
+			if _, hit, err := cache.Build(u.Spec, lupineOpts(name)); err != nil || !hit {
 				return fleetRebuildMiss
 			}
 			return fleetRebuildHit
@@ -193,7 +189,8 @@ var fleetChaosStorm = &storm[fleetChaosResult]{
 			return nil, err
 		}
 		r.System, r.MultiProc = name, u.Kernel.Enabled("MULTIPROCESS")
-		r.Rebuilds, r.Shared = cache.Stats()
+		st := cache.CacheStats()
+		r.Rebuilds, r.Shared = st.Builds, st.Hits
 		return []fleetChaosResult{r}, nil
 	},
 	// The unikernel comparator pools: every backend dies of the

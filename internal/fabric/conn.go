@@ -116,15 +116,6 @@ func (nd *Node) Dial(dst *Node, port int, h ConnHandler) *Conn {
 // ID reports the connection's fabric-wide id.
 func (c *Conn) ID() int { return c.id }
 
-// Server reports the node the connection was dialed at.
-func (c *Conn) Server() *Node { return c.server }
-
-// Established reports whether the handshake completed.
-func (c *Conn) Established() bool { return c.established }
-
-// Closed reports whether the connection reached a terminal state.
-func (c *Conn) Closed() bool { return c.closed }
-
 // Retransmits reports retransmissions spent on this connection so far.
 func (c *Conn) Retransmits() int { return c.rexmits }
 

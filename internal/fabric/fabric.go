@@ -162,7 +162,6 @@ type Network struct {
 	// inter-zone traffic crosses a trunk link with its own latency,
 	// bandwidth serialization, and the trunk-cut fault site.
 	zoneIDs   map[string]int           // 1-based ids in registration order
-	zoneNames []string                 // id-1 -> name
 	trunks    map[[2]int]LinkSpec      // per sorted zone-id pair; absent = zero-cost trunk
 	trunkBusy map[[2]int]simclock.Time // trunk egress serialization, directed pair
 
@@ -243,19 +242,9 @@ func (n *Network) zoneID(zone string) int {
 	if id, ok := n.zoneIDs[zone]; ok {
 		return id
 	}
-	id := len(n.zoneNames) + 1
+	id := len(n.zoneIDs) + 1
 	n.zoneIDs[zone] = id
-	n.zoneNames = append(n.zoneNames, zone)
 	return id
-}
-
-// ZoneID reports the 1-based id of a registered zone (0 if unknown or
-// the default zone) — the address space trunk-cut plans are written in.
-func (n *Network) ZoneID(zone string) int {
-	if zone == "" {
-		return 0
-	}
-	return n.zoneIDs[zone]
 }
 
 // SetTrunk installs the trunk link crossed by segments between zones a
@@ -310,9 +299,6 @@ type Node struct {
 // injector's streams never see it.
 func (nd *Node) SetEgressCut(cut bool) { nd.egressCut = cut }
 
-// EgressCut reports whether the node's switch port is isolated.
-func (nd *Node) EgressCut() bool { return nd.egressCut }
-
 // AddNode attaches a NIC, allocating the next address in the block.
 // A zero link spec inherits the network default. Node ids count from 1
 // in attachment order — the id space SitePartition params address.
@@ -342,24 +328,6 @@ func (n *Network) AddNodeZone(name, zone string, link LinkSpec) (*Node, error) {
 	}
 	n.nodes = append(n.nodes, nd)
 	return nd, nil
-}
-
-// ID reports the node's 1-based id (the partition-param address space).
-func (nd *Node) ID() int { return nd.id }
-
-// IP reports the node's allocated address.
-func (nd *Node) IP() IP { return nd.ip }
-
-// Name reports the node's display name.
-func (nd *Node) Name() string { return nd.name }
-
-// Zone reports the name of the zone this node's NIC is switched into;
-// "" is the default zone.
-func (nd *Node) Zone() string {
-	if nd.zone == 0 {
-		return ""
-	}
-	return nd.net.zoneNames[nd.zone-1]
 }
 
 // SetAlive installs the ground-truth liveness gate.

@@ -122,8 +122,5 @@ func (f *Fleet) Finish(now simclock.Time) Result {
 	return f.res
 }
 
-// ActiveCount reports structurally active pool members.
-func (f *Fleet) ActiveCount() int { return f.activeCount() }
-
 // Resolved reports how many injected requests have resolved.
 func (f *Fleet) Resolved() int { return f.resolved }

@@ -40,20 +40,27 @@ func (f *Fleet) Observe(tr *telemetry.Tracer, reg *telemetry.Registry, track str
 func (f *Fleet) btrack(b *Backend) string { return f.trTrack + "/" + b.Name }
 
 // observeBackend marks admission and hooks the breaker's transition
-// stream into the event log.
+// stream into the event log and the breaker-opens counter, whichever of
+// the two is attached. With neither, it installs no hook, so an
+// unobserved fleet's breakers allocate nothing.
 func (f *Fleet) observeBackend(b *Backend, now simclock.Time) {
-	if f.tr == nil {
+	if f.tr == nil && f.mBreakerOpens == nil {
 		return
 	}
-	lane := f.btrack(b)
+	var lane string
+	if f.tr != nil {
+		lane = f.btrack(b)
+		f.tr.Instant("fleet", lane, "admit", now)
+	}
 	b.breaker.OnTransition = func(t BreakerTransition) {
 		if t.To == BreakerOpen {
 			f.mBreakerOpens.Inc()
 		}
-		f.tr.Instant("fleet", lane, "breaker:"+t.To.String(), t.At,
-			telemetry.A("cause", t.Cause))
+		if f.tr != nil {
+			f.tr.Instant("fleet", lane, "breaker:"+t.To.String(), t.At,
+				telemetry.A("cause", t.Cause))
+		}
 	}
-	f.tr.Instant("fleet", lane, "admit", now)
 }
 
 // observeProvision records the provisioning span of an autoscaler- or

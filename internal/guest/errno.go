@@ -75,17 +75,3 @@ func (e Errno) Error() string {
 	}
 	return fmt.Sprintf("Errno(%d)", int(e))
 }
-
-// Err converts an Errno to an error, mapping OK to nil.
-func (e Errno) Err() error {
-	if e == OK {
-		return nil
-	}
-	return e
-}
-
-// IsErrno reports whether err is the given simulated errno.
-func IsErrno(err error, e Errno) bool {
-	got, ok := err.(Errno)
-	return ok && got == e
-}

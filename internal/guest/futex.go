@@ -1,8 +1,7 @@
 package guest
 
 // futexKey identifies a futex word: an address within an address space.
-// Threads sharing an address space share futexes; separate processes
-// using process-shared futexes can pass a shared address-space id of 0.
+// Threads sharing an address space share futexes.
 type futexKey struct {
 	asID int
 	addr uint64
@@ -36,20 +35,6 @@ func (p *Proc) FutexWait(addr uint64, cond func() bool) Errno {
 	return OK
 }
 
-// FutexWaitShared is FutexWait on a process-shared futex word.
-func (p *Proc) FutexWaitShared(addr uint64, cond func() bool) Errno {
-	if e := p.sysEnter("futex"); e != OK {
-		p.k.consolePrint("the futex facility returned an unexpected error code\n")
-		return e
-	}
-	p.charge(p.k.cost.FutexWork + 2*p.k.cost.SMPLockOp)
-	if cond != nil && !cond() {
-		return EAGAIN
-	}
-	p.blockOn(p.k.futexQueue(futexKey{asID: 0, addr: addr}))
-	return OK
-}
-
 // FutexWake wakes up to n waiters on the futex word at addr, returning
 // how many were woken.
 func (p *Proc) FutexWake(addr uint64, n int) (int, Errno) {
@@ -59,15 +44,6 @@ func (p *Proc) FutexWake(addr uint64, n int) (int, Errno) {
 	}
 	p.charge(p.k.cost.FutexWork + 2*p.k.cost.SMPLockOp)
 	return p.k.futexQueue(p.futexKeyFor(addr)).wake(p.k, n, p.cpu.now), OK
-}
-
-// FutexWakeShared wakes waiters on a process-shared futex word.
-func (p *Proc) FutexWakeShared(addr uint64, n int) (int, Errno) {
-	if e := p.sysEnter("futex"); e != OK {
-		return 0, e
-	}
-	p.charge(p.k.cost.FutexWork + 2*p.k.cost.SMPLockOp)
-	return p.k.futexQueue(futexKey{asID: 0, addr: addr}).wake(p.k, n, p.cpu.now), OK
 }
 
 func (p *Proc) futexKeyFor(addr uint64) futexKey {

@@ -149,12 +149,6 @@ func NewKernel(p Params) (*Kernel, error) {
 	return k, nil
 }
 
-// Image returns the kernel's build artifact.
-func (k *Kernel) Image() *kbuild.Image { return k.img }
-
-// Cost exposes the effective cost model (read-only use).
-func (k *Kernel) Cost() CostModel { return k.cost }
-
 // NumCPU reports the number of online CPUs.
 func (k *Kernel) NumCPU() int { return len(k.cpus) }
 
@@ -183,13 +177,6 @@ func (k *Kernel) MemUsed() int64 { return k.memUsed }
 
 // MemPeak reports the high-water mark of guest memory consumption.
 func (k *Kernel) MemPeak() int64 { return k.memPeak }
-
-// MemLimit reports the configured guest RAM.
-func (k *Kernel) MemLimit() int64 { return k.memLimit }
-
-// HasSyscall reports whether the kernel was configured with the option
-// gating the given syscall (Table 1 semantics).
-func (k *Kernel) HasSyscall(name string) bool { return k.img.HasSyscall(name) }
 
 // AppFunc is the body of a simulated process: application models receive
 // their process handle and issue syscalls through it. The return value is

@@ -312,15 +312,6 @@ func (p *Proc) AioSetup() Errno {
 	return OK
 }
 
-// AioSubmit submits an asynchronous I/O request (gated on CONFIG_AIO).
-func (p *Proc) AioSubmit() Errno {
-	if e := p.sysEnter("io_submit"); e != OK {
-		return e
-	}
-	p.charge(p.k.cost.WriteWork * 2)
-	return OK
-}
-
 // Membarrier issues the membarrier syscall (gated on CONFIG_MEMBARRIER).
 func (p *Proc) Membarrier() Errno {
 	if e := p.sysEnter("membarrier"); e != OK {

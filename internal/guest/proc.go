@@ -59,8 +59,6 @@ type Proc struct {
 	// kernel's configuration, so throughput ratios are driven by the
 	// system under test.
 	external bool
-
-	syscalls int64 // statistic: syscalls issued
 }
 
 // newProc allocates a process. parent may be nil for init processes.
@@ -154,13 +152,6 @@ func (p *Proc) Name() string { return p.name }
 // Kernel returns the owning kernel.
 func (p *Proc) Kernel() *Kernel { return p.k }
 
-// Getpid is the getpid system call.
-func (p *Proc) Getpid() int {
-	p.sysEnterFree("getpid")
-	p.charge(p.k.cost.GetppidWork)
-	return p.pid
-}
-
 // Getppid is the getppid system call (lmbench's "null call").
 func (p *Proc) Getppid() int {
 	p.sysEnterFree("getppid")
@@ -175,7 +166,6 @@ func (p *Proc) Getppid() int {
 // this is what produces the characteristic application error messages the
 // §4.1 configuration search keys on.
 func (p *Proc) sysEnter(name string) Errno {
-	p.syscalls++
 	p.k.stats.Syscalls++
 	p.k.trace(p, name)
 	p.chargeRaw(p.entryCost())
@@ -187,7 +177,6 @@ func (p *Proc) sysEnter(name string) Errno {
 
 // sysEnterFree is sysEnter for calls no configuration option gates.
 func (p *Proc) sysEnterFree(name string) {
-	p.syscalls++
 	p.k.stats.Syscalls++
 	p.k.trace(p, name)
 	p.chargeRaw(p.entryCost())
@@ -210,9 +199,6 @@ func (p *Proc) netCost(d simclock.Duration) simclock.Duration {
 	}
 	return p.k.cost.scaleNet(d)
 }
-
-// SyscallCount reports how many system calls the process has issued.
-func (p *Proc) SyscallCount() int64 { return p.syscalls }
 
 // --- CPU work ---
 

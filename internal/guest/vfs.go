@@ -565,17 +565,6 @@ func (p *Proc) Flock(fd int, lock bool) Errno {
 	return OK
 }
 
-// Fadvise is the fadvise64 syscall (gated on CONFIG_ADVISE_SYSCALLS).
-func (p *Proc) Fadvise(fd int) Errno {
-	if e := p.sysEnter("fadvise64"); e != OK {
-		return e
-	}
-	if p.fds.get(fd) == nil {
-		return EBADF
-	}
-	return OK
-}
-
 // Madvise is the madvise syscall (gated on CONFIG_ADVISE_SYSCALLS).
 func (p *Proc) Madvise() Errno {
 	if e := p.sysEnter("madvise"); e != OK {

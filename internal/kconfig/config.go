@@ -1,7 +1,6 @@
 package kconfig
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
@@ -128,42 +127,4 @@ func (c *Config) String() string {
 	var sb strings.Builder
 	c.WriteDotConfig(&sb) // strings.Builder never errors
 	return sb.String()
-}
-
-// ParseDotConfig reads a .config-format stream. Lines of the form
-// `# CONFIG_FOO is not set` and comments are ignored.
-func ParseDotConfig(r io.Reader) (*Config, error) {
-	cfg := NewConfig()
-	sc := bufio.NewScanner(r)
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		eq := strings.IndexByte(line, '=')
-		if eq < 0 || !strings.HasPrefix(line, "CONFIG_") {
-			return nil, fmt.Errorf("kconfig: .config line %d: malformed line %q", lineno, line)
-		}
-		name := line[len("CONFIG_"):eq]
-		val := line[eq+1:]
-		if name == "" {
-			return nil, fmt.Errorf("kconfig: .config line %d: empty symbol name", lineno)
-		}
-		switch val {
-		case "y":
-			cfg.Set(name, TriValue(Yes))
-		case "m":
-			cfg.Set(name, TriValue(Module))
-		case "n":
-			// explicit n: leave unset
-		default:
-			cfg.Set(name, StrValue(strings.Trim(val, `"`)))
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return cfg, nil
 }

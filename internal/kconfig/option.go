@@ -1,9 +1,6 @@
 package kconfig
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // OptionType is the declared type of a configuration option.
 type OptionType int
@@ -132,20 +129,6 @@ func (db *Database) Len() int { return len(db.ordered) }
 // Options returns the options in declaration order. The slice is shared;
 // callers must not mutate it.
 func (db *Database) Options() []*Option { return db.ordered }
-
-// Dirs returns the set of source directories present, sorted.
-func (db *Database) Dirs() []string {
-	seen := make(map[string]bool)
-	for _, o := range db.ordered {
-		seen[o.Dir] = true
-	}
-	out := make([]string, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // CountByDir tallies declared options per source directory.
 func (db *Database) CountByDir() map[string]int {

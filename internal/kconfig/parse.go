@@ -47,18 +47,6 @@ func (p *Parser) ParseString(path, src string) error {
 	return st.run()
 }
 
-// Parse loads and parses path through the parser's Loader.
-func (p *Parser) Parse(path string) error {
-	if p.loader == nil {
-		return fmt.Errorf("kconfig: no loader configured for %q", path)
-	}
-	src, err := p.loader.Load(path)
-	if err != nil {
-		return err
-	}
-	return p.ParseString(path, src)
-}
-
 func topDir(path string) string {
 	path = strings.TrimPrefix(path, "./")
 	if i := strings.IndexByte(path, '/'); i > 0 {

@@ -212,29 +212,34 @@ func TestConfigDiffAndDotConfig(t *testing.T) {
 		t.Errorf("Changed = %v", d.Changed)
 	}
 
-	text := a.String()
-	back, err := ParseDotConfig(strings.NewReader(text))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Equal(a) {
-		t.Errorf("dot-config round trip mismatch:\n%s\nvs\n%s", text, back)
+	if got, want := a.String(), "CONFIG_CMDLINE=console=ttyS0\nCONFIG_EPOLL=y\nCONFIG_FUTEX=y\n"; got != want {
+		t.Errorf(".config =\n%s\nwant\n%s", got, want)
 	}
 }
 
-func TestParseDotConfigErrors(t *testing.T) {
-	for _, src := range []string{"GARBAGE=y\n", "CONFIG_=y\n", "CONFIG_FOO\n"} {
-		if _, err := ParseDotConfig(strings.NewReader(src)); err == nil {
-			t.Errorf("ParseDotConfig(%q) succeeded, want error", src)
-		}
+// TestConfigStringGolden pins the .config encoding lupine-build writes:
+// one CONFIG_ line per set symbol in name order, tristate m as "m",
+// string values verbatim (quotes included), and no line at all for a
+// symbol that is n, where Linux would write "# CONFIG_X is not set".
+func TestConfigStringGolden(t *testing.T) {
+	c := NewConfig()
+	c.Enable("SMP")
+	c.Set("VIRTIO_NET", TriValue(Module))
+	c.Set("CMDLINE", StrValue(`"console=ttyS0 quiet"`))
+	c.Set("NR_CPUS", StrValue("4"))
+	c.Enable("EPOLL")
+	c.Disable("EPOLL")
+	c.Set("FUTEX", TriValue(No))
+	const want = `CONFIG_CMDLINE="console=ttyS0 quiet"
+CONFIG_NR_CPUS=4
+CONFIG_SMP=y
+CONFIG_VIRTIO_NET=m
+`
+	if got := c.String(); got != want {
+		t.Errorf(".config =\n%s\nwant\n%s", got, want)
 	}
-	// "# CONFIG_FOO is not set" lines and blanks are fine.
-	cfg, err := ParseDotConfig(strings.NewReader("# CONFIG_FOO is not set\n\nCONFIG_BAR=y\nCONFIG_BAZ=n\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Enabled("FOO") || !cfg.Enabled("BAR") || cfg.Enabled("BAZ") {
-		t.Errorf("parsed config = %v", cfg.Names())
+	if got := NewConfig().String(); got != "" {
+		t.Errorf("empty config renders %q", got)
 	}
 }
 

@@ -20,12 +20,6 @@ var (
 	cveTotal int
 )
 
-// CVEs returns the option -> vulnerability-count attribution table.
-func (db *DB) CVEs() map[string]int {
-	db.buildCVEs()
-	return cveTable
-}
-
 // TotalCVEs reports the corpus size (~1530).
 func (db *DB) TotalCVEs() int {
 	db.buildCVEs()

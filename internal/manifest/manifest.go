@@ -83,19 +83,3 @@ func (m *Manifest) Marshal() ([]byte, error) {
 	}
 	return json.MarshalIndent(m, "", "  ")
 }
-
-// Parse reads a manifest from JSON.
-func Parse(data []byte) (*Manifest, error) {
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("manifest: %w", err)
-	}
-	if m.Env == nil {
-		m.Env = make(map[string]string)
-	}
-	sort.Strings(m.Options)
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}

@@ -1,7 +1,6 @@
 package manifest
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -20,7 +19,9 @@ func TestNewNormalizesOptions(t *testing.T) {
 	}
 }
 
-func TestMarshalParseRoundTrip(t *testing.T) {
+// TestMarshalGolden pins the JSON form the rootfs image embeds as
+// /manifest.json: every field, options sorted, env and port present.
+func TestMarshalGolden(t *testing.T) {
 	m := New("nginx", []string{"/bin/nginx", "-g", "daemon off;"},
 		"EPOLL", "AIO", "EVENTFD")
 	m.Env["NGINX_PORT"] = "80"
@@ -29,18 +30,28 @@ func TestMarshalParseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Parse(data)
-	if err != nil {
-		t.Fatal(err)
+	const want = `{
+  "app": "nginx",
+  "options": [
+    "AIO",
+    "EPOLL",
+    "EVENTFD"
+  ],
+  "entrypoint": [
+    "/bin/nginx",
+    "-g",
+    "daemon off;"
+  ],
+  "env": {
+    "NGINX_PORT": "80"
+  },
+  "network_port": 80
+}`
+	if string(data) != want {
+		t.Errorf("Marshal =\n%s\nwant\n%s", data, want)
 	}
-	if back.App != m.App || back.NetworkPort != 80 || back.Env["NGINX_PORT"] != "80" {
-		t.Errorf("round trip = %+v", back)
-	}
-	if strings.Join(back.Options, ",") != strings.Join(m.Options, ",") {
-		t.Errorf("options = %v vs %v", back.Options, m.Options)
-	}
-	if strings.Join(back.Entrypoint, " ") != strings.Join(m.Entrypoint, " ") {
-		t.Errorf("entrypoint = %v", back.Entrypoint)
+	if _, err := (&Manifest{App: "x"}).Marshal(); err == nil {
+		t.Error("Marshal of an invalid manifest succeeded")
 	}
 }
 
@@ -58,15 +69,6 @@ func TestValidate(t *testing.T) {
 	dup := &Manifest{App: "x", Entrypoint: []string{"/bin/x"}, Options: []string{"A", "A"}}
 	if err := dup.Validate(); err == nil {
 		t.Error("duplicate options validated")
-	}
-}
-
-func TestParseErrors(t *testing.T) {
-	if _, err := Parse([]byte("{")); err == nil {
-		t.Error("bad JSON accepted")
-	}
-	if _, err := Parse([]byte(`{"app":""}`)); err == nil {
-		t.Error("invalid manifest accepted")
 	}
 }
 

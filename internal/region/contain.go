@@ -86,9 +86,6 @@ func (p *Plane) armBreach() {
 	}
 }
 
-// Attack exposes the campaign plane (nil unless Breach armed it).
-func (p *Plane) Attack() *attack.Plane { return p.atk }
-
 // armTarget registers one placement with the campaign. No-op before the
 // attack plane exists (New's initial placements are swept by armBreach)
 // or when the placement is already registered.

@@ -30,9 +30,6 @@ type Host struct {
 	dead   bool
 }
 
-// Accountant exposes the host's memory ledger for tables and tests.
-func (h *Host) Accountant() *hostmem.Accountant { return h.acct }
-
 // placement is one VM pinned to one host: the fleet backend, the bytes
 // it promised the host, and its region-plane death record.
 type placement struct {
@@ -86,12 +83,6 @@ type Region struct {
 
 	st RegionStats
 }
-
-// Fleet exposes the region's cell for tables and tests.
-func (r *Region) Fleet() *fleet.Fleet { return r.fl }
-
-// Store exposes the region's snapshot store for tables and tests.
-func (r *Region) Store() *snapshot.Store { return r.store }
 
 // Dark reports the ground truth: did the fault plane take this region
 // out?
@@ -179,9 +170,11 @@ func (p *Plane) Net() *fabric.Network { return p.net }
 func (p *Plane) Regions() []*Region { return p.regions }
 
 // Observe attaches telemetry: region-lane spans and instants under
-// track, cell lanes under track/<region>. Call before Run.
+// track, cell lanes under track/<region>, and each cell's and the
+// campaign's counters in mreg. Either tr or mreg may be nil. Call
+// before Run.
 func (p *Plane) Observe(tr *telemetry.Tracer, mreg *telemetry.Registry, track string) {
-	if tr == nil {
+	if tr == nil && mreg == nil {
 		return
 	}
 	p.tr = tr

@@ -68,10 +68,6 @@ func RegionZone(i int) int { return i + 2 }
 // region i (its own egress still flows — an asymmetric partition).
 func CutInto(i int) int64 { return int64(RegionZone(i)) }
 
-// CutOutOf builds the trunk-cut param that blackholes all traffic OUT
-// OF region i (it hears the world and answers into the void).
-func CutOutOf(i int) int64 { return int64(RegionZone(i)) * 1000 }
-
 // HostSpec sizes one simulated host's memory accountant. Every host
 // admits commitments up to hostOvercommit x Capacity.
 type HostSpec struct {

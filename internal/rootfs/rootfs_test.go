@@ -68,13 +68,13 @@ func TestBuildTreeAndExt2RoundTrip(t *testing.T) {
 			t.Errorf("rootfs missing %s", path)
 		}
 	}
-	// The embedded manifest parses back.
-	mm, err := manifest.Parse(tree.Lookup("/manifest.json").Data)
+	// The embedded manifest is the manifest's JSON form.
+	mjson, err := m.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mm.App != "redis" || !mm.HasOption("EPOLL") {
-		t.Errorf("embedded manifest = %+v", mm)
+	if got := tree.Lookup("/manifest.json").Data; string(got) != string(mjson) {
+		t.Errorf("embedded manifest =\n%s\nwant\n%s", got, mjson)
 	}
 	// The init script is executable and correct.
 	init := tree.Lookup("/init")

@@ -22,9 +22,6 @@ const (
 	Second               = 1000 * Millisecond
 )
 
-// Std converts a virtual duration to a time.Duration for formatting.
-func (d Duration) Std() time.Duration { return time.Duration(d) }
-
 // String formats the duration using the standard library rules.
 func (d Duration) String() string { return time.Duration(d).String() }
 
@@ -138,18 +135,3 @@ func (c *Clock) AdvanceTo(t Time) {
 	}
 	c.now = t
 }
-
-// Stopwatch measures elapsed virtual time on a clock.
-type Stopwatch struct {
-	clock *Clock
-	start Time
-}
-
-// NewStopwatch starts a stopwatch on c.
-func NewStopwatch(c *Clock) *Stopwatch { return &Stopwatch{clock: c, start: c.Now()} }
-
-// Restart resets the stopwatch origin to the current instant.
-func (s *Stopwatch) Restart() { s.start = s.clock.Now() }
-
-// Elapsed reports virtual time since the stopwatch (re)started.
-func (s *Stopwatch) Elapsed() Duration { return s.clock.Now().Sub(s.start) }

@@ -53,24 +53,6 @@ func TestAdvanceTo(t *testing.T) {
 	}
 }
 
-func TestStopwatch(t *testing.T) {
-	c := New()
-	c.Advance(100)
-	sw := NewStopwatch(c)
-	c.Advance(250)
-	if got := sw.Elapsed(); got != 250 {
-		t.Fatalf("Elapsed = %v, want 250", got)
-	}
-	sw.Restart()
-	if got := sw.Elapsed(); got != 0 {
-		t.Fatalf("Elapsed after restart = %v, want 0", got)
-	}
-	c.Advance(7)
-	if got := sw.Elapsed(); got != 7 {
-		t.Fatalf("Elapsed = %v, want 7", got)
-	}
-}
-
 func TestDurationUnits(t *testing.T) {
 	tests := []struct {
 		d    Duration

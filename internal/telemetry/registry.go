@@ -2,13 +2,11 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"lupine/internal/metrics"
 	"lupine/internal/simclock"
 )
 
@@ -211,7 +209,7 @@ func (h *Histogram) Percentile(p float64) int64 {
 	return 1<<63 - 1 // unreachable: count covers all buckets
 }
 
-// snapshot orders for rendering/export.
+// sortedNames orders each kind's metric names for export.
 func (r *Registry) sortedNames() (counters, gauges, hists []string) {
 	for n := range r.counters {
 		counters = append(counters, n)
@@ -226,32 +224,6 @@ func (r *Registry) sortedNames() (counters, gauges, hists []string) {
 	sort.Strings(gauges)
 	sort.Strings(hists)
 	return
-}
-
-// Table snapshots the registry into the harness' table renderer,
-// metrics sorted by name within kind.
-func (r *Registry) Table(title string) *metrics.Table {
-	t := &metrics.Table{Title: title, Columns: []string{"metric", "kind", "value"}}
-	if r == nil {
-		return t
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	counters, gauges, hists := r.sortedNames()
-	for _, n := range counters {
-		t.AddRow(n, "counter", r.counters[n].Value())
-	}
-	for _, n := range gauges {
-		t.AddRow(n, "gauge", r.gauges[n].Value())
-	}
-	for _, n := range hists {
-		h := r.hists[n]
-		t.AddRow(n, "histogram", fmt.Sprintf("n=%d p50~%s p99~%s",
-			h.Count(),
-			simclock.Duration(h.Percentile(50)).String(),
-			simclock.Duration(h.Percentile(99)).String()))
-	}
-	return t
 }
 
 type histJSON struct {

@@ -47,11 +47,8 @@ func TestNilRegistryAndHandles(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Percentile(50) != 0 {
 		t.Fatal("nil handles recorded state")
 	}
-	if tb := r.Table("t"); len(tb.Rows) != 0 {
-		t.Fatal("nil registry rendered rows")
-	}
-	if !json.Valid(r.JSON()) {
-		t.Fatal("nil registry JSON invalid")
+	if got, want := string(r.JSON()), "{\n  \"counters\": [],\n  \"gauges\": [],\n  \"histograms\": []\n}\n"; got != want {
+		t.Fatalf("nil registry JSON = %q, want %q", got, want)
 	}
 }
 
@@ -146,16 +143,17 @@ func TestRegistryExportsDeterministic(t *testing.T) {
 	if !json.Valid(a.JSON()) {
 		t.Fatalf("invalid JSON: %s", a.JSON())
 	}
-	ta, tb := a.Table("m").String(), b.Table("m").String()
-	if ta != tb {
-		t.Fatal("identical registries rendered different tables")
+	// Sorted by name within kind: a.count before b.count.
+	var out struct {
+		Counters   []struct{ Name string } `json:"counters"`
+		Gauges     []struct{ Name string } `json:"gauges"`
+		Histograms []struct{ Name string } `json:"histograms"`
 	}
-	// Sorted-by-name within kind: a.count before b.count.
-	if ra, rb := ta, "a.count"; !bytes.Contains([]byte(ra), []byte(rb)) {
-		t.Fatalf("table missing a.count:\n%s", ta)
+	if err := json.Unmarshal(a.JSON(), &out); err != nil {
+		t.Fatal(err)
 	}
-	rows := a.Table("m").Rows
-	if len(rows) != 4 || rows[0][0] != "a.count" || rows[1][0] != "b.count" {
-		t.Fatalf("row order: %v", rows)
+	if len(out.Counters) != 2 || out.Counters[0].Name != "a.count" || out.Counters[1].Name != "b.count" ||
+		len(out.Gauges) != 1 || len(out.Histograms) != 1 {
+		t.Fatalf("export order: %+v", out)
 	}
 }

@@ -203,12 +203,9 @@ func (r *SupervisorReport) Stats() Stats {
 	return s
 }
 
-// Supervisor runs VM lifetimes under a restart policy and retains the
-// report of its last run, so callers that need both the timeline and the
-// counter summary hold one object instead of re-deriving either.
+// Supervisor runs VM lifetimes under a restart policy.
 type Supervisor struct {
 	Policy RestartPolicy
-	report SupervisorReport
 
 	tr      *telemetry.Tracer
 	trTrack string
@@ -230,12 +227,6 @@ func NewSupervisor(policy RestartPolicy) *Supervisor {
 	return &Supervisor{Policy: policy}
 }
 
-// Report returns the report of the last Run (zero value before any run).
-func (s *Supervisor) Report() SupervisorReport { return s.report }
-
-// Stats summarizes the last Run's counters.
-func (s *Supervisor) Stats() Stats { return s.report.Stats() }
-
 // Supervise runs boot under the restart policy on a fresh virtual
 // timeline and returns the full report. Deterministic: the only inputs
 // are the policy and whatever determinism boot itself provides.
@@ -244,7 +235,7 @@ func Supervise(policy RestartPolicy, boot BootFn) SupervisorReport {
 }
 
 // Run executes boot under the supervisor's policy on a fresh virtual
-// timeline, retains the report, and returns it.
+// timeline and returns its report.
 func (s *Supervisor) Run(boot BootFn) SupervisorReport {
 	policy := s.Policy
 	clk := simclock.New()
@@ -320,6 +311,5 @@ func (s *Supervisor) Run(boot BootFn) SupervisorReport {
 		}
 	}
 	rep.End = clk.Now()
-	s.report = rep
 	return rep
 }

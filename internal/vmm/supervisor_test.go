@@ -143,14 +143,13 @@ func TestAvailabilityAndRecoveryAccounting(t *testing.T) {
 }
 
 func TestSupervisorStats(t *testing.T) {
-	sup := NewSupervisor(RestartPolicy{MaxRestarts: 4, Backoff: 10 * ms, BackoffFactor: 2})
-	sup.Run(scripted(t, []Attempt{
+	rep := Supervise(RestartPolicy{MaxRestarts: 4, Backoff: 10 * ms, BackoffFactor: 2}, scripted(t, []Attempt{
 		{Outcome: OutcomeBootFail, Ran: 2 * ms},
 		{Outcome: OutcomePanic, Ready: true, ReadyAfter: 1 * ms, Ran: 5 * ms},
 		{Outcome: OutcomeHang, Ran: 8 * ms},
 		{Outcome: OutcomeOK, Ready: true, ReadyAfter: 1 * ms, Ran: 10 * ms},
 	}))
-	st := sup.Stats()
+	st := rep.Stats()
 	if st.Restarts != 3 {
 		t.Errorf("restarts = %d, want 3", st.Restarts)
 	}
@@ -174,7 +173,7 @@ func TestSupervisorStats(t *testing.T) {
 	if st.Uptime != 13*ms {
 		t.Errorf("uptime = %v, want %v", st.Uptime, 13*ms)
 	}
-	if st.Uptime != sup.Report().Uptime {
+	if st.Uptime != rep.Uptime {
 		t.Error("stats uptime diverges from report uptime")
 	}
 }

@@ -1,17 +1,21 @@
 #!/bin/sh
-# Compare every experiment's outputs between a git revision and the
-# working tree at one seed. A change that must not move behaviour (a
-# refactor, a perf fix, a deletion) leaves every output byte-identical.
+# Compare every experiment's outputs, and the stdout of the other
+# commands and the examples, between a git revision and the working tree
+# at one seed. A change that must not move behaviour (a refactor, a perf
+# fix, a deletion) leaves every output byte-identical.
 #
 # Usage: scripts/cmp-outputs.sh <rev> [seed]      (seed defaults to 7)
 #
 # It extracts <rev> with git archive into a temporary directory, builds
-# lupine-bench there and from the working tree, runs every experiment on
-# both at the seed with -trace-out -slo-out -metrics-out, and cmps
-# stdout (without the "(wall …)" timing of each header), the Chrome
-# trace, the SLO reports, the metrics JSON and its .prom sibling. It
-# names each output that differs (and, for stdout, each experiment) and
-# exits 1 on any difference. It writes nothing under the repository.
+# every command and example there and from the working tree, and runs
+# both sides: lupine-bench runs every experiment at the seed with
+# -trace-out -slo-out -metrics-out, and each command line in $clis below
+# runs once (they take no seed). It cmps lupine-bench's stdout (without
+# the "(wall …)" timing of each header), the Chrome trace, the SLO
+# reports, the metrics JSON and its .prom sibling, and the stdout of
+# each other command line. It names each output that differs (and, for
+# lupine-bench's stdout, each experiment) and exits 1 on any difference.
+# It writes nothing under the repository.
 set -eu
 
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
@@ -22,20 +26,47 @@ rev=$1
 seed=${2:-7}
 root=$(cd "$(dirname "$0")/.." && pwd)
 
+# clis: one command line a line, its output's name first, then the
+# binary and its arguments.
+clis='kconfigtool-census kconfigtool census
+kconfigtool-classes kconfigtool classes
+kconfigtool-resolve-general kconfigtool resolve general
+kconfigtool-diff-base-microvm kconfigtool diff base microvm
+lupine-build-all lupine-build -all
+lupine-build-all-kml lupine-build -all -kml
+manifestgen-all manifestgen -all
+manifestgen-all-trace manifestgen -all -trace
+lupine-run-redis lupine-run -app redis
+example-degradation degradation
+example-nginx nginx
+example-quickstart quickstart
+example-redis redis
+example-specialize specialize'
+
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/src" "$tmp/base" "$tmp/head"
 
 git -C "$root" archive "$rev" | tar -x -C "$tmp/src"
-(cd "$tmp/src" && go build -o "$tmp/base/lupine-bench" ./cmd/lupine-bench)
-(cd "$root" && go build -o "$tmp/head/lupine-bench" ./cmd/lupine-bench)
+(cd "$tmp/src" && go build -o "$tmp/base/" ./cmd/... ./examples/...)
+(cd "$root" && go build -o "$tmp/head/" ./cmd/... ./examples/...)
 
-# run <side>: every experiment at the seed, outputs into $tmp/<side>.
+# run <side>: every experiment at the seed and every command line,
+# outputs into $tmp/<side>.
 run() {
-    d=$tmp/$1
-    "$d/lupine-bench" -seed "$seed" -trace-out="$d/trace.json" -slo-out="$d/slo.json" \
-        -metrics-out="$d/metrics.json" >"$d/stdout.raw"
-    sed 's/ (wall [0-9.]*s)$//' "$d/stdout.raw" >"$d/stdout"
+    cd "$tmp/$1"
+    ./lupine-bench -seed "$seed" -trace-out=trace.json -slo-out=slo.json \
+        -metrics-out=metrics.json >stdout.raw
+    sed 's/ (wall [0-9.]*s)$//' stdout.raw >stdout
+    echo "$clis" | while read -r out bin args; do
+        # $args is split into words on purpose.
+        # shellcheck disable=SC2086
+        if ! ./"$bin" $args >"$out" 2>"$out.stderr"; then
+            echo "$1: $bin $args failed:" >&2
+            cat "$out.stderr" >&2
+            exit 1
+        fi
+    done
 }
 run base &
 base=$!
@@ -45,7 +76,7 @@ failed=0
 wait "$base" || failed=1
 wait "$head" || failed=1
 if [ "$failed" -ne 0 ]; then
-    echo "a lupine-bench run failed" >&2
+    echo "a run failed" >&2
     exit 1
 fi
 
@@ -53,7 +84,7 @@ fi
 section() { awk -v id="$2" '/^# / { on = ($2 == id) } on' "$1"; }
 
 status=0
-for f in stdout trace.json slo.json metrics.json metrics.json.prom; do
+for f in stdout trace.json slo.json metrics.json metrics.json.prom $(echo "$clis" | awk '{ print $1 }'); do
     if cmp -s "$tmp/base/$f" "$tmp/head/$f"; then
         echo "same    $f"
         continue
