@@ -80,7 +80,7 @@ func buildProfile(b *testing.B, kml bool, extra ...string) *kbuild.Image {
 	req := db.LupineBaseRequest().Enable(extra...)
 	name := "lupine-nokml"
 	if kml {
-		req.Set("PARAVIRT", kconfig.TriValue(kconfig.No)).Enable("KERNEL_MODE_LINUX")
+		req.Set("PARAVIRT", kconfig.No).Enable("KERNEL_MODE_LINUX")
 		name = "lupine"
 	}
 	cfg, err := db.ResolveProfile(req)

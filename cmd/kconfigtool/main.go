@@ -53,7 +53,7 @@ func main() {
 		}
 		info := db.Info(name)
 		fmt.Printf("config %s\n", o.Name)
-		fmt.Printf("  type:     %s\n", o.Type)
+		fmt.Printf("  type:     bool\n")
 		fmt.Printf("  prompt:   %q\n", o.Prompt)
 		fmt.Printf("  dir:      %s\n", o.Dir)
 		fmt.Printf("  class:    %s\n", info.Class)
@@ -113,10 +113,7 @@ func main() {
 		for _, n := range d.Removed {
 			fmt.Printf("-CONFIG_%s\n", n)
 		}
-		for _, n := range d.Changed {
-			fmt.Printf("~CONFIG_%s\n", n)
-		}
-		fmt.Fprintf(os.Stderr, "# +%d -%d ~%d\n", len(d.Added), len(d.Removed), len(d.Changed))
+		fmt.Fprintf(os.Stderr, "# +%d -%d\n", len(d.Added), len(d.Removed))
 	default:
 		usage()
 	}

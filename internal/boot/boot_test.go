@@ -59,7 +59,7 @@ func TestParavirtAblation(t *testing.T) {
 	db := kerneldb.MustLoad()
 	base := image(t, "lupine-base", db.LupineBaseRequest())
 	noPV := image(t, "lupine-nopv",
-		db.LupineBaseRequest().Set("PARAVIRT", kconfig.TriValue(kconfig.No)))
+		db.LupineBaseRequest().Set("PARAVIRT", kconfig.No))
 
 	rb, _ := Simulate(base, vmm.Firecracker(), rootfsBytes)
 	rn, _ := Simulate(noPV, vmm.Firecracker(), rootfsBytes)

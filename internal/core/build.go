@@ -72,33 +72,12 @@ func Build(db *kerneldb.DB, spec Spec, opts BuildOpts) (*Unikernel, error) {
 		}
 	}
 
-	req := db.LupineBaseRequest()
 	// The manifest's options plus whatever they depend on.
 	closure, err := kconfig.DependencyClosure(db.Kconfig, spec.Manifest.Options)
 	if err != nil {
 		return nil, err
 	}
-	req.Enable(closure...)
-	req.Enable(opts.ExtraOptions...)
-
-	if opts.KML {
-		// CONFIG_PARAVIRT conflicts with the KML patch (§4.3); swap it out.
-		req.Set("PARAVIRT", kconfig.TriValue(kconfig.No))
-		req.Enable("KERNEL_MODE_LINUX")
-	}
-	level := kbuild.O2
-	if opts.Tiny {
-		level = kbuild.Os
-		for _, o := range kerneldb.TinyDisables() {
-			req.Set(o, kconfig.TriValue(kconfig.No))
-		}
-	}
-
-	cfg, err := db.ResolveProfile(req)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", name, err)
-	}
-	img, err := kbuild.Build(db, name, cfg, level)
+	img, err := Kernel(db, name, append(closure, opts.ExtraOptions...), opts.KML, opts.Tiny)
 	if err != nil {
 		return nil, err
 	}
@@ -113,6 +92,30 @@ func Build(db *kerneldb.DB, spec Spec, opts BuildOpts) (*Unikernel, error) {
 		RootFS:     fsBytes,
 		InitScript: rootfs.InitScript(spec.Image, spec.Manifest),
 	}, nil
+}
+
+// Kernel builds a Lupine kernel named name: lupine-base plus options.
+// kml swaps CONFIG_PARAVIRT, which conflicts with the KML patch (§4.3),
+// for CONFIG_KERNEL_MODE_LINUX; tiny builds -tiny, at -Os with
+// kerneldb.TinyDisables switched off. Build uses it for a unikernel's
+// kernel.
+func Kernel(db *kerneldb.DB, name string, options []string, kml, tiny bool) (*kbuild.Image, error) {
+	req := db.LupineBaseRequest().Enable(options...)
+	if kml {
+		req.Set("PARAVIRT", kconfig.No).Enable("KERNEL_MODE_LINUX")
+	}
+	level := kbuild.O2
+	if tiny {
+		level = kbuild.Os
+		for _, o := range kerneldb.TinyDisables() {
+			req.Set(o, kconfig.No)
+		}
+	}
+	cfg, err := db.ResolveProfile(req)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s: %w", name, err)
+	}
+	return kbuild.Build(db, name, cfg, level)
 }
 
 // BuildMicroVM builds the Firecracker microVM baseline kernel (Table 2's

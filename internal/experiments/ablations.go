@@ -54,7 +54,7 @@ func runParavirtAblation(*Env) (fmt.Stringer, error) {
 	if err != nil {
 		return nil, err
 	}
-	req := db().LupineBaseRequest().Set("PARAVIRT", kconfig.TriValue(kconfig.No))
+	req := db().LupineBaseRequest().Set("PARAVIRT", kconfig.No)
 	noPV, err := buildImage("lupine-noparavirt", req, kbuild.O2)
 	if err != nil {
 		return nil, err

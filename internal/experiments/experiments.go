@@ -116,18 +116,9 @@ func lupineBaseImage() (*kbuild.Image, error) {
 }
 
 // lupineImage builds an application-specific Lupine kernel; kml selects
-// the KML variant (-nokml keeps PARAVIRT).
+// the KML variant (-nokml keeps PARAVIRT) and opt Os the -tiny one.
 func lupineImage(name string, options []string, kml bool, opt kbuild.OptLevel) (*kbuild.Image, error) {
-	req := db().LupineBaseRequest().Enable(options...)
-	if kml {
-		req.Set("PARAVIRT", kconfig.TriValue(kconfig.No)).Enable("KERNEL_MODE_LINUX")
-	}
-	if opt == kbuild.Os {
-		for _, o := range kerneldb.TinyDisables() {
-			req.Set(o, kconfig.TriValue(kconfig.No))
-		}
-	}
-	return buildImage(name, req, opt)
+	return core.Kernel(db(), name, options, kml, opt == kbuild.Os)
 }
 
 func lupineGeneralImage(kml bool) (*kbuild.Image, error) {

@@ -5,7 +5,6 @@ import (
 
 	"lupine/internal/guest"
 	"lupine/internal/kbuild"
-	"lupine/internal/kerneldb"
 	"lupine/internal/libos"
 	"lupine/internal/lmbench"
 	"lupine/internal/metrics"
@@ -50,7 +49,7 @@ func runFig9(*Env) (fmt.Stringer, error) {
 	if err != nil {
 		return nil, err
 	}
-	nokml, err := lupineImage("lupine-nokml", kerneldb.GeneralOptions()[:0], false, kbuild.O2)
+	nokml, err := lupineImage("lupine-nokml", nil, false, kbuild.O2)
 	if err != nil {
 		return nil, err
 	}

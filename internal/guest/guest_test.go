@@ -24,7 +24,7 @@ func buildImage(t *testing.T, profile string, extra ...string) *kbuild.Image {
 		req = db.LupineBaseRequest()
 	case "lupine-kml":
 		req = db.LupineBaseRequest().
-			Set("PARAVIRT", kconfig.TriValue(kconfig.No)).
+			Set("PARAVIRT", kconfig.No).
 			Enable("KERNEL_MODE_LINUX")
 	default:
 		t.Fatalf("unknown profile %q", profile)

@@ -51,7 +51,7 @@ func TestTinyImageSmaller(t *testing.T) {
 	base := buildProfile(t, "lupine-base", db.LupineBaseRequest(), O2)
 	tinyReq := db.LupineBaseRequest()
 	for _, n := range kerneldb.TinyDisables() {
-		tinyReq.Set(n, kconfig.TriValue(kconfig.No))
+		tinyReq.Set(n, kconfig.No)
 	}
 	tiny := buildProfile(t, "lupine-tiny", tinyReq, Os)
 	// §4.2: -tiny shrinks the image by a further ~6%.
@@ -104,7 +104,7 @@ func TestKMLFlag(t *testing.T) {
 		t.Error("nokml image reports KML")
 	}
 	kmlReq := db.LupineBaseRequest().
-		Set("PARAVIRT", kconfig.TriValue(kconfig.No)).
+		Set("PARAVIRT", kconfig.No).
 		Enable("KERNEL_MODE_LINUX")
 	kml := buildProfile(t, "lupine", kmlReq, O2)
 	if !kml.KML() {

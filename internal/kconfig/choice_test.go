@@ -29,7 +29,7 @@ config AFTER
 func choiceDB(t *testing.T) *Database {
 	t.Helper()
 	db := NewDatabase()
-	if err := NewParser(db, nil).ParseString("mm/Kconfig", choiceKconfig); err != nil {
+	if err := NewParser(db).ParseString("mm/Kconfig", choiceKconfig); err != nil {
 		t.Fatal(err)
 	}
 	return db
@@ -102,7 +102,7 @@ func TestChoiceParseErrors(t *testing.T) {
 	}
 	for name, src := range cases {
 		db := NewDatabase()
-		if err := NewParser(db, nil).ParseString("Kconfig", src); err == nil {
+		if err := NewParser(db).ParseString("Kconfig", src); err == nil {
 			t.Errorf("%s: parse succeeded", name)
 		}
 	}

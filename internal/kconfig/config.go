@@ -1,43 +1,50 @@
 package kconfig
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"strings"
 )
 
-// Config is a resolved configuration: a total assignment of values to the
-// options that are set. Options absent from the map are n / unset, exactly
-// like lines missing from a .config file.
+// Config is a resolved configuration: the set of options that are y.
+// Options absent from it are n, exactly like lines missing from a .config
+// file.
 type Config struct {
-	values map[string]Value
+	values map[string]struct{}
 }
 
 // NewConfig returns an empty configuration.
-func NewConfig() *Config { return &Config{values: make(map[string]Value)} }
+func NewConfig() *Config { return &Config{values: make(map[string]struct{})} }
 
-// Get implements Env.
-func (c *Config) Get(name string) Value { return c.values[name] }
+// Get returns the symbol's value: Yes if it is set, No otherwise.
+func (c *Config) Get(name string) Tristate {
+	if _, ok := c.values[name]; ok {
+		return Yes
+	}
+	return No
+}
 
 // Set assigns a value to a symbol. Setting No removes the symbol, keeping
 // the "absent means n" invariant.
-func (c *Config) Set(name string, v Value) {
-	if v.Tri == No && v.Str == "" {
+func (c *Config) Set(name string, v Tristate) {
+	if v == No {
 		delete(c.values, name)
 		return
 	}
-	c.values[name] = v
+	c.values[name] = struct{}{}
 }
 
 // Enable sets a symbol to y.
-func (c *Config) Enable(name string) { c.Set(name, TriValue(Yes)) }
+func (c *Config) Enable(name string) { c.values[name] = struct{}{} }
 
 // Disable removes a symbol.
 func (c *Config) Disable(name string) { delete(c.values, name) }
 
-// Enabled reports whether the symbol is set to m or y.
-func (c *Config) Enabled(name string) bool { return c.values[name].Tri.Bool() }
+// Enabled reports whether the symbol is set to y.
+func (c *Config) Enabled(name string) bool {
+	_, ok := c.values[name]
+	return ok
+}
 
 // Len reports the number of set symbols.
 func (c *Config) Len() int { return len(c.values) }
@@ -55,19 +62,19 @@ func (c *Config) Names() []string {
 // Clone returns a deep copy of the configuration.
 func (c *Config) Clone() *Config {
 	out := NewConfig()
-	for n, v := range c.values {
-		out.values[n] = v
+	for n := range c.values {
+		out.values[n] = struct{}{}
 	}
 	return out
 }
 
-// Equal reports whether two configurations set exactly the same values.
+// Equal reports whether two configurations set exactly the same symbols.
 func (c *Config) Equal(o *Config) bool {
 	if len(c.values) != len(o.values) {
 		return false
 	}
-	for n, v := range c.values {
-		if o.values[n] != v {
+	for n := range c.values {
+		if _, ok := o.values[n]; !ok {
 			return false
 		}
 	}
@@ -78,19 +85,14 @@ func (c *Config) Equal(o *Config) bool {
 type Diff struct {
 	Added   []string // set here, absent in base
 	Removed []string // set in base, absent here
-	Changed []string // set in both with different values
 }
 
 // DiffFrom computes the difference c - base.
 func (c *Config) DiffFrom(base *Config) Diff {
 	var d Diff
-	for n, v := range c.values {
-		bv, ok := base.values[n]
-		switch {
-		case !ok:
+	for n := range c.values {
+		if _, ok := base.values[n]; !ok {
 			d.Added = append(d.Added, n)
-		case bv != v:
-			d.Changed = append(d.Changed, n)
 		}
 	}
 	for n := range base.values {
@@ -100,7 +102,6 @@ func (c *Config) DiffFrom(base *Config) Diff {
 	}
 	sort.Strings(d.Added)
 	sort.Strings(d.Removed)
-	sort.Strings(d.Changed)
 	return d
 }
 
@@ -108,14 +109,7 @@ func (c *Config) DiffFrom(base *Config) Diff {
 // sorted for reproducible output.
 func (c *Config) WriteDotConfig(w io.Writer) error {
 	for _, n := range c.Names() {
-		v := c.values[n]
-		var line string
-		if v.Str != "" {
-			line = fmt.Sprintf("CONFIG_%s=%s\n", n, v.Str)
-		} else {
-			line = fmt.Sprintf("CONFIG_%s=%s\n", n, v.Tri)
-		}
-		if _, err := io.WriteString(w, line); err != nil {
+		if _, err := io.WriteString(w, "CONFIG_"+n+"=y\n"); err != nil {
 			return err
 		}
 	}

@@ -16,17 +16,14 @@ config NET
 config INET
 	bool "TCP/IP networking"
 	depends on NET
-	select CRYPTO_LIB
-
-config CRYPTO_LIB
-	bool
 
 config DEBUG
 	bool "Debugging"
-	default y if INET
+	depends on INET
+	default y
 `
 	db := kconfig.NewDatabase()
-	if err := kconfig.NewParser(db, nil).ParseString("net/Kconfig", src); err != nil {
+	if err := kconfig.NewParser(db).ParseString("net/Kconfig", src); err != nil {
 		panic(err)
 	}
 
@@ -42,41 +39,8 @@ config DEBUG
 	}
 	fmt.Println("defconfig:", min.Names())
 	// Output:
-	// CONFIG_CRYPTO_LIB=y
 	// CONFIG_DEBUG=y
 	// CONFIG_INET=y
 	// CONFIG_NET=y
 	// defconfig: [INET NET]
-}
-
-// ExampleResolve_selectWarning demonstrates kconfig's notorious behaviour:
-// select forces a symbol on even when its dependencies are unmet.
-func ExampleResolve_selectWarning() {
-	src := `
-config A
-	bool "a"
-	select B
-
-config B
-	bool "b"
-	depends on C
-
-config C
-	bool "c"
-`
-	db := kconfig.NewDatabase()
-	if err := kconfig.NewParser(db, nil).ParseString("Kconfig", src); err != nil {
-		panic(err)
-	}
-	res, err := kconfig.Resolve(db, kconfig.NewRequest().Enable("A"))
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("B enabled:", res.Config.Enabled("B"))
-	for _, w := range res.Warnings {
-		fmt.Println("warning:", w)
-	}
-	// Output:
-	// B enabled: true
-	// warning: B: selected despite unmet dependency (C)
 }

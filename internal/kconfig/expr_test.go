@@ -5,21 +5,23 @@ import (
 	"testing/quick"
 )
 
-func envOf(m map[string]Tristate) Env {
-	return EnvFunc(func(name string) Value { return TriValue(m[name]) })
+// envOf is a configuration in which names[i] is y when bit i of mask is
+// set; every other symbol is n.
+func envOf(mask uint8, names ...string) *Config {
+	c := NewConfig()
+	for i, n := range names {
+		if mask&(1<<i) != 0 {
+			c.Enable(n)
+		}
+	}
+	return c
 }
 
 func TestTristateLogic(t *testing.T) {
-	tests := []struct {
-		a, b    Tristate
-		and, or Tristate
-	}{
-		{No, No, No, No},
-		{No, Module, No, Module},
-		{No, Yes, No, Yes},
-		{Module, Module, Module, Module},
-		{Module, Yes, Module, Yes},
-		{Yes, Yes, Yes, Yes},
+	tests := []struct{ a, b, and Tristate }{
+		{No, No, No},
+		{No, Yes, No},
+		{Yes, Yes, Yes},
 	}
 	for _, tt := range tests {
 		if got := tt.a.And(tt.b); got != tt.and {
@@ -28,42 +30,31 @@ func TestTristateLogic(t *testing.T) {
 		if got := tt.b.And(tt.a); got != tt.and {
 			t.Errorf("%v && %v = %v, want %v (commutativity)", tt.b, tt.a, got, tt.and)
 		}
-		if got := tt.a.Or(tt.b); got != tt.or {
-			t.Errorf("%v || %v = %v, want %v", tt.a, tt.b, got, tt.or)
-		}
 	}
-	if No.Not() != Yes || Yes.Not() != No || Module.Not() != Module {
-		t.Error("tristate negation wrong")
+	if No.Not() != Yes || Yes.Not() != No {
+		t.Error("negation wrong")
 	}
 }
 
 func TestExprEval(t *testing.T) {
-	env := envOf(map[string]Tristate{"A": Yes, "B": No, "C": Module})
+	env := envOf(0b101, "A", "B", "C")
 	tests := []struct {
 		src  string
 		want Tristate
 	}{
 		{"A", Yes},
 		{"B", No},
-		{"C", Module},
-		{"y", Yes},
-		{"n", No},
-		{"m", Module},
 		{"!A", No},
 		{"!B", Yes},
-		{"!C", Module},
+		{"!!A", Yes},
 		{"A && B", No},
-		{"A && C", Module},
-		{"A || B", Yes},
-		{"B || C", Module},
-		{"A && (B || C)", Module},
+		{"A && C", Yes},
+		{"A && !B", Yes},
+		{"(A)", Yes},
 		{"!(A && B)", Yes},
-		{"A = y", Yes},
-		{"A = n", No},
-		{"A != y", No},
-		{"B = n", Yes},
-		{"C = m", Yes},
-		{"A && !B && C = m", Yes},
+		{"!(A && C)", No},
+		{"A && (C && !B)", Yes},
+		{"A && !B && C", Yes},
 	}
 	for _, tt := range tests {
 		e, err := ParseExpr(tt.src)
@@ -77,7 +68,8 @@ func TestExprEval(t *testing.T) {
 }
 
 func TestExprParseErrors(t *testing.T) {
-	bad := []string{"", "A &&", "&& A", "(A", "A)", "A & B", "A | B", "!", `"unterminated`}
+	bad := []string{"", "A &&", "&& A", "(A", "A)", "()", "A B", "A & B", "A | B", "A || B",
+		"A = y", "A != y", "!", `"s"`, `"unterminated`}
 	for _, src := range bad {
 		if _, err := ParseExpr(src); err == nil {
 			t.Errorf("ParseExpr(%q) succeeded, want error", src)
@@ -86,7 +78,7 @@ func TestExprParseErrors(t *testing.T) {
 }
 
 func TestExprSymbols(t *testing.T) {
-	e, err := ParseExpr("A && !B || C = m && y")
+	e, err := ParseExpr("A && !(B && C)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +98,8 @@ func TestExprSymbols(t *testing.T) {
 // identically under arbitrary environments (print/parse round-trip).
 func TestExprStringRoundTrip(t *testing.T) {
 	srcs := []string{
-		"A", "!A", "A && B", "A || B", "A && (B || C)",
-		"!(A || B) && C", "A = y", "A != m && B",
-		"A && B && C || !B",
+		"A", "!A", "!!A", "A && B", "A && (B && C)", "!(A && B)",
+		"!(A && B) && C", "!(!A && !(B && C))", "A && B && C && !B",
 	}
 	for _, src := range srcs {
 		e1, err := ParseExpr(src)
@@ -119,12 +110,8 @@ func TestExprStringRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("re-parse of %q -> %q: %v", src, e1.String(), err)
 		}
-		f := func(a, b, c uint8) bool {
-			env := envOf(map[string]Tristate{
-				"A": Tristate(a % 3),
-				"B": Tristate(b % 3),
-				"C": Tristate(c % 3),
-			})
+		f := func(mask uint8) bool {
+			env := envOf(mask, "A", "B", "C")
 			return e1.Eval(env) == e2.Eval(env)
 		}
 		if err := quick.Check(f, nil); err != nil {
@@ -133,11 +120,13 @@ func TestExprStringRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: De Morgan's law holds under tristate semantics.
+// Property: De Morgan's law holds for the evaluator: !(A && B) is y
+// exactly when !A or !B is.
 func TestDeMorganProperty(t *testing.T) {
-	f := func(a, b uint8) bool {
-		x, y := Tristate(a%3), Tristate(b%3)
-		return x.And(y).Not() == x.Not().Or(y.Not())
+	a, b := Symbol("A"), Symbol("B")
+	f := func(mask uint8) bool {
+		env := envOf(mask, "A", "B")
+		return Not(And(a, b)).Eval(env).Bool() == (Not(a).Eval(env).Bool() || Not(b).Eval(env).Bool())
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

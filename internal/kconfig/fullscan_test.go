@@ -21,11 +21,10 @@ func resolveEveryOption(db *Database, req *Request) (*Result, error) {
 	cfg := NewConfig()
 	for round := 0; ; round++ {
 		if round >= maxResolveRounds {
-			return nil, fmt.Errorf("kconfig: resolution did not converge after %d rounds (select cycle?)", maxResolveRounds)
+			return nil, fmt.Errorf("kconfig: resolution did not converge after %d rounds", maxResolveRounds)
 		}
 		next := scanRound(db, req, cfg)
 		if next.Equal(cfg) {
-			cfg = next
 			break
 		}
 		cfg = next
@@ -37,7 +36,7 @@ func resolveEveryOption(db *Database, req *Request) (*Result, error) {
 	for id := 1; id <= db.choices; id++ {
 		var asked []string
 		for _, m := range scanChoiceMembers(db, id) {
-			if uv, ok := req.values[m.Name]; ok && uv.Tri.Bool() {
+			if uv, ok := req.values[m.Name]; ok && uv.Bool() {
 				asked = append(asked, m.Name)
 			}
 		}
@@ -48,21 +47,6 @@ func resolveEveryOption(db *Database, req *Request) (*Result, error) {
 			})
 		}
 	}
-	forced := scanSelectedSymbols(db, cfg)
-	for _, n := range cfg.Names() {
-		o := db.Lookup(n)
-		if o == nil {
-			continue
-		}
-		if !EvalOrYes(o.Depends, cfg).Bool() {
-			if forced[n] {
-				res.Warnings = append(res.Warnings, Warning{
-					Symbol: n,
-					Reason: fmt.Sprintf("selected despite unmet dependency (%s)", exprString(o.Depends)),
-				})
-			}
-		}
-	}
 	sort.Slice(res.Warnings, func(i, j int) bool { return res.Warnings[i].Symbol < res.Warnings[j].Symbol })
 	return res, nil
 }
@@ -70,30 +54,20 @@ func resolveEveryOption(db *Database, req *Request) (*Result, error) {
 // scanRound computes one fixpoint iteration over the declarations.
 func scanRound(db *Database, req *Request, prev *Config) *Config {
 	next := NewConfig()
-	forced := scanSelectForce(db, prev)
 	for _, o := range db.Options() {
-		var v Value
+		v := No
 		userSet := false
 		if uv, ok := req.values[o.Name]; ok && o.Visible(prev) {
 			v = uv
 			userSet = true
 		}
-		if f, ok := forced[o.Name]; ok && f > v.Tri && v.Str == "" {
-			v = TriValue(f)
-		}
 		// Defaults fill only values the user left unspecified: an explicit
 		// n in the request suppresses a default y (how .config overrides
 		// defconfig values).
-		if !userSet && v.Tri == No && v.Str == "" {
-			v = defaultValue(o, prev)
+		if !userSet && o.Default && EvalOrYes(o.Depends, prev).Bool() {
+			v = Yes
 		}
-		// bool options cannot be m: promote.
-		if o.Type == TypeBool && v.Tri == Module {
-			v.Tri = Yes
-		}
-		if v.Tri != No || v.Str != "" {
-			next.Set(o.Name, v)
-		}
+		next.Set(o.Name, v)
 	}
 	scanEnforceChoices(db, req, prev, next)
 	return next
@@ -110,7 +84,7 @@ func scanEnforceChoices(db *Database, req *Request, prev, next *Config) {
 		}
 		var winner *Option
 		for _, m := range members {
-			if uv, ok := req.values[m.Name]; ok && uv.Tri.Bool() && m.Visible(prev) {
+			if uv, ok := req.values[m.Name]; ok && uv.Bool() && m.Visible(prev) {
 				winner = m
 				break
 			}
@@ -128,45 +102,12 @@ func scanEnforceChoices(db *Database, req *Request, prev, next *Config) {
 		}
 		for _, m := range members {
 			if m == winner && EvalOrYes(m.Depends, prev).Bool() {
-				next.Set(m.Name, TriValue(Yes))
+				next.Set(m.Name, Yes)
 			} else {
 				next.Disable(m.Name)
 			}
 		}
 	}
-}
-
-// scanSelectForce computes, for each symbol, the strongest value forced
-// on it by enabled selecters in cfg.
-func scanSelectForce(db *Database, cfg *Config) map[string]Tristate {
-	out := make(map[string]Tristate)
-	for _, o := range db.Options() {
-		src := cfg.Get(o.Name).Tri
-		if src == No {
-			continue
-		}
-		for _, s := range o.Selects {
-			if !EvalOrYes(s.Cond, cfg).Bool() {
-				continue
-			}
-			if src > out[s.Target] {
-				out[s.Target] = src
-			}
-		}
-	}
-	return out
-}
-
-// scanSelectedSymbols reports which enabled symbols are the target of an
-// active select in cfg.
-func scanSelectedSymbols(db *Database, cfg *Config) map[string]bool {
-	out := make(map[string]bool)
-	for t, v := range scanSelectForce(db, cfg) {
-		if v.Bool() {
-			out[t] = true
-		}
-	}
-	return out
 }
 
 // scanChoiceMembers returns the group's members in declaration order.
@@ -181,26 +122,23 @@ func scanChoiceMembers(db *Database, id int) []*Option {
 }
 
 // fuzzCase decodes a database and a request from fuzz input. The first
-// byte is a header; every 4 bytes after it declare one option S<i>, at
+// byte is a header; every 2 bytes after it declare one option S<i>, at
 // most 16 of them:
 //
 //	header   bits 0-2: group 1's declared default S<k-1> (k = 0: none)
 //	         bits 3-5: group 2's declared default, the same way
 //	         bit 6:    the request also sets an undeclared symbol
 //	         bit 7:    declare a second choice group
-//	kind     bits 0-1: bool, tristate, string, bool
+//	kind     bit 0:    default y
+//	         bit 1:    negate the dependency (a missing one stays missing)
 //	         bit 2:    no prompt (invisible)
 //	         bits 3-4: choice group (0 and 3: none)
-//	         bits 5-7: request none, y, m, n, "s", none, none, none
+//	         bits 5-6: request none, y, n, none
 //	depends  bits 0-1: none, A, !A, A && B; bits 2-7: A, and B = A+1
-//	select   bits 0-1: none, T, T if A, T if !A; bits 2-7: T, and A = T+1
-//	default  bits 0-1: none, v, v if A, v if !A; bits 2-3: v = n, m, y, y
-//	         (a string option's v is "d", or "" for n); bits 4-7: A
 //
 // Indices wrap modulo the number of declared options. Inert options — no
-// default, no select, in no group, never requested or selected — come
-// before and after the declared ones; a quarter of them depend on a
-// declared option.
+// default, in no group, never requested — come before and after the
+// declared ones; a quarter of them depend on a declared option.
 func fuzzCase(data []byte) (*Database, *Request) {
 	db := NewDatabase()
 	req := NewRequest()
@@ -208,20 +146,11 @@ func fuzzCase(data []byte) (*Database, *Request) {
 		return db, req
 	}
 	header, recs := data[0], data[1:]
-	n := min(len(recs)/4, 16)
+	n := min(len(recs)/2, 16)
 	sym := func(b byte) Expr { return Symbol(fmt.Sprintf("S%d", int(b)%max(n, 1))) }
-	cond := func(form, a byte) Expr {
-		switch form {
-		case 2:
-			return sym(a)
-		case 3:
-			return Not(sym(a))
-		}
-		return nil
-	}
 	inert := func(from, to int) {
 		for i := from; i < to; i++ {
-			o := &Option{Name: fmt.Sprintf("INERT%04d", i), Type: TypeBool, Prompt: "inert"}
+			o := &Option{Name: fmt.Sprintf("INERT%04d", i), Prompt: "inert"}
 			if i%4 == 0 && n > 0 {
 				o.Depends = sym(byte(i))
 			}
@@ -238,8 +167,8 @@ func fuzzCase(data []byte) (*Database, *Request) {
 	}
 	inert(0, 1500)
 	for i := 0; i < n; i++ {
-		kind, dep, sel, def := recs[4*i], recs[4*i+1], recs[4*i+2], recs[4*i+3]
-		o := &Option{Name: fmt.Sprintf("S%d", i), Type: []OptionType{TypeBool, TypeTristate, TypeString, TypeBool}[kind&3]}
+		kind, dep := recs[2*i], recs[2*i+1]
+		o := &Option{Name: fmt.Sprintf("S%d", i), Default: kind&1 != 0}
 		if kind&4 == 0 {
 			o.Prompt = o.Name
 		}
@@ -254,26 +183,15 @@ func fuzzCase(data []byte) (*Database, *Request) {
 		case 3:
 			o.Depends = And(sym(dep>>2), sym(dep>>2+1))
 		}
-		if sel&3 != 0 {
-			o.Selects = []Select{{Target: fmt.Sprintf("S%d", int(sel>>2)%n), Cond: cond(sel&3, sel>>2+1)}}
-		}
-		if def&3 != 0 {
-			v := TriValue([]Tristate{No, Module, Yes, Yes}[def>>2&3])
-			if o.Type == TypeString && v.Tri != No {
-				v = StrValue("d")
-			}
-			o.Defaults = []Default{{Value: v, Cond: cond(def&3, def>>4)}}
+		if kind&2 != 0 && o.Depends != nil {
+			o.Depends = Not(o.Depends)
 		}
 		db.MustAdd(o)
-		switch kind >> 5 {
+		switch kind >> 5 & 3 {
 		case 1:
 			req.Enable(o.Name)
 		case 2:
-			req.Set(o.Name, TriValue(Module))
-		case 3:
-			req.Set(o.Name, TriValue(No))
-		case 4:
-			req.Set(o.Name, StrValue("s"))
+			req.Set(o.Name, No)
 		}
 	}
 	inert(1500, 3000)
@@ -287,17 +205,19 @@ func fuzzCase(data []byte) (*Database, *Request) {
 // same configuration, the same warnings in the same order and the same
 // error for every database and request fuzzCase decodes.
 func FuzzResolveMatchesFullScan(f *testing.F) {
-	// S0 (requested) selects S1, which depends on the unset S2.
-	f.Add([]byte{0x00, 0x20, 0x00, 0x05, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00})
+	// S0 (requested) depends on S1, which defaults to y once S2, also
+	// requested, is on: three rounds to the fixpoint.
+	f.Add([]byte{0x00, 0x20, 0x05, 0x01, 0x09, 0x20, 0x00})
 	// S0 and S1 are both requested from the group whose default is S1;
 	// S2 is not requested and defaults to y.
-	f.Add([]byte{0x02, 0x28, 0x00, 0x00, 0x00, 0x28, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09})
-	// S0 defaults to `y if !S0` and never converges.
-	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x0b})
+	f.Add([]byte{0x02, 0x28, 0x00, 0x28, 0x00, 0x01, 0x00})
+	// S0 and S1 are both requested, each depending on the other's
+	// negation, so every round flips both and resolution never converges.
+	f.Add([]byte{0x00, 0x20, 0x06, 0x20, 0x02})
 	// Two groups, an undeclared symbol in the request.
-	f.Add([]byte{0xc9, 0x2a, 0x07, 0x06, 0x1d, 0x4b, 0x00, 0x02, 0x2e, 0x89, 0x11, 0x00, 0x00})
-	// Two groups, tristates and strings, requested and defaulted.
-	f.Add([]byte("\x8a tristates, strings, two groups: every byte decodes"))
+	f.Add([]byte{0xc9, 0x2a, 0x07, 0x1d, 0x4b, 0x02, 0x2e, 0x89, 0x11})
+	// Two groups, invisible and negated options, requested and defaulted.
+	f.Add([]byte("\x8a two groups, requested and defaulted: every byte decodes"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db, req := fuzzCase(data)
 		got, gotErr := Resolve(db, req)

@@ -1,18 +1,20 @@
 package kconfig
 
+import "errors"
+
 // Minimize computes a minimal request that resolves to exactly cfg — the
-// `make savedefconfig` operation: every symbol whose value already
-// follows from defaults and selects is dropped from the request. The
-// result is what a kernel developer would commit as a defconfig.
+// `make savedefconfig` operation: every symbol that the rest of the
+// request already turns on, through its `default y` or as its choice
+// group's default, is dropped from the request. The result is what a
+// kernel developer would commit as a defconfig.
 //
 // The algorithm is greedy elimination in reverse declaration order
 // (later symbols tend to be consequences of earlier ones, so removing
 // them first exposes more removals): drop a symbol, re-resolve, keep the
 // drop if the fixpoint is unchanged.
 func Minimize(db *Database, cfg *Config) (*Request, error) {
-	req := RequestFromConfig(cfg)
 	// Verify the starting point reproduces cfg at all.
-	base, err := Resolve(db, req)
+	base, err := Resolve(db, RequestFromConfig(cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -22,50 +24,22 @@ func Minimize(db *Database, cfg *Config) (*Request, error) {
 		return nil, errNotReproducible
 	}
 
-	// Candidates in reverse declaration order.
-	var candidates []string
-	set := make(map[string]Value, cfg.Len())
-	for _, n := range cfg.Names() {
-		set[n] = cfg.Get(n)
-	}
-	for _, o := range db.Options() {
-		if _, ok := set[o.Name]; ok {
-			candidates = append(candidates, o.Name)
+	kept := cfg.Clone()
+	opts := db.Options()
+	for i := len(opts) - 1; i >= 0; i-- {
+		n := opts[i].Name
+		if !kept.Enabled(n) {
+			continue
 		}
-	}
-	for i, j := 0, len(candidates)-1; i < j; i, j = i+1, j-1 {
-		candidates[i], candidates[j] = candidates[j], candidates[i]
-	}
-
-	kept := make(map[string]Value, len(set))
-	for n, v := range set {
-		kept[n] = v
-	}
-	for _, n := range candidates {
-		v := kept[n]
-		delete(kept, n)
-		trial := NewRequest()
-		for kn, kv := range kept {
-			trial.Set(kn, kv)
-		}
-		res, err := Resolve(db, trial)
+		kept.Disable(n)
+		res, err := Resolve(db, RequestFromConfig(kept))
 		if err != nil || !res.Config.Equal(cfg) {
-			kept[n] = v // needed after all
+			kept.Enable(n) // needed after all
 		}
 	}
-	out := NewRequest()
-	for n, v := range kept {
-		out.Set(n, v)
-	}
-	return out, nil
+	return RequestFromConfig(kept), nil
 }
 
 // errNotReproducible is returned when a config cannot be regenerated from
 // its own values under the database's rules.
-var errNotReproducible = &notReproducibleError{}
-
-type notReproducibleError struct{}
-
-func (*notReproducibleError) Error() string {
-	return "kconfig: configuration is not reproducible from its own values; cannot minimize"
-}
+var errNotReproducible = errors.New("kconfig: configuration is not reproducible from its own values; cannot minimize")

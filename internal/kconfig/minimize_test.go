@@ -16,20 +16,20 @@ config NET
 config INET
 	bool "tcp/ip"
 	depends on NET
-	select CRYPTO_LIB
 
-config CRYPTO_LIB
+config HIDDEN
 	bool
 
 config EXTRA
 	bool "extra"
-	default y if INET
+	depends on INET
+	default y
 `
 
 func minimizeDB(t *testing.T) *Database {
 	t.Helper()
 	db := NewDatabase()
-	if err := NewParser(db, nil).ParseString("Kconfig", minimizeKconfig); err != nil {
+	if err := NewParser(db).ParseString("Kconfig", minimizeKconfig); err != nil {
 		t.Fatal(err)
 	}
 	return db
@@ -41,9 +41,9 @@ func TestMinimizeDropsDerivedSymbols(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The resolved config contains CORE (default), CRYPTO_LIB (selected)
-	// and EXTRA (conditional default) on top of the two requested.
-	if got := res.Config.Len(); got != 5 {
+	// The resolved config contains CORE (default) and EXTRA (default with
+	// its dependency met) on top of the two requested.
+	if got := res.Config.Len(); got != 4 {
 		t.Fatalf("resolved config has %d symbols: %v", got, res.Config.Names())
 	}
 	min, err := Minimize(db, res.Config)
@@ -82,7 +82,7 @@ func TestMinimizeEmptyAndDefaultOnly(t *testing.T) {
 func TestMinimizeRejectsForeignConfig(t *testing.T) {
 	db := minimizeDB(t)
 	cfg := NewConfig()
-	cfg.Enable("CRYPTO_LIB") // cannot be user-set: no prompt, only selectable
+	cfg.Enable("HIDDEN") // cannot be user-set: no prompt, no default
 	if _, err := Minimize(db, cfg); err == nil {
 		t.Error("non-reproducible config minimized without error")
 	}

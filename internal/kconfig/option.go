@@ -2,60 +2,15 @@ package kconfig
 
 import "fmt"
 
-// OptionType is the declared type of a configuration option.
-type OptionType int
-
-// Option types, matching the kconfig language.
-const (
-	TypeBool OptionType = iota
-	TypeTristate
-	TypeString
-	TypeInt
-	TypeHex
-)
-
-// String renders the type keyword as it appears in Kconfig files.
-func (t OptionType) String() string {
-	switch t {
-	case TypeBool:
-		return "bool"
-	case TypeTristate:
-		return "tristate"
-	case TypeString:
-		return "string"
-	case TypeInt:
-		return "int"
-	case TypeHex:
-		return "hex"
-	default:
-		return fmt.Sprintf("OptionType(%d)", int(t))
-	}
-}
-
-// Select is a reverse dependency: enabling the declaring option forces
-// Target on whenever Cond (which may be nil) holds.
-type Select struct {
-	Target string
-	Cond   Expr
-}
-
-// Default supplies a value for an option the user did not set, guarded by
-// an optional condition. Defaults are tried in declaration order.
-type Default struct {
-	Value Value
-	Cond  Expr
-}
-
-// Option is a single configuration symbol declaration.
+// Option is a single configuration symbol declaration. Every option is
+// bool.
 type Option struct {
-	Name     string
-	Type     OptionType
-	Prompt   string // empty means the option is not user-visible
-	Dir      string // top-level source directory, e.g. "drivers", "net"
-	Help     string
-	Depends  Expr // nil means unconditional
-	Selects  []Select
-	Defaults []Default
+	Name    string
+	Prompt  string // empty means the option is not user-visible
+	Dir     string // top-level source directory, e.g. "drivers", "net"
+	Help    string
+	Depends Expr // nil means unconditional
+	Default bool // `default y`: y while Depends holds, unless a request sets the visible option
 
 	// Choice is the 1-based id of the mutually-exclusive choice group
 	// the option belongs to (0 = none). Within a group, exactly one
@@ -64,9 +19,10 @@ type Option struct {
 }
 
 // Visible reports whether the option can be set directly by the user in
-// the given environment: it must have a prompt and satisfied dependencies.
-func (o *Option) Visible(env Env) bool {
-	return o.Prompt != "" && EvalOrYes(o.Depends, env).Bool()
+// the given configuration: it must have a prompt and satisfied
+// dependencies.
+func (o *Option) Visible(cfg *Config) bool {
+	return o.Prompt != "" && EvalOrYes(o.Depends, cfg).Bool()
 }
 
 // Database is an ordered collection of option declarations.
@@ -139,31 +95,18 @@ func (db *Database) CountByDir() map[string]int {
 	return counts
 }
 
-// Validate checks referential integrity: every symbol referenced by a
-// dependency, select or default condition must be declared. It returns all
-// problems found.
+// Validate checks referential integrity: every symbol a dependency
+// references must be declared. It returns all problems found.
 func (db *Database) Validate() []error {
 	var errs []error
-	check := func(owner string, e Expr, what string) {
-		if e == nil {
-			return
-		}
-		for _, s := range e.Symbols(nil) {
-			if db.byName[s] == nil {
-				errs = append(errs, fmt.Errorf("kconfig: %s: %s references undeclared symbol %s", owner, what, s))
-			}
-		}
-	}
 	for _, o := range db.ordered {
-		check(o.Name, o.Depends, "depends on")
-		for _, s := range o.Selects {
-			if db.byName[s.Target] == nil {
-				errs = append(errs, fmt.Errorf("kconfig: %s: select references undeclared symbol %s", o.Name, s.Target))
-			}
-			check(o.Name, s.Cond, "select condition")
+		if o.Depends == nil {
+			continue
 		}
-		for _, d := range o.Defaults {
-			check(o.Name, d.Cond, "default condition")
+		for _, s := range o.Depends.Symbols(nil) {
+			if db.byName[s] == nil {
+				errs = append(errs, fmt.Errorf("kconfig: %s: depends on references undeclared symbol %s", o.Name, s))
+			}
 		}
 	}
 	return errs

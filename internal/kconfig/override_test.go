@@ -15,10 +15,10 @@ config OTHER
 	default y
 `
 	db := NewDatabase()
-	if err := NewParser(db, nil).ParseString("Kconfig", src); err != nil {
+	if err := NewParser(db).ParseString("Kconfig", src); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Resolve(db, NewRequest().Set("BASE_FULL", TriValue(No)))
+	res, err := Resolve(db, NewRequest().Set("BASE_FULL", No))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,33 +5,15 @@ import (
 	"strings"
 )
 
-// Loader resolves `source "path"` directives during parsing.
-type Loader interface {
-	Load(path string) (string, error)
-}
-
-// MapLoader is a Loader backed by an in-memory map of path -> contents.
-type MapLoader map[string]string
-
-// Load implements Loader.
-func (m MapLoader) Load(path string) (string, error) {
-	src, ok := m[path]
-	if !ok {
-		return "", fmt.Errorf("kconfig: source file %q not found", path)
-	}
-	return src, nil
-}
-
-// Parser builds a Database from Kconfig-language text.
+// Parser builds a Database from Kconfig-language text. It accepts the
+// subset the package implements and rejects every other keyword.
 type Parser struct {
-	db     *Database
-	loader Loader
+	db *Database
 }
 
-// NewParser returns a parser that appends declarations into db. loader may
-// be nil if no `source` directives are used.
-func NewParser(db *Database, loader Loader) *Parser {
-	return &Parser{db: db, loader: loader}
+// NewParser returns a parser that appends declarations into db.
+func NewParser(db *Database) *Parser {
+	return &Parser{db: db}
 }
 
 // ParseString parses Kconfig text. path is used for error messages and to
@@ -39,10 +21,10 @@ func NewParser(db *Database, loader Loader) *Parser {
 // segment, mirroring Figure 3's by-directory census).
 func (p *Parser) ParseString(path, src string) error {
 	st := &parseState{
-		parser: p,
-		path:   path,
-		dir:    topDir(path),
-		lines:  strings.Split(src, "\n"),
+		db:    p.db,
+		path:  path,
+		dir:   topDir(path),
+		lines: strings.Split(src, "\n"),
 	}
 	return st.run()
 }
@@ -56,20 +38,18 @@ func topDir(path string) string {
 }
 
 type parseState struct {
-	parser *Parser
-	path   string
-	dir    string
-	lines  []string
-	pos    int
+	db    *Database
+	path  string
+	dir   string
+	lines []string
+	pos   int
 
-	cur     *Option // option currently being populated
-	condStk []Expr  // active `if` blocks
-	menuStk []string
+	cur *Option // option currently being populated
 
-	// choice block state: the active group id (0 = none) and whether a
-	// `default` line at choice level is expected next.
-	choiceID      int
-	choiceDefault bool // parsing attributes of the choice itself
+	// choice block state: the active group id (0 = none) and whether the
+	// lines being read are the choice's own attributes.
+	choiceID     int
+	choiceHeader bool
 }
 
 func (st *parseState) errf(format string, args ...interface{}) error {
@@ -87,27 +67,28 @@ func (st *parseState) run() error {
 		kw, rest := splitKeyword(line)
 		var err error
 		switch kw {
-		case "config", "menuconfig":
+		case "config":
 			err = st.beginConfig(rest)
-		case "bool", "tristate", "string", "int", "hex":
-			err = st.typeLine(kw, rest)
+		case "bool":
+			err = st.boolLine(rest)
 		case "prompt":
 			err = st.promptLine(rest)
 		case "depends":
 			err = st.dependsLine(rest)
-		case "select":
-			err = st.selectLine(rest)
 		case "default":
 			err = st.defaultLine(rest)
-		case "help", "---help---":
+		case "help":
+			if rest != "" {
+				err = st.errf("unexpected %q after help", rest)
+			}
 			st.helpBlock()
 		case "choice":
 			st.cur = nil
 			if st.choiceID != 0 {
 				err = st.errf("nested choice blocks are not supported")
 			} else {
-				st.choiceID = st.parser.db.newChoice()
-				st.choiceDefault = true
+				st.choiceID = st.db.newChoice()
+				st.choiceHeader = true
 			}
 		case "endchoice":
 			st.cur = nil
@@ -115,49 +96,14 @@ func (st *parseState) run() error {
 				err = st.errf("endchoice without choice")
 			} else {
 				st.choiceID = 0
-				st.choiceDefault = false
+				st.choiceHeader = false
 			}
-		case "menu":
-			st.cur = nil
-			st.menuStk = append(st.menuStk, unquote(rest))
-		case "endmenu":
-			st.cur = nil
-			if len(st.menuStk) == 0 {
-				err = st.errf("endmenu without menu")
-			} else {
-				st.menuStk = st.menuStk[:len(st.menuStk)-1]
-			}
-		case "if":
-			st.cur = nil
-			var e Expr
-			e, err = ParseExpr(rest)
-			if err == nil {
-				st.condStk = append(st.condStk, e)
-			}
-		case "endif":
-			st.cur = nil
-			if len(st.condStk) == 0 {
-				err = st.errf("endif without if")
-			} else {
-				st.condStk = st.condStk[:len(st.condStk)-1]
-			}
-		case "source":
-			st.cur = nil
-			err = st.sourceLine(rest)
-		case "mainmenu", "comment":
-			st.cur = nil
 		default:
 			err = st.errf("unknown keyword %q", kw)
 		}
 		if err != nil {
 			return err
 		}
-	}
-	if len(st.condStk) != 0 {
-		return st.errf("unterminated if block")
-	}
-	if len(st.menuStk) != 0 {
-		return st.errf("unterminated menu block")
 	}
 	if st.choiceID != 0 {
 		return st.errf("unterminated choice block")
@@ -173,17 +119,12 @@ func splitKeyword(line string) (kw, rest string) {
 }
 
 func (st *parseState) beginConfig(rest string) error {
-	name := strings.TrimSpace(rest)
-	if name == "" {
-		return st.errf("config with no symbol name")
+	if !isSymbol(rest) {
+		return st.errf("config needs one symbol name, got %q", rest)
 	}
-	o := &Option{Name: name, Dir: st.dir, Choice: st.choiceID}
-	st.choiceDefault = false
-	// `if` blocks contribute dependencies to everything inside them.
-	if len(st.condStk) > 0 {
-		o.Depends = And(append([]Expr(nil), st.condStk...)...)
-	}
-	if err := st.parser.db.Add(o); err != nil {
+	o := &Option{Name: rest, Dir: st.dir, Choice: st.choiceID}
+	st.choiceHeader = false
+	if err := st.db.Add(o); err != nil {
 		return st.errf("%v", err)
 	}
 	st.cur = o
@@ -197,40 +138,39 @@ func (st *parseState) need() (*Option, error) {
 	return st.cur, nil
 }
 
-func (st *parseState) typeLine(kw, rest string) error {
+// boolLine reads `bool ["prompt"]`.
+func (st *parseState) boolLine(rest string) error {
 	o, err := st.need()
 	if err != nil {
 		return err
 	}
-	switch kw {
-	case "bool":
-		o.Type = TypeBool
-	case "tristate":
-		o.Type = TypeTristate
-	case "string":
-		o.Type = TypeString
-	case "int":
-		o.Type = TypeInt
-	case "hex":
-		o.Type = TypeHex
-	}
 	if rest != "" {
-		o.Prompt = unquote(rest)
+		o.Prompt, err = st.quoted(rest)
 	}
+	return err
+}
+
+// promptLine reads `prompt "text"`, for an option or a choice group.
+func (st *parseState) promptLine(rest string) error {
+	text, err := st.quoted(rest)
+	if err != nil || st.choiceHeader {
+		return err // the choice group's own prompt has no semantics here
+	}
+	o, err := st.need()
+	if err != nil {
+		return err
+	}
+	o.Prompt = text
 	return nil
 }
 
-func (st *parseState) promptLine(rest string) error {
-	if st.choiceID != 0 && st.choiceDefault {
-		return nil // the choice group's own prompt has no semantics here
+// quoted returns the text of s, which must be exactly one quoted string:
+// a prompt with a condition after it is not part of the language.
+func (st *parseState) quoted(s string) (string, error) {
+	if len(s) < 2 || s[0] != '"' || s[len(s)-1] != '"' || strings.Contains(s[1:len(s)-1], `"`) {
+		return "", st.errf("expected one quoted string, got %s", s)
 	}
-	o, err := st.need()
-	if err != nil {
-		return err
-	}
-	text, _ := splitIf(rest)
-	o.Prompt = unquote(text)
-	return nil
+	return s[1 : len(s)-1], nil
 }
 
 func (st *parseState) dependsLine(rest string) error {
@@ -253,140 +193,87 @@ func (st *parseState) dependsLine(rest string) error {
 	return nil
 }
 
-func (st *parseState) selectLine(rest string) error {
-	o, err := st.need()
-	if err != nil {
-		return err
-	}
-	target, condText := splitIf(rest)
-	target = strings.TrimSpace(target)
-	if target == "" {
-		return st.errf("select with no target")
-	}
-	s := Select{Target: target}
-	if condText != "" {
-		if s.Cond, err = ParseExpr(condText); err != nil {
-			return st.errf("%v", err)
-		}
-	}
-	o.Selects = append(o.Selects, s)
-	return nil
-}
-
+// defaultLine reads a choice group's `default MEMBER` or an option's
+// `default y`; neither takes a condition.
 func (st *parseState) defaultLine(rest string) error {
-	if st.choiceID != 0 && st.choiceDefault {
-		member, _ := splitIf(rest)
-		st.parser.db.setChoiceDefault(st.choiceID, strings.TrimSpace(member))
+	if st.choiceHeader {
+		if !isSymbol(rest) {
+			return st.errf("expected `default MEMBER`, got %q", rest)
+		}
+		st.db.setChoiceDefault(st.choiceID, rest)
 		return nil
 	}
 	o, err := st.need()
 	if err != nil {
 		return err
 	}
-	valText, condText := splitIf(rest)
-	valText = strings.TrimSpace(valText)
-	var d Default
-	switch o.Type {
-	case TypeBool, TypeTristate:
-		t, err := ParseTristate(valText)
-		if err != nil {
-			return st.errf("%v", err)
-		}
-		d.Value = TriValue(t)
-	default:
-		d.Value = StrValue(unquote(valText))
+	if rest != "y" {
+		return st.errf("expected `default y`, got %q", rest)
 	}
-	if condText != "" {
-		if d.Cond, err = ParseExpr(condText); err != nil {
-			return st.errf("%v", err)
-		}
-	}
-	o.Defaults = append(o.Defaults, d)
+	o.Default = true
 	return nil
 }
 
-func (st *parseState) sourceLine(rest string) error {
-	path := unquote(strings.TrimSpace(rest))
-	if st.parser.loader == nil {
-		return st.errf("source %q: no loader configured", path)
-	}
-	src, err := st.parser.loader.Load(path)
-	if err != nil {
-		return st.errf("%v", err)
-	}
-	sub := &parseState{
-		parser: st.parser,
-		path:   path,
-		dir:    topDir(path),
-		lines:  strings.Split(src, "\n"),
-	}
-	return sub.run()
-}
-
-// helpBlock consumes the indented help text following a help keyword and
-// attaches it to the current option (if any).
+// helpBlock consumes the help text following a help keyword and attaches
+// it to the current option (if any). As in Kconfig, the text ends at the
+// first non-blank line indented less than its own first line; that line
+// is an attribute or the next declaration. Each text line is kept trimmed
+// and blank lines are dropped.
 func (st *parseState) helpBlock() {
-	var b strings.Builder
-	for st.pos < len(st.lines) {
+	var text []string
+	level := 1 // an unindented line ends even an empty help block
+	for ; st.pos < len(st.lines); st.pos++ {
 		raw := st.lines[st.pos]
-		trimmed := strings.TrimSpace(raw)
-		if trimmed == "" {
-			st.pos++
+		line := strings.TrimSpace(raw)
+		if line == "" {
 			continue
 		}
-		if !strings.HasPrefix(raw, " ") && !strings.HasPrefix(raw, "\t") {
-			break // dedent ends the help block
+		w := indent(raw)
+		if w < level {
+			break
 		}
-		if b.Len() > 0 {
-			b.WriteByte('\n')
+		if len(text) == 0 {
+			level = w
 		}
-		b.WriteString(trimmed)
-		st.pos++
+		text = append(text, line)
 	}
 	if st.cur != nil {
-		st.cur.Help = b.String()
+		st.cur.Help = strings.Join(text, "\n")
 	}
 }
 
-// splitIf splits "X if EXPR" into (X, EXPR), respecting quotes.
-func splitIf(s string) (head, cond string) {
-	inQuote := false
-	for i := 0; i+4 <= len(s); i++ {
-		if s[i] == '"' {
-			inQuote = !inQuote
-		}
-		if !inQuote && strings.HasPrefix(s[i:], " if ") {
-			return strings.TrimSpace(s[:i]), strings.TrimSpace(s[i+4:])
+// indent is the width of line's leading white space, a tab advancing to
+// the next multiple of 8 as in Kconfig.
+func indent(line string) int {
+	w := 0
+	for _, c := range line {
+		switch c {
+		case ' ':
+			w++
+		case '\t':
+			w = w&^7 + 8
+		default:
+			return w
 		}
 	}
-	return s, ""
-}
-
-func unquote(s string) string {
-	s = strings.TrimSpace(s)
-	if len(s) >= 2 && s[0] == '"' && s[len(s)-1] == '"' {
-		return s[1 : len(s)-1]
-	}
-	return s
+	return w
 }
 
 // --- expression parsing ---
 
-// ParseExpr parses a kconfig dependency expression:
+// ParseExpr parses a `depends on` expression:
 //
-//	expr  := or
-//	or    := and { '||' and }
-//	and   := not { '&&' not }
-//	not   := '!' not | primary
-//	prim  := '(' expr ')' | operand [ ('='|'!=') operand ]
-//	operand := SYMBOL | "literal"
+//	expr := not { '&&' not }
+//	not  := '!' not | '(' expr ')' | SYMBOL
+//
+// A symbol is a run of letters, digits and underscores.
 func ParseExpr(s string) (Expr, error) {
 	toks, err := lexExpr(s)
 	if err != nil {
 		return nil, err
 	}
 	ep := &exprParser{toks: toks}
-	e, err := ep.parseOr()
+	e, err := ep.parseAnd()
 	if err != nil {
 		return nil, err
 	}
@@ -401,33 +288,12 @@ type exprParser struct {
 	pos  int
 }
 
-func (p *exprParser) peek() string {
-	if p.pos < len(p.toks) {
-		return p.toks[p.pos]
-	}
-	return ""
-}
-
 func (p *exprParser) next() string {
-	t := p.peek()
+	if p.pos >= len(p.toks) {
+		return ""
+	}
 	p.pos++
-	return t
-}
-
-func (p *exprParser) parseOr() (Expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.peek() == "||" {
-		p.next()
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = Or(l, r)
-	}
-	return l, nil
+	return p.toks[p.pos-1]
 }
 
 func (p *exprParser) parseAnd() (Expr, error) {
@@ -435,8 +301,8 @@ func (p *exprParser) parseAnd() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.peek() == "&&" {
-		p.next()
+	for p.pos < len(p.toks) && p.toks[p.pos] == "&&" {
+		p.pos++
 		r, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -447,24 +313,17 @@ func (p *exprParser) parseAnd() (Expr, error) {
 }
 
 func (p *exprParser) parseNot() (Expr, error) {
-	if p.peek() == "!" {
-		p.next()
+	switch t := p.next(); t {
+	case "":
+		return nil, fmt.Errorf("kconfig: unexpected end of expression")
+	case "!":
 		x, err := p.parseNot()
 		if err != nil {
 			return nil, err
 		}
 		return Not(x), nil
-	}
-	return p.parsePrimary()
-}
-
-func (p *exprParser) parsePrimary() (Expr, error) {
-	t := p.next()
-	switch t {
-	case "":
-		return nil, fmt.Errorf("kconfig: unexpected end of expression")
 	case "(":
-		e, err := p.parseOr()
+		e, err := p.parseAnd()
 		if err != nil {
 			return nil, err
 		}
@@ -472,72 +331,50 @@ func (p *exprParser) parsePrimary() (Expr, error) {
 			return nil, fmt.Errorf("kconfig: missing )")
 		}
 		return e, nil
-	case ")", "&&", "||", "=", "!=", "!":
+	case ")", "&&":
 		return nil, fmt.Errorf("kconfig: unexpected token %q", t)
+	default:
+		return Symbol(t), nil
 	}
-	switch p.peek() {
-	case "=":
-		p.next()
-		return Eq(t, p.next()), nil
-	case "!=":
-		p.next()
-		return Ne(t, p.next()), nil
-	}
-	return Symbol(t), nil
 }
 
 func lexExpr(s string) ([]string, error) {
 	var toks []string
-	i := 0
-	for i < len(s) {
+	for i := 0; i < len(s); {
 		c := s[i]
 		switch {
 		case c == ' ' || c == '\t':
 			i++
-		case c == '(' || c == ')':
-			toks = append(toks, string(c))
+		case c == '(' || c == ')' || c == '!':
+			toks = append(toks, s[i:i+1])
 			i++
-		case c == '!':
-			if i+1 < len(s) && s[i+1] == '=' {
-				toks = append(toks, "!=")
-				i += 2
-			} else {
-				toks = append(toks, "!")
-				i++
-			}
-		case c == '=':
-			toks = append(toks, "=")
-			i++
-		case c == '&':
-			if i+1 >= len(s) || s[i+1] != '&' {
-				return nil, fmt.Errorf("kconfig: stray & in expression %q", s)
-			}
+		case strings.HasPrefix(s[i:], "&&"):
 			toks = append(toks, "&&")
 			i += 2
-		case c == '|':
-			if i+1 >= len(s) || s[i+1] != '|' {
-				return nil, fmt.Errorf("kconfig: stray | in expression %q", s)
-			}
-			toks = append(toks, "||")
-			i += 2
-		case c == '"':
-			j := strings.IndexByte(s[i+1:], '"')
-			if j < 0 {
-				return nil, fmt.Errorf("kconfig: unterminated string in expression %q", s)
-			}
-			toks = append(toks, s[i:i+j+2])
-			i += j + 2
-		default:
+		case isSymbolByte(c):
 			j := i
-			for j < len(s) && !strings.ContainsRune(" \t()!=&|", rune(s[j])) {
+			for j < len(s) && isSymbolByte(s[j]) {
 				j++
-			}
-			if j == i {
-				return nil, fmt.Errorf("kconfig: bad character %q in expression %q", c, s)
 			}
 			toks = append(toks, s[i:j])
 			i = j
+		default:
+			return nil, fmt.Errorf("kconfig: bad character %q in expression %q", c, s)
 		}
 	}
 	return toks, nil
+}
+
+func isSymbolByte(c byte) bool {
+	return c == '_' || '0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
+}
+
+// isSymbol reports whether s is one symbol name.
+func isSymbol(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !isSymbolByte(s[i]) {
+			return false
+		}
+	}
+	return s != ""
 }

@@ -1,14 +1,13 @@
 package kconfig
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
 const sampleKconfig = `
-mainmenu "Linux Kernel Configuration"
-
 config FUTEX
 	bool "Enable futex support"
 	default y
@@ -21,35 +20,27 @@ config EPOLL
 	depends on FUTEX
 	default y
 
-menu "Networking"
-
 config NET
 	bool "Networking support"
 
-if NET
-
 config INET
 	bool "TCP/IP networking"
-	select CRYPTO_LIB if NET
+	depends on NET
 
 config IPV6
-	tristate "IPv6 protocol"
+	bool "IPv6 protocol"
+	depends on NET
 	depends on INET
-
-endif
-
-endmenu
 
 config CRYPTO_LIB
 	bool
-
-source "fs/Kconfig"
 `
 
 const fsKconfig = `
 config EXT2_FS
-	tristate "Second extended fs support"
-	default m if NET
+	bool "Second extended fs support"
+	depends on NET
+	default y
 
 config PROC_FS
 	bool "/proc file system support"
@@ -59,8 +50,11 @@ config PROC_FS
 func parseSample(t *testing.T) *Database {
 	t.Helper()
 	db := NewDatabase()
-	p := NewParser(db, MapLoader{"fs/Kconfig": fsKconfig})
+	p := NewParser(db)
 	if err := p.ParseString("Kconfig", sampleKconfig); err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if err := p.ParseString("fs/Kconfig", fsKconfig); err != nil {
 		t.Fatalf("parse: %v", err)
 	}
 	return db
@@ -75,65 +69,62 @@ func TestParseBasics(t *testing.T) {
 	if futex == nil {
 		t.Fatal("FUTEX not found")
 	}
-	if futex.Type != TypeBool || futex.Prompt != "Enable futex support" {
+	if futex.Prompt != "Enable futex support" || !futex.Default {
 		t.Errorf("FUTEX = %+v", futex)
 	}
 	if !strings.Contains(futex.Help, "Fast user-space locking") {
 		t.Errorf("help lost: %q", futex.Help)
 	}
-	if len(futex.Defaults) != 1 || futex.Defaults[0].Value.Tri != Yes {
-		t.Errorf("FUTEX defaults = %+v", futex.Defaults)
-	}
-}
-
-func TestParseDependsAndIfBlocks(t *testing.T) {
-	db := parseSample(t)
-	epoll := db.Lookup("EPOLL")
-	if epoll.Depends == nil || epoll.Depends.String() != "FUTEX" {
-		t.Errorf("EPOLL depends = %v", exprString(epoll.Depends))
-	}
-	// INET sits inside `if NET`, so it inherits that dependency.
-	inet := db.Lookup("INET")
-	if inet.Depends == nil || inet.Depends.String() != "NET" {
-		t.Errorf("INET depends = %v", exprString(inet.Depends))
-	}
-	// IPV6 combines the if-block and its own depends.
-	ipv6 := db.Lookup("IPV6")
-	if got := exprString(ipv6.Depends); got != "NET && INET" {
-		t.Errorf("IPV6 depends = %q, want %q", got, "NET && INET")
-	}
-	if ipv6.Type != TypeTristate {
-		t.Errorf("IPV6 type = %v", ipv6.Type)
-	}
-}
-
-func TestParseSelect(t *testing.T) {
-	db := parseSample(t)
-	inet := db.Lookup("INET")
-	if len(inet.Selects) != 1 || inet.Selects[0].Target != "CRYPTO_LIB" {
-		t.Fatalf("INET selects = %+v", inet.Selects)
-	}
-	if inet.Selects[0].Cond == nil || inet.Selects[0].Cond.String() != "NET" {
-		t.Errorf("select cond = %v", exprString(inet.Selects[0].Cond))
-	}
 	// CRYPTO_LIB has no prompt: not user-visible.
-	cl := db.Lookup("CRYPTO_LIB")
-	if cl.Prompt != "" {
-		t.Errorf("CRYPTO_LIB prompt = %q, want hidden", cl.Prompt)
+	if cl := db.Lookup("CRYPTO_LIB"); cl.Prompt != "" || cl.Default {
+		t.Errorf("CRYPTO_LIB = %+v, want hidden without default", cl)
 	}
 }
 
-func TestParseSourceAndDirs(t *testing.T) {
+func TestParseDepends(t *testing.T) {
 	db := parseSample(t)
-	ext2 := db.Lookup("EXT2_FS")
-	if ext2 == nil {
-		t.Fatal("EXT2_FS not parsed from sourced file")
+	for name, want := range map[string]string{
+		"FUTEX": "<nil>",
+		"EPOLL": "FUTEX",
+		"INET":  "NET",
+		// Each `depends on` line adds a conjunct.
+		"IPV6": "NET && INET",
+	} {
+		if got := fmt.Sprint(db.Lookup(name).Depends); got != want {
+			t.Errorf("%s depends = %q, want %q", name, got, want)
+		}
 	}
-	if ext2.Dir != "fs" {
-		t.Errorf("EXT2_FS dir = %q, want fs", ext2.Dir)
+}
+
+// Help text ends, as in Kconfig, at the first line indented less than its
+// own first line: an attribute written after the help block still belongs
+// to the option.
+func TestParseHelpEndsAtDedent(t *testing.T) {
+	src := "config A\n\tbool \"a\"\n\thelp\n\t  text\n\n\t    more\n\tdepends on B\n" +
+		"config B\n\tbool \"b\"\n\thelp\n\t  b's text\nconfig C\n\tbool \"c\"\n\thelp\nconfig D\n\tbool \"d\"\n"
+	db := NewDatabase()
+	if err := NewParser(db).ParseString("Kconfig", src); err != nil {
+		t.Fatal(err)
 	}
-	if len(ext2.Defaults) != 1 || exprString(ext2.Defaults[0].Cond) != "NET" {
-		t.Errorf("EXT2_FS defaults = %+v", ext2.Defaults)
+	a := db.Lookup("A")
+	if got := fmt.Sprint(a.Depends); got != "B" {
+		t.Errorf("A depends = %q, want B", got)
+	}
+	if a.Help != "text\nmore" {
+		t.Errorf("A help = %q, want %q", a.Help, "text\nmore")
+	}
+	if b := db.Lookup("B"); b.Help != "b's text" {
+		t.Errorf("B help = %q", b.Help)
+	}
+	if c := db.Lookup("C"); c.Help != "" || db.Lookup("D") == nil {
+		t.Errorf("empty help block: C help = %q, D declared = %v", c.Help, db.Lookup("D") != nil)
+	}
+}
+
+func TestParseDirs(t *testing.T) {
+	db := parseSample(t)
+	if got := db.Lookup("EXT2_FS").Dir; got != "fs" {
+		t.Errorf("EXT2_FS dir = %q, want fs", got)
 	}
 	counts := db.CountByDir()
 	if counts["fs"] != 2 || counts["."] != 6 {
@@ -143,23 +134,64 @@ func TestParseSourceAndDirs(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	cases := map[string]string{
-		"dup":            "config A\n\tbool\nconfig A\n\tbool\n",
-		"orphan attr":    "bool \"x\"\n",
-		"bad depends":    "config A\n\tdepends FUTEX\n",
-		"bad expr":       "config A\n\tdepends on A &&\n",
-		"endif":          "endif\n",
-		"endmenu":        "endmenu\n",
-		"open if":        "if A\nconfig B\n\tbool\n",
-		"open menu":      "menu \"m\"\n",
-		"unknown kw":     "frobnicate A\n",
-		"missing source": "source \"nope/Kconfig\"\n",
-		"empty config":   "config\n",
+		"dup":                       "config A\n\tbool\nconfig A\n\tbool\n",
+		"orphan attr":               "bool \"x\"\n",
+		"bad depends":               "config A\n\tdepends FUTEX\n",
+		"bad expr":                  "config A\n\tdepends on A &&\n",
+		"unknown kw":                "frobnicate A\n",
+		"empty config":              "config\n",
+		"two names":                 "config A B\n",
+		"default n":                 "config A\n\tbool \"a\"\n\tdefault n\n",
+		"help with text":            "config A\n\tbool \"a\"\n\thelp me\n",
+		"choice default, two names": "choice\n\tdefault A B\nconfig A\n\tbool \"a\"\nendchoice\n",
 	}
 	for name, src := range cases {
 		db := NewDatabase()
-		p := NewParser(db, MapLoader{})
-		if err := p.ParseString("Kconfig", src); err == nil {
+		if err := NewParser(db).ParseString("Kconfig", src); err == nil {
 			t.Errorf("%s: parse succeeded, want error", name)
+		}
+	}
+}
+
+// The parser implements only the subset of Kconfig the kernel tree is
+// written in. A fragment using anything else fails to load, in ParseString
+// or in Validate (the two steps kerneldb's build runs): it never loads as
+// a different kernel.
+func TestRemovedConstructsFailToLoad(t *testing.T) {
+	const b = "config B\n\tbool \"b\"\n"
+	cases := map[string]string{
+		"select":            "config A\n\tbool \"a\"\n\tselect B\n" + b,
+		"tristate":          "config A\n\ttristate \"a\"\n",
+		"string":            "config A\n\tstring \"a\"\n",
+		"int":               "config A\n\tint \"a\"\n",
+		"hex":               "config A\n\thex \"a\"\n",
+		"menuconfig":        "menuconfig A\n\tbool \"a\"\n",
+		"menu":              "menu \"m\"\n" + b + "endmenu\n",
+		"endmenu":           "endmenu\n",
+		"if":                "if B\nconfig A\n\tbool \"a\"\nendif\n" + b,
+		"endif":             "endif\n",
+		"source":            "source \"fs/Kconfig\"\n",
+		"mainmenu":          "mainmenu \"Linux Kernel Configuration\"\n",
+		"comment":           "comment \"c\"\n",
+		"---help---":        "config A\n\tbool \"a\"\n\t---help---\n\t  text\n",
+		"default m":         "config A\n\tbool \"a\"\n\tdefault m\n",
+		"default y if":      "config A\n\tbool \"a\"\n\tdefault y if B\n" + b,
+		"choice default if": "choice\n\tdefault A if B\nconfig A\n\tbool \"a\"\nendchoice\n" + b,
+		"prompt if":         "config A\n\tbool\n\tprompt \"a\" if B\n" + b,
+		"bool prompt if":    "config A\n\tbool \"a\" if B\n" + b,
+		"||":                "config A\n\tbool \"a\"\n\tdepends on A || B\n" + b,
+		"=":                 "config A\n\tbool \"a\"\n\tdepends on B = y\n" + b,
+		"!=":                "config A\n\tbool \"a\"\n\tdepends on B != y\n" + b,
+		"constant y":        "config A\n\tbool \"a\"\n\tdepends on y\n",
+	}
+	for name, src := range cases {
+		db := NewDatabase()
+		err := NewParser(db).ParseString("Kconfig", src)
+		if errs := db.Validate(); err == nil && len(errs) > 0 {
+			err = errs[0]
+		}
+		if err == nil {
+			t.Errorf("%s: loaded without error", name)
 		}
 	}
 }
@@ -170,20 +202,28 @@ func TestDatabaseValidate(t *testing.T) {
 		t.Fatalf("Validate = %v, want clean", errs)
 	}
 	// Introduce a dangling reference.
-	db.MustAdd(&Option{Name: "BROKEN", Type: TypeBool, Depends: Symbol("NO_SUCH")})
+	db.MustAdd(&Option{Name: "BROKEN", Depends: Symbol("NO_SUCH")})
 	if errs := db.Validate(); len(errs) != 1 {
 		t.Fatalf("Validate = %v, want 1 error", errs)
 	}
 }
 
-func TestSplitIfRespectsQuotes(t *testing.T) {
-	head, cond := splitIf(`"a if b" if C`)
-	if head != `"a if b"` || cond != "C" {
-		t.Errorf("splitIf = %q, %q", head, cond)
+// A prompt is exactly one quoted string: "if" inside the quotes is text.
+func TestPromptRespectsQuotes(t *testing.T) {
+	db := NewDatabase()
+	if err := NewParser(db).ParseString("Kconfig", "config A\n\tbool \"a if b\"\nconfig B\n\tprompt \"b\"\n"); err != nil {
+		t.Fatal(err)
 	}
-	head, cond = splitIf("y")
-	if head != "y" || cond != "" {
-		t.Errorf("splitIf = %q, %q", head, cond)
+	if got := db.Lookup("A").Prompt; got != "a if b" {
+		t.Errorf("A prompt = %q", got)
+	}
+	if got := db.Lookup("B").Prompt; got != "b" {
+		t.Errorf("B prompt = %q", got)
+	}
+	for _, bad := range []string{`bool a`, `bool "a`, `bool "a" "b"`, `prompt "a" if B`} {
+		if err := NewParser(NewDatabase()).ParseString("Kconfig", "config A\n\t"+bad+"\n"); err == nil {
+			t.Errorf("%s: parse succeeded, want error", bad)
+		}
 	}
 }
 
@@ -197,7 +237,7 @@ func TestParserRobustnessProperty(t *testing.T) {
 			}
 		}()
 		db := NewDatabase()
-		NewParser(db, MapLoader{}).ParseString("Kconfig", src)
+		NewParser(db).ParseString("Kconfig", src)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

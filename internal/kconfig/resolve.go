@@ -8,22 +8,23 @@ import (
 // Request is the user's intended configuration: the symbols explicitly set
 // (everything else defaults or stays n).
 type Request struct {
-	values map[string]Value
+	values map[string]Tristate
 }
 
 // NewRequest returns an empty request.
-func NewRequest() *Request { return &Request{values: make(map[string]Value)} }
+func NewRequest() *Request { return &Request{values: make(map[string]Tristate)} }
 
 // Enable marks a symbol for y in the request.
 func (r *Request) Enable(names ...string) *Request {
 	for _, n := range names {
-		r.values[n] = TriValue(Yes)
+		r.values[n] = Yes
 	}
 	return r
 }
 
-// Set records an explicit value for a symbol.
-func (r *Request) Set(name string, v Value) *Request {
+// Set records an explicit value for a symbol. An explicit n keeps a
+// `default y` off.
+func (r *Request) Set(name string, v Tristate) *Request {
 	r.values[name] = v
 	return r
 }
@@ -42,15 +43,11 @@ func (r *Request) Names() []string {
 // used when deriving one profile from another (e.g. lupine-base from
 // microVM minus removed options).
 func RequestFromConfig(c *Config) *Request {
-	r := NewRequest()
-	for _, n := range c.Names() {
-		r.values[n] = c.Get(n)
-	}
-	return r
+	return NewRequest().Enable(c.Names()...)
 }
 
-// Warning describes a non-fatal inconsistency found during resolution,
-// mirroring the kconfig "unmet direct dependencies" diagnostics.
+// Warning describes a non-fatal inconsistency found during resolution: a
+// request for a choice member another requested member beat.
 type Warning struct {
 	Symbol string
 	Reason string
@@ -64,15 +61,16 @@ type Result struct {
 	Warnings []Warning
 }
 
-// maxResolveRounds bounds fixpoint iteration. Select/default chains in the
-// synthetic tree are shallow; real kconfig cycles are declaration errors.
+// maxResolveRounds bounds fixpoint iteration. Dependency chains in the
+// synthetic tree are shallow; options whose dependencies contradict the
+// request can oscillate forever.
 const maxResolveRounds = 64
 
-// Resolve computes a consistent configuration from the request: user
-// selections apply where their dependencies hold, reverse dependencies
-// (select) force symbols on, and defaults fill the rest. Unknown symbols
-// in the request are an error; unmet dependencies forced by select produce
-// warnings, exactly like the kernel's build system.
+// Resolve computes a consistent configuration from the request: a
+// requested value applies while the option is visible, an option the
+// request leaves unset takes its `default y` while its dependencies hold,
+// and each choice group enables exactly one member. Unknown symbols in
+// the request are an error.
 func Resolve(db *Database, req *Request) (*Result, error) {
 	s, err := gather(db, req)
 	if err != nil {
@@ -82,11 +80,10 @@ func Resolve(db *Database, req *Request) (*Result, error) {
 	cfg := NewConfig()
 	for round := 0; ; round++ {
 		if round >= maxResolveRounds {
-			return nil, fmt.Errorf("kconfig: resolution did not converge after %d rounds (select cycle?)", maxResolveRounds)
+			return nil, fmt.Errorf("kconfig: resolution did not converge after %d rounds", maxResolveRounds)
 		}
 		next := resolveRound(db, s, req, cfg)
 		if next.Equal(cfg) {
-			cfg = next
 			break
 		}
 		cfg = next
@@ -98,7 +95,7 @@ func Resolve(db *Database, req *Request) (*Result, error) {
 	for _, members := range s.choices {
 		var asked []string
 		for _, m := range members {
-			if uv, ok := req.values[m.Name]; ok && uv.Tri.Bool() {
+			if uv, ok := req.values[m.Name]; ok && uv.Bool() {
 				asked = append(asked, m.Name)
 			}
 		}
@@ -109,37 +106,24 @@ func Resolve(db *Database, req *Request) (*Result, error) {
 			})
 		}
 	}
-	// Only a select can hold a symbol on past its unmet dependency. No
-	// symbol warns twice (a choice loser is never set), so the sort below
-	// fixes the order whatever order the map yields.
-	for n := range selectForce(s.selecters, cfg) {
-		o := db.Lookup(n)
-		if _, set := cfg.values[n]; set && !EvalOrYes(o.Depends, cfg).Bool() {
-			res.Warnings = append(res.Warnings, Warning{
-				Symbol: n,
-				Reason: fmt.Sprintf("selected despite unmet dependency (%s)", exprString(o.Depends)),
-			})
-		}
-	}
 	sort.SliceStable(res.Warnings, func(i, j int) bool { return res.Warnings[i].Symbol < res.Warnings[j].Symbol })
 	return res, nil
 }
 
 // scope is what the rounds of one Resolve call can touch. Every other
-// option is not requested, not a select's target, has no default and is
-// in no choice group, so every round leaves it n.
+// option is not requested, has no default and is in no choice group, so
+// every round leaves it n.
 type scope struct {
-	live      []*Option   // the options a round can set
-	selecters []*Option   // the options that select
-	choices   [][]*Option // choices[id]: group id's members in declaration order
+	live    []*Option   // the options a round can set
+	choices [][]*Option // choices[id]: group id's members in declaration order
 }
 
 // gather builds the scope of a request in one walk over the declarations;
 // a request naming an undeclared symbol is an error.
 func gather(db *Database, req *Request) (*scope, error) {
 	// The walk adds options with defaults and choice members to live; the
-	// request and the select targets add the rest.
-	walked := func(o *Option) bool { return len(o.Defaults) > 0 || o.Choice != 0 }
+	// request adds the rest.
+	walked := func(o *Option) bool { return o.Default || o.Choice != 0 }
 	s := &scope{choices: make([][]*Option, db.choices+1)}
 	for n := range req.values {
 		o := db.Lookup(n)
@@ -154,21 +138,8 @@ func gather(db *Database, req *Request) (*scope, error) {
 		if walked(o) {
 			s.live = append(s.live, o)
 		}
-		if len(o.Selects) > 0 {
-			s.selecters = append(s.selecters, o)
-		}
 		if id := o.Choice; id > 0 && id <= db.choices {
 			s.choices[id] = append(s.choices[id], o)
-		}
-	}
-	targets := make(map[*Option]bool)
-	for _, o := range s.selecters {
-		for _, sel := range o.Selects {
-			t := db.Lookup(sel.Target)
-			if _, asked := req.values[sel.Target]; t != nil && !asked && !walked(t) && !targets[t] {
-				targets[t] = true
-				s.live = append(s.live, t)
-			}
 		}
 	}
 	return s, nil
@@ -177,34 +148,25 @@ func gather(db *Database, req *Request) (*scope, error) {
 // resolveRound computes one fixpoint iteration over the options the scope
 // says a round can set.
 func resolveRound(db *Database, s *scope, req *Request, prev *Config) *Config {
-	next := &Config{values: make(map[string]Value, len(prev.values))}
-	forced := selectForce(s.selecters, prev)
+	next := &Config{values: make(map[string]struct{}, len(prev.values))}
 	for _, o := range s.live {
-		var v Value
-		userSet := false
-		if uv, ok := req.values[o.Name]; ok && o.Visible(prev) {
-			v = uv
-			userSet = true
-		}
-		if f, ok := forced[o.Name]; ok && f > v.Tri && v.Str == "" {
-			v = TriValue(f)
-		}
-		// Defaults fill only values the user left unspecified: an explicit
-		// n in the request suppresses a default y (how .config overrides
-		// defconfig values).
-		if !userSet && v.Tri == No && v.Str == "" {
-			v = defaultValue(o, prev)
-		}
-		// bool options cannot be m: promote.
-		if o.Type == TypeBool && v.Tri == Module {
-			v.Tri = Yes
-		}
-		if v.Tri != No || v.Str != "" {
-			next.Set(o.Name, v)
-		}
+		next.Set(o.Name, roundValue(o, req, prev))
 	}
 	enforceChoices(db, s.choices, req, prev, next)
 	return next
+}
+
+// roundValue is an option's value after one round: the requested value if
+// the option is visible, else its default. An explicit n in the request
+// thus suppresses a default y (how .config overrides defconfig values).
+func roundValue(o *Option, req *Request, prev *Config) Tristate {
+	if v, ok := req.values[o.Name]; ok && o.Visible(prev) {
+		return v
+	}
+	if o.Default && EvalOrYes(o.Depends, prev).Bool() {
+		return Yes
+	}
+	return No
 }
 
 // enforceChoices applies mutual exclusion within each choice group:
@@ -217,7 +179,7 @@ func enforceChoices(db *Database, choices [][]*Option, req *Request, prev, next 
 		}
 		var winner *Option
 		for _, m := range members {
-			if uv, ok := req.values[m.Name]; ok && uv.Tri.Bool() && m.Visible(prev) {
+			if uv, ok := req.values[m.Name]; ok && uv.Bool() && m.Visible(prev) {
 				winner = m
 				break
 			}
@@ -235,47 +197,12 @@ func enforceChoices(db *Database, choices [][]*Option, req *Request, prev, next 
 		}
 		for _, m := range members {
 			if m == winner && EvalOrYes(m.Depends, prev).Bool() {
-				next.Set(m.Name, TriValue(Yes))
+				next.Enable(m.Name)
 			} else {
 				next.Disable(m.Name)
 			}
 		}
 	}
-}
-
-// selectForce computes, for each symbol, the strongest value forced on it
-// by the enabled selecters in cfg.
-func selectForce(selecters []*Option, cfg *Config) map[string]Tristate {
-	out := make(map[string]Tristate)
-	for _, o := range selecters {
-		src := cfg.Get(o.Name).Tri
-		if src == No {
-			continue
-		}
-		for _, s := range o.Selects {
-			if !EvalOrYes(s.Cond, cfg).Bool() {
-				continue
-			}
-			if src > out[s.Target] {
-				out[s.Target] = src
-			}
-		}
-	}
-	return out
-}
-
-// defaultValue picks the first applicable default whose condition and the
-// option's dependencies hold.
-func defaultValue(o *Option, env Env) Value {
-	if !EvalOrYes(o.Depends, env).Bool() {
-		return Value{}
-	}
-	for _, d := range o.Defaults {
-		if EvalOrYes(d.Cond, env).Bool() {
-			return d.Value
-		}
-	}
-	return Value{}
 }
 
 // DependencyClosure returns the requested names plus every symbol that
@@ -322,7 +249,7 @@ func positiveSymbols(e Expr) []string {
 	walk = func(e Expr, neg bool) {
 		switch v := e.(type) {
 		case symbolExpr:
-			if !neg && v.name != "y" && v.name != "m" && v.name != "n" {
+			if !neg {
 				out = append(out, v.name)
 			}
 		case notExpr:
@@ -330,11 +257,6 @@ func positiveSymbols(e Expr) []string {
 		case andExpr:
 			walk(v.l, neg)
 			walk(v.r, neg)
-		case orExpr:
-			walk(v.l, neg)
-			walk(v.r, neg)
-		case cmpExpr:
-			// comparisons don't contribute enables
 		}
 	}
 	walk(e, false)

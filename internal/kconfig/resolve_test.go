@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -17,19 +16,19 @@ func TestResolveDefaults(t *testing.T) {
 	}
 	cfg := res.Config
 	// FUTEX defaults y; EPOLL defaults y and depends on FUTEX; PROC_FS
-	// defaults y from the sourced file.
+	// defaults y from the second file.
 	for _, n := range []string{"FUTEX", "EPOLL", "PROC_FS"} {
 		if !cfg.Enabled(n) {
 			t.Errorf("%s not enabled by defaults; config=%v", n, cfg.Names())
 		}
 	}
-	// NET is off by default, so EXT2_FS's conditional default must not fire.
+	// NET is off by default, so EXT2_FS's default must not fire.
 	if cfg.Enabled("NET") || cfg.Enabled("EXT2_FS") {
-		t.Errorf("conditional default fired without NET: %v", cfg.Names())
+		t.Errorf("default fired without its dependency NET: %v", cfg.Names())
 	}
 }
 
-func TestResolveUserSelectionAndSelect(t *testing.T) {
+func TestResolveUserSelection(t *testing.T) {
 	db := parseSample(t)
 	res, err := Resolve(db, NewRequest().Enable("NET", "INET"))
 	if err != nil {
@@ -39,13 +38,13 @@ func TestResolveUserSelectionAndSelect(t *testing.T) {
 	if !cfg.Enabled("NET") || !cfg.Enabled("INET") {
 		t.Fatalf("user enables lost: %v", cfg.Names())
 	}
-	// INET selects CRYPTO_LIB (not user-visible) when NET.
-	if !cfg.Enabled("CRYPTO_LIB") {
-		t.Errorf("select did not propagate: %v", cfg.Names())
+	// EXT2_FS's default fires now that its dependency NET is y.
+	if !cfg.Enabled("EXT2_FS") {
+		t.Errorf("EXT2_FS default did not fire with NET: %v", cfg.Names())
 	}
-	// EXT2_FS conditional default fires now that NET=y, as a module.
-	if got := cfg.Get("EXT2_FS").Tri; got != Module {
-		t.Errorf("EXT2_FS = %v, want m", got)
+	// CRYPTO_LIB is invisible and has no default: nothing turns it on.
+	if cfg.Enabled("CRYPTO_LIB") {
+		t.Errorf("CRYPTO_LIB enabled: %v", cfg.Names())
 	}
 }
 
@@ -72,102 +71,10 @@ func TestResolveDependencyGating(t *testing.T) {
 	}
 }
 
-func TestResolveSelectOverridesDeps(t *testing.T) {
-	// A select forces its target on even with unmet dependencies,
-	// producing a warning (kconfig's notorious behaviour).
-	src := `
-config A
-	bool "a"
-	select B
-
-config B
-	bool "b"
-	depends on C
-
-config C
-	bool "c"
-`
-	db := NewDatabase()
-	if err := NewParser(db, nil).ParseString("Kconfig", src); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Resolve(db, NewRequest().Enable("A"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Config.Enabled("B") {
-		t.Fatalf("select did not force B: %v", res.Config.Names())
-	}
-	if len(res.Warnings) != 1 || res.Warnings[0].Symbol != "B" {
-		t.Fatalf("warnings = %v, want unmet-dependency warning for B", res.Warnings)
-	}
-	if !strings.Contains(res.Warnings[0].String(), "unmet") {
-		t.Errorf("warning text = %q", res.Warnings[0])
-	}
-}
-
 func TestResolveUnknownSymbol(t *testing.T) {
 	db := parseSample(t)
 	if _, err := Resolve(db, NewRequest().Enable("NO_SUCH_OPTION")); err == nil {
 		t.Fatal("expected error for undeclared symbol")
-	}
-}
-
-func TestResolveSelectChain(t *testing.T) {
-	src := `
-config A
-	bool "a"
-	select B
-
-config B
-	bool
-	select C
-
-config C
-	bool
-	select D
-
-config D
-	bool
-`
-	db := NewDatabase()
-	if err := NewParser(db, nil).ParseString("Kconfig", src); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Resolve(db, NewRequest().Enable("A"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []string{"A", "B", "C", "D"} {
-		if !res.Config.Enabled(n) {
-			t.Errorf("%s not enabled through select chain", n)
-		}
-	}
-}
-
-func TestResolveBoolPromotesModule(t *testing.T) {
-	src := `
-config T
-	tristate "t"
-	select B
-
-config B
-	bool
-`
-	db := NewDatabase()
-	if err := NewParser(db, nil).ParseString("Kconfig", src); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Resolve(db, NewRequest().Set("T", TriValue(Module)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Config.Get("T").Tri; got != Module {
-		t.Fatalf("T = %v, want m", got)
-	}
-	// A bool selected by an m symbol is promoted to y.
-	if got := res.Config.Get("B").Tri; got != Yes {
-		t.Fatalf("B = %v, want y", got)
 	}
 }
 
@@ -195,11 +102,9 @@ func TestConfigDiffAndDotConfig(t *testing.T) {
 	a := NewConfig()
 	a.Enable("FUTEX")
 	a.Enable("EPOLL")
-	a.Set("CMDLINE", StrValue("console=ttyS0"))
 	b := a.Clone()
 	b.Disable("EPOLL")
 	b.Enable("SMP")
-	b.Set("CMDLINE", StrValue("quiet"))
 
 	d := b.DiffFrom(a)
 	if len(d.Added) != 1 || d.Added[0] != "SMP" {
@@ -208,32 +113,25 @@ func TestConfigDiffAndDotConfig(t *testing.T) {
 	if len(d.Removed) != 1 || d.Removed[0] != "EPOLL" {
 		t.Errorf("Removed = %v", d.Removed)
 	}
-	if len(d.Changed) != 1 || d.Changed[0] != "CMDLINE" {
-		t.Errorf("Changed = %v", d.Changed)
-	}
 
-	if got, want := a.String(), "CONFIG_CMDLINE=console=ttyS0\nCONFIG_EPOLL=y\nCONFIG_FUTEX=y\n"; got != want {
+	if got, want := a.String(), "CONFIG_EPOLL=y\nCONFIG_FUTEX=y\n"; got != want {
 		t.Errorf(".config =\n%s\nwant\n%s", got, want)
 	}
 }
 
 // TestConfigStringGolden pins the .config encoding lupine-build writes:
-// one CONFIG_ line per set symbol in name order, tristate m as "m",
-// string values verbatim (quotes included), and no line at all for a
+// one CONFIG_ line per set symbol in name order, and no line at all for a
 // symbol that is n, where Linux would write "# CONFIG_X is not set".
 func TestConfigStringGolden(t *testing.T) {
 	c := NewConfig()
 	c.Enable("SMP")
-	c.Set("VIRTIO_NET", TriValue(Module))
-	c.Set("CMDLINE", StrValue(`"console=ttyS0 quiet"`))
-	c.Set("NR_CPUS", StrValue("4"))
+	c.Set("VIRTIO_NET", Yes)
 	c.Enable("EPOLL")
 	c.Disable("EPOLL")
-	c.Set("FUTEX", TriValue(No))
-	const want = `CONFIG_CMDLINE="console=ttyS0 quiet"
-CONFIG_NR_CPUS=4
-CONFIG_SMP=y
-CONFIG_VIRTIO_NET=m
+	c.Enable("FUTEX")
+	c.Set("FUTEX", No)
+	const want = `CONFIG_SMP=y
+CONFIG_VIRTIO_NET=y
 `
 	if got := c.String(); got != want {
 		t.Errorf(".config =\n%s\nwant\n%s", got, want)
@@ -244,8 +142,8 @@ CONFIG_VIRTIO_NET=m
 }
 
 // Property: resolution is idempotent — feeding a resolved config back as a
-// request reproduces the same config (on a select-free database where all
-// options are visible).
+// request reproduces the same config (on a database where all options are
+// visible).
 func TestResolveIdempotentProperty(t *testing.T) {
 	src := `
 config A
@@ -268,7 +166,7 @@ config E
 	depends on !D
 `
 	db := NewDatabase()
-	if err := NewParser(db, nil).ParseString("Kconfig", src); err != nil {
+	if err := NewParser(db).ParseString("Kconfig", src); err != nil {
 		t.Fatal(err)
 	}
 	names := []string{"A", "B", "C", "D", "E"}
@@ -294,8 +192,8 @@ config E
 	}
 }
 
-// Property: every enabled symbol in a resolved config either has satisfied
-// dependencies or is the target of an active select (closure invariant).
+// Property: every enabled symbol in a resolved config has satisfied
+// dependencies (closure invariant).
 func TestResolveClosureProperty(t *testing.T) {
 	db := parseSample(t)
 	all := []string{"FUTEX", "EPOLL", "NET", "INET", "IPV6", "EXT2_FS", "PROC_FS"}
@@ -310,13 +208,12 @@ func TestResolveClosureProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		forced := scanSelectedSymbols(db, res.Config)
 		for _, n := range res.Config.Names() {
 			o := db.Lookup(n)
 			if o == nil {
 				return false
 			}
-			if !EvalOrYes(o.Depends, res.Config).Bool() && !forced[n] {
+			if !EvalOrYes(o.Depends, res.Config).Bool() {
 				return false
 			}
 		}
@@ -338,28 +235,27 @@ func TestRequestNamesSorted(t *testing.T) {
 // countingExpr is a `depends on` that counts its evaluations.
 type countingExpr struct{ evals *int }
 
-func (e countingExpr) Eval(Env) Tristate             { *e.evals++; return Yes }
+func (e countingExpr) Eval(*Config) Tristate         { *e.evals++; return Yes }
 func (e countingExpr) Symbols(dst []string) []string { return dst }
 func (e countingExpr) String() string                { return "counted" }
 
 // A round visits only the options it can set: the requested ones, those
-// with defaults, choice members and select targets. The 10,000 others
-// resolve to n without their dependencies ever being evaluated.
+// with defaults and choice members. The 10,000 others resolve to n
+// without their dependencies ever being evaluated.
 func TestResolveSkipsInertOptions(t *testing.T) {
 	evals := 0
 	db := NewDatabase()
 	for i := 0; i < 10000; i++ {
-		db.MustAdd(&Option{Name: fmt.Sprintf("INERT%05d", i), Type: TypeBool, Prompt: "inert", Depends: countingExpr{&evals}})
+		db.MustAdd(&Option{Name: fmt.Sprintf("INERT%05d", i), Prompt: "inert", Depends: countingExpr{&evals}})
 	}
-	db.MustAdd(&Option{Name: "ASKED", Type: TypeBool, Prompt: "asked", Selects: []Select{{Target: "PULLED"}}})
-	db.MustAdd(&Option{Name: "PULLED", Type: TypeBool})
-	db.MustAdd(&Option{Name: "DEFAULTED", Type: TypeBool, Defaults: []Default{{Value: TriValue(Yes)}}})
-	db.MustAdd(&Option{Name: "MEMBER", Type: TypeBool, Prompt: "member", Choice: db.newChoice()})
+	db.MustAdd(&Option{Name: "ASKED", Prompt: "asked"})
+	db.MustAdd(&Option{Name: "DEFAULTED", Default: true})
+	db.MustAdd(&Option{Name: "MEMBER", Prompt: "member", Choice: db.newChoice()})
 	res, err := Resolve(db, NewRequest().Enable("ASKED"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Config.Names(); !slices.Equal(got, []string{"ASKED", "DEFAULTED", "MEMBER", "PULLED"}) {
+	if got := res.Config.Names(); !slices.Equal(got, []string{"ASKED", "DEFAULTED", "MEMBER"}) {
 		t.Errorf("config = %v", got)
 	}
 	if evals != 0 {

@@ -1,31 +1,30 @@
-// Package kconfig implements a Kconfig-style configuration language engine:
-// option declarations with prompts, dependency and select expressions,
-// defaults, a parser for the textual DSL, and a resolver that computes a
-// consistent configuration from user selections — the mechanism Lupine
-// Linux uses for kernel specialization (§3.1 of the paper).
+// Package kconfig implements the subset of the Kconfig language the
+// synthetic Linux 4.0 tree is written in: bool options with prompts and
+// help text, `depends on` expressions over symbols joined by `&&` and `!`,
+// an unconditional `default y`, and choice groups with a default member. A
+// parser reads the textual DSL and rejects every other construct, and a
+// resolver computes a consistent configuration from user selections — the
+// mechanism Lupine Linux uses for kernel specialization (§3.1 of the
+// paper).
 package kconfig
 
 import "fmt"
 
-// Tristate is the value domain of bool and tristate options. Ordering
-// follows the kernel: No < Module < Yes, and boolean logic is min/max
-// over that order.
+// Tristate is the value of an option. Every option is bool, so a value is
+// No or Yes; the type keeps the kernel's name.
 type Tristate int
 
 // Tristate values.
 const (
 	No Tristate = iota
-	Module
 	Yes
 )
 
-// String renders the tristate the way .config files do.
+// String renders the value the way .config files do.
 func (t Tristate) String() string {
 	switch t {
 	case No:
 		return "n"
-	case Module:
-		return "m"
 	case Yes:
 		return "y"
 	default:
@@ -33,67 +32,14 @@ func (t Tristate) String() string {
 	}
 }
 
-// ParseTristate converts "y", "m" or "n" into a Tristate.
-func ParseTristate(s string) (Tristate, error) {
-	switch s {
-	case "y":
-		return Yes, nil
-	case "m":
-		return Module, nil
-	case "n":
-		return No, nil
-	default:
-		return No, fmt.Errorf("kconfig: invalid tristate %q", s)
-	}
-}
+// And is the conjunction.
+func (t Tristate) And(u Tristate) Tristate { return min(t, u) }
 
-// And is the kconfig conjunction: min of the operands.
-func (t Tristate) And(u Tristate) Tristate {
-	if t < u {
-		return t
-	}
-	return u
-}
-
-// Or is the kconfig disjunction: max of the operands.
-func (t Tristate) Or(u Tristate) Tristate {
-	if t > u {
-		return t
-	}
-	return u
-}
-
-// Not is the kconfig negation: y -> n, m -> m, n -> y.
+// Not is the negation.
 func (t Tristate) Not() Tristate { return Yes - t }
 
-// Bool reports whether the value counts as enabled (m or y).
+// Bool reports whether the value counts as enabled.
 func (t Tristate) Bool() bool { return t != No }
 
-// Value is the value of an option: a tristate for bool/tristate options,
-// or a literal string for string/int/hex options.
-type Value struct {
-	Tri Tristate
-	Str string // used by string/int/hex options
-}
-
-// TriValue wraps a Tristate into a Value.
-func TriValue(t Tristate) Value { return Value{Tri: t} }
-
-// StrValue wraps a literal into a Value; literals count as "enabled" for
-// dependency purposes when non-empty, mirroring kconfig semantics closely
-// enough for this model.
-func StrValue(s string) Value {
-	v := Value{Str: s}
-	if s != "" {
-		v.Tri = Yes
-	}
-	return v
-}
-
-// String renders the value for .config output.
-func (v Value) String() string {
-	if v.Str != "" {
-		return v.Str
-	}
-	return v.Tri.String()
-}
+// TriValue returns the request value that sets an option to t.
+func TriValue(t Tristate) Tristate { return t }

@@ -138,7 +138,6 @@ func generateSynthetic(db *DB) error {
 func addSynthetic(db *DB, dir, name string, c Class) {
 	db.Kconfig.MustAdd(&kconfig.Option{
 		Name:    name,
-		Type:    kconfig.TypeBool,
 		Prompt:  "synthetic " + strings.ToLower(classTag(c)) + " option",
 		Dir:     dir,
 		Depends: syntheticDepends(c),

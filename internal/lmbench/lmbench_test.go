@@ -17,7 +17,7 @@ func buildProfile(t *testing.T, name string) *kbuild.Image {
 		req = db.MicroVMRequest()
 	case "lupine-general":
 		req = db.LupineBaseRequest().Enable(kerneldb.GeneralOptions()...).
-			Set("PARAVIRT", kconfig.TriValue(kconfig.No)).
+			Set("PARAVIRT", kconfig.No).
 			Enable("KERNEL_MODE_LINUX")
 	default:
 		t.Fatalf("unknown profile %s", name)

@@ -13,7 +13,7 @@ func img(t *testing.T, name string, opts []string, kml bool) *kbuild.Image {
 	db := kerneldb.MustLoad()
 	req := db.LupineBaseRequest().Enable(opts...)
 	if kml {
-		req.Set("PARAVIRT", kconfig.TriValue(kconfig.No)).Enable("KERNEL_MODE_LINUX")
+		req.Set("PARAVIRT", kconfig.No).Enable("KERNEL_MODE_LINUX")
 	}
 	cfg, err := db.ResolveProfile(req)
 	if err != nil {

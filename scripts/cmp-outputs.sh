@@ -32,6 +32,10 @@ clis='kconfigtool-census kconfigtool census
 kconfigtool-classes kconfigtool classes
 kconfigtool-resolve-general kconfigtool resolve general
 kconfigtool-diff-base-microvm kconfigtool diff base microvm
+kconfigtool-show-kml kconfigtool show KERNEL_MODE_LINUX
+kconfigtool-show-ipc-ns kconfigtool show IPC_NS
+kconfigtool-show-slub kconfigtool show SLUB
+kconfigtool-minimize-base kconfigtool minimize base
 lupine-build-all lupine-build -all
 lupine-build-all-kml lupine-build -all -kml
 manifestgen-all manifestgen -all
