@@ -50,7 +50,7 @@ func TestAbstractBootTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := boot.Simulate(u.Kernel, vmm.Firecracker(), int64(len(u.RootFS)))
+	r, err := boot.Simulate(u.Kernel, vmm.Firecracker(), u.RootFS.Size())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestAbstractThroughputAndDominance(t *testing.T) {
 		t.Error("lupine image not below OSv's")
 	}
 	nokml, _ := core.Build(db, spec2(t, "hello-world"), core.BuildOpts{})
-	r, _ := boot.Simulate(nokml.Kernel, vmm.Firecracker(), int64(len(nokml.RootFS)))
+	r, _ := boot.Simulate(nokml.Kernel, vmm.Firecracker(), nokml.RootFS.Size())
 	hermBoot, _ := herm.BootTime("hello-world")
 	if r.Total >= hermBoot {
 		t.Error("lupine boot not below HermiTux's")

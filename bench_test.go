@@ -107,7 +107,7 @@ func BenchmarkHeadlineNumbers(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r, err := boot.Simulate(u.Kernel, vmm.Firecracker(), int64(len(u.RootFS)))
+		r, err := boot.Simulate(u.Kernel, vmm.Firecracker(), u.RootFS.Size())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func BenchmarkExt2RoundTrip(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ext2.ReadImage(img); err != nil {
+		if _, err := img.Read(nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -68,7 +68,7 @@ func main() {
 	fmt.Printf("built %s\n", u.Kernel.Name)
 	fmt.Printf("  kernel image:   %.2f MB (%s, %d options)\n",
 		u.Kernel.MegabytesMB(), u.Kernel.Opt, u.Kernel.Config.Len())
-	fmt.Printf("  rootfs (ext2):  %.2f MB\n", float64(len(u.RootFS))/1e6)
+	fmt.Printf("  rootfs (ext2):  %.2f MB\n", float64(u.RootFS.Size())/1e6)
 	fmt.Printf("  KML:            %v\n", u.Kernel.KML())
 	fmt.Printf("  manifest opts:  %v\n", u.Spec.Manifest.Options)
 
@@ -103,7 +103,7 @@ func buildAll(kml, tiny bool) {
 			fatal(err)
 		}
 		fmt.Printf("%-14s kernel %-28s %6.2f MB  rootfs %6.2f MB\n",
-			a.Name, u.Kernel.Name, u.Kernel.MegabytesMB(), float64(len(u.RootFS))/1e6)
+			a.Name, u.Kernel.Name, u.Kernel.MegabytesMB(), float64(u.RootFS.Size())/1e6)
 	}
 	st := cache.CacheStats()
 	fmt.Printf("\nkernel cache: %d distinct kernels serve %d applications (%d shared)\n",

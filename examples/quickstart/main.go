@@ -39,7 +39,7 @@ func main() {
 	}
 	fmt.Printf("kernel %s: %.2f MB, %d config options, KML=%v\n",
 		u.Kernel.Name, u.Kernel.MegabytesMB(), u.Kernel.Config.Len(), u.Kernel.KML())
-	fmt.Printf("rootfs: %.2f MB ext2 image\n\n", float64(len(u.RootFS))/1e6)
+	fmt.Printf("rootfs: %.2f MB ext2 image\n\n", float64(u.RootFS.Size())/1e6)
 
 	// 4. Boot under Firecracker and run to completion.
 	vm, err := u.Boot(core.BootOpts{})

@@ -9,6 +9,7 @@ package apps
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"lupine/internal/guest"
@@ -46,12 +47,12 @@ type App struct {
 }
 
 // ContainerImage returns the app's container image metadata (Figure 2's
-// input artifact).
+// input artifact). Its Env is the caller's to change.
 func (a *App) ContainerImage() *rootfs.Image {
 	return &rootfs.Image{
 		Name:       a.Name,
 		Entrypoint: a.Entrypoint,
-		Env:        a.Env,
+		Env:        maps.Clone(a.Env),
 		BinaryKB:   a.BinaryKB,
 	}
 }

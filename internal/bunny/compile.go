@@ -205,7 +205,7 @@ func (c *Cache) Compile(s *Spec, inj *faults.Injector, now simclock.Time) (*Arti
 	art.Uni = u
 	art.KernelID = snapshot.KernelKey(u.Kernel)
 	art.KernelShared = shared
-	art.Cost += rootfsCost(len(u.RootFS))
+	art.Cost += rootfsCost(u.RootFS.Size())
 	if art.KernelShared {
 		art.Cost += artifactFetch // the shared kernel image is fetched, not compiled
 	} else {
@@ -222,7 +222,7 @@ func (c *Cache) Compile(s *Spec, inj *faults.Injector, now simclock.Time) (*Arti
 }
 
 // rootfsCost prices serializing an ext2 image of n bytes.
-func rootfsCost(n int) simclock.Duration {
+func rootfsCost(n int64) simclock.Duration {
 	return simclock.Duration(float64(rootfsBuildPerMB) * float64(n) / (1 << 20))
 }
 

@@ -1,10 +1,11 @@
 package bunny
 
 import (
+	"maps"
 	"strings"
 	"testing"
 
-	"lupine/internal/ext2"
+	"lupine/internal/apps"
 	"lupine/internal/faults"
 	"lupine/internal/kerneldb"
 	"lupine/internal/simclock"
@@ -45,6 +46,38 @@ func TestCompileHitAndMiss(t *testing.T) {
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Errorf("stats = %+v, want 1 hit, 1 miss", st)
+	}
+}
+
+// A spec's Env reaches its own build and no other: compiling redis with
+// an extra variable leaves the registry's redis as it was, and a later
+// plain compile's init script without the variable.
+func TestSpecEnvStaysInItsBuild(t *testing.T) {
+	c := testCache(t, 0)
+	redis, err := apps.Lookup("redis")
+	if err != nil {
+		t.Fatal(err)
+	}
+	registryEnv := maps.Clone(redis.Env)
+	leaky := New("redis")
+	leaky.Env = map[string]string{"LEAK": "1"}
+	leaky.Normalize()
+	a, err := c.Compile(leaky, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(a.Uni.InitScript, "export LEAK=1\n") {
+		t.Errorf("the spec's Env is missing from its init script:\n%s", a.Uni.InitScript)
+	}
+	if !maps.Equal(redis.Env, registryEnv) {
+		t.Errorf("compiling a spec with Env changed the registry's redis Env to %v, was %v", redis.Env, registryEnv)
+	}
+	plain, err := c.Compile(New("redis"), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(plain.Uni.InitScript, "LEAK") {
+		t.Errorf("a plain redis compile carries another spec's Env:\n%s", plain.Uni.InitScript)
 	}
 }
 
@@ -181,7 +214,7 @@ func TestCompileOverlayAndProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := ext2.ReadImage(a.Uni.RootFS)
+	tree, err := a.Uni.RootFS.Read(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

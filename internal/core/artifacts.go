@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
 // WriteArtifacts materializes the unikernel's build products on disk the
@@ -20,21 +23,35 @@ func (u *Unikernel) WriteArtifacts(dir string) ([]string, error) {
 	}
 	files := []struct {
 		name string
-		data []byte
+		data io.WriterTo
 		mode os.FileMode
 	}{
-		{"kernel.config", []byte(u.Kernel.Config.String()), 0o644},
-		{"init.sh", []byte(u.InitScript), 0o755},
+		{"kernel.config", strings.NewReader(u.Kernel.Config.String()), 0o644},
+		{"init.sh", strings.NewReader(u.InitScript), 0o755},
 		{"rootfs.ext2", u.RootFS, 0o644},
-		{"manifest.json", manifestJSON, 0o644},
+		{"manifest.json", bytes.NewReader(manifestJSON), 0o644},
 	}
 	var paths []string
 	for _, f := range files {
 		path := filepath.Join(dir, f.name)
-		if err := os.WriteFile(path, f.data, f.mode); err != nil {
+		if err := writeFile(path, f.data, f.mode); err != nil {
 			return nil, fmt.Errorf("core: writing %s: %w", f.name, err)
 		}
 		paths = append(paths, path)
 	}
 	return paths, nil
+}
+
+// writeFile streams data into the file at path, created with mode or
+// truncated, as os.WriteFile does with a byte slice.
+func writeFile(path string, data io.WriterTo, mode os.FileMode) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, mode)
+	if err != nil {
+		return err
+	}
+	_, err = data.WriteTo(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

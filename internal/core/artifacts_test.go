@@ -39,7 +39,7 @@ func TestWriteArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := ext2.ReadImage(img)
+	tree, err := ext2.FromBytes(img).Read(nil)
 	if err != nil {
 		t.Fatalf("rootfs.ext2 invalid: %v", err)
 	}

@@ -12,6 +12,7 @@ package core
 import (
 	"fmt"
 
+	"lupine/internal/ext2"
 	"lupine/internal/guest"
 	"lupine/internal/kbuild"
 	"lupine/internal/kconfig"
@@ -44,12 +45,13 @@ type BuildOpts struct {
 }
 
 // Unikernel is a built Lupine artifact: a specialized kernel image plus
-// an application root filesystem (real ext2 bytes).
+// an application root filesystem (a real ext2 image, which points at
+// the container image's file bytes).
 type Unikernel struct {
 	Spec       Spec
 	Opts       BuildOpts
 	Kernel     *kbuild.Image
-	RootFS     []byte
+	RootFS     *ext2.Image
 	InitScript string
 }
 

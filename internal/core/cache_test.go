@@ -115,7 +115,7 @@ func TestKernelCacheSharesAcrossRootfsVariants(t *testing.T) {
 	if a.Kernel != b.Kernel || hitA || !hitB {
 		t.Errorf("rootfs-only variants did not share the cached kernel image (hits %v, %v)", hitA, hitB)
 	}
-	if string(a.RootFS) == string(b.RootFS) {
+	if imageDigest(t, a.RootFS) == imageDigest(t, b.RootFS) {
 		t.Error("rootfs images should differ (one carries redis.conf)")
 	}
 	st := cache.CacheStats()

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"lupine/internal/apps"
-	"lupine/internal/ext2"
 	"lupine/internal/guest"
 	"lupine/internal/kerneldb"
 	"lupine/internal/kml"
@@ -75,7 +74,7 @@ func TestBuildKMLVariant(t *testing.T) {
 		t.Fatalf("redis did not start: %q", vm.Console())
 	}
 	// Inspect the built rootfs bytes directly for the patched libc.
-	tree, err := ext2.ReadImage(u.RootFS)
+	tree, err := u.RootFS.Read(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,49 +2,44 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"lupine/internal/ext2"
 	"lupine/internal/guest"
 	"lupine/internal/kerneldb"
+	"lupine/internal/rootfs"
 )
 
-// A booted guest's rootfs files are views of the Unikernel's image
-// until written. A guest that overwrites bytes inside one file,
-// truncates one with O_TRUNC and rewrites it, shortens one with
-// ftruncate and writes inside it, and appends to one reads its own
-// writes; afterwards the image is byte-identical, and a second VM booted
-// from the same Unikernel reads the original contents.
-func TestBootCopiesRootFSOnWrite(t *testing.T) {
-	u, err := Build(kerneldb.MustLoad(), specFor(t, "hello-world"), BuildOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	image := bytes.Clone(u.RootFS)
-	tree, err := ext2.ReadImage(image)
-	if err != nil {
-		t.Fatal(err)
-	}
-	steps := []struct {
-		path  string
-		flags int
-		trunc int64 // ftruncate to this size first; -1 = leave the size
-		at    int64 // seek here before writing; -1 = keep the open offset
-		data  string
-	}{
-		{"/etc/hostname", guest.ORdwr, -1, 1, "XY"},
-		{"/manifest.json", guest.OWronly | guest.OTrunc, -1, -1, "{}"},
-		{"/lib/libm.so", guest.ORdwr, 100, 10, "patched"},
-		{"/bin/busybox", guest.OWronly | guest.OAppend, -1, -1, "tail"},
-	}
-	want := make(map[string]string)
-	orig := make(map[string]string)
-	got := make(map[string]string)
-	for _, s := range steps {
+// cowSteps are the four kinds of write a guest makes to its rootfs:
+// it overwrites bytes inside one file, truncates one with O_TRUNC and
+// rewrites it, shortens one with ftruncate and writes inside it, and
+// appends to one. /lib/libm.so and /bin/busybox are synthesized
+// binaries, whose bytes every image in the process shares.
+var cowSteps = []struct {
+	path  string
+	flags int
+	trunc int64 // ftruncate to this size first; -1 = leave the size
+	at    int64 // seek here before writing; -1 = keep the open offset
+	data  string
+}{
+	{"/etc/hostname", guest.ORdwr, -1, 1, "XY"},
+	{"/manifest.json", guest.OWronly | guest.OTrunc, -1, -1, "{}"},
+	{"/lib/libm.so", guest.ORdwr, 100, 10, "patched"},
+	{"/bin/busybox", guest.OWronly | guest.OAppend, -1, -1, "tail"},
+}
+
+// cowWant returns what a guest booted from tree reads back from each
+// file cowSteps writes, and what the files held before.
+func cowWant(tree *ext2.File) (want, orig map[string]string) {
+	want, orig = make(map[string]string), make(map[string]string)
+	for _, s := range cowSteps {
 		b := bytes.Clone(tree.Lookup(s.path).Data)
-		orig[s.path], got[s.path] = string(b), ""
+		orig[s.path] = string(b)
 		if s.trunc >= 0 {
 			b = b[:s.trunc]
 		}
@@ -58,27 +53,53 @@ func TestBootCopiesRootFSOnWrite(t *testing.T) {
 		}
 		want[s.path] = string(b)
 	}
+	return want, orig
+}
 
+// cowWrite makes cowSteps' writes through p's file syscalls, then reads
+// every file it wrote back into got.
+func cowWrite(p *guest.Proc, got map[string]string) error {
+	for _, s := range cowSteps {
+		fd, e := p.Open(s.path, s.flags)
+		if e == guest.OK && s.trunc >= 0 {
+			e = p.Ftruncate(fd, s.trunc)
+		}
+		if e == guest.OK && s.at >= 0 {
+			_, e = p.Lseek(fd, s.at, guest.SeekSet)
+		}
+		if e == guest.OK {
+			_, e = p.Write(fd, []byte(s.data))
+		}
+		if e != guest.OK {
+			return fmt.Errorf("%s: %v", s.path, e)
+		}
+		p.Close(fd)
+		got[s.path] = ""
+	}
+	return readFiles(p, got)
+}
+
+// A booted guest's rootfs files are views of the bytes the Unikernel's
+// image points at until written. A guest that makes cowSteps' writes
+// reads its own writes; afterwards the image streams the same bytes,
+// and a second VM booted from the same Unikernel reads the original
+// contents.
+func TestBootCopiesRootFSOnWrite(t *testing.T) {
+	u, err := Build(kerneldb.MustLoad(), specFor(t, "hello-world"), BuildOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := imageBytes(t, u.RootFS)
+	tree, err := u.RootFS.Read(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, orig := cowWant(tree)
+
+	got := make(map[string]string)
 	var gotErr error
 	u.Spec.Program = func(p *guest.Proc, _ bool) int {
-		for _, s := range steps {
-			fd, e := p.Open(s.path, s.flags)
-			if e == guest.OK && s.trunc >= 0 {
-				e = p.Ftruncate(fd, s.trunc)
-			}
-			if e == guest.OK && s.at >= 0 {
-				_, e = p.Lseek(fd, s.at, guest.SeekSet)
-			}
-			if e == guest.OK {
-				_, e = p.Write(fd, []byte(s.data))
-			}
-			if e != guest.OK {
-				gotErr = fmt.Errorf("%s: %v", s.path, e)
-				return 1
-			}
-			p.Close(fd)
-		}
-		gotErr = readFiles(p, got)
+		gotErr = cowWrite(p, got)
 		return 0
 	}
 	runVM(t, u)
@@ -90,7 +111,7 @@ func TestBootCopiesRootFSOnWrite(t *testing.T) {
 			t.Errorf("guest reads %s as %d bytes, want its own write (%d bytes)", path, len(got[path]), len(w))
 		}
 	}
-	if !bytes.Equal(u.RootFS, image) {
+	if !bytes.Equal(imageBytes(t, u.RootFS), image) {
 		t.Fatal("guest writes reached the Unikernel's rootfs image")
 	}
 
@@ -107,6 +128,95 @@ func TestBootCopiesRootFSOnWrite(t *testing.T) {
 			t.Errorf("second VM reads %s as %d bytes, want the original %d", path, len(got[path]), len(w))
 		}
 	}
+}
+
+// An image holds no copy of the synthesized binaries: it points at the
+// process-wide cache, as every other image does. Four guests booted at
+// once from one Unikernel each make cowSteps' writes and read their own
+// writes; afterwards the image still streams its pinned bytes, and the
+// cache still returns the binaries it generated.
+func TestConcurrentBootsLeaveSharedBytesAlone(t *testing.T) {
+	const helloImage = "8a8aa272160aa398bea97d33d2f937a5e3395c4a9aac4730a585c6962217e337" // rootfs' imagePins
+	synthesized := func() []string {
+		var sums []string
+		for _, b := range [][]byte{
+			rootfs.SynthBinary("busybox", 160, 96),
+			rootfs.SynthBinary("libm", 90, 0),
+			rootfs.Musl(false),
+			rootfs.Musl(true),
+		} {
+			sum := sha256.Sum256(b)
+			sums = append(sums, hex.EncodeToString(sum[:]))
+		}
+		return sums
+	}
+	before := synthesized()
+	u, err := Build(kerneldb.MustLoad(), specFor(t, "hello-world"), BuildOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := u.RootFS.Read(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := cowWant(tree)
+
+	errs := make([]error, 4)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			guestU := *u // shares Kernel and RootFS; only the program differs
+			got := make(map[string]string)
+			guestU.Spec.Program = func(p *guest.Proc, _ bool) int {
+				errs[i] = cowWrite(p, got)
+				return 0
+			}
+			vm, err := guestU.Boot(BootOpts{ProbeOnly: true})
+			if err == nil {
+				err = vm.Run()
+			}
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			for path, w := range want {
+				if got[path] != w && errs[i] == nil {
+					errs[i] = fmt.Errorf("guest %d reads %s as %d bytes, want its own write (%d bytes)", i, path, len(got[path]), len(w))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	if got := imageDigest(t, u.RootFS); got != helloImage {
+		t.Errorf("after the guests' writes the image streams sha256 %s, pinned %s", got, helloImage)
+	}
+	if after := synthesized(); strings.Join(after, " ") != strings.Join(before, " ") {
+		t.Errorf("guest writes reached the synthesized binaries: sha256 %v, were %v", after, before)
+	}
+}
+
+// imageBytes lays an image out in full.
+func imageBytes(t *testing.T, img *ext2.Image) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := img.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// imageDigest is the hex sha256 of the bytes an image streams.
+func imageDigest(t *testing.T, img *ext2.Image) string {
+	t.Helper()
+	sum := sha256.Sum256(imageBytes(t, img))
+	return hex.EncodeToString(sum[:])
 }
 
 // readFiles reads each path in got through the guest's file syscalls

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"lupine/internal/boot"
-	"lupine/internal/ext2"
 	"lupine/internal/faults"
 	"lupine/internal/guest"
 	"lupine/internal/simclock"
@@ -64,11 +63,11 @@ func (u *Unikernel) Boot(opts BootOpts) (*VM, error) {
 	if mon == nil {
 		mon = vmm.Firecracker()
 	}
-	report, err := boot.SimulateInjected(u.Kernel, mon, int64(len(u.RootFS)), opts.Faults)
+	report, err := boot.SimulateInjected(u.Kernel, mon, u.RootFS.Size(), opts.Faults)
 	if err != nil {
 		return nil, &BootError{Report: report, Err: err}
 	}
-	tree, err := ext2.ReadImageInjected(u.RootFS, opts.Faults)
+	tree, err := u.RootFS.Read(opts.Faults)
 	if err != nil {
 		return nil, &BootError{Report: report, Err: fmt.Errorf("core: mounting rootfs: %w", err)}
 	}
@@ -91,7 +90,7 @@ func (u *Unikernel) Boot(opts BootOpts) (*VM, error) {
 		at += ph.Cost
 		g.KernelLog(at, ph.Name+" done")
 	}
-	g.KernelLog(at, fmt.Sprintf("VFS: Mounted root (ext2 filesystem) readonly on device 254:0 (%d bytes)", len(u.RootFS)))
+	g.KernelLog(at, fmt.Sprintf("VFS: Mounted root (ext2 filesystem) readonly on device 254:0 (%d bytes)", u.RootFS.Size()))
 	g.KernelLog(at, "Run /init as init process")
 	vm := &VM{Unikernel: u, Guest: g, Boot: report}
 	vm.AppProc = g.Spawn("init", func(p *guest.Proc) int {

@@ -11,8 +11,8 @@ import (
 	"lupine/internal/rootfs"
 )
 
-// buildHello builds a hello unikernel with a custom init script injected
-// into the rootfs bytes.
+// buildWithInit builds a hello unikernel with a custom init script
+// injected into the rootfs image.
 func buildWithInit(t *testing.T, script string) *Unikernel {
 	t.Helper()
 	db := kerneldb.MustLoad()
@@ -20,17 +20,15 @@ func buildWithInit(t *testing.T, script string) *Unikernel {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := ext2.ReadImage(u.RootFS)
+	tree, err := u.RootFS.Read(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	init := tree.Lookup("/init")
 	init.Data = []byte(script)
-	data, err := ext2.WriteImage(tree)
-	if err != nil {
+	if u.RootFS, err = ext2.WriteImage(tree); err != nil {
 		t.Fatal(err)
 	}
-	u.RootFS = data
 	u.InitScript = script
 	return u
 }
@@ -108,7 +106,7 @@ func TestBootRejectsCorruptRootFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u.RootFS = u.RootFS[:4096] // truncated image
+	u.RootFS = ext2.FromBytes(imageBytes(t, u.RootFS)[:4096]) // truncated image
 	if _, err := u.Boot(BootOpts{}); err == nil || !strings.Contains(err.Error(), "rootfs") {
 		t.Errorf("boot with corrupt rootfs = %v, want mount error", err)
 	}

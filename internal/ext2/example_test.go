@@ -6,8 +6,8 @@ import (
 	"lupine/internal/ext2"
 )
 
-// Example builds a tiny root filesystem, serializes it to real ext2
-// bytes, and reads a file back out through the parser.
+// Example builds a tiny root filesystem as an ext2 image and reads a
+// file back out through the parser.
 func Example() {
 	root := ext2.NewDir("",
 		ext2.NewDir("etc",
@@ -19,9 +19,9 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("blocks:", len(img)/ext2.BlockSize)
+	fmt.Println("blocks:", img.Size()/ext2.BlockSize)
 
-	back, err := ext2.ReadImage(img)
+	back, err := img.Read(nil)
 	if err != nil {
 		panic(err)
 	}

@@ -4,6 +4,12 @@
 // ext2_dir_entry_2 directory entries. The Lupine pipeline (Figure 2) converts a container
 // root filesystem into such an image, and the guest kernel mounts it as
 // its root filesystem, so these are real bytes, not a mock.
+//
+// An Image holds those bytes by reference: it owns the metadata blocks
+// the writer computes and points at the file bytes of the tree it was
+// written from, as an OCI image names its layers instead of copying
+// them. Image.WriteTo lays the bytes out in full, and Image.Read parses
+// them back.
 package ext2
 
 import (
@@ -38,9 +44,12 @@ const (
 	maxFileBlocks    = directBlocks + pointersPerBlock + pointersPerBlock*pointersPerBlock
 )
 
-// File is a node in the tree to be written into (or read out of) an image.
-// In a tree ReadImage returned, Data may alias the image's bytes and must
-// not be written.
+// File is a node in the tree to be written into (or read out of) an
+// image. Data may alias the caller's bytes both ways: an image
+// WriteImage returns points at the Data it was given, so those bytes
+// must not be written afterwards; and in a tree Image.Read returns, Data
+// may be a view of the bytes the image points at, so it must not be
+// written either.
 type File struct {
 	Name     string // base name; "" only for the root directory
 	Mode     uint16 // permission bits (type bits added automatically)
@@ -108,17 +117,6 @@ func (f *File) Walk(visit func(path string, node *File)) {
 		}
 	}
 	rec("", f)
-}
-
-// TotalBytes sums regular file and symlink payload sizes.
-func (f *File) TotalBytes() int64 {
-	var total int64
-	f.Walk(func(_ string, n *File) {
-		if !n.Dir {
-			total += int64(len(n.Data))
-		}
-	})
-	return total
 }
 
 func (f *File) validate() error {

@@ -36,20 +36,36 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(img)%BlockSize != 0 {
-		t.Fatalf("image size %d not block aligned", len(img))
+	if img.Size()%BlockSize != 0 {
+		t.Fatalf("image size %d not block aligned", img.Size())
 	}
-	back, err := ReadImage(img)
+	back, err := img.Read(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertTreesEqual(t, "/", root, back)
 }
 
-// imageDigest is the hex sha256 of an image, for layout pins.
-func imageDigest(img []byte) string {
-	sum := sha256.Sum256(img)
-	return hex.EncodeToString(sum[:])
+// imageDigest is the hex sha256 of the bytes an image streams, for
+// layout pins.
+func imageDigest(img *Image) string {
+	h := sha256.New()
+	if _, err := img.WriteTo(h); err != nil {
+		panic(err)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// flat lays an image out in full, for tests that corrupt its bytes or
+// look at them directly.
+func flat(t testing.TB, img *Image) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.Grow(int(img.Size()))
+	if _, err := img.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func assertTreesEqual(t *testing.T, path string, want, got *File) {
@@ -86,7 +102,8 @@ func TestSuperblockFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb := img[BlockSize : 2*BlockSize]
+	b := flat(t, img)
+	sb := b[BlockSize : 2*BlockSize]
 	if magic := le.Uint16(sb[56:]); magic != 0xEF53 {
 		t.Errorf("magic = %#x", magic)
 	}
@@ -97,8 +114,8 @@ func TestSuperblockFields(t *testing.T) {
 		t.Errorf("log block size = %d, want 0 (1 KiB)", logBS)
 	}
 	blocks := le.Uint32(sb[4:])
-	if int(blocks)*BlockSize != len(img) {
-		t.Errorf("superblock blocks %d vs image %d", blocks, len(img)/BlockSize)
+	if int(blocks)*BlockSize != len(b) {
+		t.Errorf("superblock blocks %d vs image %d", blocks, len(b)/BlockSize)
 	}
 }
 
@@ -131,7 +148,7 @@ func TestLargeFileIndirection(t *testing.T) {
 		if got := imageDigest(img); got != c.sha256 {
 			t.Errorf("size %d: image sha256 %s, pinned %s", size, got, c.sha256)
 		}
-		back, err := ReadImage(img)
+		back, err := img.Read(nil)
 		if err != nil {
 			t.Fatalf("size %d: read: %v", size, err)
 		}
@@ -153,7 +170,7 @@ func TestManyEntriesDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadImage(img)
+	back, err := img.Read(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +196,7 @@ func TestSymlinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadImage(img)
+	back, err := img.Read(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,20 +230,20 @@ func TestWriteErrors(t *testing.T) {
 }
 
 func TestReadErrors(t *testing.T) {
-	if _, err := ReadImage(nil); err == nil {
+	if _, err := FromBytes(nil).Read(nil); err == nil {
 		t.Error("empty image accepted")
 	}
 	img, err := WriteImage(sampleTree())
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := append([]byte(nil), img...)
+	bad := flat(t, img)
 	le.PutUint16(bad[BlockSize+56:], 0xDEAD)
-	if _, err := ReadImage(bad); err == nil {
+	if _, err := FromBytes(bad).Read(nil); err == nil {
 		t.Error("bad magic accepted")
 	}
-	truncated := img[:2*BlockSize]
-	if _, err := ReadImage(truncated); err == nil {
+	truncated := flat(t, img)[:2*BlockSize]
+	if _, err := FromBytes(truncated).Read(nil); err == nil {
 		t.Error("truncated image accepted")
 	}
 }
@@ -294,7 +311,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		back, err := ReadImage(img)
+		back, err := img.Read(nil)
 		if err != nil {
 			return false
 		}
@@ -325,17 +342,6 @@ func sanitizeName(s string, i int) string {
 	return string(out)
 }
 
-func TestTotalBytes(t *testing.T) {
-	root := NewDir("",
-		NewFile("a", 0o644, make([]byte, 100)),
-		NewDir("d", NewFile("b", 0o644, make([]byte, 50))),
-		NewSymlink("s", "abc"),
-	)
-	if got := root.TotalBytes(); got != 153 {
-		t.Errorf("TotalBytes = %d, want 153", got)
-	}
-}
-
 func TestMultiGroupImage(t *testing.T) {
 	// ~20 MB of payload spans three block groups (8 MiB each).
 	var children []*File
@@ -353,13 +359,13 @@ func TestMultiGroupImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(img) <= 2*blocksPerGroup*BlockSize {
-		t.Fatalf("image only %d bytes; expected to span >2 groups", len(img))
+	if img.Size() <= 2*blocksPerGroup*BlockSize {
+		t.Fatalf("image only %d bytes; expected to span >2 groups", img.Size())
 	}
 	if got, want := imageDigest(img), "812e6a14b7433334a1d7add78e40002810fc17b14480f720a34a0aaf71e01446"; got != want {
 		t.Errorf("image sha256 %s, pinned %s", got, want)
 	}
-	back, err := ReadImage(img)
+	back, err := img.Read(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +397,7 @@ func TestManyInodesSpanGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadImage(img)
+	back, err := img.Read(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,15 +419,16 @@ func TestReaderCorruptionRobustness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	b := flat(t, img)
 	f := func(offset uint32, val byte) (ok bool) {
 		defer func() {
 			if recover() != nil {
 				ok = false
 			}
 		}()
-		mut := append([]byte(nil), img...)
+		mut := bytes.Clone(b)
 		mut[int(offset)%len(mut)] = val
-		ReadImage(mut) // outcome irrelevant; absence of panic is the property
+		FromBytes(mut).Read(nil) // outcome irrelevant; absence of panic is the property
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -435,13 +442,14 @@ func TestReaderTruncationRobustness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	b := flat(t, img)
 	f := func(n uint32) (ok bool) {
 		defer func() {
 			if recover() != nil {
 				ok = false
 			}
 		}()
-		ReadImage(img[:int(n)%(len(img)+1)])
+		FromBytes(b[:int(n)%(len(b)+1)]).Read(nil)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -449,35 +457,50 @@ func TestReaderTruncationRobustness(t *testing.T) {
 	}
 }
 
-// A file's bytes are copied once on the way into an image and not at all
-// on the way out: writing a tree that holds one 1 MiB file makes a fixed,
-// small number of allocations, and reading it back allocates a few
-// kilobytes of metadata, because the file's Data is a view of the image.
+// No file's bytes are copied on the way into an image or out of it:
+// writing a tree that holds one 1 MiB file makes a fixed, small number
+// of allocations that hold only the image's metadata, and reading it
+// back allocates a few kilobytes, because the file's Data is a view of
+// the tree's own slice.
 func TestImageAllocations(t *testing.T) {
-	root := NewDir("", NewFile("blob", 0o644, bytes.Repeat([]byte{0x5A}, 1<<20)))
-	if a := testing.AllocsPerRun(10, func() {
+	data := bytes.Repeat([]byte{0x5A}, 1<<20)
+	root := NewDir("", NewFile("blob", 0o644, data))
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() {
 		if _, err := WriteImage(root); err != nil {
 			t.Fatal(err)
 		}
-	}); a > 100 {
-		t.Errorf("WriteImage: %.0f allocations, want at most 100", a)
+	})
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun calls the function once more to warm up.
+	if allocs > 100 {
+		t.Errorf("WriteImage: %.0f allocations, want at most 100", allocs)
+	}
+	if b := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); b >= 128<<10 {
+		t.Errorf("WriteImage: %d bytes in %.0f allocations, want under 128 KiB", b, allocs)
 	}
 
 	img, err := WriteImage(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const runs = 10
-	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	allocs := testing.AllocsPerRun(runs, func() {
-		if _, err := ReadImage(img); err != nil {
+	allocs = testing.AllocsPerRun(runs, func() {
+		if _, err := img.Read(nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	runtime.ReadMemStats(&after)
-	// AllocsPerRun calls the function once more to warm up.
 	if b := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); b >= 16<<10 {
-		t.Errorf("ReadImage: %d bytes in %.0f allocations, want under 16 KiB", b, allocs)
+		t.Errorf("Read: %d bytes in %.0f allocations, want under 16 KiB", b, allocs)
+	}
+	back, err := img.Read(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := back.Child("blob").Data; len(got) != len(data) || &got[0] != &data[0] || cap(got) != len(got) {
+		t.Error("Read copied the file instead of returning a capped view of the tree's slice")
 	}
 }

@@ -76,9 +76,11 @@ func fuzzTree(in []byte) *File {
 }
 
 // FuzzImageRoundTrip writes a tree decoded from its input and reads it
-// back: the tree must come back the same, and reading, with or without
-// bit flips injected at ext2/block-read, must leave the image's bytes
-// unchanged, since file data may be a view of them.
+// back twice: from the image, and from the bytes the image streams. Both
+// reads must give the tree back; under the same plan of bit flips
+// injected at ext2/block-read, both must give equal trees or equal
+// errors. Neither read may change the streamed bytes or any Data the
+// tree handed in, since file data may be a view of either.
 func FuzzImageRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	var edges []byte
@@ -106,24 +108,36 @@ func FuzzImageRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		orig := bytes.Clone(img)
-		back, err := ReadImage(img)
-		if err != nil {
-			t.Fatal(err)
+		streamed := flat(t, img)
+		orig := bytes.Clone(streamed)
+		for _, src := range []*Image{img, FromBytes(streamed)} {
+			back, err := src.Read(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertTreesEqual(t, "/", root, back)
 		}
-		assertTreesEqual(t, "/", root, back)
-		if !bytes.Equal(img, orig) {
-			t.Fatal("ReadImage changed the image")
+		flips := func() *faults.Injector {
+			return faults.MustNew(faults.Plan{
+				Seed:  uint64(len(in)),
+				Rules: []faults.Rule{{Site: SiteBlockRead, Prob: 0.3, Param: int64(len(in)) * 131}},
+			})
 		}
-		flips := faults.MustNew(faults.Plan{
-			Seed:  uint64(len(in)),
-			Rules: []faults.Rule{{Site: SiteBlockRead, Prob: 0.3, Param: int64(len(in)) * 131}},
-		})
-		if _, err := ReadImageInjected(img, flips); err != nil && !errors.Is(err, ErrIO) {
-			t.Fatalf("with bit flips: error outside the ErrIO taxonomy: %v", err)
+		byRef, refErr := img.Read(flips())
+		byBytes, bytesErr := FromBytes(streamed).Read(flips())
+		if refErr != nil && !errors.Is(refErr, ErrIO) {
+			t.Fatalf("with bit flips: error outside the ErrIO taxonomy: %v", refErr)
 		}
-		if !bytes.Equal(img, orig) {
-			t.Fatal("ReadImageInjected with bit flips changed the image")
+		if fmt.Sprint(refErr) != fmt.Sprint(bytesErr) {
+			t.Fatalf("with bit flips: the image reads as %v, its bytes as %v", refErr, bytesErr)
+		}
+		if refErr == nil {
+			assertTreesEqual(t, "/", byBytes, byRef)
+		}
+		// The image points at the tree's Data, so streaming it again
+		// also shows whether a read wrote into that.
+		if !bytes.Equal(streamed, orig) || !bytes.Equal(flat(t, img), orig) {
+			t.Fatal("reading changed the image's bytes")
 		}
 	})
 }

@@ -6,23 +6,18 @@ import (
 	"lupine/internal/faults"
 )
 
-// ReadImage parses a complete ext2 image (as produced by WriteImage, or
-// any rev-0 image with 1 KiB blocks and one or more block groups) back
-// into a file tree rooted at a nameless directory. Corruption anywhere in
-// the image surfaces as an error wrapping ErrIO (see errors.go), never as
-// a panic.
+// Read parses the image back into a file tree rooted at a nameless
+// directory, with the ext2/block-read fault site armed: every block
+// fetch consults inj (nil reads fault-free). It reads any rev-0 image
+// with 1 KiB blocks and one or more block groups. Corruption anywhere
+// in the image surfaces as an error wrapping ErrIO (see errors.go),
+// never as a panic.
 //
-// Data in the returned tree may alias img: a file's whenever its blocks
-// are contiguous and none was read flipped, and every fast symlink's. So
-// callers must not write into it; its capacity is capped at its length,
-// so an append copies.
-func ReadImage(img []byte) (*File, error) {
-	return ReadImageInjected(img, nil)
-}
-
-// ReadImageInjected is ReadImage with the ext2/block-read fault site
-// armed: every block fetch consults inj (nil behaves like ReadImage).
-func ReadImageInjected(img []byte, inj *faults.Injector) (*File, error) {
+// Data in the returned tree may alias the bytes the image points at: a
+// file's whenever its blocks lie in one run and none was read flipped,
+// and every fast symlink's. So callers must not write into it; its
+// capacity is capped at its length, so an append copies.
+func (img *Image) Read(inj *faults.Injector) (*File, error) {
 	r, err := newReader(img, inj)
 	if err != nil {
 		return nil, err
@@ -36,7 +31,7 @@ func ReadImageInjected(img []byte, inj *faults.Injector) (*File, error) {
 }
 
 type reader struct {
-	img            []byte
+	img            *Image
 	inj            *faults.Injector
 	inodesPerGroup uint32
 	inodesTotal    uint32
@@ -44,11 +39,11 @@ type reader struct {
 	groups         uint32
 }
 
-func newReader(img []byte, inj *faults.Injector) (*reader, error) {
-	if len(img) < 3*BlockSize {
-		return nil, fmt.Errorf("%w: image too small (%d bytes)", ErrTruncated, len(img))
+func newReader(img *Image, inj *faults.Injector) (*reader, error) {
+	if img.size < 3*BlockSize {
+		return nil, fmt.Errorf("%w: image too small (%d bytes)", ErrTruncated, img.size)
 	}
-	sb := img[BlockSize : 2*BlockSize]
+	sb := img.at(BlockSize, 2*BlockSize)
 	if le.Uint16(sb[56:]) != superMagic {
 		return nil, fmt.Errorf("%w: bad magic %#x", ErrBadSuperblock, le.Uint16(sb[56:]))
 	}
@@ -62,8 +57,8 @@ func newReader(img []byte, inj *faults.Injector) (*reader, error) {
 		inodesTotal:    le.Uint32(sb[0:]),
 		totalBlocks:    le.Uint32(sb[4:]),
 	}
-	if int(r.totalBlocks)*BlockSize > len(img) {
-		return nil, fmt.Errorf("%w: claims %d blocks, image has %d", ErrBadSuperblock, r.totalBlocks, len(img)/BlockSize)
+	if int(r.totalBlocks)*BlockSize > img.size {
+		return nil, fmt.Errorf("%w: claims %d blocks, image has %d", ErrBadSuperblock, r.totalBlocks, img.size/BlockSize)
 	}
 	if r.totalBlocks < firstDataBlock+1 {
 		return nil, fmt.Errorf("%w: only %d blocks", ErrBadSuperblock, r.totalBlocks)
@@ -86,31 +81,33 @@ func newReader(img []byte, inj *faults.Injector) (*reader, error) {
 // inodeTableOf reads group g's bg_inode_table from the descriptor table.
 func (r *reader) inodeTableOf(g uint32) uint32 {
 	off := 2*BlockSize + int(g)*32 + 8
-	if off+4 > len(r.img) {
+	if off+4 > r.img.size {
 		return 0
 	}
-	return le.Uint32(r.img[off:])
+	return le.Uint32(r.img.at(off, off+4))
 }
 
-// block fetches block n, running it past the ext2/block-read fault site:
-// an injected short read fails the fetch, an injected bit flip corrupts a
-// copy of the block (the image itself stays intact, like a transient
-// controller error) and reports flipped.
-func (r *reader) block(n uint32) (b []byte, flipped bool, err error) {
+// block runs block n past the ext2/block-read fault site. An injected
+// short read fails the fetch. An injected bit flip returns a copy of
+// the block, zero-padded to BlockSize, with one bit flipped: the image
+// and the bytes it points at stay intact, like a transient controller
+// error. Otherwise flipped is nil and the block reads as the image
+// holds it.
+func (r *reader) block(n uint32) (flipped []byte, err error) {
 	if n == 0 || n >= r.totalBlocks {
-		return nil, false, fmt.Errorf("%w: block %d out of range", ErrIO, n)
+		return nil, fmt.Errorf("%w: block %d out of range", ErrIO, n)
 	}
-	b = r.img[int(n)*BlockSize : (int(n)+1)*BlockSize]
-	if d := r.inj.Hit(SiteBlockRead, 0); d.Fire {
-		if d.Param < 0 {
-			return nil, false, fmt.Errorf("%w: short read of block %d", ErrTruncated, n)
-		}
-		b = append([]byte(nil), b...)
-		off := int(d.Param) % len(b)
-		b[off] ^= 1 << (uint(d.Param) % 8)
-		return b, true, nil
+	d := r.inj.Hit(SiteBlockRead, 0)
+	if !d.Fire {
+		return nil, nil
 	}
-	return b, false, nil
+	if d.Param < 0 {
+		return nil, fmt.Errorf("%w: short read of block %d", ErrTruncated, n)
+	}
+	b := r.img.appendBytes(make([]byte, 0, BlockSize), int(n)*BlockSize, int(n+1)*BlockSize)
+	off := int(d.Param) % len(b)
+	b[off] ^= 1 << (uint(d.Param) % 8)
+	return b, nil
 }
 
 type rawInode struct {
@@ -125,12 +122,15 @@ func (r *reader) inode(ino uint32) (*rawInode, error) {
 		return nil, fmt.Errorf("%w: inode %d out of range", ErrCorruptInode, ino)
 	}
 	g := (ino - 1) / r.inodesPerGroup
+	if g >= r.groups {
+		return nil, fmt.Errorf("%w: inode %d in group %d of %d", ErrCorruptInode, ino, g, r.groups)
+	}
 	idx := (ino - 1) % r.inodesPerGroup
 	off := int(r.inodeTableOf(g))*BlockSize + int(idx)*InodeSize
-	if off+InodeSize > len(r.img) {
+	if off+InodeSize > r.img.size {
 		return nil, fmt.Errorf("%w: inode %d beyond image", ErrCorruptInode, ino)
 	}
-	b := r.img[off : off+InodeSize]
+	b := r.img.at(off, off+InodeSize)
 	in := &rawInode{
 		mode: le.Uint16(b[0:]),
 		size: le.Uint32(b[4:]),
@@ -145,8 +145,8 @@ func (r *reader) inode(ino uint32) (*rawInode, error) {
 // readData collects a file's contents through direct and indirect blocks.
 // Every block passes the fault site once, in file order. While the blocks
 // form one contiguous run of unflipped image blocks the contents are a
-// view of the image; the first gap or flipped block turns them into a
-// copy.
+// view of the bytes the image points at; the first gap or flipped block
+// turns them into a copy.
 func (r *reader) readData(in *rawInode) ([]byte, error) {
 	if int64(in.size) > int64(maxFileBlocks)*BlockSize {
 		return nil, fmt.Errorf("%w: size %d exceeds maximum file size", ErrCorruptInode, in.size)
@@ -158,13 +158,14 @@ func (r *reader) readData(in *rawInode) ([]byte, error) {
 		if remaining <= 0 {
 			return nil
 		}
-		b, flipped, err := r.block(bn)
+		flipped, err := r.block(bn)
 		if err != nil {
 			return err
 		}
 		n := min(remaining, BlockSize)
 		remaining -= n
-		if off := int(bn) * BlockSize; out == nil && !flipped && (hi == 0 || off == hi) {
+		off := int(bn) * BlockSize
+		if out == nil && flipped == nil && (hi == 0 || off == hi) {
 			if hi == 0 {
 				lo = off
 			}
@@ -172,9 +173,13 @@ func (r *reader) readData(in *rawInode) ([]byte, error) {
 			return nil
 		}
 		if out == nil {
-			out = append(make([]byte, 0, in.size), r.img[lo:hi]...)
+			out = r.img.appendBytes(make([]byte, 0, in.size), lo, hi)
 		}
-		out = append(out, b[:n]...)
+		if flipped != nil {
+			out = append(out, flipped[:n]...)
+		} else {
+			out = r.img.appendBytes(out, off, off+n)
+		}
 		return nil
 	}
 	for i := 0; i < directBlocks && remaining > 0; i++ {
@@ -199,15 +204,18 @@ func (r *reader) readData(in *rawInode) ([]byte, error) {
 		return nil, fmt.Errorf("%w: claims %d bytes but blocks are exhausted", ErrCorruptInode, in.size)
 	}
 	if out == nil {
-		out = r.img[lo:hi:hi] // non-nil even for an empty file
+		out = r.img.at(lo, hi)
 	}
 	return out, nil
 }
 
 func (r *reader) walkIndirect(bn uint32, depth int, f func(uint32) error) error {
-	b, _, err := r.block(bn)
+	b, err := r.block(bn)
 	if err != nil {
 		return err
+	}
+	if b == nil {
+		b = r.img.at(int(bn)*BlockSize, int(bn+1)*BlockSize)
 	}
 	for i := 0; i < pointersPerBlock; i++ {
 		p := le.Uint32(b[i*4:])

@@ -1,17 +1,19 @@
 package ext2
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
 
-// WriteImage serializes the file tree rooted at root (which must be a
-// directory; its Name is ignored) into a complete ext2 image. A first
-// pass numbers the inodes, encodes every directory and counts every
-// block, which fixes the group geometry; the image is then allocated
-// once and a second pass writes each block straight into place, so a
-// file's bytes are copied exactly once.
-func WriteImage(root *File) ([]byte, error) {
+// WriteImage lays out the file tree rooted at root (which must be a
+// directory; its Name is ignored) as an ext2 image. A first pass numbers
+// the inodes, encodes every directory and counts every block, which
+// fixes the group geometry and the size of the image's slab; a second
+// pass fills in the slab and records where each file's bytes sit. No
+// file's bytes are copied: the image points at each file's Data, which
+// the caller must not write afterwards.
+func WriteImage(root *File) (*Image, error) {
 	if root == nil || !root.Dir {
 		return nil, fmt.Errorf("ext2: root must be a directory")
 	}
@@ -26,6 +28,9 @@ func WriteImage(root *File) ([]byte, error) {
 		return nil, err
 	}
 	w.writeNode(root)
+	// The group headers went in first; every other run went in in
+	// block order.
+	slices.SortFunc(w.img.runs, func(a, b run) int { return cmp.Compare(a.start, b.start) })
 	return w.img, nil
 }
 
@@ -38,17 +43,21 @@ type node struct {
 }
 
 type writer struct {
-	nodes   map[*File]node
-	nextIno uint32
-	inodes  int // numbered nodes, the root included
-	dirs    int
-	blocks  int // data and pointer blocks the tree needs
+	nodes    map[*File]node
+	nextIno  uint32
+	inodes   int // numbered nodes, the root included
+	dirs     int
+	blocks   int // data and pointer blocks the tree needs
+	computed int // of those, the directory and pointer blocks
 
-	img  []byte
-	geo  []groupGeometry
-	g    int      // group holding the next data block
-	next int      // next data block to hand out
-	ids  []uint32 // reused buffer: the data blocks of the file being written
+	img      *Image
+	geo      []groupGeometry
+	slab     []byte   // every block the writer computes
+	used     int      // slab bytes handed out
+	slabTail bool     // the image's last run is the slab's latest blocks
+	g        int      // group holding the next data block
+	next     int      // next data block to hand out
+	ids      []uint32 // reused buffer: the data blocks of the file being written
 }
 
 // number records n as inode ino under directory parent. Each child takes
@@ -90,6 +99,10 @@ func (w *writer) number(n *File, ino, parent uint32) error {
 		return fmt.Errorf("ext2: file of %d bytes exceeds maximum size", len(content))
 	}
 	w.blocks += nblocks + pointerBlocks(nblocks)
+	w.computed += pointerBlocks(nblocks)
+	if n.Dir {
+		w.computed += nblocks
+	}
 	w.inodes++
 	w.nodes[n] = node{ino: ino, content: content}
 	return nil
@@ -139,19 +152,30 @@ func (w *writer) writeNode(n *File) {
 		copy(inode[40:100], n.Data)
 		return
 	}
-	w.storeData(inode, nd.content)
+	w.storeData(inode, nd.content, n.Dir)
 }
 
-// storeData writes content into the next data blocks, then its single-
-// and double-indirect pointer blocks, and fills in the inode's size,
-// sector count and block pointers.
-func (w *writer) storeData(inode, content []byte) {
+// storeData places content in the next data blocks, then writes its
+// single- and double-indirect pointer blocks and fills in the inode's
+// size, sector count and block pointers. A directory's entries are
+// copied into the slab; a file's bytes stay where the caller has them,
+// as one run per group its blocks span.
+func (w *writer) storeData(inode, content []byte, dir bool) {
 	nblocks := (len(content) + BlockSize - 1) / BlockSize
 	ids := slices.Grow(w.ids[:0], nblocks)
-	for i := 0; i < nblocks; i++ {
-		b := w.alloc()
-		copy(w.img[b*BlockSize:(b+1)*BlockSize], content[i*BlockSize:])
-		ids = append(ids, uint32(b))
+	for off := 0; off < len(content); {
+		first, got := w.take((len(content) - off + BlockSize - 1) / BlockSize)
+		end := min(off+got*BlockSize, len(content))
+		if dir {
+			copy(w.slabRun(first, got), content[off:end])
+		} else {
+			w.img.runs = append(w.img.runs, run{start: first, data: content[off:end]})
+			w.slabTail = false
+		}
+		for b := first; b < first+got; b++ {
+			ids = append(ids, uint32(b))
+		}
+		off = end
 	}
 	w.ids = ids
 	setPtr := func(i int, b uint32) { le.PutUint32(inode[40+4*i:], b) }
@@ -180,28 +204,50 @@ func (w *writer) storeData(inode, content []byte) {
 
 // pointerBlock writes ptrs into the next data block and returns it.
 func (w *writer) pointerBlock(ptrs []uint32) uint32 {
-	b := w.alloc()
+	b, _ := w.take(1)
+	blk := w.slabRun(b, 1)
 	for i, p := range ptrs {
-		le.PutUint32(w.img[b*BlockSize+4*i:], p)
+		le.PutUint32(blk[4*i:], p)
 	}
 	return uint32(b)
 }
 
-// alloc hands out the next data block, filling group data areas in order.
-func (w *writer) alloc() int {
+// take hands out up to n consecutive data blocks, filling group data
+// areas in order, and returns the first and how many it gave: fewer
+// than n where the current group's data area ends.
+func (w *writer) take(n int) (first, got int) {
 	if w.next == w.geo[w.g].dataEnd {
 		w.g++
 		w.next = w.geo[w.g].dataStart
 	}
-	w.next++
-	return w.next - 1
+	first, got = w.next, min(n, w.geo[w.g].dataEnd-w.next)
+	w.next += got
+	return first, got
+}
+
+// slabRun hands out the slab's next k blocks as image blocks b onwards
+// and returns them. The slab fills in block order, so blocks that
+// follow the image's last run both in the image and in the slab extend
+// that run.
+func (w *writer) slabRun(b, k int) []byte {
+	s := w.slab[w.used : w.used+k*BlockSize]
+	w.used += len(s)
+	runs := w.img.runs
+	if n := len(runs) - 1; w.slabTail && runs[n].start+len(runs[n].data)/BlockSize == b {
+		runs[n].data = runs[n].data[:len(runs[n].data)+len(s)]
+	} else {
+		w.img.runs = append(runs, run{start: b, data: s})
+	}
+	w.slabTail = true
+	return s
 }
 
 // inodeSlot is inode ino's record in its group's inode table.
 func (w *writer) inodeSlot(ino uint32) []byte {
 	idx := int(ino) - 1
-	off := w.geo[idx/inodesPerGroup].inodeTable*BlockSize + (idx%inodesPerGroup)*InodeSize
-	return w.img[off : off+InodeSize]
+	g := &w.geo[idx/inodesPerGroup]
+	off := (g.inodeTable-g.start)*BlockSize + (idx%inodesPerGroup)*InodeSize
+	return g.header[off : off+InodeSize]
 }
 
 type dirEntry struct {
@@ -280,11 +326,12 @@ type groupGeometry struct {
 	inodeBM    int
 	inodeTable int
 	dataStart  int
-	dataEnd    int // exclusive; trimmed for the final group
+	dataEnd    int    // exclusive; trimmed for the final group
+	header     []byte // the slab's bytes for blocks [start, dataStart)
 }
 
 // layout fixes the group geometry for the counted blocks and inodes,
-// allocates the image and writes what depends only on that geometry:
+// allocates the slab and writes what depends only on that geometry:
 // superblock, group descriptor table and per-group bitmaps.
 func (w *writer) layout() error {
 	usedInodes := firstFreeInode - 1 + w.inodes - 1 // root occupies reserved slot 2
@@ -339,25 +386,41 @@ func (w *writer) layout() error {
 		assigned += take
 	}
 	totalBlocks := geo[groups-1].dataEnd
-	img := make([]byte, totalBlocks*BlockSize)
+
+	// The slab holds every group's header, then the directory and
+	// pointer blocks in the order they are handed out. The headers are
+	// the image's first runs.
+	headerBlocks := 0
+	for _, g := range geo {
+		headerBlocks += g.dataStart - g.start
+	}
+	slab := make([]byte, (headerBlocks+w.computed)*BlockSize)
+	img := &Image{size: totalBlocks * BlockSize, runs: make([]run, 0, 2*groups+2*w.inodes)}
+	at := 0
+	for g := range geo {
+		n := (geo[g].dataStart - geo[g].start) * BlockSize
+		geo[g].header = slab[at : at+n]
+		at += n
+		img.runs = append(img.runs, run{start: geo[g].start, data: geo[g].header})
+	}
 
 	// Bitmaps: every metadata and assigned data block in a group is used.
-	for g := 0; g < groups; g++ {
-		bm := img[geo[g].blockBM*BlockSize : (geo[g].blockBM+1)*BlockSize]
-		for b := geo[g].start; b < geo[g].dataEnd; b++ {
-			i := b - geo[g].start
+	for n, g := range geo {
+		bm := g.header[(g.blockBM-g.start)*BlockSize:]
+		for b := g.start; b < g.dataEnd; b++ {
+			i := b - g.start
 			bm[i/8] |= 1 << (i % 8)
 		}
-		ibm := img[geo[g].inodeBM*BlockSize : (geo[g].inodeBM+1)*BlockSize]
-		lo := g * inodesPerGroup
+		ibm := g.header[(g.inodeBM-g.start)*BlockSize:]
+		lo := n * inodesPerGroup
 		for i := lo; i < usedInodes && i < lo+inodesPerGroup; i++ {
 			j := i - lo
 			ibm[j/8] |= 1 << (j % 8)
 		}
 	}
 
-	// Superblock at offset 1024.
-	sb := img[1*BlockSize : 2*BlockSize]
+	// Superblock in block 1, group 0's first.
+	sb := geo[0].header[:BlockSize]
 	le.PutUint32(sb[0:], uint32(groups*inodesPerGroup))             // s_inodes_count
 	le.PutUint32(sb[4:], uint32(totalBlocks))                       // s_blocks_count
 	le.PutUint32(sb[12:], 0)                                        // s_free_blocks_count
@@ -371,7 +434,7 @@ func (w *writer) layout() error {
 
 	// Group descriptor table starting in block 2.
 	for g := 0; g < groups; g++ {
-		gd := img[2*BlockSize+g*32 : 2*BlockSize+g*32+32]
+		gd := geo[0].header[BlockSize+g*32 : BlockSize+g*32+32]
 		le.PutUint32(gd[0:], uint32(geo[g].blockBM))
 		le.PutUint32(gd[4:], uint32(geo[g].inodeBM))
 		le.PutUint32(gd[8:], uint32(geo[g].inodeTable))
@@ -379,6 +442,6 @@ func (w *writer) layout() error {
 			le.PutUint16(gd[16:], uint16(w.dirs)) // bg_used_dirs_count
 		}
 	}
-	w.img, w.geo, w.next = img, geo, geo[0].dataStart
+	w.img, w.geo, w.slab, w.used, w.next = img, geo, slab, at, geo[0].dataStart
 	return nil
 }

@@ -1,6 +1,9 @@
 package kconfig
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 const choiceKconfig = `
 config CORE
@@ -33,6 +36,56 @@ func choiceDB(t *testing.T) *Database {
 		t.Fatal(err)
 	}
 	return db
+}
+
+// A choice default that is undeclared, or that belongs to another
+// group, fails to load rather than resolving the group to its first
+// member; the groups are reported in order.
+func TestChoiceDefaultMustBeAMember(t *testing.T) {
+	const src = `
+choice
+	default SLOB
+
+config SLAB
+	bool "SLAB"
+
+endchoice
+
+choice
+	default SLUBB
+
+config SLUB
+	bool "SLUB"
+
+endchoice
+
+choice
+	default SLOB
+
+config SLOB
+	bool "SLOB"
+
+endchoice
+`
+	db := NewDatabase()
+	if err := NewParser(db).ParseString("mm/Kconfig", src); err != nil {
+		t.Fatal(err)
+	}
+	errs := db.Validate()
+	var got []string
+	for _, err := range errs {
+		got = append(got, err.Error())
+	}
+	want := []string{
+		"kconfig: choice 1: default SLOB is not one of its members",
+		"kconfig: choice 2: default SLUBB is undeclared",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("Validate = %q, want %q", got, want)
+	}
+	if errs := choiceDB(t).Validate(); len(errs) != 0 {
+		t.Errorf("a member default: Validate = %v, want clean", errs)
+	}
 }
 
 func TestChoiceDefaultWins(t *testing.T) {

@@ -96,7 +96,9 @@ func (db *Database) CountByDir() map[string]int {
 }
 
 // Validate checks referential integrity: every symbol a dependency
-// references must be declared. It returns all problems found.
+// references must be declared, and every choice group's default must be
+// one of its own members. It returns all problems found, the choice
+// groups' in id order.
 func (db *Database) Validate() []error {
 	var errs []error
 	for _, o := range db.ordered {
@@ -107,6 +109,17 @@ func (db *Database) Validate() []error {
 			if db.byName[s] == nil {
 				errs = append(errs, fmt.Errorf("kconfig: %s: depends on references undeclared symbol %s", o.Name, s))
 			}
+		}
+	}
+	for id := 1; id <= db.choices; id++ {
+		name, ok := db.choiceDefault[id]
+		if !ok {
+			continue
+		}
+		if o := db.byName[name]; o == nil {
+			errs = append(errs, fmt.Errorf("kconfig: choice %d: default %s is undeclared", id, name))
+		} else if o.Choice != id {
+			errs = append(errs, fmt.Errorf("kconfig: choice %d: default %s is not one of its members", id, name))
 		}
 	}
 	return errs

@@ -1,10 +1,11 @@
 package rootfs
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
-	"lupine/internal/ext2"
 	"lupine/internal/kml"
 	"lupine/internal/manifest"
 )
@@ -56,7 +57,7 @@ func TestBuildTreeAndExt2RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := ext2.ReadImage(data)
+	tree, err := data.Read(nil)
 	if err != nil {
 		t.Fatalf("rootfs image is not valid ext2: %v", err)
 	}
@@ -128,6 +129,16 @@ func TestSynthBinary(t *testing.T) {
 	}
 	if string(SynthBinary("y", 64, 10)) == string(b) {
 		t.Error("SynthBinary ignores name")
+	}
+	// More sites than bytes to space them: a gap of 0 packs them from
+	// the header on until the kilobyte is full.
+	packed := SynthBinary("x", 1, 2000)
+	if got := kml.CallSites(packed); got != 510 {
+		t.Errorf("packed call sites = %d, want 510", got)
+	}
+	sum := sha256.Sum256(packed)
+	if got, want := hex.EncodeToString(sum[:]), "01fab6118cd30f7525232cd98af2550ae150a87c380618e86526bac09a4bd3a6"; got != want {
+		t.Errorf("packed binary sha256 %s, pinned %s", got, want)
 	}
 }
 

@@ -29,17 +29,19 @@ go -C bench test ./...
 # The concurrency-sensitive planes (the simclock event engine, fleet,
 # network fabric, supervisor, snapshot store, memory accountant, guest
 # balloon, telemetry plane, multi-region control plane, build pipeline
-# + farm, attack plane, SLO plane) and the experiment harness, whose
-# storm tests run in parallel each under its own Env, get a second
-# racing pass with fresh test binaries: -count=2 defeats result caching
-# and shakes out run-to-run nondeterminism and state shared between
-# concurrent storms, both of which the bit-for-bit replay guarantees
-# forbid.
-echo "== go test -race -count=2 (simclock, fleet, fabric, vmm, snapshot, hostmem, guest, telemetry, region, bunny, farm, attack, slo, experiments)"
+# + farm, attack plane, SLO plane), the experiment harness, whose storm
+# tests run in parallel each under its own Env, and the image path
+# (core, ext2, rootfs), whose images point at the process-wide synth
+# cache instead of copying it, get a second racing pass with fresh test
+# binaries: -count=2 defeats result caching and shakes out run-to-run
+# nondeterminism and state shared between concurrent storms or guests,
+# both of which the bit-for-bit replay guarantees forbid.
+echo "== go test -race -count=2 (simclock, fleet, fabric, vmm, snapshot, hostmem, guest, telemetry, region, bunny, farm, attack, slo, experiments, core, ext2, rootfs)"
 go test -race -count=2 ./internal/simclock/... ./internal/fleet/... ./internal/fabric/... \
     ./internal/vmm/... ./internal/snapshot/... ./internal/hostmem/... ./internal/guest/... \
     ./internal/telemetry/... ./internal/region/... ./internal/bunny/... ./internal/farm/... \
-    ./internal/attack/... ./internal/slo/... ./internal/experiments/...
+    ./internal/attack/... ./internal/slo/... ./internal/experiments/... \
+    ./internal/core/... ./internal/ext2/... ./internal/rootfs/...
 
 # Short runs of the fuzz targets, beyond the seeds go test already ran:
 # the ext2 image round trip, and the resolver held to its full-scan

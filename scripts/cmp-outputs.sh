@@ -12,10 +12,11 @@
 # -trace-out -slo-out -metrics-out, and each command line in $clis below
 # runs once (they take no seed). It cmps lupine-bench's stdout (without
 # the "(wall …)" timing of each header), the Chrome trace, the SLO
-# reports, the metrics JSON and its .prom sibling, and the stdout of
-# each other command line. It names each output that differs (and, for
-# lupine-bench's stdout, each experiment) and exits 1 on any difference.
-# It writes nothing under the repository.
+# reports, the metrics JSON and its .prom sibling, the stdout of each
+# other command line, and the four artifacts `lupine-build -o` writes
+# (the rootfs.ext2 among them, streamed to disk). It names each output
+# that differs (and, for lupine-bench's stdout, each experiment) and
+# exits 1 on any difference. It writes nothing under the repository.
 set -eu
 
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
@@ -38,6 +39,7 @@ kconfigtool-show-slub kconfigtool show SLUB
 kconfigtool-minimize-base kconfigtool minimize base
 lupine-build-all lupine-build -all
 lupine-build-all-kml lupine-build -all -kml
+lupine-build-redis-kml-o lupine-build -app redis -kml -o art
 manifestgen-all manifestgen -all
 manifestgen-all-trace manifestgen -all -trace
 lupine-run-redis lupine-run -app redis
@@ -88,7 +90,9 @@ fi
 section() { awk -v id="$2" '/^# / { on = ($2 == id) } on' "$1"; }
 
 status=0
-for f in stdout trace.json slo.json metrics.json metrics.json.prom $(echo "$clis" | awk '{ print $1 }'); do
+# art/: what lupine-build -o wrote.
+artifacts='art/kernel.config art/init.sh art/rootfs.ext2 art/manifest.json'
+for f in stdout trace.json slo.json metrics.json metrics.json.prom $(echo "$clis" | awk '{ print $1 }') $artifacts; do
     if cmp -s "$tmp/base/$f" "$tmp/head/$f"; then
         echo "same    $f"
         continue
