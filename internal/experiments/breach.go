@@ -121,7 +121,7 @@ func runBreachRow(env *Env, name, hardening string, boot simclock.Duration, scop
 	}
 	row := breachRow{System: name, Hardening: hardening, Boot: boot, Res: res, scope: r.scope, firstRepave: -1}
 	if r.scope != nil {
-		for _, e := range r.tr.Events() {
+		for _, e := range r.tr.EventsSince(0) {
 			if e.Cat == "region" && e.Name == "repave" && e.Track == track {
 				if row.firstRepave < 0 || e.At < row.firstRepave {
 					row.firstRepave = e.At

@@ -111,7 +111,7 @@ func TestNetSplitTraceHasWireHistory(t *testing.T) {
 			conns++
 		}
 	}
-	for _, e := range tr.Events() {
+	for _, e := range tr.EventsSince(0) {
 		if !strings.HasPrefix(e.Track, "netsplit/") {
 			continue
 		}

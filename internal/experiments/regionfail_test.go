@@ -120,7 +120,7 @@ func TestRegionFailTraceHasControlHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := map[string]int{}
-	for _, e := range tr.Events() {
+	for _, e := range tr.EventsSince(0) {
 		if strings.HasPrefix(e.Track, "regionfail/") {
 			counts[e.Name]++
 		}

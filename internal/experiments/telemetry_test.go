@@ -65,7 +65,7 @@ func TestMemStormTraceDeterministicAndComplete(t *testing.T) {
 		}
 	}
 	var faultEvents int
-	for _, e := range tr.Events() {
+	for _, e := range tr.EventsSince(0) {
 		if e.Cat == "faults" {
 			faultEvents++
 		}
@@ -83,7 +83,7 @@ func TestMemStormTraceDeterministicAndComplete(t *testing.T) {
 			wantKills += r.Res.Mem.Kills
 		}
 	}
-	events := tr.Events()
+	events := tr.EventsSince(0)
 	var kills int
 	for i, e := range events {
 		if e.Cat != "fleet" || e.Name != "oom-kill" || !ladder[poolTrack(e.Track)] {
@@ -178,7 +178,7 @@ func TestFleetChaosTelemetry(t *testing.T) {
 		}
 	}
 	var events int
-	for _, e := range tr.Events() {
+	for _, e := range tr.EventsSince(0) {
 		if e.Cat == "fleet" && strings.HasPrefix(e.Name, "breaker:") {
 			events++
 		}

@@ -52,12 +52,33 @@ type writer struct {
 
 	img      *Image
 	geo      []groupGeometry
-	slab     []byte   // every block the writer computes
-	used     int      // slab bytes handed out
-	slabTail bool     // the image's last run is the slab's latest blocks
-	g        int      // group holding the next data block
-	next     int      // next data block to hand out
-	ids      []uint32 // reused buffer: the data blocks of the file being written
+	slab     []byte // every block the writer computes
+	used     int    // slab bytes handed out
+	slabTail bool   // the image's last run is the slab's latest blocks
+	g        int    // group holding the next data block
+	next     int    // next data block to hand out
+	spans    []span // reused buffer: the data blocks of the file being written
+}
+
+// span is a run of consecutive blocks [first, first+n): one take.
+type span struct{ first, n int }
+
+// blockIDs walks a file's data blocks in order across its spans.
+type blockIDs struct {
+	spans []span
+	used  int // blocks of spans[0] already walked
+}
+
+// put writes the next k block numbers into dst as little-endian
+// pointers.
+func (ids *blockIDs) put(dst []byte, k int) {
+	for i := 0; i < k; i++ {
+		if ids.used == ids.spans[0].n {
+			ids.spans, ids.used = ids.spans[1:], 0
+		}
+		le.PutUint32(dst[4*i:], uint32(ids.spans[0].first+ids.used))
+		ids.used++
+	}
 }
 
 // number records n as inode ino under directory parent. Each child takes
@@ -162,7 +183,7 @@ func (w *writer) writeNode(n *File) {
 // as one run per group its blocks span.
 func (w *writer) storeData(inode, content []byte, dir bool) {
 	nblocks := (len(content) + BlockSize - 1) / BlockSize
-	ids := slices.Grow(w.ids[:0], nblocks)
+	w.spans = w.spans[:0]
 	for off := 0; off < len(content); {
 		first, got := w.take((len(content) - off + BlockSize - 1) / BlockSize)
 		end := min(off+got*BlockSize, len(content))
@@ -172,44 +193,46 @@ func (w *writer) storeData(inode, content []byte, dir bool) {
 			w.img.runs = append(w.img.runs, run{start: first, data: content[off:end]})
 			w.slabTail = false
 		}
-		for b := first; b < first+got; b++ {
-			ids = append(ids, uint32(b))
-		}
+		w.spans = append(w.spans, span{first, got})
 		off = end
 	}
-	w.ids = ids
 	setPtr := func(i int, b uint32) { le.PutUint32(inode[40+4*i:], b) }
-	for i := 0; i < len(ids) && i < directBlocks; i++ {
-		setPtr(i, ids[i])
+	ids := blockIDs{spans: w.spans}
+	direct := min(nblocks, directBlocks)
+	ids.put(inode[40:], direct)
+	rest := nblocks - direct
+	if rest > 0 {
+		n := min(rest, pointersPerBlock)
+		b, blk := w.pointerBlock()
+		ids.put(blk, n)
+		setPtr(12, b)
+		rest -= n
 	}
-	rest := ids[min(len(ids), directBlocks):]
-	if len(rest) > 0 {
-		n := min(len(rest), pointersPerBlock)
-		setPtr(12, w.pointerBlock(rest[:n]))
-		rest = rest[n:]
-	}
-	if len(rest) > 0 {
+	if rest > 0 {
 		var l1 [pointersPerBlock]uint32
 		k := 0
-		for ; len(rest) > 0; k++ {
-			n := min(len(rest), pointersPerBlock)
-			l1[k] = w.pointerBlock(rest[:n])
-			rest = rest[n:]
+		for ; rest > 0; k++ {
+			n := min(rest, pointersPerBlock)
+			b, blk := w.pointerBlock()
+			ids.put(blk, n)
+			l1[k] = b
+			rest -= n
 		}
-		setPtr(13, w.pointerBlock(l1[:k]))
+		b, blk := w.pointerBlock()
+		for i, p := range l1[:k] {
+			le.PutUint32(blk[4*i:], p)
+		}
+		setPtr(13, b)
 	}
 	le.PutUint32(inode[4:], uint32(len(content)))
 	le.PutUint32(inode[28:], uint32(nblocks+pointerBlocks(nblocks))*(BlockSize/512))
 }
 
-// pointerBlock writes ptrs into the next data block and returns it.
-func (w *writer) pointerBlock(ptrs []uint32) uint32 {
+// pointerBlock takes the next data block for pointers and returns it
+// with its bytes in the slab.
+func (w *writer) pointerBlock() (uint32, []byte) {
 	b, _ := w.take(1)
-	blk := w.slabRun(b, 1)
-	for i, p := range ptrs {
-		le.PutUint32(blk[4*i:], p)
-	}
-	return uint32(b)
+	return uint32(b), w.slabRun(b, 1)
 }
 
 // take hands out up to n consecutive data blocks, filling group data

@@ -35,6 +35,14 @@ type ConnHandler interface {
 	Response(c *Conn, now simclock.Time)
 }
 
+// RequestHandler is the server side's continuation for an accepted
+// connection: Request fires once, when the connection's request payload
+// has landed. One handler can serve every connection of a server, so
+// arming it allocates nothing.
+type RequestHandler interface {
+	Request(c *Conn, now simclock.Time)
+}
+
 // xmit is one reliably-delivered logical segment: the sender retransmits
 // on an RTO clock until the matching ACK (or SYN-ACK/RST) lands, then
 // gives up after the configured attempts and fails the connection. Each
@@ -86,7 +94,7 @@ type Conn struct {
 	srvQueued   bool // sitting in the listener backlog
 	srvAccepted bool
 	reqArrived  bool
-	onRequest   func(now simclock.Time)
+	onRequest   RequestHandler
 
 	// The connection's reliable sends, one slot each: the client's SYN
 	// and request payload, the server's response payload.
@@ -243,21 +251,21 @@ func (c *Conn) serverRequest(seq int, now simclock.Time) {
 	}
 	c.reqArrived = true
 	if c.onRequest != nil && c.srvAccepted {
-		fn := c.onRequest
+		h := c.onRequest
 		c.onRequest = nil
-		fn(now)
+		h.Request(c, now)
 	}
 }
 
 // WhenRequest arms the server-side continuation for the request payload:
-// fires immediately if it already landed, otherwise when it does. The
+// h fires immediately if it already landed, otherwise when it does. The
 // fleet calls this right after Accept.
-func (c *Conn) WhenRequest(now simclock.Time, fn func(now simclock.Time)) {
+func (c *Conn) WhenRequest(now simclock.Time, h RequestHandler) {
 	if c.reqArrived {
-		fn(now)
+		h.Request(c, now)
 		return
 	}
-	c.onRequest = fn
+	c.onRequest = h
 }
 
 // Respond ships the response payload back to the client (reliably, up to

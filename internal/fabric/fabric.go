@@ -706,31 +706,39 @@ func (n *Network) deliverSYN(s *segment, now simclock.Time) {
 
 // --- probes ---
 
+// probe is one heartbeat in flight, and its own timeout event.
 type probe struct {
+	n    *Network
+	id   int
 	done bool
 	cb   func(ok bool, now simclock.Time)
+}
+
+// Fire is the probe's timeout: no reply landed in time.
+func (pr *probe) Fire(at simclock.Time) {
+	if !pr.done {
+		pr.done = true
+		delete(pr.n.probes(), pr.id)
+		pr.cb(false, at)
+	}
 }
 
 // Probe sends one heartbeat datagram from -> to and reports the verdict
 // exactly once: true when the reply lands before timeout, false
 // otherwise. Probes model UDP heartbeats: no retransmission — a lost
 // probe IS a failed probe, which is what makes one-sided partitions
-// visible to the health checker as timeouts.
+// visible to the health checker as timeouts. The probe record is its
+// own timeout event, so a caller that builds cb once per target pays
+// one allocation per probe.
 func (n *Network) Probe(from, to *Node, timeout simclock.Duration, cb func(ok bool, now simclock.Time)) {
 	n.probeSeq++
 	id := n.probeSeq
 	n.stats.ProbesSent++
-	pr := &probe{cb: cb}
+	pr := &probe{n: n, id: id, cb: cb}
 	n.probes()[id] = pr
 	now := n.eng.Now()
 	n.transmit(segment{kind: segProbe, from: from, to: to, size: ctlBytes, probeID: id}, now)
-	n.eng.Schedule(now.Add(timeout), func(at simclock.Time) {
-		if !pr.done {
-			pr.done = true
-			delete(n.probes(), id)
-			cb(false, at)
-		}
-	})
+	n.eng.Post(now.Add(timeout), pr)
 }
 
 // probes is the per-network in-flight probe table.

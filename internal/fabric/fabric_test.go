@@ -121,21 +121,26 @@ func (cb callbacks) Response(c *Conn, now simclock.Time) {
 	}
 }
 
+// responder answers every request it is armed for with size bytes.
+type responder struct{ size int }
+
+func (r *responder) Request(c *Conn, now simclock.Time) { c.Respond(r.size, now) }
+
+// serveAll accepts every connection that lands on lst and answers its
+// request with size bytes.
+func serveAll(lst *Listener, size int) {
+	h := &responder{size}
+	lst.OnPending = func(now simclock.Time) {
+		for c := lst.Accept(now); c != nil; c = lst.Accept(now) {
+			c.WhenRequest(now, h)
+		}
+	}
+}
+
 func dialAndSend(sched *simclock.Engine, client, server *Node, reqBytes, respBytes int, respTimeout simclock.Duration, serve bool, lst *Listener) *connResult {
 	res := &connResult{}
 	if serve {
-		lst.OnPending = func(now simclock.Time) {
-			for {
-				c := lst.Accept(now)
-				if c == nil {
-					return
-				}
-				cc := c
-				c.WhenRequest(now, func(at simclock.Time) {
-					cc.Respond(respBytes, at)
-				})
-			}
-		}
+		serveAll(lst, respBytes)
 	}
 	client.Dial(server, 80, callbacks{
 		established: func(c *Conn, now simclock.Time) {
@@ -165,20 +170,13 @@ func TestCleanWireRequestResponse(t *testing.T) {
 }
 
 // A steady-state request/response round trip on a clean wire allocates
-// the Conn and the server's WhenRequest continuation and nothing else:
-// segments come off the network's free list, retransmit timers and the
-// response deadline live in the Conn, and the dialer is its own handler.
+// the Conn and nothing else: segments come off the network's free list,
+// retransmit timers and the response deadline live in the Conn, the
+// dialer is its own handler and the server's request continuation is
+// one value for every connection.
 func TestRoundTripAllocations(t *testing.T) {
 	sched, net, client, server, lst := newTestNet(t, nil, DefaultParams())
-	lst.OnPending = func(now simclock.Time) {
-		for {
-			c := lst.Accept(now)
-			if c == nil {
-				return
-			}
-			c.WhenRequest(now, func(at simclock.Time) { c.Respond(4096, at) })
-		}
-	}
+	serveAll(lst, 4096)
 	served := 0
 	h := &callbacks{
 		established: func(c *Conn, now simclock.Time) { c.SendRequest(1024, 10*ms, now) },
@@ -193,8 +191,8 @@ func TestRoundTripAllocations(t *testing.T) {
 	if st := net.Stats(); served != 102 || st.Dialed != st.Closed || st.Retransmits != 0 {
 		t.Fatalf("served %d of 102 round trips: %+v", served, st)
 	}
-	if allocs > 2 {
-		t.Fatalf("%v allocations per round trip, want at most 2 (the Conn and the WhenRequest continuation)", allocs)
+	if allocs > 1 {
+		t.Fatalf("%v allocations per round trip, want at most 1 (the Conn)", allocs)
 	}
 }
 
@@ -376,16 +374,7 @@ func TestFlapHealMidRexmitResumesLadder(t *testing.T) {
 		{Site: SiteFlap, From: simclock.Time(15 * simclock.Microsecond), To: simclock.Time(25 * simclock.Microsecond), Prob: 1, Param: 900},
 	}})
 	sched, net, client, server, lst := newTestNet(t, inj, params)
-	lst.OnPending = func(now simclock.Time) {
-		for {
-			c := lst.Accept(now)
-			if c == nil {
-				return
-			}
-			cc := c
-			c.WhenRequest(now, func(at simclock.Time) { cc.Respond(4096, at) })
-		}
-	}
+	serveAll(lst, 4096)
 	res := &connResult{}
 	conn := client.Dial(server, 80, callbacks{
 		established: func(c *Conn, now simclock.Time) {
@@ -495,16 +484,7 @@ func storm(seed uint64) string {
 	client, _ := net.AddNode("client", LinkSpec{})
 	server, _ := net.AddNode("server", LinkSpec{})
 	lst := server.Listen(80, 8)
-	lst.OnPending = func(now simclock.Time) {
-		for {
-			c := lst.Accept(now)
-			if c == nil {
-				return
-			}
-			cc := c
-			c.WhenRequest(now, func(at simclock.Time) { cc.Respond(2048, at) })
-		}
-	}
+	serveAll(lst, 2048)
 	var sb strings.Builder
 	for i := 0; i < 40; i++ {
 		id := i

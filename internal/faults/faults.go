@@ -166,7 +166,7 @@ type Injector struct {
 	ruleHits []int // in-window hits seen per rule
 	fired    []int // fires per rule
 	total    int
-	fires    []Fire // every fire, in virtual-time order
+	fires    []Fire // every fire, in hit order
 
 	tr      *telemetry.Tracer
 	trTrack string
@@ -273,15 +273,16 @@ func (inj *Injector) Observe(tr *telemetry.Tracer, track string) {
 	inj.trTrack = track
 }
 
-// Fires returns the fire log so far: every firing in virtual-time
-// order, as recorded. The slice is a copy; nil injectors log nothing.
-func (inj *Injector) Fires() []Fire {
+// FiresSince returns the fire log from index i on, in hit order: a
+// reader that keeps i plus the length it got reads each fire once. Hit
+// order is not time order when one injector serves a VM across reboots,
+// whose guest clocks restart. The slice is a view of the log; the
+// caller must not modify it. A nil injector logs nothing.
+func (inj *Injector) FiresSince(i int) []Fire {
 	if inj == nil {
 		return nil
 	}
-	out := make([]Fire, len(inj.fires))
-	copy(out, inj.fires)
-	return out
+	return inj.fires[i:len(inj.fires):len(inj.fires)]
 }
 
 // TotalFired reports how many faults the injector has fired so far.

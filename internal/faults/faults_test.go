@@ -130,11 +130,11 @@ func TestUnarmedHitLeavesInjectorUntouched(t *testing.T) {
 	plan := Plan{Seed: 9, Rules: []Rule{{Site: "test/alpha", Prob: 0.5}}}
 	plain, probed := MustNew(plan), MustNew(plan)
 	for i := 0; i < 64; i++ {
-		fires, total := len(probed.Fires()), probed.TotalFired()
+		fires, total := len(probed.FiresSince(0)), probed.TotalFired()
 		if d := probed.Hit("test/beta", simclock.Time(i)); d != (Decision{}) {
 			t.Fatalf("unarmed hit %d decided %+v, want the zero Decision", i, d)
 		}
-		if len(probed.Fires()) != fires || probed.TotalFired() != total {
+		if len(probed.FiresSince(0)) != fires || probed.TotalFired() != total {
 			t.Fatalf("unarmed hit %d moved the fire log or count", i)
 		}
 		want, got := plain.Hit("test/alpha", simclock.Time(i)), probed.Hit("test/alpha", simclock.Time(i))
@@ -310,7 +310,7 @@ func TestFireLogRecordsEveryFiring(t *testing.T) {
 	inj.Hit("test/alpha", 10)
 	inj.Hit("test/beta", 20)
 	inj.Hit("test/alpha", 30)
-	fires := inj.Fires()
+	fires := inj.FiresSince(0)
 	if len(fires) != 2 {
 		t.Fatalf("fires = %+v, want 2", fires)
 	}
@@ -320,8 +320,14 @@ func TestFireLogRecordsEveryFiring(t *testing.T) {
 	if fires[1] != (Fire{Site: "test/alpha", Rule: 0, Param: 7, At: 30}) {
 		t.Fatalf("fires[1] = %+v", fires[1])
 	}
+	if since := inj.FiresSince(1); len(since) != 1 || since[0] != fires[1] {
+		t.Fatalf("FiresSince(1) = %+v, want only the second fire", since)
+	}
+	if since := inj.FiresSince(2); len(since) != 0 {
+		t.Fatalf("FiresSince(2) = %+v, want nothing new", since)
+	}
 	var nilInj *Injector
-	if nilInj.Fires() != nil {
+	if nilInj.FiresSince(0) != nil {
 		t.Fatal("nil injector must log nothing")
 	}
 }

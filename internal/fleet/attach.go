@@ -80,10 +80,15 @@ func (f *Fleet) Start(now simclock.Time) {
 // engine drain once in-flight work resolves.
 func (f *Fleet) Stop() { f.stopped = true }
 
+// A Resolver learns how an injected request resolved.
+type Resolver interface {
+	Resolved(o Outcome, at simclock.Time)
+}
+
 // Inject offers one request to an attached fleet at now. done (may be
-// nil) fires exactly once when the request resolves — served, shed, or
+// nil) learns exactly once how the request resolved — served, shed, or
 // failed — at the resolving instant.
-func (f *Fleet) Inject(id int, now simclock.Time, done func(o Outcome, at simclock.Time)) {
+func (f *Fleet) Inject(id int, now simclock.Time, done Resolver) {
 	f.res.Total++
 	r := &request{f: f, id: id, arrival: now, done: done}
 	f.admitRequest(r, now)

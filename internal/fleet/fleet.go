@@ -231,9 +231,12 @@ type request struct {
 	b    *Backend
 	sent simclock.Time
 
-	// done, set by Inject in attached mode, fires once at resolution.
-	done func(o Outcome, at simclock.Time)
+	// done, set by Inject in attached mode, learns the resolution.
+	done Resolver
 }
+
+// Fire re-admits the request when its retry backoff has elapsed.
+func (r *request) Fire(now simclock.Time) { r.f.admitRequest(r, now) }
 
 // Fleet is the running front-end. Construct with New and drive with
 // Run, or attach it to an owner's engine with NewAttached.
@@ -299,6 +302,12 @@ func New(cfg Config, backends []*Backend, plan *UpgradePlan, inj *faults.Injecto
 // backends through the policy (snapshot restore or cold boot). scaler
 // may be nil (fixed pool).
 func NewAutoscaled(cfg Config, backends []*Backend, scaler *AutoscalePolicy, plan *UpgradePlan, inj *faults.Injector) *Fleet {
+	if cfg.ArrivalJitter > cfg.Interarrival {
+		// Run queues arrival i+1 when arrival i lands; a wider jitter
+		// could draw it earlier.
+		panic(fmt.Sprintf("fleet: ArrivalJitter %v exceeds Interarrival %v, so arrivals could land out of order",
+			cfg.ArrivalJitter, cfg.Interarrival))
+	}
 	eng := simclock.NewEngine()
 	f := NewAttached(cfg, eng, fabric.New(FabricParams(cfg), eng, inj), "", inj)
 	f.standalone = true
@@ -343,13 +352,15 @@ func (f *Fleet) Run() Result {
 	if !f.standalone {
 		panic("fleet: Run on an attached fleet; the owning engine drives it")
 	}
-	// Arrivals, jittered from the seeded stream.
-	at := f.cfg.TrafficStart
-	for i := 0; i < f.cfg.Requests; i++ {
-		r := &request{f: f, id: i, arrival: at.Add(f.jitter(f.arrivalRng, f.cfg.ArrivalJitter))}
-		f.eng.Schedule(r.arrival, func(now simclock.Time) { f.admitRequest(r, now) })
-		at = at.Add(f.cfg.Interarrival)
-	}
+	// Arrivals, jittered from the seeded stream as each one is queued.
+	base := f.cfg.TrafficStart
+	f.eng.Arrivals(f.cfg.Requests, func(int) simclock.Time {
+		at := base.Add(f.jitter(f.arrivalRng, f.cfg.ArrivalJitter))
+		base = base.Add(f.cfg.Interarrival)
+		return at
+	}, func(i int, now simclock.Time) {
+		f.admitRequest(&request{f: f, id: i, arrival: now}, now)
+	})
 	f.res.Total = f.cfg.Requests
 	f.Start(0)
 	if f.plan != nil {
@@ -395,6 +406,10 @@ func (f *Fleet) admit(b *Backend, now simclock.Time) {
 	b.node = node
 	b.lst = node.Listen(servicePort, queueDepth)
 	b.lst.OnPending = func(t simclock.Time) { f.serverPump(bb, t) }
+	for i := range b.slots {
+		b.slots[i] = slot{f: f, b: b}
+	}
+	b.verdict = func(ok bool, t simclock.Time) { f.probeVerdict(bb, ok, t) }
 
 	f.backends = append(f.backends, b)
 	f.ringInsert(b)
@@ -457,7 +472,7 @@ func (f *Fleet) shed(r *request, reason string, now simclock.Time) {
 			telemetry.A("reason", reason))
 	}
 	if r.done != nil {
-		r.done(OutcomeShed, now)
+		r.done.Resolved(OutcomeShed, now)
 	}
 }
 
@@ -467,7 +482,7 @@ func (f *Fleet) failRequest(r *request, now simclock.Time) {
 	f.resolved++
 	f.mFailed.Inc()
 	if r.done != nil {
-		r.done(OutcomeFailed, now)
+		r.done.Resolved(OutcomeFailed, now)
 	}
 }
 
@@ -506,10 +521,10 @@ func (r *request) Response(c *fabric.Conn, now simclock.Time) {
 	f.mOK.Inc()
 	f.hLatency.Observe(lat)
 	if r.done != nil {
-		r.done(OutcomeOK, now)
+		r.done.Resolved(OutcomeOK, now)
 	}
 	if f.tr != nil {
-		f.tr.Span("fleet", f.btrack(b), "dispatch", r.sent, now,
+		f.tr.Span("fleet", b.lane, "dispatch", r.sent, now,
 			telemetry.A("req", strconv.Itoa(r.id)),
 			telemetry.A("conn", strconv.Itoa(c.ID())))
 	}
@@ -530,7 +545,7 @@ func (r *request) Failed(c *fabric.Conn, err error, now simclock.Time) {
 	}
 	b.failed++
 	if f.tr != nil {
-		f.tr.Span("fleet", f.btrack(b), "dispatch-fail", r.sent, now,
+		f.tr.Span("fleet", b.lane, "dispatch-fail", r.sent, now,
 			telemetry.A("req", strconv.Itoa(r.id)),
 			telemetry.A("conn", strconv.Itoa(c.ID())),
 			telemetry.A("err", err.Error()))
@@ -559,8 +574,8 @@ func (f *Fleet) breakerFailure(b *Backend, now simclock.Time) {
 func (f *Fleet) falseTrip(b *Backend, now simclock.Time) {
 	f.res.FalseTrips++
 	if f.tr != nil {
-		f.tr.Instant("fleet", f.btrack(b), "breaker:false-trip", now)
-		f.tr.Trip(f.btrack(b), "false-trip", now)
+		f.tr.Instant("fleet", b.lane, "breaker:false-trip", now)
+		f.tr.Trip(b.lane, "false-trip", now)
 		// Dump the wire's own ring too: the retransmission storm that
 		// talked the breaker into this is the post-mortem.
 		f.tr.Trip(f.netTrack, "false-trip:"+b.Name, now)
@@ -568,9 +583,10 @@ func (f *Fleet) falseTrip(b *Backend, now simclock.Time) {
 }
 
 // serverPump is the backend's accept loop: while the VM is up and has a
-// free serving slot, accept the oldest pending connection and schedule
-// its service. A VM that died with connections queued simply stops
-// pumping; the clients' own timeouts resolve them.
+// free serving slot, accept the oldest pending connection into it; the
+// slot schedules the service once the request lands. A VM that died
+// with connections queued simply stops pumping; the clients' own
+// timeouts resolve them.
 func (f *Fleet) serverPump(b *Backend, now simclock.Time) {
 	if !b.aliveAt(now) {
 		return
@@ -581,21 +597,42 @@ func (f *Fleet) serverPump(b *Backend, now simclock.Time) {
 			return
 		}
 		b.serving++
-		cc := c
-		bb := b
-		c.WhenRequest(now, func(at simclock.Time) {
-			svc := f.cfg.ServiceTime + f.jitter(f.serviceRng, serviceJitter)
-			f.eng.Schedule(at.Add(svc), func(t simclock.Time) {
-				bb.serving--
-				// A VM that died mid-service answers nothing; the client's
-				// response deadline is how the front-end finds out.
-				if bb.aliveAt(t) {
-					cc.Respond(ResponseBytes, t)
-				}
-				f.serverPump(bb, t)
-			})
-		})
+		for i := range b.slots {
+			if s := &b.slots[i]; s.c == nil {
+				s.c = c
+				c.WhenRequest(now, s)
+				break
+			}
+		}
 	}
+}
+
+// slot is one of a backend's serving slots. It holds one accepted
+// connection from accept to response, and is both that connection's
+// request continuation and its service-completion event.
+type slot struct {
+	f *Fleet
+	b *Backend
+	c *fabric.Conn // the connection in service; nil when the slot is free
+}
+
+// Request schedules the service of the request that just landed.
+func (s *slot) Request(c *fabric.Conn, at simclock.Time) {
+	f := s.f
+	f.eng.Post(at.Add(f.cfg.ServiceTime+f.jitter(f.serviceRng, serviceJitter)), s)
+}
+
+// Fire ends the service and frees the slot. A VM that died mid-service
+// answers nothing; the client's response deadline is how the front-end
+// finds out.
+func (s *slot) Fire(t simclock.Time) {
+	b, c := s.b, s.c
+	s.c = nil
+	b.serving--
+	if b.aliveAt(t) {
+		c.Respond(ResponseBytes, t)
+	}
+	s.f.serverPump(b, t)
 }
 
 // retry re-dispatches a failed request under the retry policy: bounded
@@ -637,7 +674,7 @@ func (f *Fleet) retry(r *request, now simclock.Time) {
 			telemetry.A("req", strconv.Itoa(r.id)),
 			telemetry.A("attempt", strconv.Itoa(r.attempts)))
 	}
-	f.eng.Schedule(retryAt, func(t simclock.Time) { f.admitRequest(r, t) })
+	f.eng.Post(retryAt, r)
 }
 
 // probeTick is the heartbeat: launch a probe datagram over the fabric at
@@ -650,10 +687,7 @@ func (f *Fleet) probeTick(now simclock.Time) {
 		if !b.admitted || b.retired {
 			continue
 		}
-		bb := b
-		f.net.Probe(f.lbNode, b.node, probeTimeout, func(ok bool, at simclock.Time) {
-			f.probeVerdict(bb, ok, at)
-		})
+		f.net.Probe(f.lbNode, b.node, probeTimeout, b.verdict)
 	}
 	// A standalone fleet's heartbeat ends with its own workload, an
 	// attached cell's when the owner calls Stop.
@@ -675,7 +709,7 @@ func (f *Fleet) probeVerdict(b *Backend, ok bool, now simclock.Time) {
 		if !b.healthy && b.probeOKs >= probeRiseAfter {
 			b.healthy = true
 			if f.tr != nil {
-				f.tr.Instant("fleet", f.btrack(b), "health:up", now)
+				f.tr.Instant("fleet", b.lane, "health:up", now)
 			}
 		}
 		b.breaker.ProbeSuccess(now)
@@ -688,7 +722,7 @@ func (f *Fleet) probeVerdict(b *Backend, ok bool, now simclock.Time) {
 	if b.healthy && b.probeFails >= f.cfg.ProbeFailAfter {
 		b.healthy = false
 		if f.tr != nil {
-			f.tr.Instant("fleet", f.btrack(b), "health:down", now)
+			f.tr.Instant("fleet", b.lane, "health:down", now)
 		}
 	}
 	before := b.breaker.State()

@@ -252,6 +252,11 @@ func TestFleetDeterministicWithFaultPlan(t *testing.T) {
 	}
 }
 
+// resolveFunc adapts a function to Resolver.
+type resolveFunc func(o Outcome, at simclock.Time)
+
+func (fn resolveFunc) Resolved(o Outcome, at simclock.Time) { fn(o, at) }
+
 // TestAttachedClockIsOwners: an attached cell runs on its owner's engine,
 // so Clock is the owner's clock — never nil — and a sampler bound
 // through the cell fires as the owner drives time. The owner resolves
@@ -272,7 +277,7 @@ func TestAttachedClockIsOwners(t *testing.T) {
 	outcomes := 0
 	for i := 0; i < n; i++ {
 		eng.Schedule(simclock.Time(i)*simclock.Time(100*us), func(now simclock.Time) {
-			f.Inject(i, now, func(Outcome, simclock.Time) { outcomes++ })
+			f.Inject(i, now, resolveFunc(func(Outcome, simclock.Time) { outcomes++ }))
 		})
 	}
 	eng.Schedule(simclock.Time(5*ms), func(simclock.Time) { f.Stop() })
@@ -290,10 +295,10 @@ func TestAttachedClockIsOwners(t *testing.T) {
 
 // TestDispatchAllocations pins the per-request allocations of the
 // dispatch hot path: an attached cell on a clean wire serving one
-// request end to end costs the request, its Conn, the accept loop's
-// WhenRequest continuation and the service-completion event (Latencies
-// grows amortized). Allocation counts are deterministic, so any extra
-// allocation per request fails here.
+// request end to end costs the request and its Conn (Latencies grows
+// amortized); the backend's serving slot is the request continuation
+// and the service-completion event. Allocation counts are
+// deterministic, so any extra allocation per request fails here.
 func TestDispatchAllocations(t *testing.T) {
 	cfg := DefaultConfig()
 	eng := simclock.NewEngine()
@@ -311,7 +316,42 @@ func TestDispatchAllocations(t *testing.T) {
 	if res := f.Finish(eng.Now()); res.OK != id {
 		t.Fatalf("served %d of %d requests: %+v", res.OK, id, res)
 	}
-	if allocs > 4 {
-		t.Fatalf("%v allocations per request, want at most 4", allocs)
+	if allocs > 2 {
+		t.Fatalf("%v allocations per request, want at most 2", allocs)
 	}
+}
+
+// TestRunAllocationsPerRequest pins one whole standalone run — New, the
+// arrival source, every dispatch and every heartbeat — at its
+// allocations per request: the request and its Conn, plus the setup
+// and one record per heartbeat probe spread over the run's requests.
+func TestRunAllocationsPerRequest(t *testing.T) {
+	cfg := DefaultConfig()
+	var res Result
+	allocs := testing.AllocsPerRun(1, func() {
+		pool := []*Backend{NewBackend("a", AlwaysUp()), NewBackend("b", AlwaysUp()), NewBackend("c", AlwaysUp())}
+		res = New(cfg, pool, nil, nil).Run()
+	})
+	if res.OK != cfg.Requests {
+		t.Fatalf("served %d of %d requests: %+v", res.OK, cfg.Requests, res)
+	}
+	if per := allocs / float64(cfg.Requests); per > 2.3 {
+		t.Fatalf("%.3f allocations per request over a whole run, want at most 2.3", per)
+	}
+}
+
+// A standalone fleet queues arrival i+1 when arrival i lands, so a
+// jitter wider than the gap between arrivals, which could reorder them,
+// is refused at construction.
+func TestNewRejectsJitterWiderThanInterarrival(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ArrivalJitter = cfg.Interarrival
+	New(cfg, nil, nil, nil) // equal is fine: arrival i+1 still lands after arrival i
+	cfg.ArrivalJitter = cfg.Interarrival + 1
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted an ArrivalJitter wider than Interarrival")
+		}
+	}()
+	New(cfg, nil, nil, nil)
 }

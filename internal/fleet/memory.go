@@ -79,8 +79,8 @@ func (f *Fleet) OOMKill(l *Launch, now simclock.Time) *Backend {
 	if f.tr != nil {
 		// The instant lands before retirement so the victim's flight dump
 		// includes its own death mark.
-		f.tr.Instant("fleet", f.btrack(b), "oom-kill", now)
-		f.tr.Trip(f.btrack(b), "oom-kill", now)
+		f.tr.Instant("fleet", b.lane, "oom-kill", now)
+		f.tr.Trip(b.lane, "oom-kill", now)
 	}
 	f.retire(b, now)
 	if l != nil {

@@ -36,9 +36,6 @@ func (f *Fleet) Observe(tr *telemetry.Tracer, reg *telemetry.Registry, track str
 	}
 }
 
-// btrack is a backend's display lane under the pool's track.
-func (f *Fleet) btrack(b *Backend) string { return f.trTrack + "/" + b.Name }
-
 // observeBackend marks admission and hooks the breaker's transition
 // stream into the event log and the breaker-opens counter, whichever of
 // the two is attached. With neither, it installs no hook, so an
@@ -47,17 +44,16 @@ func (f *Fleet) observeBackend(b *Backend, now simclock.Time) {
 	if f.tr == nil && f.mBreakerOpens == nil {
 		return
 	}
-	var lane string
 	if f.tr != nil {
-		lane = f.btrack(b)
-		f.tr.Instant("fleet", lane, "admit", now)
+		b.lane = f.trTrack + "/" + b.Name
+		f.tr.Instant("fleet", b.lane, "admit", now)
 	}
 	b.breaker.OnTransition = func(t BreakerTransition) {
 		if t.To == BreakerOpen {
 			f.mBreakerOpens.Inc()
 		}
 		if f.tr != nil {
-			f.tr.Instant("fleet", lane, "breaker:"+t.To.String(), t.At,
+			f.tr.Instant("fleet", b.lane, "breaker:"+t.To.String(), t.At,
 				telemetry.A("cause", t.Cause))
 		}
 	}
@@ -69,7 +65,7 @@ func (f *Fleet) observeProvision(b *Backend, from, to simclock.Time, restored bo
 	if f.tr == nil {
 		return
 	}
-	f.tr.Span("fleet", f.btrack(b), "provision", from, to,
+	f.tr.Span("fleet", b.lane, "provision", from, to,
 		telemetry.A("restored", strconv.FormatBool(restored)),
 		telemetry.A("why", why))
 }

@@ -115,7 +115,7 @@ func TestFleetTelemetryContent(t *testing.T) {
 	}
 
 	var breakerEvents, transitions int
-	for _, e := range tr.Events() {
+	for _, e := range tr.EventsSince(0) {
 		if e.Cat == "fleet" && len(e.Name) > 8 && e.Name[:8] == "breaker:" {
 			breakerEvents++
 		}

@@ -40,7 +40,7 @@ func (f *Fleet) Quarantine(b *Backend, floor int, now simclock.Time) bool {
 	}
 	f.noteActive()
 	if f.tr != nil {
-		f.tr.Instant("fleet", f.btrack(b), "quarantine", now)
+		f.tr.Instant("fleet", b.lane, "quarantine", now)
 	}
 	return true
 }

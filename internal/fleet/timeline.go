@@ -87,6 +87,16 @@ type Backend struct {
 	served   int
 	failed   int
 
+	// Built at admission, so serving a request or a heartbeat allocates
+	// neither: the serving slots, and the callback that applies this
+	// backend's probe verdicts.
+	slots   [BackendSlots]slot
+	verdict func(ok bool, now simclock.Time)
+
+	// lane is the backend's trace lane under its pool's track, set when a
+	// tracer observes the pool.
+	lane string
+
 	// onRetired, when set by the upgrade orchestrator, runs once when
 	// this backend leaves the pool for good.
 	onRetired func(now simclock.Time)

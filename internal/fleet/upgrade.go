@@ -72,7 +72,7 @@ func (f *Fleet) drain(b *Backend, timeout simclock.Duration, now simclock.Time, 
 	b.onRetired = done
 	f.ringRemove(b)
 	if f.tr != nil {
-		f.tr.Instant("fleet", f.btrack(b), "drain", now)
+		f.tr.Instant("fleet", b.lane, "drain", now)
 	}
 	f.noteActive()
 	if b.inflight == 0 {
@@ -102,7 +102,7 @@ func (f *Fleet) retire(b *Backend, now simclock.Time) {
 	b.retired = true
 	f.ringRemove(b)
 	if f.tr != nil {
-		f.tr.Instant("fleet", f.btrack(b), "retire", now)
+		f.tr.Instant("fleet", b.lane, "retire", now)
 	}
 	f.noteActive()
 	if cb := b.onRelease; cb != nil {

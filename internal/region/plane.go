@@ -69,6 +69,7 @@ type Region struct {
 
 	placements []*placement
 	injectSeq  int
+	verdict    func(ok bool, now simclock.Time) // applies the router's heartbeats, built once
 
 	// Ground truth, written by the fault plane.
 	dark   bool
@@ -209,6 +210,7 @@ func (p *Plane) addRegion(i int, rs RegionSpec) {
 	r.gw = gw
 	r.lst = gw.Listen(gatewayPort, gatewayBacklog)
 	r.lst.OnPending = func(now simclock.Time) { p.gatewayPump(rr, now) }
+	r.verdict = func(ok bool, at simclock.Time) { p.probeVerdict(rr, ok, at) }
 	p.net.SetTrunk("core", rs.Name, fabric.LinkSpec{Latency: trunkLatency, Bandwidth: trunkBandwidth})
 
 	for h := 0; h < rs.Hosts; h++ {
@@ -343,13 +345,14 @@ func (p *Plane) seedStores() {
 // Run plays the whole scenario and returns the result. Deterministic:
 // the only inputs are the config and the injector's plan and seed.
 func (p *Plane) Run() Result {
-	at := trafficStart
-	for i := 0; i < p.cfg.Requests; i++ {
-		jitter := simclock.Duration(p.arrivalRng.Intn(int(arrivalJitter)))
-		r := &greq{p: p, id: i, arrival: at.Add(jitter)}
-		p.eng.Schedule(r.arrival, func(now simclock.Time) { p.routeRequest(r, now) })
-		at = at.Add(interarrival)
-	}
+	base := trafficStart
+	p.eng.Arrivals(p.cfg.Requests, func(int) simclock.Time {
+		at := base.Add(simclock.Duration(p.arrivalRng.Intn(int(arrivalJitter))))
+		base = base.Add(interarrival)
+		return at
+	}, func(i int, now simclock.Time) {
+		p.routeRequest(&greq{p: p, id: i, arrival: now}, now)
+	})
 	p.res.Total = p.cfg.Requests
 	for i := range p.cfg.Upgrades {
 		spec := p.cfg.Upgrades[i]
@@ -375,11 +378,13 @@ func (p *Plane) finishStats() {
 		p.res.Repl = p.repl.Stats()
 	}
 	for _, r := range p.regions {
+		cell := r.fl.Finish(p.res.End)
+		r.st.Shed = cell.Shed // the gateway injected every request the cell saw
 		r.st.Dark = r.dark
 		r.st.Dead = r.dead
 		r.st.DeadAt = r.deadAt
 		p.res.PerRegion = append(p.res.PerRegion, r.st)
-		p.res.Cells = append(p.res.Cells, r.fl.Finish(p.res.End))
+		p.res.Cells = append(p.res.Cells, cell)
 	}
 	for _, r := range p.regions {
 		for _, pl := range r.placements {

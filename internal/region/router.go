@@ -143,30 +143,39 @@ func (p *Plane) retry(r *greq, now simclock.Time) {
 }
 
 // gatewayPump is a region gateway's accept loop: every pending
-// connection is accepted and its request injected into the cell. Only
-// a served request answers the router; shed and failed outcomes stay
-// silent and the router's response deadline resolves them — a gateway
-// has no error channel on the wire, exactly like a real L4 proxy whose
-// upstream died.
+// connection is accepted and, once its request lands, injected into the
+// cell. Only a served request answers the router; shed and failed
+// outcomes stay silent and the router's response deadline resolves them
+// — a gateway has no error channel on the wire, exactly like a real L4
+// proxy whose upstream died.
 func (p *Plane) gatewayPump(r *Region, now simclock.Time) {
 	for {
 		c := r.lst.Accept(now)
 		if c == nil {
 			return
 		}
-		cc := c
-		rr := r
-		c.WhenRequest(now, func(at simclock.Time) {
-			rr.injectSeq++
-			rr.fl.Inject(rr.injectSeq, at, func(o fleet.Outcome, done simclock.Time) {
-				switch o {
-				case fleet.OutcomeOK:
-					cc.Respond(fleet.ResponseBytes, done)
-				case fleet.OutcomeShed:
-					rr.st.Shed++
-				}
-			})
-		})
+		c.WhenRequest(now, gateway{r})
+	}
+}
+
+// gateway is a region gateway's request continuation, and reply the
+// cell's answer on the gateway connection a request came in by. Each
+// wraps one pointer, so handing one over allocates nothing.
+type (
+	gateway struct{ r *Region }
+	reply   struct{ c *fabric.Conn }
+)
+
+// Request injects the request that just landed into the region's cell.
+func (g gateway) Request(c *fabric.Conn, at simclock.Time) {
+	g.r.injectSeq++
+	g.r.fl.Inject(g.r.injectSeq, at, reply{c})
+}
+
+// Resolved answers the router once the cell has served the request.
+func (rp reply) Resolved(o fleet.Outcome, at simclock.Time) {
+	if o == fleet.OutcomeOK {
+		rp.c.Respond(fleet.ResponseBytes, at)
 	}
 }
 
@@ -175,10 +184,7 @@ func (p *Plane) gatewayPump(r *Region, now simclock.Time) {
 // every probeInterval.
 func (p *Plane) probeTick(now simclock.Time) {
 	for _, reg := range p.regions {
-		rr := reg
-		p.net.Probe(p.router, reg.gw, probeTimeout, func(ok bool, at simclock.Time) {
-			p.probeVerdict(rr, ok, at)
-		})
+		p.net.Probe(p.router, reg.gw, probeTimeout, reg.verdict)
 	}
 	if !p.finished {
 		p.eng.Schedule(now.Add(probeInterval), p.probeTick)

@@ -1,5 +1,7 @@
 package simclock
 
+import "fmt"
+
 // Engine is the deterministic discrete-event loop every simulated plane
 // runs on: one Clock plus one queue of pending events. Events pop in
 // (at, seq) order — time first, then the order they were scheduled — so
@@ -66,7 +68,65 @@ func (e *Engine) Post(at Time, h Handler) {
 		at = e.clk.now
 	}
 	e.seq++
-	ev := event{at: at, seq: e.seq, h: h}
+	e.push(event{at: at, seq: e.seq, h: h})
+}
+
+// Reserve sets aside the next n sequence numbers and returns the first
+// of them. An event posted later with PostSeq under one of them orders
+// among same-instant events as if it had been posted now.
+func (e *Engine) Reserve(n int) uint64 {
+	first := e.seq + 1
+	e.seq += uint64(n)
+	return first
+}
+
+// PostSeq enqueues h to fire at instant at under seq, a number Reserve
+// set aside; each reserved number is posted at most once. Unlike Post,
+// an instant in the past panics: moving it up to now would let the
+// event pop after events it was reserved to precede.
+func (e *Engine) PostSeq(at Time, seq uint64, h Handler) {
+	if at < e.clk.now {
+		panic(fmt.Sprintf("simclock: PostSeq at %v, before now %v", at, e.clk.now))
+	}
+	e.push(event{at: at, seq: seq, h: h})
+}
+
+// Arrivals queues a process of n arrivals as one source: arrival i fires
+// at at(i) and runs fire(i, now). Arrival i+1 is posted only when
+// arrival i fires, under the sequence number it would have had if all n
+// had been posted now, so the queue holds one arrival at a time and ties
+// with other events break as if every arrival were queued up front. at
+// is called once per arrival, in index order; at(i+1) must not precede
+// at(i), or PostSeq panics.
+func (e *Engine) Arrivals(n int, at func(i int) Time, fire func(i int, now Time)) {
+	if n <= 0 {
+		return
+	}
+	src := &arrivals{e: e, n: n, first: e.Reserve(n), at: at, fire: fire}
+	e.PostSeq(at(0), src.first, src)
+}
+
+// arrivals is the source Arrivals queues, once per arrival.
+type arrivals struct {
+	e     *Engine
+	n, i  int    // arrivals in all; the one firing next
+	first uint64 // arrival 0's reserved sequence number
+	at    func(i int) Time
+	fire  func(i int, now Time)
+}
+
+// Fire queues the next arrival, then runs this one.
+func (a *arrivals) Fire(now Time) {
+	i := a.i
+	a.i++
+	if a.i < a.n {
+		a.e.PostSeq(a.at(a.i), a.first+uint64(a.i), a)
+	}
+	a.fire(i, now)
+}
+
+// push sifts ev up from the end of the heap.
+func (e *Engine) push(ev event) {
 	e.q = append(e.q, ev)
 	i := len(e.q) - 1
 	for i > 0 {

@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -162,5 +163,84 @@ func TestEnginePostAndPopAllocateNothing(t *testing.T) {
 	}
 	if h.fired != 102*batch {
 		t.Fatalf("handler fired %d times, want %d", h.fired, 102*batch)
+	}
+}
+
+// An event posted late under a reserved number pops before a
+// same-instant event that was posted between the reservation and it.
+func TestEngineReservedSeqKeepsItsPlace(t *testing.T) {
+	e := NewEngine()
+	var log []string
+	seq := e.Reserve(1)
+	e.Schedule(10, func(Time) { log = append(log, "posted") })
+	e.Schedule(5, func(Time) {
+		e.PostSeq(10, seq, Func(func(Time) { log = append(log, "reserved") }))
+	})
+	if n := e.Run(); n != 3 {
+		t.Fatalf("Run popped %d events, want 3", n)
+	}
+	if len(log) != 2 || log[0] != "reserved" || log[1] != "posted" {
+		t.Fatalf("pop order = %v, want [reserved posted]", log)
+	}
+}
+
+// PostSeq refuses an instant in the past instead of moving it up to now,
+// where it would pop after events it was reserved to precede.
+func TestEnginePostSeqPanicsOnPastInstant(t *testing.T) {
+	e := NewEngine()
+	seq := e.Reserve(1)
+	e.Schedule(10, func(Time) {})
+	e.Run()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("PostSeq at 9 with the clock at 10 did not panic")
+		}
+	}()
+	e.PostSeq(9, seq, &tally{})
+}
+
+// An arrival source pops in exactly the order the same arrivals posted
+// up front would, ties with other events included, asks for each
+// arrival's instant once and in index order, and holds one arrival in
+// the queue at a time.
+func TestEngineArrivalsMatchUpFrontPosting(t *testing.T) {
+	f := func(gaps, others []uint8) bool {
+		ats := make([]Time, len(gaps))
+		var at Time
+		for i, g := range gaps {
+			at += Time(g % 3) // ties between arrivals and with the others
+			ats[i] = at
+		}
+		deep := false // more than one arrival queued at once
+		run := func(source bool) (log []int, asked []int) {
+			e := NewEngine()
+			arrive := func(i int, now Time) { log = append(log, i) }
+			if source {
+				e.Arrivals(len(ats), func(i int) Time { asked = append(asked, i); return ats[i] }, func(i int, now Time) {
+					deep = deep || len(e.q) > 1+len(others)
+					arrive(i, now)
+				})
+			} else {
+				for i := range ats {
+					e.Schedule(ats[i], func(now Time) { arrive(i, now) })
+				}
+			}
+			for j, o := range others {
+				e.Schedule(Time(o%32), func(Time) { log = append(log, -1-j) })
+			}
+			e.Run()
+			return log, asked
+		}
+		want, _ := run(false)
+		got, asked := run(true)
+		for i, a := range asked {
+			if a != i {
+				return false
+			}
+		}
+		return !deep && len(asked) == len(ats) && slices.Equal(got, want)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -16,6 +16,7 @@
 package slo
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -140,6 +141,23 @@ type Scope struct {
 	samples  int
 	lastAt   simclock.Time
 	finished bool
+
+	// Incident attribution reads the tracer's event log and the
+	// injector's fire log once each, from their starts: every incident
+	// reads what was recorded since the one before and keeps the cause
+	// candidates, and candidates older than any later window can reach
+	// are dropped. Neither log is in time order, so nothing is searched.
+	horizon    simclock.Duration // the widest fault window any rule looks back, plus a sample
+	eventsRead int               // tracer events read so far
+	firesRead  int               // injector fires read so far
+	events     []candidate       // cause-grade plane events on the track, in record order
+	fires      []candidate       // fault fires, in fire order
+}
+
+// candidate is one cause occurrence kept for the alert windows to come.
+type candidate struct {
+	name string // fault site, or trace "<cat>/<name>"
+	at   simclock.Time
 }
 
 // NewScope builds a scope sampling reg every `every` of virtual time.
@@ -157,7 +175,8 @@ func NewScope(track string, reg *telemetry.Registry, tr *telemetry.Tracer, every
 }
 
 // SetInjector attaches the row's fault injector so incidents can rank
-// the storm's actual firings as root causes. Nil-safe.
+// the storm's actual firings as root causes. Nil-safe. Call before the
+// run starts.
 func (s *Scope) SetInjector(inj *faults.Injector) { s.inj = inj }
 
 // Add declares an objective. Call before the run starts.
@@ -191,6 +210,9 @@ func (s *Scope) Add(o Objective) {
 			}
 			st.maxBucket = i
 		}
+	}
+	for _, r := range o.Rules {
+		s.horizon = max(s.horizon, 2*r.Long+s.every)
 	}
 	s.objs = append(s.objs, st)
 }
@@ -249,7 +271,8 @@ func (st *objState) burn(window, every simclock.Duration) float64 {
 // Sample takes one aligned reading at virtual time now and advances
 // every rule's alert state machine. Bound scopes get this from the
 // clock; replay-style consumers (the chaos experiment's supervisor
-// timelines) may call it directly on a uniform grid.
+// timelines) may call it directly on a uniform grid. now increases from
+// one call to the next.
 func (s *Scope) Sample(now simclock.Time) {
 	s.samples++
 	s.lastAt = now
@@ -335,73 +358,68 @@ func causeEvent(e telemetry.Event) bool {
 // aggregated by name, fault fires first, then most recent first,
 // capped at maxCauses.
 func (s *Scope) attribute(st *objState, ri int, now simclock.Time, long simclock.Duration) Incident {
-	from := now.Add(-(long + s.every))
-	if from < 0 {
-		from = 0
-	}
-	faultFrom := now.Add(-(2*long + s.every))
-	if faultFrom < 0 {
-		faultFrom = 0
-	}
-	type agg struct {
-		c   Cause
-		ord int // insertion order breaks LastAt ties deterministically
-	}
-	collect := func(items []Cause) []Cause {
-		byName := map[string]*agg{}
-		var order []string
-		for _, c := range items {
-			a, ok := byName[c.Name]
-			if !ok {
-				a = &agg{c: c, ord: len(order)}
-				byName[c.Name] = a
-				order = append(order, c.Name)
-				continue
-			}
-			a.c.Count += c.Count
-			if c.LastAt > a.c.LastAt {
-				a.c.LastAt = c.LastAt
-			}
-		}
-		out := make([]Cause, 0, len(order))
-		for _, n := range order {
-			out = append(out, byName[n].c)
-		}
-		// Most recent last-occurrence first; insertion order (itself
-		// deterministic) breaks ties.
-		for i := 1; i < len(out); i++ {
-			for j := i; j > 0 && out[j].LastAt > out[j-1].LastAt; j-- {
-				out[j], out[j-1] = out[j-1], out[j]
-			}
-		}
-		return out
-	}
-
-	var fires, events []Cause
-	for _, f := range s.inj.Fires() {
-		if f.At >= faultFrom && f.At <= now {
-			fires = append(fires, Cause{Kind: "fault", Name: f.Site, Count: 1, LastAt: f.At})
-		}
-	}
-	if s.tr != nil {
-		for _, e := range s.tr.Events() {
-			if e.At < from || e.At > now || !onTrack(e.Track, s.track) {
-				continue
-			}
-			if e.Cat == "faults" && s.inj != nil {
-				continue // already covered, with better fidelity, by the fire log
-			}
-			if !causeEvent(e) {
-				continue
-			}
-			events = append(events, Cause{Kind: "event", Name: e.Cat + "/" + e.Name, Count: 1, LastAt: e.At})
-		}
-	}
-	causes := append(collect(fires), collect(events)...)
+	s.read()
+	from := max(0, now.Add(-(long + s.every)))
+	faultFrom := max(0, now.Add(-(2*long + s.every)))
+	causes := rank(nil, "fault", s.fires, faultFrom, now)
+	causes = rank(causes, "event", s.events, from, now)
 	if len(causes) > maxCauses {
 		causes = causes[:maxCauses]
 	}
+	// Sample times only grow, so a candidate before every window a later
+	// incident can open never ranks again.
+	cut := now.Add(-s.horizon)
+	stale := func(c candidate) bool { return c.at < cut }
+	s.fires = slices.DeleteFunc(s.fires, stale)
+	s.events = slices.DeleteFunc(s.events, stale)
 	return Incident{Objective: st.o.Name, Rule: st.o.Rules[ri].Name, At: now, Causes: causes}
+}
+
+// read takes in what the logs recorded since the last incident: every
+// fault fire, and the cause-grade events on the scope's track — less
+// the fault plane's own instants when the fire log already covers them
+// with better fidelity.
+func (s *Scope) read() {
+	fires := s.inj.FiresSince(s.firesRead)
+	s.firesRead += len(fires)
+	for _, f := range fires {
+		s.fires = append(s.fires, candidate{name: f.Site, at: f.At})
+	}
+	events := s.tr.EventsSince(s.eventsRead)
+	s.eventsRead += len(events)
+	for _, e := range events {
+		if !causeEvent(e) || !onTrack(e.Track, s.track) || (e.Cat == "faults" && s.inj != nil) {
+			continue
+		}
+		s.events = append(s.events, candidate{name: e.Cat + "/" + e.Name, at: e.At})
+	}
+}
+
+// rank appends to dst the candidates inside [from, now], aggregated by
+// name in first-seen order, with the most recent last occurrence first;
+// first-seen order breaks ties.
+func rank(dst []Cause, kind string, cands []candidate, from, now simclock.Time) []Cause {
+	base := len(dst)
+next:
+	for _, c := range cands {
+		if c.at < from || c.at > now {
+			continue
+		}
+		for i := base; i < len(dst); i++ {
+			if dst[i].Name == c.name {
+				dst[i].Count++
+				dst[i].LastAt = max(dst[i].LastAt, c.at)
+				continue next
+			}
+		}
+		dst = append(dst, Cause{Kind: kind, Name: c.name, Count: 1, LastAt: c.at})
+	}
+	for i := base + 1; i < len(dst); i++ {
+		for j := i; j > base && dst[j].LastAt > dst[j-1].LastAt; j-- {
+			dst[j], dst[j-1] = dst[j-1], dst[j]
+		}
+	}
+	return dst
 }
 
 // Finish closes the books at virtual time end: rules still firing

@@ -137,14 +137,17 @@ func (t *Tracer) Spans() []Span {
 	return append([]Span(nil), t.spans...)
 }
 
-// Events returns a copy of all recorded instant events in record order.
-func (t *Tracer) Events() []Event {
+// EventsSince returns the instant events recorded from index i on, in
+// record order: a reader that keeps i plus the length it got reads each
+// event once. The slice is a view of the log, which only ever grows;
+// the caller must not modify it.
+func (t *Tracer) EventsSince(i int) []Event {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]Event(nil), t.events...)
+	return t.events[i:len(t.events):len(t.events)]
 }
 
 // detail renders a flight-record detail line: "cat=<cat> k=v ...".

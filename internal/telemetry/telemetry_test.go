@@ -132,7 +132,7 @@ func TestNilTracerSafeAndSilent(t *testing.T) {
 	if d := tr.Trip("x", "r", 0); d != nil {
 		t.Fatalf("nil tracer tripped: %v", d)
 	}
-	if tr.Spans() != nil || tr.Events() != nil || tr.Flight() != nil {
+	if tr.Spans() != nil || tr.EventsSince(0) != nil || tr.Flight() != nil {
 		t.Fatal("nil tracer returned recorded state")
 	}
 	if got := string(tr.ChromeTrace()); got != `{"traceEvents":[]}` {
@@ -169,9 +169,30 @@ func TestTripFeedsFlightAndTrace(t *testing.T) {
 	if len(rec.Dumps()) != 1 {
 		t.Fatalf("recorder retained %d dumps", len(rec.Dumps()))
 	}
-	evs := tr.Events()
+	evs := tr.EventsSince(0)
 	last := evs[len(evs)-1]
 	if last.Cat != "flight" || last.Name != "trip:oom-kill" {
 		t.Fatalf("trip marker = %+v", last)
+	}
+}
+
+// A reader that keeps its place reads each event once, and the view it
+// gets cannot be appended into the log.
+func TestEventsSinceReadsEachEventOnce(t *testing.T) {
+	tr := New()
+	tr.Instant("fleet", "a", "one", 1)
+	tr.Instant("fleet", "a", "two", 2)
+	first := tr.EventsSince(0)
+	if len(first) != 2 || first[0].Name != "one" || first[1].Name != "two" {
+		t.Fatalf("EventsSince(0) = %+v", first)
+	}
+	tr.Instant("fleet", "a", "three", 3)
+	next := tr.EventsSince(len(first))
+	if len(next) != 1 || next[0].Name != "three" {
+		t.Fatalf("EventsSince(2) = %+v, want only the third event", next)
+	}
+	_ = append(first, Event{Name: "scribble"})
+	if got := tr.EventsSince(2); got[0].Name != "three" {
+		t.Fatalf("appending to a view overwrote the log: %+v", got)
 	}
 }

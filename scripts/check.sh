@@ -44,13 +44,16 @@ go test -race -count=2 ./internal/simclock/... ./internal/fleet/... ./internal/f
     ./internal/core/... ./internal/ext2/... ./internal/rootfs/...
 
 # Short runs of the fuzz targets, beyond the seeds go test already ran:
-# the ext2 image round trip, and the resolver held to its full-scan
-# reference. Each writes into the tree (testdata/fuzz/) only when it
-# finds a crasher, which then fails CI's clean-tree check.
+# the ext2 image round trip, and the resolver and the SLO incident
+# attribution each held to its full-scan reference. Each writes into the
+# tree (testdata/fuzz/) only when it finds a crasher, which then fails
+# CI's clean-tree check.
 echo "== fuzz smoke (ext2 image round trip, 10s)"
 go test -run '^$' -fuzz '^FuzzImageRoundTrip$' -fuzztime 10s ./internal/ext2
 echo "== fuzz smoke (kconfig resolve against the full scan, 10s)"
 go test -run '^$' -fuzz '^FuzzResolveMatchesFullScan$' -fuzztime 10s ./internal/kconfig
+echo "== fuzz smoke (SLO attribution against the full scan, 10s)"
+go test -run '^$' -fuzz '^FuzzAttributionMatchesFullScan$' -fuzztime 10s ./internal/slo
 
 # Every registered fault site must surface in the operator-facing
 # catalog: the count of RegisterSite calls in non-test source must match
