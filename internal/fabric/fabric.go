@@ -154,16 +154,22 @@ type Network struct {
 	subnet *Subnet
 	nodes  []*Node
 
-	busyUntil     map[int]simclock.Time    // per-node egress serialization
-	linkDownUntil map[[2]int]simclock.Time // flapped links, keyed by sorted id pair
+	// Flapped links, keyed by sorted id pair, and the latest instant any
+	// of them heals: past that watermark no link is down, so transmit
+	// reads the map only before it.
+	linkDownUntil map[[2]int]simclock.Time
+	linkHealAt    simclock.Time
 
 	// Multi-switch topology: every node lives in a zone (one virtual
 	// switch per zone; zone "" is the default single-switch world), and
 	// inter-zone traffic crosses a trunk link with its own latency,
 	// bandwidth serialization, and the trunk-cut fault site.
-	zoneIDs   map[string]int           // 1-based ids in registration order
-	trunks    map[[2]int]LinkSpec      // per sorted zone-id pair; absent = zero-cost trunk
-	trunkBusy map[[2]int]simclock.Time // trunk egress serialization, directed pair
+	zoneIDs map[string]int // 1-based ids in registration order
+	// zoneTrunks holds every directed zone pair's trunk at
+	// from*zoneStride+to, zoneStride being one more than the zones it
+	// covers; a pair SetTrunk never priced is a zero-cost cable.
+	zoneTrunks []trunk
+	zoneStride int
 
 	// armed records which of the network's fault sites the plan has a
 	// rule for, asked once in New: a Hit on any other site draws and
@@ -171,12 +177,12 @@ type Network struct {
 	armed               armedSites
 	dataDrop, probeDrop extraSite
 
-	free []*segment // delivered segments, cleared for reuse
+	free       []*segment // delivered segments, cleared for reuse
+	freeProbes []*probe   // timed-out probe records, cleared for reuse
 
-	connSeq    int
-	probeSeq   int
-	probeTable map[int]*probe
-	stats      Stats
+	connSeq  int
+	probeSeq int
+	stats    Stats
 
 	tr      *telemetry.Tracer
 	trTrack string
@@ -201,15 +207,10 @@ func New(params Params, eng *simclock.Engine, inj *faults.Injector) *Network {
 			delay:     inj.Arms(SiteDelay),
 			trunkCut:  inj.Arms(SiteTrunkCut),
 		},
-		dataDrop:      armExtra(inj, params.DataDropSite),
-		probeDrop:     armExtra(inj, params.ProbeDropSite),
-		rng:           faults.NewStream(params.Seed ^ 0xFAB51C),
-		subnet:        subnet,
-		busyUntil:     make(map[int]simclock.Time),
-		linkDownUntil: make(map[[2]int]simclock.Time),
-		zoneIDs:       make(map[string]int),
-		trunks:        make(map[[2]int]LinkSpec),
-		trunkBusy:     make(map[[2]int]simclock.Time),
+		dataDrop:  armExtra(inj, params.DataDropSite),
+		probeDrop: armExtra(inj, params.ProbeDropSite),
+		rng:       faults.NewStream(params.Seed ^ 0xFAB51C),
+		subnet:    subnet,
 	}
 }
 
@@ -242,9 +243,34 @@ func (n *Network) zoneID(zone string) int {
 	if id, ok := n.zoneIDs[zone]; ok {
 		return id
 	}
+	if n.zoneIDs == nil {
+		n.zoneIDs = make(map[string]int)
+	}
 	id := len(n.zoneIDs) + 1
 	n.zoneIDs[zone] = id
 	return id
+}
+
+// trunk is one direction of an inter-zone trunk: the pair's link spec
+// (the same both ways) and this direction's egress serialization horizon.
+type trunk struct {
+	spec      LinkSpec
+	busyUntil simclock.Time
+}
+
+// trunkDir returns the directed trunk from zone a to zone b. A zone
+// registered since the table was last built rebuilds it, in one
+// allocation, for every zone registered so far.
+func (n *Network) trunkDir(a, b int) *trunk {
+	if n.zoneStride <= len(n.zoneIDs) {
+		stride := len(n.zoneIDs) + 1
+		t := make([]trunk, stride*stride)
+		for i := 0; i < n.zoneStride; i++ {
+			copy(t[i*stride:], n.zoneTrunks[i*n.zoneStride:(i+1)*n.zoneStride])
+		}
+		n.zoneTrunks, n.zoneStride = t, stride
+	}
+	return &n.zoneTrunks[a*n.zoneStride+b]
 }
 
 // SetTrunk installs the trunk link crossed by segments between zones a
@@ -256,7 +282,8 @@ func (n *Network) SetTrunk(a, b string, spec LinkSpec) {
 	if ai == 0 || bi == 0 || ai == bi {
 		panic(fmt.Sprintf("fabric: bad trunk %q<->%q", a, b))
 	}
-	n.trunks[pairKey(ai, bi)] = spec
+	n.trunkDir(ai, bi).spec = spec
+	n.trunkDir(bi, ai).spec = spec
 }
 
 // Observe attaches the telemetry plane: a span per connection, instant
@@ -289,6 +316,8 @@ type Node struct {
 	// compromised guest's lateral probes die at the first hop. Ingress
 	// still flows: the victim hears the world but cannot answer it.
 	egressCut bool
+
+	busyUntil simclock.Time // egress serialization: when the access link frees
 
 	listeners map[int]*Listener
 }
@@ -455,11 +484,11 @@ type segment struct {
 	kind     segKind
 	from, to *Node
 	size     int
-	conn     *Conn // nil for probes
-	seq      int   // xmit identity being carried (SYN/data) or acked (ACK)
-	rstErr   error // for segRST: why
-	probeID  int
-	response bool // for segData: server->client payload
+	conn     *Conn  // nil for probes
+	probe    *probe // for probes and replies: the record a reply resolves
+	seq      int    // xmit identity carried (SYN/data) or acked (ACK); the probe's id for probes and replies
+	rstErr   error  // for segRST: why
+	response bool   // for segData: server->client payload
 }
 
 // Fire delivers the segment at its destination, then returns it to the
@@ -509,7 +538,7 @@ func (n *Network) transmit(v segment, now simclock.Time) {
 	}
 	// Fault gauntlet, in a fixed order so runs replay. A segment dies on
 	// the first match; later sites never observe it.
-	if until, down := n.linkDownUntil[pairKey(s.from.id, s.to.id)]; down && now < until {
+	if now < n.linkHealAt && now < n.linkDownUntil[pairKey(s.from.id, s.to.id)] {
 		n.drop(s, "link-down", now)
 		return
 	}
@@ -533,7 +562,12 @@ func (n *Network) transmit(v segment, now simclock.Time) {
 		if us <= 0 {
 			us = 500
 		}
-		n.linkDownUntil[pairKey(s.from.id, s.to.id)] = now.Add(simclock.Duration(us) * simclock.Microsecond)
+		heal := now.Add(simclock.Duration(us) * simclock.Microsecond)
+		if n.linkDownUntil == nil {
+			n.linkDownUntil = make(map[[2]int]simclock.Time)
+		}
+		n.linkDownUntil[pairKey(s.from.id, s.to.id)] = heal
+		n.linkHealAt = max(n.linkHealAt, heal)
 		n.drop(s, "flap", now)
 		return
 	}
@@ -555,29 +589,23 @@ func (n *Network) transmit(v segment, now simclock.Time) {
 	}
 	// Egress serialization on the sender's access link, then propagation
 	// over both links. FIFO per egress port keeps the order deterministic.
-	depart := now
-	if busy := n.busyUntil[s.from.id]; busy > depart {
-		depart = busy
-	}
+	depart := max(now, s.from.busyUntil)
 	if bw := s.from.link.Bandwidth; bw > 0 {
 		depart = depart.Add(simclock.Duration(int64(s.size) * int64(simclock.Second) / bw))
 	}
-	n.busyUntil[s.from.id] = depart
+	s.from.busyUntil = depart
 	hop := s.from.link.Latency + s.to.link.Latency + extra
 	if s.from.zone != s.to.zone {
 		// Second serialization stage on the inter-zone trunk, directed
 		// per zone pair, then the trunk's own propagation delay. An
 		// unconfigured trunk is a zero-cost patch cable.
-		spec := n.trunks[pairKey(s.from.zone, s.to.zone)]
-		dir := [2]int{s.from.zone, s.to.zone}
-		if busy := n.trunkBusy[dir]; busy > depart {
-			depart = busy
-		}
-		if bw := spec.Bandwidth; bw > 0 {
+		t := n.trunkDir(s.from.zone, s.to.zone)
+		depart = max(depart, t.busyUntil)
+		if bw := t.spec.Bandwidth; bw > 0 {
 			depart = depart.Add(simclock.Duration(int64(s.size) * int64(simclock.Second) / bw))
 		}
-		n.trunkBusy[dir] = depart
-		hop += spec.Latency
+		t.busyUntil = depart
+		hop += t.spec.Latency
 	}
 	n.eng.Post(depart.Add(hop), n.inflight(v))
 }
@@ -665,7 +693,7 @@ func (n *Network) deliver(s *segment, now simclock.Time) {
 	case segProbe:
 		n.deliverProbe(s, now)
 	case segProbeReply:
-		n.probeReturned(s.probeID, now)
+		n.probeReturned(s.probe, s.seq, now)
 	}
 }
 
@@ -706,7 +734,10 @@ func (n *Network) deliverSYN(s *segment, now simclock.Time) {
 
 // --- probes ---
 
-// probe is one heartbeat in flight, and its own timeout event.
+// probe is one heartbeat in flight, and its own timeout event. The
+// timeout always fires, so it returns the record to the network's free
+// list; a reply carries the probe's id, and one that lands after the
+// timeout finds another id on the record and resolves nothing.
 type probe struct {
 	n    *Network
 	id   int
@@ -714,13 +745,16 @@ type probe struct {
 	cb   func(ok bool, now simclock.Time)
 }
 
-// Fire is the probe's timeout: no reply landed in time.
+// Fire is the probe's timeout: unless a reply landed in time, the
+// verdict is a failure. Either way the record goes back for reuse.
 func (pr *probe) Fire(at simclock.Time) {
 	if !pr.done {
 		pr.done = true
-		delete(pr.n.probes(), pr.id)
 		pr.cb(false, at)
 	}
+	n := pr.n
+	*pr = probe{}
+	n.freeProbes = append(n.freeProbes, pr)
 }
 
 // Probe sends one heartbeat datagram from -> to and reports the verdict
@@ -728,41 +762,38 @@ func (pr *probe) Fire(at simclock.Time) {
 // otherwise. Probes model UDP heartbeats: no retransmission — a lost
 // probe IS a failed probe, which is what makes one-sided partitions
 // visible to the health checker as timeouts. The probe record is its
-// own timeout event, so a caller that builds cb once per target pays
-// one allocation per probe.
+// own timeout event and comes from the network's free list, so a caller
+// that builds cb once per target allocates nothing per probe.
 func (n *Network) Probe(from, to *Node, timeout simclock.Duration, cb func(ok bool, now simclock.Time)) {
 	n.probeSeq++
-	id := n.probeSeq
 	n.stats.ProbesSent++
-	pr := &probe{n: n, id: id, cb: cb}
-	n.probes()[id] = pr
-	now := n.eng.Now()
-	n.transmit(segment{kind: segProbe, from: from, to: to, size: ctlBytes, probeID: id}, now)
-	n.eng.Post(now.Add(timeout), pr)
-}
-
-// probes is the per-network in-flight probe table.
-func (n *Network) probes() map[int]*probe {
-	if n.probeTable == nil {
-		n.probeTable = make(map[int]*probe)
+	var pr *probe
+	if k := len(n.freeProbes); k > 0 {
+		pr = n.freeProbes[k-1]
+		n.freeProbes = n.freeProbes[:k-1]
+	} else {
+		pr = new(probe)
 	}
-	return n.probeTable
+	*pr = probe{n: n, id: n.probeSeq, cb: cb}
+	now := n.eng.Now()
+	n.transmit(segment{kind: segProbe, from: from, to: to, size: ctlBytes, probe: pr, seq: pr.id}, now)
+	n.eng.Post(now.Add(timeout), pr)
 }
 
 func (n *Network) deliverProbe(s *segment, now simclock.Time) {
 	if !s.to.up(now) {
 		return // a dead VM answers nothing
 	}
-	n.transmit(segment{kind: segProbeReply, from: s.to, to: s.from, size: ctlBytes, probeID: s.probeID}, now)
+	n.transmit(segment{kind: segProbeReply, from: s.to, to: s.from, size: ctlBytes, probe: s.probe, seq: s.seq}, now)
 }
 
-func (n *Network) probeReturned(id int, now simclock.Time) {
-	pr := n.probes()[id]
-	if pr == nil || pr.done {
+// probeReturned resolves the probe a reply carries, unless its record
+// already timed out (and may now serve a later probe).
+func (n *Network) probeReturned(pr *probe, id int, now simclock.Time) {
+	if pr.id != id || pr.done {
 		return
 	}
 	pr.done = true
-	delete(n.probes(), id)
 	n.stats.ProbesOK++
 	pr.cb(true, now)
 }

@@ -438,6 +438,55 @@ func TestFlapOutlastsRexmitLadder(t *testing.T) {
 	}
 }
 
+// TestFlapsHealPerLink flaps two links over different windows: x-z for
+// 500 µs from 0, then x-y for 100 µs from 50 µs. At 200 µs x-y has healed
+// on time although x-z, flapped first, is still down, and x-w, never
+// flapped, passes throughout; at 600 µs every link is up.
+func TestFlapsHealPerLink(t *testing.T) {
+	const us = simclock.Microsecond
+	params := DefaultParams()
+	params.DefaultLink = LinkSpec{Latency: us} // unmetered: a segment lands 2 µs after it leaves
+	inj := faults.MustNew(faults.Plan{Seed: 11, Rules: []faults.Rule{
+		{Site: SiteFlap, From: 0, To: simclock.Time(us), Prob: 1, Param: 500},
+		{Site: SiteFlap, From: simclock.Time(50 * us), To: simclock.Time(51 * us), Prob: 1, Param: 100},
+	}})
+	sched := simclock.NewEngine()
+	net := New(params, sched, inj)
+	x, _ := net.AddNode("x", LinkSpec{})
+	arrivals := map[string][]simclock.Time{}
+	target := func(name string) *Node {
+		nd, _ := net.AddNode(name, LinkSpec{})
+		// Record each probe's arrival and stay dark, so no reply muddies the wire.
+		nd.SetAlive(func(now simclock.Time) bool { arrivals[name] = append(arrivals[name], now); return false })
+		return nd
+	}
+	y, z, w := target("y"), target("z"), target("w")
+	send := func(at simclock.Duration, to ...*Node) {
+		sched.Schedule(simclock.Time(at), func(now simclock.Time) {
+			for _, nd := range to {
+				net.transmit(segment{kind: segProbe, from: x, to: nd, size: ctlBytes}, now)
+			}
+		})
+	}
+	send(0, z)     // flaps x-z until 500 µs
+	send(50*us, y) // flaps x-y until 150 µs
+	send(200*us, y, z, w)
+	send(600*us, y, z, w)
+	sched.Run()
+	at := func(d simclock.Duration) simclock.Time { return simclock.Time(d + 2*us) }
+	want := map[string][]simclock.Time{
+		"y": {at(200 * us), at(600 * us)},
+		"z": {at(600 * us)},
+		"w": {at(200 * us), at(600 * us)},
+	}
+	if fmt.Sprint(arrivals) != fmt.Sprint(want) {
+		t.Fatalf("arrivals = %v, want %v", arrivals, want)
+	}
+	if st := net.Stats(); st.Dropped != 3 { // two flaps, then x-z at 200 µs
+		t.Fatalf("dropped %d segments, want 3: %+v", st.Dropped, st)
+	}
+}
+
 // TestAcceptSkipsDeadEntries fills a backlog, times the clients out, and
 // checks Accept discards the corpses.
 func TestAcceptSkipsDeadEntries(t *testing.T) {
@@ -569,6 +618,80 @@ func TestProbeLostIsFailed(t *testing.T) {
 	}
 }
 
+// TestLateProbeReplyIsIgnored delays probe 1's reply past its timeout.
+// Probe 2 then reuses probe 1's record, and probe 1's reply lands while
+// probe 2 is still waiting for its own, also delayed, reply: the late
+// reply must resolve nothing, so each probe gets exactly one verdict,
+// its own.
+func TestLateProbeReplyIsIgnored(t *testing.T) {
+	const us = simclock.Microsecond
+	inj := faults.MustNew(faults.Plan{Seed: 5, Rules: []faults.Rule{
+		{Site: SiteDelay, NthHit: 2, Param: 300}, // probe 1's reply lands at ~320 µs
+		{Site: SiteDelay, NthHit: 4, Param: 400}, // probe 2's reply lands at ~620 µs
+	}})
+	sched := simclock.NewEngine()
+	net := New(DefaultParams(), sched, inj)
+	lb, _ := net.AddNode("lb", LinkSpec{})
+	vm, _ := net.AddNode("vm", LinkSpec{})
+
+	type verdict struct {
+		ok bool
+		at simclock.Time
+	}
+	var first, second []verdict
+	net.Probe(lb, vm, 100*us, func(ok bool, now simclock.Time) { first = append(first, verdict{ok, now}) })
+	var reused bool
+	sched.Schedule(simclock.Time(200*us), func(now simclock.Time) {
+		rec := net.freeProbes[len(net.freeProbes)-1]
+		net.Probe(lb, vm, ms, func(ok bool, now simclock.Time) { second = append(second, verdict{ok, now}) })
+		reused = rec.id == 2
+	})
+	sched.Run()
+	if !reused {
+		t.Fatal("probe 2 did not reuse probe 1's record")
+	}
+	if len(first) != 1 || first[0] != (verdict{false, simclock.Time(100 * us)}) {
+		t.Fatalf("probe 1 verdicts = %v, want one timeout at 100µs", first)
+	}
+	if len(second) != 1 || !second[0].ok || second[0].at < simclock.Time(600*us) {
+		t.Fatalf("probe 2 verdicts = %v, want one success when its own reply lands (~620µs)", second)
+	}
+	if st := net.Stats(); st.ProbesSent != 2 || st.ProbesOK != 1 {
+		t.Fatalf("probe stats: %+v", st)
+	}
+}
+
+// A steady-state probe allocates nothing, whether its reply lands or it
+// times out: the record comes off the network's free list and goes back
+// when its timeout fires.
+func TestProbeAllocations(t *testing.T) {
+	sched := simclock.NewEngine()
+	net := New(DefaultParams(), sched, nil)
+	lb, _ := net.AddNode("lb", LinkSpec{})
+	vm, _ := net.AddNode("vm", LinkSpec{})
+	up := true
+	vm.SetAlive(func(simclock.Time) bool { return up })
+	verdicts := 0
+	cb := func(ok bool, now simclock.Time) {
+		if ok == up {
+			verdicts++
+		}
+	}
+	probe := func() {
+		net.Probe(lb, vm, ms, cb)
+		sched.Run()
+	}
+	probe() // grow the engine queue and fill the free lists
+	for _, up = range []bool{true, false} {
+		if allocs := testing.AllocsPerRun(100, probe); allocs != 0 {
+			t.Fatalf("%v allocations per probe (target up=%v), want 0", allocs, up)
+		}
+	}
+	if verdicts != 1+2*101 {
+		t.Fatalf("%d right verdicts of %d probes", verdicts, 1+2*101)
+	}
+}
+
 // TestBandwidthSerializes checks the egress link serializes back-to-back
 // segments: the second departs after the first finishes transmitting.
 func TestBandwidthSerializes(t *testing.T) {
@@ -583,7 +706,7 @@ func TestBandwidthSerializes(t *testing.T) {
 	var arrivals []simclock.Time
 	b.SetAlive(func(now simclock.Time) bool { arrivals = append(arrivals, now); return false })
 	for i := 0; i < 2; i++ {
-		net.transmit(segment{kind: segProbe, from: a, to: b, size: 1000, probeID: 1000 + i}, sched.Now())
+		net.transmit(segment{kind: segProbe, from: a, to: b, size: 1000, seq: 1000 + i}, sched.Now())
 	}
 	sched.Run()
 	if len(arrivals) != 2 {
@@ -592,5 +715,81 @@ func TestBandwidthSerializes(t *testing.T) {
 	gap := arrivals[1].Sub(arrivals[0])
 	if gap != simclock.Millisecond {
 		t.Fatalf("egress gap = %v, want 1ms (1000 B at 1 MB/s)", gap)
+	}
+}
+
+// TestTrunkSerializesPerDirection prices one trunk between zones a and b
+// at 1 ms per KB over unmetered access links: back-to-back segments from
+// a to b queue behind each other on it, a segment from b to a does not
+// wait for them, and zone c, which no trunk prices, reaches a over a
+// zero-cost cable. SetTrunk runs before any node joins, so a and b keep
+// ids 1 and 2 though b's nodes join first.
+func TestTrunkSerializesPerDirection(t *testing.T) {
+	const us = simclock.Microsecond
+	sched := simclock.NewEngine()
+	params := DefaultParams()
+	params.DefaultLink = LinkSpec{Latency: us}
+	net := New(params, sched, nil)
+	net.SetTrunk("a", "b", LinkSpec{Latency: 10 * us, Bandwidth: 1000 * 1000})
+	arrivals := map[string][]simclock.Time{}
+	node := func(name, zone string) *Node {
+		nd, err := net.AddNodeZone(name, zone, LinkSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd.SetAlive(func(now simclock.Time) bool { arrivals[name] = append(arrivals[name], now); return false })
+		return nd
+	}
+	b1, b2 := node("b1", "b"), node("b2", "b")
+	a1, a2 := node("a1", "a"), node("a2", "a")
+	c := node("c", "c")
+	if a1.zone != 1 || b1.zone != 2 || c.zone != 3 {
+		t.Fatalf("zone ids a=%d b=%d c=%d, want 1, 2, 3", a1.zone, b1.zone, c.zone)
+	}
+	send := func(from, to *Node) {
+		net.transmit(segment{kind: segProbe, from: from, to: to, size: 1000}, sched.Now())
+	}
+	send(a1, b1) // on the a->b trunk from 0 to 1 ms
+	send(c, a2)  // zone c joined after the trunk table was built
+	send(a2, b2) // queues behind a1's segment: on the trunk from 1 to 2 ms
+	send(b1, a1) // the b->a direction is free at once
+	sched.Run()
+	hop := 12 * us // two access links and the trunk
+	want := map[string][]simclock.Time{
+		"b1": {simclock.Time(ms + hop)},
+		"b2": {simclock.Time(2*ms + hop)},
+		"a1": {simclock.Time(ms + hop)},
+		"a2": {simclock.Time(2 * us)},
+	}
+	if fmt.Sprint(arrivals) != fmt.Sprint(want) {
+		t.Fatalf("arrivals = %v, want %v", arrivals, want)
+	}
+	if st := net.Stats(); st.TrunkSegments != 4 {
+		t.Fatalf("trunk segments = %d, want 4: %+v", st.TrunkSegments, st)
+	}
+}
+
+// BenchmarkInterZoneRoundTrip is one dial, request and response between
+// two zones over a priced trunk per op: every segment of the exchange
+// takes the fabric's inter-zone path.
+func BenchmarkInterZoneRoundTrip(b *testing.B) {
+	sched := simclock.NewEngine()
+	net := New(DefaultParams(), sched, nil)
+	client, _ := net.AddNodeZone("client", "east", LinkSpec{})
+	server, _ := net.AddNodeZone("server", "west", LinkSpec{})
+	net.SetTrunk("east", "west", LinkSpec{Latency: 50 * simclock.Microsecond, Bandwidth: 1250 * 1000 * 1000})
+	serveAll(server.Listen(80, 16), 4096)
+	served := 0
+	h := &callbacks{
+		established: func(c *Conn, now simclock.Time) { c.SendRequest(1024, 10*ms, now) },
+		response:    func(c *Conn, now simclock.Time) { served++ },
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		client.Dial(server, 80, h)
+		sched.Run()
+	}
+	if served != b.N {
+		b.Fatalf("served %d of %d round trips", served, b.N)
 	}
 }

@@ -73,7 +73,8 @@ func NewAttached(cfg Config, eng *simclock.Engine, net *fabric.Network, zone str
 // Start begins the heartbeat loop, first beat one probe interval after
 // now.
 func (f *Fleet) Start(now simclock.Time) {
-	f.eng.Schedule(now.Add(probeInterval), f.probeTick)
+	f.probeLoop = f.probeTick
+	f.eng.Post(now.Add(probeInterval), f.probeLoop)
 }
 
 // Stop halts the heartbeat loop at its next tick, letting the owning

@@ -103,7 +103,7 @@ func (f *Fleet) autoscaleTick(now simclock.Time) {
 		}
 	}
 	if f.resolved < f.cfg.Requests {
-		f.eng.Schedule(now.Add(p.Evaluate), f.autoscaleTick)
+		f.eng.Post(now.Add(p.Evaluate), f.autoscaleLoop)
 	}
 }
 

@@ -254,6 +254,10 @@ type Fleet struct {
 	zone       string
 	stopped    bool
 
+	// The self-rescheduling loops, each built once when it starts so a
+	// tick posts the next without allocating.
+	probeLoop, autoscaleLoop, memLoop simclock.Func
+
 	net    *fabric.Network
 	lbNode *fabric.Node
 
@@ -367,10 +371,12 @@ func (f *Fleet) Run() Result {
 		f.eng.Schedule(f.plan.Start, func(now simclock.Time) { f.startUpgrade(now) })
 	}
 	if f.scaler != nil {
-		f.eng.Schedule(simclock.Time(f.scaler.Evaluate), f.autoscaleTick)
+		f.autoscaleLoop = f.autoscaleTick
+		f.eng.Post(simclock.Time(f.scaler.Evaluate), f.autoscaleLoop)
 	}
 	if f.mem != nil {
-		f.eng.Schedule(simclock.Time(f.memEvery), f.memTick)
+		f.memLoop = f.memTick
+		f.eng.Post(simclock.Time(f.memEvery), f.memLoop)
 	}
 	f.res.Events = f.eng.Run()
 	f.res.End = f.eng.Now()
@@ -694,7 +700,7 @@ func (f *Fleet) probeTick(now simclock.Time) {
 	if f.stopped || (f.standalone && f.resolved >= f.cfg.Requests && f.upgraded) {
 		return
 	}
-	f.eng.Schedule(now.Add(probeInterval), f.probeTick)
+	f.eng.Post(now.Add(probeInterval), f.probeLoop)
 }
 
 // probeVerdict applies one heartbeat result to the health view and the

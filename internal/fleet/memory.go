@@ -57,7 +57,7 @@ func (f *Fleet) AttachMemory(p MemoryPlane, tick simclock.Duration) {
 func (f *Fleet) memTick(now simclock.Time) {
 	f.mem.Tick(f, now)
 	if f.resolved < f.cfg.Requests {
-		f.eng.Schedule(now.Add(f.memEvery), f.memTick)
+		f.eng.Post(now.Add(f.memEvery), f.memLoop)
 	}
 }
 

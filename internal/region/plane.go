@@ -116,6 +116,10 @@ type Plane struct {
 	provisioning int // evacuation + crash-replacement + repave restores in flight
 	finished     bool
 
+	// The heartbeat and control loops, each built once when Run starts
+	// it so a tick posts the next without allocating.
+	probeLoop, controlLoop simclock.Func
+
 	tr      *telemetry.Tracer
 	trTrack string
 
@@ -153,6 +157,11 @@ func New(cfg Config, inj *faults.Injector) *Plane {
 	for i, rs := range cfg.Regions {
 		p.addRegion(i, rs)
 	}
+	// Every zone is registered by now, so the fabric builds its trunk
+	// table once.
+	for _, rs := range cfg.Regions {
+		p.net.SetTrunk("core", rs.Name, fabric.LinkSpec{Latency: trunkLatency, Bandwidth: trunkBandwidth})
+	}
 	p.seedStores()
 	p.armBreach()
 	return p
@@ -189,8 +198,8 @@ func (p *Plane) Observe(tr *telemetry.Tracer, mreg *telemetry.Registry, track st
 }
 
 // addRegion builds one failure domain: gateway node + listener in its
-// own zone, a trunk from the core, hosts, the fleet cell, and the
-// bin-packed initial pool.
+// own zone, hosts, the fleet cell, and the bin-packed initial pool. New
+// joins the zone to the core by a trunk once every region is added.
 func (p *Plane) addRegion(i int, rs RegionSpec) {
 	r := &Region{
 		idx:    i,
@@ -211,7 +220,6 @@ func (p *Plane) addRegion(i int, rs RegionSpec) {
 	r.lst = gw.Listen(gatewayPort, gatewayBacklog)
 	r.lst.OnPending = func(now simclock.Time) { p.gatewayPump(rr, now) }
 	r.verdict = func(ok bool, at simclock.Time) { p.probeVerdict(rr, ok, at) }
-	p.net.SetTrunk("core", rs.Name, fabric.LinkSpec{Latency: trunkLatency, Bandwidth: trunkBandwidth})
 
 	for h := 0; h < rs.Hosts; h++ {
 		spec := rs.Host
@@ -358,8 +366,9 @@ func (p *Plane) Run() Result {
 		spec := p.cfg.Upgrades[i]
 		p.eng.Schedule(spec.Start, func(now simclock.Time) { p.startRollout(spec, now) })
 	}
-	p.eng.Schedule(simclock.Time(probeInterval), p.probeTick)
-	p.eng.Schedule(simclock.Time(controlEvery), p.controlTick)
+	p.probeLoop, p.controlLoop = p.probeTick, p.controlTick
+	p.eng.Post(simclock.Time(probeInterval), p.probeLoop)
+	p.eng.Post(simclock.Time(controlEvery), p.controlLoop)
 	for _, r := range p.regions {
 		r.fl.Start(0)
 	}
@@ -431,7 +440,7 @@ func (p *Plane) controlTick(now simclock.Time) {
 		}
 	}
 	if !p.finished {
-		p.eng.Schedule(now.Add(controlEvery), p.controlTick)
+		p.eng.Post(now.Add(controlEvery), p.controlLoop)
 	}
 }
 

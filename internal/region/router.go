@@ -187,7 +187,7 @@ func (p *Plane) probeTick(now simclock.Time) {
 		p.net.Probe(p.router, reg.gw, probeTimeout, reg.verdict)
 	}
 	if !p.finished {
-		p.eng.Schedule(now.Add(probeInterval), p.probeTick)
+		p.eng.Post(now.Add(probeInterval), p.probeLoop)
 	}
 }
 
