@@ -64,7 +64,7 @@ func epollServe(a *App, p *guest.Proc, handle func(p *guest.Proc, req []byte) []
 	p.EpollCtl(epfd, lfd, true)
 	buf := make([]byte, 4096)
 	for {
-		events, e := p.EpollWait(epfd, -1)
+		events, e := p.EpollWait(epfd)
 		if e != guest.OK {
 			return 1
 		}

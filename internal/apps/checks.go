@@ -1,9 +1,6 @@
 package apps
 
-import (
-	"lupine/internal/guest"
-	"lupine/internal/simclock"
-)
+import "lupine/internal/guest"
 
 // checkOrder fixes the order in which an app exercises its required
 // kernel facilities at startup, mirroring how real applications fail on
@@ -63,7 +60,7 @@ var optionChecks = map[string]func(p *guest.Proc) guest.Errno{
 		return e
 	},
 	"TIMERFD": func(p *guest.Proc) guest.Errno {
-		fd, e := p.TimerFD(simclock.Millisecond)
+		fd, e := p.TimerFD()
 		if e == guest.OK {
 			p.Close(fd)
 		}
@@ -100,10 +97,7 @@ var optionChecks = map[string]func(p *guest.Proc) guest.Errno{
 		return e
 	},
 	"SYSVIPC": func(p *guest.Proc) guest.Errno {
-		id, e := p.SemGet(1)
-		if e == guest.OK {
-			_ = id
-		}
+		_, e := p.SemGet()
 		return e
 	},
 	"MEMBARRIER": func(p *guest.Proc) guest.Errno {

@@ -211,6 +211,10 @@ type Target struct {
 	quarantinedAt simclock.Time // -1 = never
 	gone          bool          // deregistered: repaved or retired
 	canaryMisses  int
+
+	// lateral posts this target's next lateral wave; built at its one
+	// compromise, so the wave loop reschedules without allocating.
+	lateral simclock.Func
 }
 
 // Compromised reports whether the campaign owned this target.
@@ -267,6 +271,10 @@ type Plane struct {
 	started bool
 	stopped bool
 
+	// The campaign and canary loops post these, built once in New, so a
+	// tick reschedules without allocating a method value.
+	campaignLoop, canaryLoop simclock.Func
+
 	tr      *telemetry.Tracer
 	trTrack string
 
@@ -283,13 +291,16 @@ type Plane struct {
 // when no target has a NIC; inj nil means no rule ever fires (a quiet
 // campaign).
 func New(cfg Config, eng *simclock.Engine, net *fabric.Network, inj *faults.Injector) *Plane {
-	return &Plane{
+	p := &Plane{
 		cfg: cfg,
 		eng: eng,
 		net: net,
 		inj: inj,
 		rng: faults.NewStream(cfg.Seed),
 	}
+	p.campaignLoop = p.campaignTick
+	p.canaryLoop = p.canaryTick
+	return p
 }
 
 // SetHooks wires the containment plane in. Call before Start.
@@ -352,8 +363,8 @@ func (p *Plane) Start(now simclock.Time) {
 	if at < now {
 		at = now
 	}
-	p.eng.Schedule(at, p.campaignTick)
-	p.eng.Schedule(now.Add(canaryEvery), p.canaryTick)
+	p.eng.Post(at, p.campaignLoop)
+	p.eng.Post(now.Add(canaryEvery), p.canaryLoop)
 }
 
 // Stop halts the campaign at its next event, letting the owner's engine
@@ -370,7 +381,7 @@ func (p *Plane) campaignTick(now simclock.Time) {
 			p.exploit(t, p.vector(d.Param), "probe", now)
 		}
 	}
-	p.eng.Schedule(now.Add(attackEvery), p.campaignTick)
+	p.eng.Post(now.Add(attackEvery), p.campaignLoop)
 }
 
 // vector resolves a rule Param to a syscall name: 1-based index, 0 for
@@ -469,8 +480,8 @@ func (p *Plane) compromise(t *Target, cause string, now simclock.Time) {
 		p.eng.Schedule(now.Add(escalateAfter), func(at simclock.Time) { p.escalate(tt, at) })
 	}
 	if !t.gone {
-		tt := t
-		p.eng.Schedule(now.Add(lateralEvery), func(at simclock.Time) { p.lateralWave(tt, at) })
+		t.lateral = func(at simclock.Time) { p.lateralWave(t, at) }
+		p.eng.Post(now.Add(lateralEvery), t.lateral)
 	}
 }
 
@@ -530,7 +541,7 @@ func (p *Plane) lateralWave(t *Target, now simclock.Time) {
 			p.exploit(pp, vec, "lateral", at)
 		})
 	}
-	p.eng.Schedule(now.Add(lateralEvery), func(at simclock.Time) { p.lateralWave(t, at) })
+	p.eng.Post(now.Add(lateralEvery), t.lateral)
 }
 
 // lateralPeers picks up to lateralFanout un-owned peers in registration
@@ -585,5 +596,5 @@ func (p *Plane) canaryTick(now simclock.Time) {
 			}
 		}
 	}
-	p.eng.Schedule(now.Add(canaryEvery), p.canaryTick)
+	p.eng.Post(now.Add(canaryEvery), p.canaryLoop)
 }

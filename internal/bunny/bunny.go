@@ -1,7 +1,7 @@
 // Package bunny is the declarative build pipeline over the paper's
-// Figure 2: a spec names an application, a monitor, a
-// configuration profile and extra root filesystem entries, and the
-// compiler turns it into a Lupine unikernel image through the real
+// Figure 2: a spec names an application, a monitor, a configuration
+// profile, extra kernel options and a hardening level, and the compiler
+// turns it into a Lupine unikernel image through the real
 // kconfig→kbuild→rootfs pipeline. Specs normalize deterministically
 // (sorted, deduplicated options — the manifest.New discipline) and are
 // content-addressed: the spec digest plus the kernel tree version key a
@@ -48,23 +48,13 @@ var validProfiles = map[string]bool{
 	ProfileTiny:  true,
 }
 
-// Entry is one extra root filesystem file the spec ships alongside the
-// application (configs, seed data).
-type Entry struct {
-	Path string
-	Mode uint32 // 0 means 0644
-	Data string
-}
-
 // Spec is the declarative build request: everything that determines the
 // produced image, and nothing else.
 type Spec struct {
-	App     string            // registry application name
-	Monitor string            // default firecracker
-	Profile string            // nokml (default), kml, tiny
-	Options []string          // kernel options atop the app manifest
-	Env     map[string]string // extra environment entries
-	RootFS  []Entry           // extra rootfs files
+	App     string   // registry application name
+	Monitor string   // default firecracker
+	Profile string   // nokml (default), kml, tiny
+	Options []string // kernel options atop the app manifest
 
 	// Hardening selects a mitigation level — off (default), aslr or
 	// full — mapping to priced kconfig options (attack.HardeningOptions),
@@ -83,9 +73,8 @@ func New(app string, options ...string) *Spec {
 }
 
 // Normalize puts the spec in canonical form: defaults filled in, options
-// sorted and deduplicated, rootfs entries sorted by path, empty Env
-// dropped to nil. Two specs meaning the same build render identically
-// (and therefore digest identically) after Normalize.
+// sorted and deduplicated. Two specs meaning the same build render
+// identically (and therefore digest identically) after Normalize.
 func (s *Spec) Normalize() {
 	if s.Monitor == "" {
 		s.Monitor = DefaultMonitor
@@ -106,10 +95,6 @@ func (s *Spec) Normalize() {
 	}
 	sort.Strings(opts)
 	s.Options = opts
-	sort.SliceStable(s.RootFS, func(i, j int) bool { return s.RootFS[i].Path < s.RootFS[j].Path })
-	if len(s.Env) == 0 {
-		s.Env = nil
-	}
 }
 
 // Validate checks structural invariants. It does not resolve the app
@@ -135,39 +120,17 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("bunny: %s: options not sorted (call Normalize)", s.App)
 		}
 	}
-	for i, e := range s.RootFS {
-		if e.Path == "" || !strings.HasPrefix(e.Path, "/") {
-			return fmt.Errorf("bunny: %s: rootfs entry %d: path %q must be absolute", s.App, i, e.Path)
-		}
-		if i > 0 && e.Path == s.RootFS[i-1].Path {
-			return fmt.Errorf("bunny: %s: duplicate rootfs entry %s", s.App, e.Path)
-		}
-	}
 	return nil
 }
 
 // canonical renders the spec as a deterministic one-line string — the
-// digest input. Env keys are emitted in sorted order, so digests never
-// depend on map iteration.
+// digest input.
 func (s *Spec) canonical() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "app=%s|monitor=%s|profile=%s|hardening=%s|", s.App, s.Monitor, s.Profile, s.Hardening)
-	sb.WriteString("options=")
-	sb.WriteString(strings.Join(s.Options, ","))
-	sb.WriteString("|env=")
-	keys := make([]string, 0, len(s.Env))
-	for k := range s.Env {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&sb, "%s=%s;", k, s.Env[k])
-	}
-	sb.WriteString("|rootfs=")
-	for _, e := range s.RootFS {
-		fmt.Fprintf(&sb, "%s:%o:%x;", e.Path, e.Mode, sha256.Sum256([]byte(e.Data)))
-	}
-	return sb.String()
+	// The trailing empty env= and rootfs= sections stay in the digest
+	// input: bench's catalog digest and the farm's trace carry these
+	// digests, and dropping the sections would move every one of them.
+	return fmt.Sprintf("app=%s|monitor=%s|profile=%s|hardening=%s|options=%s|env=|rootfs=",
+		s.App, s.Monitor, s.Profile, s.Hardening, strings.Join(s.Options, ","))
 }
 
 // Digest content-addresses the spec: equal specs (after Normalize) have

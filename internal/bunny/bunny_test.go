@@ -14,7 +14,7 @@ import (
 func TestValidateRejects(t *testing.T) {
 	ok := func() Spec {
 		return Spec{App: "x", Monitor: DefaultMonitor, Profile: ProfileNoKML, Hardening: attack.HardeningOff,
-			Options: []string{"EPOLL", "FUTEX"}, RootFS: []Entry{{Path: "/a"}, {Path: "/b"}}}
+			Options: []string{"EPOLL", "FUTEX"}}
 	}
 	base := ok()
 	if err := base.Validate(); err != nil {
@@ -29,9 +29,6 @@ func TestValidateRejects(t *testing.T) {
 		{"unknown monitor", func(s *Spec) { s.Monitor = "vmware" }, "unknown monitor"},
 		{"unknown profile", func(s *Spec) { s.Profile = "massive" }, "unknown profile"},
 		{"unknown hardening", func(s *Spec) { s.Hardening = "paranoid" }, "paranoid"},
-		{"relative rootfs path", func(s *Spec) { s.RootFS[0].Path = "rel/path" }, "must be absolute"},
-		{"empty rootfs path", func(s *Spec) { s.RootFS[0].Path = "" }, "must be absolute"},
-		{"duplicate rootfs path", func(s *Spec) { s.RootFS[1].Path = "/a" }, "duplicate rootfs entry"},
 		{"unsorted options", func(s *Spec) { s.Options = []string{"FUTEX", "EPOLL"} }, "not sorted"},
 		{"duplicate options", func(s *Spec) { s.Options = []string{"EPOLL", "EPOLL"} }, "duplicate option"},
 	} {
@@ -66,50 +63,29 @@ func TestDuplicateOptionNormalization(t *testing.T) {
 }
 
 // Quick-check over seeded permutations: specs that mean the same build —
-// whatever order their options, env entries, or rootfs files arrived in
-// — always produce equal digests, and any semantic difference changes
-// the digest.
+// whatever order their options arrived in, duplicates included — always
+// produce equal digests, and any semantic difference changes the digest.
 func TestEqualSpecsEqualDigests(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	baseOpts := []string{"EPOLL", "FUTEX", "MULTIPROCESS", "SYSVIPC", "UNIX"}
-	baseEnv := [][2]string{{"A", "1"}, {"B", "2"}, {"C", "3"}}
-	baseFS := []Entry{{Path: "/a", Data: "x"}, {Path: "/b", Data: "y"}}
-
-	mk := func(opts []string, env [][2]string, fs []Entry) *Spec {
-		s := New("redis", opts...)
-		s.Env = map[string]string{}
-		for _, kv := range env {
-			s.Env[kv[0]] = kv[1]
-		}
-		s.RootFS = append([]Entry(nil), fs...)
-		s.Normalize()
-		return s
-	}
-	want := mk(baseOpts, baseEnv, baseFS).Digest()
+	want := New("redis", baseOpts...).Digest()
 	for i := 0; i < 50; i++ {
 		opts := append([]string(nil), baseOpts...)
 		rng.Shuffle(len(opts), func(a, b int) { opts[a], opts[b] = opts[b], opts[a] })
 		// Duplicate a random option: normalization must erase it.
 		opts = append(opts, opts[rng.Intn(len(opts))])
-		env := append([][2]string(nil), baseEnv...)
-		rng.Shuffle(len(env), func(a, b int) { env[a], env[b] = env[b], env[a] })
-		fs := append([]Entry(nil), baseFS...)
-		rng.Shuffle(len(fs), func(a, b int) { fs[a], fs[b] = fs[b], fs[a] })
-		if got := mk(opts, env, fs).Digest(); got != want {
+		if got := New("redis", opts...).Digest(); got != want {
 			t.Fatalf("permutation %d: digest %s != %s", i, got, want)
 		}
 	}
 
 	// Each semantic change must move the digest.
-	variants := []*Spec{
-		mk(baseOpts[:4], baseEnv, baseFS),                                  // option removed
-		mk(baseOpts, baseEnv[:2], baseFS),                                  // env entry removed
-		mk(baseOpts, baseEnv, baseFS[:1]),                                  // rootfs entry removed
-		mk(baseOpts, baseEnv, []Entry{{Path: "/a", Data: "z"}, baseFS[1]}), // contents changed
-	}
-	kml := mk(baseOpts, baseEnv, baseFS)
+	kml := New("redis", baseOpts...)
 	kml.Profile = ProfileKML
-	variants = append(variants, kml)
+	variants := []*Spec{
+		New("redis", baseOpts[:4]...), // option removed
+		kml,
+	}
 	seen := map[string]bool{want: true}
 	for i, v := range variants {
 		d := v.Digest()

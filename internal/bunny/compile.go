@@ -5,13 +5,11 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"lupine/internal/apps"
 	"lupine/internal/attack"
 	"lupine/internal/core"
-	"lupine/internal/ext2"
 	"lupine/internal/faults"
 	"lupine/internal/guest"
 	"lupine/internal/kerneldb"
@@ -255,8 +253,8 @@ func (c *Cache) evictOverflow() {
 }
 
 // lower resolves the spec against the application registry into the
-// imperative core build inputs: manifest plus spec options, container
-// image plus overlay entries, and the variant flags of the profile.
+// imperative core build inputs: manifest plus spec options, the app's
+// container image, and the variant flags of the profile.
 func (c *Cache) lower(s *Spec) (core.Spec, core.BuildOpts, error) {
 	a, err := apps.Lookup(s.App)
 	if err != nil {
@@ -264,16 +262,6 @@ func (c *Cache) lower(s *Spec) (core.Spec, core.BuildOpts, error) {
 	}
 	m := a.Manifest()
 	m.AddOptions(s.Options...)
-	for k, v := range s.Env {
-		m.Env[k] = v
-	}
-	img := a.ContainerImage()
-	for k, v := range s.Env {
-		img.Env[k] = v
-	}
-	if len(s.RootFS) > 0 {
-		img.Extra = append(img.Extra, overlayTree(s.RootFS))
-	}
 	hardening, err := attack.HardeningOptions(s.Hardening)
 	if err != nil {
 		return core.Spec{}, core.BuildOpts{}, fmt.Errorf("bunny: %s: %w", s.App, err)
@@ -286,32 +274,7 @@ func (c *Cache) lower(s *Spec) (core.Spec, core.BuildOpts, error) {
 	}
 	return core.Spec{
 		Manifest: m,
-		Image:    img,
+		Image:    a.ContainerImage(),
 		Program:  func(p *guest.Proc, probeOnly bool) int { return a.Main(p, probeOnly) },
 	}, opts, nil
-}
-
-// overlayTree builds the /overlay directory carrying the spec's extra
-// rootfs entries with their paths preserved ("/etc/redis.conf" lands at
-// /overlay/etc/redis.conf, the way bunny packages config overlays).
-func overlayTree(entries []Entry) *ext2.File {
-	root := ext2.NewDir("overlay")
-	for _, e := range entries {
-		dir := root
-		parts := strings.Split(strings.TrimPrefix(e.Path, "/"), "/")
-		for _, p := range parts[:len(parts)-1] {
-			next := dir.Child(p)
-			if next == nil {
-				next = ext2.NewDir(p)
-				dir.Children = append(dir.Children, next)
-			}
-			dir = next
-		}
-		mode := uint16(e.Mode)
-		if mode == 0 {
-			mode = 0o644
-		}
-		dir.Children = append(dir.Children, ext2.NewFile(parts[len(parts)-1], mode, []byte(e.Data)))
-	}
-	return root
 }

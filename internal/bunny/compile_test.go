@@ -1,11 +1,9 @@
 package bunny
 
 import (
-	"maps"
 	"strings"
 	"testing"
 
-	"lupine/internal/apps"
 	"lupine/internal/faults"
 	"lupine/internal/kerneldb"
 	"lupine/internal/simclock"
@@ -49,53 +47,17 @@ func TestCompileHitAndMiss(t *testing.T) {
 	}
 }
 
-// A spec's Env reaches its own build and no other: compiling redis with
-// an extra variable leaves the registry's redis as it was, and a later
-// plain compile's init script without the variable.
-func TestSpecEnvStaysInItsBuild(t *testing.T) {
-	c := testCache(t, 0)
-	redis, err := apps.Lookup("redis")
-	if err != nil {
-		t.Fatal(err)
-	}
-	registryEnv := maps.Clone(redis.Env)
-	leaky := New("redis")
-	leaky.Env = map[string]string{"LEAK": "1"}
-	leaky.Normalize()
-	a, err := c.Compile(leaky, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(a.Uni.InitScript, "export LEAK=1\n") {
-		t.Errorf("the spec's Env is missing from its init script:\n%s", a.Uni.InitScript)
-	}
-	if !maps.Equal(redis.Env, registryEnv) {
-		t.Errorf("compiling a spec with Env changed the registry's redis Env to %v, was %v", redis.Env, registryEnv)
-	}
-	plain, err := c.Compile(New("redis"), nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(plain.Uni.InitScript, "LEAK") {
-		t.Errorf("a plain redis compile carries another spec's Env:\n%s", plain.Uni.InitScript)
-	}
-}
-
-// Two specs that differ only in rootfs entries are distinct artifacts
-// but share the kernel image — the kernel-level sharing the artifact
-// cache layers on.
+// Two registry apps whose manifests resolve to one kernel, hello-world
+// and golang, are distinct artifacts with distinct root filesystems but
+// share the kernel image — the kernel-level sharing the artifact cache
+// layers on.
 func TestCompileSharesKernelAcrossRootfsVariants(t *testing.T) {
 	c := testCache(t, 0)
-	plain := New("redis")
-	custom := New("redis")
-	custom.RootFS = []Entry{{Path: "/etc/redis.conf", Data: "maxmemory 128mb"}}
-	custom.Normalize()
-
-	a, err := c.Compile(plain, nil, 0)
+	a, err := c.Compile(New("hello-world"), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.Compile(custom, nil, 0)
+	b, err := c.Compile(New("golang"), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +67,14 @@ func TestCompileSharesKernelAcrossRootfsVariants(t *testing.T) {
 	if b.CacheHit {
 		t.Error("distinct spec hit the artifact cache")
 	}
+	if a.Uni.RootFS == b.Uni.RootFS {
+		t.Error("distinct apps share a root filesystem image")
+	}
 	if !b.KernelShared {
-		t.Error("rootfs-only variant did not share the kernel image")
+		t.Error("an app resolving to a built kernel did not share the kernel image")
 	}
 	if a.KernelID != b.KernelID {
-		t.Error("rootfs-only variants report different kernel identities")
+		t.Error("apps resolving to one kernel report different kernel identities")
 	}
 	if a.Uni.Kernel != b.Uni.Kernel {
 		t.Error("kernel image pointer not shared")
@@ -203,26 +168,13 @@ func TestCompileUnknownApp(t *testing.T) {
 	}
 }
 
-// The overlay tree lands entries at /overlay with paths preserved, and
-// the profile flags select the variant.
+// The profile flags select the variant.
 func TestCompileOverlayAndProfiles(t *testing.T) {
 	c := testCache(t, 0)
-	s := New("redis")
-	s.RootFS = []Entry{{Path: "/etc/conf.d/redis.conf", Data: "save 60 1"}}
-	s.Normalize()
-	a, err := c.Compile(s, nil, 0)
+	a, err := c.Compile(New("redis"), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := a.Uni.RootFS.Read(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := tree.Lookup("/overlay/etc/conf.d/redis.conf")
-	if f == nil || string(f.Data) != "save 60 1" {
-		t.Fatalf("overlay entry = %+v", f)
-	}
-
 	tiny := New("redis")
 	tiny.Profile = ProfileTiny
 	b, err := c.Compile(tiny, nil, 0)

@@ -15,22 +15,21 @@ import (
 	"lupine/internal/rootfs"
 )
 
-// cowSteps are the four kinds of write a guest makes to its rootfs:
-// it overwrites bytes inside one file, truncates one with O_TRUNC and
-// rewrites it, shortens one with ftruncate and writes inside it, and
-// appends to one. /lib/libm.so and /bin/busybox are synthesized
-// binaries, whose bytes every image in the process shares.
+// cowSteps are the three kinds of write a guest makes to its rootfs:
+// it overwrites bytes inside a file (two of them), truncates one with
+// O_TRUNC and rewrites it, and appends to one. /lib/libm.so and
+// /bin/busybox are synthesized binaries, whose bytes every image in the
+// process shares.
 var cowSteps = []struct {
 	path  string
 	flags int
-	trunc int64 // ftruncate to this size first; -1 = leave the size
-	at    int64 // seek here before writing; -1 = keep the open offset
+	skip  int // bytes read before writing, to reach an offset inside the file
 	data  string
 }{
-	{"/etc/hostname", guest.ORdwr, -1, 1, "XY"},
-	{"/manifest.json", guest.OWronly | guest.OTrunc, -1, -1, "{}"},
-	{"/lib/libm.so", guest.ORdwr, 100, 10, "patched"},
-	{"/bin/busybox", guest.OWronly | guest.OAppend, -1, -1, "tail"},
+	{"/etc/hostname", guest.ORdwr, 1, "XY"},
+	{"/manifest.json", guest.OWronly | guest.OTrunc, 0, "{}"},
+	{"/lib/libm.so", guest.ORdwr, 10, "patched"},
+	{"/bin/busybox", guest.OWronly | guest.OAppend, 0, "tail"},
 }
 
 // cowWant returns what a guest booted from tree reads back from each
@@ -40,16 +39,13 @@ func cowWant(tree *ext2.File) (want, orig map[string]string) {
 	for _, s := range cowSteps {
 		b := bytes.Clone(tree.Lookup(s.path).Data)
 		orig[s.path] = string(b)
-		if s.trunc >= 0 {
-			b = b[:s.trunc]
-		}
 		switch {
 		case s.flags&guest.OTrunc != 0:
 			b = []byte(s.data)
 		case s.flags&guest.OAppend != 0:
 			b = append(b, s.data...)
 		default:
-			copy(b[s.at:], s.data)
+			copy(b[s.skip:], s.data)
 		}
 		want[s.path] = string(b)
 	}
@@ -61,11 +57,8 @@ func cowWant(tree *ext2.File) (want, orig map[string]string) {
 func cowWrite(p *guest.Proc, got map[string]string) error {
 	for _, s := range cowSteps {
 		fd, e := p.Open(s.path, s.flags)
-		if e == guest.OK && s.trunc >= 0 {
-			e = p.Ftruncate(fd, s.trunc)
-		}
-		if e == guest.OK && s.at >= 0 {
-			_, e = p.Lseek(fd, s.at, guest.SeekSet)
+		if e == guest.OK && s.skip > 0 {
+			_, e = p.Read(fd, make([]byte, s.skip))
 		}
 		if e == guest.OK {
 			_, e = p.Write(fd, []byte(s.data))

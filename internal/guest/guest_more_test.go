@@ -43,62 +43,6 @@ func TestPipeEOFAndEPIPE(t *testing.T) {
 	})
 }
 
-func TestPipeNonblock(t *testing.T) {
-	k := newTestKernel(t, "lupine-base")
-	run(t, k, func(p *Proc) int {
-		r, w, _ := p.Pipe()
-		// Mark the read end non-blocking via its FD flags.
-		p.fds.get(r).flags |= ONonblock
-		buf := make([]byte, 4)
-		if _, e := p.Read(r, buf); e != EAGAIN {
-			t.Errorf("nonblocking empty read = %v, want EAGAIN", e)
-		}
-		// Fill the pipe; a non-blocking write must not deadlock.
-		p.fds.get(w).flags |= ONonblock
-		big := make([]byte, pipeCapacity)
-		if n, e := p.Write(w, big); e != OK || n != pipeCapacity {
-			t.Errorf("fill write = %d, %v", n, e)
-		}
-		if _, e := p.Write(w, []byte("x")); e != EAGAIN {
-			t.Errorf("nonblocking full write = %v, want EAGAIN", e)
-		}
-		return 0
-	})
-}
-
-func TestDupSharesDescription(t *testing.T) {
-	k := newTestKernel(t, "lupine-base")
-	run(t, k, func(p *Proc) int {
-		fd, e := p.Open("/etc/hostname", ORdonly)
-		if e != OK {
-			t.Fatalf("open: %v", e)
-		}
-		dup, e := p.Dup(fd)
-		if e != OK {
-			t.Fatalf("dup: %v", e)
-		}
-		buf := make([]byte, 3)
-		p.Read(fd, buf)
-		// The dup shares the offset: the next read continues.
-		n, _ := p.Read(dup, buf)
-		if string(buf[:n]) != "ine" {
-			t.Errorf("dup read = %q, want shared offset", buf[:n])
-		}
-		p.Close(fd)
-		// Description stays alive through the dup.
-		if n, e := p.Read(dup, buf); e != OK || n == 0 {
-			t.Errorf("read after closing original = %d, %v", n, e)
-		}
-		if e := p.Close(dup); e != OK {
-			t.Errorf("close dup: %v", e)
-		}
-		if e := p.Close(dup); e != EBADF {
-			t.Errorf("double close = %v, want EBADF", e)
-		}
-		return 0
-	})
-}
-
 func TestOpenFlagsAppendTrunc(t *testing.T) {
 	k := newTestKernel(t, "lupine-base")
 	run(t, k, func(p *Proc) int {
@@ -138,16 +82,18 @@ func TestVFSDirectoryOps(t *testing.T) {
 		if e := p.Unlink("/data/sub"); e != ENOTEMPTY {
 			t.Errorf("unlink non-empty dir = %v", e)
 		}
-		names, e := p.ReadDir("/data/sub")
-		if e != OK || len(names) != 1 || names[0] != "f" {
-			t.Errorf("readdir = %v, %v", names, e)
+		if st, e := p.Stat("/data/sub/f"); e != OK || st.Dir {
+			t.Errorf("stat created file = %+v, %v", st, e)
 		}
 		p.Unlink("/data/sub/f")
+		if _, e := p.Stat("/data/sub/f"); e != ENOENT {
+			t.Errorf("stat unlinked file = %v", e)
+		}
 		if e := p.Unlink("/data/sub"); e != OK {
 			t.Errorf("unlink empty dir = %v", e)
 		}
-		if _, e := p.ReadDir("/etc/hostname"); e != ENOTDIR {
-			t.Errorf("readdir on file = %v", e)
+		if _, e := p.Stat("/etc/hostname/x"); e != ENOTDIR {
+			t.Errorf("path through a file = %v", e)
 		}
 		if _, e := p.Open("/no/such/place", OWronly|OCreat); e != ENOENT {
 			t.Errorf("create under missing dir = %v", e)
@@ -164,75 +110,6 @@ func TestSymlinkResolutionInGuest(t *testing.T) {
 		// Exec through parent-relative path normalization.
 		if e := p.Execve("/bin/../bin/app"); e != OK {
 			t.Errorf("exec with .. = %v", e)
-		}
-		return 0
-	})
-}
-
-func TestEpollTimeoutAndTimerfd(t *testing.T) {
-	k := newTestKernel(t, "lupine-base", "EPOLL", "TIMERFD")
-	run(t, k, func(p *Proc) int {
-		epfd, _ := p.EpollCreate()
-		r, _, _ := p.Pipe()
-		p.EpollCtl(epfd, r, true)
-		start := p.Kernel().Now()
-		evs, e := p.EpollWait(epfd, 2*simclock.Millisecond)
-		if e != OK || len(evs) != 0 {
-			t.Errorf("epoll timeout = %v, %v", evs, e)
-		}
-		if waited := p.Kernel().Now().Sub(start); waited < 2*simclock.Millisecond {
-			t.Errorf("epoll returned after %v, want >= 2ms", waited)
-		}
-		// A timerfd in the interest set wakes the wait by itself.
-		tfd, e := p.TimerFD(3 * simclock.Millisecond)
-		if e != OK {
-			t.Fatalf("timerfd: %v", e)
-		}
-		p.EpollCtl(epfd, tfd, true)
-		evs, e = p.EpollWait(epfd, -1)
-		if e != OK || len(evs) != 1 || evs[0].FD != tfd {
-			t.Errorf("timerfd epoll = %v, %v", evs, e)
-		}
-		buf := make([]byte, 8)
-		if n, e := p.Read(tfd, buf); e != OK || n != 8 {
-			t.Errorf("timerfd read = %d, %v", n, e)
-		}
-		return 0
-	})
-}
-
-func TestEventFDBlockingHandoff(t *testing.T) {
-	k := newTestKernel(t, "lupine-base", "EVENTFD")
-	run(t, k, func(p *Proc) int {
-		efd, e := p.EventFD()
-		if e != OK {
-			t.Fatalf("eventfd: %v", e)
-		}
-		p.CloneThread("poster", func(c *Proc) int {
-			c.Nanosleep(simclock.Millisecond)
-			c.Write(efd, []byte{3})
-			return 0
-		})
-		buf := make([]byte, 8)
-		n, e := p.Read(efd, buf) // blocks until the poster writes
-		if e != OK || n != 8 || buf[0] != 3 {
-			t.Errorf("eventfd read = %d %v %v", n, buf[0], e)
-		}
-		return 0
-	})
-}
-
-func TestSelectTimeout(t *testing.T) {
-	k := newTestKernel(t, "lupine-base")
-	run(t, k, func(p *Proc) int {
-		r, _, _ := p.Pipe()
-		start := p.Kernel().Now()
-		n, e := p.Select([]int{r}, simclock.Millisecond)
-		if e != OK || n != 0 {
-			t.Errorf("select = %d, %v", n, e)
-		}
-		if p.Kernel().Now().Sub(start) < simclock.Millisecond {
-			t.Error("select returned early")
 		}
 		return 0
 	})
@@ -280,7 +157,7 @@ func TestMemoryAccounting(t *testing.T) {
 			t.Errorf("free did not return memory: %d vs %d", got, before)
 		}
 		// Reserved mappings cost nothing until touched (§4.4 laziness).
-		if e := p.Mmap(64*MiB, false); e != OK {
+		if e := p.Mmap(64 * MiB); e != OK {
 			t.Fatalf("mmap: %v", e)
 		}
 		if got := p.Kernel().MemUsed(); got != before {
@@ -468,16 +345,20 @@ func TestDeterminismProperty(t *testing.T) {
 		k := newTestKernel(t, "lupine-base", "FUTEX", "UNIX", "EPOLL")
 		k.Spawn("scripted", func(p *Proc) int {
 			r, w, _ := p.Pipe()
+			written, read := 0, 0
 			for _, op := range script {
 				switch op % 6 {
 				case 0:
 					p.Getppid()
 				case 1:
 					p.Write(w, []byte{op})
+					written++
 				case 2:
-					buf := make([]byte, 1)
-					p.fds.get(r).flags |= ONonblock
-					p.Read(r, buf)
+					// Read only what was written, so the read never blocks.
+					if written > read {
+						p.Read(r, make([]byte, 1))
+						read++
+					}
 				case 3:
 					p.Fork(func(c *Proc) int {
 						c.Work(simclock.Duration(op) * simclock.Microsecond)
@@ -590,83 +471,6 @@ func TestForkOOMKillsChild(t *testing.T) {
 	if !k.ConsoleContains("Out of memory: Killed process") {
 		t.Errorf("console = %q", k.Console())
 	}
-}
-
-func TestShutdownHalfClose(t *testing.T) {
-	k := newTestKernel(t, "lupine-base")
-	k.Spawn("server", func(p *Proc) int {
-		lfd, _ := p.Socket(AFInet, SockStream)
-		p.Bind(lfd, 7777, "")
-		p.Listen(lfd)
-		conn, _ := p.Accept(lfd)
-		buf := make([]byte, 16)
-		// Drain until EOF from the half-closed peer...
-		total := 0
-		for {
-			n, _ := p.Read(conn, buf)
-			if n == 0 {
-				break
-			}
-			total += n
-		}
-		// ...then respond on the still-open direction.
-		p.Write(conn, []byte("summary:5"))
-		if total != 5 {
-			t.Errorf("server drained %d bytes, want 5", total)
-		}
-		return 0
-	})
-	k.Spawn("client", func(p *Proc) int {
-		fd, _ := p.Socket(AFInet, SockStream)
-		if e := p.Connect(fd, 7777, ""); e != OK {
-			t.Errorf("connect: %v", e)
-			return 1
-		}
-		p.Write(fd, []byte("hello"))
-		if e := p.Shutdown(fd); e != OK {
-			t.Errorf("shutdown: %v", e)
-		}
-		buf := make([]byte, 16)
-		n, _ := p.Read(fd, buf)
-		if string(buf[:n]) != "summary:5" {
-			t.Errorf("post-shutdown read = %q", buf[:n])
-		}
-		return 0
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWaitPidSpecificAndNohang(t *testing.T) {
-	k := newTestKernel(t, "lupine-base")
-	run(t, k, func(p *Proc) int {
-		slow, _ := p.Fork(func(c *Proc) int {
-			c.Nanosleep(2 * simclock.Millisecond)
-			return 11
-		})
-		fast, _ := p.Fork(func(c *Proc) int { return 22 })
-		// WNOHANG before anyone finished.
-		if pid, _, e := p.WaitPid(slow.PID(), true); e != OK || pid != 0 {
-			t.Errorf("nohang = %d, %v; want 0, OK", pid, e)
-		}
-		// Wait for the specific slow child even though fast exits first.
-		pid, status, e := p.WaitPid(slow.PID(), false)
-		if e != OK || pid != slow.PID() || status != 11 {
-			t.Errorf("waitpid(slow) = %d, %d, %v", pid, status, e)
-		}
-		pid, status, e = p.WaitPid(-1, false)
-		if e != OK || pid != fast.PID() || status != 22 {
-			t.Errorf("waitpid(-1) = %d, %d, %v", pid, status, e)
-		}
-		if _, _, e := p.WaitPid(-1, false); e != ECHILD {
-			t.Errorf("empty waitpid = %v, want ECHILD", e)
-		}
-		if _, _, e := p.WaitPid(9999, false); e != ECHILD {
-			t.Errorf("waitpid(stranger) = %v, want ECHILD", e)
-		}
-		return 0
-	})
 }
 
 func TestUnixListenerSockets(t *testing.T) {
@@ -865,61 +669,4 @@ func TestSocketFIFOIntegrityProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestLseekFstatFtruncate(t *testing.T) {
-	k := newTestKernel(t, "lupine-base")
-	run(t, k, func(p *Proc) int {
-		fd, _ := p.Open("/data/f", OWronly|OCreat)
-		p.Write(fd, []byte("0123456789"))
-		// Rewind and overwrite.
-		if pos, e := p.Lseek(fd, 2, SeekSet); e != OK || pos != 2 {
-			t.Errorf("lseek set = %d, %v", pos, e)
-		}
-		p.Write(fd, []byte("XY"))
-		if pos, e := p.Lseek(fd, -1, SeekEnd); e != OK || pos != 9 {
-			t.Errorf("lseek end = %d, %v", pos, e)
-		}
-		if pos, e := p.Lseek(fd, 1, SeekCur); e != OK || pos != 10 {
-			t.Errorf("lseek cur = %d, %v", pos, e)
-		}
-		if _, e := p.Lseek(fd, -99, SeekSet); e != EINVAL {
-			t.Errorf("negative lseek = %v", e)
-		}
-		st, e := p.Fstat(fd)
-		if e != OK || st.Size != 10 {
-			t.Errorf("fstat = %+v, %v", st, e)
-		}
-		// Shrink then grow.
-		if e := p.Ftruncate(fd, 4); e != OK {
-			t.Errorf("ftruncate: %v", e)
-		}
-		if st, _ := p.Fstat(fd); st.Size != 4 {
-			t.Errorf("size after shrink = %d", st.Size)
-		}
-		if e := p.Ftruncate(fd, 8); e != OK {
-			t.Errorf("ftruncate grow: %v", e)
-		}
-		p.Lseek(fd, 0, SeekSet)
-		p.Close(fd)
-		rfd, _ := p.Open("/data/f", ORdonly)
-		buf := make([]byte, 16)
-		n, _ := p.Read(rfd, buf)
-		// Shrink to "01XY" discarded the tail; the grow zero-fills.
-		if string(buf[:n]) != "01XY\x00\x00\x00\x00" {
-			t.Errorf("content after ops = %q", buf[:n])
-		}
-		// Non-seekable descriptors.
-		r, _, _ := p.Pipe()
-		if _, e := p.Lseek(r, 0, SeekSet); e != ESPIPE {
-			t.Errorf("lseek on pipe = %v", e)
-		}
-		if e := p.Ftruncate(r, 0); e != EINVAL {
-			t.Errorf("ftruncate on pipe = %v", e)
-		}
-		if _, e := p.Fstat(999); e != EBADF {
-			t.Errorf("fstat bad fd = %v", e)
-		}
-		return 0
-	})
 }

@@ -416,7 +416,7 @@ func TestEpollServerLoop(t *testing.T) {
 		p.EpollCtl(epfd, lfd, true)
 		served := 0
 		for served < 3 {
-			events, e := p.EpollWait(epfd, -1)
+			events, e := p.EpollWait(epfd)
 			if e != OK {
 				t.Fatalf("epoll_wait: %v", e)
 			}
@@ -635,16 +635,8 @@ func TestNanosleepAdvancesTime(t *testing.T) {
 func TestKillAndSignals(t *testing.T) {
 	k := newTestKernel(t, "lupine-base")
 	k.Spawn("main", func(p *Proc) int {
-		victim := p.CloneThread("victim", func(v *Proc) int {
-			v.Nanosleep(simclock.Duration(10) * simclock.Second)
-			return 0
-		})
-		p.Work(simclock.Microsecond)
-		if e := p.Kill(victim.PID(), SIGKILL); e != OK {
-			t.Errorf("kill: %v", e)
-		}
-		if e := p.Kill(9999, SIGKILL); e != ESRCH {
-			t.Errorf("kill missing = %v", e)
+		if e := p.RaiseSignal(SIGUSR1); e != EINVAL {
+			t.Errorf("raise without a handler = %v, want EINVAL", e)
 		}
 		if e := p.Sigaction(SIGUSR1); e != OK {
 			t.Errorf("sigaction: %v", e)
@@ -697,29 +689,13 @@ func TestControlProcessesDoNotPerturbLatency(t *testing.T) {
 func TestSysvIPC(t *testing.T) {
 	k := newTestKernel(t, "lupine-base", "SYSVIPC")
 	k.Spawn("pg", func(p *Proc) int {
-		id, e := p.SemGet(0)
+		a, e := p.SemGet()
 		if e != OK {
 			t.Fatalf("semget: %v", e)
 		}
-		child, _ := p.Fork(func(c *Proc) int {
-			c.Work(simclock.Microsecond)
-			return c.SemOp(id, 1).errOr0()
-		})
-		_ = child
-		if e := p.SemOp(id, -1); e != OK { // blocks until child posts
-			t.Fatalf("semop: %v", e)
+		if b, e := p.SemGet(); e != OK || b == a {
+			t.Errorf("second semget = %d, %v; want OK and an id other than %d", b, e, a)
 		}
-		shm, e := p.ShmGet(1 * MiB)
-		if e != OK {
-			t.Fatalf("shmget: %v", e)
-		}
-		if e := p.ShmAt(shm); e != OK {
-			t.Fatalf("shmat: %v", e)
-		}
-		if e := p.ShmCtlRemove(shm); e != OK {
-			t.Fatalf("shmctl: %v", e)
-		}
-		p.Wait()
 		return 0
 	})
 	if err := k.Run(); err != nil {
@@ -729,7 +705,7 @@ func TestSysvIPC(t *testing.T) {
 	// Without SYSVIPC, postgres-style apps hit ENOSYS.
 	k2 := newTestKernel(t, "lupine-base")
 	k2.Spawn("pg", func(p *Proc) int {
-		if _, e := p.SemGet(0); e != ENOSYS {
+		if _, e := p.SemGet(); e != ENOSYS {
 			t.Errorf("semget = %v, want ENOSYS", e)
 		}
 		return 1
@@ -740,12 +716,4 @@ func TestSysvIPC(t *testing.T) {
 	if !k2.ConsoleContains("could not create semaphores") {
 		t.Errorf("console = %q", k2.Console())
 	}
-}
-
-// errOr0 converts an Errno to an exit code for tests.
-func (e Errno) errOr0() int {
-	if e == OK {
-		return 0
-	}
-	return 1
 }

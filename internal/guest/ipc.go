@@ -1,113 +1,18 @@
 package guest
 
-// System V IPC: semaphores and shared memory, the multi-process
-// facilities postgres needs (§4.1 classifies CONFIG_SYSVIPC as
-// multi-process-related; Lupine runs such applications anyway).
+// System V IPC: the semaphores postgres creates at start-up (§4.1
+// classifies CONFIG_SYSVIPC as multi-process-related; Lupine runs such
+// applications anyway).
 
-type sysvSem struct {
-	value int
-	wq    *waitQueue
-}
-
-type sysvShm struct {
-	bytes    int64
-	attached int
-}
-
-type sysvState struct {
-	sems    map[int]*sysvSem
-	shms    map[int]*sysvShm
-	nextSem int
-	nextShm int
-}
-
-func newSysvState() *sysvState {
-	return &sysvState{
-		sems:    make(map[int]*sysvSem),
-		shms:    make(map[int]*sysvShm),
-		nextSem: 1,
-		nextShm: 1,
-	}
-}
-
-// SemGet creates a System V semaphore initialized to value (gated on
+// SemGet creates a System V semaphore and returns its id (gated on
 // CONFIG_SYSVIPC).
-func (p *Proc) SemGet(value int) (int, Errno) {
+func (p *Proc) SemGet() (int, Errno) {
 	if e := p.sysEnter("semget"); e != OK {
 		p.k.consolePrint("could not create semaphores: Function not implemented\n")
 		return -1, e
 	}
-	st := p.k.sysv
-	id := st.nextSem
-	st.nextSem++
-	st.sems[id] = &sysvSem{value: value, wq: newWaitQueue("sysv-sem")}
-	return id, OK
-}
-
-// SemOp performs one semop: delta -1 waits (P), +1 posts (V).
-func (p *Proc) SemOp(id, delta int) Errno {
-	if e := p.sysEnter("semop"); e != OK {
-		return e
-	}
-	sem, ok := p.k.sysv.sems[id]
-	if !ok {
-		return EINVAL
-	}
-	p.charge(p.k.cost.FutexWork + 2*p.k.cost.SMPLockOp)
-	switch {
-	case delta < 0:
-		for sem.value <= 0 {
-			p.blockOn(sem.wq)
-		}
-		sem.value += delta
-	case delta > 0:
-		sem.value += delta
-		sem.wq.wake(p.k, delta, p.cpu.now)
-	}
-	return OK
-}
-
-// ShmGet allocates a shared memory segment (gated on CONFIG_SYSVIPC).
-func (p *Proc) ShmGet(bytes int64) (int, Errno) {
-	if e := p.sysEnter("shmget"); e != OK {
-		p.k.consolePrint("could not create shared memory segment: Function not implemented\n")
-		return -1, e
-	}
-	if e := p.k.memAlloc(bytes); e != OK {
-		return -1, e
-	}
-	st := p.k.sysv
-	id := st.nextShm
-	st.nextShm++
-	st.shms[id] = &sysvShm{bytes: bytes}
-	return id, OK
-}
-
-// ShmAt attaches a segment.
-func (p *Proc) ShmAt(id int) Errno {
-	if e := p.sysEnter("shmat"); e != OK {
-		return e
-	}
-	shm, ok := p.k.sysv.shms[id]
-	if !ok {
-		return EINVAL
-	}
-	shm.attached++
-	return OK
-}
-
-// ShmCtlRemove destroys a segment, freeing its memory.
-func (p *Proc) ShmCtlRemove(id int) Errno {
-	if e := p.sysEnter("shmctl"); e != OK {
-		return e
-	}
-	shm, ok := p.k.sysv.shms[id]
-	if !ok {
-		return EINVAL
-	}
-	p.k.memFree(shm.bytes)
-	delete(p.k.sysv.shms, id)
-	return OK
+	p.k.semIDs++
+	return p.k.semIDs, OK
 }
 
 // MqOpen opens a POSIX message queue (gated on CONFIG_POSIX_MQUEUE).

@@ -57,7 +57,7 @@ type Kernel struct {
 	toDispatcher chan struct{}
 	unwindAck    chan struct{}
 
-	// pollers is the kernel-wide wait queue select/epoll waiters park on;
+	// pollers is the kernel-wide wait queue epoll waiters park on;
 	// every readiness change broadcasts to it (level-triggered re-check).
 	pollers *waitQueue
 
@@ -84,7 +84,7 @@ type Kernel struct {
 	vfs     *vfs
 	net     *netStack
 	futexes map[futexKey]*waitQueue
-	sysv    *sysvState
+	semIDs  int // System V semaphores created so far; the last id handed out
 	tracer  *tracer
 	stats   Stats
 
@@ -125,7 +125,6 @@ func NewKernel(p Params) (*Kernel, error) {
 		maxTime:      simclock.Time(maxT),
 		memLimit:     mem,
 		futexes:      make(map[futexKey]*waitQueue),
-		sysv:         newSysvState(),
 		inj:          p.Faults,
 	}
 	for i := 0; i < vcpus; i++ {

@@ -91,24 +91,15 @@ func (as *addrSpace) release(k *Kernel, p *Proc) {
 
 // --- process-facing memory syscalls ---
 
-// Mmap maps length bytes of anonymous memory. With populate=false the
-// mapping is lazy (pages are committed on Touch); with populate=true
-// (MAP_POPULATE) the pages are committed immediately.
-func (p *Proc) Mmap(length int64, populate bool) Errno {
+// Mmap maps length bytes of anonymous memory lazily: pages are committed
+// on Touch.
+func (p *Proc) Mmap(length int64) Errno {
 	p.sysEnterFree("mmap")
 	p.charge(p.k.cost.MmapWork / 100) // anonymous maps are far cheaper than lmbench's file map
 	if length <= 0 {
 		return EINVAL
 	}
 	p.as.reserved += length
-	if populate {
-		pages := (length + pageSize - 1) / pageSize
-		p.charge(simclock.Duration(pages) * p.pageFaultCost())
-		if e := p.allocFaults(); e != OK {
-			return e
-		}
-		return p.as.commit(p.k, length)
-	}
 	return OK
 }
 
@@ -142,7 +133,7 @@ func (p *Proc) Touch(n int64) Errno {
 // Alloc is the common malloc-and-use pattern: reserve and immediately
 // populate.
 func (p *Proc) Alloc(n int64) Errno {
-	if e := p.Mmap(n, false); e != OK {
+	if e := p.Mmap(n); e != OK {
 		return e
 	}
 	return p.Touch(n)

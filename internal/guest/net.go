@@ -209,13 +209,9 @@ func (p *Proc) Accept(fd int) (int, Errno) {
 	if !s.listening {
 		return -1, EINVAL
 	}
-	f := p.fds.get(fd)
 	for len(s.backlog) == 0 {
 		if s.closed {
 			return -1, EINVAL
-		}
-		if f.flags&ONonblock != 0 {
-			return -1, EAGAIN
 		}
 		p.blockOn(s.acceptQ)
 	}
@@ -294,7 +290,7 @@ func (p *Proc) SocketPair() (int, int, Errno) {
 }
 
 // send writes to the peer's inbound buffer.
-func (s *socket) send(p *Proc, f *FD, buf []byte) (int, Errno) {
+func (s *socket) send(p *Proc, buf []byte) (int, Errno) {
 	c := &p.k.cost
 	// Loopback fault sites: an injected delay stalls the sender; an
 	// injected drop loses a datagram outright (UDP semantics) or costs a
@@ -337,21 +333,17 @@ func (s *socket) send(p *Proc, f *FD, buf []byte) (int, Errno) {
 		p.chargeRaw(simclock.Duration(rto) * simclock.Microsecond)
 	}
 	p.charge(p.netCost(s.opCostBase(c)))
-	n, errno := s.peer.in.write(p, f, buf)
-	return n, errno
+	return s.peer.in.write(p, buf)
 }
 
 // recv reads from this socket's inbound buffer.
-func (s *socket) recv(p *Proc, f *FD, buf []byte) (int, Errno) {
+func (s *socket) recv(p *Proc, buf []byte) (int, Errno) {
 	c := &p.k.cost
 	if s.typ == SockDgram {
 		p.charge(p.netCost(s.opCostBase(c)))
 		for len(s.dgrams) == 0 {
 			if s.closed {
 				return 0, OK
-			}
-			if f.flags&ONonblock != 0 {
-				return 0, EAGAIN
 			}
 			p.blockOn(s.dgramQ)
 		}
@@ -365,7 +357,7 @@ func (s *socket) recv(p *Proc, f *FD, buf []byte) (int, Errno) {
 		return 0, ENOTCONN
 	}
 	p.charge(p.netCost(s.opCostBase(c)))
-	return s.in.read(p, f, buf)
+	return s.in.read(p, buf)
 }
 
 func (s *socket) close(k *Kernel) {
@@ -418,21 +410,4 @@ func (p *Proc) sockFor(fd int) (*socket, Errno) {
 		return nil, ENOTSOCK
 	}
 	return f.sock, OK
-}
-
-// Shutdown half-closes a stream socket, like shutdown(2) with SHUT_WR:
-// the peer observes EOF after draining, while this side can still read.
-func (p *Proc) Shutdown(fd int) Errno {
-	if e := p.sysEnter("shutdown"); e != OK {
-		return e
-	}
-	s, errno := p.sockFor(fd)
-	if errno != OK {
-		return errno
-	}
-	if s.typ != SockStream || s.peer == nil {
-		return ENOTCONN
-	}
-	s.peer.in.closeWrite(p.k)
-	return OK
 }

@@ -102,3 +102,63 @@ func TestListenBacklogClamped(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAcceptDrainsBacklogFilledToCap: with the backlog filled to
+// exactly the listen(2) cap, the next connect is refused, Accept
+// returns exactly cap connections, and the drained backlog admits a
+// connect again.
+func TestAcceptDrainsBacklogFilledToCap(t *testing.T) {
+	cases := []struct {
+		name string
+		cap  int
+	}{
+		{"cap-1", 1},
+		{"cap-3", 3},
+		{"cap-somaxconn", SOMAXCONN},
+	}
+	for i, tc := range cases {
+		tc := tc
+		port := 9200 + i
+		t.Run(tc.name, func(t *testing.T) {
+			k := newTestKernel(t, "lupine-base")
+			k.Spawn("main", func(p *Proc) int {
+				lfd, _ := p.Socket(AFInet, SockStream)
+				if e := p.Bind(lfd, port, ""); e != OK {
+					t.Fatalf("bind: %v", e)
+				}
+				if e := p.ListenBacklog(lfd, tc.cap); e != OK {
+					t.Fatalf("listen(%d): %v", tc.cap, e)
+				}
+				dial := func() Errno {
+					cfd, e := p.Socket(AFInet, SockStream)
+					if e != OK {
+						t.Fatalf("client socket: %v", e)
+					}
+					return p.Connect(cfd, port, "")
+				}
+				for j := 0; j < tc.cap; j++ {
+					if e := dial(); e != OK {
+						t.Fatalf("connect %d/%d: %v", j+1, tc.cap, e)
+					}
+				}
+				if e := dial(); e != ECONNREFUSED {
+					t.Errorf("connect past cap: %v, want ECONNREFUSED", e)
+				}
+				// Exactly cap pending connections come out of Accept.
+				for j := 0; j < tc.cap; j++ {
+					if _, e := p.Accept(lfd); e != OK {
+						t.Errorf("accept %d/%d: %v", j+1, tc.cap, e)
+					}
+				}
+				// The drained queue admits fresh connections again.
+				if e := dial(); e != OK {
+					t.Errorf("connect after drain: %v, want OK", e)
+				}
+				return 0
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -96,7 +96,7 @@ func (p *Proc) transientFault() Errno {
 }
 
 // allocFaults runs the page-allocation and OOM-pressure sites on the
-// page-populating path (Touch/Alloc/Mmap-populate). It returns ENOMEM
+// page-populating path (Touch/Alloc). It returns ENOMEM
 // when an injected allocation failure fires. A pressure spike either
 // invokes the OOM killer (CONFIG_MULTIPROCESS) or panics the kernel —
 // configuration stays causal. Must be called from process context.
@@ -155,7 +155,7 @@ func (k *Kernel) pickOOMVictim(cur *Proc) *Proc {
 
 // oomKill terminates a victim the way the OOM killer does: SIGKILL
 // semantics plus the canonical console line. Runs from the killing
-// process's context (like Kill in signal.go).
+// process's context.
 func (k *Kernel) oomKill(victim *Proc, t simclock.Time) {
 	k.consolePrint(fmt.Sprintf("Out of memory: Killed process %d (%s) total-vm:%dkB\n",
 		victim.pid, victim.name, victim.as.committed/1024))

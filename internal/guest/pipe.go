@@ -37,16 +37,13 @@ func (p *Proc) Pipe() (int, int, Errno) {
 	return p.fds.alloc(r), p.fds.alloc(w), OK
 }
 
-func (pi *pipe) read(p *Proc, f *FD, buf []byte) (int, Errno) {
+func (pi *pipe) read(p *Proc, buf []byte) (int, Errno) {
 	if !pi.quiet {
 		p.charge(p.netCost(p.k.cost.PipeOp))
 	}
 	for pi.buffered() == 0 {
 		if pi.writers == 0 {
 			return 0, OK // EOF
-		}
-		if f.flags&ONonblock != 0 {
-			return 0, EAGAIN
 		}
 		p.blockOn(pi.rq)
 	}
@@ -61,7 +58,7 @@ func (pi *pipe) read(p *Proc, f *FD, buf []byte) (int, Errno) {
 	return n, OK
 }
 
-func (pi *pipe) write(p *Proc, f *FD, buf []byte) (int, Errno) {
+func (pi *pipe) write(p *Proc, buf []byte) (int, Errno) {
 	if !pi.quiet {
 		p.charge(p.netCost(p.k.cost.PipeOp))
 	}
@@ -72,12 +69,6 @@ func (pi *pipe) write(p *Proc, f *FD, buf []byte) (int, Errno) {
 	for len(buf) > 0 {
 		space := pi.capacity - pi.buffered()
 		for space == 0 {
-			if f.flags&ONonblock != 0 {
-				if total > 0 {
-					return total, OK
-				}
-				return 0, EAGAIN
-			}
 			p.blockOn(pi.wq)
 			if pi.readers == 0 {
 				return total, EPIPE

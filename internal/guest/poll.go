@@ -59,9 +59,9 @@ type EpollEvent struct {
 	Events int
 }
 
-// EpollWait blocks until at least one watched descriptor is ready or the
-// timeout elapses (timeout 0 polls; negative waits forever).
-func (p *Proc) EpollWait(epfd int, timeout simDur) ([]EpollEvent, Errno) {
+// EpollWait blocks until at least one watched descriptor is ready, like
+// epoll_wait with an infinite timeout.
+func (p *Proc) EpollWait(epfd int) ([]EpollEvent, Errno) {
 	if e := p.sysEnter("epoll_wait"); e != OK {
 		return nil, e
 	}
@@ -70,35 +70,11 @@ func (p *Proc) EpollWait(epfd int, timeout simDur) ([]EpollEvent, Errno) {
 		return nil, EBADF
 	}
 	p.charge(p.k.cost.PollWork)
-	var deadline simclock.Time
-	if timeout >= 0 {
-		deadline = p.cpu.now.Add(timeout)
-	}
 	for {
 		if ready := ef.ep.scan(); len(ready) > 0 {
 			return ready, OK
 		}
-		if timeout == 0 {
-			return nil, OK
-		}
-		// Watched timerfds supply their own wake deadline: nothing else
-		// announces their expiry.
-		wake := deadline
-		haveWake := timeout > 0
-		for _, f := range ef.ep.interest {
-			if f.kind == fdTimerFD && !f.tfd.isExpired() {
-				if !haveWake || f.tfd.expireAt < wake {
-					wake, haveWake = f.tfd.expireAt, true
-				}
-			}
-		}
-		if haveWake {
-			if p.blockOnTimeout(p.k.pollers, wake) && (timeout > 0 && wake == deadline) {
-				return nil, OK // the caller's timeout elapsed
-			}
-		} else {
-			p.blockOn(p.k.pollers)
-		}
+		p.blockOn(p.k.pollers)
 	}
 }
 
@@ -132,10 +108,6 @@ func fdReadable(f *FD) bool {
 		return f.pipe.readable()
 	case fdSocket:
 		return f.sock.readable()
-	case fdEventFD:
-		return f.evfd.count > 0
-	case fdTimerFD:
-		return f.tfd.isExpired()
 	case fdFile:
 		return true
 	}
@@ -148,15 +120,16 @@ func fdWritable(f *FD) bool {
 		return f.pipe.writable()
 	case fdSocket:
 		return f.sock.writable()
-	case fdFile, fdEventFD:
+	case fdFile:
 		return true
 	}
 	return false
 }
 
-// Select models select(2) over nfds descriptors (cost only; callers pass
-// the descriptors they care about). Used by lmbench's slct/100fd rows.
-func (p *Proc) Select(fds []int, timeout simDur) (int, Errno) {
+// Select models select(2) over nfds descriptors with a zero timeout: it
+// counts the ready ones and never blocks (cost only; callers pass the
+// descriptors they care about). Used by lmbench's slct/100fd rows.
+func (p *Proc) Select(fds []int) (int, Errno) {
 	p.sysEnterFree("select")
 	var scan simclock.Duration
 	for _, fd := range fds {
@@ -173,114 +146,32 @@ func (p *Proc) Select(fds []int, timeout simDur) (int, Errno) {
 			ready++
 		}
 	}
-	if ready > 0 || timeout == 0 {
-		return ready, OK
-	}
-	deadline := p.cpu.now.Add(timeout)
-	for ready == 0 {
-		if timeout > 0 {
-			if p.blockOnTimeout(p.k.pollers, deadline) {
-				break
-			}
-		} else {
-			p.blockOn(p.k.pollers)
-		}
-		for _, fd := range fds {
-			if f := p.fds.get(fd); f != nil && fdReadable(f) {
-				ready++
-			}
-		}
-	}
 	return ready, OK
 }
 
-// --- eventfd ---
+// --- eventfd / timerfd / signalfd / inotify / misc gated syscalls ---
 
-type eventFD struct {
-	count uint64
-	rq    *waitQueue
-}
-
-// EventFD creates an eventfd (gated on CONFIG_EVENTFD).
+// EventFD creates an eventfd (gated on CONFIG_EVENTFD); the descriptor is
+// accepted but never becomes readable in this model.
 func (p *Proc) EventFD() (int, Errno) {
 	if e := p.sysEnter("eventfd2"); e != OK {
 		p.k.consolePrint("eventfd failed: function not implemented\n")
 		return -1, e
 	}
-	ev := &eventFD{rq: newWaitQueue("eventfd")}
-	fd := &FD{refs: 1, kind: fdEventFD, evfd: ev}
+	fd := &FD{refs: 1, kind: fdEventFD}
 	return p.fds.alloc(fd), OK
 }
 
-func (ev *eventFD) read(p *Proc, f *FD, buf []byte) (int, Errno) {
-	p.charge(p.k.cost.ReadWork)
-	for ev.count == 0 {
-		if f.flags&ONonblock != 0 {
-			return 0, EAGAIN
-		}
-		p.blockOn(ev.rq)
-	}
-	v := ev.count
-	ev.count = 0
-	for i := 0; i < 8 && i < len(buf); i++ {
-		buf[i] = byte(v >> (8 * i))
-	}
-	return 8, OK
-}
-
-func (ev *eventFD) write(p *Proc, f *FD, buf []byte) (int, Errno) {
-	p.charge(p.k.cost.WriteWork)
-	var v uint64
-	for i := 0; i < 8 && i < len(buf); i++ {
-		v |= uint64(buf[i]) << (8 * i)
-	}
-	if v == 0 {
-		v = 1
-	}
-	ev.count += v
-	ev.rq.wake(p.k, 1, p.cpu.now)
-	p.k.wakePollers(p.cpu.now)
-	return 8, OK
-}
-
-// --- timerfd ---
-
-type timerFD struct {
-	k        *Kernel
-	expireAt simclock.Time
-}
-
-func (t *timerFD) isExpired() bool { return t.k.Now() >= t.expireAt }
-
-// TimerFD creates a timerfd armed to expire after d (gated on
-// CONFIG_TIMERFD).
-func (p *Proc) TimerFD(d simDur) (int, Errno) {
+// TimerFD creates a timerfd (gated on CONFIG_TIMERFD); the descriptor is
+// accepted but never becomes readable in this model.
+func (p *Proc) TimerFD() (int, Errno) {
 	if e := p.sysEnter("timerfd_create"); e != OK {
 		p.k.consolePrint("timerfd_create failed: function not implemented\n")
 		return -1, e
 	}
-	tfd := &timerFD{k: p.k, expireAt: p.cpu.now.Add(d)}
-	fd := &FD{refs: 1, kind: fdTimerFD, tfd: tfd}
+	fd := &FD{refs: 1, kind: fdTimerFD}
 	return p.fds.alloc(fd), OK
 }
-
-func (t *timerFD) read(p *Proc, f *FD, buf []byte) (int, Errno) {
-	p.charge(p.k.cost.ReadWork)
-	if !t.isExpired() {
-		if f.flags&ONonblock != 0 {
-			return 0, EAGAIN
-		}
-		for !t.isExpired() {
-			p.blockOnTimeout(p.k.pollers, t.expireAt)
-		}
-	}
-	if len(buf) > 0 {
-		buf[0] = 1
-	}
-	return 8, OK
-}
-
-// --- signalfd / inotify / fanotify / misc gated syscalls ---
 
 // SignalFD creates a signalfd (gated on CONFIG_SIGNALFD); the descriptor
 // is accepted but never becomes readable in this model.

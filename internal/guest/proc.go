@@ -382,30 +382,3 @@ func (p *Proc) Println(args ...interface{}) {
 func (p *Proc) Printf(format string, args ...interface{}) {
 	p.Write(1, []byte(fmt.Sprintf(format, args...)))
 }
-
-// WaitPid waits for a specific child (pid > 0) or any child (pid <= 0).
-// With nohang=true it returns immediately: pid 0 means nothing to reap
-// yet (WNOHANG semantics).
-func (p *Proc) WaitPid(pid int, nohang bool) (reaped, status int, errno Errno) {
-	p.sysEnterFree("wait4")
-	for {
-		anyMatch := false
-		for _, c := range p.children {
-			if c.waited || (pid > 0 && c.pid != pid) {
-				continue
-			}
-			anyMatch = true
-			if c.state == stateDead {
-				c.waited = true
-				return c.pid, c.exitCode, OK
-			}
-		}
-		if !anyMatch {
-			return 0, 0, ECHILD
-		}
-		if nohang {
-			return 0, 0, OK
-		}
-		p.blockOn(p.chldQ)
-	}
-}

@@ -1,16 +1,13 @@
 package guest
 
 // Signals are modeled for their cost profile (lmbench's sig inst / sig
-// hndl rows) and for SIGKILL semantics; full asynchronous delivery is out
-// of scope for the benchmarks the paper runs.
+// hndl rows); SIGKILL is the OOM killer's (panic.go). Delivery to other
+// processes is out of scope for the benchmarks the paper runs.
 
-// Common signal numbers.
+// Signal numbers the models use.
 const (
 	SIGKILL = 9
 	SIGUSR1 = 10
-	SIGSEGV = 11
-	SIGTERM = 15
-	SIGCHLD = 17
 )
 
 // Sigaction installs a handler for sig (lmbench "sig inst").
@@ -33,37 +30,6 @@ func (p *Proc) RaiseSignal(sig int) Errno {
 	}
 	p.charge(p.netCost(p.k.cost.SignalHndl))
 	return OK
-}
-
-// Kill sends a signal to another process. Only SIGKILL and SIGTERM have
-// modeled semantics: the target is terminated (TERM is treated as unhandled).
-func (p *Proc) Kill(pid, sig int) Errno {
-	p.sysEnterFree("kill")
-	target, ok := p.k.procs[pid]
-	if !ok || target.state == stateDead {
-		return ESRCH
-	}
-	switch sig {
-	case SIGKILL, SIGTERM:
-		if target == p {
-			p.Exit(128 + sig)
-			return OK // unreachable
-		}
-		target.killed = true
-		target.doExit(128 + sig)
-		// If the target is parked somewhere, pull it out so its
-		// goroutine unwinds at next resume; a dead proc on the runq is
-		// skipped by the dispatcher, but the goroutine must still drain.
-		if target.blockedOn != nil {
-			target.blockedOn.remove(target)
-			target.blockedOn = nil
-		}
-		p.k.reapKilled(target)
-		return OK
-	default:
-		// Unmodeled signals are accepted and dropped.
-		return OK
-	}
 }
 
 // reapKilled resumes a killed process goroutine once so it unwinds.

@@ -10,13 +10,12 @@ import (
 
 // Open flags (subset of fcntl.h).
 const (
-	ORdonly   = 0x0
-	OWronly   = 0x1
-	ORdwr     = 0x2
-	OCreat    = 0x40
-	OTrunc    = 0x200
-	OAppend   = 0x400
-	ONonblock = 0x800
+	ORdonly = 0x0
+	OWronly = 0x1
+	ORdwr   = 0x2
+	OCreat  = 0x40
+	OTrunc  = 0x200
+	OAppend = 0x400
 )
 
 type deviceKind int
@@ -192,20 +191,17 @@ const (
 	fdInotify
 )
 
-// FD is an open file description. Dup'd and inherited descriptors share
+// FD is an open file description. Descriptors inherited across fork share
 // one FD via refcounting.
 type FD struct {
 	refs   int
 	kind   fdKind
 	node   *vnode
 	offset int64
-	flags  int
 
 	pipe *pipe
 	sock *socket
 	ep   *epollInst
-	evfd *eventFD
-	tfd  *timerFD
 }
 
 type fdTable struct {
@@ -334,7 +330,7 @@ func (p *Proc) Open(path string, flags int) (int, Errno) {
 	if flags&OTrunc != 0 && !node.dir && node.dev == devNone {
 		node.data, node.shared = nil, false
 	}
-	fd := &FD{refs: 1, kind: fdFile, node: node, flags: flags}
+	fd := &FD{refs: 1, kind: fdFile, node: node}
 	if flags&OAppend != 0 {
 		fd.offset = int64(len(node.data))
 	}
@@ -348,19 +344,8 @@ func (p *Proc) Close(fd int) Errno {
 	return p.fds.closeFD(p, fd)
 }
 
-// Dup duplicates a descriptor.
-func (p *Proc) Dup(fd int) (int, Errno) {
-	p.sysEnterFree("dup")
-	f := p.fds.get(fd)
-	if f == nil {
-		return -1, EBADF
-	}
-	f.refs++
-	return p.fds.alloc(f), OK
-}
-
 // Read reads from a descriptor into buf, like read(2). It dispatches on
-// the descriptor kind (file, device, pipe, socket, eventfd, timerfd).
+// the descriptor kind (file, device, pipe, socket).
 func (p *Proc) Read(fd int, buf []byte) (int, Errno) {
 	p.sysEnterFree("read")
 	if !p.external {
@@ -377,15 +362,11 @@ func (p *Proc) Read(fd int, buf []byte) (int, Errno) {
 	case fdFile:
 		return p.readFile(f, buf)
 	case fdPipeR:
-		return f.pipe.read(p, f, buf)
+		return f.pipe.read(p, buf)
 	case fdPipeW:
 		return 0, EBADF
 	case fdSocket:
-		return f.sock.recv(p, f, buf)
-	case fdEventFD:
-		return f.evfd.read(p, f, buf)
-	case fdTimerFD:
-		return f.tfd.read(p, f, buf)
+		return f.sock.recv(p, buf)
 	default:
 		return 0, EINVAL
 	}
@@ -431,13 +412,11 @@ func (p *Proc) Write(fd int, buf []byte) (int, Errno) {
 	case fdFile:
 		return p.writeFile(f, buf)
 	case fdPipeW:
-		return f.pipe.write(p, f, buf)
+		return f.pipe.write(p, buf)
 	case fdPipeR:
 		return 0, EBADF
 	case fdSocket:
-		return f.sock.send(p, f, buf)
-	case fdEventFD:
-		return f.evfd.write(p, f, buf)
+		return f.sock.send(p, buf)
 	default:
 		return 0, EINVAL
 	}
@@ -521,25 +500,6 @@ func (p *Proc) Unlink(path string) Errno {
 	}
 	delete(parent.children, base)
 	return OK
-}
-
-// ReadDir lists a directory's entry names, sorted.
-func (p *Proc) ReadDir(path string) ([]string, Errno) {
-	p.sysEnterFree("getdents64")
-	p.charge(p.k.cost.ReadWork * 4)
-	node, errno := p.k.vfs.resolve(path)
-	if errno != OK {
-		return nil, errno
-	}
-	if !node.dir {
-		return nil, ENOTDIR
-	}
-	out := make([]string, 0, len(node.children))
-	for name := range node.children {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out, OK
 }
 
 // Flock acquires or releases an exclusive advisory lock (flock(2), gated
@@ -660,81 +620,4 @@ func min64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// Seek whence values.
-const (
-	SeekSet = 0
-	SeekCur = 1
-	SeekEnd = 2
-)
-
-// Lseek repositions a file descriptor's offset, like lseek(2). Pipes and
-// sockets are not seekable.
-func (p *Proc) Lseek(fd int, offset int64, whence int) (int64, Errno) {
-	p.sysEnterFree("lseek")
-	f := p.fds.get(fd)
-	if f == nil {
-		return 0, EBADF
-	}
-	if f.kind != fdFile || f.node.dev != devNone {
-		return 0, ESPIPE
-	}
-	var base int64
-	switch whence {
-	case SeekSet:
-		base = 0
-	case SeekCur:
-		base = f.offset
-	case SeekEnd:
-		base = int64(len(f.node.data))
-	default:
-		return 0, EINVAL
-	}
-	pos := base + offset
-	if pos < 0 {
-		return 0, EINVAL
-	}
-	f.offset = pos
-	return pos, OK
-}
-
-// Fstat returns metadata through a descriptor, like fstat(2).
-func (p *Proc) Fstat(fd int) (StatInfo, Errno) {
-	p.sysEnterFree("fstat")
-	p.charge(p.k.cost.StatWork / 2) // no path walk
-	f := p.fds.get(fd)
-	if f == nil {
-		return StatInfo{}, EBADF
-	}
-	if f.kind != fdFile {
-		return StatInfo{Mode: 0o600}, OK // sockets/pipes: synthetic mode
-	}
-	return StatInfo{Size: int64(len(f.node.data)), Mode: f.node.mode, Dir: f.node.dir}, OK
-}
-
-// Ftruncate resizes an open regular file, like ftruncate(2).
-func (p *Proc) Ftruncate(fd int, size int64) Errno {
-	p.sysEnterFree("ftruncate")
-	f := p.fds.get(fd)
-	if f == nil {
-		return EBADF
-	}
-	if f.kind != fdFile || f.node.dir || f.node.dev != devNone {
-		return EINVAL
-	}
-	if f.node.fsType == "proc" {
-		return EACCES
-	}
-	if size < 0 {
-		return EINVAL
-	}
-	cur := int64(len(f.node.data))
-	switch {
-	case size < cur:
-		f.node.data = f.node.data[:size] // shared bytes stay shared until written
-	case size > cur:
-		f.node.grow(size)
-	}
-	return OK
 }

@@ -205,12 +205,12 @@ func openClose(p *guest.Proc) float64 {
 
 func selectTCP(p *guest.Proc) float64 {
 	fds := tcpFanIn(p, 200)
-	return measure(p, iters, func() { p.Select(fds, 0) })
+	return measure(p, iters, func() { p.Select(fds) })
 }
 
 func select100(p *guest.Proc) float64 {
 	fds := tcpFanIn(p, 100)
-	return measure(p, iters, func() { p.Select(fds, 0) })
+	return measure(p, iters, func() { p.Select(fds) })
 }
 
 // tcpFanIn builds n connected TCP sockets served by a child echo process.

@@ -47,13 +47,17 @@ go test -race -count=2 ./internal/simclock/... ./internal/fleet/... ./internal/f
 # the ext2 image round trip, and the resolver and the SLO incident
 # attribution each held to its full-scan reference. Each writes into the
 # tree (testdata/fuzz/) only when it finds a crasher, which then fails
-# CI's clean-tree check.
+# CI's clean-tree check. -fuzzminimizetime 1x bounds the minimization of
+# each input that finds new coverage to one run: by default a worker
+# spends up to 60 s shrinking it, in runs the progress line does not
+# count, so a 10 s smoke sat at 0 execs/s for most of its time. A
+# crasher is still written, only less minimized.
 echo "== fuzz smoke (ext2 image round trip, 10s)"
-go test -run '^$' -fuzz '^FuzzImageRoundTrip$' -fuzztime 10s ./internal/ext2
+go test -run '^$' -fuzz '^FuzzImageRoundTrip$' -fuzztime 10s -fuzzminimizetime 1x ./internal/ext2
 echo "== fuzz smoke (kconfig resolve against the full scan, 10s)"
-go test -run '^$' -fuzz '^FuzzResolveMatchesFullScan$' -fuzztime 10s ./internal/kconfig
+go test -run '^$' -fuzz '^FuzzResolveMatchesFullScan$' -fuzztime 10s -fuzzminimizetime 1x ./internal/kconfig
 echo "== fuzz smoke (SLO attribution against the full scan, 10s)"
-go test -run '^$' -fuzz '^FuzzAttributionMatchesFullScan$' -fuzztime 10s ./internal/slo
+go test -run '^$' -fuzz '^FuzzAttributionMatchesFullScan$' -fuzztime 10s -fuzzminimizetime 1x ./internal/slo
 
 # Every registered fault site must surface in the operator-facing
 # catalog: the count of RegisterSite calls in non-test source must match
