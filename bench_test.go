@@ -212,6 +212,7 @@ func BenchmarkGuestNullSyscall(b *testing.B) {
 
 func BenchmarkGuestPipePingPong(b *testing.B) {
 	img := buildProfile(b, false)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k, err := guest.NewKernel(guest.Params{Image: img, RootFS: lmbench.BenchRootFS()})
@@ -270,6 +271,7 @@ func BenchmarkConfigSearchRedis(b *testing.B) {
 
 func BenchmarkMessaging4Groups(b *testing.B) {
 	img := buildProfile(b, false, "UNIX", "FUTEX")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d, err := perfbench.Messaging(img, 4, perfbench.Processes)

@@ -12,6 +12,14 @@ import (
 // process, epoll-driven, non-forking architecture of their real
 // counterparts on a 1-VCPU guest (§4.6).
 
+// Redis replies, shared by every request like httpResponse: Write copies
+// them.
+var (
+	redisValue = []byte("$5\r\nvalue\r\n")
+	redisOK    = []byte("+OK\r\n")
+	redisErr   = []byte("-ERR unknown command\r\n")
+)
+
 // serveRedis answers a redis-like text protocol: "GET key" and
 // "SET key value" lines, one reply per request.
 func serveRedis(a *App, p *guest.Proc) int {
@@ -19,13 +27,13 @@ func serveRedis(a *App, p *guest.Proc) int {
 		p.Work(a.RequestWork)
 		switch {
 		case bytes.HasPrefix(req, []byte("GET")):
-			return []byte("$5\r\nvalue\r\n")
+			return redisValue
 		case bytes.HasPrefix(req, []byte("SET")):
 			// Writes dirty memory: the value lands in the keyspace.
 			p.Touch(4096)
-			return []byte("+OK\r\n")
+			return redisOK
 		default:
-			return []byte("-ERR unknown command\r\n")
+			return redisErr
 		}
 	})
 }
@@ -63,8 +71,9 @@ func epollServe(a *App, p *guest.Proc, handle func(p *guest.Proc, req []byte) []
 	}
 	p.EpollCtl(epfd, lfd, true)
 	buf := make([]byte, 4096)
+	var events []guest.EpollEvent
 	for {
-		events, e := p.EpollWait(epfd)
+		events, e = p.EpollWait(epfd, events)
 		if e != guest.OK {
 			return 1
 		}

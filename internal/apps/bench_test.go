@@ -14,6 +14,13 @@ import (
 // spawns its server.
 func serverKernel(t *testing.T, appName string) (*guest.Kernel, *App) {
 	t.Helper()
+	img, a := serverImage(t, appName)
+	return bootServer(t, img, a), a
+}
+
+// serverImage builds a kernel image carrying the named app's options.
+func serverImage(t *testing.T, appName string) (*kbuild.Image, *App) {
+	t.Helper()
 	a, err := Lookup(appName)
 	if err != nil {
 		t.Fatal(err)
@@ -24,20 +31,54 @@ func serverKernel(t *testing.T, appName string) (*guest.Kernel, *App) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := kbuild.Build(db, "test-"+appName, cfg, kbuild.O2)
+	img, err := kbuild.Build(db, "test-"+a.Name, cfg, kbuild.O2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return img, a
+}
+
+// bootServer starts a guest kernel on img and spawns a's server.
+func bootServer(t *testing.T, img *kbuild.Image, a *App) *guest.Kernel {
+	t.Helper()
 	k, err := guest.NewKernel(guest.Params{Image: img, RootFS: serverFS()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.Spawn(appName, func(p *guest.Proc) int {
+	k.Spawn(a.Name, func(p *guest.Proc) int {
 		p.Mount("proc", "/proc")
 		p.Mount("tmpfs", "/tmp")
 		return a.Main(p, false)
 	})
-	return k, a
+	return k
+}
+
+// TestRedisGetAllocations pins one redis GET at zero allocations: the
+// client's write, the server's epoll wake, read and constant reply, and
+// the client's read, with a context switch each way. The marginal cost
+// is the difference between runs of two sizes, so booting the kernel
+// and the server drops out.
+func TestRedisGetAllocations(t *testing.T) {
+	img, a := serverImage(t, "redis")
+	gets := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			k := bootServer(t, img, a)
+			var res BenchResult
+			SpawnRedisBenchmark(k, a.Port, n, "get", &res)
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if res.Requests != n || res.Errors != 0 {
+				t.Fatalf("redis-benchmark: %v, want %d requests", res, n)
+			}
+		})
+	}
+	const small, large = 100, 1100
+	x, y := gets(small), gets(large)
+	if per := (y - x) / (large - small); per > 0.01 {
+		t.Fatalf("%.3f allocations per GET (%v for %d requests, %v for %d), want 0",
+			per, x, small, y, large)
+	}
 }
 
 func serverFS() *ext2.File {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"lupine/internal/apps"
-	"lupine/internal/ext2"
 	"lupine/internal/kerneldb"
 )
 
@@ -100,9 +99,8 @@ func TestKernelCacheSharesAcrossRootfsVariants(t *testing.T) {
 
 	plain := specFor(t, "redis")
 	custom := specFor(t, "redis")
-	custom.Image.Extra = []*ext2.File{
-		ext2.NewFile("redis.conf", 0o644, []byte("maxmemory 128mb\n")),
-	}
+	// The image's environment lands only in the rootfs, in /init.
+	custom.Image.Env["MAXMEMORY"] = "128mb"
 
 	a, hitA, err := cache.Build(plain, BuildOpts{})
 	if err != nil {
@@ -116,7 +114,7 @@ func TestKernelCacheSharesAcrossRootfsVariants(t *testing.T) {
 		t.Errorf("rootfs-only variants did not share the cached kernel image (hits %v, %v)", hitA, hitB)
 	}
 	if imageDigest(t, a.RootFS) == imageDigest(t, b.RootFS) {
-		t.Error("rootfs images should differ (one carries redis.conf)")
+		t.Error("rootfs images should differ (one's /init exports MAXMEMORY)")
 	}
 	st := cache.CacheStats()
 	if st.Builds != 1 || st.Hits != 1 || st.Misses != 1 {

@@ -145,7 +145,9 @@ func (c *Conn) push(x *xmit, now simclock.Time) {
 	if x.kind == segData && x.response {
 		from, to = c.server, c.client
 	}
-	c.net.transmit(segment{kind: x.kind, from: from, to: to, size: x.size, conn: c, seq: x.seq, response: x.response}, now)
+	s := c.net.segment(x.kind, from, to, x.size, x.seq)
+	s.conn, s.response = c, x.response
+	c.net.transmit(s, now)
 	rto := c.net.rto(x.attempt)
 	c.net.eng.Post(now.Add(rto), x)
 }
@@ -245,7 +247,7 @@ func (c *Conn) serverRequest(seq int, now simclock.Time) {
 	if !c.server.up(now) {
 		return // dead VMs don't ACK; the client retransmits into the void
 	}
-	c.net.transmit(segment{kind: segACK, from: c.server, to: c.client, size: ctlBytes, conn: c, seq: seq}, now)
+	c.net.control(segACK, c.server, c.client, c, seq, nil, now)
 	if c.reqArrived {
 		return // retransmitted duplicate
 	}
@@ -281,7 +283,7 @@ func (c *Conn) Respond(size int, now simclock.Time) {
 // clientResponse lands the response payload: resolve the connection as
 // served and ACK so the server stops retransmitting.
 func (c *Conn) clientResponse(seq int, now simclock.Time) {
-	c.net.transmit(segment{kind: segACK, from: c.client, to: c.server, size: ctlBytes, conn: c, seq: seq}, now)
+	c.net.control(segACK, c.client, c.server, c, seq, nil, now)
 	if c.closed || c.respDelivered {
 		return
 	}

@@ -177,7 +177,7 @@ type Network struct {
 	armed               armedSites
 	dataDrop, probeDrop extraSite
 
-	free       []*segment // delivered segments, cleared for reuse
+	free       []*segment // delivered or dropped segments, cleared for reuse
 	freeProbes []*probe   // timed-out probe records, cleared for reuse
 
 	connSeq  int
@@ -477,9 +477,9 @@ func (k segKind) String() string {
 	return "?"
 }
 
-// segment is one frame in flight. A frame on its way to delivery is a
-// recycled *segment from the network's free list, and is its own
-// delivery event.
+// segment is one frame in flight. Senders take it from the network's
+// free list and fill it in place; it is its own delivery event, and
+// goes back to the list once delivered or dropped.
 type segment struct {
 	kind     segKind
 	from, to *Node
@@ -496,13 +496,13 @@ type segment struct {
 func (s *segment) Fire(now simclock.Time) {
 	n := s.from.net
 	n.deliver(s, now)
-	*s = segment{}
-	n.free = append(n.free, s)
+	n.recycle(s)
 }
 
-// inflight copies v into a segment from the free list, allocating only
-// when the list is empty.
-func (n *Network) inflight(v segment) *segment {
+// segment takes a cleared segment from the free list, allocating only
+// when the list is empty, and fills in the fields every frame carries;
+// the caller sets the rest in place.
+func (n *Network) segment(kind segKind, from, to *Node, size, seq int) *segment {
 	var s *segment
 	if k := len(n.free); k > 0 {
 		s = n.free[k-1]
@@ -510,8 +510,20 @@ func (n *Network) inflight(v segment) *segment {
 	} else {
 		s = new(segment)
 	}
-	*s = v
+	s.kind, s.from, s.to, s.size, s.seq = kind, from, to, size, seq
 	return s
+}
+
+// control sends a control frame (SYN-ACK, RST or ACK) for connection c.
+func (n *Network) control(kind segKind, from, to *Node, c *Conn, seq int, rstErr error, now simclock.Time) {
+	s := n.segment(kind, from, to, ctlBytes, seq)
+	s.conn, s.rstErr = c, rstErr
+	n.transmit(s, now)
+}
+
+func (n *Network) recycle(s *segment) {
+	*s = segment{}
+	n.free = append(n.free, s)
 }
 
 func pairKey(a, b int) [2]int {
@@ -524,10 +536,8 @@ func pairKey(a, b int) [2]int {
 // transmit pushes one segment onto the wire: fault gauntlet, egress
 // serialization, propagation, then delivery. Drops are silent to the
 // sender — recovery is the retransmission machinery's job, exactly like
-// the real thing. A dropped segment never leaves the caller's frame;
-// one that survives rides to its delivery in a recycled segment.
-func (n *Network) transmit(v segment, now simclock.Time) {
-	s := &v
+// the real thing. A dropped segment goes straight back to the free list.
+func (n *Network) transmit(s *segment, now simclock.Time) {
 	n.stats.Segments++
 	// Deliberate isolation first: a quarantined port's segments never
 	// reach the fault gauntlet, so arming wire sites does not perturb
@@ -607,7 +617,7 @@ func (n *Network) transmit(v segment, now simclock.Time) {
 		t.busyUntil = depart
 		hop += t.spec.Latency
 	}
-	n.eng.Post(depart.Add(hop), n.inflight(v))
+	n.eng.Post(depart.Add(hop), s)
 }
 
 // hit consults a fault site the plan arms; an unarmed site never fires.
@@ -670,6 +680,7 @@ func (n *Network) drop(s *segment, reason string, now simclock.Time) {
 			telemetry.A("to", s.to.name),
 			telemetry.A("reason", reason))
 	}
+	n.recycle(s)
 }
 
 // deliver lands a segment at its destination NIC.
@@ -706,27 +717,27 @@ func (n *Network) deliverSYN(s *segment, now simclock.Time) {
 		return // client already gave up
 	}
 	if !s.to.up(now) {
-		n.transmit(segment{kind: segRST, from: s.to, to: s.from, size: ctlBytes, conn: c, seq: s.seq, rstErr: ErrRefused}, now)
+		n.control(segRST, s.to, s.from, c, s.seq, ErrRefused, now)
 		return
 	}
 	if c.srvQueued || c.srvAccepted {
 		// Duplicate SYN (lost SYN-ACK): re-answer idempotently.
-		n.transmit(segment{kind: segSYNACK, from: s.to, to: s.from, size: ctlBytes, conn: c, seq: s.seq}, now)
+		n.control(segSYNACK, s.to, s.from, c, s.seq, nil, now)
 		return
 	}
 	l := s.to.listeners[c.raddr.Port]
 	if l == nil {
-		n.transmit(segment{kind: segRST, from: s.to, to: s.from, size: ctlBytes, conn: c, seq: s.seq, rstErr: ErrRefused}, now)
+		n.control(segRST, s.to, s.from, c, s.seq, ErrRefused, now)
 		return
 	}
 	if l.pending() >= l.cap {
 		n.stats.Overflows++
-		n.transmit(segment{kind: segRST, from: s.to, to: s.from, size: ctlBytes, conn: c, seq: s.seq, rstErr: ErrOverflow}, now)
+		n.control(segRST, s.to, s.from, c, s.seq, ErrOverflow, now)
 		return
 	}
 	c.srvQueued = true
 	l.enqueue(c)
-	n.transmit(segment{kind: segSYNACK, from: s.to, to: s.from, size: ctlBytes, conn: c, seq: s.seq}, now)
+	n.control(segSYNACK, s.to, s.from, c, s.seq, nil, now)
 	if l.OnPending != nil {
 		l.OnPending(now)
 	}
@@ -776,7 +787,9 @@ func (n *Network) Probe(from, to *Node, timeout simclock.Duration, cb func(ok bo
 	}
 	*pr = probe{n: n, id: n.probeSeq, cb: cb}
 	now := n.eng.Now()
-	n.transmit(segment{kind: segProbe, from: from, to: to, size: ctlBytes, probe: pr, seq: pr.id}, now)
+	s := n.segment(segProbe, from, to, ctlBytes, pr.id)
+	s.probe = pr
+	n.transmit(s, now)
 	n.eng.Post(now.Add(timeout), pr)
 }
 
@@ -784,7 +797,9 @@ func (n *Network) deliverProbe(s *segment, now simclock.Time) {
 	if !s.to.up(now) {
 		return // a dead VM answers nothing
 	}
-	n.transmit(segment{kind: segProbeReply, from: s.to, to: s.from, size: ctlBytes, probe: s.probe, seq: s.seq}, now)
+	r := n.segment(segProbeReply, s.to, s.from, ctlBytes, s.seq)
+	r.probe = s.probe
+	n.transmit(r, now)
 }
 
 // probeReturned resolves the probe a reply carries, unless its record

@@ -464,7 +464,7 @@ func TestFlapsHealPerLink(t *testing.T) {
 	send := func(at simclock.Duration, to ...*Node) {
 		sched.Schedule(simclock.Time(at), func(now simclock.Time) {
 			for _, nd := range to {
-				net.transmit(segment{kind: segProbe, from: x, to: nd, size: ctlBytes}, now)
+				net.transmit(net.segment(segProbe, x, nd, ctlBytes, 0), now)
 			}
 		})
 	}
@@ -706,7 +706,7 @@ func TestBandwidthSerializes(t *testing.T) {
 	var arrivals []simclock.Time
 	b.SetAlive(func(now simclock.Time) bool { arrivals = append(arrivals, now); return false })
 	for i := 0; i < 2; i++ {
-		net.transmit(segment{kind: segProbe, from: a, to: b, size: 1000, seq: 1000 + i}, sched.Now())
+		net.transmit(net.segment(segProbe, a, b, 1000, 1000+i), sched.Now())
 	}
 	sched.Run()
 	if len(arrivals) != 2 {
@@ -747,7 +747,7 @@ func TestTrunkSerializesPerDirection(t *testing.T) {
 		t.Fatalf("zone ids a=%d b=%d c=%d, want 1, 2, 3", a1.zone, b1.zone, c.zone)
 	}
 	send := func(from, to *Node) {
-		net.transmit(segment{kind: segProbe, from: from, to: to, size: 1000}, sched.Now())
+		net.transmit(net.segment(segProbe, from, to, 1000, 0), sched.Now())
 	}
 	send(a1, b1) // on the a->b trunk from 0 to 1 ms
 	send(c, a2)  // zone c joined after the trunk table was built

@@ -10,7 +10,7 @@ type futexKey struct {
 func (k *Kernel) futexQueue(key futexKey) *waitQueue {
 	wq, ok := k.futexes[key]
 	if !ok {
-		wq = newWaitQueue("futex")
+		wq = &waitQueue{name: "futex"}
 		k.futexes[key] = wq
 	}
 	return wq

@@ -13,7 +13,7 @@ import (
 
 // buildImage builds a kernel image for tests. extra options are layered on
 // the named base profile.
-func buildImage(t *testing.T, profile string, extra ...string) *kbuild.Image {
+func buildImage(t testing.TB, profile string, extra ...string) *kbuild.Image {
 	t.Helper()
 	db := kerneldb.MustLoad()
 	var req *kconfig.Request
@@ -415,8 +415,9 @@ func TestEpollServerLoop(t *testing.T) {
 		}
 		p.EpollCtl(epfd, lfd, true)
 		served := 0
+		var events []EpollEvent
 		for served < 3 {
-			events, e := p.EpollWait(epfd)
+			events, e = p.EpollWait(epfd, events)
 			if e != OK {
 				t.Fatalf("epoll_wait: %v", e)
 			}

@@ -53,16 +53,18 @@ type Kernel struct {
 	nextPID int
 	alive   int
 
-	current      *Proc
-	toDispatcher chan struct{}
-	unwindAck    chan struct{}
+	// current holds the CPU. A process that gives it up resumes its
+	// successor itself, and signals halted when the run is over.
+	current   *Proc
+	halted    chan struct{}
+	unwindAck chan struct{}
 
 	// pollers is the kernel-wide wait queue epoll waiters park on;
 	// every readiness change broadcasts to it (level-triggered re-check).
-	pollers *waitQueue
+	pollers waitQueue
 
 	shutdown bool
-	aborted  error
+	aborted  error // a deadlock or the virtual-time guard ended the run
 	panicked *PanicError
 	maxTime  simclock.Time
 
@@ -115,17 +117,17 @@ func NewKernel(p Params) (*Kernel, error) {
 		maxT = simclock.Duration(3600) * simclock.Second
 	}
 	k := &Kernel{
-		img:          p.Image,
-		cost:         NewCostModel(p.Image),
-		procs:        make(map[int]*Proc),
-		nextPID:      1,
-		toDispatcher: make(chan struct{}),
-		unwindAck:    make(chan struct{}),
-		pollers:      newWaitQueue("poll"),
-		maxTime:      simclock.Time(maxT),
-		memLimit:     mem,
-		futexes:      make(map[futexKey]*waitQueue),
-		inj:          p.Faults,
+		img:       p.Image,
+		cost:      NewCostModel(p.Image),
+		procs:     make(map[int]*Proc),
+		nextPID:   1,
+		halted:    make(chan struct{}),
+		unwindAck: make(chan struct{}),
+		pollers:   waitQueue{name: "poll"},
+		maxTime:   simclock.Time(maxT),
+		memLimit:  mem,
+		futexes:   make(map[futexKey]*waitQueue),
+		inj:       p.Faults,
 	}
 	for i := 0; i < vcpus; i++ {
 		k.cpus = append(k.cpus, &cpu{id: i})
@@ -202,37 +204,25 @@ func (k *Kernel) Spawn(name string, fn AppFunc) *Proc {
 // calls Poweroff, the kernel panics, or the virtual-time guard trips. It
 // returns the structured *PanicError when the guest died of a modeled
 // kernel panic, and a plain error on deadlock or guard abort.
+//
+// Run only resumes the first process: from then on each process that
+// gives up the CPU picks and resumes its successor (release), and the
+// last one wakes Run, which kills what is left.
 func (k *Kernel) Run() error {
-	for k.alive > 0 && !k.shutdown {
-		p, c, start, err := k.pickNext()
-		if err != nil {
-			k.abort(err)
-			return err
-		}
-		if start > k.maxTime {
-			err := fmt.Errorf("guest: virtual time guard exceeded at %v", start)
-			k.abort(err)
-			return err
-		}
-		k.dispatchTo(p, c, start)
+	if p := k.next(); p != nil {
+		p.resume <- struct{}{}
+		<-k.halted
 	}
-	if k.shutdown {
+	if k.aborted != nil || k.shutdown {
 		k.killAll()
+	}
+	if k.aborted != nil {
+		return k.aborted
 	}
 	if k.panicked != nil {
 		return k.panicked
 	}
 	return nil
-}
-
-// Shutdown flags are observed by the dispatcher; Poweroff is the syscall
-// processes use (see proc.go).
-
-// abort kills every process so their goroutines terminate, then records
-// the error.
-func (k *Kernel) abort(err error) {
-	k.aborted = err
-	k.killAll()
 }
 
 func (k *Kernel) killAll() {
@@ -247,7 +237,7 @@ func (k *Kernel) killAll() {
 	for _, p := range live {
 		p.killed = true
 		if p.state == stateRunning {
-			continue // cannot happen: killAll runs from dispatcher context
+			continue // cannot happen: killAll runs once the run is over
 		}
 		p.resume <- struct{}{}
 		<-k.unwindAck

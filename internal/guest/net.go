@@ -32,13 +32,13 @@ type socket struct {
 	listening  bool
 	backlog    []*socket // pending connections, bounded by backlogMax
 	backlogMax int       // listen(2) backlog cap; connects beyond it are refused
-	acceptQ    *waitQueue
+	acceptQ    waitQueue
 	peer       *socket
 	in         *pipe // bytes from peer to us
 
 	// dgram state
 	dgrams []dgram
-	dgramQ *waitQueue
+	dgramQ waitQueue
 	bound  bool
 	addr   sockAddr
 	closed bool
@@ -60,6 +60,11 @@ func (a sockAddr) String() string {
 		return "unix:" + a.path
 	}
 	return fmt.Sprintf("inet:%d", a.port)
+}
+
+func newSocket(k *Kernel, domain, typ int) *socket {
+	return &socket{k: k, domain: domain, typ: typ,
+		acceptQ: waitQueue{name: "accept"}, dgramQ: waitQueue{name: "dgram"}}
 }
 
 // netStack holds the loopback namespace: listeners and bound endpoints.
@@ -123,11 +128,7 @@ func (p *Proc) Socket(domain, typ int) (int, Errno) {
 		}
 		return -1, EAFNOSUPPORT
 	}
-	s := &socket{
-		k: p.k, domain: domain, typ: typ,
-		acceptQ: newWaitQueue("accept"),
-		dgramQ:  newWaitQueue("dgram"),
-	}
+	s := newSocket(p.k, domain, typ)
 	fd := &FD{refs: 1, kind: fdSocket, sock: s}
 	return p.fds.alloc(fd), OK
 }
@@ -213,7 +214,7 @@ func (p *Proc) Accept(fd int) (int, Errno) {
 		if s.closed {
 			return -1, EINVAL
 		}
-		p.blockOn(s.acceptQ)
+		p.blockOn(&s.acceptQ)
 	}
 	conn := s.backlog[0]
 	s.backlog = s.backlog[1:]
@@ -252,8 +253,7 @@ func (p *Proc) Connect(fd int, port int, path string) Errno {
 	}
 	p.charge(p.netCost(p.k.cost.TCPConn))
 	// Build the connected pair: s <-> serverSide.
-	serverSide := &socket{k: p.k, domain: s.domain, typ: SockStream,
-		acceptQ: newWaitQueue("accept"), dgramQ: newWaitQueue("dgram")}
+	serverSide := newSocket(p.k, s.domain, SockStream)
 	s.in = newPipe(p.k)
 	s.in.quiet = true
 	serverSide.in = newPipe(p.k)
@@ -277,10 +277,7 @@ func (p *Proc) SocketPair() (int, int, Errno) {
 		p.k.consolePrint("can't create UNIX socket\n")
 		return -1, -1, EAFNOSUPPORT
 	}
-	a := &socket{k: p.k, domain: AFUnix, typ: SockStream,
-		acceptQ: newWaitQueue("accept"), dgramQ: newWaitQueue("dgram")}
-	b := &socket{k: p.k, domain: AFUnix, typ: SockStream,
-		acceptQ: newWaitQueue("accept"), dgramQ: newWaitQueue("dgram")}
+	a, b := newSocket(p.k, AFUnix, SockStream), newSocket(p.k, AFUnix, SockStream)
 	a.in, b.in = newPipe(p.k), newPipe(p.k)
 	a.in.quiet, b.in.quiet = true, true
 	a.peer, b.peer = b, a
@@ -345,7 +342,7 @@ func (s *socket) recv(p *Proc, buf []byte) (int, Errno) {
 			if s.closed {
 				return 0, OK
 			}
-			p.blockOn(s.dgramQ)
+			p.blockOn(&s.dgramQ)
 		}
 		d := s.dgrams[0]
 		s.dgrams = s.dgrams[1:]

@@ -47,7 +47,7 @@ func (e *PanicError) Error() string {
 }
 
 // oops records a kernel panic: the reason is frozen, the panic banner is
-// printed, and the machine begins halting (the dispatcher stops at its
+// printed, and the machine begins halting (the scheduler stops at its
 // next decision point). Only the first panic is recorded; a panic during
 // panic teardown (e.g. accounting noise while killing processes) is
 // dropped like nested oopses on a halting CPU.

@@ -11,8 +11,8 @@ type pipe struct {
 	capacity int
 	readers  int
 	writers  int
-	rq       *waitQueue // readers waiting for data
-	wq       *waitQueue // writers waiting for space
+	rq       waitQueue // readers waiting for data
+	wq       waitQueue // writers waiting for space
 }
 
 const pipeCapacity = 65536
@@ -23,8 +23,8 @@ func newPipe(k *Kernel) *pipe {
 		capacity: pipeCapacity,
 		readers:  1,
 		writers:  1,
-		rq:       newWaitQueue("pipe-read"),
-		wq:       newWaitQueue("pipe-write"),
+		rq:       waitQueue{name: "pipe-read"},
+		wq:       waitQueue{name: "pipe-write"},
 	}
 }
 
@@ -45,7 +45,7 @@ func (pi *pipe) read(p *Proc, buf []byte) (int, Errno) {
 		if pi.writers == 0 {
 			return 0, OK // EOF
 		}
-		p.blockOn(pi.rq)
+		p.blockOn(&pi.rq)
 	}
 	n := copy(buf, pi.buf[pi.off:])
 	pi.off += n
@@ -69,7 +69,7 @@ func (pi *pipe) write(p *Proc, buf []byte) (int, Errno) {
 	for len(buf) > 0 {
 		space := pi.capacity - pi.buffered()
 		for space == 0 {
-			p.blockOn(pi.wq)
+			p.blockOn(&pi.wq)
 			if pi.readers == 0 {
 				return total, EPIPE
 			}

@@ -1,7 +1,8 @@
 package guest
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"lupine/internal/simclock"
 )
@@ -14,11 +15,18 @@ const (
 	PollOut = 4
 )
 
-// epollInst is an epoll instance: a set of watched descriptors. Readiness
-// is level-triggered and recomputed on wake, with a kernel-wide poller
-// wait queue providing the wakeups.
+// epollInst is an epoll instance: a set of watched descriptors, sorted by
+// descriptor number. Readiness is level-triggered and recomputed on wake,
+// with a kernel-wide poller wait queue providing the wakeups.
 type epollInst struct {
-	interest map[int]*FD
+	interest []watched
+}
+
+// watched is one interest-set entry: the descriptor number and the open
+// file description it named when it was added.
+type watched struct {
+	fd int
+	f  *FD
 }
 
 // EpollCreate creates an epoll instance (gated on CONFIG_EPOLL).
@@ -27,8 +35,7 @@ func (p *Proc) EpollCreate() (int, Errno) {
 		p.k.consolePrint("epoll_create1 failed: function not implemented\n")
 		return -1, e
 	}
-	ep := &epollInst{interest: make(map[int]*FD)}
-	fd := &FD{refs: 1, kind: fdEpoll, ep: ep}
+	fd := &FD{refs: 1, kind: fdEpoll, ep: &epollInst{}}
 	return p.fds.alloc(fd), OK
 }
 
@@ -41,14 +48,22 @@ func (p *Proc) EpollCtl(epfd, fd int, add bool) Errno {
 	if ef == nil || ef.kind != fdEpoll {
 		return EBADF
 	}
-	if add {
-		tf := p.fds.get(fd)
-		if tf == nil {
-			return EBADF
+	ep := ef.ep
+	i, found := slices.BinarySearchFunc(ep.interest, fd, func(w watched, fd int) int { return cmp.Compare(w.fd, fd) })
+	if !add {
+		if found {
+			ep.interest = slices.Delete(ep.interest, i, i+1)
 		}
-		ef.ep.interest[fd] = tf
+		return OK
+	}
+	tf := p.fds.get(fd)
+	if tf == nil {
+		return EBADF
+	}
+	if found {
+		ep.interest[i].f = tf
 	} else {
-		delete(ef.ep.interest, fd)
+		ep.interest = slices.Insert(ep.interest, i, watched{fd, tf})
 	}
 	return OK
 }
@@ -60,34 +75,31 @@ type EpollEvent struct {
 }
 
 // EpollWait blocks until at least one watched descriptor is ready, like
-// epoll_wait with an infinite timeout.
-func (p *Proc) EpollWait(epfd int) ([]EpollEvent, Errno) {
+// epoll_wait with an infinite timeout. It fills events[:0] the way
+// epoll_wait fills its events array, in ascending descriptor order, and
+// returns the filled slice.
+func (p *Proc) EpollWait(epfd int, events []EpollEvent) ([]EpollEvent, Errno) {
+	events = events[:0]
 	if e := p.sysEnter("epoll_wait"); e != OK {
-		return nil, e
+		return events, e
 	}
 	ef := p.fds.get(epfd)
 	if ef == nil || ef.kind != fdEpoll {
-		return nil, EBADF
+		return events, EBADF
 	}
 	p.charge(p.k.cost.PollWork)
 	for {
-		if ready := ef.ep.scan(); len(ready) > 0 {
-			return ready, OK
+		if events = ef.ep.scan(events); len(events) > 0 {
+			return events, OK
 		}
-		p.blockOn(p.k.pollers)
+		p.blockOn(&p.k.pollers)
 	}
 }
 
-// scan computes the level-triggered ready set.
-func (ep *epollInst) scan() []EpollEvent {
-	fds := make([]int, 0, len(ep.interest))
-	for fd := range ep.interest {
-		fds = append(fds, fd)
-	}
-	sort.Ints(fds)
-	var out []EpollEvent
-	for _, fd := range fds {
-		f := ep.interest[fd]
+// scan appends the level-triggered ready set to out, in descriptor order.
+func (ep *epollInst) scan(out []EpollEvent) []EpollEvent {
+	for _, w := range ep.interest {
+		f := w.f
 		ev := 0
 		if fdReadable(f) {
 			ev |= PollIn
@@ -96,7 +108,7 @@ func (ep *epollInst) scan() []EpollEvent {
 			ev |= PollOut
 		}
 		if ev&PollIn != 0 { // report only input-readiness; writability is almost always true
-			out = append(out, EpollEvent{FD: fd, Events: ev})
+			out = append(out, EpollEvent{FD: w.fd, Events: ev})
 		}
 	}
 	return out

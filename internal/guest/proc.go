@@ -43,7 +43,8 @@ type Proc struct {
 
 	parent   *Proc
 	children []*Proc
-	chldQ    *waitQueue
+	chldQ    waitQueue
+	sleepQ   waitQueue // Nanosleep's; only the timer wakes it
 
 	env map[string]string
 
@@ -70,7 +71,8 @@ func (k *Kernel) newProc(name string, fn AppFunc, parent *Proc) *Proc {
 		fn:          fn,
 		resume:      make(chan struct{}),
 		env:         make(map[string]string),
-		chldQ:       newWaitQueue("child-exit"),
+		chldQ:       waitQueue{name: "child-exit"},
+		sleepQ:      waitQueue{name: "nanosleep"},
 		sigHandlers: make(map[int]bool),
 	}
 	k.nextPID++
@@ -110,10 +112,10 @@ func (p *Proc) procMain() {
 		case nil:
 			// Normal return — or a runtime.Goexit from inside the app
 			// model (e.g. t.Fatalf in a test): either way the process is
-			// over, and the dispatcher must regain control.
+			// over, and it hands the CPU on.
 		case procKilled:
 			// Killed while parked: acknowledge the unwind on the side
-			// channel so the killer (not the dispatcher) sees it.
+			// channel so the killer (Run, or the OOM-killing process) sees it.
 			p.k.unwindAck <- struct{}{}
 			return
 		case procExited:
@@ -123,7 +125,7 @@ func (p *Proc) procMain() {
 		}
 		if started {
 			p.doExit(code)
-			p.k.toDispatcher <- struct{}{}
+			p.release()
 		}
 	}()
 	<-p.resume
@@ -345,21 +347,18 @@ func (p *Proc) Wait() (pid, status int, errno Errno) {
 		if !anyChild {
 			return 0, 0, ECHILD
 		}
-		p.blockOn(p.chldQ)
+		p.blockOn(&p.chldQ)
 	}
 }
 
 // Nanosleep suspends the process for d of virtual time.
 func (p *Proc) Nanosleep(d simclock.Duration) {
 	p.sysEnterFree("nanosleep")
-	deadline := p.cpu.now.Add(d)
-	wq := newWaitQueue("nanosleep")
-	p.blockOnTimeout(wq, deadline)
+	p.blockOnTimeout(&p.sleepQ, p.cpu.now.Add(d))
 }
 
 // Poweroff shuts the virtual machine down (reboot(2) with
-// LINUX_REBOOT_CMD_POWER_OFF); the dispatcher stops after the current
-// process yields.
+// LINUX_REBOOT_CMD_POWER_OFF); the run ends when the caller exits.
 func (p *Proc) Poweroff() {
 	p.sysEnterFree("reboot")
 	p.k.shutdown = true

@@ -17,13 +17,12 @@ type cpu struct {
 }
 
 // waitQueue is the kernel's universal blocking primitive. Every blocking
-// resource (pipe, socket, futex, child-exit, timer-less waits) holds one.
+// resource (pipe, socket, futex, child-exit, sleep, poll) holds one by
+// value, and its backing array is reused across waits.
 type waitQueue struct {
 	name  string
 	procs []*Proc
 }
-
-func newWaitQueue(name string) *waitQueue { return &waitQueue{name: name} }
 
 func (wq *waitQueue) enqueue(p *Proc) { wq.procs = append(wq.procs, p) }
 
@@ -40,17 +39,16 @@ func (wq *waitQueue) remove(p *Proc) {
 func (wq *waitQueue) empty() bool { return len(wq.procs) == 0 }
 
 // wake makes up to n waiters runnable at time t (FIFO), returning how
-// many were woken.
+// many were woken. The rest move to the front, so the queue keeps its
+// capacity for the next wait.
 func (wq *waitQueue) wake(k *Kernel, n int, t simclock.Time) int {
-	woken := 0
-	for woken < n && len(wq.procs) > 0 {
-		p := wq.procs[0]
-		wq.procs = wq.procs[1:]
+	n = min(n, len(wq.procs))
+	for _, p := range wq.procs[:n] {
 		k.makeRunnable(p, t)
 		k.stats.Wakeups++
-		woken++
 	}
-	return woken
+	wq.procs = wq.procs[:copy(wq.procs, wq.procs[n:])]
+	return n
 }
 
 func (wq *waitQueue) wakeAll(k *Kernel, t simclock.Time) int {
@@ -188,10 +186,23 @@ func (k *Kernel) deadlockError() error {
 		len(blocked), blocked)
 }
 
-// dispatchTo runs p on c starting no earlier than start, charging a
-// context switch if the CPU last ran someone else. Control returns when
-// the process blocks, exits or yields.
-func (k *Kernel) dispatchTo(p *Proc, c *cpu, start simclock.Time) {
+// next picks the process to dispatch and gives it the CPU, charging a
+// context switch if the CPU last ran someone else. It returns nil when
+// the run is over: every process exited, the guest powered off or
+// panicked, or it deadlocked or passed the virtual-time guard, which
+// k.aborted records.
+func (k *Kernel) next() *Proc {
+	if k.alive == 0 || k.shutdown {
+		return nil
+	}
+	p, c, start, err := k.pickNext()
+	if err == nil && start > k.maxTime {
+		err = fmt.Errorf("guest: virtual time guard exceeded at %v", start)
+	}
+	if err != nil {
+		k.aborted = err
+		return nil
+	}
 	if start > c.now {
 		c.now = start
 	}
@@ -204,26 +215,45 @@ func (k *Kernel) dispatchTo(p *Proc, c *cpu, start simclock.Time) {
 	p.cpu = c
 	p.state = stateRunning
 	k.current = p
-	p.resume <- struct{}{}
-	<-k.toDispatcher
+	return p
+}
+
+// release gives up the CPU p holds because it blocked, yielded or
+// exited. p runs the scheduler itself and resumes its successor
+// directly, so a dispatch is one goroutine handoff; when nothing can
+// run, it wakes Run instead. It reports whether p picked itself and
+// keeps running.
+func (p *Proc) release() (picked bool) {
+	k := p.k
 	k.current = nil
 	if p.state == stateRunning { // the process yielded voluntarily
 		p.state = stateReady
-		p.readyTime = c.now
+		p.readyTime = p.cpu.now
 		k.seq++
 		p.enqueueSeq = k.seq
 		k.runq = append(k.runq, p)
 	}
 	p.cpu = nil
+	switch next := k.next(); next {
+	case p:
+		return true
+	case nil:
+		k.halted <- struct{}{}
+	default:
+		next.resume <- struct{}{}
+	}
+	return false
 }
 
 // procKilled unwinds a killed process goroutine; recovered in procMain.
 type procKilled struct{}
 
-// switchOut transfers control to the dispatcher and waits to be resumed.
-// If the kernel killed the process meanwhile, the goroutine unwinds.
+// switchOut hands the CPU on and waits to be resumed. If the kernel
+// killed the process meanwhile, the goroutine unwinds.
 func (p *Proc) switchOut() {
-	p.k.toDispatcher <- struct{}{}
+	if p.release() {
+		return
+	}
 	<-p.resume
 	if p.killed {
 		panic(procKilled{})
@@ -236,7 +266,6 @@ func (p *Proc) blockOn(wq *waitQueue) simclock.Time {
 	wq.enqueue(p)
 	p.state = stateBlocked
 	p.blockedOn = wq
-	p.cpu = nil
 	p.switchOut()
 	p.blockedOn = nil
 	return p.cpu.now
@@ -250,7 +279,6 @@ func (p *Proc) blockOnTimeout(wq *waitQueue, deadline simclock.Time) (timedOut b
 	wq.enqueue(p)
 	p.state = stateBlocked
 	p.blockedOn = wq
-	p.cpu = nil
 	p.switchOut()
 	p.blockedOn = nil
 	cancel()

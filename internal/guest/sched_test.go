@@ -9,7 +9,7 @@ import (
 func TestWaitQueueFIFO(t *testing.T) {
 	k := newTestKernel(t, "lupine-base")
 	var order []string
-	wq := newWaitQueue("test")
+	wq := &waitQueue{name: "test"}
 	for _, name := range []string{"a", "b", "c"} {
 		name := name
 		k.Spawn(name, func(p *Proc) int {
@@ -40,7 +40,7 @@ func TestWaitQueueFIFO(t *testing.T) {
 }
 
 func TestWaitQueueRemove(t *testing.T) {
-	wq := newWaitQueue("x")
+	wq := &waitQueue{name: "x"}
 	a := &Proc{pid: 1}
 	b := &Proc{pid: 2}
 	wq.enqueue(a)
@@ -60,7 +60,7 @@ func TestTimerCancellation(t *testing.T) {
 	run(t, k, func(p *Proc) int {
 		// blockOnTimeout woken by the resource, not the timer: the timer
 		// must be disarmed and must not fire later.
-		wq := newWaitQueue("res")
+		wq := &waitQueue{name: "res"}
 		waiter := p.CloneThread("waiter", func(c *Proc) int {
 			if timedOut := c.blockOnTimeout(wq, c.cpu.now.Add(50*simclock.Millisecond)); timedOut {
 				t.Error("wait reported timeout despite explicit wake")

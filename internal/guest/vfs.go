@@ -2,7 +2,7 @@ package guest
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"lupine/internal/ext2"
@@ -206,27 +206,26 @@ type FD struct {
 
 type fdTable struct {
 	refs int
-	fds  map[int]*FD
+	fds  []*FD // indexed by descriptor number; nil marks a free slot
 	next int
 }
 
 func newFDTable(k *Kernel) *fdTable {
-	t := &fdTable{refs: 1, fds: make(map[int]*FD), next: 3}
 	console := &vnode{name: "console", mode: 0o600, dev: devConsole, fsType: "devtmpfs"}
 	stdin := &FD{refs: 1, kind: fdFile, node: console}
 	stdout := &FD{refs: 1, kind: fdFile, node: console}
 	stderr := &FD{refs: 1, kind: fdFile, node: console}
-	t.fds[0], t.fds[1], t.fds[2] = stdin, stdout, stderr
-	return t
+	return &fdTable{refs: 1, fds: []*FD{stdin, stdout, stderr}, next: 3}
 }
 
 // clone copies the table for fork: numbers are private, descriptions
 // shared.
 func (t *fdTable) clone() *fdTable {
-	nt := &fdTable{refs: 1, fds: make(map[int]*FD, len(t.fds)), next: t.next}
-	for n, fd := range t.fds {
-		fd.refs++
-		nt.fds[n] = fd
+	nt := &fdTable{refs: 1, fds: slices.Clone(t.fds), next: t.next}
+	for _, fd := range nt.fds {
+		if fd != nil {
+			fd.refs++
+		}
 	}
 	return nt
 }
@@ -237,43 +236,46 @@ func (t *fdTable) share() *fdTable {
 	return t
 }
 
+// alloc installs fd at the lowest free number from next on.
 func (t *fdTable) alloc(fd *FD) int {
 	n := t.next
-	for {
-		if _, used := t.fds[n]; !used {
-			break
-		}
+	for n < len(t.fds) && t.fds[n] != nil {
 		n++
 	}
-	t.fds[n] = fd
+	if n == len(t.fds) {
+		t.fds = append(t.fds, fd)
+	} else {
+		t.fds[n] = fd
+	}
 	t.next = n + 1
 	return n
 }
 
-func (t *fdTable) get(n int) *FD { return t.fds[n] }
+func (t *fdTable) get(n int) *FD {
+	if uint(n) >= uint(len(t.fds)) {
+		return nil
+	}
+	return t.fds[n]
+}
 
-// release drops the table (process exit), closing what it owned.
+// release drops the table (process exit), closing what it owned in
+// ascending descriptor order.
 func (t *fdTable) release(p *Proc) {
 	t.refs--
 	if t.refs > 0 {
 		return
 	}
-	nums := make([]int, 0, len(t.fds))
 	for n := range t.fds {
-		nums = append(nums, n)
-	}
-	sort.Ints(nums)
-	for _, n := range nums {
 		t.closeFD(p, n)
 	}
 }
 
 func (t *fdTable) closeFD(p *Proc, n int) Errno {
-	fd, ok := t.fds[n]
-	if !ok {
+	fd := t.get(n)
+	if fd == nil {
 		return EBADF
 	}
-	delete(t.fds, n)
+	t.fds[n] = nil
 	fd.refs--
 	if fd.refs == 0 {
 		fd.lastClose(p)

@@ -24,8 +24,7 @@ type Image struct {
 	Name       string
 	Entrypoint []string
 	Env        map[string]string
-	BinaryKB   int          // size of the application binary
-	Extra      []*ext2.File // additional app files (configs, data dirs)
+	BinaryKB   int // size of the application binary
 }
 
 // muslSyscallSites is how many syscall instructions the simulated musl
@@ -195,7 +194,6 @@ func BuildTree(img *Image, m *manifest.Manifest, kmlPatched bool) (*ext2.File, e
 		return nil, err
 	}
 	root.Children = append(root.Children, ext2.NewFile("manifest.json", 0o644, manifestJSON))
-	root.Children = append(root.Children, img.Extra...)
 	return root, nil
 }
 

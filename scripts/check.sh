@@ -44,20 +44,23 @@ go test -race -count=2 ./internal/simclock/... ./internal/fleet/... ./internal/f
     ./internal/core/... ./internal/ext2/... ./internal/rootfs/...
 
 # Short runs of the fuzz targets, beyond the seeds go test already ran:
-# the ext2 image round trip, and the resolver and the SLO incident
-# attribution each held to its full-scan reference. Each writes into the
-# tree (testdata/fuzz/) only when it finds a crasher, which then fails
-# CI's clean-tree check. -fuzzminimizetime 1x bounds the minimization of
-# each input that finds new coverage to one run: by default a worker
-# spends up to 60 s shrinking it, in runs the progress line does not
-# count, so a 10 s smoke sat at 0 execs/s for most of its time. A
-# crasher is still written, only less minimized.
+# the ext2 image round trip, the resolver and the SLO incident
+# attribution each held to its full-scan reference, and the guest's
+# epoll interest set and descriptor table held to their map versions.
+# Each writes into the tree (testdata/fuzz/) only when it finds a
+# crasher, which then fails CI's clean-tree check. -fuzzminimizetime 1x
+# bounds the minimization of each input that finds new coverage to one
+# run: by default a worker spends up to 60 s shrinking it, in runs the
+# progress line does not count, so a 10 s smoke sat at 0 execs/s for
+# most of its time. A crasher is still written, only less minimized.
 echo "== fuzz smoke (ext2 image round trip, 10s)"
 go test -run '^$' -fuzz '^FuzzImageRoundTrip$' -fuzztime 10s -fuzzminimizetime 1x ./internal/ext2
 echo "== fuzz smoke (kconfig resolve against the full scan, 10s)"
 go test -run '^$' -fuzz '^FuzzResolveMatchesFullScan$' -fuzztime 10s -fuzzminimizetime 1x ./internal/kconfig
 echo "== fuzz smoke (SLO attribution against the full scan, 10s)"
 go test -run '^$' -fuzz '^FuzzAttributionMatchesFullScan$' -fuzztime 10s -fuzzminimizetime 1x ./internal/slo
+echo "== fuzz smoke (epoll and the fd table against their map versions, 10s)"
+go test -run '^$' -fuzz '^FuzzEpollMatchesMap$' -fuzztime 10s -fuzzminimizetime 1x ./internal/guest
 
 # Every registered fault site must surface in the operator-facing
 # catalog: the count of RegisterSite calls in non-test source must match
