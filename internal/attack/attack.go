@@ -207,7 +207,6 @@ type Target struct {
 	compromisedAt simclock.Time
 	cause         string
 	detected      bool
-	detectedAt    simclock.Time
 	quarantinedAt simclock.Time // -1 = never
 	gone          bool          // deregistered: repaved or retired
 	canaryMisses  int
@@ -583,7 +582,6 @@ func (p *Plane) canaryTick(now simclock.Time) {
 		}
 		if t.canaryMisses >= canaryFailAfter {
 			t.detected = true
-			t.detectedAt = now
 			p.st.Detected++
 			p.mDetects.Inc()
 			p.st.DetectLatency = append(p.st.DetectLatency, now.Sub(t.compromisedAt))

@@ -196,14 +196,8 @@ func TestKMLEscalationAvertedByRepave(t *testing.T) {
 func netFixture(t *testing.T, s *simclock.Engine, in *faults.Injector) (*fabric.Network, *fabric.Node, *fabric.Node) {
 	t.Helper()
 	net := fabric.New(fabric.DefaultParams(), s, in)
-	n0, err := net.AddNodeZone("a", "za", fabric.LinkSpec{})
-	if err != nil {
-		t.Fatalf("AddNode: %v", err)
-	}
-	n1, err := net.AddNodeZone("b", "zb", fabric.LinkSpec{})
-	if err != nil {
-		t.Fatalf("AddNode: %v", err)
-	}
+	n0 := net.AddNodeZone("a", "za")
+	n1 := net.AddNodeZone("b", "zb")
 	net.SetTrunk("za", "zb", fabric.LinkSpec{Latency: 10 * us, Bandwidth: 1250 * 1000 * 1000})
 	return net, n0, n1
 }

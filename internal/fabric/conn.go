@@ -77,12 +77,10 @@ type Conn struct {
 	id     int
 	client *Node
 	server *Node
-	raddr  Addr
 
 	dialedAt simclock.Time
 	closed   bool
-	outcome  string // for the telemetry span
-	rexmits  int    // retransmissions spent on this connection, both directions
+	rexmits  int // retransmissions spent on this connection, both directions
 
 	// client side
 	h             ConnHandler
@@ -101,9 +99,9 @@ type Conn struct {
 	syn, req, resp xmit
 }
 
-// Dial opens a connection from nd to dst, beginning the handshake now.
-// h learns its fate exactly once.
-func (nd *Node) Dial(dst *Node, port int, h ConnHandler) *Conn {
+// Dial opens a connection from nd to dst's listener, beginning the
+// handshake now. h learns its fate exactly once.
+func (nd *Node) Dial(dst *Node, h ConnHandler) *Conn {
 	n := nd.net
 	n.connSeq++
 	c := &Conn{
@@ -111,7 +109,6 @@ func (nd *Node) Dial(dst *Node, port int, h ConnHandler) *Conn {
 		id:       n.connSeq,
 		client:   nd,
 		server:   dst,
-		raddr:    Addr{IP: dst.ip, Port: port},
 		dialedAt: n.eng.Now(),
 		h:        h,
 	}
@@ -123,9 +120,6 @@ func (nd *Node) Dial(dst *Node, port int, h ConnHandler) *Conn {
 
 // ID reports the connection's fabric-wide id.
 func (c *Conn) ID() int { return c.id }
-
-// Retransmits reports retransmissions spent on this connection so far.
-func (c *Conn) Retransmits() int { return c.rexmits }
 
 // sendReliable arms slot x with a reliably-delivered logical segment
 // from the side implied by kind/response and sends it. Each slot is
@@ -308,7 +302,6 @@ func (c *Conn) fail(err error, now simclock.Time) {
 func (c *Conn) close(outcome string, now simclock.Time) {
 	c.closed = true
 	c.net.stats.Closed++
-	c.outcome = outcome
 	if tr := c.net.tr; tr != nil {
 		tr.Span("fabric", c.net.trTrack, "conn", c.dialedAt, now,
 			telemetry.A("conn", strconv.Itoa(c.id)),

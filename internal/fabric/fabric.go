@@ -3,12 +3,12 @@
 // replacing the abstract "request arrives by function call" wire. It
 // models what the paper's deployment story takes for granted — app
 // servers as full VMs behind a load balancer — concretely enough to
-// lose: CIDR-allocated per-VM addresses on a virtual switch, per-link
-// latency/bandwidth, TCP-like connections with a SYN backlog that
-// refuses on overflow (the listen(2)/ECONNREFUSED semantics of
-// internal/guest/net.go, reproduced at the wire), ACK-clocked
-// retransmission with seeded-jitter exponential backoff, and
-// connection-level timeouts. A family of fault sites (fabric/partition,
+// lose: per-VM NICs on a virtual switch, each node its own address with
+// at most one listener, per-link latency/bandwidth, TCP-like
+// connections with a SYN backlog that refuses on overflow (the
+// listen(2)/ECONNREFUSED semantics of internal/guest/net.go, reproduced
+// at the wire), ACK-clocked retransmission with seeded-jitter
+// exponential backoff, and connection-level timeouts. A family of fault sites (fabric/partition,
 // fabric/loss, fabric/delay, fabric/flap) lets a seeded storm split the
 // network asymmetrically, drop or delay individual segments, and flap
 // links mid-connection — all replayable bit-for-bit from one seed.
@@ -31,7 +31,7 @@ const (
 	// 0 drops everything in the window; +n drops segments INTO node n
 	// (others cannot reach it, its own traffic still flows); -n drops
 	// segments OUT OF node n (it answers into the void). Node ids are
-	// assigned by AddNode starting at 1. Non-matching segments pass.
+	// assigned by AddNodeZone starting at 1. Non-matching segments pass.
 	SitePartition = "fabric/partition"
 	// SiteLoss drops the segment it fires on; the sender pays a
 	// retransmission timeout and tries again.
@@ -75,7 +75,8 @@ const SOMAXCONN = 128
 // ACK, probes): a headers-only frame.
 const ctlBytes = 64
 
-// LinkSpec models one node's access link to the switch.
+// LinkSpec models one link: every node's access link to its switch
+// (Params.DefaultLink), or an inter-zone trunk (SetTrunk).
 type LinkSpec struct {
 	Latency   simclock.Duration // one-way propagation to the switch
 	Bandwidth int64             // egress bytes per virtual second; 0 = infinite
@@ -87,8 +88,6 @@ type LinkSpec struct {
 // at most maxRetransmits times for data and connectRetries times for
 // SYNs; exhaustion fails the connection with ErrTimeout.
 const (
-	cidr = "10.0.0.0/16" // address block for AddNode allocations
-
 	baseRTO        = 200 * simclock.Microsecond
 	rtoFactor      = 2
 	maxRetransmits = 4
@@ -97,7 +96,7 @@ const (
 
 // Params tunes a Network. All durations are virtual.
 type Params struct {
-	DefaultLink LinkSpec          // access link used when AddNode gets a zero spec
+	DefaultLink LinkSpec          // every node's access link
 	RTOJitter   simclock.Duration // seeded jitter added per retransmission backoff step
 
 	// DataDropSite and ProbeDropSite, when non-empty, are extra fault
@@ -151,8 +150,7 @@ type Network struct {
 	eng    *simclock.Engine
 	inj    *faults.Injector
 	rng    *faults.Stream
-	subnet *Subnet
-	nodes  []*Node
+	nodes  int // attached so far: the next node's id is nodes+1
 
 	// Flapped links, keyed by sorted id pair, and the latest instant any
 	// of them heals: past that watermark no link is down, so transmit
@@ -192,10 +190,6 @@ type Network struct {
 // interleave deterministically with the owner's dispatch, probe and
 // control events. inj may be nil (a clean wire).
 func New(params Params, eng *simclock.Engine, inj *faults.Injector) *Network {
-	subnet, err := ParseCIDR(cidr)
-	if err != nil {
-		panic(err) // cidr is a well-formed constant
-	}
 	return &Network{
 		params: params,
 		eng:    eng,
@@ -210,7 +204,6 @@ func New(params Params, eng *simclock.Engine, inj *faults.Injector) *Network {
 		dataDrop:  armExtra(inj, params.DataDropSite),
 		probeDrop: armExtra(inj, params.ProbeDropSite),
 		rng:       faults.NewStream(params.Seed ^ 0xFAB51C),
-		subnet:    subnet,
 	}
 }
 
@@ -298,13 +291,13 @@ func (n *Network) Observe(tr *telemetry.Tracer, track string) {
 // Stats returns the wire accounting so far.
 func (n *Network) Stats() Stats { return n.stats }
 
-// Node is one NIC on the switch: a VM, or the front-end itself.
+// Node is one NIC on the switch: a VM, or the front-end itself. A node
+// is its own address: a connection dials the node and lands on the one
+// listener it serves.
 type Node struct {
 	net  *Network
 	id   int // 1-based; SitePartition params address this
 	name string
-	ip   IP
-	link LinkSpec
 	zone int // zone id; 0 = the default zone (no trunks crossed)
 
 	// alive is the ground-truth liveness gate: a dead VM neither answers
@@ -319,7 +312,7 @@ type Node struct {
 
 	busyUntil simclock.Time // egress serialization: when the access link frees
 
-	listeners map[int]*Listener
+	lst *Listener // nil until Listen: every SYN to the node is refused
 }
 
 // SetEgressCut isolates (or restores) the node's switch port: while
@@ -328,35 +321,14 @@ type Node struct {
 // injector's streams never see it.
 func (nd *Node) SetEgressCut(cut bool) { nd.egressCut = cut }
 
-// AddNode attaches a NIC, allocating the next address in the block.
-// A zero link spec inherits the network default. Node ids count from 1
-// in attachment order — the id space SitePartition params address.
-func (n *Network) AddNode(name string, link LinkSpec) (*Node, error) {
-	return n.AddNodeZone(name, "", link)
-}
-
-// AddNodeZone is AddNode onto a named zone's switch: traffic between
+// AddNodeZone attaches a NIC to a named zone's switch: traffic between
 // nodes of different zones crosses the inter-zone trunk (SetTrunk) and
-// the trunk-cut fault site. Zone "" is the default switch.
-func (n *Network) AddNodeZone(name, zone string, link LinkSpec) (*Node, error) {
-	ip, err := n.subnet.Alloc()
-	if err != nil {
-		return nil, err
-	}
-	if link.Latency == 0 && link.Bandwidth == 0 {
-		link = n.params.DefaultLink
-	}
-	nd := &Node{
-		net:       n,
-		id:        len(n.nodes) + 1,
-		name:      name,
-		ip:        ip,
-		link:      link,
-		zone:      n.zoneID(zone),
-		listeners: make(map[int]*Listener),
-	}
-	n.nodes = append(n.nodes, nd)
-	return nd, nil
+// the trunk-cut fault site. Zone "" is the default switch. Node ids
+// count from 1 in attachment order — the id space SitePartition params
+// address.
+func (n *Network) AddNodeZone(name, zone string) *Node {
+	n.nodes++
+	return &Node{net: n, id: n.nodes, name: name, zone: n.zoneID(zone)}
 }
 
 // SetAlive installs the ground-truth liveness gate.
@@ -370,8 +342,6 @@ func (nd *Node) up(now simclock.Time) bool { return nd.alive == nil || nd.alive(
 // cap-and-refuse semantics as guest/net.go's ListenBacklog path, which
 // is exactly the fleet's shed signal.
 type Listener struct {
-	node    *Node
-	port    int
 	cap     int
 	backlog []*Conn // accept queue; entries before head were popped
 	head    int
@@ -381,12 +351,13 @@ type Listener struct {
 	OnPending func(now simclock.Time)
 }
 
-// Listen binds a listener on port with the given backlog cap, applying
+// Listen binds the node's listener with the given backlog cap, applying
 // the listen(2) clamping rules (below 1 raised to 1, above SOMAXCONN
-// clamped down). Re-binding a bound port is a programming error.
-func (nd *Node) Listen(port, backlog int) *Listener {
-	if _, dup := nd.listeners[port]; dup {
-		panic(fmt.Sprintf("fabric: node %s: duplicate listener on port %d", nd.name, port))
+// clamped down). A node serves one listener; a second Listen is a
+// programming error.
+func (nd *Node) Listen(backlog int) *Listener {
+	if nd.lst != nil {
+		panic(fmt.Sprintf("fabric: node %s: duplicate listener", nd.name))
 	}
 	if backlog < 1 {
 		backlog = 1
@@ -394,9 +365,8 @@ func (nd *Node) Listen(port, backlog int) *Listener {
 	if backlog > SOMAXCONN {
 		backlog = SOMAXCONN
 	}
-	l := &Listener{node: nd, port: port, cap: backlog}
-	nd.listeners[port] = l
-	return l
+	nd.lst = &Listener{cap: backlog}
+	return nd.lst
 }
 
 // pending counts live (non-closed) connections waiting in the backlog.
@@ -421,9 +391,6 @@ func (l *Listener) enqueue(c *Conn) {
 	}
 	l.backlog = append(l.backlog, c)
 }
-
-// Pending reports how many connections are waiting to be accepted.
-func (l *Listener) Pending() int { return l.pending() }
 
 // Accept pops the oldest live pending connection, or nil. Connections
 // whose client already gave up (timed out) are discarded in passing,
@@ -599,12 +566,13 @@ func (n *Network) transmit(s *segment, now simclock.Time) {
 	}
 	// Egress serialization on the sender's access link, then propagation
 	// over both links. FIFO per egress port keeps the order deterministic.
+	link := n.params.DefaultLink
 	depart := max(now, s.from.busyUntil)
-	if bw := s.from.link.Bandwidth; bw > 0 {
+	if bw := link.Bandwidth; bw > 0 {
 		depart = depart.Add(simclock.Duration(int64(s.size) * int64(simclock.Second) / bw))
 	}
 	s.from.busyUntil = depart
-	hop := s.from.link.Latency + s.to.link.Latency + extra
+	hop := 2*link.Latency + extra
 	if s.from.zone != s.to.zone {
 		// Second serialization stage on the inter-zone trunk, directed
 		// per zone pair, then the trunk's own propagation delay. An
@@ -725,7 +693,7 @@ func (n *Network) deliverSYN(s *segment, now simclock.Time) {
 		n.control(segSYNACK, s.to, s.from, c, s.seq, nil, now)
 		return
 	}
-	l := s.to.listeners[c.raddr.Port]
+	l := s.to.lst
 	if l == nil {
 		n.control(segRST, s.to, s.from, c, s.seq, ErrRefused, now)
 		return

@@ -13,54 +13,6 @@ import (
 
 const ms = simclock.Millisecond
 
-func TestParseCIDR(t *testing.T) {
-	cases := []struct {
-		in      string
-		wantErr bool
-		hosts   int
-	}{
-		{"10.0.0.0/16", false, 65534},
-		{"192.168.1.0/24", false, 254},
-		{"10.0.0.0/30", false, 2},
-		{"10.0.0.0", true, 0},      // missing prefix
-		{"10.0.0.0/31", true, 0},   // prefix out of range
-		{"10.0.0.1/24", true, 0},   // host bits set
-		{"10.0.0/24", true, 0},     // not dotted-quad
-		{"10.0.0.256/24", true, 0}, // bad octet
-	}
-	for _, c := range cases {
-		sub, err := ParseCIDR(c.in)
-		if c.wantErr {
-			if err == nil {
-				t.Errorf("ParseCIDR(%q): want error, got %v", c.in, sub)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("ParseCIDR(%q): %v", c.in, err)
-			continue
-		}
-		if sub.Hosts() != c.hosts {
-			t.Errorf("ParseCIDR(%q).Hosts() = %d, want %d", c.in, sub.Hosts(), c.hosts)
-		}
-	}
-}
-
-func TestSubnetAllocSequentialAndExhaustion(t *testing.T) {
-	sub, err := ParseCIDR("10.1.0.0/30")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := sub.Alloc()
-	b, _ := sub.Alloc()
-	if a.String() != "10.1.0.1" || b.String() != "10.1.0.2" {
-		t.Fatalf("alloc sequence = %s, %s; want 10.1.0.1, 10.1.0.2", a, b)
-	}
-	if _, err := sub.Alloc(); err == nil {
-		t.Fatal("third Alloc on a /30 should exhaust")
-	}
-}
-
 // TestSOMAXCONNParity pins the fabric's backlog cap to the guest network
 // stack's: the fabric models the wire in front of guest/net.go listeners,
 // so the two listen(2) clamps must agree.
@@ -77,15 +29,9 @@ func newTestNet(t *testing.T, inj *faults.Injector, params Params) (*simclock.En
 	t.Helper()
 	sched := simclock.NewEngine()
 	net := New(params, sched, inj)
-	client, err := net.AddNode("client", LinkSpec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	server, err := net.AddNode("server", LinkSpec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lst := server.Listen(80, 16)
+	client := net.AddNodeZone("client", "")
+	server := net.AddNodeZone("server", "")
+	lst := server.Listen(16)
 	return sched, net, client, server, lst
 }
 
@@ -142,7 +88,7 @@ func dialAndSend(sched *simclock.Engine, client, server *Node, reqBytes, respByt
 	if serve {
 		serveAll(lst, respBytes)
 	}
-	client.Dial(server, 80, callbacks{
+	client.Dial(server, callbacks{
 		established: func(c *Conn, now simclock.Time) {
 			res.established = true
 			c.SendRequest(reqBytes, respTimeout, now)
@@ -183,7 +129,7 @@ func TestRoundTripAllocations(t *testing.T) {
 		response:    func(c *Conn, now simclock.Time) { served++ },
 	}
 	roundTrip := func() {
-		client.Dial(server, 80, h)
+		client.Dial(server, h)
 		sched.Run()
 	}
 	roundTrip() // grow the engine queue and fill the segment free list
@@ -201,7 +147,7 @@ func TestRoundTripAllocations(t *testing.T) {
 // retransmit state.
 func TestSecondRequestOnOneConnPanics(t *testing.T) {
 	sched, _, client, server, _ := newTestNet(t, nil, DefaultParams())
-	client.Dial(server, 80, callbacks{
+	client.Dial(server, callbacks{
 		established: func(c *Conn, now simclock.Time) {
 			c.SendRequest(1024, 10*ms, now)
 			c.SendRequest(1024, 10*ms, now)
@@ -216,14 +162,15 @@ func TestSecondRequestOnOneConnPanics(t *testing.T) {
 }
 
 func TestNoListenerRefused(t *testing.T) {
-	sched, net, client, server, _ := newTestNet(t, nil, DefaultParams())
+	sched, net, client, _, _ := newTestNet(t, nil, DefaultParams())
+	idle := net.AddNodeZone("idle", "") // never listens
 	res := &connResult{}
-	client.Dial(server, 8080, callbacks{ // nothing listens on 8080
+	client.Dial(idle, callbacks{
 		failed: func(c *Conn, err error, now simclock.Time) { res.err = err },
 	})
 	sched.RunUntil(simclock.Time(100 * ms))
 	if !errors.Is(res.err, ErrRefused) {
-		t.Fatalf("dial to unbound port: err=%v, want ErrRefused", res.err)
+		t.Fatalf("dial to a node with no listener: err=%v, want ErrRefused", res.err)
 	}
 	if net.Stats().Refused != 1 {
 		t.Fatalf("stats: %+v", net.Stats())
@@ -234,7 +181,7 @@ func TestDeadServerRefused(t *testing.T) {
 	sched, _, client, server, _ := newTestNet(t, nil, DefaultParams())
 	server.SetAlive(func(now simclock.Time) bool { return false })
 	res := &connResult{}
-	client.Dial(server, 80, callbacks{
+	client.Dial(server, callbacks{
 		failed: func(c *Conn, err error, now simclock.Time) { res.err = err },
 	})
 	sched.RunUntil(simclock.Time(100 * ms))
@@ -249,12 +196,12 @@ func TestDeadServerRefused(t *testing.T) {
 func TestBacklogOverflowSheds(t *testing.T) {
 	sched := simclock.NewEngine()
 	net := New(DefaultParams(), sched, nil)
-	client, _ := net.AddNode("client", LinkSpec{})
-	server, _ := net.AddNode("server", LinkSpec{})
-	lst := server.Listen(80, 2) // cap 2, nobody accepting
+	client := net.AddNodeZone("client", "")
+	server := net.AddNodeZone("server", "")
+	lst := server.Listen(2) // cap 2, nobody accepting
 	var errs []error
 	for i := 0; i < 3; i++ {
-		client.Dial(server, 80, callbacks{
+		client.Dial(server, callbacks{
 			failed: func(c *Conn, err error, now simclock.Time) { errs = append(errs, err) },
 		})
 	}
@@ -262,8 +209,8 @@ func TestBacklogOverflowSheds(t *testing.T) {
 	if len(errs) != 1 || !errors.Is(errs[0], ErrOverflow) {
 		t.Fatalf("overflow errors = %v, want exactly one ErrOverflow", errs)
 	}
-	if lst.Pending() != 2 {
-		t.Fatalf("backlog pending = %d, want 2", lst.Pending())
+	if lst.pending() != 2 {
+		t.Fatalf("backlog pending = %d, want 2", lst.pending())
 	}
 	if net.Stats().Overflows != 1 {
 		t.Fatalf("stats: %+v", net.Stats())
@@ -274,13 +221,24 @@ func TestBacklogOverflowSheds(t *testing.T) {
 func TestListenClamp(t *testing.T) {
 	sched := simclock.NewEngine()
 	net := New(DefaultParams(), sched, nil)
-	nd, _ := net.AddNode("n", LinkSpec{})
-	if l := nd.Listen(1, 0); l.cap != 1 {
+	if l := net.AddNodeZone("a", "").Listen(0); l.cap != 1 {
 		t.Errorf("backlog 0 clamps to %d, want 1", l.cap)
 	}
-	if l := nd.Listen(2, 100000); l.cap != SOMAXCONN {
+	if l := net.AddNodeZone("b", "").Listen(100000); l.cap != SOMAXCONN {
 		t.Errorf("backlog 100000 clamps to %d, want %d", l.cap, SOMAXCONN)
 	}
+}
+
+// A node serves one listener: binding a second is a programming error.
+func TestSecondListenPanics(t *testing.T) {
+	nd := New(DefaultParams(), simclock.NewEngine(), nil).AddNodeZone("n", "")
+	nd.Listen(16)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second Listen on one node did not panic")
+		}
+	}()
+	nd.Listen(16)
 }
 
 // TestLossRetransmitRecovers drops the first data segment; the sender's
@@ -312,9 +270,9 @@ func TestAsymmetricPartitionTimesOut(t *testing.T) {
 		{Site: SitePartition, Prob: 1, Param: -2}, // cut segments out of node 2
 	}})
 	net := New(params, sched, inj)
-	client, _ := net.AddNode("client", LinkSpec{}) // id 1
-	server, _ := net.AddNode("server", LinkSpec{}) // id 2
-	lst := server.Listen(80, 16)
+	client := net.AddNodeZone("client", "") // id 1
+	server := net.AddNodeZone("server", "") // id 2
+	lst := server.Listen(16)
 	// Nobody accepts: the backlog retains what the server heard, so the
 	// test can prove the SYN crossed while the SYN-ACK did not.
 	res := dialAndSend(sched, client, server, 1024, 4096, 50*ms, false, lst)
@@ -376,7 +334,7 @@ func TestFlapHealMidRexmitResumesLadder(t *testing.T) {
 	sched, net, client, server, lst := newTestNet(t, inj, params)
 	serveAll(lst, 4096)
 	res := &connResult{}
-	conn := client.Dial(server, 80, callbacks{
+	conn := client.Dial(server, callbacks{
 		established: func(c *Conn, now simclock.Time) {
 			res.established = true
 			c.SendRequest(1024, 50*ms, now)
@@ -392,8 +350,8 @@ func TestFlapHealMidRexmitResumesLadder(t *testing.T) {
 	// and 2 died into the downed link, rung 3 landed after the heal. A
 	// restarted ladder (or a redial) could not produce this count on this
 	// connection.
-	if conn.Retransmits() != 3 {
-		t.Fatalf("rexmit ladder spent %d rungs, want 3 (resume through the outage)", conn.Retransmits())
+	if conn.rexmits != 3 {
+		t.Fatalf("rexmit ladder spent %d rungs, want 3 (resume through the outage)", conn.rexmits)
 	}
 	st := net.Stats()
 	if st.Dropped != 3 { // 1 flap + 2 link-down
@@ -452,10 +410,10 @@ func TestFlapsHealPerLink(t *testing.T) {
 	}})
 	sched := simclock.NewEngine()
 	net := New(params, sched, inj)
-	x, _ := net.AddNode("x", LinkSpec{})
+	x := net.AddNodeZone("x", "")
 	arrivals := map[string][]simclock.Time{}
 	target := func(name string) *Node {
-		nd, _ := net.AddNode(name, LinkSpec{})
+		nd := net.AddNodeZone(name, "")
 		// Record each probe's arrival and stay dark, so no reply muddies the wire.
 		nd.SetAlive(func(now simclock.Time) bool { arrivals[name] = append(arrivals[name], now); return false })
 		return nd
@@ -493,20 +451,20 @@ func TestAcceptSkipsDeadEntries(t *testing.T) {
 	sched := simclock.NewEngine()
 	params := DefaultParams()
 	net := New(params, sched, nil)
-	client, _ := net.AddNode("client", LinkSpec{})
-	server, _ := net.AddNode("server", LinkSpec{})
-	lst := server.Listen(80, 4)
+	client := net.AddNodeZone("client", "")
+	server := net.AddNodeZone("server", "")
+	lst := server.Listen(4)
 	var conns []*Conn
 	for i := 0; i < 2; i++ {
-		conns = append(conns, client.Dial(server, 80, callbacks{}))
+		conns = append(conns, client.Dial(server, callbacks{}))
 	}
 	sched.RunUntil(simclock.Time(ms))
-	if lst.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", lst.Pending())
+	if lst.pending() != 2 {
+		t.Fatalf("pending = %d, want 2", lst.pending())
 	}
 	conns[0].fail(ErrTimeout, sched.Now()) // client 0 gives up
-	if lst.Pending() != 1 {
-		t.Fatalf("pending after client death = %d, want 1", lst.Pending())
+	if lst.pending() != 1 {
+		t.Fatalf("pending after client death = %d, want 1", lst.pending())
 	}
 	got := lst.Accept(sched.Now())
 	if got != conns[1] {
@@ -530,22 +488,22 @@ func storm(seed uint64) string {
 	params := DefaultParams()
 	params.Seed = seed
 	net := New(params, sched, inj)
-	client, _ := net.AddNode("client", LinkSpec{})
-	server, _ := net.AddNode("server", LinkSpec{})
-	lst := server.Listen(80, 8)
+	client := net.AddNodeZone("client", "")
+	server := net.AddNodeZone("server", "")
+	lst := server.Listen(8)
 	serveAll(lst, 2048)
 	var sb strings.Builder
 	for i := 0; i < 40; i++ {
 		id := i
 		launch := simclock.Time(i) * simclock.Time(100*simclock.Microsecond)
 		sched.Schedule(launch, func(now simclock.Time) {
-			client.Dial(server, 80, callbacks{
+			client.Dial(server, callbacks{
 				established: func(c *Conn, at simclock.Time) { c.SendRequest(512, 20*ms, at) },
 				failed: func(c *Conn, err error, at simclock.Time) {
 					fmt.Fprintf(&sb, "%d fail %v @%v\n", id, err, at)
 				},
 				response: func(c *Conn, at simclock.Time) {
-					fmt.Fprintf(&sb, "%d ok rexmit=%d @%v\n", id, c.Retransmits(), at)
+					fmt.Fprintf(&sb, "%d ok rexmit=%d @%v\n", id, c.rexmits, at)
 				},
 			})
 		})
@@ -574,8 +532,8 @@ func TestStormDeterminism(t *testing.T) {
 func TestProbeVerdicts(t *testing.T) {
 	sched := simclock.NewEngine()
 	net := New(DefaultParams(), sched, nil)
-	lb, _ := net.AddNode("lb", LinkSpec{})
-	vm, _ := net.AddNode("vm", LinkSpec{})
+	lb := net.AddNodeZone("lb", "")
+	vm := net.AddNodeZone("vm", "")
 
 	verdicts := 0
 	var lastOK bool
@@ -608,8 +566,8 @@ func TestProbeLostIsFailed(t *testing.T) {
 	}})
 	sched := simclock.NewEngine()
 	net := New(DefaultParams(), sched, inj)
-	lb, _ := net.AddNode("lb", LinkSpec{})
-	vm, _ := net.AddNode("vm", LinkSpec{})
+	lb := net.AddNodeZone("lb", "")
+	vm := net.AddNodeZone("vm", "")
 	verdicts, ok := 0, true
 	net.Probe(lb, vm, ms, func(got bool, now simclock.Time) { verdicts++; ok = got })
 	sched.RunUntil(simclock.Time(10 * ms))
@@ -631,8 +589,8 @@ func TestLateProbeReplyIsIgnored(t *testing.T) {
 	}})
 	sched := simclock.NewEngine()
 	net := New(DefaultParams(), sched, inj)
-	lb, _ := net.AddNode("lb", LinkSpec{})
-	vm, _ := net.AddNode("vm", LinkSpec{})
+	lb := net.AddNodeZone("lb", "")
+	vm := net.AddNodeZone("vm", "")
 
 	type verdict struct {
 		ok bool
@@ -667,8 +625,8 @@ func TestLateProbeReplyIsIgnored(t *testing.T) {
 func TestProbeAllocations(t *testing.T) {
 	sched := simclock.NewEngine()
 	net := New(DefaultParams(), sched, nil)
-	lb, _ := net.AddNode("lb", LinkSpec{})
-	vm, _ := net.AddNode("vm", LinkSpec{})
+	lb := net.AddNodeZone("lb", "")
+	vm := net.AddNodeZone("vm", "")
 	up := true
 	vm.SetAlive(func(simclock.Time) bool { return up })
 	verdicts := 0
@@ -699,8 +657,8 @@ func TestBandwidthSerializes(t *testing.T) {
 	params := DefaultParams()
 	params.DefaultLink = LinkSpec{Latency: simclock.Microsecond, Bandwidth: 1000 * 1000} // 1 MB/s: 1 ms per KB
 	net := New(params, sched, nil)
-	a, _ := net.AddNode("a", LinkSpec{})
-	b, _ := net.AddNode("b", LinkSpec{})
+	a := net.AddNodeZone("a", "")
+	b := net.AddNodeZone("b", "")
 	// b's liveness gate is consulted once per probe delivery: record the
 	// arrival instant and stay dark, so no reply muddies the wire.
 	var arrivals []simclock.Time
@@ -733,10 +691,7 @@ func TestTrunkSerializesPerDirection(t *testing.T) {
 	net.SetTrunk("a", "b", LinkSpec{Latency: 10 * us, Bandwidth: 1000 * 1000})
 	arrivals := map[string][]simclock.Time{}
 	node := func(name, zone string) *Node {
-		nd, err := net.AddNodeZone(name, zone, LinkSpec{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		nd := net.AddNodeZone(name, zone)
 		nd.SetAlive(func(now simclock.Time) bool { arrivals[name] = append(arrivals[name], now); return false })
 		return nd
 	}
@@ -775,10 +730,10 @@ func TestTrunkSerializesPerDirection(t *testing.T) {
 func BenchmarkInterZoneRoundTrip(b *testing.B) {
 	sched := simclock.NewEngine()
 	net := New(DefaultParams(), sched, nil)
-	client, _ := net.AddNodeZone("client", "east", LinkSpec{})
-	server, _ := net.AddNodeZone("server", "west", LinkSpec{})
+	client := net.AddNodeZone("client", "east")
+	server := net.AddNodeZone("server", "west")
 	net.SetTrunk("east", "west", LinkSpec{Latency: 50 * simclock.Microsecond, Bandwidth: 1250 * 1000 * 1000})
-	serveAll(server.Listen(80, 16), 4096)
+	serveAll(server.Listen(16), 4096)
 	served := 0
 	h := &callbacks{
 		established: func(c *Conn, now simclock.Time) { c.SendRequest(1024, 10*ms, now) },
@@ -786,7 +741,7 @@ func BenchmarkInterZoneRoundTrip(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		client.Dial(server, 80, h)
+		client.Dial(server, h)
 		sched.Run()
 	}
 	if served != b.N {

@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"fmt"
-
 	"lupine/internal/fabric"
 	"lupine/internal/faults"
 	"lupine/internal/simclock"
@@ -45,12 +43,11 @@ func (o Outcome) String() string {
 // are switched into zone (so intra-cell traffic never crosses a trunk),
 // and traffic arrives only via Inject. Start begins the heartbeat loop;
 // Stop halts it so the owner's engine can drain.
-func NewAttached(cfg Config, eng *simclock.Engine, net *fabric.Network, zone string, inj *faults.Injector) *Fleet {
+func NewAttached(cfg Config, eng *simclock.Engine, net *fabric.Network, zone string) *Fleet {
 	f := &Fleet{
 		cfg:         cfg,
 		eng:         eng,
 		zone:        zone,
-		inj:         inj,
 		net:         net,
 		arrivalRng:  faults.NewStream(cfg.Seed),
 		serviceRng:  faults.NewStream(cfg.Seed ^ 0xA5A5A5A5A5A5A5A5),
@@ -62,11 +59,7 @@ func NewAttached(cfg Config, eng *simclock.Engine, net *fabric.Network, zone str
 	if zone != "" {
 		lbName = zone + "/lb"
 	}
-	lb, err := net.AddNodeZone(lbName, zone, fabric.LinkSpec{})
-	if err != nil {
-		panic(fmt.Sprintf("fleet: %v", err))
-	}
-	f.lbNode = lb
+	f.lbNode = net.AddNodeZone(lbName, zone)
 	return f
 }
 

@@ -244,7 +244,6 @@ type Fleet struct {
 	cfg      Config
 	eng      *simclock.Engine
 	backends []*Backend
-	inj      *faults.Injector // injected faults, fleet and fabric planes; nil = clean wire
 
 	// standalone fleets generate their own arrivals in Run and stop the
 	// heartbeat once every request has resolved and the upgrade plan has
@@ -313,7 +312,7 @@ func NewAutoscaled(cfg Config, backends []*Backend, scaler *AutoscalePolicy, pla
 			cfg.ArrivalJitter, cfg.Interarrival))
 	}
 	eng := simclock.NewEngine()
-	f := NewAttached(cfg, eng, fabric.New(FabricParams(cfg), eng, inj), "", inj)
+	f := NewAttached(cfg, eng, fabric.New(FabricParams(cfg), eng, inj), "")
 	f.standalone = true
 	f.plan = plan
 	f.upgraded = plan == nil
@@ -403,14 +402,10 @@ func (f *Fleet) admit(b *Backend, now simclock.Time) {
 	b.healthy = true
 	b.breaker = NewBreaker(f.cfg.Breaker)
 
-	node, err := f.net.AddNodeZone(b.Name, f.zone, fabric.LinkSpec{})
-	if err != nil {
-		panic(fmt.Sprintf("fleet: admitting %s: %v", b.Name, err))
-	}
 	bb := b
-	node.SetAlive(func(t simclock.Time) bool { return bb.aliveAt(t) })
-	b.node = node
-	b.lst = node.Listen(servicePort, queueDepth)
+	b.node = f.net.AddNodeZone(b.Name, f.zone)
+	b.node.SetAlive(func(t simclock.Time) bool { return bb.aliveAt(t) })
+	b.lst = b.node.Listen(queueDepth)
 	b.lst.OnPending = func(t simclock.Time) { f.serverPump(bb, t) }
 	for i := range b.slots {
 		b.slots[i] = slot{f: f, b: b}
@@ -421,9 +416,6 @@ func (f *Fleet) admit(b *Backend, now simclock.Time) {
 	f.ringInsert(b)
 	f.observeBackend(b, now)
 }
-
-// servicePort is the well-known port every backend serves on.
-const servicePort = 80
 
 func (f *Fleet) activeCount() int {
 	n := 0
@@ -501,7 +493,7 @@ func (f *Fleet) dispatch(r *request, b *Backend, now simclock.Time) {
 	r.attempts++
 	b.inflight++
 	r.b, r.sent = b, now
-	f.lbNode.Dial(b.node, servicePort, r)
+	f.lbNode.Dial(b.node, r)
 }
 
 // Established ships the request once the handshake completes.

@@ -264,7 +264,7 @@ func (fn resolveFunc) Resolved(o Outcome, at simclock.Time) { fn(o, at) }
 func TestAttachedClockIsOwners(t *testing.T) {
 	cfg := DefaultConfig()
 	eng := simclock.NewEngine()
-	f := NewAttached(cfg, eng, fabric.New(FabricParams(cfg), eng, nil), "cell", nil)
+	f := NewAttached(cfg, eng, fabric.New(FabricParams(cfg), eng, nil), "cell")
 	if f.Clock() != eng.Clock() {
 		t.Fatalf("attached Clock() = %p, want the owner's %p", f.Clock(), eng.Clock())
 	}
@@ -302,7 +302,7 @@ func TestAttachedClockIsOwners(t *testing.T) {
 func TestDispatchAllocations(t *testing.T) {
 	cfg := DefaultConfig()
 	eng := simclock.NewEngine()
-	f := NewAttached(cfg, eng, fabric.New(FabricParams(cfg), eng, nil), "cell", nil)
+	f := NewAttached(cfg, eng, fabric.New(FabricParams(cfg), eng, nil), "cell")
 	f.Admit(NewBackend("a", AlwaysUp()), 0)
 	id := 0
 	serve := func() {

@@ -29,10 +29,8 @@ type CostModel struct {
 	SMPLockOp        simclock.Duration // per lock acquire/release when CONFIG_SMP
 
 	// Memory.
-	PageFault       simclock.Duration // minor fault service (lazy allocation)
-	PageFaultMitig  simclock.Duration
-	MemReadPerByte  simclock.Duration // charged in 1/1024 units; see chargeBytes
-	MemWritePerByte simclock.Duration
+	PageFault      simclock.Duration // minor fault service (lazy allocation)
+	PageFaultMitig simclock.Duration
 
 	// Syscall work components (kernel-side, privilege independent).
 	GetppidWork     simclock.Duration

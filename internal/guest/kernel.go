@@ -130,7 +130,7 @@ func NewKernel(p Params) (*Kernel, error) {
 		inj:       p.Faults,
 	}
 	for i := 0; i < vcpus; i++ {
-		k.cpus = append(k.cpus, &cpu{id: i})
+		k.cpus = append(k.cpus, &cpu{})
 	}
 	// The kernel image and its fixed runtime structures occupy memory up
 	// front; this is what makes specialized kernels' footprints smaller.
@@ -145,8 +145,8 @@ func NewKernel(p Params) (*Kernel, error) {
 	// pressure, re-faultable from the image afterwards. Page-align down
 	// so balloon accounting stays page-granular.
 	k.cleanCache = (p.Image.Size / pageSize) * pageSize
-	k.vfs = newVFS(k, p.RootFS)
-	k.net = newNetStack(k)
+	k.vfs = newVFS(p.RootFS)
+	k.net = newNetStack()
 	return k, nil
 }
 
@@ -196,7 +196,7 @@ func (k *Kernel) Spawn(name string, fn AppFunc) *Proc {
 	if e := p.as.commitStack(k); e != OK {
 		p.oomAtStart = true
 	}
-	p.fds = newFDTable(k)
+	p.fds = newFDTable()
 	return p
 }
 

@@ -24,7 +24,6 @@ const (
 
 // socket is a simulated socket endpoint.
 type socket struct {
-	k      *Kernel
 	domain int
 	typ    int
 
@@ -37,16 +36,11 @@ type socket struct {
 	in         *pipe // bytes from peer to us
 
 	// dgram state
-	dgrams []dgram
+	dgrams [][]byte // queued datagram payloads
 	dgramQ waitQueue
 	bound  bool
 	addr   sockAddr
 	closed bool
-}
-
-type dgram struct {
-	from sockAddr
-	data []byte
 }
 
 type sockAddr struct {
@@ -62,21 +56,19 @@ func (a sockAddr) String() string {
 	return fmt.Sprintf("inet:%d", a.port)
 }
 
-func newSocket(k *Kernel, domain, typ int) *socket {
-	return &socket{k: k, domain: domain, typ: typ,
+func newSocket(domain, typ int) *socket {
+	return &socket{domain: domain, typ: typ,
 		acceptQ: waitQueue{name: "accept"}, dgramQ: waitQueue{name: "dgram"}}
 }
 
 // netStack holds the loopback namespace: listeners and bound endpoints.
 type netStack struct {
-	k         *Kernel
 	listeners map[sockAddr]*socket
 	dgramEPs  map[sockAddr]*socket
 }
 
-func newNetStack(k *Kernel) *netStack {
+func newNetStack() *netStack {
 	return &netStack{
-		k:         k,
 		listeners: make(map[sockAddr]*socket),
 		dgramEPs:  make(map[sockAddr]*socket),
 	}
@@ -128,7 +120,7 @@ func (p *Proc) Socket(domain, typ int) (int, Errno) {
 		}
 		return -1, EAFNOSUPPORT
 	}
-	s := newSocket(p.k, domain, typ)
+	s := newSocket(domain, typ)
 	fd := &FD{refs: 1, kind: fdSocket, sock: s}
 	return p.fds.alloc(fd), OK
 }
@@ -253,10 +245,10 @@ func (p *Proc) Connect(fd int, port int, path string) Errno {
 	}
 	p.charge(p.netCost(p.k.cost.TCPConn))
 	// Build the connected pair: s <-> serverSide.
-	serverSide := newSocket(p.k, s.domain, SockStream)
-	s.in = newPipe(p.k)
+	serverSide := newSocket(s.domain, SockStream)
+	s.in = newPipe()
 	s.in.quiet = true
-	serverSide.in = newPipe(p.k)
+	serverSide.in = newPipe()
 	serverSide.in.quiet = true
 	s.peer = serverSide
 	serverSide.peer = s
@@ -277,8 +269,8 @@ func (p *Proc) SocketPair() (int, int, Errno) {
 		p.k.consolePrint("can't create UNIX socket\n")
 		return -1, -1, EAFNOSUPPORT
 	}
-	a, b := newSocket(p.k, AFUnix, SockStream), newSocket(p.k, AFUnix, SockStream)
-	a.in, b.in = newPipe(p.k), newPipe(p.k)
+	a, b := newSocket(AFUnix, SockStream), newSocket(AFUnix, SockStream)
+	a.in, b.in = newPipe(), newPipe()
 	a.in.quiet, b.in.quiet = true, true
 	a.peer, b.peer = b, a
 	fa := &FD{refs: 1, kind: fdSocket, sock: a}
@@ -318,7 +310,7 @@ func (s *socket) send(p *Proc, buf []byte) (int, Errno) {
 		if dropped {
 			return len(buf), OK // the datagram vanished on the wire
 		}
-		dst.dgrams = append(dst.dgrams, dgram{from: s.addr, data: append([]byte(nil), buf...)})
+		dst.dgrams = append(dst.dgrams, append([]byte(nil), buf...))
 		dst.dgramQ.wake(p.k, 1, p.cpu.now)
 		p.k.wakePollers(p.cpu.now)
 		return len(buf), OK
@@ -346,7 +338,7 @@ func (s *socket) recv(p *Proc, buf []byte) (int, Errno) {
 		}
 		d := s.dgrams[0]
 		s.dgrams = s.dgrams[1:]
-		n := copy(buf, d.data)
+		n := copy(buf, d)
 		p.charge(p.netCost(chargeBytes(c.TCPBytePerKB, n)))
 		return n, OK
 	}

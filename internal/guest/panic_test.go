@@ -109,6 +109,39 @@ func TestOOMKillerRequiresMultiprocess(t *testing.T) {
 	})
 }
 
+// TestOOMKillUnwindsDeferredSyscalls: a killed process makes no more
+// syscalls. The hog is OOM-killed while it sleeps, and the Close it
+// deferred unwinds with it instead of charging the CPU it no longer
+// holds; main survives the spike.
+func TestOOMKillUnwindsDeferredSyscalls(t *testing.T) {
+	k := newFaultKernel(t, "lupine-base", oomSpikePlan(), "MULTIPROCESS")
+	k.Spawn("main", func(p *Proc) int {
+		p.Fork(func(h *Proc) int {
+			r, _, _ := h.Pipe()
+			defer h.Close(r)
+			if e := h.Alloc(300 * MiB); e != OK {
+				return 1
+			}
+			h.Nanosleep(50 * simclock.Millisecond)
+			return 0
+		})
+		p.Nanosleep(10 * simclock.Millisecond)
+		p.Alloc(1 * MiB) // hit 2: the spike fires here
+		p.Wait()
+		p.Println("main: survived")
+		return 0
+	})
+	if err := k.Run(); err != nil {
+		t.Fatalf("Run: %v (console: %s)", err, k.Console())
+	}
+	if !k.ConsoleContains("main: survived") {
+		t.Errorf("main did not survive the spike: %q", k.Console())
+	}
+	if got := k.Stats().OOMKills; got != 1 {
+		t.Errorf("OOMKills = %d, want 1", got)
+	}
+}
+
 // TestTransientSyscallFault: an injected EINTR surfaces through Read.
 func TestTransientSyscallFault(t *testing.T) {
 	inj := faults.MustNew(faults.Plan{

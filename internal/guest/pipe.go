@@ -4,7 +4,6 @@ package guest
 // semantics, used for pipe(2) and as the building block of stream
 // sockets.
 type pipe struct {
-	k        *Kernel
 	quiet    bool   // sockets charge their own transport op; skip PipeOp
 	buf      []byte // buf[off:] is unread
 	off      int
@@ -17,9 +16,8 @@ type pipe struct {
 
 const pipeCapacity = 65536
 
-func newPipe(k *Kernel) *pipe {
+func newPipe() *pipe {
 	return &pipe{
-		k:        k,
 		capacity: pipeCapacity,
 		readers:  1,
 		writers:  1,
@@ -31,7 +29,7 @@ func newPipe(k *Kernel) *pipe {
 // Pipe creates a pipe and returns (readFD, writeFD), like pipe(2).
 func (p *Proc) Pipe() (int, int, Errno) {
 	p.sysEnterFree("pipe2")
-	pi := newPipe(p.k)
+	pi := newPipe()
 	r := &FD{refs: 1, kind: fdPipeR, pipe: pi}
 	w := &FD{refs: 1, kind: fdPipeW, pipe: pi}
 	return p.fds.alloc(r), p.fds.alloc(w), OK

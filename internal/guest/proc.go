@@ -30,7 +30,6 @@ type Proc struct {
 	readyTime  simclock.Time
 	enqueueSeq int
 	blockedOn  *waitQueue
-	timerFired bool
 	killed     bool
 	resume     chan struct{}
 
@@ -44,7 +43,6 @@ type Proc struct {
 	parent   *Proc
 	children []*Proc
 	chldQ    waitQueue
-	sleepQ   waitQueue // Nanosleep's; only the timer wakes it
 
 	env map[string]string
 
@@ -72,7 +70,6 @@ func (k *Kernel) newProc(name string, fn AppFunc, parent *Proc) *Proc {
 		resume:      make(chan struct{}),
 		env:         make(map[string]string),
 		chldQ:       waitQueue{name: "child-exit"},
-		sleepQ:      waitQueue{name: "nanosleep"},
 		sigHandlers: make(map[int]bool),
 	}
 	k.nextPID++
@@ -168,17 +165,20 @@ func (p *Proc) Getppid() int {
 // this is what produces the characteristic application error messages the
 // §4.1 configuration search keys on.
 func (p *Proc) sysEnter(name string) Errno {
-	p.k.stats.Syscalls++
-	p.k.trace(p, name)
-	p.chargeRaw(p.entryCost())
+	p.sysEnterFree(name)
 	if !p.k.img.HasSyscall(name) {
 		return ENOSYS
 	}
 	return OK
 }
 
-// sysEnterFree is sysEnter for calls no configuration option gates.
+// sysEnterFree is sysEnter for calls no configuration option gates. A
+// killed process makes no more syscalls: one its unwinding code defers
+// (a Close, a Poweroff) unwinds with it, for it holds no CPU to charge.
 func (p *Proc) sysEnterFree(name string) {
+	if p.killed {
+		panic(procKilled{})
+	}
 	p.k.stats.Syscalls++
 	p.k.trace(p, name)
 	p.chargeRaw(p.entryCost())
@@ -351,10 +351,13 @@ func (p *Proc) Wait() (pid, status int, errno Errno) {
 	}
 }
 
-// Nanosleep suspends the process for d of virtual time.
+// Nanosleep suspends the process for d of virtual time: only its timer
+// wakes it.
 func (p *Proc) Nanosleep(d simclock.Duration) {
 	p.sysEnterFree("nanosleep")
-	p.blockOnTimeout(&p.sleepQ, p.cpu.now.Add(d))
+	p.k.addTimer(p, p.cpu.now.Add(d))
+	p.state = stateBlocked
+	p.switchOut()
 }
 
 // Poweroff shuts the virtual machine down (reboot(2) with

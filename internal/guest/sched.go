@@ -11,14 +11,13 @@ import (
 // cpu models one virtual CPU: a private clock plus the identity of the
 // last entity that ran, for context-switch accounting.
 type cpu struct {
-	id   int
 	now  simclock.Time
 	last *Proc
 }
 
-// waitQueue is the kernel's universal blocking primitive. Every blocking
-// resource (pipe, socket, futex, child-exit, sleep, poll) holds one by
-// value, and its backing array is reused across waits.
+// waitQueue is the kernel's blocking primitive. Every blocking resource
+// (pipe, socket, futex, child-exit, poll) holds one by value, and its
+// backing array is reused across waits; a sleep waits on its timer alone.
 type waitQueue struct {
 	name  string
 	procs []*Proc
@@ -60,8 +59,6 @@ type timerEntry struct {
 	when simclock.Time
 	p    *Proc
 	seq  int
-	// fired distinguishes cancelled entries (lazy deletion).
-	cancelled *bool
 }
 
 type timerHeap []timerEntry
@@ -83,13 +80,10 @@ func (h *timerHeap) Pop() interface{} {
 	return x
 }
 
-// addTimer schedules p to be woken at when; the returned cancel function
-// disarms it (used when a wait is satisfied before its timeout).
-func (k *Kernel) addTimer(p *Proc, when simclock.Time) (cancel func()) {
-	c := new(bool)
+// addTimer schedules p to be woken at when.
+func (k *Kernel) addTimer(p *Proc, when simclock.Time) {
 	k.seq++
-	heap.Push(&k.timers, timerEntry{when: when, p: p, seq: k.seq, cancelled: c})
-	return func() { *c = true }
+	heap.Push(&k.timers, timerEntry{when: when, p: p, seq: k.seq})
 }
 
 // makeRunnable moves a blocked process onto the run queue.
@@ -151,11 +145,8 @@ func (k *Kernel) pickNext() (*Proc, *cpu, simclock.Time, error) {
 		// its wakeup may enqueue an earlier process.
 		if len(k.timers) > 0 && (best == nil || k.timers[0].when < bestStart) {
 			t := heap.Pop(&k.timers).(timerEntry)
-			if t.cancelled == nil || !*t.cancelled {
-				t.p.timerFired = true
-				k.makeRunnable(t.p, t.when)
-				k.stats.TimersFired++
-			}
+			k.makeRunnable(t.p, t.when)
+			k.stats.TimersFired++
 			continue
 		}
 		if best == nil {
@@ -269,24 +260,6 @@ func (p *Proc) blockOn(wq *waitQueue) simclock.Time {
 	p.switchOut()
 	p.blockedOn = nil
 	return p.cpu.now
-}
-
-// blockOnTimeout parks the process on wq with a deadline. It reports
-// whether the wait timed out.
-func (p *Proc) blockOnTimeout(wq *waitQueue, deadline simclock.Time) (timedOut bool) {
-	cancel := p.k.addTimer(p, deadline)
-	p.timerFired = false
-	wq.enqueue(p)
-	p.state = stateBlocked
-	p.blockedOn = wq
-	p.switchOut()
-	p.blockedOn = nil
-	cancel()
-	if p.timerFired {
-		wq.remove(p) // still queued: the timer, not the resource, woke us
-		return true
-	}
-	return false
 }
 
 // charge consumes CPU time on the process's current CPU, scaled by the

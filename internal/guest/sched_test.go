@@ -55,30 +55,6 @@ func TestWaitQueueRemove(t *testing.T) {
 	}
 }
 
-func TestTimerCancellation(t *testing.T) {
-	k := newTestKernel(t, "lupine-base")
-	run(t, k, func(p *Proc) int {
-		// blockOnTimeout woken by the resource, not the timer: the timer
-		// must be disarmed and must not fire later.
-		wq := &waitQueue{name: "res"}
-		waiter := p.CloneThread("waiter", func(c *Proc) int {
-			if timedOut := c.blockOnTimeout(wq, c.cpu.now.Add(50*simclock.Millisecond)); timedOut {
-				t.Error("wait reported timeout despite explicit wake")
-			}
-			return 0
-		})
-		_ = waiter
-		p.Yield() // let the waiter park
-		wq.wakeAll(p.k, p.cpu.now)
-		p.Wait()
-		// Virtual time must NOT have jumped to the 50ms deadline.
-		if p.Kernel().Now() > simclock.Time(10*simclock.Millisecond) {
-			t.Errorf("cancelled timer still advanced time to %v", p.Kernel().Now())
-		}
-		return 0
-	})
-}
-
 func TestTimerOrdering(t *testing.T) {
 	k := newTestKernel(t, "lupine-base")
 	var order []int

@@ -54,15 +54,14 @@ func newDirNode(name, fsType string) *vnode {
 }
 
 type vfs struct {
-	k    *Kernel
 	root *vnode
 }
 
 // newVFS mounts the root filesystem from the ext2 tree (an empty root if
 // nil) and populates /dev. /proc and /tmp are mounted by the init script
 // via Mount, which enforces configuration gating.
-func newVFS(k *Kernel, rootfs *ext2.File) *vfs {
-	v := &vfs{k: k, root: newDirNode("", "ext2")}
+func newVFS(rootfs *ext2.File) *vfs {
+	v := &vfs{root: newDirNode("", "ext2")}
 	if rootfs != nil {
 		v.root = importExt2(rootfs, "ext2")
 	}
@@ -207,21 +206,20 @@ type FD struct {
 type fdTable struct {
 	refs int
 	fds  []*FD // indexed by descriptor number; nil marks a free slot
-	next int
 }
 
-func newFDTable(k *Kernel) *fdTable {
+func newFDTable() *fdTable {
 	console := &vnode{name: "console", mode: 0o600, dev: devConsole, fsType: "devtmpfs"}
 	stdin := &FD{refs: 1, kind: fdFile, node: console}
 	stdout := &FD{refs: 1, kind: fdFile, node: console}
 	stderr := &FD{refs: 1, kind: fdFile, node: console}
-	return &fdTable{refs: 1, fds: []*FD{stdin, stdout, stderr}, next: 3}
+	return &fdTable{refs: 1, fds: []*FD{stdin, stdout, stderr}}
 }
 
 // clone copies the table for fork: numbers are private, descriptions
 // shared.
 func (t *fdTable) clone() *fdTable {
-	nt := &fdTable{refs: 1, fds: slices.Clone(t.fds), next: t.next}
+	nt := &fdTable{refs: 1, fds: slices.Clone(t.fds)}
 	for _, fd := range nt.fds {
 		if fd != nil {
 			fd.refs++
@@ -236,9 +234,9 @@ func (t *fdTable) share() *fdTable {
 	return t
 }
 
-// alloc installs fd at the lowest free number from next on.
+// alloc installs fd at the lowest free number, open(2)'s rule.
 func (t *fdTable) alloc(fd *FD) int {
-	n := t.next
+	n := 0
 	for n < len(t.fds) && t.fds[n] != nil {
 		n++
 	}
@@ -247,7 +245,6 @@ func (t *fdTable) alloc(fd *FD) int {
 	} else {
 		t.fds[n] = fd
 	}
-	t.next = n + 1
 	return n
 }
 

@@ -13,9 +13,6 @@ import (
 	"lupine/internal/telemetry"
 )
 
-// gatewayPort is the well-known port every region gateway serves on.
-const gatewayPort = 8080
-
 // gatewayBacklog bounds a gateway's SYN backlog; overflowing it is the
 // region-level admission shed at the wire.
 const gatewayBacklog = 64
@@ -24,7 +21,6 @@ const gatewayBacklog = 64
 // placed on it. A dead host takes every placement with it.
 type Host struct {
 	region *Region
-	idx    int
 	name   string
 	acct   *hostmem.Accountant
 	dead   bool
@@ -59,7 +55,6 @@ func (pl *placement) live() bool { return pl.diedAt < 0 && !pl.retired && !pl.mo
 // Region is one failure domain: hosts, a fleet cell behind a gateway on
 // its own fabric zone, and a snapshot store holding the warm pool.
 type Region struct {
-	idx   int // 0-based
 	name  string
 	hosts []*Host
 	fl    *fleet.Fleet
@@ -149,11 +144,7 @@ func New(cfg Config, inj *faults.Injector) *Plane {
 
 	// Zone interning order is the package contract (ZoneCore,
 	// RegionZone): router first, then each region's gateway.
-	var err error
-	p.router, err = p.net.AddNodeZone("router", "core", fabric.LinkSpec{})
-	if err != nil {
-		panic(fmt.Sprintf("region: %v", err))
-	}
+	p.router = p.net.AddNodeZone("router", "core")
 	for i, rs := range cfg.Regions {
 		p.addRegion(i, rs)
 	}
@@ -202,7 +193,6 @@ func (p *Plane) Observe(tr *telemetry.Tracer, mreg *telemetry.Registry, track st
 // joins the zone to the core by a trunk once every region is added.
 func (p *Plane) addRegion(i int, rs RegionSpec) {
 	r := &Region{
-		idx:    i,
 		name:   rs.Name,
 		store:  snapshot.NewStore(),
 		darkAt: -1,
@@ -210,14 +200,10 @@ func (p *Plane) addRegion(i int, rs RegionSpec) {
 	}
 	r.st = RegionStats{Name: rs.Name, DeadAt: -1}
 
-	gw, err := p.net.AddNodeZone(rs.Name+"/gw", rs.Name, fabric.LinkSpec{})
-	if err != nil {
-		panic(fmt.Sprintf("region: %v", err))
-	}
 	rr := r
-	gw.SetAlive(func(t simclock.Time) bool { return rr.darkAt < 0 || t < rr.darkAt })
-	r.gw = gw
-	r.lst = gw.Listen(gatewayPort, gatewayBacklog)
+	r.gw = p.net.AddNodeZone(rs.Name+"/gw", rs.Name)
+	r.gw.SetAlive(func(t simclock.Time) bool { return rr.darkAt < 0 || t < rr.darkAt })
+	r.lst = r.gw.Listen(gatewayBacklog)
 	r.lst.OnPending = func(now simclock.Time) { p.gatewayPump(rr, now) }
 	r.verdict = func(ok bool, at simclock.Time) { p.probeVerdict(rr, ok, at) }
 
@@ -225,7 +211,6 @@ func (p *Plane) addRegion(i int, rs RegionSpec) {
 		spec := rs.Host
 		r.hosts = append(r.hosts, &Host{
 			region: r,
-			idx:    h,
 			name:   fmt.Sprintf("%s/h%d", rs.Name, h),
 			acct:   hostmem.New(hostmem.Config{Capacity: spec.Capacity, Overcommit: hostOvercommit}),
 		})
@@ -233,7 +218,7 @@ func (p *Plane) addRegion(i int, rs RegionSpec) {
 
 	cell := p.cfg.Cell
 	cell.Seed = p.cfg.Seed ^ (0xC311 + uint64(i)*7919)
-	r.fl = fleet.NewAttached(cell, p.eng, p.net, rs.Name, p.inj)
+	r.fl = fleet.NewAttached(cell, p.eng, p.net, rs.Name)
 
 	// Heterogeneous pools: slot v runs identity v mod len(identities),
 	// so every region carries every kernel and the bin-packer mixes

@@ -92,7 +92,7 @@ func (p *Plane) dispatch(r *greq, reg *Region, now simclock.Time) {
 	r.attempts++
 	r.last, r.sent = reg, now
 	reg.st.Routed++
-	p.router.Dial(reg.gw, gatewayPort, r)
+	p.router.Dial(reg.gw, r)
 }
 
 // Established ships the request once the gateway's handshake completes.

@@ -9,14 +9,18 @@
 # It extracts <rev> with git archive into a temporary directory, builds
 # every command and example there and from the working tree, and runs
 # both sides: lupine-bench runs every experiment at the seed with
-# -trace-out -slo-out -metrics-out, and each command line in $clis below
-# runs once (they take no seed). It cmps lupine-bench's stdout (without
-# the "(wall …)" timing of each header), the Chrome trace, the SLO
-# reports, the metrics JSON and its .prom sibling, the stdout of each
-# other command line, and the four artifacts `lupine-build -o` writes
-# (the rootfs.ext2 among them, streamed to disk). It names each output
-# that differs (and, for lupine-bench's stdout, each experiment) and
-# exits 1 on any difference. It writes nothing under the repository.
+# -trace-out -slo-out -metrics-out, then the fabric-heavy storms at the
+# seed with -json -flight (the JSON renderer and the flight recorder's
+# dumps, which print the wire's connection and drop records), and each
+# command line in $clis below runs once (they take no seed). It cmps
+# lupine-bench's stdout (without the "(wall …)" timing of each header),
+# its -json -flight stdout (which prints no wall time), the Chrome
+# trace, the SLO reports, the metrics JSON and its .prom sibling, the
+# stdout of each other command line, and the four artifacts
+# `lupine-build -o` writes (the rootfs.ext2 among them, streamed to
+# disk). It names each output that differs (and, for lupine-bench's
+# stdout, each experiment) and exits 1 on any difference. It writes
+# nothing under the repository.
 set -eu
 
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
@@ -64,6 +68,8 @@ run() {
     ./lupine-bench -seed "$seed" -trace-out=trace.json -slo-out=slo.json \
         -metrics-out=metrics.json >stdout.raw
     sed 's/ (wall [0-9.]*s)$//' stdout.raw >stdout
+    ./lupine-bench -seed "$seed" -json -flight \
+        -run netsplit,regionfail,catalog,breach,fleetchaos >json-flight
     echo "$clis" | while read -r out bin args; do
         # $args is split into words on purpose.
         # shellcheck disable=SC2086
@@ -92,7 +98,7 @@ section() { awk -v id="$2" '/^# / { on = ($2 == id) } on' "$1"; }
 status=0
 # art/: what lupine-build -o wrote.
 artifacts='art/kernel.config art/init.sh art/rootfs.ext2 art/manifest.json'
-for f in stdout trace.json slo.json metrics.json metrics.json.prom $(echo "$clis" | awk '{ print $1 }') $artifacts; do
+for f in stdout json-flight trace.json slo.json metrics.json metrics.json.prom $(echo "$clis" | awk '{ print $1 }') $artifacts; do
     if cmp -s "$tmp/base/$f" "$tmp/head/$f"; then
         echo "same    $f"
         continue
