@@ -54,7 +54,6 @@ func main() {
 	var registry *telemetry.Registry
 	if *traceOut != "" || *flight {
 		tracer = telemetry.New()
-		tracer.SetFlight(telemetry.NewRecorder(0))
 	}
 	if *metricsOut != "" {
 		registry = telemetry.NewRegistry()
@@ -195,7 +194,7 @@ func main() {
 		}
 	}
 	if *flight {
-		for _, d := range tracer.Flight().Dumps() {
+		for _, d := range tracer.Dumps() {
 			fmt.Print(d)
 		}
 	}

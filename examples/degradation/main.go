@@ -83,11 +83,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	upT, err := perfbench.FutexStress(up, 64, 20)
+	upT, err := perfbench.FutexStress(up, 64, 20, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	smpT, err := perfbench.FutexStress(smp, 64, 20)
+	smpT, err := perfbench.FutexStress(smp, 64, 20, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

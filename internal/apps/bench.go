@@ -71,14 +71,14 @@ func epollServe(a *App, p *guest.Proc, handle func(p *guest.Proc, req []byte) []
 	}
 	p.EpollCtl(epfd, lfd, true)
 	buf := make([]byte, 4096)
-	var events []guest.EpollEvent
+	var ready []int
 	for {
-		events, e = p.EpollWait(epfd, events)
+		ready, e = p.EpollWait(epfd, ready)
 		if e != guest.OK {
 			return 1
 		}
-		for _, ev := range events {
-			if ev.FD == lfd {
+		for _, fd := range ready {
+			if fd == lfd {
 				conn, e := p.Accept(lfd)
 				if e != guest.OK {
 					continue
@@ -86,13 +86,13 @@ func epollServe(a *App, p *guest.Proc, handle func(p *guest.Proc, req []byte) []
 				p.EpollCtl(epfd, conn, true)
 				continue
 			}
-			n, e := p.Read(ev.FD, buf)
+			n, e := p.Read(fd, buf)
 			if e != guest.OK || n == 0 {
-				p.EpollCtl(epfd, ev.FD, false)
-				p.Close(ev.FD)
+				p.EpollCtl(epfd, fd, false)
+				p.Close(fd)
 				continue
 			}
-			p.Write(ev.FD, handle(p, buf[:n]))
+			p.Write(fd, handle(p, buf[:n]))
 		}
 	}
 }

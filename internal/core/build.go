@@ -49,7 +49,6 @@ type BuildOpts struct {
 // the container image's file bytes).
 type Unikernel struct {
 	Spec       Spec
-	Opts       BuildOpts
 	Kernel     *kbuild.Image
 	RootFS     *ext2.Image
 	InitScript string
@@ -89,7 +88,6 @@ func Build(db *kerneldb.DB, spec Spec, opts BuildOpts) (*Unikernel, error) {
 	}
 	return &Unikernel{
 		Spec:       spec,
-		Opts:       opts,
 		Kernel:     img,
 		RootFS:     fsBytes,
 		InitScript: rootfs.InitScript(spec.Image, spec.Manifest),
@@ -141,7 +139,6 @@ func BuildMicroVM(db *kerneldb.DB, spec Spec) (*Unikernel, error) {
 	}
 	return &Unikernel{
 		Spec:       spec,
-		Opts:       BuildOpts{Name: "microvm"},
 		Kernel:     img,
 		RootFS:     fsBytes,
 		InitScript: rootfs.InitScript(spec.Image, spec.Manifest),

@@ -72,11 +72,11 @@ func runSMP(*Env) (fmt.Stringer, error) {
 	}
 	benches := []bench{
 		{"sem_posix (128 workers)", func(img *kbuild.Image, vcpus int) (float64, error) {
-			d, err := perfbench.SemPosix(img, 128, 20)
+			d, err := perfbench.SemPosix(img, 128, 20, vcpus)
 			return d.Milliseconds(), err
 		}},
 		{"futex (128 workers)", func(img *kbuild.Image, vcpus int) (float64, error) {
-			d, err := perfbench.FutexStress(img, 128, 20)
+			d, err := perfbench.FutexStress(img, 128, 20, vcpus)
 			return d.Milliseconds(), err
 		}},
 		{"make -j (256 jobs)", func(img *kbuild.Image, vcpus int) (float64, error) {

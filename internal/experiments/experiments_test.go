@@ -310,6 +310,11 @@ func TestSMP(t *testing.T) {
 		if strings.HasPrefix(name, "futex") && overhead < 3 {
 			t.Errorf("futex overhead = %.1f%%, should be the largest (~8%%)", overhead)
 		}
+		// Every workload runs on the CPUs its column offers: a second
+		// CPU takes time off each.
+		if one, two := parseMS(t, cell(t, tbl, name, "SMP (1 cpu)")), parseMS(t, cell(t, tbl, name, "SMP (2 cpus)")); two >= one {
+			t.Errorf("%s on 2 cpus = %.2f ms, not below 1 cpu's %.2f ms", name, two, one)
+		}
 	}
 	// make -j on 2 CPUs is ~2x faster than SMP on 1.
 	one := parseMS(t, cell(t, tbl, "make -j (256 jobs)", "SMP (1 cpu)"))

@@ -114,7 +114,6 @@ type memPool struct {
 
 	restoreReady               simclock.Duration
 	dirtyPerTick, cleanPerTick int64
-	deflateFails               int
 }
 
 func (p *memPool) charge() int64 {
@@ -162,7 +161,6 @@ func (p *memPool) hooks() hostmem.Hooks {
 		Deflate: func(allowance int64, now simclock.Time) int64 {
 			got, err := p.g.BalloonDeflate(allowance, now)
 			if err != nil {
-				p.deflateFails++
 				return 0
 			}
 			return got
@@ -196,14 +194,11 @@ func (p *memPool) Finish(end simclock.Time) fleet.MemStats {
 		PeakUsed:         p.acct.Peak(),
 		BalloonReclaimed: st.BalloonReclaimed,
 		Evicted:          st.Evicted,
-		Deflated:         st.Deflated,
 		Kills:            st.Kills,
 		KilledBytes:      st.KilledBytes,
 		ReclaimStalls:    st.ReclaimStalls,
-		DeflateFails:     p.deflateFails,
 		PressureSome:     p.acct.PressureTime(hostmem.LevelSome),
 		PressureFull:     p.acct.PressureTime(hostmem.LevelFull),
-		Transitions:      p.acct.Transitions(),
 	}
 }
 
@@ -272,7 +267,6 @@ func (p *memCrash) Finish(end simclock.Time) fleet.MemStats {
 		KilledBytes:  p.killedBytes,
 		PressureSome: p.acct.PressureTime(hostmem.LevelSome),
 		PressureFull: p.acct.PressureTime(hostmem.LevelFull),
-		Transitions:  p.acct.Transitions(),
 	}
 }
 

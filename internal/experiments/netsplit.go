@@ -104,9 +104,7 @@ type netsplitResult struct {
 	System    string
 	Policy    string
 	Res       fleet.Result
-	Backends  []*fleet.Backend
 	Net       fabric.Stats
-	MultiProc bool
 	Recovered bool // every initial backend's timeline ends up (no unrecovered crash)
 
 	scope *slo.Scope // SLO scope, set on the lupine+mp/rr row only
@@ -146,7 +144,6 @@ func netsplitRun(env *Env, backends []*fleet.Backend, policy, track string, scop
 	return netsplitResult{
 		Policy:    policy,
 		Res:       res,
-		Backends:  f.Backends(),
 		Net:       f.Net().Stats(),
 		Recovered: recovered,
 		scope:     row.scope,
@@ -177,7 +174,7 @@ var netsplitStorm = &storm[netsplitResult]{
 			if err != nil {
 				return nil, err
 			}
-			r.System, r.MultiProc = name, u.Kernel.Enabled("MULTIPROCESS")
+			r.System = name
 			out = append(out, r)
 		}
 		return out, nil

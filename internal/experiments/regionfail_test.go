@@ -140,7 +140,7 @@ func TestRegionFailTraceHasControlHistory(t *testing.T) {
 		t.Error("no route spans on regionfail tracks")
 	}
 	dumps := 0
-	for _, d := range tr.Flight().Dumps() {
+	for _, d := range tr.Dumps() {
 		if strings.Contains(d.Reason, "failover:") {
 			dumps++
 		}

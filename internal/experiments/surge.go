@@ -85,7 +85,6 @@ type surgeResult struct {
 	ColdBoot     simclock.Duration
 	TrafficStart simclock.Time
 	Fallbacks    int   // restores that fell back to cold boots
-	ColdRSS      int64 // one cold instance's resident bytes
 	AggRSS       int64 // pool memory: shared base + dirty pages + cold copies
 	NaiveRSS     int64 // what the same pool would cost without CoW sharing
 	Res          fleet.Result
@@ -110,7 +109,7 @@ func (r surgeResult) TimeToCapacity() simclock.Duration {
 // cold-boot variant: every launch pays the full boot. faulty arms the
 // snapshot plane's seeded fault storm against the restores.
 func runSurgeVariant(env *Env, name string, snap *snapshot.Snapshot, faulty bool, coldBoot simclock.Duration, coldRSS int64, timeline func() fleet.Timeline) (surgeResult, error) {
-	res := surgeResult{System: name, Snapshots: snap != nil, ColdBoot: coldBoot, ColdRSS: coldRSS}
+	res := surgeResult{System: name, Snapshots: snap != nil, ColdBoot: coldBoot}
 	var (
 		cs   *snapshot.CloneSet
 		sinj *faults.Injector

@@ -11,12 +11,11 @@ import (
 )
 
 // withTelemetry returns a fresh Env at the default seed carrying its
-// own tracer (with a flight recorder) and registry, so a test watches
-// exactly one run and shares nothing with the tests beside it.
+// own tracer and registry, so a test watches exactly one run and shares
+// nothing with the tests beside it.
 func withTelemetry() *Env {
 	env := newEnv()
 	env.Trace = telemetry.New()
-	env.Trace.SetFlight(telemetry.NewRecorder(0))
 	env.Metrics = telemetry.NewRegistry()
 	return env
 }
@@ -143,7 +142,7 @@ func TestChaosTelemetry(t *testing.T) {
 		}
 	}
 	var panics, loops int
-	for _, d := range tr.Flight().Dumps() {
+	for _, d := range tr.Dumps() {
 		switch d.Reason {
 		case "kernel-panic":
 			panics++

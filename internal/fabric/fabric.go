@@ -138,10 +138,8 @@ type Stats struct {
 	ProbesSent  int
 	ProbesOK    int
 
-	// Multi-switch accounting: segments that crossed an inter-zone trunk,
-	// and the subset the trunk-cut site blackholed.
+	// Multi-switch accounting: segments that crossed an inter-zone trunk.
 	TrunkSegments int
-	TrunkCuts     int
 }
 
 // Network is one virtual switch plus every NIC attached to it.
@@ -525,7 +523,6 @@ func (n *Network) transmit(s *segment, now simclock.Time) {
 		// topologies draw exactly the injector stream they always did.
 		n.stats.TrunkSegments++
 		if d := n.hit(n.armed.trunkCut, SiteTrunkCut, now); d.Fire && trunkCuts(d.Param, s) {
-			n.stats.TrunkCuts++
 			n.drop(s, "trunk-cut", now)
 			return
 		}

@@ -172,16 +172,13 @@ type Injector struct {
 	trTrack string
 }
 
-// Fire is one fault firing on the timeline: which site, which rule of
-// the plan, with what payload, and when. The injector keeps the full
-// log so post-hoc consumers — the SLO plane's incident attribution in
-// particular — can correlate an alert window against the storm that
-// caused it without replaying the run.
+// Fire is one fault firing on the timeline: which site, and when. The
+// injector keeps the full log so post-hoc consumers — the SLO plane's
+// incident attribution in particular — can correlate an alert window
+// against the storm that caused it without replaying the run.
 type Fire struct {
-	Site  string
-	Rule  int
-	Param int64
-	At    simclock.Time
+	Site string
+	At   simclock.Time
 }
 
 // New builds an injector for the plan, validating it first.
@@ -237,7 +234,7 @@ func (inj *Injector) Hit(site string, now simclock.Time) Decision {
 		}
 	}
 	if out.Fire {
-		inj.fires = append(inj.fires, Fire{Site: site, Rule: out.Rule, Param: out.Param, At: now})
+		inj.fires = append(inj.fires, Fire{Site: site, At: now})
 		if inj.tr != nil {
 			inj.tr.Instant("faults", inj.trTrack, site, now,
 				telemetry.A("rule", strconv.Itoa(out.Rule)),

@@ -31,15 +31,12 @@ type MemStats struct {
 	PeakUsed         int64             // resident high-water mark
 	BalloonReclaimed int64             // clean bytes freed via balloon inflate
 	Evicted          int64             // cold snapshot artifact bytes dropped
-	Deflated         int64             // ballooned bytes returned after pressure cleared
 	Kills            int               // graded OOM kills (restarted via restore)
 	Aborts           int               // OOM crash-loop kills (cold restart, no ladder)
 	KilledBytes      int64             // resident bytes reclaimed by kills and aborts
 	ReclaimStalls    int               // ticks lost to hostmem/reclaim-stall
-	DeflateFails     int               // balloon/deflate-fail fires
 	PressureSome     simclock.Duration // virtual time at PSI level some
 	PressureFull     simclock.Duration // virtual time at PSI level full
-	Transitions      int               // pressure level changes
 }
 
 // AttachMemory wires a memory plane into the fleet before Run. The

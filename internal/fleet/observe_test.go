@@ -53,7 +53,6 @@ func TestFleetTelemetryIsPureObservation(t *testing.T) {
 
 	observed := New(DefaultConfig(), flakyPool(), nil, nil)
 	tr := telemetry.New()
-	tr.SetFlight(telemetry.NewRecorder(0))
 	reg := telemetry.NewRegistry()
 	observed.Observe(tr, reg, "pool")
 	got := observed.Run()

@@ -415,25 +415,25 @@ func TestEpollServerLoop(t *testing.T) {
 		}
 		p.EpollCtl(epfd, lfd, true)
 		served := 0
-		var events []EpollEvent
+		var ready []int
 		for served < 3 {
-			events, e = p.EpollWait(epfd, events)
+			ready, e = p.EpollWait(epfd, ready)
 			if e != OK {
 				t.Fatalf("epoll_wait: %v", e)
 			}
-			for _, ev := range events {
-				if ev.FD == lfd {
+			for _, fd := range ready {
+				if fd == lfd {
 					conn, _ := p.Accept(lfd)
 					p.EpollCtl(epfd, conn, true)
 				} else {
 					buf := make([]byte, 32)
-					n, _ := p.Read(ev.FD, buf)
+					n, _ := p.Read(fd, buf)
 					if n == 0 {
-						p.EpollCtl(epfd, ev.FD, false)
-						p.Close(ev.FD)
+						p.EpollCtl(epfd, fd, false)
+						p.Close(fd)
 						continue
 					}
-					p.Write(ev.FD, buf[:n])
+					p.Write(fd, buf[:n])
 					served++
 				}
 			}

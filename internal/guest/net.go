@@ -383,13 +383,6 @@ func (s *socket) readable() bool {
 	return s.in != nil && s.in.readable()
 }
 
-func (s *socket) writable() bool {
-	if s.typ == SockDgram {
-		return true
-	}
-	return s.peer != nil && s.peer.in.writable()
-}
-
 func (p *Proc) sockFor(fd int) (*socket, Errno) {
 	f := p.fds.get(fd)
 	if f == nil {

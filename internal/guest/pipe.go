@@ -124,6 +124,3 @@ func (pi *pipe) reserve(n int) {
 
 // readable reports whether a read would not block.
 func (pi *pipe) readable() bool { return pi.buffered() > 0 || pi.writers == 0 }
-
-// writable reports whether a write would not block.
-func (pi *pipe) writable() bool { return pi.buffered() < pi.capacity || pi.readers == 0 }

@@ -9,12 +9,6 @@ import (
 
 type simDur = simclock.Duration
 
-// Poll readiness events.
-const (
-	PollIn  = 1
-	PollOut = 4
-)
-
 // epollInst is an epoll instance: a set of watched descriptors, sorted by
 // descriptor number. Readiness is level-triggered and recomputed on wake,
 // with a kernel-wide poller wait queue providing the wakeups.
@@ -68,47 +62,35 @@ func (p *Proc) EpollCtl(epfd, fd int, add bool) Errno {
 	return OK
 }
 
-// EpollEvent reports one ready descriptor.
-type EpollEvent struct {
-	FD     int
-	Events int
-}
-
-// EpollWait blocks until at least one watched descriptor is ready, like
-// epoll_wait with an infinite timeout. It fills events[:0] the way
-// epoll_wait fills its events array, in ascending descriptor order, and
-// returns the filled slice.
-func (p *Proc) EpollWait(epfd int, events []EpollEvent) ([]EpollEvent, Errno) {
-	events = events[:0]
+// EpollWait blocks until at least one watched descriptor is readable,
+// like epoll_wait for EPOLLIN with an infinite timeout. It fills
+// ready[:0] with the readable descriptors the way epoll_wait fills its
+// events array, in ascending descriptor order, and returns the filled
+// slice.
+func (p *Proc) EpollWait(epfd int, ready []int) ([]int, Errno) {
+	ready = ready[:0]
 	if e := p.sysEnter("epoll_wait"); e != OK {
-		return events, e
+		return ready, e
 	}
 	ef := p.fds.get(epfd)
 	if ef == nil || ef.kind != fdEpoll {
-		return events, EBADF
+		return ready, EBADF
 	}
 	p.charge(p.k.cost.PollWork)
 	for {
-		if events = ef.ep.scan(events); len(events) > 0 {
-			return events, OK
+		if ready = ef.ep.scan(ready); len(ready) > 0 {
+			return ready, OK
 		}
 		p.blockOn(&p.k.pollers)
 	}
 }
 
-// scan appends the level-triggered ready set to out, in descriptor order.
-func (ep *epollInst) scan(out []EpollEvent) []EpollEvent {
+// scan appends the level-triggered readable set to out, in descriptor
+// order.
+func (ep *epollInst) scan(out []int) []int {
 	for _, w := range ep.interest {
-		f := w.f
-		ev := 0
-		if fdReadable(f) {
-			ev |= PollIn
-		}
-		if fdWritable(f) {
-			ev |= PollOut
-		}
-		if ev&PollIn != 0 { // report only input-readiness; writability is almost always true
-			out = append(out, EpollEvent{FD: w.fd, Events: ev})
+		if fdReadable(w.f) {
+			out = append(out, w.fd)
 		}
 	}
 	return out
@@ -120,18 +102,6 @@ func fdReadable(f *FD) bool {
 		return f.pipe.readable()
 	case fdSocket:
 		return f.sock.readable()
-	case fdFile:
-		return true
-	}
-	return false
-}
-
-func fdWritable(f *FD) bool {
-	switch f.kind {
-	case fdPipeW:
-		return f.pipe.writable()
-	case fdSocket:
-		return f.sock.writable()
 	case fdFile:
 		return true
 	}

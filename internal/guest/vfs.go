@@ -449,7 +449,6 @@ func (p *Proc) writeFile(f *FD, buf []byte) (int, Errno) {
 // Stat returns metadata for a path, like stat(2).
 type StatInfo struct {
 	Size int64
-	Mode uint16
 	Dir  bool
 }
 
@@ -461,7 +460,7 @@ func (p *Proc) Stat(path string) (StatInfo, Errno) {
 	if errno != OK {
 		return StatInfo{}, errno
 	}
-	return StatInfo{Size: int64(len(node.data)), Mode: node.mode, Dir: node.dir}, OK
+	return StatInfo{Size: int64(len(node.data)), Dir: node.dir}, OK
 }
 
 // Mkdir creates a directory.

@@ -113,21 +113,23 @@ func Messaging(img *kbuild.Image, groups int, mode Mode) (simclock.Duration, err
 // semaphore wait/post pairs. POSIX semaphores are futex-backed but carry
 // library-side bookkeeping per operation, which dilutes the SMP locking
 // fraction (the paper measures <=3% here versus <=8% for raw futexes).
-func SemPosix(img *kbuild.Image, workers, rounds int) (simclock.Duration, error) {
-	return futexStress(img, workers, rounds, "sem_posix", 2*simclock.Microsecond)
+// The guest gets vcpus CPUs, as with MakeJ.
+func SemPosix(img *kbuild.Image, workers, rounds, vcpus int) (simclock.Duration, error) {
+	return futexStress(img, workers, rounds, vcpus, "sem_posix", 2*simclock.Microsecond)
 }
 
 // FutexStress runs the §5 futex stress: worker groups hammering raw
-// futex wait/wake pairs with no userspace work in between.
-func FutexStress(img *kbuild.Image, workers, rounds int) (simclock.Duration, error) {
-	return futexStress(img, workers, rounds, "futex", 0)
+// futex wait/wake pairs with no userspace work in between, on vcpus
+// CPUs.
+func FutexStress(img *kbuild.Image, workers, rounds, vcpus int) (simclock.Duration, error) {
+	return futexStress(img, workers, rounds, vcpus, "futex", 0)
 }
 
-func futexStress(img *kbuild.Image, workers, rounds int, name string, perRound simclock.Duration) (simclock.Duration, error) {
+func futexStress(img *kbuild.Image, workers, rounds, vcpus int, name string, perRound simclock.Duration) (simclock.Duration, error) {
 	if !img.HasSyscall("futex") {
 		return 0, fmt.Errorf("perfbench: %s needs CONFIG_FUTEX", name)
 	}
-	k, err := guest.NewKernel(guest.Params{Image: img, RootFS: benchFS()})
+	k, err := guest.NewKernel(guest.Params{Image: img, VCPUs: vcpus, RootFS: benchFS()})
 	if err != nil {
 		return 0, err
 	}

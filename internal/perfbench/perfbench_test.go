@@ -79,11 +79,11 @@ func TestKMLFasterMessaging(t *testing.T) {
 func TestFutexStressSMPOverhead(t *testing.T) {
 	up := img(t, "up", []string{"FUTEX"}, false)
 	smp := img(t, "smp", []string{"FUTEX", "SMP"}, false)
-	base, err := FutexStress(up, 32, 10)
+	base, err := FutexStress(up, 32, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := FutexStress(smp, 32, 10)
+	loaded, err := FutexStress(smp, 32, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +92,11 @@ func TestFutexStressSMPOverhead(t *testing.T) {
 		t.Errorf("futex SMP overhead = %.1f%%, want (0, 10]", over*100)
 	}
 	// SemPosix shares the machinery but should also carry overhead.
-	sb, err := SemPosix(up, 32, 10)
+	sb, err := SemPosix(up, 32, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sl, err := SemPosix(smp, 32, 10)
+	sl, err := SemPosix(smp, 32, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestFutexStressSMPOverhead(t *testing.T) {
 
 func TestFutexNeedsConfig(t *testing.T) {
 	bare := img(t, "bare", nil, false)
-	if _, err := FutexStress(bare, 1, 1); err == nil {
+	if _, err := FutexStress(bare, 1, 1, 1); err == nil {
 		t.Error("futex stress ran without CONFIG_FUTEX")
 	}
 }

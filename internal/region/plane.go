@@ -198,7 +198,7 @@ func (p *Plane) addRegion(i int, rs RegionSpec) {
 		darkAt: -1,
 		deadAt: -1,
 	}
-	r.st = RegionStats{Name: rs.Name, DeadAt: -1}
+	r.st = RegionStats{Name: rs.Name}
 
 	rr := r
 	r.gw = p.net.AddNodeZone(rs.Name+"/gw", rs.Name)
@@ -231,7 +231,6 @@ func (p *Plane) addRegion(i int, rs RegionSpec) {
 			tl = p.cfg.Timeline(i, v)
 		}
 		if pl := p.place(r, name, ident, tl, 0); pl != nil {
-			r.st.Placed++
 			p.idstats[ident].Placed++
 		}
 	}
@@ -374,9 +373,7 @@ func (p *Plane) finishStats() {
 	for _, r := range p.regions {
 		cell := r.fl.Finish(p.res.End)
 		r.st.Shed = cell.Shed // the gateway injected every request the cell saw
-		r.st.Dark = r.dark
 		r.st.Dead = r.dead
-		r.st.DeadAt = r.deadAt
 		p.res.PerRegion = append(p.res.PerRegion, r.st)
 		p.res.Cells = append(p.res.Cells, cell)
 	}
@@ -467,7 +464,6 @@ func (p *Plane) crashHost(h *Host, now simclock.Time) {
 			continue
 		}
 		p.res.CrashKilled++
-		h.region.st.Crashes++
 		p.restore(&crashReplacement, pl, now)
 	}
 }
@@ -558,8 +554,6 @@ func (p *Plane) provision(r *Region, ident int, now simclock.Time) (ready simclo
 	rr := snap.Restore(p.cfg.Monitor, p.inj, now, id.ColdBoot)
 	if rr.Restored {
 		st.Restores++
-	} else {
-		st.Fallbacks++
 	}
 	return rr.Ready, rr.Restored, !rr.Restored
 }
@@ -622,7 +616,6 @@ var evacuation = recovery{
 	},
 	landed: func(p *Plane, victim, repl *placement, t simclock.Time) {
 		repl.reg.st.TookIn++
-		p.idstats[victim.ident].Evacuated++
 		p.res.Evacuated++
 		if t > p.res.EvacEnd {
 			p.res.EvacEnd = t

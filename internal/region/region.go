@@ -115,14 +115,12 @@ type UpgradeSpec struct {
 
 // IdentityStats is one kernel identity's view of a heterogeneous run.
 type IdentityStats struct {
-	Name      string
-	Kernel    string
-	Placed    int // initial placements across all regions
-	Restores  int // warm restores (crash replacements, evacuations, upgrades)
-	Cold      int // cold boots where no replica was resident
-	Fallbacks int // restore faults that fell back to cold boots
-	Evacuated int // backends of this identity evacuated cross-region
-	Upgraded  int // backends replaced by this identity's rolling upgrade
+	Name     string
+	Kernel   string
+	Placed   int // initial placements across all regions
+	Restores int // warm restores (crash replacements, evacuations, upgrades)
+	Cold     int // cold boots where no replica was resident
+	Upgraded int // backends replaced by this identity's rolling upgrade
 }
 
 // Config tunes the control plane. All durations are virtual.
@@ -279,17 +277,10 @@ func DefaultConfig() Config {
 
 // RegionStats is one region's view of the run.
 type RegionStats struct {
-	Name    string
-	Routed  int // requests the router dispatched here
-	OK      int // served from here (router-observed)
-	Shed    int // refused by this cell's admission (backlog, no backend)
-	Failed  int // router-observed dispatch failures against this region
-	Placed  int // backends bin-packed here at build time
-	TookIn  int // evacuated backends restored into this region
-	Dark    bool
-	Dead    bool          // router verdict at end of run
-	DeadAt  simclock.Time // failover declaration instant (-1 = never)
-	Crashes int           // host-crash VM kills inside this region
+	Name   string
+	Shed   int  // refused by this cell's admission (backlog, no backend)
+	TookIn int  // evacuated backends restored into this region
+	Dead   bool // router verdict at end of run
 }
 
 // Result is what one control-plane run reports.

@@ -91,7 +91,6 @@ func (p *Plane) liveRegion(i int) *Region {
 func (p *Plane) dispatch(r *greq, reg *Region, now simclock.Time) {
 	r.attempts++
 	r.last, r.sent = reg, now
-	reg.st.Routed++
 	p.router.Dial(reg.gw, r)
 }
 
@@ -102,27 +101,25 @@ func (r *greq) Established(c *fabric.Conn, now simclock.Time) {
 
 // Response resolves the request as served by the region it was sent to.
 func (r *greq) Response(c *fabric.Conn, now simclock.Time) {
-	p, reg := r.p, r.last
-	reg.st.OK++
+	p := r.p
 	p.res.OK++
 	p.resolved++
 	p.res.Latencies = append(p.res.Latencies, now.Sub(r.arrival))
 	if p.tr != nil {
 		p.tr.Span("region", p.trTrack, "route", r.sent, now,
 			telemetry.A("req", strconv.Itoa(r.id)),
-			telemetry.A("region", reg.name))
+			telemetry.A("region", r.last.name))
 	}
 	p.maybeFinish(now)
 }
 
-// Failed charges the region and retries the request elsewhere.
+// Failed traces the failed attempt and retries the request elsewhere.
 func (r *greq) Failed(c *fabric.Conn, err error, now simclock.Time) {
-	p, reg := r.p, r.last
-	reg.st.Failed++
+	p := r.p
 	if p.tr != nil {
 		p.tr.Span("region", p.trTrack, "route-fail", r.sent, now,
 			telemetry.A("req", strconv.Itoa(r.id)),
-			telemetry.A("region", reg.name),
+			telemetry.A("region", r.last.name),
 			telemetry.A("err", err.Error()))
 	}
 	p.retry(r, now)

@@ -71,9 +71,8 @@ func DefaultRules(scale simclock.Duration, fastBurn, slowBurn float64) []BurnRul
 	}
 }
 
-// Alert is one firing of one burn rule.
+// Alert is one firing of one burn rule of the objective that keeps it.
 type Alert struct {
-	Objective string
 	Rule      string
 	At        simclock.Time // rising edge: both windows crossed MaxBurn
 	ClearedAt simclock.Time // falling edge; -1 = still firing at Finish
@@ -304,8 +303,7 @@ func (s *Scope) Sample(now simclock.Time) {
 			case !firing && st.firing[ri]:
 				st.firing[ri] = false
 				st.alerts = append(st.alerts, Alert{
-					Objective: st.o.Name, Rule: r.Name,
-					At: st.fireAt[ri], ClearedAt: now,
+					Rule: r.Name, At: st.fireAt[ri], ClearedAt: now,
 					Burn: st.burnAt[ri], Peak: st.peak[ri],
 				})
 				s.event("clear", st, ri, now, long)
@@ -314,8 +312,8 @@ func (s *Scope) Sample(now simclock.Time) {
 	}
 }
 
-// event lands an alert edge on the tracer (and through it the flight
-// recorder), on the scope track's "slo" lane.
+// event lands an alert edge on the tracer (so a flight dump cut on that
+// track shows it), on the scope track's "slo" lane.
 func (s *Scope) event(kind string, st *objState, ri int, now simclock.Time, burn float64) {
 	if s.tr == nil {
 		return
@@ -440,8 +438,7 @@ func (s *Scope) Finish(end simclock.Time) {
 			}
 			st.firing[ri] = false
 			st.alerts = append(st.alerts, Alert{
-				Objective: st.o.Name, Rule: r.Name,
-				At: st.fireAt[ri], ClearedAt: -1,
+				Rule: r.Name, At: st.fireAt[ri], ClearedAt: -1,
 				Burn: st.burnAt[ri], Peak: st.peak[ri],
 			})
 		}

@@ -10,7 +10,7 @@ import (
 // in microseconds instead of cold-booting in milliseconds — the paper's
 // warm-boot economics applied as a disaster-recovery primitive. The
 // Replicator prices each copy at the inter-region trunk's bandwidth and
-// keeps the byte/time ledger the regionfail table reports; the caller
+// keeps the copy and byte ledger the regionfail table reports; the caller
 // owns scheduling (the replica becomes visible when it Puts the snapshot
 // into the destination store at the transfer's completion instant).
 
@@ -22,14 +22,12 @@ type Replicator struct {
 
 	copies int
 	bytes  int64
-	spent  simclock.Duration
 }
 
 // ReplStats is the replication ledger.
 type ReplStats struct {
-	Copies int               // snapshot transfers completed or in flight
-	Bytes  int64             // artifact bytes shipped across regions
-	Spent  simclock.Duration // summed virtual transfer time
+	Copies int   // snapshot transfers completed or in flight
+	Bytes  int64 // artifact bytes shipped across regions
 }
 
 // NewReplicator returns a replicator pricing copies at bw bytes per
@@ -48,14 +46,12 @@ func (r *Replicator) Cost(s *Snapshot) simclock.Duration {
 // the caller schedules the destination store's Put(s) at now+duration,
 // at which point the replica is restorable in that region.
 func (r *Replicator) Replicate(s *Snapshot) simclock.Duration {
-	d := r.Cost(s)
 	r.copies++
 	r.bytes += s.BaseRSS
-	r.spent += d
-	return d
+	return r.Cost(s)
 }
 
 // Stats reports the replication ledger.
 func (r *Replicator) Stats() ReplStats {
-	return ReplStats{Copies: r.copies, Bytes: r.bytes, Spent: r.spent}
+	return ReplStats{Copies: r.copies, Bytes: r.bytes}
 }

@@ -65,7 +65,6 @@ type Snapshot struct {
 	Kernel    string            // kernel configuration identity (KernelKey)
 	Monitor   string            // monitor the guest ran under
 	BootTotal simclock.Duration // the cold-boot timeline this snapshot short-circuits
-	State     guest.State       // post-init subsystem tables + memory accounting
 	BaseRSS   int64             // resident bytes the restore maps back in (shared across clones)
 }
 
@@ -96,7 +95,6 @@ func Capture(img *kbuild.Image, mon *vmm.Monitor, rep boot.Report, g *guest.Kern
 		Kernel:    KernelKey(img),
 		Monitor:   mon.Name,
 		BootTotal: rep.Total,
-		State:     st,
 		BaseRSS:   st.MemUsed,
 	}
 	h := sha256.New()

@@ -49,16 +49,11 @@ func (r *Registry) OpenMetrics() []byte {
 	var b strings.Builder
 	if r != nil {
 		r.mu.Lock()
-		counters, gauges, hists := r.sortedNames()
+		counters, hists := r.sortedNames()
 		for _, n := range counters {
 			m := sanitizeMetricName(n)
 			b.WriteString("# TYPE " + m + " counter\n")
 			b.WriteString(m + "_total " + strconv.FormatInt(r.counters[n].Value(), 10) + "\n")
-		}
-		for _, n := range gauges {
-			m := sanitizeMetricName(n)
-			b.WriteString("# TYPE " + m + " gauge\n")
-			b.WriteString(m + " " + strconv.FormatInt(r.gauges[n].Value(), 10) + "\n")
 		}
 		for _, n := range hists {
 			m := sanitizeMetricName(n)

@@ -12,7 +12,6 @@ func buildRegistry() *Registry {
 	r := NewRegistry()
 	r.Counter("fleet/pool.served").Add(120)
 	r.Counter("fleet/pool.shed").Add(3)
-	r.Gauge("pool+mp.active").Set(7)
 	h := r.Histogram("fleet/pool.latency")
 	h.Observe(0)
 	h.Observe(150 * simclock.Microsecond)
@@ -27,8 +26,6 @@ func TestOpenMetricsShape(t *testing.T) {
 		"# TYPE fleet_pool_served counter\n",
 		"fleet_pool_served_total 120\n",
 		"fleet_pool_shed_total 3\n",
-		"# TYPE pool_mp_active gauge\n",
-		"pool_mp_active 7\n",
 		"# TYPE fleet_pool_latency histogram\n",
 		`fleet_pool_latency_bucket{le="+Inf"} 4` + "\n",
 		"fleet_pool_latency_count 4\n",

@@ -2,13 +2,17 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"strings"
-	"sync"
 
 	"lupine/internal/simclock"
 )
 
-// Record is one flight-recorder entry.
+// flightDepth is how many of a track's latest records a dump holds.
+const flightDepth = 32
+
+// Record is one flight-dump entry: a span (dated at its start) or an
+// instant on the dumped track.
 type Record struct {
 	At     simclock.Time
 	Name   string
@@ -35,92 +39,60 @@ func (d *Dump) String() string {
 	return sb.String()
 }
 
-// Recorder keeps a bounded ring of recent records per track and
-// snapshots a track's ring into a Dump when something dies there. The
-// ring survives a trip: a backend that crashes twice produces two dumps
-// with the history that led to each.
-type Recorder struct {
-	mu    sync.Mutex
-	cap   int
-	rings map[string]*ring
-	dumps []*Dump
+// trip is one Trip call: where, why and when, and how long the span and
+// event logs were at that moment.
+type trip struct {
+	track, reason string
+	at            simclock.Time
+	spans, events int
 }
 
-// DefaultFlightDepth is the per-track ring capacity when none is given.
-const DefaultFlightDepth = 32
-
-// NewRecorder returns a recorder keeping the last `capacity` records
-// per track (DefaultFlightDepth when capacity <= 0).
-func NewRecorder(capacity int) *Recorder {
-	if capacity <= 0 {
-		capacity = DefaultFlightDepth
-	}
-	return &Recorder{cap: capacity, rings: map[string]*ring{}}
-}
-
-// Note appends a record to track's ring, evicting the oldest past
-// capacity.
-func (r *Recorder) Note(track string, at simclock.Time, name, detail string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	rg, ok := r.rings[track]
-	if !ok {
-		rg = &ring{buf: make([]Record, r.cap)}
-		r.rings[track] = rg
-	}
-	rg.push(Record{At: at, Name: name, Detail: detail})
-	r.mu.Unlock()
-}
-
-// Trip snapshots track's ring into a Dump (oldest first), retains it,
-// and returns it. The ring itself is not cleared.
-func (r *Recorder) Trip(track, reason string, at simclock.Time) *Dump {
-	if r == nil {
+// Dumps cuts one Dump per Trip, in trip order. Each holds the last
+// flightDepth spans and instants recorded on its track before the trip,
+// in record order. The trace is the only copy: a dump is read back from
+// the logs, walking them backwards from their lengths at the trip.
+func (t *Tracer) Dumps() []*Dump {
+	if t == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	d := &Dump{Track: track, Reason: reason, At: at}
-	if rg, ok := r.rings[track]; ok {
-		d.Records = rg.snapshot()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	dumps := make([]*Dump, len(t.trips))
+	for i, tp := range t.trips {
+		d := &Dump{Track: tp.track, Reason: tp.reason, At: tp.at}
+		s, e := tp.spans, tp.events
+		for k := s + e - 1; k >= 0 && len(d.Records) < flightDepth; k-- {
+			if t.isSpan[k] {
+				s--
+				if sp := &t.spans[s]; sp.Track == tp.track {
+					d.Records = append(d.Records, Record{At: sp.Start, Name: sp.Name, Detail: detail(sp.Cat, sp.Args)})
+				}
+			} else {
+				e--
+				if ev := &t.events[e]; ev.Track == tp.track {
+					d.Records = append(d.Records, Record{At: ev.At, Name: ev.Name, Detail: detail(ev.Cat, ev.Args)})
+				}
+			}
+		}
+		slices.Reverse(d.Records)
+		dumps[i] = d
 	}
-	r.dumps = append(r.dumps, d)
-	return d
+	return dumps
 }
 
-// Dumps returns all retained dumps in trip order.
-func (r *Recorder) Dumps() []*Dump {
-	if r == nil {
-		return nil
+// detail renders a flight-record detail line: "cat=<cat> k=v ...".
+func detail(cat string, args []Arg) string {
+	if len(args) == 0 {
+		return "cat=" + cat
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]*Dump(nil), r.dumps...)
-}
-
-// ring is a fixed-capacity circular buffer of records.
-type ring struct {
-	buf  []Record
-	next int
-	full bool
-}
-
-func (rg *ring) push(rec Record) {
-	rg.buf[rg.next] = rec
-	rg.next++
-	if rg.next == len(rg.buf) {
-		rg.next = 0
-		rg.full = true
+	var sb strings.Builder
+	sb.WriteString("cat=")
+	sb.WriteString(cat)
+	for _, a := range args {
+		sb.WriteByte(' ')
+		sb.WriteString(a.Key)
+		sb.WriteByte('=')
+		sb.WriteString(a.Val)
 	}
-}
-
-func (rg *ring) snapshot() []Record {
-	if !rg.full {
-		return append([]Record(nil), rg.buf[:rg.next]...)
-	}
-	out := make([]Record, 0, len(rg.buf))
-	out = append(out, rg.buf[rg.next:]...)
-	return append(out, rg.buf[:rg.next]...)
+	return sb.String()
 }

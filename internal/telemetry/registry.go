@@ -10,14 +10,13 @@ import (
 	"lupine/internal/simclock"
 )
 
-// Registry is a get-or-create store of named counters, gauges and
-// histograms. A nil Registry is the disabled plane: it hands out nil
-// handles, and nil handles no-op, so instrumented code never branches
-// on "is telemetry on".
+// Registry is a get-or-create store of named counters and histograms.
+// A nil Registry is the disabled plane: it hands out nil handles, and
+// nil handles no-op, so instrumented code never branches on "is
+// telemetry on".
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
@@ -25,7 +24,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 	}
 }
@@ -43,21 +41,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -94,24 +77,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a last-write-wins instantaneous value. Nil gauges no-op.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores the current value.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
-// Value reads the current value (0 for nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // Histogram accumulates virtual durations into fixed log2 buckets:
@@ -210,18 +175,14 @@ func (h *Histogram) Percentile(p float64) int64 {
 }
 
 // sortedNames orders each kind's metric names for export.
-func (r *Registry) sortedNames() (counters, gauges, hists []string) {
+func (r *Registry) sortedNames() (counters, hists []string) {
 	for n := range r.counters {
 		counters = append(counters, n)
-	}
-	for n := range r.gauges {
-		gauges = append(gauges, n)
 	}
 	for n := range r.hists {
 		hists = append(hists, n)
 	}
 	sort.Strings(counters)
-	sort.Strings(gauges)
 	sort.Strings(hists)
 	return
 }
@@ -241,6 +202,7 @@ type scalarJSON struct {
 }
 
 // JSON exports the registry deterministically (metrics sorted by name).
+// The "gauges" key stays, always empty, so every export keeps its shape.
 func (r *Registry) JSON() []byte {
 	out := struct {
 		Counters   []scalarJSON `json:"counters"`
@@ -249,12 +211,9 @@ func (r *Registry) JSON() []byte {
 	}{Counters: []scalarJSON{}, Gauges: []scalarJSON{}, Histograms: []histJSON{}}
 	if r != nil {
 		r.mu.Lock()
-		counters, gauges, hists := r.sortedNames()
+		counters, hists := r.sortedNames()
 		for _, n := range counters {
 			out.Counters = append(out.Counters, scalarJSON{n, r.counters[n].Value()})
-		}
-		for _, n := range gauges {
-			out.Gauges = append(out.Gauges, scalarJSON{n, r.gauges[n].Value()})
 		}
 		for _, n := range hists {
 			h := r.hists[n]

@@ -21,12 +21,6 @@ func TestRegistryBasics(t *testing.T) {
 	if r.Counter("fleet.served") != c {
 		t.Fatal("get-or-create returned a fresh counter")
 	}
-	g := r.Gauge("pool.active")
-	g.Set(4)
-	g.Set(7)
-	if g.Value() != 7 {
-		t.Fatalf("gauge = %d", g.Value())
-	}
 	h := r.Histogram("fleet.latency")
 	h.Observe(simclock.Duration(1000))
 	if h.Count() != 1 || h.Sum() != 1000 {
@@ -36,15 +30,14 @@ func TestRegistryBasics(t *testing.T) {
 
 func TestNilRegistryAndHandles(t *testing.T) {
 	var r *Registry
-	c, g, h := r.Counter("x"), r.Gauge("y"), r.Histogram("z")
-	if c != nil || g != nil || h != nil {
+	c, h := r.Counter("x"), r.Histogram("z")
+	if c != nil || h != nil {
 		t.Fatal("nil registry handed out live handles")
 	}
 	c.Inc()
 	c.Add(5)
-	g.Set(9)
 	h.Observe(100)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Percentile(50) != 0 {
+	if c.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Percentile(50) != 0 {
 		t.Fatal("nil handles recorded state")
 	}
 	if got, want := string(r.JSON()), "{\n  \"counters\": [],\n  \"gauges\": [],\n  \"histograms\": []\n}\n"; got != want {
@@ -129,7 +122,6 @@ func TestRegistryExportsDeterministic(t *testing.T) {
 		r := NewRegistry()
 		r.Counter("b.count").Add(2)
 		r.Counter("a.count").Add(1)
-		r.Gauge("z.gauge").Set(5)
 		h := r.Histogram("lat")
 		for i := 1; i <= 100; i++ {
 			h.Observe(simclock.Duration(i * 1000))
@@ -143,7 +135,8 @@ func TestRegistryExportsDeterministic(t *testing.T) {
 	if !json.Valid(a.JSON()) {
 		t.Fatalf("invalid JSON: %s", a.JSON())
 	}
-	// Sorted by name within kind: a.count before b.count.
+	// Sorted by name within kind: a.count before b.count. The gauges
+	// key stays, empty, so every export keeps its shape.
 	var out struct {
 		Counters   []struct{ Name string } `json:"counters"`
 		Gauges     []struct{ Name string } `json:"gauges"`
@@ -153,7 +146,7 @@ func TestRegistryExportsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(out.Counters) != 2 || out.Counters[0].Name != "a.count" || out.Counters[1].Name != "b.count" ||
-		len(out.Gauges) != 1 || len(out.Histograms) != 1 {
+		out.Gauges == nil || len(out.Gauges) != 0 || len(out.Histograms) != 1 {
 		t.Fatalf("export order: %+v", out)
 	}
 }

@@ -1,7 +1,7 @@
 // Package telemetry is the virtual-time observability plane: a span
 // tracer exportable as Chrome trace-event JSON, a registry of cheap
-// concurrent-safe counters/gauges/histograms, and a bounded flight
-// recorder dumped on crashes.
+// concurrent-safe counters and histograms, and flight dumps cut from the
+// trace where something crashed.
 //
 // Every timestamp is a simclock.Time — the plane observes *virtual*
 // time, so traces and metrics are bit-for-bit deterministic for a fixed
@@ -13,7 +13,6 @@
 package telemetry
 
 import (
-	"strings"
 	"sync"
 
 	"lupine/internal/simclock"
@@ -53,35 +52,18 @@ type Tracer struct {
 	mu     sync.Mutex
 	spans  []Span
 	events []Event
-	flight *Recorder
+	// isSpan says, record by record, which log each record went to. A
+	// span is logged when it closes but dated at its start, so the two
+	// logs' timestamps cannot recover the order Dumps reads them in.
+	isSpan []bool
+	trips  []trip
 }
 
-// New returns an enabled tracer with no flight recorder attached.
+// New returns an enabled tracer.
 func New() *Tracer { return &Tracer{} }
 
 // Enabled reports whether the tracer records anything.
 func (t *Tracer) Enabled() bool { return t != nil }
-
-// SetFlight attaches a flight recorder; every subsequent span and event
-// also lands in the recorder's per-track ring.
-func (t *Tracer) SetFlight(r *Recorder) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.flight = r
-	t.mu.Unlock()
-}
-
-// Flight returns the attached recorder (nil if none or disabled).
-func (t *Tracer) Flight() *Recorder {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.flight
-}
 
 // Span records a closed [start, end) span.
 func (t *Tracer) Span(cat, track, name string, start, end simclock.Time, args ...Arg) {
@@ -90,9 +72,7 @@ func (t *Tracer) Span(cat, track, name string, start, end simclock.Time, args ..
 	}
 	t.mu.Lock()
 	t.spans = append(t.spans, Span{Cat: cat, Track: track, Name: name, Start: start, End: end, Args: args})
-	if t.flight != nil {
-		t.flight.Note(track, start, name, detail(cat, args))
-	}
+	t.isSpan = append(t.isSpan, true)
 	t.mu.Unlock()
 }
 
@@ -103,28 +83,21 @@ func (t *Tracer) Instant(cat, track, name string, at simclock.Time, args ...Arg)
 	}
 	t.mu.Lock()
 	t.events = append(t.events, Event{Cat: cat, Track: track, Name: name, At: at, Args: args})
-	if t.flight != nil {
-		t.flight.Note(track, at, name, detail(cat, args))
-	}
+	t.isSpan = append(t.isSpan, false)
 	t.mu.Unlock()
 }
 
-// Trip snapshots the flight ring for track (crash post-mortem) and
-// marks the moment with a "flight" instant event. Returns the dump, or
-// nil when disabled or no recorder is attached.
-func (t *Tracer) Trip(track, reason string, at simclock.Time) *Dump {
+// Trip marks a crash post-mortem on track: Dumps cuts the track's
+// history as it stands now. The moment itself is a "flight" instant on
+// the track, so a later trip there shows this one.
+func (t *Tracer) Trip(track, reason string, at simclock.Time) {
 	if t == nil {
-		return nil
+		return
 	}
 	t.mu.Lock()
-	r := t.flight
+	t.trips = append(t.trips, trip{track: track, reason: reason, at: at, spans: len(t.spans), events: len(t.events)})
 	t.mu.Unlock()
-	var d *Dump
-	if r != nil {
-		d = r.Trip(track, reason, at)
-	}
 	t.Instant("flight", track, "trip:"+reason, at)
-	return d
 }
 
 // Spans returns a copy of all recorded spans in record order.
@@ -148,21 +121,4 @@ func (t *Tracer) EventsSince(i int) []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.events[i:len(t.events):len(t.events)]
-}
-
-// detail renders a flight-record detail line: "cat=<cat> k=v ...".
-func detail(cat string, args []Arg) string {
-	if len(args) == 0 {
-		return "cat=" + cat
-	}
-	var sb strings.Builder
-	sb.WriteString("cat=")
-	sb.WriteString(cat)
-	for _, a := range args {
-		sb.WriteByte(' ')
-		sb.WriteString(a.Key)
-		sb.WriteByte('=')
-		sb.WriteString(a.Val)
-	}
-	return sb.String()
 }

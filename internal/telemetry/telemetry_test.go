@@ -15,7 +15,6 @@ const us = simclock.Microsecond
 // produce byte-identical exports.
 func buildTrace() *Tracer {
 	tr := New()
-	tr.SetFlight(NewRecorder(4))
 	tr.Span("boot", "pool/vm0", "boot", 0, simclock.Time(120*us), A("total", Dur(120*us)))
 	tr.Span("fleet", "pool/vm0", "dispatch", simclock.Time(200*us), simclock.Time(450*us), A("req", "7"))
 	tr.Instant("hostmem", "pool", "pressure->some", simclock.Time(300*us))
@@ -128,11 +127,8 @@ func TestNilTracerSafeAndSilent(t *testing.T) {
 	}
 	tr.Span("boot", "x", "y", 0, 1)
 	tr.Instant("boot", "x", "y", 0)
-	tr.SetFlight(NewRecorder(0))
-	if d := tr.Trip("x", "r", 0); d != nil {
-		t.Fatalf("nil tracer tripped: %v", d)
-	}
-	if tr.Spans() != nil || tr.EventsSince(0) != nil || tr.Flight() != nil {
+	tr.Trip("x", "r", 0)
+	if tr.Spans() != nil || tr.EventsSince(0) != nil || tr.Dumps() != nil {
 		t.Fatal("nil tracer returned recorded state")
 	}
 	if got := string(tr.ChromeTrace()); got != `{"traceEvents":[]}` {
@@ -156,18 +152,16 @@ func TestDisabledTracerZeroAlloc(t *testing.T) {
 
 func TestTripFeedsFlightAndTrace(t *testing.T) {
 	tr := New()
-	rec := NewRecorder(8)
-	tr.SetFlight(rec)
 	tr.Instant("fleet", "vm0", "oom-kill", simclock.Time(5*us))
-	d := tr.Trip("vm0", "oom-kill", simclock.Time(5*us))
-	if d == nil || len(d.Records) != 1 || d.Records[0].Name != "oom-kill" {
+	tr.Trip("vm0", "oom-kill", simclock.Time(5*us))
+	dumps := tr.Dumps()
+	if len(dumps) != 1 {
+		t.Fatalf("tracer cut %d dumps, want 1", len(dumps))
+	}
+	if d := dumps[0]; len(d.Records) != 1 || d.Records[0].Name != "oom-kill" {
 		t.Fatalf("dump = %+v", d)
-	}
-	if !strings.Contains(d.String(), "oom-kill") {
+	} else if !strings.Contains(d.String(), "oom-kill") {
 		t.Fatalf("dump render: %s", d)
-	}
-	if len(rec.Dumps()) != 1 {
-		t.Fatalf("recorder retained %d dumps", len(rec.Dumps()))
 	}
 	evs := tr.EventsSince(0)
 	last := evs[len(evs)-1]

@@ -9,12 +9,13 @@
 # It extracts <rev> with git archive into a temporary directory, builds
 # every command and example there and from the working tree, and runs
 # both sides: lupine-bench runs every experiment at the seed with
-# -trace-out -slo-out -metrics-out, then the fabric-heavy storms at the
-# seed with -json -flight (the JSON renderer and the flight recorder's
-# dumps, which print the wire's connection and drop records), and each
-# command line in $clis below runs once (they take no seed). It cmps
-# lupine-bench's stdout (without the "(wall …)" timing of each header),
-# its -json -flight stdout (which prints no wall time), the Chrome
+# -trace-out -slo-out -metrics-out -flight (so stdout ends with every
+# experiment's flight dumps), then the fabric-heavy storms at the seed
+# with -json -flight (the JSON renderer and the flight dumps, which print
+# the wire's connection and drop records), and each command line in
+# $clis below runs once (they take no seed). It cmps lupine-bench's
+# stdout (without the "(wall …)" timing of each header), its -json
+# -flight stdout (which prints no wall time), the Chrome
 # trace, the SLO reports, the metrics JSON and its .prom sibling, the
 # stdout of each other command line, and the four artifacts
 # `lupine-build -o` writes (the rootfs.ext2 among them, streamed to
@@ -66,7 +67,7 @@ git -C "$root" archive "$rev" | tar -x -C "$tmp/src"
 run() {
     cd "$tmp/$1"
     ./lupine-bench -seed "$seed" -trace-out=trace.json -slo-out=slo.json \
-        -metrics-out=metrics.json >stdout.raw
+        -metrics-out=metrics.json -flight >stdout.raw
     sed 's/ (wall [0-9.]*s)$//' stdout.raw >stdout
     ./lupine-bench -seed "$seed" -json -flight \
         -run netsplit,regionfail,catalog,breach,fleetchaos >json-flight
@@ -92,8 +93,9 @@ if [ "$failed" -ne 0 ]; then
     exit 1
 fi
 
-# section <file> <id>: one experiment's part of stdout.
-section() { awk -v id="$2" '/^# / { on = ($2 == id) } on' "$1"; }
+# section <file> <id>: one experiment's part of stdout, or with id
+# "flight" the dumps printed after the last experiment.
+section() { awk -v id="$2" '/^# / { on = ($2 == id) } /^flight recorder: / { on = (id == "flight") } on' "$1"; }
 
 status=0
 # art/: what lupine-build -o wrote.
@@ -106,7 +108,7 @@ for f in stdout json-flight trace.json slo.json metrics.json metrics.json.prom $
     echo "DIFFERS $f"
     status=1
     if [ "$f" = stdout ]; then
-        for id in $(cat "$tmp/base/stdout" "$tmp/head/stdout" | awk '/^# / { print $2 }' | sort -u); do
+        for id in $(cat "$tmp/base/stdout" "$tmp/head/stdout" | awk '/^# / { print $2 } /^flight recorder: / { print "flight" }' | sort -u); do
             if [ "$(section "$tmp/base/stdout" "$id")" != "$(section "$tmp/head/stdout" "$id")" ]; then
                 echo "        experiment $id"
             fi
