@@ -46,7 +46,8 @@ type RequestHandler interface {
 // xmit is one reliably-delivered logical segment: the sender retransmits
 // on an RTO clock until the matching ACK (or SYN-ACK/RST) lands, then
 // gives up after the configured attempts and fails the connection. Each
-// lives in its Conn's slot for its kind and is its own retransmit timer.
+// lives in its Conn's slot for its kind and is its own retransmit timer,
+// posted into the network's lane for its backoff rung.
 type xmit struct {
 	conn     *Conn
 	kind     segKind
@@ -59,13 +60,18 @@ type xmit struct {
 }
 
 // respDeadline is a connection's response deadline, embedded in the
-// Conn so arming it allocates nothing.
+// Conn so arming it allocates nothing, and posted into the network's
+// lane for its timeout.
 type respDeadline struct{ c *Conn }
+
+// Moot reports whether the deadline would do nothing: the connection
+// already resolved, served or failed.
+func (d *respDeadline) Moot() bool { return d.c.closed }
 
 // Fire fails a connection whose response has not landed.
 func (d *respDeadline) Fire(now simclock.Time) {
-	if c := d.c; !c.closed && !c.respDelivered {
-		c.fail(ErrTimeout, now)
+	if !d.Moot() {
+		d.c.fail(ErrTimeout, now)
 	}
 }
 
@@ -83,10 +89,9 @@ type Conn struct {
 	rexmits  int // retransmissions spent on this connection, both directions
 
 	// client side
-	h             ConnHandler
-	established   bool
-	respDelivered bool
-	deadline      respDeadline
+	h           ConnHandler
+	established bool
+	deadline    respDeadline
 
 	// server side
 	srvQueued   bool // sitting in the listener backlog
@@ -143,25 +148,27 @@ func (c *Conn) push(x *xmit, now simclock.Time) {
 	s.conn, s.response = c, x.response
 	c.net.transmit(s, now)
 	rto := c.net.rto(x.attempt)
-	c.net.eng.Post(now.Add(rto), x)
+	c.net.rtoLanes[x.attempt].Post(now.Add(rto), x)
+}
+
+// Moot reports whether the retransmit timer would do nothing: the
+// segment was acked, the connection resolved (a response whose client
+// resolved is abandoned silently), or a response spent its
+// retransmissions (the server gives up; the client's own deadline
+// resolves the connection).
+func (x *xmit) Moot() bool {
+	return x.acked || x.conn.closed || (x.response && x.attempt >= x.max)
 }
 
 // Fire is the xmit's retransmit timer: its RTO elapsed. Still un-acked
 // means the segment (or its ACK) was lost — retransmit, or give up and
 // fail the connection with a timeout.
 func (x *xmit) Fire(now simclock.Time) {
+	if x.Moot() {
+		return
+	}
 	c := x.conn
-	if x.acked || c.closed {
-		return
-	}
-	// A response whose client already resolved is abandoned silently.
-	if x.response && c.respDelivered {
-		return
-	}
 	if x.attempt >= x.max {
-		if x.response {
-			return // server gives up; the client's own timeout resolves it
-		}
 		c.fail(ErrTimeout, now)
 		return
 	}
@@ -232,7 +239,7 @@ func (c *Conn) SendRequest(size int, respTimeout simclock.Duration, now simclock
 		return
 	}
 	c.sendReliable(&c.req, segData, size, maxRetransmits, false)
-	c.net.eng.Post(now.Add(respTimeout), &c.deadline)
+	c.net.respLane(respTimeout).Post(now.Add(respTimeout), &c.deadline)
 }
 
 // serverRequest lands the request payload at the server: ACK (the server
@@ -278,10 +285,9 @@ func (c *Conn) Respond(size int, now simclock.Time) {
 // served and ACK so the server stops retransmitting.
 func (c *Conn) clientResponse(seq int, now simclock.Time) {
 	c.net.control(segACK, c.client, c.server, c, seq, nil, now)
-	if c.closed || c.respDelivered {
+	if c.closed {
 		return
 	}
-	c.respDelivered = true
 	c.close("served", now)
 	c.h.Response(c, now)
 }

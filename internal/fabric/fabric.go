@@ -176,6 +176,14 @@ type Network struct {
 	free       []*segment // delivered or dropped segments, cleared for reuse
 	freeProbes []*probe   // timed-out probe records, cleared for reuse
 
+	// The lanes of the timers that are mostly moot by the time they come
+	// due: retransmit timers, one lane per backoff rung, and response
+	// deadlines, one lane per timeout SendRequest is given. Segment
+	// deliveries always deliver, and a probe's timeout always recycles
+	// its record, so both stay in the heap.
+	rtoLanes  [max(maxRetransmits, connectRetries) + 1]*simclock.Lane
+	respLanes []deadlineLane
+
 	connSeq  int
 	probeSeq int
 	stats    Stats
@@ -188,7 +196,7 @@ type Network struct {
 // interleave deterministically with the owner's dispatch, probe and
 // control events. inj may be nil (a clean wire).
 func New(params Params, eng *simclock.Engine, inj *faults.Injector) *Network {
-	return &Network{
+	n := &Network{
 		params: params,
 		eng:    eng,
 		inj:    inj,
@@ -203,6 +211,31 @@ func New(params Params, eng *simclock.Engine, inj *faults.Injector) *Network {
 		probeDrop: armExtra(inj, params.ProbeDropSite),
 		rng:       faults.NewStream(params.Seed ^ 0xFAB51C),
 	}
+	for i := range n.rtoLanes {
+		n.rtoLanes[i] = eng.Lane()
+	}
+	return n
+}
+
+// deadlineLane is the lane of the response deadlines d after their
+// request.
+type deadlineLane struct {
+	d    simclock.Duration
+	lane *simclock.Lane
+}
+
+// respLane returns the lane for response deadlines d after their
+// request, building it on first use: a network sees one or two
+// timeouts.
+func (n *Network) respLane(d simclock.Duration) *simclock.Lane {
+	for _, rl := range n.respLanes {
+		if rl.d == d {
+			return rl.lane
+		}
+	}
+	l := n.eng.Lane()
+	n.respLanes = append(n.respLanes, deadlineLane{d, l})
+	return l
 }
 
 // armedSites flags the fabric's own fault sites the plan arms.

@@ -259,6 +259,43 @@ func TestLossRetransmitRecovers(t *testing.T) {
 	}
 }
 
+// Sequential round trips on a lossy link: each connection dials when
+// the last one resolves, so by the time its response deadline and most
+// of its retransmit timers come due they are moot, and the lanes drop
+// them. Run still reports every event the engine popped before lanes
+// existed, no-op timers included, the clock ends where the last of them
+// moved it, and the wire's accounting is the same: all three are pinned
+// to their values from an engine that popped every timer.
+func TestSequentialRoundTripsOnLossyLink(t *testing.T) {
+	inj := faults.MustNew(faults.Plan{Seed: 9, Rules: []faults.Rule{
+		{Site: SiteLoss, Prob: 0.4},
+	}})
+	sched, net, client, server, lst := newTestNet(t, inj, DefaultParams())
+	serveAll(lst, 2048)
+	left := 200
+	h := &callbacks{}
+	next := func(*Conn, simclock.Time) {
+		if left--; left > 0 {
+			client.Dial(server, h)
+		}
+	}
+	h.established = func(c *Conn, now simclock.Time) { c.SendRequest(512, 4*ms, now) }
+	h.failed = func(c *Conn, _ error, now simclock.Time) { next(c, now) }
+	h.response = next
+	client.Dial(server, h)
+	if n := sched.Run(); n != 2298 {
+		t.Errorf("Run reported %d events, want 2298", n)
+	}
+	if now := sched.Now(); now != 245376248 {
+		t.Errorf("clock ends at %d, want 245376248", now)
+	}
+	want := Stats{Segments: 1729, Delivered: 1027, Dropped: 702, Retransmits: 537,
+		Dialed: 200, Closed: 200, Established: 178, Timeouts: 24}
+	if st := net.Stats(); st != want {
+		t.Errorf("stats %+v\nwant  %+v", st, want)
+	}
+}
+
 // TestAsymmetricPartitionTimesOut cuts traffic OUT OF the server (its
 // SYN-ACKs vanish) while traffic INTO it still flows: the client
 // retransmits its SYN into a one-way street and fails with ErrTimeout —

@@ -11,11 +11,19 @@ import "fmt"
 //
 // The queue is a binary min-heap of value-type events, written out here
 // rather than through container/heap so no event costs an allocation of
-// its own. Like Clock, an Engine is not safe for concurrent use.
+// its own. Timers that are mostly cancelled before they expire wait in
+// lanes (see Lane) instead, with only each lane's earliest in the heap.
+// Like Clock, an Engine is not safe for concurrent use.
 type Engine struct {
 	clk *Clock
 	q   []event
 	seq uint64
+
+	// Moot timers lanes dropped without queueing, and the latest instant
+	// one of them was due: each would have popped as a no-op, so Run
+	// counts them and ends the clock no earlier than that instant.
+	drops    int
+	lastDrop Time
 }
 
 // Handler is what an event does when it fires. A plane's hot-path
@@ -125,6 +133,99 @@ func (a *arrivals) Fire(now Time) {
 	a.fire(i, now)
 }
 
+// Timer is a handler that can become moot: Moot reports true exactly
+// when Fire would do nothing, and once true it stays true. A timeout
+// that is mostly cancelled before it expires (a retransmit timer whose
+// segment was acked, a deadline whose response landed) is a Timer, so a
+// lane can drop it instead of popping it.
+type Timer interface {
+	Handler
+	Moot() bool
+}
+
+// Lane is a queue of timers that come due nearly in the order they are
+// posted, like timeouts of one fixed delay plus bounded jitter. It keeps
+// them sorted by (at, seq), and only its head waits in the engine's
+// heap, under its own instant and sequence number, so every timer fires
+// in the order plain Posts would fire it. When the head fires, the lane
+// drops the moot timers behind it, each of which would have popped as a
+// no-op; the engine's Run counts them and moves the clock past them, so
+// a run reads the same either way.
+type Lane struct {
+	e    *Engine
+	q    []laneTimer // sorted by (at, seq); q[head] is queued in the heap
+	head int
+}
+
+// laneTimer is one timer waiting in a lane.
+type laneTimer struct {
+	at  Time
+	seq uint64
+	t   Timer
+}
+
+// Lane returns an empty lane that queues its timers on e.
+func (e *Engine) Lane() *Lane { return &Lane{e: e} }
+
+// Post enqueues t to fire at instant at, under the next sequence number,
+// exactly as the engine's Post would. A timer due before the lane's head
+// goes straight to the heap, since only the head may wait there;
+// otherwise it is inserted from the tail, which is where a lane's
+// timers nearly always belong.
+func (l *Lane) Post(at Time, t Timer) {
+	e := l.e
+	if at < e.clk.now {
+		at = e.clk.now
+	}
+	e.seq++
+	if l.head == len(l.q) {
+		l.q, l.head = append(l.q[:0], laneTimer{at, e.seq, t}), 0
+		e.push(event{at: at, seq: e.seq, h: l})
+		return
+	}
+	if at < l.q[l.head].at {
+		e.push(event{at: at, seq: e.seq, h: t})
+		return
+	}
+	if l.head > 0 && len(l.q) == cap(l.q) {
+		// Slide the pending timers down over fired ones before the
+		// array would have to grow.
+		n := copy(l.q, l.q[l.head:])
+		clear(l.q[n:])
+		l.q, l.head = l.q[:n], 0
+	}
+	// Every timer in the lane holds an earlier sequence number, so the
+	// new one goes behind all those due at or before it.
+	l.q = append(l.q, laneTimer{})
+	i := len(l.q) - 1
+	for l.q[i-1].at > at {
+		l.q[i] = l.q[i-1]
+		i--
+	}
+	l.q[i] = laneTimer{at, e.seq, t}
+}
+
+// Fire runs the lane's head: it takes the head, drops the moot timers
+// behind it, queues the next live one under its own (at, seq), and only
+// then fires the head, so a timer the head posts into this lane finds
+// it consistent. A head that went moot while queued fires as a no-op.
+func (l *Lane) Fire(now Time) {
+	e := l.e
+	head := l.q[l.head].t
+	l.q[l.head] = laneTimer{}
+	for l.head++; l.head < len(l.q); l.head++ {
+		next := &l.q[l.head]
+		if !next.t.Moot() {
+			e.push(event{at: next.at, seq: next.seq, h: l})
+			break
+		}
+		e.drops++
+		e.lastDrop = max(e.lastDrop, next.at)
+		*next = laneTimer{}
+	}
+	head.Fire(now)
+}
+
 // push sifts ev up from the end of the heap.
 func (e *Engine) push(ev event) {
 	e.q = append(e.q, ev)
@@ -141,22 +242,29 @@ func (e *Engine) push(ev event) {
 }
 
 // Run pops and executes events until the queue is empty, and reports how
-// many it ran.
+// many it ran, counting each moot timer a lane dropped during the call
+// as the no-op it would have been. The clock ends at the latest instant
+// among the events it ran and the timers dropped, as if every dropped
+// timer had popped.
 func (e *Engine) Run() int {
-	n := 0
+	n, drops := 0, e.drops
 	for len(e.q) > 0 {
 		e.step()
 		n++
 	}
-	return n
+	if e.lastDrop > e.clk.now {
+		e.clk.AdvanceTo(e.lastDrop)
+	}
+	return n + e.drops - drops
 }
 
 // RunUntil executes every event due at or before horizon, leaves later
 // ones queued, and leaves the clock at horizon (or where it was, if
-// already past). It reports how many events ran. Owners whose loops
-// reschedule themselves forever drive the engine this way.
+// already past). It reports how many events ran, plus the moot timers
+// lanes dropped during the call, whatever instant each was due. Owners
+// whose loops reschedule themselves forever drive the engine this way.
 func (e *Engine) RunUntil(horizon Time) int {
-	n := 0
+	n, drops := 0, e.drops
 	for len(e.q) > 0 && e.q[0].at <= horizon {
 		e.step()
 		n++
@@ -164,7 +272,7 @@ func (e *Engine) RunUntil(horizon Time) int {
 	if horizon > e.clk.now {
 		e.clk.AdvanceTo(horizon)
 	}
-	return n
+	return n + e.drops - drops
 }
 
 // step pops the earliest event, moves the clock to it and fires it.

@@ -144,25 +144,90 @@ func TestEnginePostAndScheduleShareOneOrder(t *testing.T) {
 	}
 }
 
+// flag is a timer that counts its live firings and is moot once set.
+type flag struct {
+	tally
+	moot bool
+}
+
+func (f *flag) Moot() bool { return f.moot }
+
+func (f *flag) Fire(now Time) {
+	if !f.moot {
+		f.tally.Fire(now)
+	}
+}
+
 // Posting a handler and popping it allocates nothing: events are values
-// in the heap's backing array, and the handler is the caller's.
+// in the heap's backing array, and the handler is the caller's. A warm
+// lane's posts, fires and drops allocate nothing either.
 func TestEnginePostAndPopAllocateNothing(t *testing.T) {
 	e := NewEngine()
-	h := &tally{}
+	l := e.Lane()
+	h, live, dead := &tally{}, &flag{}, &flag{moot: true}
 	const batch = 64
 	burst := func() {
 		now := e.Now()
 		for i := 0; i < batch; i++ {
 			e.Post(now.Add(Duration(batch-i)), h)
+			l.Post(now.Add(Duration(i%8)), live) // some due before the head
+			l.Post(now.Add(Duration(i)), dead)
 		}
 		e.Run()
 	}
-	burst() // grow the queue's backing array once
+	burst() // grow the queue's and the lane's backing arrays once
 	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
-		t.Fatalf("%v allocations per burst of %d events, want 0", allocs, batch)
+		t.Fatalf("%v allocations per burst of %d events and %d lane timers, want 0", allocs, batch, 2*batch)
 	}
-	if h.fired != 102*batch {
-		t.Fatalf("handler fired %d times, want %d", h.fired, 102*batch)
+	if h.fired != 102*batch || live.fired != 102*batch {
+		t.Fatalf("handler fired %d times and live timer %d, want %d each", h.fired, live.fired, 102*batch)
+	}
+}
+
+// laneFixture queues a plain event at 5 that makes two of three lane
+// timers moot: the live one due at 10 and the moot ones at 20 and 30.
+func laneFixture() (*Engine, *flag) {
+	e := NewEngine()
+	l := e.Lane()
+	live, late, later := &flag{}, &flag{}, &flag{}
+	l.Post(10, live)
+	l.Post(20, late)
+	l.Post(30, later)
+	e.Schedule(5, func(Time) { late.moot, later.moot = true, true })
+	return e, live
+}
+
+// Run counts each dropped timer as the no-op pop it replaces, and ends
+// the clock at the latest instant a dropped timer was due.
+func TestEngineRunCountsLaneDrops(t *testing.T) {
+	e, live := laneFixture()
+	if n := e.Run(); n != 4 {
+		t.Fatalf("Run reported %d events, want 4 (2 pops and 2 drops)", n)
+	}
+	if live.fired != 1 || e.drops != 2 {
+		t.Fatalf("live timer fired %d times, %d dropped; want 1 and 2", live.fired, e.drops)
+	}
+	if e.Now() != 30 {
+		t.Fatalf("clock at %v, want 30, the latest dropped instant", e.Now())
+	}
+	if n := e.Run(); n != 0 || e.Now() != 30 {
+		t.Fatalf("second Run reported %d events at %v, want 0 at 30", n, e.Now())
+	}
+}
+
+// RunUntil counts a drop in the call that makes it, whenever the timer
+// was due, and leaves the clock at its horizon; a later Run still moves
+// the clock to the latest dropped instant.
+func TestEngineRunUntilCountsDropsWhenMade(t *testing.T) {
+	e, _ := laneFixture()
+	if n := e.RunUntil(15); n != 4 || e.Now() != 15 {
+		t.Fatalf("RunUntil(15) reported %d events at %v, want 4 at 15", n, e.Now())
+	}
+	if n := e.RunUntil(25); n != 0 || e.Now() != 25 {
+		t.Fatalf("RunUntil(25) reported %d events at %v, want 0 at 25", n, e.Now())
+	}
+	if n := e.Run(); n != 0 || e.Now() != 30 {
+		t.Fatalf("Run reported %d events at %v, want 0 at 30", n, e.Now())
 	}
 }
 

@@ -46,9 +46,10 @@ go test -race -count=2 ./internal/simclock/... ./internal/fleet/... ./internal/f
 # Short runs of the fuzz targets, beyond the seeds go test already ran:
 # the ext2 image round trip, the resolver and the SLO incident
 # attribution each held to its full-scan reference, the guest's epoll
-# interest set and descriptor table held to their map versions, and the
+# interest set and descriptor table held to their map versions, the
 # flight dumps read back from the trace held to the per-track ring they
-# replaced.
+# replaced, and the engine's timer lanes held to posting every timer
+# into the heap.
 # Each writes into the tree (testdata/fuzz/) only when it finds a
 # crasher, which then fails CI's clean-tree check. -fuzzminimizetime 1x
 # bounds the minimization of each input that finds new coverage to one
@@ -65,6 +66,8 @@ echo "== fuzz smoke (epoll and the fd table against their map versions, 10s)"
 go test -run '^$' -fuzz '^FuzzEpollMatchesMap$' -fuzztime 10s -fuzzminimizetime 1x ./internal/guest
 echo "== fuzz smoke (flight dumps against the per-track ring, 10s)"
 go test -run '^$' -fuzz '^FuzzDumpsMatchRing$' -fuzztime 10s -fuzzminimizetime 1x ./internal/telemetry
+echo "== fuzz smoke (timer lanes against posting every timer, 10s)"
+go test -run '^$' -fuzz '^FuzzLaneMatchesPost$' -fuzztime 10s -fuzzminimizetime 1x ./internal/simclock
 
 # Every registered fault site must surface in the operator-facing
 # catalog: the count of RegisterSite calls in non-test source must match
