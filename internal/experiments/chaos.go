@@ -277,32 +277,38 @@ var chaosStorm = &storm[chaosResult]{
 			return nil, err
 		}
 		track := "chaos/" + name
-		rep, inj, counters, err := env.supervise(u, chaosPlan(env.Seed), track)
+		inj, err := faults.New(chaosPlan(env.Seed))
 		if err != nil {
 			return nil, err
 		}
-		res := chaosResult{
-			System:    name,
-			Report:    rep,
-			MultiProc: u.Kernel.Enabled("MULTIPROCESS"),
-		}
-		for _, c := range counters {
-			res.Degraded += c.degraded
-		}
 		// The hero row's SLO scope replays the supervised timeline:
 		// every restart window burns the uptime budget, and the storm's
-		// fire log attributes the burns.
+		// fires, landed on the row's trace, attribute the burns. The row
+		// opens before the storm so the fires reach its tracer.
+		var objs []slo.Objective
 		if name == "lupine+mp" {
-			hero := env.row(track, inj, sloEvery, slo.Objective{
+			objs = []slo.Objective{{
 				Name:   "uptime",
 				Good:   []string{track + ".up-ns"},
 				Bad:    []string{track + ".down-ns"},
 				Target: 0.9,
 				Rules:  slo.DefaultRules(2*simclock.Millisecond, 5, 2),
-			})
-			sloReplaySupervisor(hero.scope, hero.reg, track, rep)
-			hero.scope.Finish(rep.End)
-			res.scope = hero.scope
+			}}
+		}
+		row := env.row(track, inj, sloEvery, objs...)
+		rep, counters := supervise(u, inj, row.tr, track)
+		res := chaosResult{
+			System:    name,
+			Report:    rep,
+			MultiProc: u.Kernel.Enabled("MULTIPROCESS"),
+			scope:     row.scope,
+		}
+		for _, c := range counters {
+			res.Degraded += c.degraded
+		}
+		if row.scope != nil {
+			sloReplaySupervisor(row.scope, row.reg, track, rep)
+			row.scope.Finish(rep.End)
 		}
 		return []chaosResult{res}, nil
 	},

@@ -135,22 +135,24 @@ type stormRow struct {
 // samples them every `every` and ranks inj's fires as root causes. A
 // scoped row feeds env's tracer and registry when set and private ones
 // otherwise, so its SLO report is the same with telemetry on or off.
+// Open the row before inj's first Hit.
 func (env *Env) row(track string, inj *faults.Injector, every simclock.Duration, objs ...slo.Objective) stormRow {
 	r := stormRow{track: track, tr: env.Trace, reg: env.Metrics}
-	if len(objs) > 0 {
-		if r.tr == nil {
-			r.tr = telemetry.New()
-		}
-		if r.reg == nil {
-			r.reg = telemetry.NewRegistry()
-		}
-		r.scope = slo.NewScope(track, r.reg, r.tr, every)
-		for _, o := range objs {
-			r.scope.Add(o)
-		}
-		r.scope.SetInjector(inj)
+	if len(objs) == 0 {
+		inj.Observe(r.tr, track)
+		return r
 	}
-	inj.Observe(r.tr, track)
+	if r.tr == nil {
+		r.tr = telemetry.New()
+	}
+	if r.reg == nil {
+		r.reg = telemetry.NewRegistry()
+	}
+	r.scope = slo.NewScope(track, r.reg, r.tr, every)
+	for _, o := range objs {
+		r.scope.Add(o)
+	}
+	r.scope.SetInjector(inj)
 	return r
 }
 
@@ -184,31 +186,29 @@ func (env *Env) runRegion(track string, plan faults.Plan, cfg region.Config, eve
 	return runRow(row, region.New(cfg, inj)), row, nil
 }
 
-// supervise runs u's VM lifetimes through plan's storm under the chaos
-// panic=reboot policy, observed on lane, and returns the supervisor's
-// report with what each lifetime's workload saw.
-func (env *Env) supervise(u *core.Unikernel, plan faults.Plan, lane string) (vmm.SupervisorReport, *faults.Injector, []chaosCounters, error) {
-	inj, err := faults.New(plan)
-	if err != nil {
-		return vmm.SupervisorReport{}, nil, nil, err
-	}
+// supervise runs u's VM lifetimes through inj's storm under the chaos
+// panic=reboot policy, observed on lane of tr, and returns the
+// supervisor's report with what each lifetime's workload saw.
+func supervise(u *core.Unikernel, inj *faults.Injector, tr *telemetry.Tracer, lane string) (vmm.SupervisorReport, []chaosCounters) {
 	var counters []chaosCounters
-	inj.Observe(env.Trace, lane)
 	sup := vmm.NewSupervisor(chaosPolicy())
-	sup.Observe(env.Trace, lane)
-	return sup.Run(chaosBoot(u, inj, &counters)), inj, counters, nil
+	sup.Observe(tr, lane)
+	return sup.Run(chaosBoot(u, inj, &counters)), counters
 }
 
 // linuxPool supervises fleetPoolSize fresh VMs of u, backend i through
-// plan(seed, i)'s storm on lane track/vmI, and wraps the reports as
-// pool members.
+// plan(seed, i)'s storm on lane track/vmI of env's tracer, and wraps
+// the reports as pool members.
 func (env *Env) linuxPool(u *core.Unikernel, track string, plan func(seed uint64, i int) faults.Plan) ([]*fleet.Backend, error) {
 	var out []*fleet.Backend
 	for i := 0; i < fleetPoolSize; i++ {
-		rep, _, _, err := env.supervise(u, plan(env.Seed, i), fmt.Sprintf("%s/vm%d", track, i))
+		inj, err := faults.New(plan(env.Seed, i))
 		if err != nil {
 			return nil, err
 		}
+		lane := fmt.Sprintf("%s/vm%d", track, i)
+		inj.Observe(env.Trace, lane)
+		rep, _ := supervise(u, inj, env.Trace, lane)
 		out = append(out, fleet.NewBackend(fmt.Sprintf("vm%d", i), fleet.FromReport(rep)))
 	}
 	return out, nil

@@ -159,7 +159,8 @@ func TestChaosTelemetry(t *testing.T) {
 }
 
 // TestFleetChaosTelemetry: breaker transition events match the breakers'
-// own transition records across every pool.
+// own transition records across every pool, and false-trip events the
+// results' false trips.
 func TestFleetChaosTelemetry(t *testing.T) {
 	t.Parallel()
 	env := withTelemetry()
@@ -168,22 +169,32 @@ func TestFleetChaosTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fleetchaos: %v", err)
 	}
-	var wantTransitions int
+	var wantTransitions, wantFalseTrips int
 	for _, r := range results {
+		wantFalseTrips += r.Res.FalseTrips
 		for _, b := range r.Backends {
 			if br := b.Breaker(); br != nil {
 				wantTransitions += len(br.Transitions)
 			}
 		}
 	}
-	var events int
+	var transitions, falseTrips int
 	for _, e := range tr.EventsSince(0) {
-		if e.Cat == "fleet" && strings.HasPrefix(e.Name, "breaker:") {
-			events++
+		if e.Cat != "fleet" {
+			continue
+		}
+		switch e.Name {
+		case "breaker:closed", "breaker:open", "breaker:half-open":
+			transitions++
+		case "breaker:false-trip":
+			falseTrips++
 		}
 	}
-	if events != wantTransitions || wantTransitions == 0 {
-		t.Errorf("breaker events %d, recorded transitions %d (want equal, nonzero)", events, wantTransitions)
+	if transitions != wantTransitions || wantTransitions == 0 {
+		t.Errorf("breaker transition events %d, recorded transitions %d (want equal, nonzero)", transitions, wantTransitions)
+	}
+	if falseTrips != wantFalseTrips {
+		t.Errorf("false-trip events %d, results' false trips %d", falseTrips, wantFalseTrips)
 	}
 	// The lupine pool's counters exist and the served counter agrees.
 	for _, r := range results {

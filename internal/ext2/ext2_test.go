@@ -68,33 +68,52 @@ func flat(t testing.TB, img *Image) []byte {
 	return buf.Bytes()
 }
 
+// assertTreesEqual fails t at the first difference treeDiff finds
+// between a source tree and a read of its image, pairing children by
+// name: the writer emits a directory's children sorted, so the read's
+// order need not be the source's.
 func assertTreesEqual(t *testing.T, path string, want, got *File) {
 	t.Helper()
+	if d := treeDiff(path, want, got, false); d != "" {
+		t.Error(d)
+	}
+}
+
+// treeDiff describes the first difference between want and got under
+// path, or returns "". It pairs a directory's children by name, or,
+// byPosition, in directory order. Two reads of one corrupt image must
+// compare by position: a bit flip can rename an entry onto a sibling's
+// name, and a lookup by name then finds the sibling in both.
+func treeDiff(path string, want, got *File, byPosition bool) string {
 	if want.Dir != got.Dir || want.Symlink != got.Symlink {
-		t.Errorf("%s: kind mismatch: want dir=%v sym=%v, got dir=%v sym=%v",
+		return fmt.Sprintf("%s: kind mismatch: want dir=%v sym=%v, got dir=%v sym=%v",
 			path, want.Dir, want.Symlink, got.Dir, got.Symlink)
-		return
 	}
 	if !want.Dir && !bytes.Equal(want.Data, got.Data) {
-		t.Errorf("%s: data mismatch: %d vs %d bytes", path, len(want.Data), len(got.Data))
+		return fmt.Sprintf("%s: data mismatch: %d vs %d bytes", path, len(want.Data), len(got.Data))
 	}
 	if want.Mode&0o7777 != got.Mode&0o7777 {
-		t.Errorf("%s: mode %o vs %o", path, want.Mode, got.Mode)
+		return fmt.Sprintf("%s: mode %o vs %o", path, want.Mode, got.Mode)
 	}
-	if want.Dir {
-		if len(want.Children) != len(got.Children) {
-			t.Errorf("%s: %d children vs %d", path, len(want.Children), len(got.Children))
-			return
+	if !want.Dir {
+		return ""
+	}
+	if len(want.Children) != len(got.Children) {
+		return fmt.Sprintf("%s: %d children vs %d", path, len(want.Children), len(got.Children))
+	}
+	for i, wc := range want.Children {
+		gc := got.Child(wc.Name)
+		if byPosition {
+			gc = got.Children[i]
 		}
-		for _, wc := range want.Children {
-			gc := got.Child(wc.Name)
-			if gc == nil {
-				t.Errorf("%s: missing child %q", path, wc.Name)
-				continue
-			}
-			assertTreesEqual(t, path+wc.Name+"/", wc, gc)
+		if gc == nil || gc.Name != wc.Name {
+			return fmt.Sprintf("%s: missing child %q", path, wc.Name)
+		}
+		if d := treeDiff(path+wc.Name+"/", wc, gc, byPosition); d != "" {
+			return d
 		}
 	}
+	return ""
 }
 
 func TestSuperblockFields(t *testing.T) {

@@ -158,27 +158,18 @@ func (st *Stream) Intn(n int) int {
 // Injector evaluates a Plan against a stream of site hits. One injector
 // carries state (hit counts, fire counts, the random stream) across a
 // whole VM lifecycle including supervisor reboots, so "fail the first
-// boot" style rules work naturally. It is not safe for concurrent use;
-// the simulation substrate is single-threaded by construction.
+// boot" style rules work naturally. It holds only what decides the next
+// fire; the one record of a fire is the "faults" instant it lands on
+// the tracer Observe gave it. It is not safe for concurrent use; the
+// simulation substrate is single-threaded by construction.
 type Injector struct {
 	plan     Plan
 	rng      *Stream
 	ruleHits []int // in-window hits seen per rule
 	fired    []int // fires per rule
-	total    int
-	fires    []Fire // every fire, in hit order
 
 	tr      *telemetry.Tracer
 	trTrack string
-}
-
-// Fire is one fault firing on the timeline: which site, and when. The
-// injector keeps the full log so post-hoc consumers — the SLO plane's
-// incident attribution in particular — can correlate an alert window
-// against the storm that caused it without replaying the run.
-type Fire struct {
-	Site string
-	At   simclock.Time
 }
 
 // New builds an injector for the plan, validating it first.
@@ -229,17 +220,13 @@ func (inj *Injector) Hit(site string, now simclock.Time) Decision {
 		}
 		if triggered && !out.Fire {
 			inj.fired[i]++
-			inj.total++
 			out = Decision{Fire: true, Param: r.Param, Rule: i}
 		}
 	}
-	if out.Fire {
-		inj.fires = append(inj.fires, Fire{Site: site, At: now})
-		if inj.tr != nil {
-			inj.tr.Instant("faults", inj.trTrack, site, now,
-				telemetry.A("rule", strconv.Itoa(out.Rule)),
-				telemetry.A("param", strconv.FormatInt(out.Param, 10)))
-		}
+	if out.Fire && inj.tr != nil {
+		inj.tr.Instant("faults", inj.trTrack, site, now,
+			telemetry.A("rule", strconv.Itoa(out.Rule)),
+			telemetry.A("param", strconv.FormatInt(out.Param, 10)))
 	}
 	return out
 }
@@ -260,46 +247,14 @@ func (inj *Injector) Arms(site string) bool {
 	return false
 }
 
-// Observe makes every subsequent fault firing an instant event on the
-// tracer, on the given track. Nil-safe on both sides.
+// Observe makes every subsequent fault firing a "faults" instant on the
+// tracer, on the given track, named by its site and carrying its rule
+// and param. Nil-safe on both sides. An unobserved injector records
+// nothing.
 func (inj *Injector) Observe(tr *telemetry.Tracer, track string) {
 	if inj == nil || tr == nil {
 		return
 	}
 	inj.tr = tr
 	inj.trTrack = track
-}
-
-// FiresSince returns the fire log from index i on, in hit order: a
-// reader that keeps i plus the length it got reads each fire once. Hit
-// order is not time order when one injector serves a VM across reboots,
-// whose guest clocks restart. The slice is a view of the log; the
-// caller must not modify it. A nil injector logs nothing.
-func (inj *Injector) FiresSince(i int) []Fire {
-	if inj == nil {
-		return nil
-	}
-	return inj.fires[i:len(inj.fires):len(inj.fires)]
-}
-
-// TotalFired reports how many faults the injector has fired so far.
-func (inj *Injector) TotalFired() int {
-	if inj == nil {
-		return 0
-	}
-	return inj.total
-}
-
-// FiredAt reports how many fires hit the given site so far.
-func (inj *Injector) FiredAt(site string) int {
-	if inj == nil {
-		return 0
-	}
-	n := 0
-	for i, r := range inj.plan.Rules {
-		if r.Site == site {
-			n += inj.fired[i]
-		}
-	}
-	return n
 }

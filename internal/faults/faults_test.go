@@ -1,9 +1,13 @@
 package faults
 
 import (
+	"math"
+	"runtime"
+	"strconv"
 	"testing"
 
 	"lupine/internal/simclock"
+	"lupine/internal/telemetry"
 )
 
 func init() {
@@ -103,11 +107,15 @@ func TestProbabilityIsDeterministicAndLimited(t *testing.T) {
 
 func TestNilInjectorNeverFires(t *testing.T) {
 	var inj *Injector
-	if d := inj.Hit("test/alpha", 0); d.Fire {
-		t.Error("nil injector fired")
+	tr := telemetry.New()
+	inj.Observe(tr, "row")
+	for i := 0; i < 10; i++ {
+		if d := inj.Hit("test/alpha", simclock.Time(i)); d != (Decision{}) {
+			t.Fatalf("nil injector hit %d decided %+v, want the zero Decision", i, d)
+		}
 	}
-	if inj.TotalFired() != 0 || inj.FiredAt("test/alpha") != 0 {
-		t.Error("nil injector reports fires")
+	if events := tr.EventsSince(0); len(events) != 0 {
+		t.Fatalf("nil injector recorded %+v", events)
 	}
 }
 
@@ -129,27 +137,35 @@ func TestArmsExactlyTheSitesWithRules(t *testing.T) {
 func TestUnarmedHitLeavesInjectorUntouched(t *testing.T) {
 	plan := Plan{Seed: 9, Rules: []Rule{{Site: "test/alpha", Prob: 0.5}}}
 	plain, probed := MustNew(plan), MustNew(plan)
+	tr := telemetry.New()
+	probed.Observe(tr, "row")
+	fires := 0
 	for i := 0; i < 64; i++ {
-		fires, total := len(probed.FiresSince(0)), probed.TotalFired()
+		recorded := len(tr.EventsSince(0))
 		if d := probed.Hit("test/beta", simclock.Time(i)); d != (Decision{}) {
 			t.Fatalf("unarmed hit %d decided %+v, want the zero Decision", i, d)
 		}
-		if len(probed.FiresSince(0)) != fires || probed.TotalFired() != total {
-			t.Fatalf("unarmed hit %d moved the fire log or count", i)
+		if len(tr.EventsSince(0)) != recorded {
+			t.Fatalf("unarmed hit %d recorded a fire", i)
 		}
 		want, got := plain.Hit("test/alpha", simclock.Time(i)), probed.Hit("test/alpha", simclock.Time(i))
 		if got != want {
 			t.Fatalf("armed hit %d after an unarmed one = %+v, want %+v", i, got, want)
 		}
+		if want.Fire {
+			fires++
+		}
 	}
-	if plain.TotalFired() == 0 || plain.TotalFired() == 64 {
-		t.Fatalf("Prob 0.5 fired %d of 64: the stream never decided anything", plain.TotalFired())
+	if fires == 0 || fires == 64 {
+		t.Fatalf("Prob 0.5 fired %d of 64: the stream never decided anything", fires)
 	}
 }
 
 // A Hit that fires nothing allocates nothing, so an armed plan costs
 // the hot paths that consult it no garbage: a site no rule names, an
-// armed site whose rule does not fire, and a nil injector.
+// armed site whose rule does not fire, and a nil injector. A fire on an
+// unobserved injector allocates nothing either: the injector keeps no
+// record of it.
 func TestHitAllocations(t *testing.T) {
 	ms := simclock.Time(simclock.Millisecond)
 	spent := MustNew(Plan{Rules: []Rule{{Site: "test/alpha", NthHit: 1}}})
@@ -169,6 +185,27 @@ func TestHitAllocations(t *testing.T) {
 			t.Errorf("%s: Hit allocates %v per call, want 0", c.name, allocs)
 		}
 	}
+
+	// The byte count is process-wide, so a runtime goroutine can add to
+	// it inside the window; such noise only ever adds, so take the fewest
+	// bytes of a few fresh trials.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	bytes := uint64(math.MaxUint64)
+	for range 3 {
+		inj := MustNew(Plan{Rules: []Rule{{Site: "test/alpha", Prob: 1}}})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 10_000; i++ {
+			if !inj.Hit("test/alpha", simclock.Time(i)).Fire {
+				t.Fatalf("hit %d of a Prob 1 rule did not fire", i)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	if bytes != 0 {
+		t.Errorf("10,000 fires on an unobserved injector allocated %d bytes, want 0", bytes)
+	}
 }
 
 func TestRulesAreIndependent(t *testing.T) {
@@ -186,8 +223,8 @@ func TestRulesAreIndependent(t *testing.T) {
 	if d := inj.Hit("test/beta", 0); !d.Fire || d.Param != 3 {
 		t.Fatalf("beta hit: %+v, want fire with Param 3", d)
 	}
-	if inj.TotalFired() != 3 || inj.FiredAt("test/alpha") != 2 {
-		t.Errorf("counters: total %d alpha %d, want 3 and 2", inj.TotalFired(), inj.FiredAt("test/alpha"))
+	if d := inj.Hit("test/alpha", 0); d.Fire {
+		t.Fatalf("third alpha hit: %+v, want both alpha rules spent", d)
 	}
 }
 
@@ -262,8 +299,12 @@ func TestNthHitAndProbabilityCombine(t *testing.T) {
 		{Site: "test/alpha", Prob: 0.5, Limit: 2, Param: 2},
 	}})
 	want := map[int]int64{3: 1, 4: 2, 5: 2} // hit -> winning Param
+	fires := 0
 	for hit := 1; hit <= 20; hit++ {
 		d := inj.Hit("test/alpha", 0)
+		if d.Fire {
+			fires++
+		}
 		if p, ok := want[hit]; ok {
 			if !d.Fire || d.Param != p {
 				t.Errorf("hit %d: got fire=%v param=%d, want param %d", hit, d.Fire, d.Param, p)
@@ -272,8 +313,8 @@ func TestNthHitAndProbabilityCombine(t *testing.T) {
 			t.Errorf("hit %d fired unexpectedly (param %d)", hit, d.Param)
 		}
 	}
-	if inj.TotalFired() != 3 || inj.FiredAt("test/alpha") != 3 {
-		t.Errorf("total=%d site=%d, want 3 fires", inj.TotalFired(), inj.FiredAt("test/alpha"))
+	if fires != 3 {
+		t.Errorf("fired %d times, want 3", fires)
 	}
 }
 
@@ -294,40 +335,44 @@ func TestSuppressedNthHitIsLostNotDeferred(t *testing.T) {
 			t.Fatalf("hit %d fired (param %d): suppressed nth-hit must not defer", i+2, d.Param)
 		}
 	}
-	if inj.TotalFired() != 1 {
-		t.Errorf("total fired %d, want 1", inj.TotalFired())
-	}
 }
 
-// Every fire lands in the injector's timestamped log, in hit order,
-// carrying its site — the SLO plane's incident attribution reads this
-// instead of replaying the run.
-func TestFireLogRecordsEveryFiring(t *testing.T) {
-	inj := MustNew(Plan{Rules: []Rule{
+// An observed injector lands each fire as one "faults" instant on its
+// track, at the hit's instant, in hit order, named by its site and
+// carrying its rule and param: the SLO plane's incident attribution
+// reads these. An unobserved injector records nothing.
+func TestObservedFiresLandOnTheTrace(t *testing.T) {
+	plan := Plan{Rules: []Rule{
 		{Site: "test/alpha", NthHit: 2, Param: 7},
 		{Site: "test/beta", NthHit: 1, Param: 3},
-	}})
-	inj.Hit("test/alpha", 10)
-	inj.Hit("test/beta", 20)
-	inj.Hit("test/alpha", 30)
-	fires := inj.FiresSince(0)
-	if len(fires) != 2 {
-		t.Fatalf("fires = %+v, want 2", fires)
+	}}
+	tr := telemetry.New()
+	inj, unobserved := MustNew(plan), MustNew(plan)
+	inj.Observe(tr, "row")
+	hits := []struct {
+		site string
+		at   simclock.Time
+	}{{"test/alpha", 10}, {"test/beta", 20}, {"test/alpha", 30}}
+	for _, h := range hits {
+		if got, want := unobserved.Hit(h.site, h.at), inj.Hit(h.site, h.at); got != want {
+			t.Fatalf("unobserved hit at %v decided %+v, observed %+v", h.at, got, want)
+		}
 	}
-	if fires[0] != (Fire{Site: "test/beta", At: 20}) {
-		t.Fatalf("fires[0] = %+v", fires[0])
+	events := tr.EventsSince(0)
+	want := []struct {
+		site        string
+		at          simclock.Time
+		rule, param int
+	}{{"test/beta", 20, 1, 3}, {"test/alpha", 30, 0, 7}}
+	if len(events) != len(want) {
+		t.Fatalf("events = %+v, want %d fires", events, len(want))
 	}
-	if fires[1] != (Fire{Site: "test/alpha", At: 30}) {
-		t.Fatalf("fires[1] = %+v", fires[1])
-	}
-	if since := inj.FiresSince(1); len(since) != 1 || since[0] != fires[1] {
-		t.Fatalf("FiresSince(1) = %+v, want only the second fire", since)
-	}
-	if since := inj.FiresSince(2); len(since) != 0 {
-		t.Fatalf("FiresSince(2) = %+v, want nothing new", since)
-	}
-	var nilInj *Injector
-	if nilInj.FiresSince(0) != nil {
-		t.Fatal("nil injector must log nothing")
+	for i, w := range want {
+		e := events[i]
+		args := []telemetry.Arg{telemetry.A("rule", strconv.Itoa(w.rule)), telemetry.A("param", strconv.Itoa(w.param))}
+		if e.Cat != "faults" || e.Track != "row" || e.Name != w.site || e.At != w.at ||
+			len(e.Args) != 2 || e.Args[0] != args[0] || e.Args[1] != args[1] {
+			t.Errorf("fire %d = %+v, want %s at %v with %v on row", i, e, w.site, w.at, args)
+		}
 	}
 }

@@ -64,67 +64,100 @@ func TestFleetTelemetryIsPureObservation(t *testing.T) {
 
 // TestFleetTelemetryContent checks the plane records what the result
 // claims: served/failed counters match, the latency histogram saw every
-// served request, dispatch spans exist, and breaker transitions land as
-// events on the flaky backend's lane.
+// served request, dispatch spans exist, breaker transitions land as
+// events on the backends' lanes, and so does every false trip. The
+// partitioned fleet is the run that false-trips.
 func TestFleetTelemetryContent(t *testing.T) {
-	f := New(DefaultConfig(), flakyPool(), nil, nil)
-	tr := telemetry.New()
-	reg := telemetry.NewRegistry()
-	f.Observe(tr, reg, "pool")
-	res := f.Run()
-	checkConservation(t, f, res)
+	cases := []struct {
+		name  string
+		fleet *Fleet
+	}{
+		{"flaky", New(DefaultConfig(), flakyPool(), nil, nil)},
+		{"partitioned", partitionedFleet(t, simclock.Time(10*ms), simclock.Time(45*ms))},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			f := c.fleet
+			tr := telemetry.New()
+			reg := telemetry.NewRegistry()
+			f.Observe(tr, reg, "pool")
+			res := f.Run()
+			checkConservation(t, f, res)
 
-	if got := reg.Counter("pool.served").Value(); got != int64(res.OK) {
-		t.Errorf("served counter %d, result OK %d", got, res.OK)
-	}
-	if got := reg.Counter("pool.failed").Value(); got != int64(res.Failed) {
-		t.Errorf("failed counter %d, result Failed %d", got, res.Failed)
-	}
-	if got := reg.Counter("pool.retries").Value(); got != int64(res.Retries) {
-		t.Errorf("retries counter %d, result Retries %d", got, res.Retries)
-	}
-	// Result.BreakerOpens also counts failures landing on an already-open
-	// breaker, so the counter is checked against the transition records —
-	// the ground truth for actual closed/half-open -> open edges.
-	var opens int64
-	for _, b := range f.Backends() {
-		if br := b.Breaker(); br != nil {
-			for _, tr := range br.Transitions {
-				if tr.To == BreakerOpen {
-					opens++
+			if got := reg.Counter("pool.served").Value(); got != int64(res.OK) {
+				t.Errorf("served counter %d, result OK %d", got, res.OK)
+			}
+			if got := reg.Counter("pool.failed").Value(); got != int64(res.Failed) {
+				t.Errorf("failed counter %d, result Failed %d", got, res.Failed)
+			}
+			if got := reg.Counter("pool.retries").Value(); got != int64(res.Retries) {
+				t.Errorf("retries counter %d, result Retries %d", got, res.Retries)
+			}
+			// Result.BreakerOpens also counts failures landing on an
+			// already-open breaker, so the counter is checked against the
+			// transition records — the ground truth for actual
+			// closed/half-open -> open edges.
+			var opens int64
+			for _, b := range f.Backends() {
+				if br := b.Breaker(); br != nil {
+					for _, tr := range br.Transitions {
+						if tr.To == BreakerOpen {
+							opens++
+						}
+					}
 				}
 			}
-		}
-	}
-	if got := reg.Counter("pool.breaker-opens").Value(); got != opens || opens == 0 {
-		t.Errorf("breaker-opens counter %d, recorded open transitions %d (want equal, nonzero)", got, opens)
-	}
-	if got := reg.Histogram("pool.latency").Count(); got != int64(res.OK) {
-		t.Errorf("latency histogram saw %d samples, served %d", got, res.OK)
-	}
+			if got := reg.Counter("pool.breaker-opens").Value(); got != opens || opens == 0 {
+				t.Errorf("breaker-opens counter %d, recorded open transitions %d (want equal, nonzero)", got, opens)
+			}
+			if got := reg.Histogram("pool.latency").Count(); got != int64(res.OK) {
+				t.Errorf("latency histogram saw %d samples, served %d", got, res.OK)
+			}
 
-	var dispatches int
-	for _, s := range tr.Spans() {
-		if s.Cat == "fleet" && s.Name == "dispatch" {
-			dispatches++
-		}
-	}
-	if dispatches != res.OK {
-		t.Errorf("dispatch spans %d, served %d", dispatches, res.OK)
-	}
+			var dispatches int
+			for _, s := range tr.Spans() {
+				if s.Cat == "fleet" && s.Name == "dispatch" {
+					dispatches++
+				}
+			}
+			if dispatches != res.OK {
+				t.Errorf("dispatch spans %d, served %d", dispatches, res.OK)
+			}
 
-	var breakerEvents, transitions int
+			var transitions int
+			for _, b := range f.Backends() {
+				if br := b.Breaker(); br != nil {
+					transitions += len(br.Transitions)
+				}
+			}
+			events, falseTrips := breakerEvents(tr)
+			if events != transitions || transitions == 0 {
+				t.Errorf("breaker transition events %d, recorded transitions %d (want equal, nonzero)", events, transitions)
+			}
+			if falseTrips != res.FalseTrips {
+				t.Errorf("false-trip events %d, result FalseTrips %d", falseTrips, res.FalseTrips)
+			}
+			if c.name == "partitioned" && res.FalseTrips == 0 {
+				t.Error("the partitioned run never false-tripped")
+			}
+		})
+	}
+}
+
+// breakerEvents counts a trace's breaker instants: the transitions
+// (breaker:closed, breaker:open, breaker:half-open) and, apart, the
+// false trips.
+func breakerEvents(tr *telemetry.Tracer) (transitions, falseTrips int) {
 	for _, e := range tr.EventsSince(0) {
-		if e.Cat == "fleet" && len(e.Name) > 8 && e.Name[:8] == "breaker:" {
-			breakerEvents++
+		if e.Cat != "fleet" {
+			continue
+		}
+		switch e.Name {
+		case "breaker:closed", "breaker:open", "breaker:half-open":
+			transitions++
+		case "breaker:false-trip":
+			falseTrips++
 		}
 	}
-	for _, b := range f.Backends() {
-		if br := b.Breaker(); br != nil {
-			transitions += len(br.Transitions)
-		}
-	}
-	if breakerEvents != transitions || transitions == 0 {
-		t.Errorf("breaker events %d, recorded transitions %d (want equal, nonzero)", breakerEvents, transitions)
-	}
+	return transitions, falseTrips
 }

@@ -12,9 +12,8 @@ import (
 )
 
 // attributeFullScan is attribute as it was before the scope learned to
-// read each log once: every incident scans the tracer's whole event log
-// and the injector's whole fire log. FuzzAttributionMatchesFullScan
-// holds attribute to it.
+// read the log once: every incident scans the tracer's whole event log.
+// FuzzAttributionMatchesFullScan holds attribute to it.
 func (s *Scope) attributeFullScan(st *objState, ri int, now simclock.Time, long simclock.Duration) Incident {
 	from := now.Add(-(long + s.every))
 	if from < 0 {
@@ -59,24 +58,18 @@ func (s *Scope) attributeFullScan(st *objState, ri int, now simclock.Time, long 
 	}
 
 	var fires, events []Cause
-	for _, f := range s.inj.FiresSince(0) {
-		if f.At >= faultFrom && f.At <= now {
-			fires = append(fires, Cause{Kind: "fault", Name: f.Site, Count: 1, LastAt: f.At})
+	for _, e := range s.tr.EventsSince(0) {
+		if e.Cat == "faults" {
+			// A fire is a fault cause on the scope's own track only.
+			if e.Track == s.track && e.At >= faultFrom && e.At <= now {
+				fires = append(fires, Cause{Kind: "fault", Name: e.Name, Count: 1, LastAt: e.At})
+			}
+			continue
 		}
-	}
-	if s.tr != nil {
-		for _, e := range s.tr.EventsSince(0) {
-			if e.At < from || e.At > now || !onTrack(e.Track, s.track) {
-				continue
-			}
-			if e.Cat == "faults" && s.inj != nil {
-				continue // already covered, with better fidelity, by the fire log
-			}
-			if !causeEvent(e) {
-				continue
-			}
-			events = append(events, Cause{Kind: "event", Name: e.Cat + "/" + e.Name, Count: 1, LastAt: e.At})
+		if e.At < from || e.At > now || !onTrack(e.Track, s.track) || !causeEvent(e) {
+			continue
 		}
+		events = append(events, Cause{Kind: "event", Name: e.Cat + "/" + e.Name, Count: 1, LastAt: e.At})
 	}
 	causes := append(collect(fires), collect(events)...)
 	if len(causes) > maxCauses {
@@ -90,8 +83,9 @@ var sloTestSite2 = faults.RegisterSite("slotest/drop", "slotest", "second test-o
 // The attribution fuzz stream. The first byte holds flags; every three
 // bytes after it are one op: a code and two arguments.
 const (
-	flagInjector = 1 << iota // the scope ranks the injector's fires
-	flagObserve              // the injector's fires land as "faults" instants on the scope's track
+	flagInjector = 1 << iota // the scope opens with SetInjector, landing the injector's later fires on its track
+	flagObserve              // the injector's fires land as "faults" instants on the scope's track from the start
+	flagSubLane              // with flagObserve: on the sub-lane fuzzTrack+"/r0" instead, where they are never causes
 )
 
 const (
@@ -114,7 +108,7 @@ var (
 	fuzzTracks = []string{fuzzTrack, fuzzTrack + "/r0", fuzzTrack + "+aslr", fuzzTrack + "+aslr/r0", "netsplit/lupine/rr"}
 	fuzzEvents = [][2]string{
 		{"fleet", "health:down"}, {"fleet", "admit"}, {"region", "repave"}, {"faults", sloTestSite},
-		{"fleet", "breaker:open:probe"}, {"hostmem", "pressure->stall"}, {"slo", "alert:x/fast"}, {"attack", "exploit"},
+		{"fleet", "breaker:open"}, {"hostmem", "pressure->stall"}, {"slo", "alert:x/fast"}, {"attack", "exploit"},
 	}
 	fuzzSites = []string{sloTestSite, sloTestSite2}
 )
@@ -161,8 +155,9 @@ func FuzzAttributionMatchesFullScan(f *testing.F) {
 	f.Add(stream(flagInjector, op(opOpen, 0, 0), good, sample, sample, bad,
 		instantAt(0, 0, -16), instantAt(2, 1, -6), instantAt(5, 0, 15), instantAt(4, 1, 6), sample, bad, sample,
 		good, sample, bad, sample, bad, sample))
-	// Fault instants on the track, with and without an injector.
-	for _, flags := range []byte{flagInjector | flagObserve, flagObserve} {
+	// Fault instants on the track, with and without an injector; and an
+	// injector observed on a sub-lane, whose fires are never causes.
+	for _, flags := range []byte{flagInjector | flagObserve, flagObserve, flagObserve | flagSubLane} {
 		f.Add(stream(flags, op(opOpen, 0, 0), good, sample, bad,
 			op(opFire, 0, 128), instantAt(3, 0, 0), instantAt(3, 1, -2), op(opFire, 1, 120), sample, bad, sample))
 	}
@@ -179,7 +174,11 @@ func FuzzAttributionMatchesFullScan(f *testing.F) {
 		reg, tr := telemetry.NewRegistry(), telemetry.New()
 		inj := faults.MustNew(faults.Plan{Rules: []faults.Rule{{Site: fuzzSites[0], Prob: 1}, {Site: fuzzSites[1], Prob: 1}}})
 		if flags&flagObserve != 0 {
-			inj.Observe(tr, fuzzTrack)
+			track := fuzzTrack
+			if flags&flagSubLane != 0 {
+				track = fuzzTracks[1]
+			}
+			inj.Observe(tr, track)
 		}
 		var (
 			s     *Scope

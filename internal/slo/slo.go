@@ -81,10 +81,10 @@ type Alert struct {
 }
 
 // Cause is one ranked entry in an incident's cause chain: either an
-// injected fault firing ("fault", from the injector's log) or a plane
-// event from the trace ("event": breaker trips, quarantines, ladder
-// rungs, repaves, blackouts...). Repeats aggregate: Count occurrences,
-// LastAt the most recent.
+// injected fault firing ("fault", a "faults" instant on the scope's
+// track) or a plane event from the trace ("event": breaker trips,
+// quarantines, ladder rungs, repaves, blackouts...). Repeats
+// aggregate: Count occurrences, LastAt the most recent.
 type Cause struct {
 	Kind   string // "fault" | "event"
 	Name   string // fault site, or trace "<cat>/<name>"
@@ -94,9 +94,9 @@ type Cause struct {
 
 // Incident is the attribution record emitted at an alert's rising edge:
 // the alert identity plus the ranked cause chain correlated from the
-// fault plan and the recent trace window. Fault fires outrank plane
-// events — the storm is the root cause, the plane events are its blast
-// radius — and within a kind, more recent causes rank first.
+// recent trace window. Fault fires outrank plane events — the storm is
+// the root cause, the plane events are its blast radius — and within a
+// kind, more recent causes rank first.
 type Incident struct {
 	Objective string
 	Rule      string
@@ -133,7 +133,6 @@ type Scope struct {
 	track string
 	reg   *telemetry.Registry
 	tr    *telemetry.Tracer
-	inj   *faults.Injector
 	every simclock.Duration
 
 	objs     []*objState
@@ -141,16 +140,15 @@ type Scope struct {
 	lastAt   simclock.Time
 	finished bool
 
-	// Incident attribution reads the tracer's event log and the
-	// injector's fire log once each, from their starts: every incident
-	// reads what was recorded since the one before and keeps the cause
-	// candidates, and candidates older than any later window can reach
-	// are dropped. Neither log is in time order, so nothing is searched.
+	// Incident attribution reads the tracer's event log once, from its
+	// start: every incident reads what was recorded since the one before
+	// and keeps the cause candidates, and candidates older than any later
+	// window can reach are dropped. The log is not in time order, so
+	// nothing is searched.
 	horizon    simclock.Duration // the widest fault window any rule looks back, plus a sample
 	eventsRead int               // tracer events read so far
-	firesRead  int               // injector fires read so far
 	events     []candidate       // cause-grade plane events on the track, in record order
-	fires      []candidate       // fault fires, in fire order
+	fires      []candidate       // fault fires on the track, in hit order
 }
 
 // candidate is one cause occurrence kept for the alert windows to come.
@@ -173,10 +171,11 @@ func NewScope(track string, reg *telemetry.Registry, tr *telemetry.Tracer, every
 	return &Scope{track: track, reg: reg, tr: tr, every: every}
 }
 
-// SetInjector attaches the row's fault injector so incidents can rank
-// the storm's actual firings as root causes. Nil-safe. Call before the
-// run starts.
-func (s *Scope) SetInjector(inj *faults.Injector) { s.inj = inj }
+// SetInjector lands the row's fault injector's fires on the scope's
+// track, where incidents rank them as root causes. Call it before the
+// injector's first Hit: a scope ranks only what its tracer recorded.
+// Nil-safe.
+func (s *Scope) SetInjector(inj *faults.Injector) { inj.Observe(s.tr, s.track) }
 
 // Add declares an objective. Call before the run starts.
 func (s *Scope) Add(o Objective) {
@@ -330,20 +329,19 @@ func onTrack(track, scope string) bool {
 	return track == scope || strings.HasPrefix(track, scope+"/")
 }
 
-// causeEvent reports whether a trace event is cause-chain material:
-// fault-plane, region-plane, attack-plane and memory-ladder instants
+// causeEvent reports whether a trace event is plane-event cause-chain
+// material: region-plane, attack-plane and memory-ladder instants
 // wholesale, plus the fleet instants that mark damage rather than
 // per-request noise.
 func causeEvent(e telemetry.Event) bool {
 	switch e.Cat {
-	case "faults", "region", "attack", "hostmem":
+	case "region", "attack", "hostmem":
 		return true
 	case "fleet":
 		switch e.Name {
-		case "oom-kill", "quarantine", "health:down", "drain", "retire", "breaker:false-trip":
+		case "oom-kill", "quarantine", "health:down", "drain", "retire", "breaker:open", "breaker:false-trip":
 			return true
 		}
-		return e.Name == "breaker:open" || strings.HasPrefix(e.Name, "breaker:open:")
 	}
 	return false
 }
@@ -373,23 +371,22 @@ func (s *Scope) attribute(st *objState, ri int, now simclock.Time, long simclock
 	return Incident{Objective: st.o.Name, Rule: st.o.Rules[ri].Name, At: now, Causes: causes}
 }
 
-// read takes in what the logs recorded since the last incident: every
-// fault fire, and the cause-grade events on the scope's track — less
-// the fault plane's own instants when the fire log already covers them
-// with better fidelity.
+// read takes in what the tracer recorded since the last incident: the
+// fault fires on the scope's own track (a sub-lane's fires belong to
+// another injector, such as a pool member's boot storm), and the
+// cause-grade plane events on the track or its sub-lanes.
 func (s *Scope) read() {
-	fires := s.inj.FiresSince(s.firesRead)
-	s.firesRead += len(fires)
-	for _, f := range fires {
-		s.fires = append(s.fires, candidate{name: f.Site, at: f.At})
-	}
 	events := s.tr.EventsSince(s.eventsRead)
 	s.eventsRead += len(events)
 	for _, e := range events {
-		if !causeEvent(e) || !onTrack(e.Track, s.track) || (e.Cat == "faults" && s.inj != nil) {
-			continue
+		switch {
+		case e.Cat == "faults":
+			if e.Track == s.track {
+				s.fires = append(s.fires, candidate{name: e.Name, at: e.At})
+			}
+		case causeEvent(e) && onTrack(e.Track, s.track):
+			s.events = append(s.events, candidate{name: e.Cat + "/" + e.Name, at: e.At})
 		}
-		s.events = append(s.events, candidate{name: e.Cat + "/" + e.Name, at: e.At})
 	}
 }
 

@@ -2,6 +2,7 @@ package slo
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"lupine/internal/faults"
@@ -214,6 +215,38 @@ func TestIncidentAttributesInjectedFaultFirst(t *testing.T) {
 	}
 	if !obj.HasCause(site) {
 		t.Fatal("HasCause misses the fault site")
+	}
+}
+
+// A fire is a fault cause only on the scope's own track: a sub-lane's
+// fires come from another injector, such as a pool member's boot storm,
+// and rank nowhere, while the sub-lane's plane events still rank.
+func TestIncidentRanksOnlyFiresOnTheScopeTrack(t *testing.T) {
+	reg, tr := telemetry.NewRegistry(), telemetry.New()
+	s := NewScope("row", reg, tr, 100*usec)
+	own := faults.MustNew(faults.Plan{Rules: []faults.Rule{{Site: sloTestSite, NthHit: 1}}})
+	s.SetInjector(own)
+	member := faults.MustNew(faults.Plan{Rules: []faults.Rule{{Site: sloTestSite2, NthHit: 1}}})
+	member.Observe(tr, "row/vm0")
+	s.Add(Objective{
+		Name: "availability", Good: []string{"row.good"}, Bad: []string{"row.bad"},
+		Target: 0.99, Rules: []BurnRule{{Name: "fast", Long: 100 * usec, Short: 100 * usec, MaxBurn: 50}},
+	})
+	reg.Counter("row.good").Add(10)
+	s.Sample(simclock.Time(100 * usec))
+	own.Hit(sloTestSite, simclock.Time(150*usec))
+	tr.Instant("fleet", "row/vm0", "health:down", simclock.Time(160*usec))
+	member.Hit(sloTestSite2, simclock.Time(170*usec)) // the most recent, yet no cause
+	reg.Counter("row.bad").Add(10)
+	s.Sample(simclock.Time(200 * usec))
+
+	in := s.Incidents()
+	want := []Cause{
+		{Kind: "fault", Name: sloTestSite, Count: 1, LastAt: simclock.Time(150 * usec)},
+		{Kind: "event", Name: "fleet/health:down", Count: 1, LastAt: simclock.Time(160 * usec)},
+	}
+	if len(in) != 1 || !slices.Equal(in[0].Causes, want) {
+		t.Fatalf("incidents = %+v, want one with causes %+v", in, want)
 	}
 }
 

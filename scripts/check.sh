@@ -56,18 +56,14 @@ go test -race -count=2 ./internal/simclock/... ./internal/fleet/... ./internal/f
 # run: by default a worker spends up to 60 s shrinking it, in runs the
 # progress line does not count, so a 10 s smoke sat at 0 execs/s for
 # most of its time. A crasher is still written, only less minimized.
-echo "== fuzz smoke (ext2 image round trip, 10s)"
-go test -run '^$' -fuzz '^FuzzImageRoundTrip$' -fuzztime 10s -fuzzminimizetime 1x ./internal/ext2
-echo "== fuzz smoke (kconfig resolve against the full scan, 10s)"
-go test -run '^$' -fuzz '^FuzzResolveMatchesFullScan$' -fuzztime 10s -fuzzminimizetime 1x ./internal/kconfig
-echo "== fuzz smoke (SLO attribution against the full scan, 10s)"
-go test -run '^$' -fuzz '^FuzzAttributionMatchesFullScan$' -fuzztime 10s -fuzzminimizetime 1x ./internal/slo
-echo "== fuzz smoke (epoll and the fd table against their map versions, 10s)"
-go test -run '^$' -fuzz '^FuzzEpollMatchesMap$' -fuzztime 10s -fuzzminimizetime 1x ./internal/guest
-echo "== fuzz smoke (flight dumps against the per-track ring, 10s)"
-go test -run '^$' -fuzz '^FuzzDumpsMatchRing$' -fuzztime 10s -fuzzminimizetime 1x ./internal/telemetry
-echo "== fuzz smoke (timer lanes against posting every timer, 10s)"
-go test -run '^$' -fuzz '^FuzzLaneMatchesPost$' -fuzztime 10s -fuzzminimizetime 1x ./internal/simclock
+for smoke in ./internal/ext2:FuzzImageRoundTrip ./internal/kconfig:FuzzResolveMatchesFullScan \
+    ./internal/slo:FuzzAttributionMatchesFullScan ./internal/guest:FuzzEpollMatchesMap \
+    ./internal/telemetry:FuzzDumpsMatchRing ./internal/simclock:FuzzLaneMatchesPost; do
+    pkg=${smoke%%:*}
+    target=${smoke#*:}
+    echo "== fuzz smoke ($target, 10s)"
+    go test -run '^$' -fuzz "^$target\$" -fuzztime 10s -fuzzminimizetime 1x "$pkg"
+done
 
 # Every registered fault site must surface in the operator-facing
 # catalog: the count of RegisterSite calls in non-test source must match

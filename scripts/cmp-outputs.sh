@@ -12,16 +12,17 @@
 # -trace-out -slo-out -metrics-out -flight (so stdout ends with every
 # experiment's flight dumps), then the fabric-heavy storms at the seed
 # with -json -flight (the JSON renderer and the flight dumps, which print
-# the wire's connection and drop records), and each command line in
-# $clis below runs once (they take no seed). It cmps lupine-bench's
-# stdout (without the "(wall …)" timing of each header), its -json
-# -flight stdout (which prints no wall time), the Chrome
-# trace, the SLO reports, the metrics JSON and its .prom sibling, the
-# stdout of each other command line, and the four artifacts
-# `lupine-build -o` writes (the rootfs.ext2 among them, streamed to
-# disk). It names each output that differs (and, for lupine-bench's
-# stdout, each experiment) and exits 1 on any difference. It writes
-# nothing under the repository.
+# the wire's connection and drop records), then every experiment at the
+# seed with -csv (the CSV renderer, one csv/<id>.csv each), and each
+# command line in $clis below runs once (they take no seed). It cmps
+# lupine-bench's stdout (without the "(wall …)" timing of each header),
+# its -json -flight stdout (which prints no wall time), the Chrome
+# trace, the SLO reports, the metrics JSON and its .prom sibling, every
+# CSV file either side wrote, the stdout of each other command line, and
+# the four artifacts `lupine-build -o` writes (the rootfs.ext2 among
+# them, streamed to disk). It names each output that differs or that one
+# side lacks (and, for lupine-bench's stdout, each experiment) and exits
+# 1 on any difference. It writes nothing under the repository.
 set -eu
 
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
@@ -71,6 +72,7 @@ run() {
     sed 's/ (wall [0-9.]*s)$//' stdout.raw >stdout
     ./lupine-bench -seed "$seed" -json -flight \
         -run netsplit,regionfail,catalog,breach,fleetchaos >json-flight
+    ./lupine-bench -seed "$seed" -csv=csv
     echo "$clis" | while read -r out bin args; do
         # $args is split into words on purpose.
         # shellcheck disable=SC2086
@@ -98,9 +100,11 @@ fi
 section() { awk -v id="$2" '/^# / { on = ($2 == id) } /^flight recorder: / { on = (id == "flight") } on' "$1"; }
 
 status=0
-# art/: what lupine-build -o wrote.
+# art/: what lupine-build -o wrote. csv/: what lupine-bench -csv wrote on
+# either side; cmp fails on a file one side lacks.
 artifacts='art/kernel.config art/init.sh art/rootfs.ext2 art/manifest.json'
-for f in stdout json-flight trace.json slo.json metrics.json metrics.json.prom $(echo "$clis" | awk '{ print $1 }') $artifacts; do
+csvs=$(cd "$tmp" && ls base/csv head/csv | grep '\.csv$' | sort -u | sed 's|^|csv/|')
+for f in stdout json-flight trace.json slo.json metrics.json metrics.json.prom $csvs $(echo "$clis" | awk '{ print $1 }') $artifacts; do
     if cmp -s "$tmp/base/$f" "$tmp/head/$f"; then
         echo "same    $f"
         continue
